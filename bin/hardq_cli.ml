@@ -99,10 +99,11 @@ let budget_arg =
 
 let shards_arg =
   let doc =
-    "Session-store shard count (1 = unsharded). With more shards the \
-     engine scatters the query to in-process worker shards and gathers \
-     partial answers (two-phase bound pruning for topk). Answers are \
-     bit-identical at any shard count."
+    "Session partition count (1 = unsharded). With more shards the \
+     engine places the query's sessions on that many partitions, runs \
+     them on its domain pool through its sub-answer store and merges \
+     the per-session answers (two-phase bound pruning for topk). \
+     Answers are bit-identical at any shard count."
   in
   Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
 

@@ -72,11 +72,11 @@ let kernel_arg =
 
 let shards_arg =
   let doc =
-    "Session-store shard count (1 = unsharded). With more than one \
-     shard the server becomes a scatter-gather coordinator over \
-     in-process worker shards: Count-Session scatters and sums, top-k \
-     runs two-phase with cross-shard bound pruning, and replies carry \
-     an additive $(b,shards) accounting block. Answers are \
+    "Session partition count (1 = unsharded). With more than one \
+     shard, classic-query sessions are placed on that many partitions \
+     run on the engine's domain pool: Count-Session merges and sums, \
+     top-k runs two-phase with cross-shard bound pruning, and replies \
+     carry an additive $(b,shards) accounting block. Answers are \
      bit-identical at any shard count."
   in
   Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)

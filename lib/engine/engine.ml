@@ -70,8 +70,8 @@ type t = {
   config : Config.t;
   answers : (key, float) Store.t option;
   terms : (term_key, float) Store.t option;
-  cluster : Shard.t option;
-      (* the sharded session store; [Some] iff [Config.shards > 1] *)
+  placement : Shard.t option;
+      (* session partitions; [Some] iff [Config.shards > 1] *)
   batch_ids : int Atomic.t;
   obs_m : Mutex.t; (* guards the evictions-folded counters below *)
   mutable answer_evictions_folded : int;
@@ -112,7 +112,7 @@ let create (cfg : Config.t) =
       (if cfg.Config.cache && cfg.Config.term_capacity > 0 then
          Some (Store.create ~capacity:cfg.Config.term_capacity)
        else None);
-    cluster =
+    placement =
       (if cfg.Config.shards > 1 then
          Some (Shard.create ~shards:cfg.Config.shards ())
        else None);
@@ -134,30 +134,11 @@ let clear_cache t =
   Option.iter Store.clear t.answers;
   Option.iter Store.clear t.terms
 
-let shutdown t =
-  if not (Atomic.exchange t.stopped true) then begin
-    Option.iter Shard.shutdown t.cluster;
-    Pool.shutdown t.pool
-  end
-
+let shutdown t = if not (Atomic.exchange t.stopped true) then Pool.shutdown t.pool
 let stopped t = Atomic.get t.stopped
 
 let with_engine cfg f =
   let t = create cfg in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-(* Deprecated optional-argument compatibility layer (one release). *)
-let create_legacy ?jobs ?(cache = true) ?(cache_capacity = 8192) () =
-  create
-    {
-      Config.default with
-      Config.jobs;
-      cache;
-      answer_capacity = cache_capacity;
-    }
-
-let with_engine_legacy ?jobs ?cache ?cache_capacity f =
-  let t = create_legacy ?jobs ?cache ?cache_capacity () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 let key_seed solver seed =
@@ -196,9 +177,55 @@ let take k l =
 
 let desc_by_snd l = List.stable_sort (fun (_, a) (_, b) -> compare b a) l
 
-(* Per-eval solve context. Answer-tier bookkeeping is sequential
-   (coordinator thread of this eval only); term-tier tallies are atomics
-   because the term hooks fire on pool worker domains. *)
+(* ------------------------------------------------------------------ *)
+(* Step 1: compile                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A request compiled once into per-session work plus the labeling
+   canon every cache key of this request shares. [p_rel] names the
+   sessions' relation for shard placement; only datalog sources carry
+   it, so plan sources always run pooled. *)
+type work = {
+  rows :
+    [ `Patterns of Ppd.Compile.request array
+    | `Predicates of Plan.t * Plan.pred_session list ];
+  p_rel : string option;
+  lab : Prefs.Labeling.t;
+  lab_canon : int list array;
+}
+
+let compile (req : Request.t) =
+  Obs.with_span "compile" @@ fun () ->
+  let rows, p_rel =
+    match req.Request.source with
+    | Request.Query q ->
+        let compiled = Ppd.Compile.compile req.Request.db q in
+        ( `Patterns (Array.of_list compiled.Ppd.Compile.requests),
+          Some (Ppd.Database.p_name compiled.Ppd.Compile.p_rel) )
+    | Request.Plan p -> (
+        match p.Plan.lowered with
+        | Plan.Patterns rs -> (`Patterns (Array.of_list rs), None)
+        | Plan.Predicates rows -> (`Predicates (p, rows), None))
+  in
+  (* Labels are interned during compilation: read the labeling after. *)
+  let lab = Ppd.Database.labeling req.Request.db in
+  let lab_canon =
+    Array.init (Prefs.Labeling.n_items lab) (Prefs.Labeling.labels_of lab)
+  in
+  { rows; p_rel; lab; lab_canon }
+
+let n_sessions work =
+  match work.rows with
+  | `Patterns requests -> Array.length requests
+  | `Predicates (_, rows) -> List.length rows
+
+(* ------------------------------------------------------------------ *)
+(* Step 2: grouped, single-flight, store-backed solve                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Per-eval solve context. Tallies are atomics and the [solve_cached]
+   memo is mutex-guarded: term hooks fire on pool domains, and session
+   partitions solve concurrently. *)
 type ctx = {
   solver : Hardq.Solver.t;
   seed : int;
@@ -214,20 +241,22 @@ type ctx = {
          either kernel (see Hardq.Kernel), so cache keys ignore it *)
   terms : (term_key, float) Store.t option;
   answers : (key, float) Store.t option;
-  mutable hits : int; (* distinct requests answered by the cache *)
-  mutable misses : int; (* distinct requests this eval solved itself *)
-  mutable sf_joins : int; (* distinct requests joined from another eval *)
+  local : (key, float) Hashtbl.t; (* [solve_cached]'s within-eval memo *)
+  local_m : Mutex.t;
+  hits : int Atomic.t; (* distinct requests answered by the cache *)
+  misses : int Atomic.t; (* distinct requests this eval solved itself *)
+  sf_joins : int Atomic.t; (* distinct requests joined from another eval *)
   term_hits : int Atomic.t;
   term_misses : int Atomic.t;
-  mutable solver_calls : int;
+  solver_calls : int Atomic.t;
 }
 
-let make_ctx (t : t) (req : Request.t) lab lab_canon =
+let make_ctx (t : t) (req : Request.t) (work : work) =
   {
     solver = req.Request.solver;
     seed = req.Request.seed;
-    lab;
-    lab_canon;
+    lab = work.lab;
+    lab_canon = work.lab_canon;
     budget = req.Request.budget;
     deadline = req.Request.deadline;
     par =
@@ -237,12 +266,14 @@ let make_ctx (t : t) (req : Request.t) lab lab_canon =
     kernel = t.config.Config.kernel;
     terms = t.terms;
     answers = t.answers;
-    hits = 0;
-    misses = 0;
-    sf_joins = 0;
+    local = Hashtbl.create 64;
+    local_m = Mutex.create ();
+    hits = Atomic.make 0;
+    misses = Atomic.make 0;
+    sf_joins = Atomic.make 0;
     term_hits = Atomic.make 0;
     term_misses = Atomic.make 0;
-    solver_calls = 0;
+    solver_calls = Atomic.make 0;
   }
 
 (* The term-tier hook handed to the general solver: scope the engine-global
@@ -275,12 +306,15 @@ let term_hook ctx (s : Ppd.Database.session) =
           store = (fun c p -> Store.put st (tkey c) p);
         }
 
+let check_deadline ctx =
+  match ctx.deadline with
+  | Some d when Util.Timer.wall () > d -> raise Util.Timer.Out_of_time
+  | _ -> ()
+
 let solve_one ctx (s : Ppd.Database.session) union rng =
   (* The wall-clock guard between invocations: the per-invocation CPU
      budget cannot bound a request made of many small solver calls. *)
-  (match ctx.deadline with
-  | Some d when Util.Timer.wall () > d -> raise Util.Timer.Out_of_time
-  | _ -> ());
+  check_deadline ctx;
   let budget =
     if ctx.budget > 0. then Some (Util.Timer.budget ctx.budget) else None
   in
@@ -294,38 +328,31 @@ let solve_one ctx (s : Ppd.Database.session) union rng =
 let job_rng ctx digest =
   Util.Rng.derive ctx.seed (Hardq.Digest.to_int digest)
 
-(* The memoized Mallows -> RIM conversion mutates the model record; force it
-   before entering the parallel phase so workers only ever read it. *)
-let preforce_models jobs =
-  Array.iter
-    (fun (_, (s : Ppd.Database.session), _, _) ->
-      ignore (Rim.Mallows.to_rim s.Ppd.Database.model))
-    jobs
+(* Solve a key this eval owns in the store and publish it — or abandon
+   the claim if the solve fails, so waiters take over. *)
+let solve_owned ctx st key digest session union =
+  let published = ref false in
+  Fun.protect
+    ~finally:(fun () -> if not !published then Store.abandon st key)
+    (fun () ->
+      Atomic.incr ctx.solver_calls;
+      let p = solve_one ctx session union (job_rng ctx digest) in
+      Store.publish st key p;
+      published := true;
+      p)
 
 (* Resolve a key another eval was solving when we grouped. Called only
-   after this eval has published (or abandoned) everything it owns, so
-   blocking here cannot deadlock. [await -> None] means the owner failed:
-   re-claim and, if we become owner, take over the solve. *)
-let rec join_deferred ctx key digest session union =
-  match ctx.answers with
-  | None -> assert false (* deferrals only exist with a store *)
-  | Some st -> (
-      match Store.await st key with
-      | Some p -> p
-      | None -> (
-          match Store.claim st key with
-          | Store.Hit p -> p
-          | Store.Busy -> join_deferred ctx key digest session union
-          | Store.Owner ->
-              let published = ref false in
-              Fun.protect
-                ~finally:(fun () -> if not !published then Store.abandon st key)
-                (fun () ->
-                  ctx.solver_calls <- ctx.solver_calls + 1;
-                  let p = solve_one ctx session union (job_rng ctx digest) in
-                  Store.publish st key p;
-                  published := true;
-                  p)))
+   while this eval owns nothing it has not published, so blocking here
+   cannot deadlock. [await -> None] means the owner failed: re-claim and,
+   if we become owner, take over the solve. *)
+let rec join_deferred ctx st key digest session union =
+  match Store.await st key with
+  | Some p -> p
+  | None -> (
+      match Store.claim st key with
+      | Store.Hit p -> p
+      | Store.Busy -> join_deferred ctx st key digest session union
+      | Store.Owner -> solve_owned ctx st key digest session union)
 
 (* Batch phase: probabilities for every request, in request order.
 
@@ -368,7 +395,7 @@ let batch_probs t ctx requests =
                     key_digest ctx.solver ctx.seed ctx.lab_canon session u
                   in
                   let own () =
-                    ctx.misses <- ctx.misses + 1;
+                    Atomic.incr ctx.misses;
                     let j = !n_jobs in
                     incr n_jobs;
                     jobs := (key, session, u, digest) :: !jobs;
@@ -380,12 +407,12 @@ let batch_probs t ctx requests =
                   | Some st -> (
                       match Store.claim st key with
                       | Store.Hit p ->
-                          ctx.hits <- ctx.hits + 1;
+                          Atomic.incr ctx.hits;
                           Hashtbl.add seen key (`Done p);
                           fixed.(i) <- p
                       | Store.Owner -> own ()
                       | Store.Busy ->
-                          ctx.sf_joins <- ctx.sf_joins + 1;
+                          Atomic.incr ctx.sf_joins;
                           let d = !n_defer in
                           incr n_defer;
                           deferred := (key, session, u, digest) :: !deferred;
@@ -409,11 +436,17 @@ let batch_probs t ctx requests =
             job_arr)
     (fun () ->
       Obs.with_span "solve" (fun () ->
-          preforce_models job_arr;
+          (* The memoized Mallows -> RIM conversion mutates the model
+             record; force it before the parallel phase so workers only
+             ever read it. *)
+          Array.iter
+            (fun (_, (s : Ppd.Database.session), _, _) ->
+              ignore (Rim.Mallows.to_rim s.Ppd.Database.model))
+            job_arr;
           Pool.run t.pool ~n:(Array.length job_arr) (fun j ->
               let _, session, u, digest = job_arr.(j) in
               results.(j) <- solve_one ctx session u (job_rng ctx digest)));
-      ctx.solver_calls <- ctx.solver_calls + Array.length job_arr;
+      ignore (Atomic.fetch_and_add ctx.solver_calls (Array.length job_arr));
       Obs.with_span "cache-fill" (fun () ->
           match ctx.answers with
           | None -> ()
@@ -424,69 +457,66 @@ let batch_probs t ctx requests =
                   published.(j) <- true)
                 job_arr));
   (* Only now — owning nothing — wait for the keys other evals claimed. *)
-  let defer_arr = Array.of_list (List.rev !deferred) in
   let joined =
     Obs.with_span "join" (fun () ->
         Array.map
           (fun (key, session, u, digest) ->
-            join_deferred ctx key digest session u)
-          defer_arr)
+            match ctx.answers with
+            | None -> assert false (* deferrals only exist with a store *)
+            | Some st -> join_deferred ctx st key digest session u)
+          (Array.of_list (List.rev !deferred)))
   in
-  Array.init n (fun i ->
-      let { Ppd.Compile.session; _ } = requests.(i) in
+  List.init n (fun i ->
       let p =
         if slot.(i) >= 0 then results.(slot.(i))
         else if defer.(i) >= 0 then joined.(defer.(i))
         else fixed.(i)
       in
-      (session, p))
+      (requests.(i).Ppd.Compile.session, p))
 
-(* Sequential cached solve for the adaptive top-k phase. Within-query
-   duplicates are resolved through the same table. Claims here are solved
-   (or joined) immediately, so at most one is ever held — the no-wait-
-   while-owning rule holds trivially. *)
-let solve_cached ctx local session union =
+(* One cached solve, for the adaptive top-k phase and for session
+   partitions. Within-eval duplicates resolve through the memo. A claim
+   here is solved (or joined) immediately, so at most one is ever held
+   per caller — the no-wait-while-owning rule holds trivially. *)
+let solve_cached ctx session union =
   let key = canonical_key ctx.solver ctx.seed ctx.lab_canon session union in
-  match Hashtbl.find_opt local key with
+  match Mutex.protect ctx.local_m (fun () -> Hashtbl.find_opt ctx.local key) with
   | Some p -> p
   | None ->
       let digest = key_digest ctx.solver ctx.seed ctx.lab_canon session union in
-      let solve_owned st =
-        let published = ref false in
-        Fun.protect
-          ~finally:(fun () -> if not !published then Store.abandon st key)
-          (fun () ->
-            ctx.solver_calls <- ctx.solver_calls + 1;
-            let p = solve_one ctx session union (job_rng ctx digest) in
-            Store.publish st key p;
-            published := true;
-            p)
-      in
       let p =
         match ctx.answers with
         | None ->
-            ctx.misses <- ctx.misses + 1;
-            ctx.solver_calls <- ctx.solver_calls + 1;
+            Atomic.incr ctx.misses;
+            Atomic.incr ctx.solver_calls;
             solve_one ctx session union (job_rng ctx digest)
         | Some st -> (
             match Store.claim st key with
             | Store.Hit p ->
-                ctx.hits <- ctx.hits + 1;
+                Atomic.incr ctx.hits;
                 p
             | Store.Owner ->
-                ctx.misses <- ctx.misses + 1;
-                solve_owned st
+                Atomic.incr ctx.misses;
+                solve_owned ctx st key digest session union
             | Store.Busy ->
-                ctx.sf_joins <- ctx.sf_joins + 1;
-                join_deferred ctx key digest session union)
+                Atomic.incr ctx.sf_joins;
+                join_deferred ctx st key digest session union)
       in
-      Hashtbl.add local key p;
+      Mutex.protect ctx.local_m (fun () -> Hashtbl.replace ctx.local key p);
       p
+
+let upper_bound ctx ~n_edges (s : Ppd.Database.session) u =
+  Hardq.Upper_bound.upper_bound ~k:n_edges
+    (Rim.Mallows.to_rim s.Ppd.Database.model)
+    ctx.lab u
 
 (* Most-Probable-Session with the k-edge relaxation: upper bounds for every
    session (in parallel), then exact evaluation in descending bound order,
-   stopping when k exact probabilities dominate every remaining bound. *)
+   stopping when k exact probabilities dominate every remaining bound.
+   Returns the evaluated sessions newest first — the order
+   [Ppd.Solve.top_k] ranks ties in — and the bound phase's seconds. *)
 let topk_edges t ctx requests ~k ~n_edges =
+  let t0 = Util.Timer.wall () in
   let n = Array.length requests in
   let bounds = Array.make n 0. in
   Obs.with_span "bounds" (fun () ->
@@ -498,9 +528,8 @@ let topk_edges t ctx requests ~k ~n_edges =
           match requests.(i) with
           | { Ppd.Compile.union = None; _ } -> ()
           | { Ppd.Compile.session; union = Some u } ->
-              let model = Rim.Mallows.to_rim session.Ppd.Database.model in
-              bounds.(i) <- Hardq.Upper_bound.upper_bound ~k:n_edges model ctx.lab u));
-  let t_bounded = Util.Timer.wall () in
+              bounds.(i) <- upper_bound ctx ~n_edges session u));
+  let bound_s = Util.Timer.wall () -. t0 in
   let queue =
     List.stable_sort
       (fun (_, _, a) (_, _, b) -> compare b a)
@@ -508,7 +537,6 @@ let topk_edges t ctx requests ~k ~n_edges =
            let { Ppd.Compile.session; union } = requests.(i) in
            (session, union, bounds.(i))))
   in
-  let local = Hashtbl.create 64 in
   let rec go acc = function
     | [] -> acc
     | (session, union, ub) :: rest ->
@@ -520,72 +548,14 @@ let topk_edges t ctx requests ~k ~n_edges =
         if kth_best >= ub then acc (* remaining bounds only get smaller *)
         else
           let p =
-            match union with
-            | None -> 0.
-            | Some u -> solve_cached ctx local session u
+            match union with None -> 0. | Some u -> solve_cached ctx session u
           in
           go ((session, p) :: acc) rest
   in
-  let evaluated = go [] queue in
-  (take k (desc_by_snd evaluated), List.rev evaluated, t_bounded)
-
-(* Fold the ctx tallies (and the stores' own eviction counters, which
-   outlive any single eval) into the process-wide registry. Concurrent
-   evals may fold at once; the folded-eviction watermarks are under a
-   mutex, everything else is atomic counters. *)
-let fold_obs (t : t) ctx ~sessions =
-  Obs.Counter.add c_evals 1;
-  Obs.Counter.add c_sessions sessions;
-  Obs.Counter.add c_distinct (ctx.hits + ctx.misses + ctx.sf_joins);
-  Obs.Counter.add c_solver_calls ctx.solver_calls;
-  Obs.Counter.add c_cache_hits ctx.hits;
-  Obs.Counter.add c_cache_misses ctx.misses;
-  Obs.Counter.add c_sf_joins ctx.sf_joins;
-  Mutex.lock t.obs_m;
-  (match t.answers with
-  | None -> ()
-  | Some c ->
-      let ev = Store.evictions c in
-      Obs.Counter.add c_cache_evictions (ev - t.answer_evictions_folded);
-      t.answer_evictions_folded <- ev);
-  (match t.terms with
-  | None -> ()
-  | Some c ->
-      let ev = Store.evictions c in
-      Obs.Counter.add c_term_evictions (ev - t.term_evictions_folded);
-      t.term_evictions_folded <- ev);
-  Mutex.unlock t.obs_m;
-  Obs.Histogram.observe h_distinct (ctx.hits + ctx.misses + ctx.sf_joins)
-
-(* Run one engine-level task over compiled per-session requests. *)
-let run_task t ctx requests task ~t_compiled =
-  match task with
-  | Request.Boolean ->
-      let probs = Array.to_list (batch_probs t ctx requests) in
-      let p =
-        Obs.with_span "aggregate" (fun () ->
-            1. -. List.fold_left (fun acc (_, p) -> acc *. (1. -. p)) 1. probs)
-      in
-      (Response.Probability p, probs, 0.)
-  | Request.Count ->
-      let probs = Array.to_list (batch_probs t ctx requests) in
-      let c =
-        Obs.with_span "aggregate" (fun () ->
-            List.fold_left (fun acc (_, p) -> acc +. p) 0. probs)
-      in
-      (Response.Expectation c, probs, 0.)
-  | Request.Top_k { k; strategy = `Naive } ->
-      let probs = Array.to_list (batch_probs t ctx requests) in
-      let ranked =
-        Obs.with_span "aggregate" (fun () -> take k (desc_by_snd probs))
-      in
-      (Response.Ranked ranked, probs, 0.)
-  | Request.Top_k { k; strategy = `Edges n_edges } ->
-      let ranked, evaluated, t_bounded = topk_edges t ctx requests ~k ~n_edges in
-      (Response.Ranked ranked, evaluated, t_bounded -. t_compiled)
+  (go [] queue, bound_s)
 
 (* ------------------------------------------------------------------ *)
-(* Plan execution                                                      *)
+(* Plan predicate rows                                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* The ranking-level predicate of a plan row: some disjunct's pattern
@@ -604,10 +574,8 @@ let plan_pred lab (row : Plan.pred_session) r =
    leaf is derived from (request seed, plan digest, session model) — a
    pure function of the sub-problem, like the pattern paths. *)
 let pred_session_prob ctx (plan : Plan.t) (row : Plan.pred_session) =
-  (match ctx.deadline with
-  | Some d when Util.Timer.wall () > d -> raise Util.Timer.Out_of_time
-  | _ -> ());
-  ctx.solver_calls <- ctx.solver_calls + 1;
+  check_deadline ctx;
+  Atomic.incr ctx.solver_calls;
   let mal = row.Plan.session.Ppd.Database.model in
   match plan.Plan.leaf with
   | Plan.Rank_poly -> (
@@ -629,6 +597,63 @@ let pred_session_prob ctx (plan : Plan.t) (row : Plan.pred_session) =
   | Plan.Enumerate | Plan.Exact _ | Plan.Union_ie ->
       Hardq.Brute.prob_pred ~par:ctx.par (Rim.Mallows.to_rim mal)
         (plan_pred ctx.lab row)
+
+(* Step 2 proper: per-session probabilities for the request's task. The
+   first list is in the order step 3 folds and ranks, the second is the
+   response's [per_session]; they differ only on the unsharded [`Edges]
+   path, which ranks ties newest-evaluated first like [Ppd.Solve.top_k].
+   Placement is a property of this step alone: a sharded engine runs
+   each shard's sessions as one partition on the pool, through the same
+   store-backed [solve_cached]. Plan sources always run pooled. *)
+let resolve t ctx (req : Request.t) work =
+  match (work.rows, t.placement, work.p_rel) with
+  | `Predicates (plan, rows), _, _ ->
+      let probs =
+        Obs.with_span "solve" (fun () ->
+            List.map
+              (fun (row : Plan.pred_session) ->
+                (row.Plan.session, pred_session_prob ctx plan row))
+              rows)
+      in
+      (probs, probs, 0., None)
+  | `Patterns requests, Some placement, Some p_rel ->
+      let par = Pool.sharer t.pool and prob = solve_cached ctx in
+      let probs, summary, bound_s =
+        match req.Request.task with
+        | Request.Top_k { k; strategy } ->
+            Shard.top_k placement ~par ?deadline:ctx.deadline ~prob
+              ~bound:(upper_bound ctx) ~k ~strategy ~p_rel requests
+        | Request.Boolean | Request.Count ->
+            let probs, summary =
+              Shard.probs placement ~par ?deadline:ctx.deadline ~prob ~p_rel requests
+            in
+            (probs, summary, 0.)
+      in
+      (probs, probs, bound_s, Some summary)
+  | `Patterns requests, _, _ -> (
+      match req.Request.task with
+      | Request.Top_k { k; strategy = `Edges n_edges } ->
+          let newest_first, bound_s = topk_edges t ctx requests ~k ~n_edges in
+          (newest_first, List.rev newest_first, bound_s, None)
+      | Request.Boolean | Request.Count | Request.Top_k { strategy = `Naive; _ } ->
+          let probs = batch_probs t ctx requests in
+          (probs, probs, 0., None))
+
+(* ------------------------------------------------------------------ *)
+(* Steps 3 and 4: fold the task, build the stats                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The left folds replicate the sequential reference's order exactly
+   (bit-identity); ranking stable-sorts, so ties keep [probs]' order. *)
+let fold_task task probs =
+  Obs.with_span "aggregate" @@ fun () ->
+  match task with
+  | Request.Boolean ->
+      Response.Probability
+        (1. -. List.fold_left (fun acc (_, p) -> acc *. (1. -. p)) 1. probs)
+  | Request.Count ->
+      Response.Expectation (List.fold_left (fun acc (_, p) -> acc +. p) 0. probs)
+  | Request.Top_k { k; _ } -> Response.Ranked (take k (desc_by_snd probs))
 
 (* Fold a plan's own task over the engine answer. Aggregates replicate
    [Ppd.Aggregate.over_sessions]'s fold order exactly (bit-identity with
@@ -667,85 +692,57 @@ let plan_answer (req : Request.t) (plan : Plan.t) answer per_session =
         | Lang.Ast.Certainly -> if p >= 1. -. 1e-9 then 1. else 0.)
   | _ -> answer
 
-let eval_direct t ~batch_id ~batch_size (req : Request.t) =
-  Obs.with_span "engine.eval" @@ fun () ->
-  let m0 = if Obs.enabled () then Obs.snapshot () else [] in
-  let t_start = Util.Timer.wall () in
-  let work =
-    Obs.with_span "compile" (fun () ->
-        match req.Request.source with
-        | Request.Query q ->
-            let compiled = Ppd.Compile.compile req.Request.db q in
-            `Patterns (Array.of_list compiled.Ppd.Compile.requests)
-        | Request.Plan p -> (
-            match p.Plan.lowered with
-            | Plan.Patterns rs -> `Patterns (Array.of_list rs)
-            | Plan.Predicates rows -> `Predicates rows))
-  in
-  let lab = Ppd.Database.labeling req.Request.db in
-  let lab_canon =
-    Array.init (Prefs.Labeling.n_items lab) (Prefs.Labeling.labels_of lab)
-  in
-  let t_compiled = Util.Timer.wall () in
-  let ctx = make_ctx t req lab lab_canon in
-  let n_sessions, (answer, per_session, bound_s) =
-    match work with
-    | `Patterns requests ->
-        (Array.length requests, run_task t ctx requests req.Request.task ~t_compiled)
-    | `Predicates rows ->
-        let plan =
-          match req.Request.source with
-          | Request.Plan p -> p
-          | Request.Query _ -> assert false
-        in
-        let probs =
-          Obs.with_span "solve" (fun () ->
-              List.map
-                (fun (row : Plan.pred_session) ->
-                  (row.Plan.session, pred_session_prob ctx plan row))
-                rows)
-        in
-        let res =
-          Obs.with_span "aggregate" (fun () ->
-              match req.Request.task with
-              | Request.Boolean ->
-                  let p =
-                    1.
-                    -. List.fold_left (fun acc (_, p) -> acc *. (1. -. p)) 1. probs
-                  in
-                  (Response.Probability p, probs, 0.)
-              | Request.Count ->
-                  let c = List.fold_left (fun acc (_, p) -> acc +. p) 0. probs in
-                  (Response.Expectation c, probs, 0.)
-              | Request.Top_k { k; _ } ->
-                  (* bounds need pattern unions; rank plans rank naively *)
-                  (Response.Ranked (take k (desc_by_snd probs)), probs, 0.))
-        in
-        (List.length rows, res)
-  in
-  let answer =
-    match req.Request.source with
-    | Request.Query _ -> answer
-    | Request.Plan plan -> plan_answer req plan answer per_session
-  in
+(* Fold the ctx tallies (and the stores' own eviction counters, which
+   outlive any single eval) into the process-wide registry. Concurrent
+   evals may fold at once; the folded-eviction watermarks are under a
+   mutex, everything else is atomic counters. *)
+let fold_obs (t : t) ctx ~sessions =
+  let hits = Atomic.get ctx.hits
+  and misses = Atomic.get ctx.misses
+  and sf_joins = Atomic.get ctx.sf_joins in
+  Obs.Counter.add c_evals 1;
+  Obs.Counter.add c_sessions sessions;
+  Obs.Counter.add c_distinct (hits + misses + sf_joins);
+  Obs.Counter.add c_solver_calls (Atomic.get ctx.solver_calls);
+  Obs.Counter.add c_cache_hits hits;
+  Obs.Counter.add c_cache_misses misses;
+  Obs.Counter.add c_sf_joins sf_joins;
+  Mutex.protect t.obs_m (fun () ->
+      (match t.answers with
+      | None -> ()
+      | Some c ->
+          let ev = Store.evictions c in
+          Obs.Counter.add c_cache_evictions (ev - t.answer_evictions_folded);
+          t.answer_evictions_folded <- ev);
+      match t.terms with
+      | None -> ()
+      | Some c ->
+          let ev = Store.evictions c in
+          Obs.Counter.add c_term_evictions (ev - t.term_evictions_folded);
+          t.term_evictions_folded <- ev);
+  Obs.Histogram.observe h_distinct (hits + misses + sf_joins)
+
+(* Step 4, the one place a [Response.stats] is built. [distinct]
+   defaults to the store tallies' distinct keys. *)
+let respond t ctx ~m0 ~t_start ~t_compiled ~bound_s ~sessions ?distinct ?shards
+    ~batch_id ~batch_size answer per_session =
   let t_end = Util.Timer.wall () in
-  fold_obs t ctx ~sessions:n_sessions;
-  let metrics =
-    if Obs.enabled () then Obs.diff m0 (Obs.snapshot ()) else []
-  in
+  let hits = Atomic.get ctx.hits
+  and misses = Atomic.get ctx.misses
+  and sf_joins = Atomic.get ctx.sf_joins in
   {
     Response.answer;
     per_session;
     stats =
       {
-        Response.sessions = n_sessions;
-        distinct = ctx.hits + ctx.misses + ctx.sf_joins;
-        cache_hits = ctx.hits;
-        cache_misses = ctx.misses;
-        sf_joins = ctx.sf_joins;
+        Response.sessions;
+        distinct = Option.value distinct ~default:(hits + misses + sf_joins);
+        cache_hits = hits;
+        cache_misses = misses;
+        sf_joins;
         term_hits = Atomic.get ctx.term_hits;
         term_misses = Atomic.get ctx.term_misses;
-        solver_calls = ctx.solver_calls;
+        solver_calls = Atomic.get ctx.solver_calls;
         jobs = Pool.size t.pool;
         batch_id;
         batch_size;
@@ -753,105 +750,41 @@ let eval_direct t ~batch_id ~batch_size (req : Request.t) =
         bound_s;
         solve_s = t_end -. t_compiled -. bound_s;
         total_s = t_end -. t_start;
-        metrics;
-        shards = None;
+        metrics = (if Obs.enabled () then Obs.diff m0 (Obs.snapshot ()) else []);
+        shards;
       };
   }
 
 (* ------------------------------------------------------------------ *)
-(* Sharded dispatch (ROADMAP item 2)                                   *)
+(* The executor                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let c_sharded_evals = Obs.counter "engine.sharded_evals"
-
-(* Classic-query requests on an engine configured with [shards > 1]
-   scatter to the sharded session store instead of the local pool.
-   Compilation (which interns labels, mutating the database) stays on
-   the coordinator; workers get a read-only view. The coordinator's
-   merge re-folds per-session probabilities in global session order, so
-   the answer is bit-identical to the unsharded path — unless shards
-   failed, which the summary types as a partial (lower-bound) answer
-   instead of raising. *)
-let eval_sharded t cluster ~batch_id ~batch_size (req : Request.t) q =
-  Obs.with_span "engine.eval" @@ fun () ->
-  let m0 = if Obs.enabled () then Obs.snapshot () else [] in
-  let t_start = Util.Timer.wall () in
-  let compiled =
-    Obs.with_span "compile" (fun () -> Ppd.Compile.compile req.Request.db q)
-  in
-  let lab = Ppd.Database.labeling req.Request.db in
-  let lab_canon =
-    Array.init (Prefs.Labeling.n_items lab) (Prefs.Labeling.labels_of lab)
-  in
+(* Steps 2-4 over already-compiled work; every exact answer the engine
+   returns comes from here. *)
+let execute t (req : Request.t) work ~m0 ~t_start ~batch_id ~batch_size =
   let t_compiled = Util.Timer.wall () in
-  let job =
-    {
-      Shard.solver = req.Request.solver;
-      seed = req.Request.seed;
-      budget = req.Request.budget;
-      kernel = t.config.Config.kernel;
-      lab;
-      lab_canon;
-      deadline = req.Request.deadline;
-    }
+  let ctx = make_ctx t req work in
+  let probs, per_session, bound_s, shards = resolve t ctx req work in
+  let answer = fold_task req.Request.task probs in
+  let answer =
+    match req.Request.source with
+    | Request.Query _ -> answer
+    | Request.Plan plan -> plan_answer req plan answer per_session
   in
-  let p_rel = Ppd.Database.p_name compiled.Ppd.Compile.p_rel in
-  let requests = compiled.Ppd.Compile.requests in
-  let answer, per_session, summary =
-    match req.Request.task with
-    | Request.Boolean ->
-        let p, ps, s = Shard.boolean cluster job ~p_rel requests in
-        (Response.Probability p, ps, s)
-    | Request.Count ->
-        let c, ps, s = Shard.count cluster job ~p_rel requests in
-        (Response.Expectation c, ps, s)
-    | Request.Top_k { k; strategy } ->
-        let ranked, ps, s =
-          Shard.top_k cluster job ~k ~strategy ~p_rel requests
-        in
-        (Response.Ranked ranked, ps, s)
-  in
-  let t_end = Util.Timer.wall () in
-  Obs.Counter.incr c_sharded_evals;
-  Obs.Counter.add c_evals 1;
-  Obs.Counter.add c_sessions (List.length requests);
-  Obs.Counter.add c_solver_calls summary.Shard.solved_sessions;
-  let metrics = if Obs.enabled () then Obs.diff m0 (Obs.snapshot ()) else [] in
-  {
-    Response.answer;
-    per_session;
-    stats =
-      {
-        Response.sessions = List.length requests;
-        distinct = summary.Shard.solved_sessions;
-        cache_hits = 0;
-        cache_misses = 0;
-        sf_joins = 0;
-        term_hits = 0;
-        term_misses = 0;
-        solver_calls = summary.Shard.solved_sessions;
-        jobs = Pool.size t.pool;
-        batch_id;
-        batch_size;
-        compile_s = t_compiled -. t_start;
-        bound_s = 0.;
-        solve_s = t_end -. t_compiled;
-        total_s = t_end -. t_start;
-        metrics;
-        shards = Some summary;
-      };
-  }
+  let sessions = n_sessions work in
+  fold_obs t ctx ~sessions;
+  respond t ctx ~m0 ~t_start ~t_compiled ~bound_s ~sessions ?shards ~batch_id
+    ~batch_size answer per_session
 
-(* Route one request: the sharded data plane serves classic-query
-   sources (Boolean / Count / Top-k over a parsed CQ); plan sources
-   keep the pooled path — their lowered forms carry plan-level folds the
-   coordinator does not replicate. *)
+let snapshot () = if Obs.enabled () then Obs.snapshot () else []
+
 let eval_one t ~batch_id ~batch_size (req : Request.t) =
   if Atomic.get t.stopped then raise Stopped;
-  match (t.cluster, req.Request.source) with
-  | Some cluster, Request.Query q ->
-      eval_sharded t cluster ~batch_id ~batch_size req q
-  | _ -> eval_direct t ~batch_id ~batch_size req
+  Obs.with_span "engine.eval" @@ fun () ->
+  let m0 = snapshot () in
+  let t_start = Util.Timer.wall () in
+  let work = compile req in
+  execute t req work ~m0 ~t_start ~batch_id ~batch_size
 
 let next_batch_id t = Atomic.fetch_and_add t.batch_ids 1
 
@@ -896,18 +829,6 @@ type anytime = {
 
 type served = { response : Response.t; anytime : anytime option }
 
-(* Compile a request's source into per-session work, shared by [eval_one]
-   and the serve-side cost model. *)
-let compile_work (req : Request.t) =
-  match req.Request.source with
-  | Request.Query q ->
-      let compiled = Ppd.Compile.compile req.Request.db q in
-      `Patterns (Array.of_list compiled.Ppd.Compile.requests)
-  | Request.Plan p -> (
-      match p.Plan.lowered with
-      | Plan.Patterns rs -> `Patterns (Array.of_list rs)
-      | Plan.Predicates rows -> `Predicates rows)
-
 (* Cost model: serve exactly whenever an exact answer is affordable — it
    satisfies any SLO with a degenerate (point) interval. Plans carry the
    planner's dichotomy verdict; raw CQs are classified by their compiled
@@ -934,7 +855,7 @@ let route_exact (req : Request.t) work =
           match req.Request.solver with
           | Hardq.Solver.Approx _ -> false
           | Hardq.Solver.Exact _ -> (
-              match work with
+              match work.rows with
               | `Predicates _ -> assert false (* predicates come from plans *)
               | `Patterns requests ->
                   not
@@ -950,8 +871,9 @@ let route_exact (req : Request.t) work =
 (* The anytime sampler's sessions: one (model, event predicate) pair per
    session whose event is not statically impossible (those contribute
    nothing to either task's answer). *)
-let sampler_sessions lab work =
-  match work with
+let sampler_sessions (work : work) =
+  let lab = work.lab in
+  match work.rows with
   | `Patterns requests ->
       Array.of_list
         (List.filter_map
@@ -963,7 +885,7 @@ let sampler_sessions lab work =
                    ( Rim.Mallows.to_rim session.Ppd.Database.model,
                      fun r -> Prefs.Matcher.matches_union lab u r ))
            (Array.to_list requests))
-  | `Predicates rows ->
+  | `Predicates (_, rows) ->
       Array.of_list
         (List.filter_map
            (fun (row : Plan.pred_session) ->
@@ -985,13 +907,13 @@ let sampler_sessions lab work =
    a pure function of the request's meaning, like [key_digest]. Round [r]
    then folds [r] on top, so frame sequences are byte-identical at any
    pool width and any stopping target (the prefix property). *)
-let serve_digest (req : Request.t) work lab_canon =
+let serve_digest (req : Request.t) (work : work) =
   match req.Request.source with
   | Request.Plan p -> Plan.digest p
   | Request.Query _ -> (
       let module D = Hardq.Digest in
-      let h = D.labels D.empty lab_canon in
-      match work with
+      let h = D.labels D.empty work.lab_canon in
+      match work.rows with
       | `Predicates _ -> assert false
       | `Patterns requests ->
           Array.fold_left
@@ -1007,19 +929,101 @@ let serve_digest (req : Request.t) work lab_canon =
    width stops moving at double precision. *)
 let max_serve_draws = 1 lsl 20
 
+(* The resumable sampler loop over compiled work. Round 1 always runs
+   (64 draws), so even an already-expired deadline returns an estimate
+   with a CI rather than nothing. *)
+let serve_anytime t ~on_frame ~cancelled (req : Request.t) slo work ~m0 ~t_start =
+  let t_compiled = Util.Timer.wall () in
+  let task =
+    match req.Request.task with
+    | Request.Boolean -> Hardq.Anytime.Boolean
+    | Request.Count -> Hardq.Anytime.Count
+    | Request.Top_k _ -> assert false (* always routed exact *)
+  in
+  let sessions = sampler_sessions work in
+  let base = serve_digest req work in
+  let rng_of_round r =
+    Util.Rng.derive req.Request.seed (Hardq.Digest.to_int (Hardq.Digest.int base r))
+  in
+  let sampler = Hardq.Anytime.make ~task ~sessions ~rng_of_round in
+  let limit =
+    let slo_limit =
+      match slo with `Deadline span -> Some (t_start +. span) | `Ci_width _ -> None
+    in
+    match (slo_limit, req.Request.deadline) with
+    | Some a, Some b -> Some (min a b)
+    | Some a, None -> Some a
+    | None, d -> d
+  in
+  let target = match slo with `Ci_width w -> Some w | `Deadline _ -> None in
+  let expired () =
+    match limit with Some d -> Util.Timer.wall () > d | None -> false
+  in
+  let frames = ref 0 in
+  let rec loop () =
+    let f = Obs.with_span "round" (fun () -> Hardq.Anytime.step sampler) in
+    incr frames;
+    on_frame f;
+    if cancelled () then (`Cancelled, f)
+    else if match target with Some w -> Hardq.Anytime.width f <= w | None -> false
+    then (`Final, f)
+    else if Hardq.Anytime.width f <= 0. then (`Final, f)
+    else if expired () then (`Timeout, f)
+    else if Hardq.Anytime.draws sampler >= max_serve_draws then (`Timeout, f)
+    else loop ()
+  in
+  let status, last = loop () in
+  let answer =
+    match task with
+    | Hardq.Anytime.Boolean -> Response.Probability last.Hardq.Anytime.estimate
+    | Hardq.Anytime.Count -> Response.Expectation last.Hardq.Anytime.estimate
+  in
+  let rounds = Hardq.Anytime.rounds sampler in
+  Obs.Counter.incr c_serves;
+  Obs.Counter.add c_any_rounds rounds;
+  Obs.Counter.add c_any_draws (Hardq.Anytime.draws sampler);
+  Obs.Counter.add c_any_frames !frames;
+  if status = `Timeout then Obs.Counter.incr c_any_timeouts;
+  Obs.Histogram.observe h_ci_width_bp
+    (int_of_float (Hardq.Anytime.width last *. 1e4));
+  let ctx = make_ctx t req work in
+  Atomic.set ctx.solver_calls rounds;
+  let response =
+    respond t ctx ~m0 ~t_start ~t_compiled ~bound_s:0. ~sessions:(n_sessions work)
+      ~distinct:(Array.length sessions) ~batch_id:(next_batch_id t) ~batch_size:1
+      answer []
+  in
+  {
+    response;
+    anytime =
+      Some
+        {
+          status;
+          frames = !frames;
+          rounds;
+          draws = Hardq.Anytime.draws sampler;
+          ci_lo = last.Hardq.Anytime.ci_lo;
+          ci_hi = last.Hardq.Anytime.ci_hi;
+        };
+  }
+
 let serve t ?(on_frame = fun (_ : Hardq.Anytime.frame) -> ())
     ?(cancelled = fun () -> false) (req : Request.t) =
   match req.Request.slo with
   | None -> { response = eval t req; anytime = None }
-  | Some slo -> (
+  | Some slo ->
       if Atomic.get t.stopped then raise Stopped;
       Obs.with_span "engine.serve" @@ fun () ->
+      let m0 = snapshot () in
       let t_start = Util.Timer.wall () in
-      let work = Obs.with_span "compile" (fun () -> compile_work req) in
+      let work = compile req in
       if route_exact req work then
         (* Exact answers satisfy any SLO; scalar ones surface as a
-           degenerate point interval so clients see a uniform shape. *)
-        let response = eval t req in
+           degenerate point interval so clients see a uniform shape. The
+           work compiled for routing is the work executed. *)
+        let response =
+          execute t req work ~m0 ~t_start ~batch_id:(next_batch_id t) ~batch_size:1
+        in
         let anytime =
           match response.Response.answer with
           | Response.Probability v | Response.Expectation v ->
@@ -1035,124 +1039,4 @@ let serve t ?(on_frame = fun (_ : Hardq.Anytime.frame) -> ())
           | Response.Ranked _ -> None
         in
         { response; anytime }
-      else begin
-        let m0 = if Obs.enabled () then Obs.snapshot () else [] in
-        let lab = Ppd.Database.labeling req.Request.db in
-        let lab_canon =
-          Array.init (Prefs.Labeling.n_items lab) (Prefs.Labeling.labels_of lab)
-        in
-        let t_compiled = Util.Timer.wall () in
-        let task =
-          match req.Request.task with
-          | Request.Boolean -> Hardq.Anytime.Boolean
-          | Request.Count -> Hardq.Anytime.Count
-          | Request.Top_k _ -> assert false (* routed exact above *)
-        in
-        let sessions = sampler_sessions lab work in
-        let n_sessions =
-          match work with
-          | `Patterns requests -> Array.length requests
-          | `Predicates rows -> List.length rows
-        in
-        let base = serve_digest req work lab_canon in
-        let rng_of_round r =
-          Util.Rng.derive req.Request.seed
-            (Hardq.Digest.to_int (Hardq.Digest.int base r))
-        in
-        let sampler = Hardq.Anytime.make ~task ~sessions ~rng_of_round in
-        let limit =
-          let slo_limit =
-            match slo with
-            | `Deadline span -> Some (t_start +. span)
-            | `Ci_width _ -> None
-          in
-          match (slo_limit, req.Request.deadline) with
-          | Some a, Some b -> Some (min a b)
-          | Some a, None -> Some a
-          | None, d -> d
-        in
-        let target =
-          match slo with `Ci_width w -> Some w | `Deadline _ -> None
-        in
-        let expired () =
-          match limit with
-          | Some d -> Util.Timer.wall () > d
-          | None -> false
-        in
-        (* Round 1 always runs (64 draws), so even an already-expired
-           deadline returns an estimate with a CI rather than nothing. *)
-        let frames = ref 0 in
-        let rec loop () =
-          let f = Obs.with_span "round" (fun () -> Hardq.Anytime.step sampler) in
-          incr frames;
-          on_frame f;
-          if cancelled () then (`Cancelled, f)
-          else if
-            match target with
-            | Some w -> Hardq.Anytime.width f <= w
-            | None -> false
-          then (`Final, f)
-          else if Hardq.Anytime.width f <= 0. then (`Final, f)
-          else if expired () then (`Timeout, f)
-          else if Hardq.Anytime.draws sampler >= max_serve_draws then
-            (`Timeout, f)
-          else loop ()
-        in
-        let status, last = loop () in
-        let answer =
-          match req.Request.task with
-          | Request.Boolean -> Response.Probability last.Hardq.Anytime.estimate
-          | Request.Count -> Response.Expectation last.Hardq.Anytime.estimate
-          | Request.Top_k _ -> assert false
-        in
-        let t_end = Util.Timer.wall () in
-        Obs.Counter.incr c_serves;
-        Obs.Counter.add c_any_rounds (Hardq.Anytime.rounds sampler);
-        Obs.Counter.add c_any_draws (Hardq.Anytime.draws sampler);
-        Obs.Counter.add c_any_frames !frames;
-        if status = `Timeout then Obs.Counter.incr c_any_timeouts;
-        Obs.Histogram.observe h_ci_width_bp
-          (int_of_float (Hardq.Anytime.width last *. 1e4));
-        let metrics =
-          if Obs.enabled () then Obs.diff m0 (Obs.snapshot ()) else []
-        in
-        let response =
-          {
-            Response.answer;
-            per_session = [];
-            stats =
-              {
-                Response.sessions = n_sessions;
-                distinct = Array.length sessions;
-                cache_hits = 0;
-                cache_misses = 0;
-                sf_joins = 0;
-                term_hits = 0;
-                term_misses = 0;
-                solver_calls = Hardq.Anytime.rounds sampler;
-                jobs = Pool.size t.pool;
-                batch_id = next_batch_id t;
-                batch_size = 1;
-                compile_s = t_compiled -. t_start;
-                bound_s = 0.;
-                solve_s = t_end -. t_compiled;
-                total_s = t_end -. t_start;
-                metrics;
-                shards = None;
-              };
-          }
-        in
-        {
-          response;
-          anytime =
-            Some
-              {
-                status;
-                frames = !frames;
-                rounds = Hardq.Anytime.rounds sampler;
-                draws = Hardq.Anytime.draws sampler;
-                ci_lo = last.Hardq.Anytime.ci_lo;
-                ci_hi = last.Hardq.Anytime.ci_hi;
-              };
-        }
-      end)
+      else serve_anytime t ~on_frame ~cancelled req slo work ~m0 ~t_start

@@ -19,7 +19,12 @@
       joins the first's result;
     - exposes typed entry points, {!eval} and {!eval_batch}, on
       {!Request.t} / {!Response.t} records, configured by a {!Config.t}
-      record instead of optional-argument sprawl.
+      record instead of optional-argument sprawl;
+    - answers every exact request — {!eval}, {!eval_batch} and {!serve}'s
+      exact route — with one executor: compile once, resolve the
+      per-session probabilities through the store (on session
+      partitions when {!Config.shards} [> 1]), fold the task, build the
+      stats.
 
     {b Determinism.} Results are bit-identical whatever the pool size,
     cache configuration or warm state: each sub-problem's RNG is derived
@@ -71,13 +76,14 @@ module Config : sig
             layout against the flat production layout for debugging and
             differential testing. *)
     shards : int;
-        (** session-store shard count (default 1 = unsharded). When
-            [> 1] the engine also spins up a {!Shard.t} cluster and
-            routes classic-query requests (Boolean / Count / Top-k over
-            a parsed CQ) through scatter-gather; plan-source requests
-            keep the pooled path. Sharded answers are bit-identical to
-            the unsharded ones at any shard count — see {!Shard} — and
-            carry a per-shard accounting block in
+        (** session partitions (default 1 = unsharded). When [> 1], the
+            sessions of a classic-query request (Boolean / Count / Top-k
+            over a parsed CQ) are placed on [shards] partitions by
+            consistent hashing ({!Shard}); the partitions run on this
+            engine's domain pool through its sub-answer store, with
+            per-shard deadlines and typed partial failure. Plan-source
+            requests stay unpartitioned. Answers are bit-identical at
+            any shard count and carry a per-shard accounting block in
             [Response.stats.shards]. *)
   }
 
@@ -170,8 +176,9 @@ val serve :
     stops the loop with status [`Cancelled]. Hard-verdict requests run
     the anytime sampler sequentially on the calling thread (round cost
     is bounded, so cancellation latency is too); tractable, ranked,
-    modal and aggregate requests fall through to {!eval}, whose exact
-    answer satisfies any SLO as a point interval. The sampling path
+    modal and aggregate requests run {!eval}'s executor on the work
+    already compiled for routing, and the exact answer satisfies any SLO
+    as a point interval. The sampling path
     never raises [Util.Timer.Out_of_time]: deadlines degrade to
     [`Timeout] with the best estimate so far. *)
 
@@ -205,12 +212,3 @@ val stopped : t -> bool
 val with_engine : Config.t -> (t -> 'a) -> 'a
 (** [with_engine cfg f] runs [f] on a fresh engine and always shuts it
     down. *)
-
-val create_legacy : ?jobs:int -> ?cache:bool -> ?cache_capacity:int -> unit -> t
-  [@@ocaml.deprecated "use Engine.create with an Engine.Config.t"]
-(** The pre-{!Config} constructor, kept for one release. [cache_capacity]
-    maps to [answer_capacity]; every other knob takes its default. *)
-
-val with_engine_legacy :
-  ?jobs:int -> ?cache:bool -> ?cache_capacity:int -> (t -> 'a) -> 'a
-  [@@ocaml.deprecated "use Engine.with_engine with an Engine.Config.t"]

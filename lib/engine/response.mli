@@ -32,8 +32,8 @@ type stats = {
           process-wide delta, so concurrent evaluations on other engines
           bleed into it. *)
   shards : Shard.summary option;
-      (** Scatter-gather accounting when the request ran on the sharded
-          session store ([Config.shards > 1] and a classic query
+      (** Per-shard accounting when the request ran on session
+          partitions ([Config.shards > 1] and a classic query
           source): which shards answered, timed out or errored, the
           cross-shard top-k prune counts, and whether the answer is
           exact or a typed lower bound. [None] on the unsharded path. *)

@@ -32,10 +32,10 @@ type config = {
       (* DP layout of the exact solvers; answers are byte-identical for
          either kernel, so the knob is free to flip between restarts *)
   shards : int;
-      (* session-store shard count; > 1 makes this server a scatter-
-         gather coordinator over in-process worker shards — replies
-         gain the additive "shards" accounting block, answers stay
-         bit-identical to the unsharded server *)
+      (* session partition count; > 1 partitions classic-query
+         sessions on the engine's pool — replies gain the additive
+         "shards" accounting block, answers stay bit-identical to the
+         unsharded server *)
 }
 
 let default_config address =

@@ -76,12 +76,12 @@ type config = {
       (** DP layout of the exact solvers (default {!Hardq.Kernel.Flat});
           answers are byte-identical for either kernel *)
   shards : int;
-      (** session-store shard count (default 1 = unsharded). [> 1]
-          makes the server a scatter-gather coordinator: classic-query
-          evals scatter to in-process worker shards, replies gain the
-          additive ["shards"] accounting block, and partial shard
-          failure degrades to a typed lower-bound answer instead of an
-          error. Answers are bit-identical at any shard count. *)
+      (** session partition count (default 1 = unsharded). [> 1]
+          places classic-query sessions on that many partitions run on
+          the engine's domain pool ({!Engine.Config.shards}); replies
+          gain the additive ["shards"] accounting block, and partial
+          shard failure degrades to a typed lower-bound answer instead
+          of an error. Answers are bit-identical at any shard count. *)
 }
 
 val default_config : Protocol.address -> config

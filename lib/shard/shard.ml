@@ -9,114 +9,13 @@ module Inject = struct
 
   let table : (int, fault) Hashtbl.t = Hashtbl.create 8
   let m = Mutex.create ()
+  let set ~shard fault = Mutex.protect m (fun () -> Hashtbl.replace table shard fault)
+  let clear ~shard = Mutex.protect m (fun () -> Hashtbl.remove table shard)
+  let reset () = Mutex.protect m (fun () -> Hashtbl.reset table)
 
-  let set ~shard fault =
-    Mutex.lock m;
-    Hashtbl.replace table shard fault;
-    Mutex.unlock m
-
-  let clear ~shard =
-    Mutex.lock m;
-    Hashtbl.remove table shard;
-    Mutex.unlock m
-
-  let reset () =
-    Mutex.lock m;
-    Hashtbl.reset table;
-    Mutex.unlock m
-
-  let find ~shard =
-    (* Cheap common case: replies only pay this probe. *)
-    Mutex.lock m;
-    let r = Hashtbl.find_opt table shard in
-    Mutex.unlock m;
-    r
+  (* Cheap common case: every partition run pays only this probe. *)
+  let find ~shard = Mutex.protect m (fun () -> Hashtbl.find_opt table shard)
 end
-
-(* ------------------------------------------------------------------ *)
-(* Mailboxes: the message-passing seam                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* A worker's inbox blocks (Condition); a gather's reply mailbox polls
-   against an absolute deadline (stdlib Condition has no timed wait, and
-   sub-millisecond polling is far below any per-shard deadline). *)
-module Mailbox = struct
-  type 'a t = { m : Mutex.t; c : Condition.t; q : 'a Queue.t }
-
-  let create () = { m = Mutex.create (); c = Condition.create (); q = Queue.create () }
-
-  let push t x =
-    Mutex.lock t.m;
-    Queue.push x t.q;
-    Condition.signal t.c;
-    Mutex.unlock t.m
-
-  let pop t =
-    Mutex.lock t.m;
-    while Queue.is_empty t.q do
-      Condition.wait t.c t.m
-    done;
-    let x = Queue.pop t.q in
-    Mutex.unlock t.m;
-    x
-
-  let rec pop_before t ~deadline =
-    Mutex.lock t.m;
-    let r = if Queue.is_empty t.q then None else Some (Queue.pop t.q) in
-    Mutex.unlock t.m;
-    match r with
-    | Some _ -> r
-    | None ->
-        if Util.Timer.wall () > deadline then None
-        else begin
-          Thread.delay 0.0005;
-          pop_before t ~deadline
-        end
-end
-
-(* ------------------------------------------------------------------ *)
-(* The wire between coordinator and shards                             *)
-(* ------------------------------------------------------------------ *)
-
-type job = {
-  solver : Hardq.Solver.t;
-  seed : int;
-  budget : float;
-  kernel : Hardq.Kernel.t;
-  lab : Prefs.Labeling.t;
-  lab_canon : int list array;
-  deadline : float option;
-}
-
-type item = {
-  index : int; (* global position in the compiled request list *)
-  session : Ppd.Database.session;
-  union : Prefs.Pattern_union.t option;
-}
-
-type work =
-  | Probs of item array
-  | Bounds of { items : item array; n_edges : int }
-  | Deep of { items : (item * float) array; k : int; threshold : float }
-
-type reply_body =
-  | R_probs of (int * float) array
-  | R_bounds of { bounds : (int * float) array; best : float }
-  | R_deep of { evaluated : (int * float) array; skipped : int }
-  | R_timeout
-  | R_error of string
-
-type reply = { shard : int; gather : int; body : reply_body }
-
-type msg =
-  | Work of {
-      gather : int;
-      deadline : float;
-      job : job;
-      work : work;
-      reply_to : reply Mailbox.t;
-    }
-  | Stop
 
 (* ------------------------------------------------------------------ *)
 (* Observability                                                       *)
@@ -132,193 +31,19 @@ let c_sessions_pruned = Obs.counter "shard.topk.sessions_pruned"
 let h_fanout = Obs.histogram "shard.scatter_fanout"
 
 (* ------------------------------------------------------------------ *)
-(* Worker shards                                                       *)
+(* Placement                                                           *)
 (* ------------------------------------------------------------------ *)
 
-exception Expired
+type t = { ring : Chash.t; assign : string -> int }
 
-type worker = {
-  id : int;
-  inbox : msg Mailbox.t;
-  c_msgs : Obs.Counter.t; (* shard.<i>.messages *)
-  c_solved : Obs.Counter.t; (* shard.<i>.solved *)
-}
-
-let key_seed solver seed =
-  match solver with Hardq.Solver.Exact _ -> 0 | Hardq.Solver.Approx _ -> seed
-
-(* Same canonical digest as the engine's [key_digest]: the RNG of one
-   inference is a pure function of its content and the request seed, so
-   a sampled probability is bit-identical to the unsharded engine's. *)
-let item_digest job (s : Ppd.Database.session) union =
-  let module D = Hardq.Digest in
-  let h = D.int D.empty (key_seed job.solver job.seed) in
-  let h = D.solver h job.solver in
-  let h = D.model h s.Ppd.Database.model in
-  let h = D.labels h job.lab_canon in
-  D.union h union
-
-(* Within-message dedup key — the paper's grouping optimization, scoped
-   to one shard. Duplicates share a digest, hence an RNG, so reuse is
-   bit-identical even for sampling solvers. *)
-let request_key (s : Ppd.Database.session) union =
-  ( Prefs.Ranking.to_array (Rim.Mallows.center s.Ppd.Database.model),
-    Rim.Mallows.phi s.Ppd.Database.model,
-    List.map
-      (fun g -> (Prefs.Pattern.nodes g, Prefs.Pattern.edges g))
-      (Prefs.Pattern_union.patterns union) )
-
-let check_deadline deadline = if Util.Timer.wall () > deadline then raise Expired
-
-let solve_item w job memo (s : Ppd.Database.session) u =
-  let key = request_key s u in
-  match Hashtbl.find_opt memo key with
-  | Some p -> p
-  | None ->
-      let budget =
-        if job.budget > 0. then Some (Util.Timer.budget job.budget) else None
-      in
-      let rng = Util.Rng.derive job.seed (Hardq.Digest.to_int (item_digest job s u)) in
-      let p = Hardq.Solver.prob ?budget ~kernel:job.kernel job.solver
-          s.Ppd.Database.model job.lab u rng
-      in
-      Hashtbl.add memo key p;
-      if Obs.enabled () then Obs.Counter.incr w.c_solved;
-      p
-
-(* The k-th best of the exact probabilities seen so far (neg_infinity
-   below k answers) — the shard-local strict prune threshold. *)
-let kth_of k probs =
-  match List.nth_opt (List.sort (fun a b -> compare b a) probs) (k - 1) with
-  | Some p -> p
-  | None -> neg_infinity
-
-let do_work w job deadline work =
-  match work with
-  | Probs items ->
-      let memo = Hashtbl.create 32 in
-      R_probs
-        (Array.map
-           (fun it ->
-             check_deadline deadline;
-             match it.union with
-             | None -> (it.index, 0.)
-             | Some u -> (it.index, solve_item w job memo it.session u))
-           items)
-  | Bounds { items; n_edges } ->
-      let bounds =
-        Array.map
-          (fun it ->
-            check_deadline deadline;
-            match it.union with
-            | None -> (it.index, 0.)
-            | Some u ->
-                let model = Rim.Mallows.to_rim it.session.Ppd.Database.model in
-                (it.index, Hardq.Upper_bound.upper_bound ~k:n_edges model job.lab u))
-          items
-      in
-      let best =
-        Array.fold_left (fun acc (_, b) -> if b > acc then b else acc)
-          neg_infinity bounds
-      in
-      R_bounds { bounds; best }
-  | Deep { items; k; threshold } ->
-      (* Items arrive in descending bound order. Skip a session only
-         when its bound is *strictly* below the strongest threshold
-         available — the global k-th lower bound or the shard-local one
-         (a subset's k-th never exceeds the global k-th, so both are
-         sound); strictness keeps every tie. *)
-      let memo = Hashtbl.create 32 in
-      let evaluated = ref [] and probs = ref [] and skipped = ref 0 in
-      Array.iter
-        (fun (it, ub) ->
-          check_deadline deadline;
-          let cut = Float.max threshold (kth_of k !probs) in
-          if ub < cut then incr skipped
-          else begin
-            let p =
-              match it.union with
-              | None -> 0.
-              | Some u -> solve_item w job memo it.session u
-            in
-            evaluated := (it.index, p) :: !evaluated;
-            probs := p :: !probs
-          end)
-        items;
-      R_deep { evaluated = Array.of_list (List.rev !evaluated); skipped = !skipped }
-
-let run_worker w =
-  let rec loop () =
-    match Mailbox.pop w.inbox with
-    | Stop -> ()
-    | Work { gather; deadline; job; work; reply_to } ->
-        if Obs.enabled () then Obs.Counter.incr w.c_msgs;
-        let body =
-          match do_work w job deadline work with
-          | body -> body
-          | exception Expired -> R_timeout
-          | exception Util.Timer.Out_of_time -> R_timeout
-          | exception e -> R_error (Printexc.to_string e)
-        in
-        let send body = Mailbox.push reply_to { shard = w.id; gather; body } in
-        (match Inject.find ~shard:w.id with
-        | None -> send body
-        | Some Inject.Drop -> ()
-        | Some (Inject.Delay d) ->
-            Thread.delay d;
-            send body
-        | Some (Inject.Error msg) -> send (R_error msg));
-        loop ()
-  in
-  loop ()
-
-(* ------------------------------------------------------------------ *)
-(* The cluster                                                         *)
-(* ------------------------------------------------------------------ *)
-
-type t = {
-  ring : Chash.t;
-  assign : string -> int;
-  workers : worker array;
-  threads : Thread.t array;
-  gather_ids : int Atomic.t;
-  gather_timeout : float;
-  stopped : bool Atomic.t;
-}
-
-let create ?(vnodes = 64) ?assign ?(gather_timeout = 30.) ~shards () =
+let create ?assign ~shards () =
   if shards < 1 then invalid_arg "Shard.create: shards must be >= 1";
-  let ring = Chash.create ~vnodes shards in
-  let assign = match assign with Some f -> f | None -> Chash.shard_of ring in
-  let workers =
-    Array.init shards (fun id ->
-        {
-          id;
-          inbox = Mailbox.create ();
-          c_msgs = Obs.counter_indexed "shard.messages" id;
-          c_solved = Obs.counter_indexed "shard.solved" id;
-        })
-  in
-  let threads = Array.map (fun w -> Thread.create run_worker w) workers in
-  {
-    ring;
-    assign;
-    workers;
-    threads;
-    gather_ids = Atomic.make 0;
-    gather_timeout;
-    stopped = Atomic.make false;
-  }
+  let ring = Chash.create shards in
+  { ring; assign = (match assign with Some f -> f | None -> Chash.shard_of ring) }
 
-let shards t = Array.length t.workers
+let shards t = Chash.shards t.ring
 let ring t = t.ring
 let assign t key = t.assign key
-
-let shutdown t =
-  if not (Atomic.exchange t.stopped true) then begin
-    Array.iter (fun w -> Mailbox.push w.inbox Stop) t.workers;
-    Array.iter Thread.join t.threads
-  end
 
 let session_key ~p_rel (s : Ppd.Database.session) =
   let b = Buffer.create 32 in
@@ -331,7 +56,7 @@ let session_key ~p_rel (s : Ppd.Database.session) =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* Coordinator                                                         *)
+(* Coordinator policy                                                  *)
 (* ------------------------------------------------------------------ *)
 
 type outcome = Answered | Timed_out | Errored of string | Skipped_by_bound
@@ -351,13 +76,23 @@ type summary = {
   kth : float option;
 }
 
-(* Partition compiled requests into per-shard item lists (global session
+type prob = Ppd.Database.session -> Prefs.Pattern_union.t -> float
+
+type item = {
+  index : int; (* global position in the compiled request array *)
+  session : Ppd.Database.session;
+  union : Prefs.Pattern_union.t option;
+}
+
+(* Partition compiled requests into per-shard item arrays (global session
    order preserved inside each shard), pre-forcing the memoized
-   Mallows -> RIM conversion so workers only ever read the models. *)
+   Mallows -> RIM conversion so partitions running on other domains only
+   ever read the models. Placement runs on the calling thread, in
+   session order, so a stateful [assign] override sees a fixed call
+   sequence. *)
 let partition t ~p_rel requests =
-  let n_shards = shards t in
-  let buckets = Array.make n_shards [] in
-  List.iteri
+  let buckets = Array.make (shards t) [] in
+  Array.iteri
     (fun index { Ppd.Compile.session; union } ->
       ignore (Rim.Mallows.to_rim session.Ppd.Database.model);
       let s = t.assign (session_key ~p_rel session) in
@@ -365,49 +100,84 @@ let partition t ~p_rel requests =
     requests;
   Array.map (fun items -> Array.of_list (List.rev items)) buckets
 
-let gather_deadline t (job : job) =
-  let cap = Util.Timer.wall () +. t.gather_timeout in
-  match job.deadline with Some d -> Float.min d cap | None -> cap
+let check_deadline = function
+  | Some d when Util.Timer.wall () > d -> raise Util.Timer.Out_of_time
+  | _ -> ()
 
-let next_gather t = Atomic.fetch_and_add t.gather_ids 1
+(* One shard's share of a phase, under its injected fault. [Drop] and
+   [Error] answer without running; a [Delay] models a late reply, so one
+   that would land past the deadline times the shard out at once instead
+   of sleeping. A deadline or budget expiring inside the work times out
+   this shard only; any other exception is this shard's typed error. *)
+let run_shard ?deadline shard f =
+  match Inject.find ~shard with
+  | Some Inject.Drop -> Error Timed_out
+  | Some (Inject.Error msg) -> Error (Errored msg)
+  | fault -> (
+      match f () with
+      | exception Util.Timer.Out_of_time -> Error Timed_out
+      | exception e -> Error (Errored (Printexc.to_string e))
+      | r -> (
+          match (fault, deadline) with
+          | Some (Inject.Delay d), Some dl when Util.Timer.wall () +. d > dl ->
+              Error Timed_out
+          | Some (Inject.Delay d), _ ->
+              Unix.sleepf d;
+              Ok r
+          | _ -> Ok r))
 
-let send t ~gather ~deadline ~job ~reply_to shard work =
-  Mailbox.push t.workers.(shard).inbox
-    (Work { gather; deadline; job; work; reply_to })
-
-(* Wait for one reply per shard in [expected]; late or stale replies
-   (earlier gathers' mailboxes are dead, but a re-used mailbox could see
-   them) are dropped by gather id. Returns per-shard outcomes. *)
-let collect ~gather ~deadline ~expected reply_to =
-  let pending = Hashtbl.create 8 in
-  List.iter (fun s -> Hashtbl.replace pending s ()) expected;
-  let got = Hashtbl.create 8 in
-  let rec loop () =
-    if Hashtbl.length pending = 0 then ()
-    else
-      match Mailbox.pop_before reply_to ~deadline with
-      | None -> ()
-      | Some r ->
-          if r.gather = gather && Hashtbl.mem pending r.shard then begin
-            Hashtbl.remove pending r.shard;
-            Hashtbl.replace got r.shard r.body
-          end;
-          loop ()
+(* Run [f] over every non-empty partition through the caller's fan-out.
+   Each index writes only its own shard's slot; empty shards are never
+   run and stay healthy. *)
+let scatter ~par ?deadline buckets f =
+  let live =
+    Array.of_list
+      (List.filter
+         (fun s -> Array.length buckets.(s) > 0)
+         (List.init (Array.length buckets) Fun.id))
   in
-  loop ();
-  got
+  Obs.Counter.incr c_scatters;
+  Obs.Histogram.observe h_fanout (Array.length live);
+  let out = Array.make (Array.length buckets) (Ok [||]) in
+  Util.Par.share par ~n:(Array.length live) (fun j ->
+      let s = live.(j) in
+      out.(s) <- run_shard ?deadline s (fun () -> f buckets.(s)));
+  out
 
-let fold_outcome (answered, timed_out, errored) = function
-  | Answered -> (answered + 1, timed_out, errored)
-  | Timed_out -> (answered, timed_out + 1, errored)
-  | Errored _ -> (answered, timed_out, errored + 1)
-  | Skipped_by_bound -> (answered, timed_out, errored)
+(* Apply [f] to every item, [0.] for a statically unsatisfiable one. *)
+let per_item ?deadline f items =
+  Array.map
+    (fun it ->
+      check_deadline deadline;
+      match it.union with None -> 0. | Some u -> f it.session u)
+    items
+
+(* The answered sessions back in global session order: the reference's
+   fold order, whatever the shard count. *)
+let in_order requests filled =
+  let out = ref [] in
+  for i = Array.length requests - 1 downto 0 do
+    match filled.(i) with
+    | None -> ()
+    | Some p -> out := (requests.(i).Ppd.Compile.session, p) :: !out
+  done;
+  !out
+
+(* The k-th best of the probabilities seen so far, [neg_infinity] below
+   k of them. *)
+let kth_of k probs =
+  match List.nth_opt (List.sort (fun a b -> compare b a) probs) (k - 1) with
+  | Some p -> p
+  | None -> neg_infinity
+
+let as_kth x = if x = neg_infinity then None else Some x
 
 let summarize ?(pruned_shards = 0) ?(deep_shards = 0) ?(pruned_sessions = 0)
-    ?(best_bounds = [||]) ?kth ~solved_sessions t outcomes =
-  let answered, timed_out, errored =
-    Array.fold_left fold_outcome (0, 0, 0) outcomes
-  in
+    ?(best_bounds = [||]) ?(kth = neg_infinity) ~solved_sessions t outcomes =
+  let count p = Array.fold_left (fun n o -> if p o then n + 1 else n) 0 outcomes in
+  let answered = count (( = ) Answered)
+  and timed_out = count (( = ) Timed_out)
+  and errored = count (function Errored _ -> true | _ -> false) in
   if Obs.enabled () then begin
     Obs.Counter.add c_timeouts timed_out;
     Obs.Counter.add c_errors errored;
@@ -428,168 +198,87 @@ let summarize ?(pruned_shards = 0) ?(deep_shards = 0) ?(pruned_sessions = 0)
     exact = timed_out = 0 && errored = 0;
     outcomes;
     best_bounds;
-    kth;
+    kth = as_kth kth;
   }
 
-(* Merge (index, p) replies back into global session order. Missing
-   shards leave holes; the answered subset keeps the reference's order. *)
-let merge_probs requests_arr (parts : (int * float) array list) =
-  let n = Array.length requests_arr in
-  let filled = Array.make n None in
-  List.iter
-    (fun part -> Array.iter (fun (i, p) -> filled.(i) <- Some p) part)
-    parts;
-  let out = ref [] in
-  for i = n - 1 downto 0 do
-    match filled.(i) with
-    | None -> ()
-    | Some p ->
-        let { Ppd.Compile.session; _ } = requests_arr.(i) in
-        out := (session, p) :: !out
-  done;
-  !out
-
-let probs t job ~p_rel requests =
-  let requests_arr = Array.of_list requests in
-  let gather = next_gather t in
-  let deadline = gather_deadline t job in
-  let reply_to = Mailbox.create () in
-  let buckets, expected =
-    Obs.with_span "shard.scatter" (fun () ->
-        let buckets = partition t ~p_rel requests in
-        let expected = ref [] in
-        Array.iteri
-          (fun s items ->
-            if Array.length items > 0 then begin
-              expected := s :: !expected;
-              send t ~gather ~deadline ~job ~reply_to s (Probs items)
-            end)
-          buckets;
-        (buckets, List.rev !expected))
-  in
-  Obs.Counter.incr c_scatters;
-  Obs.Histogram.observe h_fanout (List.length expected);
-  let got =
-    Obs.with_span "shard.gather" (fun () ->
-        collect ~gather ~deadline ~expected reply_to)
-  in
-  let outcomes =
-    Array.init (shards t) (fun s ->
-        if Array.length buckets.(s) = 0 then Answered
-        else
-          match Hashtbl.find_opt got s with
-          | Some (R_probs _) -> Answered
-          | Some (R_error msg) -> Errored msg
-          | Some R_timeout | None -> Timed_out
-          | Some (R_bounds _ | R_deep _) -> Errored "protocol: unexpected reply")
-  in
-  let parts =
-    Hashtbl.fold
-      (fun _ body acc -> match body with R_probs a -> a :: acc | _ -> acc)
-      got []
-  in
-  let per_session = merge_probs requests_arr parts in
-  let solved = List.fold_left (fun n p -> n + Array.length p) 0 parts in
-  (per_session, summarize ~solved_sessions:solved t outcomes)
-
-let count t job ~p_rel requests =
-  let per_session, summary = probs t job ~p_rel requests in
-  (* Left fold in global session order: the reference's exact fold. *)
-  let c = List.fold_left (fun acc (_, p) -> acc +. p) 0. per_session in
-  (c, per_session, summary)
-
-let boolean t job ~p_rel requests =
-  let per_session, summary = probs t job ~p_rel requests in
-  let p =
-    1. -. List.fold_left (fun acc (_, p) -> acc *. (1. -. p)) 1. per_session
-  in
-  (p, per_session, summary)
-
-(* ------------------------------------------------------------------ *)
-(* Two-phase top-k                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let take k l =
-  let rec go n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: go (n - 1) rest
-  in
-  go k l
-
-let desc_by_snd l = List.stable_sort (fun (_, a) (_, b) -> compare b a) l
-
-let rank requests_arr k (parts : (int * float) array list) =
-  let evaluated = merge_probs requests_arr parts in
-  let ranked = take k (desc_by_snd evaluated) in
-  let kth =
-    if List.length ranked >= k then
-      Some (snd (List.nth ranked (k - 1)))
-    else None
-  in
-  (ranked, evaluated, kth)
-
-let top_k_naive t job ~k ~p_rel requests =
-  let per_session, summary = probs t job ~p_rel requests in
-  let ranked = take k (desc_by_snd per_session) in
-  let kth =
-    if List.length ranked >= k then Some (snd (List.nth ranked (k - 1)))
-    else None
-  in
-  (ranked, per_session, { summary with kth })
-
-let top_k_edges t job ~k ~n_edges ~p_rel requests =
-  let requests_arr = Array.of_list requests in
+let probs t ~par ?deadline ~prob ~p_rel requests =
   let buckets = partition t ~p_rel requests in
-  let n_shards = shards t in
-  let outcomes = Array.make n_shards Answered in
-  (* Phase 1: per-shard upper bounds. *)
-  let gather = next_gather t in
-  let deadline = gather_deadline t job in
-  let reply_to = Mailbox.create () in
-  let expected = ref [] in
-  Array.iteri
-    (fun s items ->
-      if Array.length items > 0 then begin
-        expected := s :: !expected;
-        send t ~gather ~deadline ~job ~reply_to s (Bounds { items; n_edges })
-      end)
-    buckets;
-  let expected = List.rev !expected in
-  Obs.Counter.incr c_scatters;
-  Obs.Histogram.observe h_fanout (List.length expected);
-  let got =
-    Obs.with_span "shard.bounds" (fun () ->
-        collect ~gather ~deadline ~expected reply_to)
+  let results =
+    Obs.with_span "shard.scatter" (fun () ->
+        scatter ~par ?deadline buckets (per_item ?deadline prob))
   in
-  let best_bounds = Array.make n_shards nan in
-  let shard_bounds = Array.make n_shards [||] in
-  List.iter
-    (fun s ->
-      match Hashtbl.find_opt got s with
-      | Some (R_bounds { bounds; best }) ->
-          best_bounds.(s) <- best;
-          shard_bounds.(s) <- bounds
-      | Some (R_error msg) -> outcomes.(s) <- Errored msg
-      | Some R_timeout | None -> outcomes.(s) <- Timed_out
-      | Some (R_probs _ | R_deep _) ->
-          outcomes.(s) <- Errored "protocol: unexpected reply")
-    expected;
+  let filled = Array.make (Array.length requests) None in
+  let solved = ref 0 in
+  let outcomes =
+    Array.mapi
+      (fun s -> function
+        | Ok ps ->
+            solved := !solved + Array.length ps;
+            Array.iteri (fun j p -> filled.(buckets.(s).(j).index) <- Some p) ps;
+            Answered
+        | Error o -> o)
+      results
+  in
+  (in_order requests filled, summarize ~solved_sessions:!solved t outcomes)
+
+(* Deep-query one shard: items arrive in descending bound order. Skip a
+   session only when its bound is *strictly* below the strongest
+   threshold available — the global k-th lower bound or the shard-local
+   one (a subset's k-th never exceeds the global k-th, so both are
+   sound); strictness keeps every tie. *)
+let deep ?deadline ~prob ~k ~threshold items =
+  let evaluated = ref [] and probs = ref [] and skipped = ref 0 in
+  Array.iter
+    (fun (it, ub) ->
+      check_deadline deadline;
+      if ub < Float.max threshold (kth_of k !probs) then incr skipped
+      else begin
+        let p = match it.union with None -> 0. | Some u -> prob it.session u in
+        evaluated := (it.index, p) :: !evaluated;
+        probs := p :: !probs
+      end)
+    items;
+  (!evaluated, !skipped)
+
+let top_k_edges t ~par ?deadline ~prob ~bound ~k ~n_edges ~p_rel requests =
+  let t0 = Util.Timer.wall () in
+  let buckets = partition t ~p_rel requests in
+  let outcomes = Array.make (shards t) Answered in
+  (* Phase 1: every partition's per-session upper bounds, in parallel. *)
+  let bounds =
+    Obs.with_span "shard.bounds" (fun () ->
+        scatter ~par ?deadline buckets (per_item ?deadline (bound ~n_edges)))
+  in
+  let best_bounds = Array.make (shards t) nan in
+  let shard_bounds =
+    Array.mapi
+      (fun s -> function
+        | Ok bs ->
+            if Array.length bs > 0 then
+              best_bounds.(s) <-
+                Array.fold_left (fun acc b -> if b > acc then b else acc) neg_infinity bs;
+            bs
+        | Error o ->
+            outcomes.(s) <- o;
+            [||])
+      bounds
+  in
   let survivors =
-    List.filter (fun s -> outcomes.(s) = Answered) expected
+    List.filter
+      (fun s -> Array.length buckets.(s) > 0 && outcomes.(s) = Answered)
+      (List.init (shards t) Fun.id)
     (* Descending best bound; ties in shard-id order for determinism. *)
     |> List.stable_sort (fun a b -> compare best_bounds.(b) best_bounds.(a))
   in
+  let bound_s = Util.Timer.wall () -. t0 in
   (* Phase 2: deep-query shards in descending best-bound order, skipping
      any whose bound falls strictly below the running k-th lower bound.
      Sequential on purpose: each shard's answers tighten the threshold
      the next decision uses, which is what makes the prune-soundness
      invariant (skipped => bound < final k-th) hold exactly. *)
-  let parts = ref [] in
+  let filled = Array.make (Array.length requests) None in
   let pruned_shards = ref 0 and deep_shards = ref 0 and pruned_sessions = ref 0 in
-  let solved = ref 0 in
-  let threshold = ref neg_infinity in
-  let all_probs = ref [] in
+  let solved = ref 0 and threshold = ref neg_infinity and all_probs = ref [] in
   Obs.with_span "shard.deep" (fun () ->
       List.iter
         (fun s ->
@@ -600,47 +289,36 @@ let top_k_edges t job ~k ~n_edges ~p_rel requests =
           end
           else begin
             incr deep_shards;
-            let by_index = Hashtbl.create 16 in
-            Array.iter (fun (i, b) -> Hashtbl.replace by_index i b)
-              shard_bounds.(s);
-            let items =
-              Array.map
-                (fun it ->
-                  (it, try Hashtbl.find by_index it.index with Not_found -> 0.))
-                buckets.(s)
-            in
+            let items = Array.mapi (fun j it -> (it, shard_bounds.(s).(j))) buckets.(s) in
             (* Descending bound; ties in global session order. *)
             Array.stable_sort (fun (_, a) (_, b) -> compare b a) items;
-            let gather = next_gather t in
-            let deadline = gather_deadline t job in
-            let reply_to = Mailbox.create () in
-            send t ~gather ~deadline ~job ~reply_to s
-              (Deep { items; k; threshold = !threshold });
             match
-              collect ~gather ~deadline ~expected:[ s ] reply_to
-              |> fun got -> Hashtbl.find_opt got s
+              run_shard ?deadline s (fun () ->
+                  deep ?deadline ~prob ~k ~threshold:!threshold items)
             with
-            | Some (R_deep { evaluated; skipped }) ->
-                parts := evaluated :: !parts;
-                solved := !solved + Array.length evaluated;
-                pruned_sessions := !pruned_sessions + skipped;
-                Array.iter (fun (_, p) -> all_probs := p :: !all_probs)
+            | Ok (evaluated, skipped) ->
+                List.iter
+                  (fun (i, p) ->
+                    filled.(i) <- Some p;
+                    incr solved;
+                    all_probs := p :: !all_probs)
                   evaluated;
+                pruned_sessions := !pruned_sessions + skipped;
                 threshold := kth_of k !all_probs
-            | Some (R_error msg) -> outcomes.(s) <- Errored msg
-            | Some R_timeout | None -> outcomes.(s) <- Timed_out
-            | Some (R_probs _ | R_bounds _) ->
-                outcomes.(s) <- Errored "protocol: unexpected reply"
+            | Error o -> outcomes.(s) <- o
           end)
         survivors);
-  let ranked, evaluated, kth = rank requests_arr k (List.rev !parts) in
-  ( ranked,
-    evaluated,
+  ( in_order requests filled,
     summarize ~pruned_shards:!pruned_shards ~deep_shards:!deep_shards
-      ~pruned_sessions:!pruned_sessions ~best_bounds ?kth
-      ~solved_sessions:!solved t outcomes )
+      ~pruned_sessions:!pruned_sessions ~best_bounds ~kth:!threshold
+      ~solved_sessions:!solved t outcomes,
+    bound_s )
 
-let top_k t job ~k ~strategy ~p_rel requests =
+let top_k t ~par ?deadline ~prob ~bound ~k ~strategy ~p_rel requests =
   match strategy with
-  | `Naive -> top_k_naive t job ~k ~p_rel requests
-  | `Edges n_edges -> top_k_edges t job ~k ~n_edges ~p_rel requests
+  | `Naive ->
+      let evaluated, summary = probs t ~par ?deadline ~prob ~p_rel requests in
+      let kth = kth_of k (List.map snd evaluated) in
+      (evaluated, { summary with kth = as_kth kth }, 0.)
+  | `Edges n_edges ->
+      top_k_edges t ~par ?deadline ~prob ~bound ~k ~n_edges ~p_rel requests

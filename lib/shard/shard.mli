@@ -1,51 +1,48 @@
-(** The sharded session store: horizontal scale-out for the two
-    embarrassingly partitionable hard queries (ROADMAP item 2).
+(** Session partitions: placement and the coordinator policy of the
+    sharded session store.
 
     Count-Session is a sum of per-session probabilities and
     Most-Probable-Session a global top-k of per-session scores, so both
-    partition cleanly across sessions. A cluster places every session on
-    a shard by consistent hashing over its session key ({!Chash}; the
-    placement is a pure function of the key string, so it is stable
-    across runs and stays out of every cache key), and a coordinator
-    runs scatter-gather over in-process worker shards that speak the
-    same message-passing interface — typed work messages in, typed
-    replies out through a per-gather mailbox, per-shard deadlines, late
-    replies dropped by gather id — that a multi-process deployment
-    would use. The one in-process simplification: workers share the
-    coordinator's compiled, read-only view of the database instead of
-    holding a physical sub-database.
+    split cleanly across sessions (paper §3.1). A shard is a subset of
+    sessions, placed by consistent hashing over the session key
+    ({!Chash}; placement is a pure function of the key string, so it is
+    stable across runs and stays out of every cache key). This module
+    owns no threads and no solver: the caller supplies the fan-out
+    ({!Util.Par.t}) the partitions run on and the per-session [prob] and
+    [bound] functions. The engine passes its domain pool and its
+    store-backed solve, so a sharded request shares the engine's
+    sub-answer store and intra-query parallelism with unsharded ones.
 
-    {b Bit-identity.} Shards return [(global index, probability)] pairs,
-    never partial aggregates — float addition is not associative, so the
-    coordinator re-folds in global session order, reproducing the
-    sequential reference's fold exactly at any shard count. Per-item
-    RNGs derive from (request seed, structural digest) exactly like the
-    engine's, so even sampling solvers are bit-identical to the
-    unsharded engine. Top-k merges only exactly-evaluated sessions and
-    prunes {e strictly} ([bound < threshold], where the running
-    threshold never exceeds the true k-th probability), so the merged
-    ranking is bit-identical to the naive sequential reference —
-    including ties, which the strict comparison always keeps.
+    {b Bit-identity.} Partitions return per-session probabilities, never
+    partial aggregates — float addition is not associative, so results
+    merge back in global session order, reproducing the sequential
+    reference's order exactly at any shard count. Top-k merges only
+    exactly-evaluated sessions and prunes {e strictly}
+    ([bound < threshold], where the running threshold never exceeds the
+    true k-th probability), so the top-k of the merged list is
+    bit-identical to the naive sequential reference — including ties,
+    which the strict comparison always keeps.
 
-    {b Partial failure.} A shard that misses its deadline, drops its
-    reply or answers with an error degrades the answer instead of
-    failing it: the {!summary} records per-shard outcomes and the
-    [exact] flag drops to [false] (a Count answer becomes a lower
-    bound; a ranking becomes best-effort over the answered shards).
-    The coordinator never hangs — gathers are bounded by
-    [gather_timeout] even when a request carries no deadline. *)
+    {b Partial failure.} A partition that misses its deadline, runs out
+    of budget, raises, or carries an injected fault degrades the answer
+    instead of failing it: the {!summary} records per-shard outcomes and
+    the [exact] flag drops to [false] (a Count answer becomes a lower
+    bound; a ranking becomes best-effort over the answered shards). *)
 
 module Chash = Chash
 
-(** Fault injection for tests: make shard [i] drop its next replies,
-    delay them past a deadline, or answer with an error. Process-global
-    and thread-safe; a no-op unless a fault was set, so the production
-    path pays one hashtable probe per reply. *)
+(** Fault injection for tests: make shard [i] drop its replies, deliver
+    them late, or answer with an error. Process-global and thread-safe;
+    a no-op unless a fault was set, so the production path pays one
+    hashtable probe per partition run. *)
 module Inject : sig
   type fault =
-    | Drop  (** never send the reply (the coordinator times out) *)
-    | Delay of float  (** sleep this many seconds before replying *)
-    | Error of string  (** reply with a typed shard error *)
+    | Drop  (** the shard never answers: it times out at once *)
+    | Delay of float
+        (** the shard answers this many seconds late: it sleeps that
+            long, or times out at once when the delay would land past
+            the request deadline *)
+    | Error of string  (** the shard answers with a typed error *)
 
   val set : shard:int -> fault -> unit
   val clear : shard:int -> unit
@@ -54,50 +51,25 @@ module Inject : sig
 end
 
 type t
-(** A running cluster: [shards] worker threads, each with an inbox. *)
+(** A placement: the shard count and the session-key-to-shard map. *)
 
-val create :
-  ?vnodes:int ->
-  ?assign:(string -> int) ->
-  ?gather_timeout:float ->
-  shards:int ->
-  unit ->
-  t
-(** Spawn the worker shards. [assign] overrides the consistent-hash
-    placement (session-key string to shard id; tests use it to force
-    skew and empty shards); [gather_timeout] (default 30 s) bounds every
-    gather that has no request deadline, so an injected [Drop] can never
-    hang the coordinator. *)
+val create : ?assign:(string -> int) -> shards:int -> unit -> t
+(** [assign] overrides the consistent-hash placement (session-key string
+    to shard id; tests use it to force skew and empty shards). It is
+    called on the coordinating thread only, in session order. *)
 
 val shards : t -> int
 val ring : t -> Chash.t
 val assign : t -> string -> int
 (** The placement actually in force ([assign] override or the ring). *)
 
-val shutdown : t -> unit
-(** Stop and join every worker. Idempotent. *)
-
 val session_key : p_rel:string -> Ppd.Database.session -> string
 (** The placement key of a session: its p-relation name plus its key
     attribute values, NUL-separated. *)
 
-type job = {
-  solver : Hardq.Solver.t;
-  seed : int;
-  budget : float;  (** CPU seconds per solver invocation; <= 0 = none *)
-  kernel : Hardq.Kernel.t;
-  lab : Prefs.Labeling.t;
-  lab_canon : int list array;
-  deadline : float option;
-      (** absolute [Util.Timer.wall] instant bounding every scatter's
-          gather and every worker's solve loop *)
-}
-(** Everything a worker needs to solve its items — the read-only slice
-    of an engine request. *)
-
 type outcome =
   | Answered
-  | Timed_out  (** no reply before the per-shard deadline *)
+  | Timed_out  (** deadline, budget, or an injected drop or late delay *)
   | Errored of string
   | Skipped_by_bound
       (** top-k phase 2 never queried this shard: its best upper bound
@@ -111,7 +83,7 @@ type summary = {
   pruned_shards : int;  (** top-k shards skipped by bound *)
   deep_shards : int;  (** top-k shards deep-queried in phase 2 *)
   pruned_sessions : int;  (** sessions skipped by bound, both levels *)
-  solved_sessions : int;  (** exact per-session solves across shards *)
+  solved_sessions : int;  (** per-session [prob] calls across shards *)
   exact : bool;
       (** every shard answered every phase: the answer equals the
           sequential reference bit-for-bit. [false] marks a typed
@@ -126,54 +98,43 @@ type summary = {
           threshold's fixpoint), when k answers exist *)
 }
 
+type prob = Ppd.Database.session -> Prefs.Pattern_union.t -> float
+(** Per-session inference. Called concurrently from the partitions, so
+    it must be thread-safe; it may raise [Util.Timer.Out_of_time], which
+    times out the calling shard only. *)
+
 val probs :
   t ->
-  job ->
+  par:Util.Par.t ->
+  ?deadline:float ->
+  prob:prob ->
   p_rel:string ->
-  Ppd.Compile.request list ->
+  Ppd.Compile.request array ->
   (Ppd.Database.session * float) list * summary
-(** Scatter per-session exact inference to every owning shard and merge
-    the [(index, probability)] replies back into global session order.
-    The list covers exactly the sessions of answered shards (all of
-    them when [summary.exact]). *)
-
-val count :
-  t ->
-  job ->
-  p_rel:string ->
-  Ppd.Compile.request list ->
-  float * (Ppd.Database.session * float) list * summary
-(** Count-Session: {!probs}, folded left in global session order —
-    bit-identical to [Ppd.Solve.count_sessions] when [exact], a lower
-    bound otherwise. *)
-
-val boolean :
-  t ->
-  job ->
-  p_rel:string ->
-  Ppd.Compile.request list ->
-  float * (Ppd.Database.session * float) list * summary
-(** [1 - prod (1 - p)] in global session order — bit-identical to
-    [Ppd.Solve.boolean_prob] when [exact], a lower bound otherwise. *)
+(** Run every non-empty partition through [par] and merge the
+    per-session probabilities back into global session order. The list
+    covers exactly the sessions of answered shards (all of them when
+    [summary.exact]). [deadline] is an absolute [Util.Timer.wall]
+    instant checked before every session. *)
 
 val top_k :
   t ->
-  job ->
+  par:Util.Par.t ->
+  ?deadline:float ->
+  prob:prob ->
+  bound:(n_edges:int -> prob) ->
   k:int ->
   strategy:[ `Naive | `Edges of int ] ->
   p_rel:string ->
-  Ppd.Compile.request list ->
-  (Ppd.Database.session * float) list
-  * (Ppd.Database.session * float) list
-  * summary
-(** Most-Probable-Session. [`Naive] scatters exact inference
-    everywhere and merges. [`Edges n] runs two-phase: gather each
-    shard's per-session upper bounds (paper §4.3.2, the k hardest
-    transitive-closure edges), then deep-query shards in descending
-    best-bound order — skipping any shard whose best bound is strictly
-    below the running k-th exact lower bound, and letting each
-    deep-queried shard skip its own sessions the same way. Returns
-    [(ranked, evaluated, summary)]: [ranked] is the top-k (bit-identical
-    to the naive sequential reference when [exact] — every session
-    whose probability ties or beats the k-th survives strict pruning),
-    [evaluated] the exactly-solved sessions in global order. *)
+  Ppd.Compile.request array ->
+  (Ppd.Database.session * float) list * summary * float
+(** Most-Probable-Session. [`Naive] is {!probs}. [`Edges n] runs
+    two-phase: every partition's per-session upper bounds through [par]
+    (paper §4.3.2, the [n] hardest transitive-closure edges), then
+    shards deep-queried one at a time in descending best-bound order —
+    skipping any shard whose best bound is strictly below the running
+    k-th exact lower bound, and letting each deep-queried shard skip its
+    own sessions the same way. Returns the exactly-evaluated sessions in
+    global order (their top k, stable-sorted by descending probability,
+    is bit-identical to the naive sequential reference when [exact]),
+    the summary, and the seconds phase 1 took ([0.] for [`Naive]). *)

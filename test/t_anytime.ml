@@ -188,6 +188,37 @@ let unit_serve_exact_route_point_interval () =
   check_float_eq "point interval lo" p a.Engine.ci_lo;
   check_float_eq "point interval hi" p a.Engine.ci_hi
 
+(* The exact route executes the work it compiled for routing: one
+   [compile] span under [engine.serve], and no nested [engine.eval]
+   re-running Algorithm 2. *)
+let unit_serve_exact_route_compiles_once () =
+  Obs.enable_tracing ();
+  Obs.clear_trace ();
+  let served, roots =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable_tracing ();
+        Obs.clear_trace ())
+      (fun () ->
+        let served, _ =
+          serve ~solver:(Hardq.Solver.Exact `Auto) (`Ci_width 0.1)
+        in
+        (served, Obs.trace_roots ()))
+  in
+  let rec count name s =
+    List.fold_left
+      (fun n c -> n + count name c)
+      (if Obs.Span.name s = name then 1 else 0)
+      (Obs.Span.children s)
+  in
+  let total name = List.fold_left (fun n r -> n + count name r) 0 roots in
+  Alcotest.(check (list string)) "one engine.serve root" [ "engine.serve" ]
+    (List.map Obs.Span.name roots);
+  Alcotest.(check int) "one compile span" 1 (total "compile");
+  Alcotest.(check int) "no nested engine.eval" 0 (total "engine.eval");
+  check_float_eq "answer matches plain eval" (exact_answer ())
+    (Engine.Response.answer_float served.Engine.response)
+
 let unit_serve_cancellation () =
   (* The hook is polled after every round: flipping it after the first
      frame stops the loop with `Cancelled and the frames already emitted
@@ -224,6 +255,8 @@ let suites =
           unit_serve_deadline_times_out_with_estimate;
         tc "exact route: point interval, no frames" `Quick
           unit_serve_exact_route_point_interval;
+        tc "exact route compiles once, no nested eval" `Quick
+          unit_serve_exact_route_compiles_once;
         tc "cancellation stops between rounds" `Quick unit_serve_cancellation;
       ] );
   ]

@@ -15,27 +15,58 @@ let polls () =
   ( Datasets.Polls.generate ~n_candidates:6 ~n_voters:12 ~seed:5 (),
     Ppd.Parser.parse Datasets.Polls.query_two_label )
 
-(* The read-only job slice, mirroring what the engine hands the
-   cluster. *)
+(* What a caller hands the coordinator: the exact solver and the k-edge
+   upper bound per session, run inline, plus the request deadline. *)
+type job = {
+  prob : Shard.prob;
+  bound : n_edges:int -> Shard.prob;
+  deadline : float option;
+}
+
 let job_of ?deadline ?(budget = 2.) db =
   let lab = Ppd.Database.labeling db in
   {
-    Shard.solver = Hardq.Solver.default_exact;
-    seed = 42;
-    budget;
-    kernel = Hardq.Kernel.Flat;
-    lab;
-    lab_canon = Array.init (Prefs.Labeling.n_items lab) (Prefs.Labeling.labels_of lab);
+    prob =
+      (fun s u ->
+        Hardq.Solver.prob ~budget:(Util.Timer.budget budget) ~kernel:Hardq.Kernel.Flat
+          Hardq.Solver.default_exact s.Ppd.Database.model lab u (Util.Rng.make 42));
+    bound =
+      (fun ~n_edges s u ->
+        Hardq.Upper_bound.upper_bound ~k:n_edges
+          (Rim.Mallows.to_rim s.Ppd.Database.model)
+          lab u);
     deadline;
   }
 
 let compile db q =
   let compiled = Ppd.Compile.compile db q in
-  (Ppd.Database.p_name compiled.Ppd.Compile.p_rel, compiled.Ppd.Compile.requests)
+  ( Ppd.Database.p_name compiled.Ppd.Compile.p_rel,
+    Array.of_list compiled.Ppd.Compile.requests )
 
-let with_cluster ?assign ?gather_timeout shards f =
-  let t = Shard.create ?assign ?gather_timeout ~shards () in
-  Fun.protect ~finally:(fun () -> Shard.shutdown t) @@ fun () -> f t
+let with_cluster ?assign shards f = f (Shard.create ?assign ~shards ())
+
+let probs t job ~p_rel requests =
+  Shard.probs t ~par:Util.Par.inline ?deadline:job.deadline ~prob:job.prob ~p_rel
+    requests
+
+(* The sequential reference's folds, over the merged global order. *)
+let count t job ~p_rel requests =
+  let per_session, s = probs t job ~p_rel requests in
+  (List.fold_left (fun acc (_, p) -> acc +. p) 0. per_session, per_session, s)
+
+let boolean t job ~p_rel requests =
+  let per_session, s = probs t job ~p_rel requests in
+  (1. -. List.fold_left (fun acc (_, p) -> acc *. (1. -. p)) 1. per_session, per_session, s)
+
+let rank k l =
+  List.stable_sort (fun (_, a) (_, b) -> compare b a) l |> List.filteri (fun i _ -> i < k)
+
+let top_k t job ~k ~strategy ~p_rel requests =
+  let evaluated, s, _ =
+    Shard.top_k t ~par:Util.Par.inline ?deadline:job.deadline ~prob:job.prob
+      ~bound:job.bound ~k ~strategy ~p_rel requests
+  in
+  (rank k evaluated, evaluated, s)
 
 let count_ref db q = Ppd.Solve.count_sessions ~group:true db q (Util.Rng.make 42)
 let bool_ref db q = Ppd.Solve.boolean_prob ~group:true db q (Util.Rng.make 42)
@@ -151,15 +182,15 @@ let fuzz_count_boolean_identity =
           List.iter
             (fun n ->
               with_cluster n (fun t ->
-                  let c, per_session, s = Shard.count t job ~p_rel requests in
+                  let c, per_session, s = count t job ~p_rel requests in
                   check_exact_summary (Printf.sprintf "count shards=%d" n) s;
                   if c <> c_ref then
                     Alcotest.failf "count shards=%d: %.17g vs reference %.17g" n
                       c c_ref;
-                  if List.length per_session <> List.length requests then
+                  if List.length per_session <> Array.length requests then
                     Alcotest.failf "count shards=%d: merged %d of %d sessions" n
-                      (List.length per_session) (List.length requests);
-                  let b, _, s' = Shard.boolean t job ~p_rel requests in
+                      (List.length per_session) (Array.length requests);
+                  let b, _, s' = boolean t job ~p_rel requests in
                   check_exact_summary (Printf.sprintf "boolean shards=%d" n) s';
                   if b <> b_ref then
                     Alcotest.failf "boolean shards=%d: %.17g vs reference %.17g"
@@ -180,7 +211,7 @@ let fuzz_topk_identity =
                   List.iter
                     (fun (name, strategy) ->
                       let ranked, _, s =
-                        Shard.top_k t job ~k ~strategy ~p_rel requests
+                        top_k t job ~k ~strategy ~p_rel requests
                       in
                       check_exact_summary
                         (Printf.sprintf "%s shards=%d" name n)
@@ -209,12 +240,12 @@ let unit_skewed_and_empty_shards () =
   List.iter
     (fun (what, assign) ->
       with_cluster ~assign 4 (fun t ->
-          let c, _, s = Shard.count t job ~p_rel requests in
+          let c, _, s = count t job ~p_rel requests in
           check_exact_summary what s;
           if c <> c_ref then
             Alcotest.failf "%s: count %.17g vs reference %.17g" what c c_ref;
           let ranked, _, s' =
-            Shard.top_k t job ~k:3 ~strategy:(`Edges 1) ~p_rel requests
+            top_k t job ~k:3 ~strategy:(`Edges 1) ~p_rel requests
           in
           check_exact_summary what s';
           check_ranked what reference ranked))
@@ -250,12 +281,12 @@ let unit_error_fault_degrades_count () =
   let job = job_of db in
   with_cluster ~assign:(round_robin 4) 4 @@ fun t ->
   (* Healthy pass first: the same cluster and placement must be exact. *)
-  let c_healthy, per_healthy, s_healthy = Shard.count t job ~p_rel requests in
+  let c_healthy, per_healthy, s_healthy = count t job ~p_rel requests in
   check_exact_summary "healthy pass" s_healthy;
   Alcotest.(check (float 0.)) "healthy count is the reference" (count_ref db q)
     c_healthy;
   with_fault ~shard:1 (Shard.Inject.Error "boom") @@ fun () ->
-  let c, per_session, s = Shard.count t job ~p_rel requests in
+  let c, per_session, s = count t job ~p_rel requests in
   if s.Shard.exact then Alcotest.fail "errored shard still claimed exact";
   Alcotest.(check int) "one shard errored" 1 s.Shard.errored;
   Alcotest.(check int) "three shards answered" 3 s.Shard.answered;
@@ -279,10 +310,10 @@ let unit_drop_fault_times_out_without_hanging () =
   let db, q = polls () in
   let p_rel, requests = compile db q in
   let job = job_of db in
-  with_cluster ~assign:(round_robin 2) ~gather_timeout:0.3 2 @@ fun t ->
+  with_cluster ~assign:(round_robin 2) 2 @@ fun t ->
   with_fault ~shard:0 Shard.Inject.Drop @@ fun () ->
   let t0 = Util.Timer.wall () in
-  let _, _, s = Shard.count t job ~p_rel requests in
+  let _, _, s = count t job ~p_rel requests in
   let elapsed = Util.Timer.wall () -. t0 in
   if elapsed > 5. then Alcotest.failf "gather took %.1fs (hang?)" elapsed;
   Alcotest.(check int) "dropped shard timed out" 1 s.Shard.timed_out;
@@ -296,7 +327,7 @@ let unit_delay_fault_misses_deadline () =
   with_cluster ~assign:(round_robin 2) 2 @@ fun t ->
   with_fault ~shard:1 (Shard.Inject.Delay 0.6) @@ fun () ->
   let t0 = Util.Timer.wall () in
-  let _, _, s = Shard.count t job ~p_rel requests in
+  let _, _, s = count t job ~p_rel requests in
   let elapsed = Util.Timer.wall () -. t0 in
   if elapsed > 5. then Alcotest.failf "gather took %.1fs (hang?)" elapsed;
   Alcotest.(check int) "delayed shard missed the deadline" 1 s.Shard.timed_out;
@@ -308,7 +339,7 @@ let unit_topk_fault_is_best_effort () =
   let job = job_of db in
   with_cluster ~assign:(round_robin 2) 2 @@ fun t ->
   (* Reference over the surviving shard only, from a healthy pass. *)
-  let _, per_healthy, _ = Shard.count t job ~p_rel requests in
+  let _, per_healthy, _ = count t job ~p_rel requests in
   let survivors =
     List.filter
       (fun ((sess : Ppd.Database.session), _) ->
@@ -318,16 +349,13 @@ let unit_topk_fault_is_best_effort () =
   with_fault ~shard:1 (Shard.Inject.Error "disk on fire") @@ fun () ->
   List.iter
     (fun (name, strategy) ->
-      let ranked, _, s = Shard.top_k t job ~k:3 ~strategy ~p_rel requests in
+      let ranked, _, s = top_k t job ~k:3 ~strategy ~p_rel requests in
       if s.Shard.exact then
         Alcotest.failf "%s: errored shard still claimed exact" name;
       Alcotest.(check int) (name ^ ": one shard errored") 1 s.Shard.errored;
       (* Best effort over the answered shard: ranked rows must be the
          top of the surviving sessions, never an invented answer. *)
-      let expected =
-        List.stable_sort (fun (_, a) (_, b) -> compare b a) survivors
-        |> List.filteri (fun i _ -> i < 3)
-      in
+      let expected = rank 3 survivors in
       check_ranked (name ^ ": best-effort ranking") expected ranked)
     [ ("naive", `Naive); ("edges", `Edges 1) ]
 
@@ -337,10 +365,10 @@ let unit_fault_cleared_recovers () =
   let job = job_of db in
   with_cluster ~assign:(round_robin 2) 2 @@ fun t ->
   with_fault ~shard:0 (Shard.Inject.Error "transient") (fun () ->
-      let _, _, s = Shard.count t job ~p_rel requests in
+      let _, _, s = count t job ~p_rel requests in
       Alcotest.(check int) "fault visible" 1 s.Shard.errored);
   (* reset ran in the finally: the same cluster must now be exact. *)
-  let c, _, s = Shard.count t job ~p_rel requests in
+  let c, _, s = count t job ~p_rel requests in
   check_exact_summary "after reset" s;
   Alcotest.(check (float 0.)) "recovered count is the reference"
     (count_ref db q) c
@@ -377,7 +405,31 @@ let unit_engine_shard_routing () =
   in
   let t4 = eval sharded (Engine.Request.Top_k { k = 3; strategy = `Edges 1 }) in
   check_ranked "engine top-k" (Engine.Response.ranked t0)
-    (Engine.Response.ranked t4)
+    (Engine.Response.ranked t4);
+  (* Partitions share the engine's store: a repeated sharded Count is
+     answered from it, bit-identically, without solving anything. *)
+  Engine.with_engine Engine.Config.(default |> with_shards 2) @@ fun engine ->
+  let count () =
+    Engine.eval engine
+      (Engine.Request.make ~task:Engine.Request.Count ~budget:2. ~seed:42 db q)
+  in
+  let cold = count () in
+  let warm = count () in
+  Alcotest.(check (float 0.)) "warm sharded count bit-identical"
+    (Engine.Response.answer_float cold)
+    (Engine.Response.answer_float warm);
+  Alcotest.(check (float 0.)) "warm sharded count is the unsharded one"
+    (Engine.Response.answer_float r0)
+    (Engine.Response.answer_float warm);
+  let s = warm.Engine.Response.stats in
+  if s.Engine.Response.cache_hits <= 0 then
+    Alcotest.failf "warm sharded count reported %d cache hits"
+      s.Engine.Response.cache_hits;
+  Alcotest.(check int) "warm sharded count solved nothing" 0
+    s.Engine.Response.solver_calls;
+  match s.Engine.Response.shards with
+  | Some sh -> if not sh.Shard.exact then Alcotest.fail "warm sharded count not exact"
+  | None -> Alcotest.fail "warm sharded count lost its shards block"
 
 let suites =
   [
