@@ -97,15 +97,26 @@ let budget_arg =
   let doc = "CPU-seconds budget per solver invocation (0 = unlimited)." in
   Arg.(value & opt float 0. & info [ "budget" ] ~docv:"SECONDS" ~doc)
 
+(* A shard count: an integer >= 1, anything else is a usage error. *)
+let shards_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ ->
+        Error
+          (`Msg (Printf.sprintf "invalid shard count %S, expected an integer >= 1" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let shards_arg =
   let doc =
-    "Session partition count (1 = unsharded). With more shards the \
-     engine places the query's sessions on that many partitions, runs \
-     them on its domain pool through its sub-answer store and merges \
-     the per-session answers (two-phase bound pruning for topk). \
-     Answers are bit-identical at any shard count."
+    "Session partition count, at least 1 (1 = unsharded). The engine \
+     places the query's sessions on that many partitions, runs them on \
+     its domain pool through its sub-answer store and merges the \
+     per-session answers (two-phase bound pruning for topk). Answers \
+     are bit-identical at any shard count."
   in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
+  Arg.(value & opt shards_conv 1 & info [ "shards" ] ~docv:"N" ~doc)
 
 let stats_arg =
   Arg.(
@@ -151,9 +162,7 @@ let with_obs metrics_json trace f =
 (* [--jobs 0] = engine default (one domain per core) = Config.default. *)
 let engine_config ?(shards = 1) jobs cache kernel =
   let cfg = Engine.Config.(default |> with_cache cache |> with_kernel kernel) in
-  let cfg =
-    if shards > 1 then Engine.Config.with_shards shards cfg else cfg
-  in
+  let cfg = Engine.Config.with_shards shards cfg in
   if jobs <= 0 then cfg else Engine.Config.with_jobs jobs cfg
 
 let print_stats show (resp : Engine.Response.t) =

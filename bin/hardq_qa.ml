@@ -75,20 +75,6 @@ let replay_cmd =
   let doc = "re-check recorded cases; print each answer bit-exactly" in
   Cmd.v (Cmd.info "replay" ~doc) Term.(const replay $ path_arg)
 
-(* kernel-diff *)
-
-let kernel_diff path =
-  let o = Qa.Fuzz.kernel_diff path in
-  if o.Qa.Fuzz.failures = 0 then 0 else 1
-
-let kernel_diff_cmd =
-  let doc =
-    "sweep recorded cases through every applicable exact solver under \
-     both DP kernels (flat and boxed) and fail unless the answers are \
-     byte-identical"
-  in
-  Cmd.v (Cmd.info "kernel-diff" ~doc) Term.(const kernel_diff $ path_arg)
-
 (* lang-diff *)
 
 let lang_diff path =
@@ -249,7 +235,6 @@ let cmd =
     [
       fuzz_cmd;
       replay_cmd;
-      kernel_diff_cmd;
       lang_diff_cmd;
       anytime_diff_cmd;
       shard_diff_cmd;

@@ -70,16 +70,27 @@ let kernel_arg =
   Arg.(
     value & opt kconv Hardq.Kernel.default & info [ "kernel" ] ~docv:"KERNEL" ~doc)
 
+(* A shard count: an integer >= 1, anything else is a usage error. *)
+let shards_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ ->
+        Error
+          (`Msg (Printf.sprintf "invalid shard count %S, expected an integer >= 1" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let shards_arg =
   let doc =
-    "Session partition count (1 = unsharded). With more than one \
-     shard, classic-query sessions are placed on that many partitions \
-     run on the engine's domain pool: Count-Session merges and sums, \
-     top-k runs two-phase with cross-shard bound pruning, and replies \
-     carry an additive $(b,shards) accounting block. Answers are \
-     bit-identical at any shard count."
+    "Session partition count, at least 1 (1 = unsharded). With more \
+     than one shard, a query's sessions are placed on that many \
+     partitions run on the engine's domain pool: Count-Session merges \
+     and sums, top-k runs two-phase with cross-shard bound pruning, and \
+     replies carry an additive $(b,shards) accounting block. Answers \
+     are bit-identical at any shard count."
   in
-  Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
+  Arg.(value & opt shards_conv 1 & info [ "shards" ] ~docv:"N" ~doc)
 
 let intra_arg =
   let doc =
@@ -143,7 +154,7 @@ let run listen jobs cache term_cache batch_window_ms batch_max shards intra
       term_cache_capacity = term_cache;
       batch_window_ms;
       batch_max;
-      shards = (if shards < 1 then 1 else shards);
+      shards;
       intra;
       kernel;
       queue_capacity = queue;

@@ -36,7 +36,10 @@ module Config = struct
   let with_batch_window batch_window c = { c with batch_window }
   let with_batch_max batch_max c = { c with batch_max }
   let with_kernel kernel c = { c with kernel }
-  let with_shards shards c = { c with shards }
+  let with_shards shards c =
+    if shards < 1 then
+      invalid_arg "Engine.Config.with_shards: shards must be >= 1";
+    { c with shards }
 end
 
 (* Content-addressed identity of one per-session inference: the solver, the
@@ -70,8 +73,7 @@ type t = {
   config : Config.t;
   answers : (key, float) Store.t option;
   terms : (term_key, float) Store.t option;
-  placement : Shard.t option;
-      (* session partitions; [Some] iff [Config.shards > 1] *)
+  placement : Shard.t; (* session partitions; one when unsharded *)
   batch_ids : int Atomic.t;
   obs_m : Mutex.t; (* guards the evictions-folded counters below *)
   mutable answer_evictions_folded : int;
@@ -112,10 +114,7 @@ let create (cfg : Config.t) =
       (if cfg.Config.cache && cfg.Config.term_capacity > 0 then
          Some (Store.create ~capacity:cfg.Config.term_capacity)
        else None);
-    placement =
-      (if cfg.Config.shards > 1 then
-         Some (Shard.create ~shards:cfg.Config.shards ())
-       else None);
+    placement = Shard.create ~shards:cfg.Config.shards ();
     batch_ids = Atomic.make 0;
     obs_m = Mutex.create ();
     answer_evictions_folded = 0;
@@ -183,13 +182,12 @@ let desc_by_snd l = List.stable_sort (fun (_, a) (_, b) -> compare b a) l
 
 (* A request compiled once into per-session work plus the labeling
    canon every cache key of this request shares. [p_rel] names the
-   sessions' relation for shard placement; only datalog sources carry
-   it, so plan sources always run pooled. *)
+   sessions' relation, the prefix of their shard placement keys. *)
 type work = {
   rows :
     [ `Patterns of Ppd.Compile.request array
     | `Predicates of Plan.t * Plan.pred_session list ];
-  p_rel : string option;
+  p_rel : string;
   lab : Prefs.Labeling.t;
   lab_canon : int list array;
 }
@@ -201,11 +199,12 @@ let compile (req : Request.t) =
     | Request.Query q ->
         let compiled = Ppd.Compile.compile req.Request.db q in
         ( `Patterns (Array.of_list compiled.Ppd.Compile.requests),
-          Some (Ppd.Database.p_name compiled.Ppd.Compile.p_rel) )
-    | Request.Plan p -> (
-        match p.Plan.lowered with
-        | Plan.Patterns rs -> (`Patterns (Array.of_list rs), None)
-        | Plan.Predicates rows -> (`Predicates (p, rows), None))
+          Ppd.Database.p_name compiled.Ppd.Compile.p_rel )
+    | Request.Plan p ->
+        ( (match p.Plan.lowered with
+          | Plan.Patterns rs -> `Patterns (Array.of_list rs)
+          | Plan.Predicates rows -> `Predicates (p, rows)),
+          p.Plan.p_rel )
   in
   (* Labels are interned during compilation: read the labeling after. *)
   let lab = Ppd.Database.labeling req.Request.db in
@@ -223,9 +222,9 @@ let n_sessions work =
 (* Step 2: grouped, single-flight, store-backed solve                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-eval solve context. Tallies are atomics and the [solve_cached]
-   memo is mutex-guarded: term hooks fire on pool domains, and session
-   partitions solve concurrently. *)
+(* Per-eval solve context. Tallies are atomics because term hooks fire
+   on pool domains; the [solve_cached] memo is only touched by the
+   request's own thread (partitions run one after another). *)
 type ctx = {
   solver : Hardq.Solver.t;
   seed : int;
@@ -242,7 +241,6 @@ type ctx = {
   terms : (term_key, float) Store.t option;
   answers : (key, float) Store.t option;
   local : (key, float) Hashtbl.t; (* [solve_cached]'s within-eval memo *)
-  local_m : Mutex.t;
   hits : int Atomic.t; (* distinct requests answered by the cache *)
   misses : int Atomic.t; (* distinct requests this eval solved itself *)
   sf_joins : int Atomic.t; (* distinct requests joined from another eval *)
@@ -267,7 +265,6 @@ let make_ctx (t : t) (req : Request.t) (work : work) =
     terms = t.terms;
     answers = t.answers;
     local = Hashtbl.create 64;
-    local_m = Mutex.create ();
     hits = Atomic.make 0;
     misses = Atomic.make 0;
     sf_joins = Atomic.make 0;
@@ -354,7 +351,8 @@ let rec join_deferred ctx st key digest session union =
       | Store.Busy -> join_deferred ctx st key digest session union
       | Store.Owner -> solve_owned ctx st key digest session union)
 
-(* Batch phase: probabilities for every request, in request order.
+(* Batch phase: probabilities for every request of one partition, in
+   request order.
 
    Determinism: every distinct key's RNG is derived from (request seed,
    structural digest) — independent of request order, pool width and cache
@@ -466,21 +464,18 @@ let batch_probs t ctx requests =
             | Some st -> join_deferred ctx st key digest session u)
           (Array.of_list (List.rev !deferred)))
   in
-  List.init n (fun i ->
-      let p =
-        if slot.(i) >= 0 then results.(slot.(i))
-        else if defer.(i) >= 0 then joined.(defer.(i))
-        else fixed.(i)
-      in
-      (requests.(i).Ppd.Compile.session, p))
+  Array.init n (fun i ->
+      if slot.(i) >= 0 then results.(slot.(i))
+      else if defer.(i) >= 0 then joined.(defer.(i))
+      else fixed.(i))
 
-(* One cached solve, for the adaptive top-k phase and for session
-   partitions. Within-eval duplicates resolve through the memo. A claim
-   here is solved (or joined) immediately, so at most one is ever held
-   per caller — the no-wait-while-owning rule holds trivially. *)
+(* One cached solve, for the top-k deep query. Within-eval duplicates
+   resolve through the memo. A claim here is solved (or joined)
+   immediately, so at most one is ever held per caller — the
+   no-wait-while-owning rule holds trivially. *)
 let solve_cached ctx session union =
   let key = canonical_key ctx.solver ctx.seed ctx.lab_canon session union in
-  match Mutex.protect ctx.local_m (fun () -> Hashtbl.find_opt ctx.local key) with
+  match Hashtbl.find_opt ctx.local key with
   | Some p -> p
   | None ->
       let digest = key_digest ctx.solver ctx.seed ctx.lab_canon session union in
@@ -502,57 +497,23 @@ let solve_cached ctx session union =
                 Atomic.incr ctx.sf_joins;
                 join_deferred ctx st key digest session union)
       in
-      Mutex.protect ctx.local_m (fun () -> Hashtbl.replace ctx.local key p);
+      Hashtbl.replace ctx.local key p;
       p
 
-let upper_bound ctx ~n_edges (s : Ppd.Database.session) u =
-  Hardq.Upper_bound.upper_bound ~k:n_edges
-    (Rim.Mallows.to_rim s.Ppd.Database.model)
-    ctx.lab u
-
-(* Most-Probable-Session with the k-edge relaxation: upper bounds for every
-   session (in parallel), then exact evaluation in descending bound order,
-   stopping when k exact probabilities dominate every remaining bound.
-   Returns the evaluated sessions newest first — the order
-   [Ppd.Solve.top_k] ranks ties in — and the bound phase's seconds. *)
-let topk_edges t ctx requests ~k ~n_edges =
-  let t0 = Util.Timer.wall () in
-  let n = Array.length requests in
-  let bounds = Array.make n 0. in
-  Obs.with_span "bounds" (fun () ->
-      Array.iter
-        (fun { Ppd.Compile.session; _ } ->
-          ignore (Rim.Mallows.to_rim session.Ppd.Database.model))
-        requests;
-      Pool.run t.pool ~n (fun i ->
-          match requests.(i) with
-          | { Ppd.Compile.union = None; _ } -> ()
-          | { Ppd.Compile.session; union = Some u } ->
-              bounds.(i) <- upper_bound ctx ~n_edges session u));
-  let bound_s = Util.Timer.wall () -. t0 in
-  let queue =
-    List.stable_sort
-      (fun (_, _, a) (_, _, b) -> compare b a)
-      (List.init n (fun i ->
-           let { Ppd.Compile.session; union } = requests.(i) in
-           (session, union, bounds.(i))))
-  in
-  let rec go acc = function
-    | [] -> acc
-    | (session, union, ub) :: rest ->
-        let kth_best =
-          match List.nth_opt (desc_by_snd acc) (k - 1) with
-          | Some (_, p) -> p
-          | None -> neg_infinity
-        in
-        if kth_best >= ub then acc (* remaining bounds only get smaller *)
-        else
-          let p =
-            match union with None -> 0. | Some u -> solve_cached ctx session u
-          in
-          go ((session, p) :: acc) rest
-  in
-  (go [] queue, bound_s)
+(* Bound phase of one partition: the k-edge upper bound of every
+   request (0 for a statically unsatisfiable one), fanned out on the
+   pool. The partitioner already forced the Mallows -> RIM conversions. *)
+let upper_bounds t ctx ~n_edges requests =
+  let bounds = Array.make (Array.length requests) 0. in
+  Pool.run t.pool ~n:(Array.length requests) (fun i ->
+      match requests.(i) with
+      | { Ppd.Compile.union = None; _ } -> ()
+      | { Ppd.Compile.session; union = Some u } ->
+          bounds.(i) <-
+            Hardq.Upper_bound.upper_bound ~k:n_edges
+              (Rim.Mallows.to_rim session.Ppd.Database.model)
+              ctx.lab u);
+  bounds
 
 (* ------------------------------------------------------------------ *)
 (* Plan predicate rows                                                 *)
@@ -598,16 +559,15 @@ let pred_session_prob ctx (plan : Plan.t) (row : Plan.pred_session) =
       Hardq.Brute.prob_pred ~par:ctx.par (Rim.Mallows.to_rim mal)
         (plan_pred ctx.lab row)
 
-(* Step 2 proper: per-session probabilities for the request's task. The
-   first list is in the order step 3 folds and ranks, the second is the
-   response's [per_session]; they differ only on the unsharded [`Edges]
-   path, which ranks ties newest-evaluated first like [Ppd.Solve.top_k].
-   Placement is a property of this step alone: a sharded engine runs
-   each shard's sessions as one partition on the pool, through the same
-   store-backed [solve_cached]. Plan sources always run pooled. *)
+(* Step 2 proper: per-session probabilities for the request's task, in
+   global session order (the order step 3 folds and ranks). Pattern rows
+   always run on the engine's placement — one partition when unsharded —
+   each partition solving its sessions as one [batch_probs] batch; only
+   the top-k deep query goes session by session through [solve_cached].
+   The shards block is reported only when there is more than one. *)
 let resolve t ctx (req : Request.t) work =
-  match (work.rows, t.placement, work.p_rel) with
-  | `Predicates (plan, rows), _, _ ->
+  match work.rows with
+  | `Predicates (plan, rows) ->
       let probs =
         Obs.with_span "solve" (fun () ->
             List.map
@@ -615,29 +575,23 @@ let resolve t ctx (req : Request.t) work =
                 (row.Plan.session, pred_session_prob ctx plan row))
               rows)
       in
-      (probs, probs, 0., None)
-  | `Patterns requests, Some placement, Some p_rel ->
-      let par = Pool.sharer t.pool and prob = solve_cached ctx in
+      (probs, 0., None)
+  | `Patterns requests ->
+      let batch = batch_probs t ctx in
       let probs, summary, bound_s =
         match req.Request.task with
         | Request.Top_k { k; strategy } ->
-            Shard.top_k placement ~par ?deadline:ctx.deadline ~prob
-              ~bound:(upper_bound ctx) ~k ~strategy ~p_rel requests
+            Shard.top_k t.placement ?deadline:ctx.deadline ~batch
+              ~bounds:(upper_bounds t ctx) ~prob:(solve_cached ctx) ~k ~strategy
+              ~p_rel:work.p_rel requests
         | Request.Boolean | Request.Count ->
             let probs, summary =
-              Shard.probs placement ~par ?deadline:ctx.deadline ~prob ~p_rel requests
+              Shard.probs t.placement ?deadline:ctx.deadline ~batch
+                ~p_rel:work.p_rel requests
             in
             (probs, summary, 0.)
       in
-      (probs, probs, bound_s, Some summary)
-  | `Patterns requests, _, _ -> (
-      match req.Request.task with
-      | Request.Top_k { k; strategy = `Edges n_edges } ->
-          let newest_first, bound_s = topk_edges t ctx requests ~k ~n_edges in
-          (newest_first, List.rev newest_first, bound_s, None)
-      | Request.Boolean | Request.Count | Request.Top_k { strategy = `Naive; _ } ->
-          let probs = batch_probs t ctx requests in
-          (probs, probs, 0., None))
+      (probs, bound_s, if Shard.shards t.placement > 1 then Some summary else None)
 
 (* ------------------------------------------------------------------ *)
 (* Steps 3 and 4: fold the task, build the stats                       *)
@@ -764,17 +718,17 @@ let respond t ctx ~m0 ~t_start ~t_compiled ~bound_s ~sessions ?distinct ?shards
 let execute t (req : Request.t) work ~m0 ~t_start ~batch_id ~batch_size =
   let t_compiled = Util.Timer.wall () in
   let ctx = make_ctx t req work in
-  let probs, per_session, bound_s, shards = resolve t ctx req work in
+  let probs, bound_s, shards = resolve t ctx req work in
   let answer = fold_task req.Request.task probs in
   let answer =
     match req.Request.source with
     | Request.Query _ -> answer
-    | Request.Plan plan -> plan_answer req plan answer per_session
+    | Request.Plan plan -> plan_answer req plan answer probs
   in
   let sessions = n_sessions work in
   fold_obs t ctx ~sessions;
   respond t ctx ~m0 ~t_start ~t_compiled ~bound_s ~sessions ?shards ~batch_id
-    ~batch_size answer per_session
+    ~batch_size answer probs
 
 let snapshot () = if Obs.enabled () then Obs.snapshot () else []
 

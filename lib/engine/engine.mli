@@ -22,9 +22,9 @@
       record instead of optional-argument sprawl;
     - answers every exact request — {!eval}, {!eval_batch} and {!serve}'s
       exact route — with one executor: compile once, resolve the
-      per-session probabilities through the store (on session
-      partitions when {!Config.shards} [> 1]), fold the task, build the
-      stats.
+      per-session probabilities through the store on the engine's
+      session partitions ({!Config.shards}; one when unsharded), fold
+      the task, build the stats.
 
     {b Determinism.} Results are bit-identical whatever the pool size,
     cache configuration or warm state: each sub-problem's RNG is derived
@@ -76,14 +76,16 @@ module Config : sig
             layout against the flat production layout for debugging and
             differential testing. *)
     shards : int;
-        (** session partitions (default 1 = unsharded). When [> 1], the
-            sessions of a classic-query request (Boolean / Count / Top-k
-            over a parsed CQ) are placed on [shards] partitions by
-            consistent hashing ({!Shard}); the partitions run on this
+        (** session partitions, at least 1 (default 1 = unsharded). The
+            sessions of every pattern-row request — a parsed CQ or a
+            [Patterns]-lowered plan, Boolean / Count / Top-k — are
+            placed on [shards] partitions by consistent hashing
+            ({!Shard}); each partition runs as one batch on this
             engine's domain pool through its sub-answer store, with
-            per-shard deadlines and typed partial failure. Plan-source
-            requests stay unpartitioned. Answers are bit-identical at
-            any shard count and carry a per-shard accounting block in
+            per-shard deadlines and typed partial failure. An unsharded
+            engine is the one-partition placement. Answers are
+            bit-identical at any shard count; with [shards > 1] they
+            carry a per-shard accounting block in
             [Response.stats.shards]. *)
   }
 
@@ -96,6 +98,7 @@ module Config : sig
   val with_batch_max : int -> t -> t
   val with_kernel : Hardq.Kernel.t -> t -> t
   val with_shards : int -> t -> t
+  (** Raises [Invalid_argument] when the count is below 1. *)
 end
 
 type t

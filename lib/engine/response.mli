@@ -32,11 +32,13 @@ type stats = {
           process-wide delta, so concurrent evaluations on other engines
           bleed into it. *)
   shards : Shard.summary option;
-      (** Per-shard accounting when the request ran on session
-          partitions ([Config.shards > 1] and a classic query
-          source): which shards answered, timed out or errored, the
-          cross-shard top-k prune counts, and whether the answer is
-          exact or a typed lower bound. [None] on the unsharded path. *)
+      (** Per-shard accounting when the engine has more than one
+          session partition ([Config.shards > 1]) and the request has
+          pattern rows: which shards answered, timed out or errored,
+          the cross-shard top-k prune counts, and whether the answer is
+          exact or a typed lower bound. [None] exactly when
+          [Config.shards = 1], and for rank-atom plans, which are
+          evaluated row by row outside the placement. *)
 }
 
 type answer =
@@ -49,8 +51,8 @@ type t = {
   answer : answer;
   per_session : (Ppd.Database.session * float) list;
       (** Per-session probabilities in session order. For a pruned top-k
-          task, only the sessions that were evaluated exactly, in
-          evaluation order. *)
+          task, only the sessions that were evaluated exactly (in
+          session order too). *)
   stats : stats;
 }
 

@@ -35,6 +35,7 @@ type t = {
   verdict : verdict;
   cost : cost;
   shapes : string list;
+  p_rel : string;
   lowered : lowered;
 }
 
@@ -280,6 +281,7 @@ let compile ?grounding_cap ?hint db (ast : Lang.Ast.t) =
       verdict;
       cost;
       shapes;
+      p_rel = Ppd.Database.p_name prel;
       lowered = Predicates rows;
     }
   end
@@ -418,6 +420,7 @@ let compile ?grounding_cap ?hint db (ast : Lang.Ast.t) =
           ie_terms;
         };
       shapes;
+      p_rel = Ppd.Database.p_name prel;
       lowered = Patterns requests;
     }
   end

@@ -74,6 +74,10 @@ type t = private {
   verdict : verdict;
   cost : cost;
   shapes : string list;  (** structural observations, for {!explain} *)
+  p_rel : string;
+      (** name of the one preference relation whose sessions the plan
+          ranges over (every disjunct must agree on it); the engine
+          places those sessions on shards by it *)
   lowered : lowered;
 }
 

@@ -119,9 +119,6 @@ let sweep ~log ~(check : Ppd.Case.t -> Oracle.result) path =
 let replay ?(log = Format.std_formatter) ?(extra = []) path =
   sweep ~log ~check:(Oracle.check ~extra) path
 
-let kernel_diff ?(log = Format.std_formatter) path =
-  sweep ~log ~check:(fun case -> Oracle.kernel_diff case) path
-
 let anytime_diff ?(log = Format.std_formatter) path =
   sweep ~log ~check:(fun case -> Oracle.anytime case) path
 

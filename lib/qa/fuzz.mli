@@ -48,11 +48,6 @@ val replay :
     <reason>], or a [FAIL] record. Unparseable files count as
     failures. *)
 
-val kernel_diff : ?log:Format.formatter -> string -> outcome
-(** [kernel_diff path] runs {!Oracle.kernel_diff} — the flat-vs-boxed
-    byte-identity sweep — over one [.case] file or a directory of them,
-    with the same per-file verdict lines as {!replay}. *)
-
 val anytime_diff : ?log:Format.formatter -> string -> outcome
 (** [anytime_diff path] runs {!Oracle.anytime} — the anytime serving
     sweep (CI containment, monotone widths, cross-pool and prefix

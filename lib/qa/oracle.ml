@@ -60,69 +60,53 @@ let check ?(eps = 1e-9) ?(budget = 0.5) ?(approx = true) ?(extra = []) (case : P
             let mal = session.Ppd.Database.model in
             let model = Rim.Mallows.to_rim mal in
             let kind = Prefs.Pattern_union.kind u in
-            let exact name s = (name, Hardq.Solver.exact_prob ~budget:(b ()) s model lab u) in
-            let exact_par name s =
-              (name, Hardq.Solver.exact_prob ~budget:(b ()) ~par:(par ()) s model lab u)
+            let exact ?par ?kernel name s =
+              (name, Hardq.Solver.exact_prob ~budget:(b ()) ?par ?kernel s model lab u)
             in
-            (* The plain rows run the default (flat) kernel; the -boxed
-               rows force the boxed reference layout. *)
-            let boxed = Hardq.Kernel.Boxed in
-            let exact_boxed name s =
-              (name, Hardq.Solver.exact_prob ~budget:(b ()) ~kernel:boxed s model lab u)
+            (* Every applicable DP solver in four rows: sequential and
+               under the 2-domain pool ("-par"), each in the default flat
+               kernel and the boxed reference layout ("-boxed"). *)
+            let dp name s =
+              let boxed = Hardq.Kernel.Boxed in
+              [
+                exact name s;
+                exact ~par:(par ()) (name ^ "-par") s;
+                exact ~kernel:boxed (name ^ "-boxed") s;
+                exact ~par:(par ()) ~kernel:boxed (name ^ "-par-boxed") s;
+              ]
             in
-            let exact_par_boxed name s =
-              ( name,
-                Hardq.Solver.exact_prob ~budget:(b ()) ~par:(par ()) ~kernel:boxed
-                  s model lab u )
+            let dp_solvers =
+              [ ("general", `General); ("auto", `Auto) ]
+              @ (if kind = Prefs.Pattern_union.Two_label then
+                   [ ("two_label", `Two_label) ]
+                 else [])
+              @
+              if kind <> Prefs.Pattern_union.General then
+                [ ("bipartite", `Bipartite); ("bipartite_basic", `Bipartite_basic) ]
+              else []
             in
             let matrix =
               (if m <= brute_max then [ exact "brute" `Brute ] else [])
-              @ [ exact "general" `General; exact "auto" `Auto ]
-              @ [ exact_par "general-par" `General; exact_par "auto-par" `Auto ]
-              @ [
-                  exact_boxed "general-boxed" `General;
-                  exact_par_boxed "general-par-boxed" `General;
-                ]
-              @ (if kind = Prefs.Pattern_union.Two_label then
-                   [ exact "two_label" `Two_label;
-                     exact_boxed "two_label-boxed" `Two_label ]
-                 else [])
-              @ (if kind <> Prefs.Pattern_union.General then
-                   [ exact "bipartite" `Bipartite; exact "bipartite_basic" `Bipartite_basic;
-                     exact_boxed "bipartite-boxed" `Bipartite;
-                     exact_boxed "bipartite_basic-boxed" `Bipartite_basic ]
-                 else [])
+              @ List.concat_map (fun (name, s) -> dp name s) dp_solvers
               @ List.map (fun (name, fn) -> (name, fn model lab u)) extra
             in
-            (* The parallel rows also pass through the eps matrix below,
-               but their real contract is stronger: bit-identity with the
-               sequential run, whatever the pool width. *)
+            (* The -par and -boxed rows also pass through the eps matrix
+               below, but their real contract is stronger: bit-identity
+               with the sequential flat run, whatever the pool width — the
+               two kernels are the same computation in two layouts. *)
             List.iter
-              (fun seq_name ->
-                let p_seq = List.assoc seq_name matrix
-                and p_par = List.assoc (seq_name ^ "-par") matrix in
-                if p_seq <> p_par then
-                  fail
-                    (Printf.sprintf "%s par bit-identity" seq_name)
-                    "session %d: seq=%.17g par=%.17g" i p_seq p_par;
-                ran "par-bit %s" seq_name)
-              [ "general"; "auto" ];
-            (* The -boxed rows also pass through the eps matrix below, but
-               their real contract is byte-identity with the flat rows:
-               the two kernels are the same computation in two layouts. *)
-            List.iter
-              (fun flat_name ->
-                let boxed_name = flat_name ^ "-boxed" in
-                match List.assoc_opt boxed_name matrix with
-                | None -> ()
-                | Some p_boxed ->
-                    let p_flat = List.assoc flat_name matrix in
-                    if p_flat <> p_boxed then
+              (fun (name, _) ->
+                let p_seq = List.assoc name matrix in
+                List.iter
+                  (fun (suffix, what) ->
+                    let p = List.assoc (name ^ suffix) matrix in
+                    if p <> p_seq then
                       fail
-                        (Printf.sprintf "%s kernel bit-identity" flat_name)
-                        "session %d: flat=%.17g boxed=%.17g" i p_flat p_boxed;
-                    ran "kernel-bit %s" flat_name)
-              [ "general"; "general-par"; "two_label"; "bipartite"; "bipartite_basic" ];
+                        (Printf.sprintf "%s %s bit-identity" name what)
+                        "session %d: %s=%.17g %s%s=%.17g" i name p_seq name suffix p;
+                    ran "%s-bit %s" what name)
+                  [ ("-par", "par"); ("-boxed", "kernel"); ("-par-boxed", "par kernel") ])
+              dp_solvers;
             let ref_name, ref_p = List.hd matrix in
             if not (ref_p >= -.eps && ref_p <= 1. +. eps) then
               fail "probability in [0,1]" "session %d: %s returned %.17g" i ref_name ref_p;
@@ -589,85 +573,12 @@ let fails ?eps ?budget ?extra case =
   | Fail _ -> true
   | Pass _ | Skip _ -> false
 
-(* Dedicated flat-vs-boxed sweep (make kernel-diff / hardq_qa
-   kernel-diff): every applicable exact solver, sequential and under a
-   2-domain pool, with exact [=] — no eps, the kernels are the same
-   computation in two layouts. *)
-let kernel_diff ?(budget = 0.5) (case : Ppd.Case.t) =
-  let { Ppd.Case.db; query; _ } = case in
-  let n_checks = ref 0 in
-  let b () = Util.Timer.budget budget in
-  let pool = lazy (Engine.Pool.create ~jobs:2 ()) in
-  let par () = Engine.Pool.sharer (Lazy.force pool) in
-  Fun.protect ~finally:(fun () ->
-      if Lazy.is_val pool then Engine.Pool.shutdown (Lazy.force pool))
-  @@ fun () ->
-  try
-    let compiled =
-      try Ppd.Compile.compile db query with
-      | Ppd.Compile.Unsupported msg -> raise (Skipped ("compile unsupported: " ^ msg))
-      | Ppd.Compile.Grounding_too_large msg -> raise (Skipped ("grounding: " ^ msg))
-    in
-    let lab = Ppd.Database.labeling db in
-    let nontrivial = ref 0 in
-    let answer = ref 0. in
-    List.iteri
-      (fun i { Ppd.Compile.session; union } ->
-        match union with
-        | None -> ()
-        | Some u ->
-            incr nontrivial;
-            let model = Rim.Mallows.to_rim session.Ppd.Database.model in
-            let kind = Prefs.Pattern_union.kind u in
-            let solvers =
-              [ ("general", `General); ("auto", `Auto) ]
-              @ (if kind = Prefs.Pattern_union.Two_label then
-                   [ ("two_label", `Two_label) ]
-                 else [])
-              @
-              if kind <> Prefs.Pattern_union.General then
-                [ ("bipartite", `Bipartite); ("bipartite_basic", `Bipartite_basic) ]
-              else []
-            in
-            List.iter
-              (fun (name, s) ->
-                List.iter
-                  (fun (suffix, parallel) ->
-                    let run kernel =
-                      if parallel then
-                        Hardq.Solver.exact_prob ~budget:(b ()) ~par:(par ())
-                          ~kernel s model lab u
-                      else Hardq.Solver.exact_prob ~budget:(b ()) ~kernel s model lab u
-                    in
-                    let p_flat = run Hardq.Kernel.Flat in
-                    let p_boxed = run Hardq.Kernel.Boxed in
-                    if p_flat <> p_boxed then
-                      fail
-                        (Printf.sprintf "%s%s kernel bit-identity" name suffix)
-                        "session %d: flat=%.17g boxed=%.17g" i p_flat p_boxed;
-                    incr n_checks;
-                    if name = "general" && not parallel then answer := p_flat)
-                  [ ("", false); ("-par", true) ])
-              solvers)
-      compiled.Ppd.Compile.requests;
-    Pass
-      {
-        sessions = List.length compiled.Ppd.Compile.requests;
-        nontrivial = !nontrivial;
-        checks = !n_checks;
-        answer = !answer;
-      }
-  with
-  | Failed (check, detail) -> Fail { check; detail }
-  | Skipped msg -> Skip msg
-  | Util.Timer.Out_of_time -> Skip "solver budget exhausted"
-  | Failure msg -> Skip ("solver gave up: " ^ msg)
-
 (* Sharded scatter-gather sweep (make shard-diff / hardq_qa shard-diff):
-   the case is evaluated through engines at shard counts {2, 4} and
-   every answer — Boolean, Count-Session, and both top-k strategies —
-   must be byte-identical to the sequential [Ppd.Solve] reference and
-   the unsharded engine. On top of bit-identity, the scatter-gather
+   the case is evaluated through engines at shard counts {1, 2, 4} — an
+   unsharded engine is the one-shard coordinator — and every answer —
+   Boolean, Count-Session, and both top-k strategies — must be
+   byte-identical to the sequential [Ppd.Solve] reference, ranked keys
+   included. On top of bit-identity, the scatter-gather
    accounting is asserted: all shards answered (exact answer, no
    failures), and the two-phase top-k never deep-queried a shard whose
    phase-1 upper bound fell below the final k-th answer (nor pruned one
@@ -687,9 +598,7 @@ let shard_diff ?(budget = 0.5) (case : Ppd.Case.t) =
     in
     let eval_at shards task =
       let cfg =
-        Engine.Config.(
-          default |> with_cache false
-          |> fun c -> if shards > 1 then with_shards shards c else c)
+        Engine.Config.(default |> with_cache false |> with_shards shards)
       in
       Engine.with_engine cfg (fun engine ->
           Engine.eval engine (Engine.Request.make ~task ~budget ~seed:42 db query))
@@ -744,13 +653,10 @@ let shard_diff ?(budget = 0.5) (case : Ppd.Case.t) =
                 (tag (sname ^ " length"))
                 "sharded ranked %d session(s), reference %d" (List.length ranked)
                 (List.length topk_ref);
-            (* Probabilities must match the naive reference row for row,
-               bitwise. Ranked keys must match too, except on the
-               unsharded engine's sequential `Edges path, which orders
-               equal-probability ties by evaluation order (and may stop
-               inside a tie group) — the sharded merge canonicalizes
-               ties to global session order, the naive order. *)
-            let check_keys = shards > 1 || sname = "topk-naive" in
+            (* Probabilities and ranked keys must match the naive
+               reference row for row: every shard count, the unsharded
+               one-partition engine included, ranks equal-probability
+               ties in global session order, the naive order. *)
             List.iter2
               (fun ((s : Ppd.Database.session), p)
                    ((s' : Ppd.Database.session), p') ->
@@ -758,7 +664,7 @@ let shard_diff ?(budget = 0.5) (case : Ppd.Case.t) =
                   fail
                     (tag (sname ^ " bit-identity"))
                     "sharded=%.17g reference=%.17g" p p';
-                if check_keys && s.Ppd.Database.key <> s'.Ppd.Database.key then
+                if s.Ppd.Database.key <> s'.Ppd.Database.key then
                   fail
                     (tag (sname ^ " rank order"))
                     "ranked a different session than the reference at p=%.17g" p)

@@ -7,16 +7,14 @@
 
     - brute-force [m!] enumeration (the ground truth, [m ≤ 7]);
     - the general inclusion–exclusion solver — always;
-    - the general and [`Auto] solvers again under a 2-domain
-      work-sharing pool ("general-par"/"auto-par") — these must match
-      their sequential rows bit for bit, not merely within [eps];
+    - [`Auto] dispatch — always (must match whatever it picked);
     - the two-label DP — unions classified [Two_label];
     - the optimized and basic bipartite DPs — unions up to [Bipartite];
-    - every applicable DP solver again under the boxed reference kernel
-      ("…-boxed") — these must match the default flat-kernel rows bit
-      for bit (the two layouts are the same computation; DESIGN.md
-      §13);
-    - [`Auto] dispatch — always (must match whatever it picked);
+    - every one of those DP solvers again under a 2-domain work-sharing
+      pool ("…-par"), under the boxed reference kernel ("…-boxed") and
+      under both ("…-par-boxed") — these must match the sequential
+      flat-kernel row bit for bit, not merely within [eps] (the two
+      layouts are the same computation; DESIGN.md §13);
     - any [extra] solvers injected by the caller (scratch copies under
       test, future backends).
 
@@ -79,14 +77,6 @@ val check :
 val fails : ?eps:float -> ?budget:float -> ?extra:(string * solver_fn) list -> Ppd.Case.t -> bool
 (** [true] iff {!check} (without sampling solvers) returns [Fail] — the
     shrinker's persistence predicate. *)
-
-val kernel_diff : ?budget:float -> Ppd.Case.t -> result
-(** Dedicated flat-vs-boxed kernel sweep on one case ([make
-    kernel-diff]): every applicable exact solver, sequential and under a
-    2-domain work-sharing pool, run once per {!Hardq.Kernel.t} and
-    compared with exact [=] — byte-identity, no [eps]. [checks] counts
-    (solver × parallelism) comparisons; [answer] is the sequential
-    flat-kernel "general" value of the last nontrivial session. *)
 
 val lang_diff : ?eps:float -> ?budget:float -> Ppd.Case.t -> result * string list
 (** Language-frontend/planner differential sweep on one case ([make

@@ -77,80 +77,74 @@ type summary = {
 }
 
 type prob = Ppd.Database.session -> Prefs.Pattern_union.t -> float
+type batch = Ppd.Compile.request array -> float array
 
-type item = {
-  index : int; (* global position in the compiled request array *)
-  session : Ppd.Database.session;
-  union : Prefs.Pattern_union.t option;
-}
-
-(* Partition compiled requests into per-shard item arrays (global session
-   order preserved inside each shard), pre-forcing the memoized
-   Mallows -> RIM conversion so partitions running on other domains only
-   ever read the models. Placement runs on the calling thread, in
-   session order, so a stateful [assign] override sees a fixed call
-   sequence. *)
+(* Partition compiled requests into per-shard arrays of global indices
+   (global session order preserved inside each shard), pre-forcing the
+   memoized Mallows -> RIM conversion so batches fanned out on other
+   domains only ever read the models. Placement runs on the calling
+   thread, in session order, so a stateful [assign] override sees a
+   fixed call sequence. *)
 let partition t ~p_rel requests =
   let buckets = Array.make (shards t) [] in
   Array.iteri
-    (fun index { Ppd.Compile.session; union } ->
+    (fun index { Ppd.Compile.session; _ } ->
       ignore (Rim.Mallows.to_rim session.Ppd.Database.model);
       let s = t.assign (session_key ~p_rel session) in
-      buckets.(s) <- { index; session; union } :: buckets.(s))
+      buckets.(s) <- index :: buckets.(s))
     requests;
   Array.map (fun items -> Array.of_list (List.rev items)) buckets
-
-let check_deadline = function
-  | Some d when Util.Timer.wall () > d -> raise Util.Timer.Out_of_time
-  | _ -> ()
 
 (* One shard's share of a phase, under its injected fault. [Drop] and
    [Error] answer without running; a [Delay] models a late reply, so one
    that would land past the deadline times the shard out at once instead
    of sleeping. A deadline or budget expiring inside the work times out
-   this shard only; any other exception is this shard's typed error. *)
+   this shard only; any other exception is this shard's typed error.
+   A failure keeps the exception that caused it, for the
+   no-partition-answered rule. *)
 let run_shard ?deadline shard f =
   match Inject.find ~shard with
-  | Some Inject.Drop -> Error Timed_out
-  | Some (Inject.Error msg) -> Error (Errored msg)
+  | Some Inject.Drop -> Error (Timed_out, Util.Timer.Out_of_time)
+  | Some (Inject.Error msg) -> Error (Errored msg, Failure msg)
   | fault -> (
       match f () with
-      | exception Util.Timer.Out_of_time -> Error Timed_out
-      | exception e -> Error (Errored (Printexc.to_string e))
+      | exception (Util.Timer.Out_of_time as e) -> Error (Timed_out, e)
+      | exception e -> Error (Errored (Printexc.to_string e), e)
       | r -> (
           match (fault, deadline) with
           | Some (Inject.Delay d), Some dl when Util.Timer.wall () +. d > dl ->
-              Error Timed_out
+              Error (Timed_out, Util.Timer.Out_of_time)
           | Some (Inject.Delay d), _ ->
               Unix.sleepf d;
               Ok r
           | _ -> Ok r))
 
-(* Run [f] over every non-empty partition through the caller's fan-out.
-   Each index writes only its own shard's slot; empty shards are never
-   run and stay healthy. *)
-let scatter ~par ?deadline buckets f =
-  let live =
-    Array.of_list
-      (List.filter
-         (fun s -> Array.length buckets.(s) > 0)
-         (List.init (Array.length buckets) Fun.id))
-  in
+(* Run [f] over every non-empty partition's requests, one partition
+   after another on the calling thread. Each batch fans out over the
+   caller's whole domain pool by itself; partitions side by side would
+   each get a share of it, and a domain waiting on its own partition's
+   batch cannot help another's (measured slower on two shards). Empty
+   shards are never run and stay healthy. *)
+let scatter ?deadline requests buckets f =
   Obs.Counter.incr c_scatters;
-  Obs.Histogram.observe h_fanout (Array.length live);
-  let out = Array.make (Array.length buckets) (Ok [||]) in
-  Util.Par.share par ~n:(Array.length live) (fun j ->
-      let s = live.(j) in
-      out.(s) <- run_shard ?deadline s (fun () -> f buckets.(s)));
-  out
+  Obs.Histogram.observe h_fanout
+    (Array.fold_left (fun n b -> if Array.length b > 0 then n + 1 else n) 0 buckets);
+  Array.mapi
+    (fun s idx ->
+      if Array.length idx = 0 then Ok [||]
+      else
+        run_shard ?deadline s (fun () -> f (Array.map (fun i -> requests.(i)) idx)))
+    buckets
 
-(* Apply [f] to every item, [0.] for a statically unsatisfiable one. *)
-let per_item ?deadline f items =
-  Array.map
-    (fun it ->
-      check_deadline deadline;
-      match it.union with None -> 0. | Some u -> f it.session u)
-    items
+(* When no partition holding sessions answered there is nothing to
+   degrade to: re-raise the lowest failing shard's own exception, so a
+   lone partition fails exactly as an unpartitioned solve would. *)
+let reraise_if_unanswered buckets outcomes failures =
+  let answered = ref false in
+  Array.iteri
+    (fun s o -> if Array.length buckets.(s) > 0 && o = Answered then answered := true)
+    outcomes;
+  if not !answered then Array.iter (Option.iter raise) failures
 
 (* The answered sessions back in global session order: the reference's
    fold order, whatever the shard count. *)
@@ -201,53 +195,62 @@ let summarize ?(pruned_shards = 0) ?(deep_shards = 0) ?(pruned_sessions = 0)
     kth = as_kth kth;
   }
 
-let probs t ~par ?deadline ~prob ~p_rel requests =
+let probs t ?deadline ~batch ~p_rel requests =
   let buckets = partition t ~p_rel requests in
   let results =
     Obs.with_span "shard.scatter" (fun () ->
-        scatter ~par ?deadline buckets (per_item ?deadline prob))
+        scatter ?deadline requests buckets batch)
   in
   let filled = Array.make (Array.length requests) None in
+  let failures = Array.make (shards t) None in
   let solved = ref 0 in
   let outcomes =
     Array.mapi
       (fun s -> function
         | Ok ps ->
             solved := !solved + Array.length ps;
-            Array.iteri (fun j p -> filled.(buckets.(s).(j).index) <- Some p) ps;
+            Array.iteri (fun j p -> filled.(buckets.(s).(j)) <- Some p) ps;
             Answered
-        | Error o -> o)
+        | Error (o, e) ->
+            failures.(s) <- Some e;
+            o)
       results
   in
+  reraise_if_unanswered buckets outcomes failures;
   (in_order requests filled, summarize ~solved_sessions:!solved t outcomes)
 
-(* Deep-query one shard: items arrive in descending bound order. Skip a
-   session only when its bound is *strictly* below the strongest
-   threshold available — the global k-th lower bound or the shard-local
-   one (a subset's k-th never exceeds the global k-th, so both are
-   sound); strictness keeps every tie. *)
-let deep ?deadline ~prob ~k ~threshold items =
+(* Deep-query one shard: items (global index, bound) arrive in
+   descending bound order. Skip a session only when its bound is
+   *strictly* below the strongest threshold available — the global k-th
+   lower bound or the shard-local one (a subset's k-th never exceeds the
+   global k-th, so both are sound); strictness keeps every tie. *)
+let deep ~prob ~k ~threshold requests items =
   let evaluated = ref [] and probs = ref [] and skipped = ref 0 in
   Array.iter
-    (fun (it, ub) ->
-      check_deadline deadline;
+    (fun (i, ub) ->
       if ub < Float.max threshold (kth_of k !probs) then incr skipped
       else begin
-        let p = match it.union with None -> 0. | Some u -> prob it.session u in
-        evaluated := (it.index, p) :: !evaluated;
+        let { Ppd.Compile.session; union } = requests.(i) in
+        let p = match union with None -> 0. | Some u -> prob session u in
+        evaluated := (i, p) :: !evaluated;
         probs := p :: !probs
       end)
     items;
   (!evaluated, !skipped)
 
-let top_k_edges t ~par ?deadline ~prob ~bound ~k ~n_edges ~p_rel requests =
+let top_k_edges t ?deadline ~bounds ~prob ~k ~n_edges ~p_rel requests =
   let t0 = Util.Timer.wall () in
   let buckets = partition t ~p_rel requests in
   let outcomes = Array.make (shards t) Answered in
-  (* Phase 1: every partition's per-session upper bounds, in parallel. *)
-  let bounds =
+  let failures = Array.make (shards t) None in
+  let fail s (o, e) =
+    outcomes.(s) <- o;
+    failures.(s) <- Some e
+  in
+  (* Phase 1: every partition's per-session upper bounds, one batch each. *)
+  let phase1 =
     Obs.with_span "shard.bounds" (fun () ->
-        scatter ~par ?deadline buckets (per_item ?deadline (bound ~n_edges)))
+        scatter ?deadline requests buckets (bounds ~n_edges))
   in
   let best_bounds = Array.make (shards t) nan in
   let shard_bounds =
@@ -258,10 +261,10 @@ let top_k_edges t ~par ?deadline ~prob ~bound ~k ~n_edges ~p_rel requests =
               best_bounds.(s) <-
                 Array.fold_left (fun acc b -> if b > acc then b else acc) neg_infinity bs;
             bs
-        | Error o ->
-            outcomes.(s) <- o;
+        | Error f ->
+            fail s f;
             [||])
-      bounds
+      phase1
   in
   let survivors =
     List.filter
@@ -289,12 +292,12 @@ let top_k_edges t ~par ?deadline ~prob ~bound ~k ~n_edges ~p_rel requests =
           end
           else begin
             incr deep_shards;
-            let items = Array.mapi (fun j it -> (it, shard_bounds.(s).(j))) buckets.(s) in
+            let items = Array.mapi (fun j i -> (i, shard_bounds.(s).(j))) buckets.(s) in
             (* Descending bound; ties in global session order. *)
             Array.stable_sort (fun (_, a) (_, b) -> compare b a) items;
             match
               run_shard ?deadline s (fun () ->
-                  deep ?deadline ~prob ~k ~threshold:!threshold items)
+                  deep ~prob ~k ~threshold:!threshold requests items)
             with
             | Ok (evaluated, skipped) ->
                 List.iter
@@ -305,20 +308,21 @@ let top_k_edges t ~par ?deadline ~prob ~bound ~k ~n_edges ~p_rel requests =
                   evaluated;
                 pruned_sessions := !pruned_sessions + skipped;
                 threshold := kth_of k !all_probs
-            | Error o -> outcomes.(s) <- o
+            | Error f -> fail s f
           end)
         survivors);
+  reraise_if_unanswered buckets outcomes failures;
   ( in_order requests filled,
     summarize ~pruned_shards:!pruned_shards ~deep_shards:!deep_shards
       ~pruned_sessions:!pruned_sessions ~best_bounds ~kth:!threshold
       ~solved_sessions:!solved t outcomes,
     bound_s )
 
-let top_k t ~par ?deadline ~prob ~bound ~k ~strategy ~p_rel requests =
+let top_k t ?deadline ~batch ~bounds ~prob ~k ~strategy ~p_rel requests =
   match strategy with
   | `Naive ->
-      let evaluated, summary = probs t ~par ?deadline ~prob ~p_rel requests in
+      let evaluated, summary = probs t ?deadline ~batch ~p_rel requests in
       let kth = kth_of k (List.map snd evaluated) in
       (evaluated, { summary with kth = as_kth kth }, 0.)
   | `Edges n_edges ->
-      top_k_edges t ~par ?deadline ~prob ~bound ~k ~n_edges ~p_rel requests
+      top_k_edges t ?deadline ~bounds ~prob ~k ~n_edges ~p_rel requests

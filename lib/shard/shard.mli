@@ -7,11 +7,14 @@
     sessions, placed by consistent hashing over the session key
     ({!Chash}; placement is a pure function of the key string, so it is
     stable across runs and stays out of every cache key). This module
-    owns no threads and no solver: the caller supplies the fan-out
-    ({!Util.Par.t}) the partitions run on and the per-session [prob] and
-    [bound] functions. The engine passes its domain pool and its
-    store-backed solve, so a sharded request shares the engine's
-    sub-answer store and intra-query parallelism with unsharded ones.
+    owns no threads and no solver: the caller supplies a {!batch}
+    function that solves one partition's sessions in one go, the top-k
+    bound batch, and the per-session [prob] of the top-k deep query.
+    Partitions run one after another on the calling thread, and each
+    batch fans out over the caller's domain pool by itself. The engine
+    passes its pooled, store-backed solve, so every request shares the
+    engine's sub-answer store and intra-query parallelism — an
+    unsharded engine is simply a one-shard placement.
 
     {b Bit-identity.} Partitions return per-session probabilities, never
     partial aggregates — float addition is not associative, so results
@@ -21,13 +24,18 @@
     ([bound < threshold], where the running threshold never exceeds the
     true k-th probability), so the top-k of the merged list is
     bit-identical to the naive sequential reference — including ties,
-    which the strict comparison always keeps.
+    which the strict comparison always keeps, in global session order.
 
     {b Partial failure.} A partition that misses its deadline, runs out
     of budget, raises, or carries an injected fault degrades the answer
     instead of failing it: the {!summary} records per-shard outcomes and
     the [exact] flag drops to [false] (a Count answer becomes a lower
-    bound; a ranking becomes best-effort over the answered shards). *)
+    bound; a ranking becomes best-effort over the answered shards).
+    When no partition holding sessions answers, there is nothing to
+    degrade to: the call re-raises the lowest failing shard's own
+    exception ([Util.Timer.Out_of_time] for a deadline, a budget, an
+    injected drop or a late delay; [Failure msg] for an injected error),
+    so a one-shard placement fails exactly like an unpartitioned solve. *)
 
 module Chash = Chash
 
@@ -83,7 +91,7 @@ type summary = {
   pruned_shards : int;  (** top-k shards skipped by bound *)
   deep_shards : int;  (** top-k shards deep-queried in phase 2 *)
   pruned_sessions : int;  (** sessions skipped by bound, both levels *)
-  solved_sessions : int;  (** per-session [prob] calls across shards *)
+  solved_sessions : int;  (** sessions solved across answered shards *)
   exact : bool;
       (** every shard answered every phase: the answer equals the
           sequential reference bit-for-bit. [false] marks a typed
@@ -99,42 +107,49 @@ type summary = {
 }
 
 type prob = Ppd.Database.session -> Prefs.Pattern_union.t -> float
-(** Per-session inference. Called concurrently from the partitions, so
-    it must be thread-safe; it may raise [Util.Timer.Out_of_time], which
-    times out the calling shard only. *)
+(** Per-session inference, for the top-k deep query. It may raise
+    [Util.Timer.Out_of_time], which times out the calling shard only. *)
+
+type batch = Ppd.Compile.request array -> float array
+(** One partition's sessions solved as one batch: a value per request,
+    in the order given ([0.] is the caller's choice for a statically
+    unsatisfiable one). Like {!prob} it may raise
+    [Util.Timer.Out_of_time]. *)
 
 val probs :
   t ->
-  par:Util.Par.t ->
   ?deadline:float ->
-  prob:prob ->
+  batch:batch ->
   p_rel:string ->
   Ppd.Compile.request array ->
   (Ppd.Database.session * float) list * summary
-(** Run every non-empty partition through [par] and merge the
+(** Run every non-empty partition's [batch] and merge the
     per-session probabilities back into global session order. The list
     covers exactly the sessions of answered shards (all of them when
     [summary.exact]). [deadline] is an absolute [Util.Timer.wall]
-    instant checked before every session. *)
+    instant: it times out late-delay faults; the work itself enforces it
+    by raising [Util.Timer.Out_of_time]. *)
 
 val top_k :
   t ->
-  par:Util.Par.t ->
   ?deadline:float ->
+  batch:batch ->
+  bounds:(n_edges:int -> batch) ->
   prob:prob ->
-  bound:(n_edges:int -> prob) ->
   k:int ->
   strategy:[ `Naive | `Edges of int ] ->
   p_rel:string ->
   Ppd.Compile.request array ->
   (Ppd.Database.session * float) list * summary * float
 (** Most-Probable-Session. [`Naive] is {!probs}. [`Edges n] runs
-    two-phase: every partition's per-session upper bounds through [par]
-    (paper §4.3.2, the [n] hardest transitive-closure edges), then
-    shards deep-queried one at a time in descending best-bound order —
+    two-phase: every partition's per-session upper bounds as one
+    [bounds ~n_edges] batch per partition (paper §4.3.2,
+    the [n] hardest transitive-closure edges), then shards deep-queried
+    one at a time in descending best-bound order through [prob] —
     skipping any shard whose best bound is strictly below the running
     k-th exact lower bound, and letting each deep-queried shard skip its
     own sessions the same way. Returns the exactly-evaluated sessions in
     global order (their top k, stable-sorted by descending probability,
-    is bit-identical to the naive sequential reference when [exact]),
-    the summary, and the seconds phase 1 took ([0.] for [`Naive]). *)
+    is bit-identical to the naive sequential reference when [exact],
+    ties included), the summary, and the seconds phase 1 took ([0.] for
+    [`Naive]). *)

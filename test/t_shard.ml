@@ -45,9 +45,14 @@ let compile db q =
 
 let with_cluster ?assign shards f = f (Shard.create ?assign ~shards ())
 
+(* A partition's batch, session by session. *)
+let batch_of (f : Shard.prob) : Shard.batch =
+  Array.map (fun { Ppd.Compile.session; union } ->
+      match union with None -> 0. | Some u -> f session u)
+
 let probs t job ~p_rel requests =
-  Shard.probs t ~par:Util.Par.inline ?deadline:job.deadline ~prob:job.prob ~p_rel
-    requests
+  Shard.probs t ?deadline:job.deadline
+    ~batch:(batch_of job.prob) ~p_rel requests
 
 (* The sequential reference's folds, over the merged global order. *)
 let count t job ~p_rel requests =
@@ -63,8 +68,10 @@ let rank k l =
 
 let top_k t job ~k ~strategy ~p_rel requests =
   let evaluated, s, _ =
-    Shard.top_k t ~par:Util.Par.inline ?deadline:job.deadline ~prob:job.prob
-      ~bound:job.bound ~k ~strategy ~p_rel requests
+    Shard.top_k t ?deadline:job.deadline
+      ~batch:(batch_of job.prob)
+      ~bounds:(fun ~n_edges -> batch_of (job.bound ~n_edges))
+      ~prob:job.prob ~k ~strategy ~p_rel requests
   in
   (rank k evaluated, evaluated, s)
 
@@ -373,6 +380,32 @@ let unit_fault_cleared_recovers () =
   Alcotest.(check (float 0.)) "recovered count is the reference"
     (count_ref db q) c
 
+(* No partition answered: nothing to degrade to, so the failing shard's
+   own exception surfaces — never an empty answer marked inexact. *)
+let unit_no_partition_answered_raises () =
+  let db, q = polls () in
+  let p_rel, requests = compile db q in
+  let job = job_of db in
+  let expect_out_of_time what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: returned an answer instead of Out_of_time" what
+    | exception Util.Timer.Out_of_time -> ()
+  in
+  (with_cluster ~assign:(round_robin 2) 2 @@ fun t ->
+   Shard.Inject.set ~shard:0 Shard.Inject.Drop;
+   with_fault ~shard:1 Shard.Inject.Drop @@ fun () ->
+   expect_out_of_time "count, every shard dropped" (fun () ->
+       count t job ~p_rel requests);
+   expect_out_of_time "edges top-k, every shard dropped" (fun () ->
+       top_k t job ~k:3 ~strategy:(`Edges 1) ~p_rel requests));
+  (* A one-shard engine is the unsharded engine: a dropped partition
+     fails the request exactly like an expired deadline does. *)
+  with_fault ~shard:0 Shard.Inject.Drop @@ fun () ->
+  Engine.with_engine Engine.Config.default @@ fun engine ->
+  expect_out_of_time "unsharded engine, partition dropped" (fun () ->
+      Engine.eval engine
+        (Engine.Request.make ~task:Engine.Request.Count ~budget:2. db q))
+
 (* ------------------------------------------------------------------ *)
 (* Engine-level routing                                                *)
 (* ------------------------------------------------------------------ *)
@@ -431,6 +464,125 @@ let unit_engine_shard_routing () =
   | Some sh -> if not sh.Shard.exact then Alcotest.fail "warm sharded count not exact"
   | None -> Alcotest.fail "warm sharded count lost its shards block"
 
+(* Two sessions sharing one Mallows model tie exactly at the top. The
+   query is an F > M > F chain, whose 1-edge bound is loose, so the
+   two-phase top-k deep-queries both tied sessions. *)
+let tie_db () =
+  let items =
+    Ppd.Relation.make ~name:"C" ~attrs:[ "item"; "sex" ]
+      (List.map
+         (fun (i, sex) -> [ Ppd.Value.Str i; Ppd.Value.Str sex ])
+         [ ("a", "F"); ("b", "M"); ("c", "F"); ("d", "M") ])
+  in
+  let shared = Rim.Mallows.make ~center:(Prefs.Ranking.of_list [ 0; 1; 2; 3 ]) ~phi:0.5 in
+  let session key model = { Ppd.Database.key = [| Ppd.Value.Str key |]; model } in
+  let sessions =
+    [
+      session "s0" (Rim.Mallows.make ~center:(Prefs.Ranking.of_list [ 1; 3; 0; 2 ]) ~phi:0.8);
+      session "s1" shared;
+      session "s2" shared;
+      session "s3" (Rim.Mallows.make ~center:(Prefs.Ranking.of_list [ 3; 2; 1; 0 ]) ~phi:0.6);
+    ]
+  in
+  ( Ppd.Database.make ~items
+      ~preferences:[ Ppd.Database.p_relation ~name:"P" ~key_attrs:[ "sid" ] sessions ]
+      (),
+    Ppd.Parser.parse
+      "Q() :- P(_; x; y), P(_; y; z), C(x, \"F\"), C(y, \"M\"), C(z, \"F\")." )
+
+let unit_unsharded_topk_ties () =
+  let db, q = tie_db () in
+  let eval cfg task =
+    Engine.with_engine cfg (fun engine ->
+        Engine.eval engine (Engine.Request.make ~task ~seed:42 db q))
+  in
+  let unsharded = Engine.Config.(default |> with_cache false) in
+  let per_session = (eval unsharded Engine.Request.Count).Engine.Response.per_session in
+  (match List.map snd per_session with
+  | [ _; p1; p2; _ ] when p1 = p2 -> ()
+  | _ -> Alcotest.fail "fixture: s1 and s2 do not tie");
+  let top cfg strategy =
+    Engine.Response.ranked (eval cfg (Engine.Request.Top_k { k = 1; strategy }))
+  in
+  let naive = top unsharded `Naive in
+  check_ranked "naive engine vs reference" (topk_ref ~k:1 db q) naive;
+  (match naive with
+  | [ (s, _) ] when s.Ppd.Database.key = [| Ppd.Value.Str "s1" |] -> ()
+  | _ -> Alcotest.fail "naive top-1 is not the first tied session");
+  check_ranked "unsharded edges vs naive" naive (top unsharded (`Edges 1));
+  check_ranked "4-shard edges vs naive" naive
+    (top Engine.Config.(unsharded |> with_shards 4) (`Edges 1))
+
+(* Plan sources are partitioned like datalog ones: bit-identical to the
+   unsharded plan answer, with an exact shards block. *)
+let unit_plan_sources_sharded () =
+  let db, q = polls () in
+  let text = Ppd.Query.to_string q in
+  List.iter
+    (fun prefix ->
+      let plan =
+        match Lang.Parser.parse (prefix ^ text) with
+        | Ok ast -> Plan.compile db ast
+        | Error e -> Alcotest.failf "parse: %s" (Lang.Ast.error_to_string e)
+      in
+      let eval shards =
+        Engine.with_engine
+          Engine.Config.(default |> with_cache false |> with_shards shards)
+          (fun engine -> Engine.eval engine (Engine.Request.of_plan ~budget:2. plan))
+      in
+      let r1 = eval 1 in
+      if r1.Engine.Response.stats.Engine.Response.shards <> None then
+        Alcotest.failf "%s: unsharded plan attached a shards block" prefix;
+      List.iter
+        (fun n ->
+          let what = Printf.sprintf "%sshards=%d" prefix n in
+          let rn = eval n in
+          Alcotest.(check (float 0.)) (what ^ ": answer bit-identical")
+            (Engine.Response.answer_float r1)
+            (Engine.Response.answer_float rn);
+          check_ranked what (Engine.Response.ranked r1) (Engine.Response.ranked rn);
+          match rn.Engine.Response.stats.Engine.Response.shards with
+          | Some s ->
+              Alcotest.(check int) (what ^ ": shard count") n s.Shard.shards;
+              check_exact_summary what s
+          | None -> Alcotest.failf "%s: no shards block" what)
+        [ 2; 4 ])
+    [ "count "; "top(3) " ]
+
+(* Shard counts below 1 are rejected, by the config and by both
+   binaries' command lines. *)
+let unit_config_rejects_shards_below_one () =
+  List.iter
+    (fun n ->
+      match Engine.Config.(default |> with_shards n) with
+      | _ -> Alcotest.failf "with_shards %d accepted" n
+      | exception Invalid_argument _ -> ())
+    [ 0; -2 ]
+
+let usage_error binary args =
+  if not (Sys.file_exists binary) then Alcotest.failf "binary not found at %s" binary;
+  let err = Filename.temp_file "hardq_test_usage" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove err) @@ fun () ->
+  let code =
+    Sys.command
+      (String.concat " " (List.map Filename.quote (binary :: args))
+      ^ " >/dev/null 2>" ^ Filename.quote err)
+  in
+  Alcotest.(check int) (String.concat " " args ^ ": cmdliner usage error") 124 code;
+  let ic = open_in err in
+  let msg = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  if not (Helpers.contains msg "--shards") then
+    Alcotest.failf "%s: error does not name --shards: %s" binary msg
+
+let unit_cli_rejects_shards_below_one () =
+  usage_error "../bin/hardq_cli.exe" [ "topk"; "--shards"; "0" ];
+  usage_error "../bin/hardq_cli.exe" [ "eval"; "--shards=-3" ]
+
+let unit_server_rejects_shards_below_one () =
+  usage_error "../bin/hardq_server.exe" [ "--shards"; "0" ];
+  usage_error "../bin/hardq_server.exe" [ "--shards=-1" ]
+
 let suites =
   [
     ( "shard.chash",
@@ -458,7 +610,18 @@ let suites =
         tc "top-k under fault is best-effort, not wrong" `Quick
           unit_topk_fault_is_best_effort;
         tc "cleared fault recovers exactness" `Quick unit_fault_cleared_recovers;
+        tc "no partition answered raises, never an empty answer" `Quick
+          unit_no_partition_answered_raises;
       ] );
     ( "shard.engine",
-      [ tc "config routes through the cluster" `Quick unit_engine_shard_routing ] );
+      [
+        tc "config routes through the cluster" `Quick unit_engine_shard_routing;
+        tc "unsharded edges top-k ranks ties in session order" `Quick
+          unit_unsharded_topk_ties;
+        tc "plan sources are partitioned" `Quick unit_plan_sources_sharded;
+        tc "config rejects shards < 1" `Quick unit_config_rejects_shards_below_one;
+        tc "hardq_cli rejects --shards < 1" `Quick unit_cli_rejects_shards_below_one;
+        tc "hardq_server rejects --shards < 1" `Quick
+          unit_server_rejects_shards_below_one;
+      ] );
   ]
