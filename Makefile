@@ -111,7 +111,10 @@ bench-cache:
 	dune exec bench/loadgen.exe -- --cache-out BENCH_cache.json
 
 # Refresh the committed kernel benchmark document (BENCH_kernel.json):
-# boxed-vs-flat single-thread wall time per exact DP solver.
+# boxed-vs-flat single-thread wall time per exact DP solver, plus a
+# cold-exact-shaped row (the Figure 4 union over 60 Polls sessions).
+# Boxed and flat samples interleave; rows carry the median over 31
+# repeats, the IQR and nproc.
 bench-kernel:
 	dune build bench/main.exe
 	rm -f BENCH_kernel.json

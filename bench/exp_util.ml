@@ -65,12 +65,13 @@ let obs_fields ?(prefix = "obs.") (snap : Obs.snapshot) =
 let timed_opt ?(budget = 0.) f =
   let t0 = Util.Timer.now () in
   let result =
-    if budget <= 0. then (match f Util.Timer.no_limit with x -> Some x | exception Failure _ -> None)
-    else
-      match Util.Timer.with_budget budget f with
-      | Some x -> Some x
-      | None -> None
-      | exception Failure _ -> None
+    let run () =
+      if budget <= 0. then Some (f Util.Timer.no_limit)
+      else Util.Timer.with_budget budget f
+    in
+    match run () with
+    | r -> r
+    | exception (Failure _ | Hardq.Dp_table.State_explosion _) -> None
   in
   (result, Util.Timer.now () -. t0)
 

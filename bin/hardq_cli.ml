@@ -188,6 +188,14 @@ let make_db dataset size sessions seed =
       ( Datasets.Crowdrank.generate ~n_workers:sessions ~seed (),
         Datasets.Crowdrank.query_fig15 )
 
+(* One line naming the DP state cap a solver ran into; exit status 1. *)
+let state_explosion table cap =
+  Format.eprintf
+    "budget exhausted: %s passed its cap of %d DP states; pick a cheaper \
+     solver (e.g. --solver mis-amp-lite)@."
+    table cap;
+  1
+
 let with_query dataset size sessions seed query f =
   let db, default_q = make_db dataset size sessions seed in
   let qtext = Option.value ~default:default_q query in
@@ -205,7 +213,9 @@ let with_query dataset size sessions seed query f =
           Format.eprintf
             "budget exhausted: a solver invocation ran out of its --budget \
              allowance; raise it or pick a cheaper solver@.";
-          1)
+          1
+      | exception Hardq.Dp_table.State_explosion { table; cap } ->
+          state_explosion table cap)
 
 (* ------------------------------------------------------------------ *)
 (* eval                                                                *)
@@ -398,6 +408,8 @@ let query_cmd =
                         "budget exhausted: a solver invocation ran out of its \
                          --budget allowance; raise it or pick a cheaper solver@.";
                       1
+                  | exception Hardq.Dp_table.State_explosion { table; cap } ->
+                      state_explosion table cap
                   | { Engine.response = resp; anytime } ->
                       if verbose then
                         List.iter

@@ -62,16 +62,45 @@ let edge_situation ctx ~value i (l, r) =
   then Violated
   else Uncertain
 
-(* Shift-then-extremum update of track [t]'s value [v] when item [i]
-   lands at position [j]; values are position+1, 0 unset. Shared by all
-   four kernel variants so their arithmetic cannot drift. *)
-let[@inline] update_track ctx i j t v =
+(* Shift-then-extremum update of a track value [v] when the inserted
+   item lands at position [j]; values are position+1, 0 unset. [hit] is
+   whether that item carries the track's conjunction, [left] whether the
+   track is a minimum (L role) rather than a maximum. Shared by all four
+   kernel variants so their arithmetic cannot drift. *)
+let[@inline] step ~hit ~left j v =
   let shifted = if v > 0 && v - 1 >= j then v + 1 else v in
-  if Conj.matches ctx.conj ctx.track_conj.(t) i then
-    if ctx.track_is_left.(t) then if v = 0 then j + 1 else min shifted (j + 1)
-    else if v = 0 then j + 1
-    else max shifted (j + 1)
-  else shifted
+  if not hit then shifted
+  else if v = 0 then j + 1
+  else if left then if shifted < j + 1 then shifted else j + 1
+  else if shifted > j + 1 then shifted
+  else j + 1
+
+(* The boxed kernels' per-expansion form of [step]. *)
+let[@inline] update_track ctx i j t v =
+  step
+    ~hit:(Conj.matches ctx.conj ctx.track_conj.(t) i)
+    ~left:ctx.track_is_left.(t) j v
+
+(* Per-layer hoists of the flat kernels: π's row i, and per track
+   whether item i carries its conjunction and whether no item after i
+   does (an unset side can then never be filled). Filled once per layer
+   on the calling domain, read-only while the layer expands. *)
+type layer = { pi_row : float array; hit : bool array; exhausted : bool array }
+
+let make_layer ctx =
+  {
+    pi_row = Array.make (Rim.Model.m ctx.model) 0.;
+    hit = Array.make ctx.n_tracks false;
+    exhausted = Array.make ctx.n_tracks false;
+  }
+
+let fill_layer ctx ly i =
+  Rim.Model.blit_pi_row ctx.model i ly.pi_row;
+  for t = 0 to ctx.n_tracks - 1 do
+    let c = ctx.track_conj.(t) in
+    ly.hit.(t) <- Conj.matches ctx.conj c i;
+    ly.exhausted.(t) <- Conj.remaining ctx.conj c i = 0
+  done
 
 (* Static feasibility: an edge with an empty-side conjunction can never be
    satisfied. Returns the surviving patterns. *)
@@ -251,19 +280,21 @@ let encode_structure key =
 (* Lexicographic order of two pattern spans (flattened (l, r) pairs in
    [edges]), matching OCaml's polymorphic [compare] on (int * int) list:
    pairwise pair comparison, equal prefixes order by length. *)
-let span_compare edges off1 ne1 off2 ne2 =
-  let rec cmp k =
-    if k = ne1 && k = ne2 then 0
-    else if k = ne1 then -1
-    else if k = ne2 then 1
-    else
-      let l1 = edges.(off1 + (2 * k)) and l2 = edges.(off2 + (2 * k)) in
-      if l1 <> l2 then compare l1 l2
+let span_compare (edges : int array) off1 ne1 off2 ne2 =
+  let c = ref 0 and k = ref 0 in
+  while !c = 0 && (!k < ne1 || !k < ne2) do
+    if !k = ne1 then c := -1
+    else if !k = ne2 then c := 1
+    else begin
+      let l1 = edges.(off1 + (2 * !k)) and l2 = edges.(off2 + (2 * !k)) in
+      if l1 <> l2 then c := compare l1 l2
       else
-        let r1 = edges.(off1 + (2 * k) + 1) and r2 = edges.(off2 + (2 * k) + 1) in
-        if r1 <> r2 then compare r1 r2 else cmp (k + 1)
-  in
-  cmp 0
+        let r1 = edges.(off1 + (2 * !k) + 1)
+        and r2 = edges.(off2 + (2 * !k) + 1) in
+        if r1 <> r2 then c := compare r1 r2 else incr k
+    end
+  done;
+  !c
 
 (* Chunk-local scratch for the flat optimized solver; all arrays are
    sized once from the initial structure (states only ever shrink). *)
@@ -278,6 +309,7 @@ type flat_opt_scratch = {
   fs_slot_stamp : int array;
   fs_tracked : int array; (* slot -> track in current state *)
   fs_new : int array; (* stamp: track present in emitted structure *)
+  fs_cell : float array; (* the emission's probability *)
   mutable fs_stamp : int;
   fs_edges_pruned : int ref;
   fs_patterns_pruned : int ref;
@@ -297,14 +329,15 @@ let run_optimized_flat ~budget ~par ~obs ~states ~edges_pruned ~patterns_pruned
       (List.concat_map (List.concat_map (fun (l, r) -> [ l; r ])) key0)
   in
   let n_tracked0 = List.length tracked0 in
-  let t0 = Dp_table.Flat.create ~name:"Bipartite" ~max_states:!max_states () in
-  let t1 = Dp_table.Flat.create ~name:"Bipartite" ~max_states:!max_states () in
+  Dp_table.Flat.with_pair ~name:"Bipartite" ~max_states:!max_states
+  @@ fun t0 t1 ->
   let cur = ref t0 and nxt = ref t1 in
   let hwm = ref 0 and flat_states = ref 0 in
   (let seed = Array.make (struct_len0 + n_tracked0) 0 in
    Array.blit struct0 0 seed 0 struct_len0;
    Dp_table.Flat.add !cur seed 0 (struct_len0 + n_tracked0) 1.);
-  let prob = ref 0. in
+  let acc = [| 0. |] in
+  let ly = make_layer ctx in
   let make_scratch () =
     {
       fs_buf = Array.make max_w 0;
@@ -317,6 +350,7 @@ let run_optimized_flat ~budget ~par ~obs ~states ~edges_pruned ~patterns_pruned
       fs_slot_stamp = Array.make (max 1 ctx.n_tracks) 0;
       fs_tracked = Array.make (max 1 ctx.n_tracks) 0;
       fs_new = Array.make (max 1 ctx.n_tracks) 0;
+      fs_cell = [| 0. |];
       fs_stamp = 0;
       fs_edges_pruned = ref 0;
       fs_patterns_pruned = ref 0;
@@ -331,10 +365,15 @@ let run_optimized_flat ~budget ~par ~obs ~states ~edges_pruned ~patterns_pruned
       states := !states + n_states;
       Dp_table.Flat.note_layer_width n_states
     end;
-    let data = Dp_table.Flat.data curt in
+    fill_layer ctx ly i;
+    let pi_row = ly.pi_row and hit = ly.hit and exhausted = ly.exhausted in
+    let is_left = ctx.track_is_left in
+    let data = Dp_table.Flat.data curt
+    and offs = Dp_table.Flat.offs curt
+    and probs = Dp_table.Flat.probs curt in
     let expand sc s ~emit ~emit_prob =
-      let o = Dp_table.Flat.off curt s in
-      let q = Dp_table.Flat.prob curt s in
+      let o = offs.(s) and q = probs.(s) in
+      let cell = sc.fs_cell in
       let np = data.(o) in
       (* Decode the slot map of this state's tracked set (ascending id),
          stamping instead of clearing. *)
@@ -362,11 +401,13 @@ let run_optimized_flat ~budget ~par ~obs ~states ~edges_pruned ~patterns_pruned
       let n_tracked = !n_tracked in
       let vals_base = o + struct_len in
       for j = 0 to i do
-        let p' = q *. Rim.Model.pi ctx.model i j in
+        let p' = q *. pi_row.(j) in
         if p' > 0. then begin
+          cell.(0) <- p';
           for k = 0 to n_tracked - 1 do
+            let t = sc.fs_tracked.(k) in
             sc.fs_vals.(k) <-
-              update_track ctx i j sc.fs_tracked.(k) data.(vals_base + k)
+              step ~hit:hit.(t) ~left:is_left.(t) j data.(vals_base + k)
           done;
           (* Re-evaluate uncertain edges, writing survivors per pattern
              into fs_edges (pairs keep their in-pattern order, which is
@@ -387,10 +428,7 @@ let run_optimized_flat ~budget ~par ~obs ~states ~edges_pruned ~patterns_pruned
               if lv > 0 && rv > 0 && lv < rv then begin
                 if obs then incr sc.fs_edges_pruned
               end
-              else if
-                Conj.remaining ctx.conj ctx.track_conj.(l) i = 0
-                && Conj.remaining ctx.conj ctx.track_conj.(r) i = 0
-              then begin
+              else if exhausted.(l) && exhausted.(r) then begin
                 if obs then incr sc.fs_edges_pruned;
                 violated := true
               end
@@ -414,7 +452,7 @@ let run_optimized_flat ~budget ~par ~obs ~states ~edges_pruned ~patterns_pruned
               incr n_new
             end
           done;
-          if !satisfied_pattern then emit_prob p'
+          if !satisfied_pattern then emit_prob cell 0
           else if !n_new > 0 then begin
             let n_new = !n_new in
             (* Sort surviving spans into the canonical pattern order. *)
@@ -466,7 +504,7 @@ let run_optimized_flat ~budget ~par ~obs ~states ~edges_pruned ~patterns_pruned
                 incr w
               end
             done;
-            emit buf 0 !w p'
+            emit buf 0 !w cell 0
           end
         end
       done
@@ -475,8 +513,8 @@ let run_optimized_flat ~budget ~par ~obs ~states ~edges_pruned ~patterns_pruned
       ~finish:(fun sc ->
         edges_pruned := !edges_pruned + !(sc.fs_edges_pruned);
         patterns_pruned := !patterns_pruned + !(sc.fs_patterns_pruned))
-      ~add:(Dp_table.Flat.add next)
-      ~add_prob:(fun p' -> prob := !prob +. p')
+      ~add:(Dp_table.Flat.add_cell next)
+      ~add_prob:(fun cell ci -> acc.(0) <- acc.(0) +. cell.(ci))
       ();
     if obs then
       hwm :=
@@ -487,7 +525,7 @@ let run_optimized_flat ~budget ~par ~obs ~states ~edges_pruned ~patterns_pruned
     nxt := curt
   done;
   if obs then Dp_table.Flat.flush_call ~states:!flat_states ~hwm_words:!hwm;
-  min 1. !prob
+  min 1. acc.(0)
 
 let run_optimized ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)
     ?(kernel = Kernel.default) ctx patterns =
@@ -521,6 +559,29 @@ let run_optimized ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)
 (* ------------------------------------------------------------------ *)
 (* Basic solver (§4.3.1): full tracking, classification at the end.    *)
 (* ------------------------------------------------------------------ *)
+
+(* The final classification over edge arrays: pattern -> flattened
+   [l; r; l; r; ...] track pairs. A state (track values at [vals.(off
+   ..)]) satisfies the union when some pattern has every edge with
+   min(l) < max(r). *)
+let pattern_arrays feasible =
+  Array.of_list
+    (List.map
+       (fun edges -> Array.of_list (List.concat_map (fun (l, r) -> [ l; r ]) edges))
+       feasible)
+
+let union_satisfied pats vals off =
+  let sat = ref false and p = ref 0 in
+  while (not !sat) && !p < Array.length pats do
+    let e = pats.(!p) in
+    let all = ref true and k = ref 0 in
+    while !all && !k < Array.length e do
+      let lv = vals.(off + e.(!k)) and rv = vals.(off + e.(!k + 1)) in
+      if lv > 0 && rv > 0 && lv < rv then k := !k + 2 else all := false
+    done;
+    if !all then sat := true else incr p
+  done;
+  !sat
 
 let run_basic_boxed ~budget ~par ~obs ~states ctx feasible =
   let m = Rim.Model.m ctx.model in
@@ -557,32 +618,26 @@ let run_basic_boxed ~budget ~par ~obs ~states ctx feasible =
       ();
     table := next
   done;
-  let satisfied vals =
-    List.exists
-      (List.for_all (fun (l, r) ->
-           let lv = vals.(l) and rv = vals.(r) in
-           lv > 0 && rv > 0 && lv < rv))
-      feasible
-  in
+  let pats = pattern_arrays feasible in
   let final = !table in
   let acc = ref 0. in
   for s = 0 to Dp_table.Boxed.length final - 1 do
-    if satisfied (Dp_table.Boxed.key final s) then
+    if union_satisfied pats (Dp_table.Boxed.key final s) 0 then
       acc := !acc +. Dp_table.Boxed.prob final s
   done;
   !acc
 
+(* Chunk-local scratch of the basic flat kernel. *)
+type basic_scratch = { bs_buf : int array; bs_cell : float array }
+
 let run_basic_flat ~budget ~par ~obs ~states ctx feasible =
   let m = Rim.Model.m ctx.model in
   let w = ctx.n_tracks in
-  let t0 =
-    Dp_table.Flat.create ~name:"Bipartite (basic)" ~max_states:!max_states ()
-  in
-  let t1 =
-    Dp_table.Flat.create ~name:"Bipartite (basic)" ~max_states:!max_states ()
-  in
+  Dp_table.Flat.with_pair ~name:"Bipartite (basic)" ~max_states:!max_states
+  @@ fun t0 t1 ->
   let cur = ref t0 and nxt = ref t1 in
   let hwm = ref 0 and flat_states = ref 0 in
+  let ly = make_layer ctx in
   (let seed = Array.make w 0 in
    Dp_table.Flat.add !cur seed 0 w 1.);
   for i = 0 to m - 1 do
@@ -594,24 +649,30 @@ let run_basic_flat ~budget ~par ~obs ~states ctx feasible =
       states := !states + n_states;
       Dp_table.Flat.note_layer_width n_states
     end;
-    let data = Dp_table.Flat.data curt in
-    let expand buf s ~emit ~emit_prob:_ =
-      let off = Dp_table.Flat.off curt s and q = Dp_table.Flat.prob curt s in
+    fill_layer ctx ly i;
+    let pi_row = ly.pi_row and hit = ly.hit and is_left = ctx.track_is_left in
+    let data = Dp_table.Flat.data curt
+    and offs = Dp_table.Flat.offs curt
+    and probs = Dp_table.Flat.probs curt in
+    let expand sc s ~emit ~emit_prob:_ =
+      let off = offs.(s) and q = probs.(s) in
+      let buf = sc.bs_buf and cell = sc.bs_cell in
       for j = 0 to i do
-        let p' = q *. Rim.Model.pi ctx.model i j in
+        let p' = q *. pi_row.(j) in
         if p' > 0. then begin
           for t = 0 to w - 1 do
-            buf.(t) <- update_track ctx i j t data.(off + t)
+            buf.(t) <- step ~hit:hit.(t) ~left:is_left.(t) j data.(off + t)
           done;
-          emit buf 0 w p'
+          cell.(0) <- p';
+          emit buf 0 w cell 0
         end
       done
     in
     Dp_par.run_flat ~par ~n:n_states
-      ~ctx:(fun () -> Array.make w 0)
+      ~ctx:(fun () -> { bs_buf = Array.make w 0; bs_cell = [| 0. |] })
       ~expand
-      ~add:(Dp_table.Flat.add next)
-      ~add_prob:(fun _ -> ())
+      ~add:(Dp_table.Flat.add_cell next)
+      ~add_prob:(fun _ _ -> ())
       ();
     if obs then
       hwm :=
@@ -623,17 +684,11 @@ let run_basic_flat ~budget ~par ~obs ~states ctx feasible =
   done;
   if obs then Dp_table.Flat.flush_call ~states:!flat_states ~hwm_words:!hwm;
   let final = !cur in
+  let pats = pattern_arrays feasible in
   let data = Dp_table.Flat.data final in
-  let satisfied off =
-    List.exists
-      (List.for_all (fun (l, r) ->
-           let lv = data.(off + l) and rv = data.(off + r) in
-           lv > 0 && rv > 0 && lv < rv))
-      feasible
-  in
   let acc = ref 0. in
   for s = 0 to Dp_table.Flat.length final - 1 do
-    if satisfied (Dp_table.Flat.off final s) then
+    if union_satisfied pats data (Dp_table.Flat.off final s) then
       acc := !acc +. Dp_table.Flat.prob final s
   done;
   !acc

@@ -57,4 +57,5 @@ val prob_constraint_sets :
     not bipartite. *)
 
 val max_states : int ref
-(** Safety valve shared by both variants (default 5_000_000 states). *)
+(** Safety valve shared by both variants (default 5_000_000 states);
+    {!Dp_table.State_explosion} past it. *)

@@ -72,20 +72,16 @@ module Fvec = struct
 
   let create () = { arr = Array.make 64 0.; len = 0 }
 
-  let push v x =
-    let cap = Array.length v.arr in
-    if v.len = cap then begin
-      let arr = Array.make (2 * cap) 0. in
-      Array.blit v.arr 0 arr 0 v.len;
-      v.arr <- arr
-    end;
-    v.arr.(v.len) <- x;
-    v.len <- v.len + 1
+  let grow v =
+    let arr = Array.make (2 * Array.length v.arr) 0. in
+    Array.blit v.arr 0 arr 0 v.len;
+    v.arr <- arr
 
-  let iter f v =
-    for i = 0 to v.len - 1 do
-      f v.arr.(i)
-    done
+  (* Inlined so the pushed float never crosses a call boxed. *)
+  let[@inline] push v x =
+    if v.len = Array.length v.arr then grow v;
+    Array.unsafe_set v.arr v.len x;
+    v.len <- v.len + 1
 end
 
 (* Below this many states a layer is expanded on the calling domain:
@@ -126,14 +122,16 @@ let run ~par ?(min_par = default_min_par) ~n ~ctx ~expand
   end
 
 (* Flat-kernel variant of [run]: a state emission is a span of ints
-   [(buf, off, len)] plus its probability, never a boxed key. The
-   sequential path passes the caller's scratch buffer straight to [add]
-   (which copies it into the arena); parallel chunks frame emissions as
+   [(buf, off, len)] plus its probability, never a boxed key, and every
+   probability travels as a float cell [(cell, ci)] — read in place by
+   the consumer — so no emission boxes a float. The sequential path
+   passes the caller's scratch buffer and cell straight to [add] (which
+   copies the words into the arena); parallel chunks frame emissions as
    [len; words...] into a private int vector with probabilities in a
-   parallel float vector, and the frames replay in chunk order with
-   zero further copying ([add] reads straight out of the chunk buffer).
-   The merged stream — and hence the next arena's slot order and every
-   float addition — is the sequential stream, exactly as with [run]. *)
+   parallel float vector, and the frames replay in chunk order with zero
+   further copying ([add] reads straight out of the chunk buffers). The
+   merged stream — and hence the next arena's slot order and every float
+   addition — is the sequential stream, exactly as with [run]. *)
 let run_flat ~par ?(min_par = default_min_par) ~n ~ctx ~expand
     ?(finish = fun _ -> ()) ~add ~add_prob () =
   if Util.Par.width par <= 1 || n < min_par then begin
@@ -154,25 +152,27 @@ let run_flat ~par ?(min_par = default_min_par) ~n ~ctx ~expand
         let cx = ctx () in
         cxs.(c) <- Some cx;
         let kw = kws.(c) and kp = kps.(c) and pv = ps.(c) in
-        let emit buf off len p =
+        let emit buf off len cell ci =
           Ivec.push kw len;
           Ivec.append kw buf off len;
-          Fvec.push kp p
+          Fvec.push kp cell.(ci)
         in
-        let emit_prob p = Fvec.push pv p in
+        let emit_prob cell ci = Fvec.push pv cell.(ci) in
         for i = lo to hi - 1 do
           expand cx i ~emit ~emit_prob
         done);
     for c = 0 to n_chunks - 1 do
-      let kw = kws.(c) and kp = kps.(c) in
+      let kw = kws.(c) and kp = kps.(c) and pv = ps.(c) in
       let pos = ref 0 and k = ref 0 in
       while !pos < kw.Ivec.len do
         let len = kw.Ivec.arr.(!pos) in
-        add kw.Ivec.arr (!pos + 1) len kp.Fvec.arr.(!k);
+        add kw.Ivec.arr (!pos + 1) len kp.Fvec.arr !k;
         pos := !pos + 1 + len;
         incr k
       done;
-      Fvec.iter add_prob ps.(c);
+      for k = 0 to pv.Fvec.len - 1 do
+        add_prob pv.Fvec.arr k
+      done;
       match cxs.(c) with Some cx -> finish cx | None -> ()
     done
   end

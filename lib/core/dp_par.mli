@@ -40,19 +40,22 @@ val run_flat :
   expand:
     ('c ->
     int ->
-    emit:(int array -> int -> int -> float -> unit) ->
-    emit_prob:(float -> unit) ->
+    emit:(int array -> int -> int -> float array -> int -> unit) ->
+    emit_prob:(float array -> int -> unit) ->
     unit) ->
   ?finish:('c -> unit) ->
-  add:(int array -> int -> int -> float -> unit) ->
-  add_prob:(float -> unit) ->
+  add:(int array -> int -> int -> float array -> int -> unit) ->
+  add_prob:(float array -> int -> unit) ->
   unit ->
   unit
 (** [run] for the flat kernel: an emission is a span of ints
-    [(buf, off, len)] with a probability, destined for
-    {!Dp_table.Flat.add}. On the sequential path [emit] {e is} [add],
-    so the caller may pass a scratch buffer it overwrites between
-    emissions ([add] copies the words out immediately). On the parallel
+    [(buf, off, len)] with a probability held in a float cell
+    [(cell, ci)], destined for {!Dp_table.Flat.add_cell}; [emit_prob]
+    likewise passes [(cell, ci)]. Cells keep floats unboxed end to end:
+    [add]/[add_prob] read [cell.(ci)] in place. On the sequential path
+    [emit] {e is} [add], so the caller may pass a scratch buffer and
+    cell it overwrites between emissions ([add] consumes them
+    immediately). On the parallel
     path emissions are framed into chunk-private unboxed buffers and
     replayed in chunk order, preserving the sequential contribution
     stream exactly as {!run} does. The same aliasing rule applies:

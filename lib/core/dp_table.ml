@@ -13,9 +13,23 @@
    [Boxed] is the reference layout (one structured key per state);
    [Flat] packs every state of a layer into a single int arena with an
    open-addressing index, so the hot path allocates nothing per state
-   and the GC never scans DP keys. Two [Flat] tables are created per
-   solver call and swap/clear between layers, growing to the high-water
-   mark once. *)
+   and the GC never scans DP keys. A solver call takes two [Flat]
+   tables from its domain's spare pair ([Flat.with_pair]) and swaps/
+   clears them between layers; back-to-back calls reuse arenas already
+   grown to their high-water mark, so a typical call allocates no table
+   memory at all. A fresh table is small enough (every array at most
+   [Max_young_wosize] = 256 words) to be born in the minor heap, and a
+   pair past [Flat.retain_cap_words] is dropped rather than kept. *)
+
+exception State_explosion of { table : string; cap : int }
+
+let () =
+  Printexc.register_printer (function
+    | State_explosion { table; cap } ->
+        Some (Printf.sprintf "%s: state explosion (cap %d states)" table cap)
+    | _ -> None)
+
+let explode name cap = raise (State_explosion { table = name; cap })
 
 (* Flat-kernel observability (no-ops unless [Obs.enable]d). Layer widths
    and high-water marks are recorded through the helpers below; the
@@ -53,8 +67,7 @@ module Boxed = struct
     match Hashtbl.find_opt t.index k with
     | Some s -> t.probs.(s) <- t.probs.(s) +. p
     | None ->
-        if t.len >= t.max_states then
-          failwith (t.name ^ ": state explosion");
+        if t.len >= t.max_states then explode t.name t.max_states;
         let cap = Array.length t.keys in
         if t.len = cap then begin
           let cap' = max 64 (2 * cap) in
@@ -90,19 +103,23 @@ module Flat = struct
     mutable n : int; (* number of slots *)
     mutable idx : int array; (* open addressing: 0 = empty, else slot+1 *)
     mutable mask : int; (* Array.length idx - 1 (a power of two) *)
-    name : string;
-    max_states : int;
+    mutable name : string; (* reset when a spare table is checked out *)
+    mutable max_states : int;
   }
 
-  let initial_idx = 256 (* power of two *)
+  (* Initial sizes: every array stays under [Max_young_wosize] (256
+     words), so a fresh table is a minor-heap allocation; the layer
+     widths of a typical Polls-sized call (m = 10) fit without growing. *)
+  let initial_idx = 64 (* power of two *)
+  let initial_slots = 32
 
-  let create ?(capacity_words = 1024) ~name ~max_states () =
+  let create ?(capacity_words = 128) ~name ~max_states () =
     {
       data = Array.make (max 16 capacity_words) 0;
       used = 0;
-      offs = Array.make 64 0;
-      lens = Array.make 64 0;
-      probs = Array.make 64 0.;
+      offs = Array.make initial_slots 0;
+      lens = Array.make initial_slots 0;
+      probs = Array.make initial_slots 0.;
       n = 0;
       idx = Array.make initial_idx 0;
       mask = initial_idx - 1;
@@ -115,11 +132,18 @@ module Flat = struct
   let off t s = t.offs.(s)
   let len t s = t.lens.(s)
   let data t = t.data
+  let offs t = t.offs
+  let lens t = t.lens
+  let probs t = t.probs
   let used_words t = t.used
   let capacity_words t = Array.length t.data
 
-  (* Multiplicative word mix; only intra-process determinism matters
-     (the index order is never observable — slots are insertion-ordered).
+  (* Multiplicative word mix plus a finalizer; only intra-process
+     determinism matters (the index order is never observable — slots
+     are insertion-ordered). The probe indexes by the low bits, and a
+     product only carries low bits upward, so without the finalizer the
+     small position values of DP states clustered into long probe runs
+     (3.2 probes per insert on the Polls two-label calls, 1.1 with it).
      Unsafe accesses: [off .. off+len-1] is in bounds by the caller's
      contract, checked once here against the actual array. *)
   let[@inline] hash_words buf off len =
@@ -129,7 +153,8 @@ module Flat = struct
     for k = off to off + len - 1 do
       h := (!h * 0x9E3779B1) lxor Array.unsafe_get buf k
     done;
-    !h land max_int
+    let h = !h * 0x2545F4914F6CDD1D in
+    (h lxor (h lsr 32)) land max_int
 
   (* [a] spans are arena-resident (in bounds by construction); [b] was
      bounds-checked by [hash_words] before any probe compares it. *)
@@ -182,24 +207,29 @@ module Flat = struct
       t.data <- data
     end
 
-  (* [add t buf off len p]: accumulate [p] onto the state whose words are
-     [buf.(off .. off+len-1)], copying the words into the arena when the
-     state is new. [buf] must not alias [t]'s own arena. *)
-  (* Slow path of [add]: append a new state at index slot [i]. *)
-  let add_new t buf off len p i =
-    if t.n >= t.max_states then failwith (t.name ^ ": state explosion");
+  (* Slow path of [insert]: append a new state's words at index slot
+     [i] and return its slot; the caller stores the probability (after
+     [grow_slots] may have replaced [probs]), so no float crosses this
+     call boxed. *)
+  let add_new t buf off len i =
+    if t.n >= t.max_states then explode t.name t.max_states;
     grow_slots t;
     grow_data t len;
     Array.blit buf off t.data t.used len;
-    t.offs.(t.n) <- t.used;
-    t.lens.(t.n) <- len;
-    t.probs.(t.n) <- p;
+    let s = t.n in
+    t.offs.(s) <- t.used;
+    t.lens.(s) <- len;
     t.used <- t.used + len;
-    t.idx.(i) <- t.n + 1;
-    t.n <- t.n + 1;
-    if 2 * t.n > t.mask + 1 then rehash t
+    t.idx.(i) <- s + 1;
+    t.n <- s + 1;
+    if 2 * t.n > t.mask + 1 then rehash t;
+    s
 
-  let add t buf off len p =
+  (* Accumulate [p] onto the state whose words are [buf.(off ..
+     off+len-1)], copying the words into the arena when the state is
+     new. [buf] must not alias [t]'s own arena. Inlined into both entry
+     points so [p] stays unboxed on the hit path. *)
+  let[@inline] insert t buf off len p =
     let h = hash_words buf off len in
     let mask = t.mask in
     let idx = t.idx and lens = t.lens and offs = t.offs and data = t.data in
@@ -208,7 +238,8 @@ module Flat = struct
     while !continue do
       let e = Array.unsafe_get idx !i in
       if e = 0 then begin
-        add_new t buf off len p !i;
+        let s = add_new t buf off len !i in
+        t.probs.(s) <- p;
         continue := false
       end
       else begin
@@ -225,6 +256,9 @@ module Flat = struct
       end
     done
 
+  let add t buf off len p = insert t buf off len p
+  let add_cell t buf off len cell ci = insert t buf off len cell.(ci)
+
   let clear t =
     t.used <- 0;
     t.n <- 0;
@@ -236,6 +270,49 @@ module Flat = struct
       acc := !acc +. t.probs.(s)
     done;
     !acc
+
+  (* Per-domain spare pair. A solver call checks out its two tables and
+     hands them back on return (or on an exception), so back-to-back
+     calls on one domain reuse arenas already grown to their high-water
+     mark and allocate nothing. Checkout is an atomic exchange, so two
+     systhreads on one domain, or a nested call, never share a pair: the
+     loser simply creates fresh tables. A pair is kept only while its
+     total size stays within [retain_cap_words]; a large DP's tables
+     are dropped on return and never stay resident. Checkout clears, so
+     whatever state an aborted call left behind is gone. *)
+  let retain_cap_words = 16_384
+
+  let retained t =
+    Array.length t.data + (3 * Array.length t.offs) + Array.length t.idx
+
+  let spare : (t * t) option Atomic.t Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> Atomic.make None)
+
+  let reset t ~name ~max_states =
+    clear t;
+    t.name <- name;
+    t.max_states <- max_states
+
+  let with_pair ~name ~max_states f =
+    let slot = Domain.DLS.get spare in
+    let t0, t1 =
+      match Atomic.exchange slot None with
+      | Some ((t0, t1) as pair) ->
+          reset t0 ~name ~max_states;
+          reset t1 ~name ~max_states;
+          pair
+      | None -> (create ~name ~max_states (), create ~name ~max_states ())
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        if retained t0 + retained t1 <= retain_cap_words then
+          Atomic.set slot (Some (t0, t1)))
+      (fun () -> f t0 t1)
+
+  let spare_words () =
+    match Atomic.get (Domain.DLS.get spare) with
+    | None -> 0
+    | Some (t0, t1) -> retained t0 + retained t1
 
   (* Observability helpers — callers guard with [Obs.enabled] and flush
      once per solver call. *)

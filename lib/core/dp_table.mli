@@ -12,6 +12,11 @@
     open-addressing index, so the DP hot path performs no per-state
     allocation. *)
 
+exception State_explosion of { table : string; cap : int }
+(** A table would grow past its [max_states] cap: [table] is the
+    table's name (the solver that owns it), [cap] the cap. Callers
+    surface it as a typed budget error, like a CPU budget running out. *)
+
 (** Insertion-ordered layer keyed by structured values (reference
     kernel). Keys are compared and hashed structurally. *)
 module Boxed : sig
@@ -27,7 +32,7 @@ module Boxed : sig
 
   val add : 'k t -> 'k -> float -> unit
   (** Accumulate onto an existing state or append a new one. Raises
-      [Failure "<name>: state explosion"] past [max_states]. *)
+      {!State_explosion} past [max_states]. *)
 
   val sum : 'k t -> float
   (** Probabilities summed in insertion order. *)
@@ -37,7 +42,9 @@ end
     (production kernel). A state is a span of ints; spans are copied
     into the arena on first insertion and indexed by open addressing.
     [clear] retains capacity, so two tables swap/cleared between layers
-    allocate only up to the call's high-water mark. *)
+    allocate only up to the call's high-water mark. A fresh table's
+    arrays are at most 256 words each, so creating one allocates in the
+    minor heap only. *)
 module Flat : sig
   type t
 
@@ -58,16 +65,44 @@ module Flat : sig
   (** The raw arena. Invalidated by {!add} (growth may replace the
       array) — only read it for a table that is not being added to. *)
 
+  val offs : t -> int array
+  val lens : t -> int array
+  val probs : t -> float array
+  (** The raw slot arrays behind {!off}, {!len} and {!prob}, with the
+      same rule as {!data}: a kernel hoists them once per layer for the
+      table it reads, so an expansion makes no call into this module. *)
+
   val add : t -> int array -> int -> int -> float -> unit
   (** [add t buf off len p]: accumulate [p] onto the state whose words
       are [buf.(off .. off+len-1)], copying them into the arena when
-      new. [buf] must not alias [t]'s arena. Raises
-      [Failure "<name>: state explosion"] past [max_states]. *)
+      new. [buf] must not alias [t]'s arena. Raises {!State_explosion}
+      past [max_states]. *)
+
+  val add_cell : t -> int array -> int -> int -> float array -> int -> unit
+  (** [add_cell t buf off len cell ci] is [add t buf off len cell.(ci)]
+      with the probability read from a float cell, so the emission path
+      of the flat kernels ({!Dp_par.run_flat}) never boxes a float. *)
 
   val clear : t -> unit
   (** Empty the table, keeping arena and index capacity. *)
 
   val sum : t -> float
+
+  val with_pair : name:string -> max_states:int -> (t -> t -> 'a) -> 'a
+  (** [with_pair ~name ~max_states f] runs [f] on two empty tables: the
+      calling domain's spare pair when it has one (cleared, renamed and
+      re-capped), else two fresh ones. The pair goes back to the domain
+      when [f] returns or raises, unless its total size exceeds
+      {!retain_cap_words}. A solver call's two layer tables come from
+      here, so steady-state calls reuse grown arenas and allocate
+      nothing. [f] must not let the tables escape. *)
+
+  val retain_cap_words : int
+  (** The most words (arena, slot arrays and index of both tables) a
+      domain's spare pair may keep between calls. *)
+
+  val spare_words : unit -> int
+  (** Words held by the calling domain's spare pair (0 when none). *)
 
   val used_words : t -> int
   val capacity_words : t -> int

@@ -14,9 +14,9 @@ let embeds ~topo ~parents ~(masks : int array) (seq : int array) =
   let q = Array.length parents in
   let f = Array.make q (-1) in
   let n = Array.length seq in
-  List.for_all
+  Array.for_all
     (fun v ->
-      let bound = List.fold_left (fun b u -> max b f.(u)) (-1) parents.(v) in
+      let bound = Array.fold_left (fun b u -> max b f.(u)) (-1) parents.(v) in
       let bit = masks.(v) in
       let rec find k = if k >= n then None else if seq.(k) land bit <> 0 then Some k else find (k + 1) in
       match find (bound + 1) with
@@ -24,28 +24,6 @@ let embeds ~topo ~parents ~(masks : int array) (seq : int array) =
           f.(v) <- k;
           true
       | None -> false)
-    topo
-
-(* Same check reading the masks straight out of a flat state: item [k]'s
-   mask is word [off + 2k + 1] of [buf]. [f] is caller-provided scratch
-   (one slot per node), so the flat hot path allocates nothing. *)
-let embeds_flat ~topo ~parents ~f buf off t =
-  Array.fill f 0 (Array.length f) (-1);
-  List.for_all
-    (fun v ->
-      let bound = List.fold_left (fun b u -> max b f.(u)) (-1) parents.(v) in
-      let bit = 1 lsl v in
-      let rec find k =
-        if k >= t then -1
-        else if buf.(off + (2 * k) + 1) land bit <> 0 then k
-        else find (k + 1)
-      in
-      let k = find (bound + 1) in
-      if k >= 0 then begin
-        f.(v) <- k;
-        true
-      end
-      else false)
     topo
 
 (* State encoding: flat int words [pos0; mask0; pos1; mask1; ...] sorted by
@@ -60,19 +38,49 @@ let state_masks st = Array.init (Array.length st / 2) (fun k -> st.((2 * k) + 1)
 (* Shared static preamble of the signature DP. *)
 type problem = {
   m : int;
-  topo : int list;
-  parents : int list array;
+  topo : int array; (* nodes in topological order *)
+  parents : int array array;
   node_bits : int array;
   step_mask : int array; (* mask of the item inserted at step i *)
 }
+
+(* [embeds] reading the masks straight out of a flat state: item [k]'s
+   mask is word [off + 2k + 1] of [buf]. [f] is caller-provided scratch
+   (one slot per node). Loops over the problem's node arrays, so the
+   flat hot path allocates nothing. [f] needs no reset: topological
+   order sets every parent's slot before its children read it, and the
+   scan stops at the first node that fails. *)
+let embeds_flat pr ~f buf off t =
+  let topo = pr.topo and parents = pr.parents in
+  let ok = ref true and x = ref 0 in
+  while !ok && !x < Array.length topo do
+    let v = topo.(!x) in
+    let ps = parents.(v) in
+    let bound = ref (-1) in
+    for y = 0 to Array.length ps - 1 do
+      let fu = f.(ps.(y)) in
+      if fu > !bound then bound := fu
+    done;
+    let bit = 1 lsl v in
+    let k = ref (!bound + 1) in
+    while !k < t && buf.(off + (2 * !k) + 1) land bit = 0 do
+      incr k
+    done;
+    if !k < t then begin
+      f.(v) <- !k;
+      incr x
+    end
+    else ok := false
+  done;
+  !ok
 
 let build_problem model lab g =
   let q = Prefs.Pattern.n_nodes g in
   if q > 62 then raise (Unsupported "Pattern_solver: more than 62 nodes");
   let m = Rim.Model.m model in
   let sigma = Rim.Model.sigma model in
-  let topo = Prefs.Pattern.topological_order g in
-  let parents = Array.init q (Prefs.Pattern.preds g) in
+  let topo = Array.of_list (Prefs.Pattern.topological_order g) in
+  let parents = Array.init q (fun v -> Array.of_list (Prefs.Pattern.preds g v)) in
   let node_bits = Array.init q (fun v -> 1 lsl v) in
   let step_mask =
     Array.init m (fun i ->
@@ -166,23 +174,23 @@ let run_boxed ~budget ~par model pr =
   min 1. !prob
 
 (* Chunk-local scratch for the flat kernel: an emission buffer wide
-   enough for any state (2 words per relevant item, at most m items) and
-   the embedding scratch. *)
-type flat_scratch = { buf : int array; f : int array }
+   enough for any state (2 words per relevant item, at most m items),
+   the embedding scratch and the emission's probability cell. *)
+type flat_scratch = { buf : int array; f : int array; cell : float array }
 
+(* The expansion reads only the current table's arrays and π's row i,
+   hoisted once per layer: no allocation and no call outside this module
+   except the emission. *)
 let run_flat ~budget ~par ~obs model pr =
   let q = Array.length pr.parents in
   let max_w = 2 * (pr.m + 1) in
-  let t0 =
-    Dp_table.Flat.create ~name:"Pattern_solver" ~max_states:!max_states ()
-  in
-  let t1 =
-    Dp_table.Flat.create ~name:"Pattern_solver" ~max_states:!max_states ()
-  in
+  Dp_table.Flat.with_pair ~name:"Pattern_solver" ~max_states:!max_states
+  @@ fun t0 t1 ->
   let cur = ref t0 and nxt = ref t1 in
   let hwm = ref 0 and states = ref 0 in
   Dp_table.Flat.add !cur [||] 0 0 1.;
-  let prob = ref 0. in
+  let acc = [| 0. |] in
+  let pi_row = Array.make pr.m 0. in
   for i = 0 to pr.m - 1 do
     Util.Timer.check budget;
     let curt = !cur and next = !nxt in
@@ -191,14 +199,16 @@ let run_flat ~budget ~par ~obs model pr =
       states := !states + n_states;
       Dp_table.Flat.note_layer_width n_states
     end;
-    let data = Dp_table.Flat.data curt in
+    Rim.Model.blit_pi_row model i pi_row;
+    let data = Dp_table.Flat.data curt
+    and offs = Dp_table.Flat.offs curt
+    and lens = Dp_table.Flat.lens curt
+    and probs = Dp_table.Flat.probs curt in
     let mx = pr.step_mask.(i) in
     let expand sc s ~emit ~emit_prob =
-      let off = Dp_table.Flat.off curt s in
-      let len = Dp_table.Flat.len curt s in
-      let qprob = Dp_table.Flat.prob curt s in
+      let off = offs.(s) and len = lens.(s) and qprob = probs.(s) in
       let t = len / 2 in
-      let buf = sc.buf in
+      let buf = sc.buf and cell = sc.cell in
       if mx = 0 then begin
         for c = 0 to t do
           let jlo = if c = 0 then 0 else data.(off + (2 * (c - 1))) + 1 in
@@ -206,21 +216,22 @@ let run_flat ~budget ~par ~obs model pr =
           if jlo <= jhi then begin
             let psum = ref 0. in
             for j = jlo to jhi do
-              psum := !psum +. Rim.Model.pi model i j
+              psum := !psum +. pi_row.(j)
             done;
             if !psum > 0. then begin
               Array.blit data off buf 0 len;
               for k = c to t - 1 do
                 buf.(2 * k) <- buf.(2 * k) + 1
               done;
-              emit buf 0 len (qprob *. !psum)
+              cell.(0) <- qprob *. !psum;
+              emit buf 0 len cell 0
             end
           end
         done
       end
       else
         for j = 0 to i do
-          let p = qprob *. Rim.Model.pi model i j in
+          let p = qprob *. pi_row.(j) in
           if p > 0. then begin
             let c = ref 0 in
             while !c < t && data.(off + (2 * !c)) < j do
@@ -234,17 +245,18 @@ let run_flat ~budget ~par ~obs model pr =
               buf.(2 * (k + 1)) <- data.(off + (2 * k)) + 1;
               buf.((2 * (k + 1)) + 1) <- data.(off + (2 * k) + 1)
             done;
-            if embeds_flat ~topo:pr.topo ~parents:pr.parents ~f:sc.f buf 0 (t + 1)
-            then emit_prob p
-            else emit buf 0 (len + 2) p
+            cell.(0) <- p;
+            if embeds_flat pr ~f:sc.f buf 0 (t + 1) then emit_prob cell 0
+            else emit buf 0 (len + 2) cell 0
           end
         done
     in
     Dp_par.run_flat ~par ~n:n_states
-      ~ctx:(fun () -> { buf = Array.make max_w 0; f = Array.make (max q 1) 0 })
+      ~ctx:(fun () ->
+        { buf = Array.make max_w 0; f = Array.make (max q 1) 0; cell = [| 0. |] })
       ~expand
-      ~add:(Dp_table.Flat.add next)
-      ~add_prob:(fun p -> prob := !prob +. p)
+      ~add:(Dp_table.Flat.add_cell next)
+      ~add_prob:(fun cell ci -> acc.(0) <- acc.(0) +. cell.(ci))
       ();
     if obs then
       hwm :=
@@ -255,7 +267,7 @@ let run_flat ~budget ~par ~obs model pr =
     nxt := curt
   done;
   if obs then Dp_table.Flat.flush_call ~states:!states ~hwm_words:!hwm;
-  min 1. !prob
+  min 1. acc.(0)
 
 let prob_general ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)
     ?(kernel = Kernel.default) model lab g =

@@ -25,7 +25,7 @@ val prob :
   Prefs.Pattern.t ->
   float
 (** Exact [Pr(g | σ, Π, λ)]. May raise [Util.Timer.Out_of_time] or
-    [Failure] on state explosion (see {!max_states}). With [par], large
+    {!Dp_table.State_explosion} (see {!max_states}). With [par], large
     DP layers expand in parallel; the result is bit-identical to the
     sequential run (see {!Dp_par}). *)
 

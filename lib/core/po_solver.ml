@@ -52,7 +52,9 @@ let prob ?(budget = Util.Timer.no_limit) model po =
         | Some p0 -> Hashtbl.replace next st (p0 +. p)
         | None ->
             if Hashtbl.length next >= !max_states then
-              failwith "Po_solver: state explosion";
+              raise
+                (Dp_table.State_explosion
+                   { table = "Po_solver"; cap = !max_states });
             Hashtbl.add next st p
       in
       Hashtbl.iter

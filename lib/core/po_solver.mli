@@ -18,4 +18,5 @@ val prob_subranking : ?budget:Util.Timer.budget -> Rim.Model.t -> Prefs.Ranking.
 (** Probability that τ is consistent with a sub-ranking (chain). *)
 
 val max_states : int ref
-(** Safety valve (default 2_000_000). *)
+(** Safety valve (default 2_000_000 states); {!Dp_table.State_explosion}
+    past it. *)

@@ -16,14 +16,16 @@ let h_states = Obs.histogram "solver.two_label.dp_states_per_call"
    arithmetic, so their contribution streams — and answers — are
    bit-identical (pinned by test/t_kernel.ml and the QA oracle). *)
 
-(* Shared preamble output: the interned problem. *)
+(* Shared preamble output: the interned problem. State word [k] tracks
+   conjunction [word_conj.(k)]: words [0 .. a-1] hold left minima, words
+   [a .. a+b-1] right maxima. *)
 type problem = {
   conj : Conj.t;
   a : int; (* number of left conjunctions *)
   b : int; (* number of right conjunctions *)
-  left_conj : int array;
-  right_conj : int array;
-  edges : (int * int) list;
+  word_conj : int array;
+  edge_l : int array; (* edge -> its left word *)
+  edge_r : int array; (* edge -> its right word (>= a) *)
 }
 
 let build_problem model lab pairs =
@@ -43,35 +45,41 @@ let build_problem model lab pairs =
     List.map (fun (l, r) -> (intern_role lefts l, intern_role rights r)) pairs
   in
   let a = Hashtbl.length lefts and b = Hashtbl.length rights in
-  let left_conj = Array.make a 0 and right_conj = Array.make b 0 in
-  Hashtbl.iter (fun c k -> left_conj.(k) <- c) lefts;
-  Hashtbl.iter (fun c k -> right_conj.(k) <- c) rights;
+  let word_conj = Array.make (a + b) 0 in
+  Hashtbl.iter (fun c k -> word_conj.(k) <- c) lefts;
+  Hashtbl.iter (fun c k -> word_conj.(a + k) <- c) rights;
+  let edge_l = Array.of_list (List.map fst edges)
+  and edge_r = Array.of_list (List.map (fun (_, rk) -> a + rk) edges) in
   (* The lookup tables must exist before any parallel layer reads them. *)
   Conj.freeze conj;
-  { conj; a; b; left_conj; right_conj; edges }
+  { conj; a; b; word_conj; edge_l; edge_r }
 
 (* A state satisfies G when some edge has min(l) < max(r); the a+b state
-   words live at [arr.(base ..)]. *)
+   words live at [arr.(base ..)]. A loop over the edge arrays: no
+   closure, no allocation. *)
 let satisfies pr arr base =
-  List.exists
-    (fun (lk, rk) ->
-      let lv = arr.(base + lk) and rv = arr.(base + pr.a + rk) in
-      lv > 0 && rv > 0 && lv < rv)
-    pr.edges
+  let el = pr.edge_l and er = pr.edge_r in
+  let sat = ref false and e = ref 0 in
+  while (not !sat) && !e < Array.length el do
+    let lv = arr.(base + el.(!e)) and rv = arr.(base + er.(!e)) in
+    if lv > 0 && rv > 0 && lv < rv then sat := true else incr e
+  done;
+  !sat
 
-(* Shift-then-extremum update of word [k] given old value [v] when item
-   [i] is inserted at position [j]. Values are position+1 (0 = unset):
-   an already-tracked extremal item at position >= j shifts down by one
-   before the min/max with the new item's position is taken. *)
-let[@inline] update pr i j k v =
+(* Shift-then-extremum update of a word with old value [v] when the
+   inserted item lands at position [j]; [hit] is whether that item
+   carries the word's conjunction, [left] whether the word is a minimum.
+   Values are position+1 (0 = unset): an already-tracked extremal item
+   at position >= j shifts down by one before the min/max with the new
+   item's position is taken. Both kernels use this, so their arithmetic
+   cannot drift. *)
+let[@inline] step ~hit ~left j v =
   let shifted = if v > 0 && v - 1 >= j then v + 1 else v in
-  if k < pr.a then
-    if Conj.matches pr.conj pr.left_conj.(k) i then
-      if v = 0 then j + 1 else min shifted (j + 1)
-    else shifted
-  else if Conj.matches pr.conj pr.right_conj.(k - pr.a) i then
-    if v = 0 then j + 1 else max shifted (j + 1)
-  else shifted
+  if not hit then shifted
+  else if v = 0 then j + 1
+  else if left then if shifted < j + 1 then shifted else j + 1
+  else if shifted > j + 1 then shifted
+  else j + 1
 
 let run_boxed ~budget ~par ~obs ~states model pr =
   let m = Rim.Model.m model in
@@ -94,7 +102,10 @@ let run_boxed ~budget ~par ~obs ~states model pr =
       for j = 0 to i do
         let st' = Array.copy st in
         for k = 0 to w - 1 do
-          st'.(k) <- update pr i j k st.(k)
+          st'.(k) <-
+            step
+              ~hit:(Conj.matches pr.conj pr.word_conj.(k) i)
+              ~left:(k < pr.a) j st.(k)
         done;
         if not (satisfies pr st' 0) then
           emit st' (q *. Rim.Model.pi model i j)
@@ -110,15 +121,23 @@ let run_boxed ~budget ~par ~obs ~states model pr =
   done;
   max 0. (1. -. Dp_table.Boxed.sum !table)
 
+(* Chunk-local scratch of the flat kernel: the emission buffer and the
+   float cell its probability travels in. *)
+type scratch = { buf : int array; cell : float array }
+
+(* The flat kernel's expansion reads only arrays hoisted before the
+   layer starts — the current table's arena and slot arrays, π's row i
+   and the inserted item's match bit per word — so it allocates nothing
+   and calls nothing outside this module except the emission itself. *)
 let run_flat ~budget ~par ~obs ~states model pr =
   let m = Rim.Model.m model in
-  let w = pr.a + pr.b in
-  let t0 = Dp_table.Flat.create ~name:"Two_label" ~max_states:!max_states () in
-  let t1 = Dp_table.Flat.create ~name:"Two_label" ~max_states:!max_states () in
+  let a = pr.a and w = pr.a + pr.b in
+  Dp_table.Flat.with_pair ~name:"Two_label" ~max_states:!max_states
+  @@ fun t0 t1 ->
   let cur = ref t0 and nxt = ref t1 in
   let hwm = ref 0 in
-  let seed = Array.make w 0 in
-  Dp_table.Flat.add !cur seed 0 w 1.;
+  let pi_row = Array.make m 0. and hit = Array.make w false in
+  Dp_table.Flat.add !cur (Array.make w 0) 0 w 1.;
   for i = 0 to m - 1 do
     Util.Timer.check budget;
     let curt = !cur and next = !nxt in
@@ -127,22 +146,31 @@ let run_flat ~budget ~par ~obs ~states model pr =
       states := !states + n_states;
       Dp_table.Flat.note_layer_width n_states
     end;
-    let data = Dp_table.Flat.data curt in
-    let expand buf s ~emit ~emit_prob:_ =
-      let off = Dp_table.Flat.off curt s and q = Dp_table.Flat.prob curt s in
+    Rim.Model.blit_pi_row model i pi_row;
+    for k = 0 to w - 1 do
+      hit.(k) <- Conj.matches pr.conj pr.word_conj.(k) i
+    done;
+    let data = Dp_table.Flat.data curt
+    and offs = Dp_table.Flat.offs curt
+    and probs = Dp_table.Flat.probs curt in
+    let expand sc s ~emit ~emit_prob:_ =
+      let off = offs.(s) and q = probs.(s) in
+      let buf = sc.buf and cell = sc.cell in
       for j = 0 to i do
         for k = 0 to w - 1 do
-          buf.(k) <- update pr i j k data.(off + k)
+          buf.(k) <- step ~hit:hit.(k) ~left:(k < a) j data.(off + k)
         done;
-        if not (satisfies pr buf 0) then
-          emit buf 0 w (q *. Rim.Model.pi model i j)
+        if not (satisfies pr buf 0) then begin
+          cell.(0) <- q *. pi_row.(j);
+          emit buf 0 w cell 0
+        end
       done
     in
     Dp_par.run_flat ~par ~n:n_states
-      ~ctx:(fun () -> Array.make w 0)
+      ~ctx:(fun () -> { buf = Array.make w 0; cell = [| 0. |] })
       ~expand
-      ~add:(Dp_table.Flat.add next)
-      ~add_prob:(fun _ -> ())
+      ~add:(Dp_table.Flat.add_cell next)
+      ~add_prob:(fun _ _ -> ())
       ();
     if obs then
       hwm :=

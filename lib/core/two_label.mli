@@ -37,5 +37,5 @@ val prob_edges :
     each pair is read as the constraint [α(left) < β(right)]. *)
 
 val max_states : int ref
-(** Safety valve: raise [Failure] if the DP frontier exceeds this many
-    states (default 5_000_000). *)
+(** Safety valve: raise {!Dp_table.State_explosion} if the DP frontier
+    exceeds this many states (default 5_000_000). *)

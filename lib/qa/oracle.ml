@@ -373,6 +373,8 @@ let check ?(eps = 1e-9) ?(budget = 0.5) ?(approx = true) ?(extra = []) (case : P
   | Skipped msg -> Skip msg
   | Util.Timer.Out_of_time -> Skip "solver budget exhausted"
   | Failure msg -> Skip ("solver gave up: " ^ msg)
+  | Hardq.Dp_table.State_explosion _ as e ->
+      Skip ("solver gave up: " ^ Printexc.to_string e)
 
 (* Language/planner differential sweep (make lang-diff / hardq_qa
    lang-diff): the case's datalog query is pushed through the text
@@ -567,6 +569,8 @@ let lang_diff ?(eps = 1e-9) ?(budget = 0.5) (case : Ppd.Case.t) =
   | Skipped msg -> (Skip msg, !kinds)
   | Util.Timer.Out_of_time -> (Skip "solver budget exhausted", !kinds)
   | Failure msg -> (Skip ("solver gave up: " ^ msg), !kinds)
+  | Hardq.Dp_table.State_explosion _ as e ->
+      (Skip ("solver gave up: " ^ Printexc.to_string e), !kinds)
 
 let fails ?eps ?budget ?extra case =
   match check ?eps ?budget ~approx:false ?extra case with
@@ -722,6 +726,8 @@ let shard_diff ?(budget = 0.5) (case : Ppd.Case.t) =
   | Ppd.Compile.Grounding_too_large msg -> Skip ("grounding: " ^ msg)
   | Util.Timer.Out_of_time -> Skip "solver budget exhausted"
   | Failure msg -> Skip ("solver gave up: " ^ msg)
+  | Hardq.Dp_table.State_explosion _ as e ->
+      Skip ("solver gave up: " ^ Printexc.to_string e)
 
 (* Anytime serving sweep (make anytime-diff / hardq_qa anytime-diff):
    the case is served under accuracy SLOs with a forced sampling solver
@@ -854,3 +860,5 @@ let anytime ?(eps = 1e-9) ?(budget = 0.5) (case : Ppd.Case.t) =
   | Skipped msg -> Skip msg
   | Util.Timer.Out_of_time -> Skip "solver budget exhausted"
   | Failure msg -> Skip ("solver gave up: " ^ msg)
+  | Hardq.Dp_table.State_explosion _ as e ->
+      Skip ("solver gave up: " ^ Printexc.to_string e)

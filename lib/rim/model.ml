@@ -19,6 +19,7 @@ let make ~sigma ~pi =
 let sigma t = t.sigma
 let m t = Prefs.Ranking.length t.sigma
 let pi t i j = t.pi.(i).(j)
+let blit_pi_row t i dst = Array.blit t.pi.(i) 0 dst 0 (i + 1)
 
 let insertion_positions t r =
   let n = m t in

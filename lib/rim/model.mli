@@ -18,6 +18,11 @@ val m : t -> int
 val pi : t -> int -> int -> float
 (** [pi t i j] is [Π(i, j)]. *)
 
+val blit_pi_row : t -> int -> float array -> unit
+(** [blit_pi_row t i dst] copies row [Π(i, 0..i)] into [dst.(0..i)]:
+    the DP kernels read one layer's insertion probabilities from a local
+    float array instead of one boxed {!pi} call per expansion. *)
+
 val insertion_positions : t -> Prefs.Ranking.t -> int array
 (** [insertion_positions t r] recovers the unique insertion vector
     [j_0..j_{m-1}] that produces [r]: [j_i] is the number of items

@@ -303,6 +303,13 @@ let finish ?anytime (job : job) start deadline_limited
         Protocol.Err
           (Protocol.error Protocol.Budget_exhausted
              "CPU budget exhausted; raise \"budget\" or pick a cheaper solver")
+  | Error (Hardq.Dp_table.State_explosion { table; cap }) ->
+      (* The DP state cap is a memory budget: typed like the CPU one. *)
+      Protocol.Err
+        (Protocol.error Protocol.Budget_exhausted
+           (Printf.sprintf
+              "%s passed its cap of %d DP states; pick a cheaper solver" table
+              cap))
   | Error (Ppd.Compile.Unsupported msg) ->
       Protocol.Err (Protocol.error Protocol.Unsupported msg)
   | Error (Ppd.Compile.Grounding_too_large msg) ->

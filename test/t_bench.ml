@@ -147,7 +147,11 @@ let unit_kernel_schema () =
       if not (float_field "kernel" j [ "wall_s" ] >= 0.) then
         Alcotest.fail "wall_s negative";
       if not (float_field "kernel" j [ "ratio" ] > 0.) then
-        Alcotest.fail "ratio not positive")
+        Alcotest.fail "ratio not positive";
+      if not (float_field "kernel" j [ "iqr_s" ] >= 0.) then
+        Alcotest.fail "iqr_s negative";
+      if int_field "kernel" j [ "repeats" ] < 3 then Alcotest.fail "repeats < 3";
+      if int_field "kernel" j [ "nproc" ] < 1 then Alcotest.fail "nproc < 1")
     lines;
   (* Every solver must appear under both kernels, with the bit-identical
      probability the bench asserts internally surviving serialization. *)
@@ -161,7 +165,7 @@ let unit_kernel_schema () =
           if pb <> pf then
             Alcotest.failf "%s: boxed prob %.17g <> flat prob %.17g" solver pb pf
       | _ -> Alcotest.failf "%s: missing a kernel row" solver)
-    [ "two_label"; "bipartite"; "bipartite_basic"; "general" ]
+    [ "two_label"; "bipartite"; "bipartite_basic"; "general"; "two_label_polls" ]
 
 (* The planner-overhead experiment: all four query archetypes must emit
    a row in smoke mode, with the schema the overhead tracking reads. *)

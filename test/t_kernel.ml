@@ -147,8 +147,9 @@ let unit_flat_state_explosion () =
   done;
   match Hardq.Dp_table.Flat.add t [| 99 |] 0 1 1. with
   | () -> Alcotest.fail "expected state explosion"
-  | exception Failure msg ->
-      Alcotest.(check bool) "failure names the table" true (contains msg "boom")
+  | exception Hardq.Dp_table.State_explosion { table = msg; cap } ->
+      Alcotest.(check bool) "failure names the table" true (contains msg "boom");
+      Alcotest.(check int) "failure carries the cap" 3 cap
 
 (* Zero-length states are legal (the signature DP's seed layer). *)
 let unit_flat_empty_state () =
@@ -317,6 +318,130 @@ let unit_engine_kernel_bit_identity () =
   check_bits "Engine.Config kernel" (answer Hardq.Kernel.Boxed)
     (answer Hardq.Kernel.Flat)
 
+(* ------------------------------------------------------------------ *)
+(* Arena lifecycle: the per-domain spare table pair                     *)
+(* ------------------------------------------------------------------ *)
+
+module Flat = Hardq.Dp_table.Flat
+
+(* A solver call checks its two layer tables out of the domain's spare
+   pair: the same grown pair comes back call after call, a nested (or
+   concurrent) holder never shares it, a holder that raised leaves
+   nothing behind, and a pair past the retention cap — here a 10^5-state
+   layer — is dropped instead of staying resident. *)
+let unit_spare_pair_lifecycle () =
+  let fill t n = for i = 0 to n - 1 do Flat.add t [| i |] 0 1 1. done in
+  let first =
+    Flat.with_pair ~name:"a" ~max_states:100 (fun t0 t1 ->
+        fill t0 3;
+        fill t1 5;
+        t0)
+  in
+  if Flat.spare_words () = 0 then Alcotest.fail "a small pair is kept";
+  let again =
+    Flat.with_pair ~name:"b" ~max_states:100 (fun t0 t1 ->
+        Alcotest.(check int)
+          "checked out empty" 0
+          (Flat.length t0 + Flat.length t1);
+        Flat.with_pair ~name:"c" ~max_states:100 (fun u0 u1 ->
+            Alcotest.(check bool)
+              "a nested holder gets other tables" true
+              (u0 != t0 && u0 != t1 && u1 != t0 && u1 != t1));
+        t0)
+  in
+  Alcotest.(check bool) "the grown pair is reused" true (first == again);
+  (match
+     Flat.with_pair ~name:"boom" ~max_states:4 (fun t0 _ -> fill t0 10)
+   with
+  | () -> Alcotest.fail "expected state explosion"
+  | exception Hardq.Dp_table.State_explosion { table; cap } ->
+      Alcotest.(check string) "checked-out name" "boom" table;
+      Alcotest.(check int) "checked-out cap" 4 cap);
+  Flat.with_pair ~name:"d" ~max_states:100 (fun t0 t1 ->
+      Alcotest.(check int)
+        "an aborted holder left nothing" 0
+        (Flat.length t0 + Flat.length t1);
+      fill t0 50;
+      Alcotest.(check int) "the new cap applies" 50 (Flat.length t0));
+  Flat.with_pair ~name:"big" ~max_states:200_000 (fun t0 _ -> fill t0 100_000);
+  if Flat.spare_words () > Flat.retain_cap_words then
+    Alcotest.failf "retained %d words past the %d-word cap"
+      (Flat.spare_words ()) Flat.retain_cap_words
+
+(* The cold-exact request shape, answered as comparable bits. *)
+let cold_db () = Datasets.Polls.generate ~n_candidates:10 ~n_voters:60 ~seed:42 ()
+let cold_q = Ppd.Parser.parse Datasets.Polls.query_two_label
+
+let cold_tasks =
+  [ Engine.Request.Count; Engine.Request.Top_k { k = 3; strategy = `Edges 1 } ]
+
+let cold_config = Engine.Config.(default |> with_jobs nd |> with_cache false)
+
+let answer_bits (r : Engine.Response.t) =
+  let bits = Int64.bits_of_float in
+  match r.Engine.Response.answer with
+  | Engine.Response.Probability p | Engine.Response.Expectation p ->
+      [ ([||], bits p) ]
+  | Engine.Response.Ranked l ->
+      List.map (fun ((s : Ppd.Database.session), p) -> (s.key, bits p)) l
+
+let cold_answers engine db =
+  List.map
+    (fun task ->
+      answer_bits (Engine.eval engine (Engine.Request.make ~task db cold_q)))
+    cold_tasks
+
+(* A DP that raises — past its state cap mid-layer, or out of a tiny CPU
+   budget — hands its tables back dirty; the next solves on the same
+   engine must still match a fresh engine's to the bit. *)
+let unit_arena_after_abort () =
+  let db = cold_db () in
+  let fresh = Engine.with_engine cold_config (fun e -> cold_answers e db) in
+  Engine.with_engine cold_config (fun engine ->
+      let saved = !Hardq.Two_label.max_states in
+      (match
+         Fun.protect
+           ~finally:(fun () -> Hardq.Two_label.max_states := saved)
+           (fun () ->
+             Hardq.Two_label.max_states := 20;
+             Engine.eval engine (Engine.Request.make db cold_q))
+       with
+      | _ -> Alcotest.fail "expected a state explosion"
+      | exception Hardq.Dp_table.State_explosion { table; cap } ->
+          Alcotest.(check string) "table" "Two_label" table;
+          Alcotest.(check int) "cap" 20 cap);
+      (match Engine.eval engine (Engine.Request.make ~budget:1e-9 db cold_q) with
+      | _ -> Alcotest.fail "expected Out_of_time"
+      | exception Util.Timer.Out_of_time -> ());
+      if cold_answers engine db <> fresh then
+        Alcotest.fail "answers after an aborted DP differ from a fresh engine's")
+
+(* Two threads evaluating through one engine (one pool, one spare pair
+   per domain) answer exactly as a sequential run does. *)
+let unit_arena_two_threads () =
+  let db = cold_db () in
+  let seq = Engine.with_engine cold_config (fun e -> cold_answers e db) in
+  Engine.with_engine cold_config (fun engine ->
+      let results = Array.make 2 [] in
+      let threads =
+        List.init 2 (fun k ->
+            Thread.create
+              (fun () ->
+                results.(k) <- List.init 3 (fun _ -> cold_answers engine db))
+              ())
+      in
+      List.iter Thread.join threads;
+      Array.iteri
+        (fun k runs ->
+          Alcotest.(check int) (Printf.sprintf "thread %d finished" k) 3
+            (List.length runs);
+          List.iter
+            (fun a ->
+              if a <> seq then
+                Alcotest.failf "thread %d: answers differ from sequential" k)
+            runs)
+        results)
+
 let suites =
   [
     ( "kernel",
@@ -344,5 +469,11 @@ let suites =
         prop_general;
         tc "Engine.Config.with_kernel is answer-invisible" `Quick
           unit_engine_kernel_bit_identity;
+        tc "spare pair: reuse, exclusive checkout, retention cap" `Quick
+          unit_spare_pair_lifecycle;
+        tc (named "arena after an aborted DP: answers as fresh") `Quick
+          unit_arena_after_abort;
+        tc (named "arena under two threads: answers as sequential") `Quick
+          unit_arena_two_threads;
       ] );
   ]

@@ -124,6 +124,36 @@ let unit_engine_bit_identity () =
     reference
     (eval ~jobs:nd ~parallelism:`Inter)
 
+(* Pinned DP work: the cold-exact request shape (Polls, m = 10, 60
+   sessions, both store tiers off) must make exactly these solver calls
+   and expand exactly these flat DP states at every pool width. A kernel
+   rewrite may make states cheaper, never more or fewer; a lost prune, a
+   broken grouping or a changed emission order moves these counts. *)
+let unit_pinned_dp_work () =
+  let db = Datasets.Polls.generate ~n_candidates:10 ~n_voters:60 ~seed:42 () in
+  let q = Ppd.Parser.parse Datasets.Polls.query_two_label in
+  let work task =
+    Engine.with_engine
+      Engine.Config.(default |> with_jobs nd |> with_cache false)
+      (fun engine ->
+        Obs.enable ();
+        Fun.protect ~finally:Obs.disable (fun () ->
+            let before = Obs.snapshot () in
+            ignore (Engine.eval engine (Engine.Request.make ~task db q));
+            let d = Obs.diff before (Obs.snapshot ()) in
+            ( Obs.count d "solver.two_label.calls",
+              Obs.count d "dp.flat.states",
+              Obs.count d "solver.upper_bound.calls" )))
+  in
+  let check what (calls, states, bounds) (calls', states', bounds') =
+    Alcotest.(check int) (what ^ ": two-label calls") calls calls';
+    Alcotest.(check int) (what ^ ": dp.flat.states") states states';
+    Alcotest.(check int) (what ^ ": upper-bound calls") bounds bounds'
+  in
+  check "fig4 count" (59, 10404, 0) (work Engine.Request.Count);
+  check "fig4 top-3 (1 edge)" (63, 11051, 60)
+    (work (Engine.Request.Top_k { k = 3; strategy = `Edges 1 }))
+
 (* ------------------------------------------------------------------ *)
 (* QCheck properties                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -337,6 +367,8 @@ let suites =
         tc (named "dp chunk replay is ordered") `Quick unit_dp_par_ordered_replay;
         tc (named "rejection chunking is seed-deterministic") `Quick
           unit_rejection_chunked_determinism;
+        tc (named "pinned DP work on the cold-exact shape") `Quick
+          unit_pinned_dp_work;
       ] );
     ( "par.pool",
       [

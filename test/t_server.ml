@@ -833,6 +833,40 @@ let unit_server_deadline_exceeded () =
   | Ok _ -> Alcotest.fail "unexpected reply"
   | Error msg -> Alcotest.failf "transport error: %s" msg
 
+(* A request whose DP passes the solver's state cap is a budget error,
+   not an internal one: the reply is a typed [budget_exhausted] naming
+   the table and the cap, and the server answers the next request. *)
+let unit_server_state_cap_is_budget () =
+  let address = Protocol.Local (temp_socket ()) in
+  let config =
+    { (Server.default_config address) with Server.preload = [ fast_spec ] }
+  in
+  with_server config @@ fun server ->
+  let client = Server.Client.connect ~retries:40 (Server.address server) in
+  Fun.protect ~finally:(fun () -> Server.Client.close client) @@ fun () ->
+  let saved = !Hardq.Two_label.max_states in
+  (match
+     Fun.protect
+       ~finally:(fun () -> Hardq.Two_label.max_states := saved)
+       (fun () ->
+         Hardq.Two_label.max_states := 3;
+         Server.Client.eval client (Protocol.eval fast_spec sample_query))
+   with
+  | Ok (Protocol.Err { code = Protocol.Budget_exhausted; message }) ->
+      Alcotest.(check bool)
+        "message names the table" true (contains message "Two_label");
+      Alcotest.(check bool) "message names the cap" true (contains message "3")
+  | Ok (Protocol.Err e) ->
+      Alcotest.failf "wrong error code %s: %s"
+        (Protocol.error_code_to_string e.Protocol.code)
+        e.Protocol.message
+  | Ok _ -> Alcotest.fail "a 3-state cap cannot fit the two-label DP"
+  | Error msg -> Alcotest.failf "transport error: %s" msg);
+  match Server.Client.eval client (Protocol.eval fast_spec sample_query) with
+  | Ok (Protocol.Answer _) -> ()
+  | Ok _ -> Alcotest.fail "the server must answer once the cap is back"
+  | Error msg -> Alcotest.failf "transport error: %s" msg
+
 let unit_server_drain_completes_inflight () =
   let address = Protocol.Local (temp_socket ()) in
   let config =
@@ -1681,6 +1715,8 @@ let suites =
           unit_server_sheds_when_overloaded;
         tc "deadline exceeded comes back typed" `Quick
           unit_server_deadline_exceeded;
+        tc "DP state cap comes back as budget_exhausted" `Quick
+          unit_server_state_cap_is_budget;
         tc "drain answers in-flight requests, then refuses" `Quick
           unit_server_drain_completes_inflight;
         tc "gather window batches a burst; single-flight solves once" `Quick
