@@ -46,7 +46,10 @@ let batch_window_arg =
     "Batch-scheduler gather window in milliseconds: admitted requests \
      with the same dataset, query, solver and seed wait up to this long \
      to be evaluated as one engine batch (0 = dispatch immediately). \
-     Batching never changes answers."
+     The window applies only while another connection is open: with at \
+     most one connection no batch partner can arrive, so requests are \
+     dispatched as soon as the queued ones are gathered. Batching never \
+     changes answers."
   in
   Arg.(value & opt float 2. & info [ "batch-window-ms" ] ~docv:"MS" ~doc)
 

@@ -63,11 +63,14 @@ module Config : sig
         (** term-tier LRU entries (default 4096); 0 disables the term
             tier only *)
     batch_window : float;
-        (** serving-layer gather window in seconds (default 2 ms); the
-            engine itself does not sleep — the server's batch scheduler
-            reads this *)
+        (** serving-layer gather window in seconds (default 2 ms). A
+            record of the setting only: nothing reads it — the engine
+            never sleeps, and the server's batch scheduler reads its
+            own [Server.config.batch_window_ms] *)
     batch_max : int;
-        (** largest request group the serving layer gathers (default 16) *)
+        (** largest request group the serving layer gathers (default
+            16). A record of the setting only, like [batch_window]: the
+            server reads its own [Server.config.batch_max] *)
     kernel : Hardq.Kernel.t;
         (** DP layout of the exact solvers (default {!Hardq.Kernel.Flat}).
             Either kernel returns byte-identical answers (see

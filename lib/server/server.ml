@@ -75,6 +75,7 @@ let c_deadline = Obs.counter "server.deadline_exceeded"
 let c_depth = Obs.counter "server.queue.depth" (* gauge *)
 let c_write_errors = Obs.counter "server.write_errors"
 let c_batches = Obs.counter "server.batches"
+let c_direct = Obs.counter "server.batch.direct" (* flushed early: lone connection *)
 let h_batch_jobs = Obs.histogram "server.batch.jobs"
 let h_queue_us = Obs.histogram "server.queue_us"
 let h_eval_us = Obs.histogram "server.eval_us"
@@ -443,8 +444,12 @@ let worker_loop t () =
 (* Admitted requests gather into per-shape buckets for up to one window.
    A bucket flushes as one batch when its window closes, when it reaches
    [batch_max], or — the starvation bound — early enough that no member
-   waits past one window before its deadline. Grouping key: dataset
-   spec, query, solver and seed — exactly the requests whose per-session
+   waits past one window before its deadline. While at most one
+   connection is open no batch partner can arrive, so once the admission
+   queue is swept (a pipelined burst still coalesces) every bucket
+   flushes at once; a disconnect that leaves at most one connection open
+   flushes the waiting buckets the same way. Grouping key: dataset spec,
+   query, solver and seed — exactly the requests whose per-session
    sub-problems share engine cache keys (tasks may differ; they share
    sub-answers all the same). *)
 
@@ -457,6 +462,12 @@ type bucket = {
 let bucket_key (job : job) =
   let e = job.eval in
   (e.Protocol.dataset, e.Protocol.query, e.Protocol.solver, e.Protocol.seed)
+
+let open_connections t =
+  Mutex.lock t.conns_m;
+  let n = Hashtbl.length t.conns in
+  Mutex.unlock t.conns_m;
+  n
 
 let dispatch_loop t () =
   let window = t.cfg.batch_window_ms /. 1000. in
@@ -489,18 +500,12 @@ let dispatch_loop t () =
     Hashtbl.remove buckets key;
     push_batch (List.rev b.members_rev)
   in
-  let flush_due now_ =
+  let flush_where p =
     List.iter
       (fun (k, b) -> flush k b)
-      (Hashtbl.fold
-         (fun k b acc -> if b.flush_at <= now_ then (k, b) :: acc else acc)
-         buckets [])
+      (Hashtbl.fold (fun k b acc -> if p b then (k, b) :: acc else acc) buckets [])
   in
-  let flush_all () =
-    List.iter
-      (fun (k, b) -> flush k b)
-      (Hashtbl.fold (fun k b acc -> (k, b) :: acc) buckets [])
-  in
+  let flush_all () = flush_where (fun _ -> true) in
   let admit job =
     (* SLO-carrying jobs never gather: each streams (or samples) on its
        own worker immediately, as a singleton batch — holding one behind
@@ -550,7 +555,13 @@ let dispatch_loop t () =
       | `Closed -> flush_all ()
       | `Empty ->
           let now_ = now () in
-          flush_due now_;
+          if open_connections t <= 1 then begin
+            Hashtbl.iter
+              (fun _ b -> if b.flush_at > now_ then Obs.Counter.incr c_direct)
+              buckets;
+            flush_all ()
+          end
+          else flush_where (fun b -> b.flush_at <= now_);
           if Hashtbl.length buckets > 0 then begin
             let next =
               Hashtbl.fold

@@ -19,8 +19,13 @@
     their shared sub-problems are solved once. A batched request never
     waits more than one gather window beyond what its deadline slack
     allows; [batch_window_ms <= 0] (or [batch_max <= 1]) dispatches
-    every request immediately. Batching never changes answers — a cache
-    hit is byte-identical to a cold solve.
+    every request immediately. The window applies only while a batch
+    partner can still arrive: while at most one connection is open, the
+    scheduler gathers what is already queued (a pipelined burst still
+    coalesces) and flushes at once, and a disconnect that leaves at most
+    one connection open flushes the waiting buckets. Those early flushes
+    count in the [server.batch.direct] metric. Batching never changes
+    answers — a cache hit is byte-identical to a cold solve.
 
     {b Admission.} A full backlog — requests admitted but not yet
     processing — sheds the request immediately with a typed [overloaded]

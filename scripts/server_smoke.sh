@@ -4,7 +4,10 @@
 # metrics through hardq-client, check that a served Boolean answer is
 # bit-identical to an offline hardq-qa replay of the same instance, then
 # SIGTERM it and assert a clean drain (exit 0) and a non-empty metrics
-# snapshot.
+# snapshot. hardq-client opens one connection per run, so every eval
+# arrives while no other connection is open: the snapshot must count
+# lone-connection flushes (server.batch.direct > 0), the scheduler's
+# skip of the gather window.
 #
 # Usage: scripts/server_smoke.sh [server-exe [client-exe [qa-exe]]]
 set -eu
@@ -78,5 +81,9 @@ SERVER_PID=
 [ -s "$METRICS" ] || { echo "smoke: metrics snapshot missing or empty" >&2; exit 1; }
 grep -q '"server.requests"' "$METRICS" \
     || { echo "smoke: metrics snapshot lacks server counters" >&2; exit 1; }
+DIRECT=$(sed -n 's/.*"server\.batch\.direct": *\([0-9]*\).*/\1/p' "$METRICS")
+[ "${DIRECT:-0}" -gt 0 ] \
+    || { echo "smoke: no lone-connection batch skipped the gather window (server.batch.direct=${DIRECT:-absent})" >&2; exit 1; }
+echo "smoke: $DIRECT lone-connection batches skipped the gather window"
 
 echo "smoke: server drained cleanly, metrics snapshot written"

@@ -662,6 +662,10 @@ let with_server config f =
    times three tasks stay well under a second. *)
 let fast_spec = Protocol.dataset ~size:6 ~sessions:30 ~seed:7 "polls"
 
+(* Buckets the batch scheduler flushed early because no other
+   connection was open (the registry is process-wide). *)
+let c_batch_direct = Obs.counter "server.batch.direct"
+
 (* A spec slow enough (hundreds of ms per uncached eval) that load
    shedding, deadlines and drain have an in-flight request to observe. *)
 let slow_spec = Protocol.dataset ~size:10 ~sessions:2500 ~seed:7 "polls"
@@ -924,6 +928,13 @@ let unit_server_batching_single_flight () =
   in
   Fun.protect ~finally:(fun () -> Array.iter Server.Client.close clients)
   @@ fun () ->
+  (* A pong proves the server registered the connection, so the first
+     request of the burst already sees its batch partners' connections
+     open and the window applies. *)
+  Array.iter
+    (fun client ->
+      Alcotest.(check bool) "connection registered" true (Server.Client.ping client))
+    clients;
   let threads =
     Array.mapi
       (fun i client ->
@@ -983,8 +994,59 @@ let unit_server_batching_single_flight () =
 (* The gather window must never starve a deadline: a request whose
    deadline falls inside a pathological 30 s window is flushed early
    (the scheduler caps every bucket's flush point by the tightest
-   member's slack) and answered, not timed out. *)
+   member's slack) and answered, not timed out. A second, idle
+   connection stays open throughout, so a batch partner could still
+   arrive and the window — not the lone-connection flush — applies. *)
 let unit_server_batch_starvation_bound () =
+  let address = Protocol.Local (temp_socket ()) in
+  let config =
+    {
+      (Server.default_config address) with
+      Server.preload = [ fast_spec ];
+      batch_window_ms = 30_000.;
+      batch_max = 64;
+    }
+  in
+  with_server config @@ fun server ->
+  let idle = Server.Client.connect ~retries:40 (Server.address server) in
+  Fun.protect ~finally:(fun () -> Server.Client.close idle) @@ fun () ->
+  Alcotest.(check bool) "idle connection registered" true (Server.Client.ping idle);
+  let client = Server.Client.connect ~retries:40 (Server.address server) in
+  Fun.protect ~finally:(fun () -> Server.Client.close client) @@ fun () ->
+  let direct0 = Obs.Counter.value c_batch_direct in
+  let t0 = Unix.gettimeofday () in
+  (match
+     Server.Client.eval client
+       (Protocol.eval ~timeout_ms:2000. fast_spec sample_query)
+   with
+  | Ok (Protocol.Answer _) ->
+      let elapsed = Unix.gettimeofday () -. t0 in
+      if elapsed > 1.5 then
+        Alcotest.failf
+          "answered, but a 2 s deadline sat %.2f s behind a 30 s gather window"
+          elapsed
+  | Ok (Protocol.Err e) ->
+      Alcotest.failf "starved by the gather window: %s" e.Protocol.message
+  | Ok _ -> Alcotest.fail "unexpected reply"
+  | Error msg -> Alcotest.failf "transport error: %s" msg);
+  Alcotest.(check int) "the slack cap flushed, not the lone-connection rule" direct0
+    (Obs.Counter.value c_batch_direct)
+
+(* The batch size a reply reports in its cache stats block. *)
+let reply_batch_size = function
+  | Ok (Protocol.Answer { stats; _ }) -> (
+      match stats.Protocol.cache with
+      | Some c -> c.Protocol.batch_size
+      | None -> Alcotest.fail "reply lacks the cache stats block")
+  | Ok (Protocol.Err e) -> Alcotest.failf "errored: %s" e.Protocol.message
+  | Ok _ -> Alcotest.fail "unexpected reply"
+  | Error msg -> Alcotest.failf "transport error: %s" msg
+
+(* No batch partner can arrive while only one connection is open, so a
+   lone connection's request skips even a 30 s gather window (no
+   deadline caps it). With a second connection open the window holds the
+   request; closing that connection flushes it at once. *)
+let unit_server_lone_connection_skips_window () =
   let address = Protocol.Local (temp_socket ()) in
   let config =
     {
@@ -997,21 +1059,42 @@ let unit_server_batch_starvation_bound () =
   with_server config @@ fun server ->
   let client = Server.Client.connect ~retries:40 (Server.address server) in
   Fun.protect ~finally:(fun () -> Server.Client.close client) @@ fun () ->
+  let direct0 = Obs.Counter.value c_batch_direct in
   let t0 = Unix.gettimeofday () in
-  match
-    Server.Client.eval client
-      (Protocol.eval ~timeout_ms:2000. fast_spec sample_query)
-  with
-  | Ok (Protocol.Answer _) ->
-      let elapsed = Unix.gettimeofday () -. t0 in
-      if elapsed > 1.5 then
-        Alcotest.failf
-          "answered, but a 2 s deadline sat %.2f s behind a 30 s gather window"
-          elapsed
-  | Ok (Protocol.Err e) ->
-      Alcotest.failf "starved by the gather window: %s" e.Protocol.message
-  | Ok _ -> Alcotest.fail "unexpected reply"
-  | Error msg -> Alcotest.failf "transport error: %s" msg
+  let reply = Server.Client.eval client (Protocol.eval fast_spec sample_query) in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "a lone request is its own batch" 1 (reply_batch_size reply);
+  if elapsed > 1.5 then
+    Alcotest.failf "a lone connection waited %.2f s for batch partners" elapsed;
+  Alcotest.(check int) "counted as a direct flush" (direct0 + 1)
+    (Obs.Counter.value c_batch_direct);
+  (* A second connection opens: the window applies again. *)
+  let other = Server.Client.connect ~retries:40 (Server.address server) in
+  Alcotest.(check bool) "second connection registered" true (Server.Client.ping other);
+  let reply = Atomic.make None in
+  let th =
+    Thread.create
+      (fun () ->
+        let r = Server.Client.eval client (Protocol.eval fast_spec sample_query) in
+        Atomic.set reply (Some (r, Unix.gettimeofday ())))
+      ()
+  in
+  Thread.delay 0.3;
+  let early = Atomic.get reply <> None in
+  let t_close = Unix.gettimeofday () in
+  Server.Client.close other;
+  Thread.join th;
+  if early then
+    Alcotest.fail "answered within 0.3 s while another connection could batch";
+  match Atomic.get reply with
+  | None -> Alcotest.fail "no reply"
+  | Some (r, t_reply) ->
+      Alcotest.(check int) "flushed alone on disconnect" 1 (reply_batch_size r);
+      if t_reply -. t_close > 1.5 then
+        Alcotest.failf "reply came %.2f s after the other connection closed"
+          (t_reply -. t_close);
+      Alcotest.(check int) "the disconnect flush is counted" (direct0 + 2)
+        (Obs.Counter.value c_batch_direct)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: the real binary under SIGTERM                           *)
@@ -1723,6 +1806,8 @@ let suites =
           unit_server_batching_single_flight;
         tc "a deadline inside the gather window flushes early" `Quick
           unit_server_batch_starvation_bound;
+        tc "a lone connection skips the gather window; a disconnect flushes"
+          `Quick unit_server_lone_connection_skips_window;
         tc "overlong request line is bounded, typed, survivable" `Quick
           unit_server_bounded_request_line;
         tc "half-closed client still gets its queued reply" `Quick
