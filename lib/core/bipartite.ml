@@ -56,50 +56,48 @@ type situation = Satisfied | Violated | Uncertain
 let edge_situation ctx ~value i (l, r) =
   let lv = value l and rv = value r in
   if lv > 0 && rv > 0 && lv < rv then Satisfied
-  else if
-    Conj.remaining ctx.conj ctx.track_conj.(l) i = 0
-    && Conj.remaining ctx.conj ctx.track_conj.(r) i = 0
-  then Violated
+  else if Conj.edge_dead ctx.conj ctx.track_conj.(l) ctx.track_conj.(r) i then
+    Violated
   else Uncertain
 
-(* Shift-then-extremum update of a track value [v] when the inserted
-   item lands at position [j]; values are position+1, 0 unset. [hit] is
-   whether that item carries the track's conjunction, [left] whether the
-   track is a minimum (L role) rather than a maximum. Shared by all four
-   kernel variants so their arithmetic cannot drift. *)
-let[@inline] step ~hit ~left j v =
-  let shifted = if v > 0 && v - 1 >= j then v + 1 else v in
-  if not hit then shifted
-  else if v = 0 then j + 1
-  else if left then if shifted < j + 1 then shifted else j + 1
-  else if shifted > j + 1 then shifted
-  else j + 1
-
-(* The boxed kernels' per-expansion form of [step]. *)
+(* The boxed kernels' track update. *)
 let[@inline] update_track ctx i j t v =
-  step
+  Conj.step
     ~hit:(Conj.matches ctx.conj ctx.track_conj.(t) i)
     ~left:ctx.track_is_left.(t) j v
 
-(* Per-layer hoists of the flat kernels: π's row i, and per track
-   whether item i carries its conjunction and whether no item after i
-   does (an unset side can then never be filled). Filled once per layer
-   on the calling domain, read-only while the layer expands. *)
-type layer = { pi_row : float array; hit : bool array; exhausted : bool array }
+(* Per-layer hoists of the flat kernels: π's row i, per track the block
+   of {!Conj.step_table} for its role and whether item i carries its
+   conjunction, and per track whether no item after i carries it (an
+   unset side can then never be filled). Filled once per layer on the
+   calling domain, read-only while the layer expands; a track moves from
+   [v] to [steps.(row.(t) + (j * stride) + v)] when item i lands at [j]. *)
+type layer = {
+  pi_row : float array;
+  steps : int array;
+  stride : int;
+  row : int array;
+  exhausted : bool array;
+}
 
 let make_layer ctx =
+  let m = Rim.Model.m ctx.model in
   {
-    pi_row = Array.make (Rim.Model.m ctx.model) 0.;
-    hit = Array.make ctx.n_tracks false;
+    pi_row = Array.make m 0.;
+    steps = Conj.step_table m;
+    stride = m + 1;
+    row = Array.make ctx.n_tracks 0;
     exhausted = Array.make ctx.n_tracks false;
   }
 
 let fill_layer ctx ly i =
+  let m = Rim.Model.m ctx.model in
   Rim.Model.blit_pi_row ctx.model i ly.pi_row;
   for t = 0 to ctx.n_tracks - 1 do
     let c = ctx.track_conj.(t) in
-    ly.hit.(t) <- Conj.matches ctx.conj c i;
-    ly.exhausted.(t) <- Conj.remaining ctx.conj c i = 0
+    ly.row.(t) <-
+      Conj.step_row m ~hit:(Conj.matches ctx.conj c i) ~left:ctx.track_is_left.(t);
+    ly.exhausted.(t) <- Conj.exhausted ctx.conj c i
   done
 
 (* Static feasibility: an edge with an empty-side conjunction can never be
@@ -366,8 +364,8 @@ let run_optimized_flat ~budget ~par ~obs ~states ~edges_pruned ~patterns_pruned
       Dp_table.Flat.note_layer_width n_states
     end;
     fill_layer ctx ly i;
-    let pi_row = ly.pi_row and hit = ly.hit and exhausted = ly.exhausted in
-    let is_left = ctx.track_is_left in
+    let pi_row = ly.pi_row and steps = ly.steps and row = ly.row in
+    let stride = ly.stride and exhausted = ly.exhausted in
     let data = Dp_table.Flat.data curt
     and offs = Dp_table.Flat.offs curt
     and probs = Dp_table.Flat.probs curt in
@@ -407,7 +405,7 @@ let run_optimized_flat ~budget ~par ~obs ~states ~edges_pruned ~patterns_pruned
           for k = 0 to n_tracked - 1 do
             let t = sc.fs_tracked.(k) in
             sc.fs_vals.(k) <-
-              step ~hit:hit.(t) ~left:is_left.(t) j data.(vals_base + k)
+              steps.(row.(t) + (j * stride) + data.(vals_base + k))
           done;
           (* Re-evaluate uncertain edges, writing survivors per pattern
              into fs_edges (pairs keep their in-pattern order, which is
@@ -650,7 +648,8 @@ let run_basic_flat ~budget ~par ~obs ~states ctx feasible =
       Dp_table.Flat.note_layer_width n_states
     end;
     fill_layer ctx ly i;
-    let pi_row = ly.pi_row and hit = ly.hit and is_left = ctx.track_is_left in
+    let pi_row = ly.pi_row and steps = ly.steps and row = ly.row in
+    let stride = ly.stride in
     let data = Dp_table.Flat.data curt
     and offs = Dp_table.Flat.offs curt
     and probs = Dp_table.Flat.probs curt in
@@ -661,7 +660,7 @@ let run_basic_flat ~budget ~par ~obs ~states ctx feasible =
         let p' = q *. pi_row.(j) in
         if p' > 0. then begin
           for t = 0 to w - 1 do
-            buf.(t) <- step ~hit:hit.(t) ~left:is_left.(t) j data.(off + t)
+            buf.(t) <- steps.(row.(t) + (j * stride) + data.(off + t))
           done;
           cell.(0) <- p';
           emit buf 0 w cell 0

@@ -60,3 +60,44 @@ let total t c =
   let m, r = tables t in
   if Array.length m.(c) = 0 then 0
   else r.(c).(0) + if m.(c).(0) then 1 else 0
+
+let exhausted t c i =
+  let _, r = tables t in
+  r.(c).(i) = 0
+
+let edge_dead t l r i = exhausted t l i && exhausted t r i
+
+let step ~hit ~left j v =
+  let shifted = if v > 0 && v - 1 >= j then v + 1 else v in
+  if not hit then shifted
+  else if v = 0 then j + 1
+  else if left then if shifted < j + 1 then shifted else j + 1
+  else if shifted > j + 1 then shifted
+  else j + 1
+
+let step_row m ~hit ~left =
+  ((if hit then 2 else 0) + if left then 1 else 0) * m * (m + 1)
+
+(* The last table built on this domain: back-to-back calls share [m].
+   A table past [step_cache_cap_words] (m > 63) is built per call and
+   not kept, so no large table stays resident. *)
+let step_cache = Domain.DLS.new_key (fun () -> ref (-1, [||]))
+let step_cache_cap_words = 16_384
+
+let step_table m =
+  let cache = Domain.DLS.get step_cache in
+  match !cache with
+  | m', t when m' = m -> t
+  | _ ->
+      let t = Array.make (4 * m * (m + 1)) 0 in
+      List.iter
+        (fun (hit, left) ->
+          let row = step_row m ~hit ~left in
+          for j = 0 to m - 1 do
+            for v = 0 to m do
+              t.(row + (j * (m + 1)) + v) <- step ~hit ~left j v
+            done
+          done)
+        [ (false, false); (false, true); (true, false); (true, true) ];
+      if Array.length t <= step_cache_cap_words then cache := (m, t);
+      t

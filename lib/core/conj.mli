@@ -34,3 +34,33 @@ val remaining : t -> int -> int -> int
 
 val total : t -> int -> int
 (** Number of items in the whole domain carrying [c]. *)
+
+val exhausted : t -> int -> int -> bool
+(** [exhausted t c i] — no step after [i] inserts an item carrying [c]
+    ([remaining t c i = 0]): a min/max tracked for [c] can then only
+    shift, never take a new item. *)
+
+val edge_dead : t -> int -> int -> int -> bool
+(** [edge_dead t l r i] — both sides of the constraint
+    [min(l) < max(r)] are {!exhausted} after step [i]. An edge that is
+    not satisfied at that point can never become satisfied (paper
+    Algorithm 4's violated edge). *)
+
+val step : hit:bool -> left:bool -> int -> int -> int
+(** [step ~hit ~left j v] — the track update of every insertion DP.
+    [v] is a tracked min ([left]) or max position plus one (0 = no item
+    yet); the inserted item lands at position [j] and [hit] says whether
+    it carries the track's conjunction. An already-tracked item at
+    position [>= j] shifts down by one, then the extremum with [j] is
+    taken when [hit]. *)
+
+val step_table : int -> int array
+(** [step_table m] tabulates {!step} for a model of [m] items, so a DP
+    kernel reads it with one array load instead of a call: for [j < m]
+    and [v <= m], [step ~hit ~left j v] is entry
+    [step_row m ~hit ~left + (j * (m + 1)) + v]. A domain keeps the last
+    table it built while it is small (m ≤ 63), so back-to-back calls of
+    one size build it once. It must not be written. *)
+
+val step_row : int -> hit:bool -> left:bool -> int
+(** Offset of the [(hit, left)] block of [step_table m]. *)

@@ -5,7 +5,10 @@
     over RIM insertions: states ⟨α, β⟩ track the minimum position of each
     left ("L-type") conjunction and the maximum position of each right
     ("R-type") conjunction, keeping only states that still *violate* every
-    pattern; the result is 1 minus their total mass. *)
+    pattern; the result is 1 minus their total mass. A tracked position
+    is forgotten once every edge it takes part in is dead (neither side
+    has an item left to insert: Algorithm 4's violated-edge rule), so
+    states that differ only there merge. *)
 
 exception Unsupported of string
 (** Raised when the union is not a union of two-label patterns. *)

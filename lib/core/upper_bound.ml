@@ -50,6 +50,8 @@ let select_edges ~k lab sigma g =
 let c_calls = Obs.counter "solver.upper_bound.calls"
 let c_edges = Obs.counter "solver.upper_bound.edges_selected"
 
+let prune_slack = 1e-9
+
 let upper_bound ?budget ~k model lab gu =
   let sigma = Rim.Model.sigma model in
   let sets =

@@ -38,3 +38,12 @@ val upper_bound :
     union solved by {!Two_label}; with [k >= 2] a union of constraint
     sets solved by {!Bipartite.prob_constraint_sets}. Guaranteed
     [>= Pr(G)]. *)
+
+val prune_slack : float
+(** How far a bound must fall below a running k-th best exact
+    probability before top-k skips its session (or shard): skip only
+    when [bound < kth -. prune_slack]. A bound and an exact probability
+    come from different DPs, both computed as [1 - Σ], so an admissible
+    bound can round a few ulps below the value it bounds; a strict
+    [bound < kth] would then prune a session that belongs in the top k.
+    [1e-9], the QA oracle's admissibility tolerance. *)

@@ -101,7 +101,8 @@ let top_k ?(solver = default_solver) ?(strategy = `Edges 1) ~k db q rng =
       in
       let t1 = Util.Timer.now () in
       (* Exact evaluation in descending upper-bound order, stopping when k
-         exact probabilities dominate every remaining bound. *)
+         exact probabilities dominate every remaining bound by more than
+         the bound's rounding slack. *)
       let queue =
         List.stable_sort (fun (_, _, a) (_, _, b) -> compare b a) bounded
       in
@@ -115,7 +116,8 @@ let top_k ?(solver = default_solver) ?(strategy = `Edges 1) ~k db q rng =
               | Some (_, p) -> p
               | None -> neg_infinity
             in
-            if kth_best >= ub then acc (* remaining bounds only get smaller *)
+            if ub < kth_best -. Hardq.Upper_bound.prune_slack then acc
+              (* remaining bounds only get smaller *)
             else begin
               let p =
                 match union with

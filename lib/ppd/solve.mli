@@ -73,4 +73,5 @@ val top_k :
 (** Most-Probable-Session. With [`Edges e], upper bounds are computed for
     every session with the [e]-edge relaxation, sessions are evaluated
     exactly in descending bound order, and evaluation stops as soon as
-    [k] exact probabilities dominate every remaining bound. *)
+    [k] exact probabilities exceed every remaining bound by more than
+    {!Hardq.Upper_bound.prune_slack}. *)

@@ -580,13 +580,13 @@ let fails ?eps ?budget ?extra case =
 (* Sharded scatter-gather sweep (make shard-diff / hardq_qa shard-diff):
    the case is evaluated through engines at shard counts {1, 2, 4} — an
    unsharded engine is the one-shard coordinator — and every answer —
-   Boolean, Count-Session, and both top-k strategies — must be
-   byte-identical to the sequential [Ppd.Solve] reference, ranked keys
-   included. On top of bit-identity, the scatter-gather
+   Boolean, Count-Session, and top-k naive and with 1- and 2-edge
+   bounds — must be byte-identical to the sequential [Ppd.Solve]
+   reference, ranked keys included. On top of bit-identity, the scatter-gather
    accounting is asserted: all shards answered (exact answer, no
    failures), and the two-phase top-k never deep-queried a shard whose
-   phase-1 upper bound fell below the final k-th answer (nor pruned one
-   whose bound survived it). *)
+   phase-1 upper bound fell below the final k-th answer by more than the
+   prune slack (nor pruned one whose bound was within it). *)
 let shard_diff ?(budget = 0.5) (case : Ppd.Case.t) =
   let { Ppd.Case.db; query; _ } = case in
   let n_checks = ref 0 in
@@ -676,8 +676,8 @@ let shard_diff ?(budget = 0.5) (case : Ppd.Case.t) =
             ran "topk %s" sname;
             (* Prune-counter invariant (two-phase bound pruning): with a
                full ranking, a deep-queried shard's phase-1 bound must
-               be at least the final k-th answer, and a pruned shard's
-               strictly below it. *)
+               be at least the final k-th answer less the prune slack,
+               and a pruned shard's below that. *)
             match summary with
             | Some s when strategy <> `Naive && List.length ranked >= k -> (
                 match s.Shard.kth with
@@ -688,13 +688,13 @@ let shard_diff ?(budget = 0.5) (case : Ppd.Case.t) =
                         let bound = s.Shard.best_bounds.(i) in
                         match outcome with
                         | Shard.Skipped_by_bound ->
-                            if bound >= kth then
+                            if bound >= kth -. Hardq.Upper_bound.prune_slack then
                               fail
                                 (tag "no over-pruning")
                                 "shard %d pruned with bound %.17g >= kth %.17g" i
                                 bound kth
                         | Shard.Answered ->
-                            if bound < kth then
+                            if bound < kth -. Hardq.Upper_bound.prune_slack then
                               fail
                                 (tag "no wasted deep query")
                                 "shard %d deep-queried with bound %.17g < kth %.17g"
@@ -711,7 +711,11 @@ let shard_diff ?(budget = 0.5) (case : Ppd.Case.t) =
                         s.Shard.deep_shards s.Shard.shards;
                     ran "prune invariant")
             | _ -> ())
-          [ ("topk-naive", `Naive); ("topk-edges", `Edges 1) ])
+          [
+            ("topk-naive", `Naive);
+            ("topk-edges", `Edges 1);
+            ("topk-edges2", `Edges 2);
+          ])
       [ 1; 2; 4 ];
     let sessions =
       try List.length (Ppd.Compile.compile db query).Ppd.Compile.requests

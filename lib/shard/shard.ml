@@ -220,15 +220,17 @@ let probs t ?deadline ~batch ~p_rel requests =
   (in_order requests filled, summarize ~solved_sessions:!solved t outcomes)
 
 (* Deep-query one shard: items (global index, bound) arrive in
-   descending bound order. Skip a session only when its bound is
-   *strictly* below the strongest threshold available — the global k-th
-   lower bound or the shard-local one (a subset's k-th never exceeds the
-   global k-th, so both are sound); strictness keeps every tie. *)
+   descending bound order. Skip a session only when its bound is below
+   the strongest threshold available — the global k-th lower bound or
+   the shard-local one (a subset's k-th never exceeds the global k-th,
+   so both are sound) — by more than [Upper_bound.prune_slack], which
+   keeps every tie and every bound that rounded just below its value. *)
 let deep ~prob ~k ~threshold requests items =
   let evaluated = ref [] and probs = ref [] and skipped = ref 0 in
   Array.iter
     (fun (i, ub) ->
-      if ub < Float.max threshold (kth_of k !probs) then incr skipped
+      if ub < Float.max threshold (kth_of k !probs) -. Hardq.Upper_bound.prune_slack
+      then incr skipped
       else begin
         let { Ppd.Compile.session; union } = requests.(i) in
         let p = match union with None -> 0. | Some u -> prob session u in
@@ -275,17 +277,18 @@ let top_k_edges t ?deadline ~bounds ~prob ~k ~n_edges ~p_rel requests =
   in
   let bound_s = Util.Timer.wall () -. t0 in
   (* Phase 2: deep-query shards in descending best-bound order, skipping
-     any whose bound falls strictly below the running k-th lower bound.
+     any whose bound falls below the running k-th lower bound by more
+     than [Upper_bound.prune_slack].
      Sequential on purpose: each shard's answers tighten the threshold
      the next decision uses, which is what makes the prune-soundness
-     invariant (skipped => bound < final k-th) hold exactly. *)
+     invariant (skipped => bound < final k-th - slack) hold exactly. *)
   let filled = Array.make (Array.length requests) None in
   let pruned_shards = ref 0 and deep_shards = ref 0 and pruned_sessions = ref 0 in
   let solved = ref 0 and threshold = ref neg_infinity and all_probs = ref [] in
   Obs.with_span "shard.deep" (fun () ->
       List.iter
         (fun s ->
-          if best_bounds.(s) < !threshold then begin
+          if best_bounds.(s) < !threshold -. Hardq.Upper_bound.prune_slack then begin
             outcomes.(s) <- Skipped_by_bound;
             incr pruned_shards;
             pruned_sessions := !pruned_sessions + Array.length buckets.(s)

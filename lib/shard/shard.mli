@@ -20,11 +20,12 @@
     partial aggregates — float addition is not associative, so results
     merge back in global session order, reproducing the sequential
     reference's order exactly at any shard count. Top-k merges only
-    exactly-evaluated sessions and prunes {e strictly}
-    ([bound < threshold], where the running threshold never exceeds the
-    true k-th probability), so the top-k of the merged list is
-    bit-identical to the naive sequential reference — including ties,
-    which the strict comparison always keeps, in global session order.
+    exactly-evaluated sessions and prunes only below a slack
+    ([bound < threshold -. Upper_bound.prune_slack], where the running
+    threshold never exceeds the true k-th probability), so the top-k of
+    the merged list is bit-identical to the naive sequential reference —
+    including ties and bounds that rounded a few ulps below their exact
+    value, which the slack always keeps, in global session order.
 
     {b Partial failure.} A partition that misses its deadline, runs out
     of budget, raises, or carries an injected fault degrades the answer
@@ -81,7 +82,8 @@ type outcome =
   | Errored of string
   | Skipped_by_bound
       (** top-k phase 2 never queried this shard: its best upper bound
-          fell strictly below the running k-th lower bound *)
+          fell below the running k-th lower bound by more than
+          {!Hardq.Upper_bound.prune_slack} *)
 
 type summary = {
   shards : int;
@@ -146,10 +148,10 @@ val top_k :
     [bounds ~n_edges] batch per partition (paper §4.3.2,
     the [n] hardest transitive-closure edges), then shards deep-queried
     one at a time in descending best-bound order through [prob] —
-    skipping any shard whose best bound is strictly below the running
-    k-th exact lower bound, and letting each deep-queried shard skip its
-    own sessions the same way. Returns the exactly-evaluated sessions in
-    global order (their top k, stable-sorted by descending probability,
-    is bit-identical to the naive sequential reference when [exact],
-    ties included), the summary, and the seconds phase 1 took ([0.] for
-    [`Naive]). *)
+    skipping any shard whose best bound is below the running k-th exact
+    lower bound by more than {!Hardq.Upper_bound.prune_slack}, and
+    letting each deep-queried shard skip its own sessions the same way.
+    Returns the exactly-evaluated sessions in global order (their top k,
+    stable-sorted by descending probability, is bit-identical to the
+    naive sequential reference when [exact], ties included), the
+    summary, and the seconds phase 1 took ([0.] for [`Naive]). *)

@@ -241,6 +241,37 @@ let unit_arena_growth_mid_query () =
 
 let seed_gen = QCheck.small_nat
 
+(* The flat two-label kernel packs a state's words into [b]-bit fields,
+   [62 / b] per int. A union of eight two-label patterns over sixteen
+   distinct labels tracks sixteen words; at m = 8 a word takes 4 bits
+   and one int holds 15, so its states span two ints. Each pattern asks
+   for one inversion of a concentrated Mallows model (its left label on
+   an item the center ranks below its right label's item), so the union
+   stays well away from probability 1. *)
+let wide_two_label_union r =
+  let m = 8 in
+  let center = Util.Rng.permutation r m in
+  let model =
+    Rim.Mallows.to_rim
+      (Rim.Mallows.make
+         ~center:(Prefs.Ranking.of_array center)
+         ~phi:(0.1 +. Util.Rng.float r 0.4))
+  in
+  let labels = Array.make m [] in
+  for i = 0 to 7 do
+    let hi = Util.Rng.int r m in
+    let lo = (hi + 1 + Util.Rng.int r (m - 1)) mod m in
+    let above = min hi lo and below = max hi lo in
+    labels.(center.(below)) <- (2 * i) :: labels.(center.(below));
+    labels.(center.(above)) <- ((2 * i) + 1) :: labels.(center.(above))
+  done;
+  let gu =
+    Prefs.Pattern_union.make
+      (List.init 8 (fun i ->
+           Prefs.Pattern.two_label ~left:[ 2 * i ] ~right:[ (2 * i) + 1 ]))
+  in
+  (model, Prefs.Labeling.make labels, gu)
+
 let prop_two_label =
   Helpers.qtest ~count:40 (named "flat == boxed: two-label DP") seed_gen
     (fun seed ->
@@ -257,6 +288,13 @@ let prop_two_label =
       ignore
         (check_kernels "two_label"
            (fun ~kernel ~par -> exact ?par ~kernel `Two_label model lab gu));
+      let model, lab, gu = wide_two_label_union r in
+      let p =
+        check_kernels "two_label (two-int states)"
+          (fun ~kernel ~par -> exact ?par ~kernel `Two_label model lab gu)
+      in
+      Helpers.check_close "two-int states vs brute force"
+        (Hardq.Brute.prob model lab gu) p;
       true)
 
 let prop_bipartite =

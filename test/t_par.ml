@@ -128,7 +128,11 @@ let unit_engine_bit_identity () =
    sessions, both store tiers off) must make exactly these solver calls
    and expand exactly these flat DP states at every pool width. A kernel
    rewrite may make states cheaper, never more or fewer; a lost prune, a
-   broken grouping or a changed emission order moves these counts. *)
+   broken grouping or a changed emission order moves these counts. The
+   two-label DP's dead-edge rule (DESIGN §13.2) took the counts from
+   10404 to 6556 states (Count) and from 63 calls / 11051 states to
+   64 / 7092 (top-3): the top-k prune slack keeps one more session whose
+   bound ties the k-th answer. *)
 let unit_pinned_dp_work () =
   let db = Datasets.Polls.generate ~n_candidates:10 ~n_voters:60 ~seed:42 () in
   let q = Ppd.Parser.parse Datasets.Polls.query_two_label in
@@ -150,9 +154,45 @@ let unit_pinned_dp_work () =
     Alcotest.(check int) (what ^ ": dp.flat.states") states states';
     Alcotest.(check int) (what ^ ": upper-bound calls") bounds bounds'
   in
-  check "fig4 count" (59, 10404, 0) (work Engine.Request.Count);
-  check "fig4 top-3 (1 edge)" (63, 11051, 60)
+  check "fig4 count" (59, 6556, 0) (work Engine.Request.Count);
+  check "fig4 top-3 (1 edge)" (64, 7092, 60)
     (work (Engine.Request.Top_k { k = 3; strategy = `Edges 1 }))
+
+(* The same sessions without a pinned constant: with the dead-edge rule
+   the two-label DP (Algorithm 3) keeps no more states than the
+   optimized bipartite DP (Algorithm 4), whose violated-edge rule it
+   shares, on every Figure 4 session. *)
+let unit_two_label_states_within_bipartite () =
+  let db = Datasets.Polls.generate ~n_candidates:10 ~n_voters:60 ~seed:42 () in
+  let q = Ppd.Parser.parse Datasets.Polls.query_two_label in
+  (* Compiling interns the query's labels, so it precedes the labeling. *)
+  let requests = (Ppd.Compile.compile db q).Ppd.Compile.requests in
+  let lab = Ppd.Database.labeling db in
+  let states counter solve =
+    Obs.enable ();
+    Fun.protect ~finally:Obs.disable (fun () ->
+        let before = Obs.snapshot () in
+        ignore (solve ());
+        Obs.count (Obs.diff before (Obs.snapshot ())) counter)
+  in
+  List.iter
+    (fun { Ppd.Compile.session; union } ->
+      Option.iter
+        (fun u ->
+          let model = Rim.Mallows.to_rim session.Ppd.Database.model in
+          let two_label =
+            states "solver.two_label.dp_states" (fun () ->
+                Hardq.Two_label.prob model lab u)
+          and bipartite =
+            states "solver.bipartite.dp_states" (fun () ->
+                Hardq.Bipartite.prob model lab u)
+          in
+          if two_label > bipartite then
+            Alcotest.failf "session %s: two-label %d states > bipartite %d"
+              (Ppd.Value.to_string session.Ppd.Database.key.(0))
+              two_label bipartite)
+        union)
+    requests
 
 (* ------------------------------------------------------------------ *)
 (* QCheck properties                                                    *)
@@ -369,6 +409,8 @@ let suites =
           unit_rejection_chunked_determinism;
         tc (named "pinned DP work on the cold-exact shape") `Quick
           unit_pinned_dp_work;
+        tc "two-label states within bipartite on fig4 sessions" `Quick
+          unit_two_label_states_within_bipartite;
       ] );
     ( "par.pool",
       [

@@ -205,7 +205,7 @@ let fuzz_count_boolean_identity =
             shard_counts))
 
 let fuzz_topk_identity =
-  Helpers.qtest ~count:10 "top-k bit-identical at shards {1,2,4,7}, both strategies"
+  Helpers.qtest ~count:10 "top-k bit-identical at shards {1,2,4,7}, naive and 1-/2-edge"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       on_case seed (fun db query p_rel requests ->
@@ -233,7 +233,7 @@ let fuzz_topk_identity =
                         Alcotest.failf
                           "%s shards=%d: pruned %d + deep %d > shards" name n
                           s.Shard.pruned_shards s.Shard.deep_shards)
-                    [ ("naive", `Naive); ("edges", `Edges 1) ]))
+                    [ ("naive", `Naive); ("edges", `Edges 1); ("edges2", `Edges 2) ]))
             shard_counts))
 
 (* Skew: every session on one shard of four (the rest empty), then an
