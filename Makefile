@@ -1,4 +1,4 @@
-.PHONY: all build test bench check ci bench-self-test par-matrix smoke-bench smoke-server cache-diff lang-diff anytime-diff shard-diff bench-cache bench-kernel bench-anytime bench-shard qa-replay qa-fuzz fmt clean
+.PHONY: all build test bench check ci bench-self-test par-matrix smoke-bench smoke-server cache-diff bench-cache bench-kernel bench-anytime bench-shard qa-replay qa-fuzz fmt clean
 
 all: build
 
@@ -23,9 +23,6 @@ ci:
 	$(MAKE) smoke-bench
 	$(MAKE) smoke-server
 	$(MAKE) cache-diff
-	$(MAKE) lang-diff
-	$(MAKE) anytime-diff
-	$(MAKE) shard-diff
 	$(MAKE) qa-replay
 	$(MAKE) qa-fuzz
 	$(MAKE) bench-self-test
@@ -79,32 +76,6 @@ cache-diff:
 	dune exec bench/loadgen.exe -- --connections 4 --requests 20 \
 	  --size 6 --sessions 30 --cache-out /tmp/BENCH_cache_ci.json >/dev/null
 
-# Query-language/planner differential: every corpus case replayed
-# through the text frontend and the tractability planner — compiled-plan
-# answers must be bit-identical to the direct solver paths, and the
-# corpus must route at least one query to every plan node kind.
-lang-diff:
-	dune build bin/hardq_qa.exe
-	dune exec bin/hardq_qa.exe -- lang-diff test/corpus
-
-# Anytime serving differential: every corpus case served under accuracy
-# SLOs — streamed CIs must contain the exact answer, widths must only
-# tighten, and same-seed frame sequences must be byte-identical across
-# pool widths (with looser targets a prefix of tighter ones).
-anytime-diff:
-	dune build bin/hardq_qa.exe
-	dune exec bin/hardq_qa.exe -- anytime-diff test/corpus
-
-# Sharded scatter-gather differential: every corpus case replayed
-# through engines at shard counts 1, 2 and 4 (the unsharded engine is
-# the 1-shard coordinator) — Boolean, Count-Session and top-k answers
-# (ranked keys included) must be byte-identical to the sequential reference,
-# and the two-phase top-k must have pruned exactly the shards whose
-# upper bounds fell below the k-th answer (DESIGN.md §16).
-shard-diff:
-	dune build bin/hardq_qa.exe
-	dune exec bin/hardq_qa.exe -- shard-diff test/corpus
-
 # Refresh the committed cache benchmark document (BENCH_cache.json).
 bench-cache:
 	dune build bench/loadgen.exe
@@ -134,10 +105,20 @@ bench-shard:
 	dune build bench/loadgen.exe
 	dune exec bench/loadgen.exe -- --shard-out BENCH_shard.json
 
-# Replay the committed regression corpus: every case must pass the full
-# differential oracle (failures print the offending check and file) —
-# including the rows that pin every exact DP solver byte-identical
-# across both DP kernels and the sequential vs 2-domain pool runs.
+# Replay the committed regression corpus through the one differential
+# oracle (Qa.Oracle.check, DESIGN.md §10); failures print the offending
+# check and file. Per case it enforces: the per-union solver matrix
+# (every exact DP solver byte-identical across both DP kernels and the
+# sequential vs 2-domain pool runs, estimators inside their intervals,
+# the metamorphic invariants); the engine lattice — jobs {1,2} x shards
+# {1,2,4} x cache {off,cold,warm} x source {"query" CQ, parsed "q" text
+# plan}, Boolean, Count and top-3 (naive, 1-edge, 2-edge) byte-identical
+# to the sequential reference with ranked keys, zero warm misses, shard
+# summaries and two-phase prune soundness; the SLO rows (deadline,
+# streamed CI containment and nesting, pool-width frame bytes,
+# prefix, exact route); and the language rows (round trip, of_query
+# embed, possibly, certainly, sum(key 0), using rejection, rank atoms).
+# Over the corpus every plan node kind must be routed at least once.
 qa-replay:
 	dune build bin/hardq_qa.exe
 	dune exec bin/hardq_qa.exe -- replay test/corpus

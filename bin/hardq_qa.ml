@@ -67,59 +67,24 @@ let path_arg =
   let doc = "A $(b,.case) file, or a directory of them." in
   Arg.(value & pos 0 string Qa.Corpus.default_dir & info [] ~docv:"PATH" ~doc)
 
+(* A directory is a corpus: it must also route a passing case to every
+   plan node kind. *)
 let replay path =
-  let o = Qa.Fuzz.replay path in
+  let require_kinds =
+    if Sys.file_exists path && Sys.is_directory path then Qa.Fuzz.required_kinds
+    else []
+  in
+  let o = Qa.Fuzz.replay ~require_kinds path in
   if o.Qa.Fuzz.failures = 0 then 0 else 1
 
 let replay_cmd =
-  let doc = "re-check recorded cases; print each answer bit-exactly" in
+  let doc =
+    "re-check recorded cases with the full differential oracle (solver \
+     matrix, engine lattice, SLO and language rows); print each answer \
+     bit-exactly. Over a directory, also fail unless the corpus routes a \
+     passing case to every plan node kind"
+  in
   Cmd.v (Cmd.info "replay" ~doc) Term.(const replay $ path_arg)
-
-(* lang-diff *)
-
-let lang_diff path =
-  let o = Qa.Fuzz.lang_diff path in
-  if o.Qa.Fuzz.failures = 0 then 0 else 1
-
-let lang_diff_cmd =
-  let doc =
-    "replay recorded cases through the query-language frontend and the \
-     tractability planner and fail unless every compiled-plan answer is \
-     bit-identical to the direct solver path — and unless the corpus \
-     routes at least one query to every plan node kind"
-  in
-  Cmd.v (Cmd.info "lang-diff" ~doc) Term.(const lang_diff $ path_arg)
-
-(* anytime-diff *)
-
-let anytime_diff path =
-  let o = Qa.Fuzz.anytime_diff path in
-  if o.Qa.Fuzz.failures = 0 then 0 else 1
-
-let anytime_diff_cmd =
-  let doc =
-    "serve recorded cases under accuracy SLOs and fail unless every \
-     streamed confidence interval contains the exact answer, widths \
-     only tighten, and frame sequences are byte-identical across pool \
-     widths (with looser targets a prefix of tighter ones)"
-  in
-  Cmd.v (Cmd.info "anytime-diff" ~doc) Term.(const anytime_diff $ path_arg)
-
-(* shard-diff *)
-
-let shard_diff path =
-  let o = Qa.Fuzz.shard_diff path in
-  if o.Qa.Fuzz.failures = 0 then 0 else 1
-
-let shard_diff_cmd =
-  let doc =
-    "replay recorded cases through sharded engines (shard counts 1, 2 \
-     and 4) and fail unless every Boolean, Count-Session and top-k \
-     answer is byte-identical to the sequential reference — and unless \
-     the two-phase top-k pruned exactly the shards whose upper bounds \
-     fell below the k-th answer"
-  in
-  Cmd.v (Cmd.info "shard-diff" ~doc) Term.(const shard_diff $ path_arg)
 
 (* gen *)
 
@@ -235,9 +200,6 @@ let cmd =
     [
       fuzz_cmd;
       replay_cmd;
-      lang_diff_cmd;
-      anytime_diff_cmd;
-      shard_diff_cmd;
       gen_cmd;
       export_cmd;
     ]

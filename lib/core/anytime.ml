@@ -27,8 +27,8 @@ type t = {
   mutable rounds : int;  (* completed rounds *)
   mutable draws : int;  (* cumulative world draws *)
   mutable hits : int;  (* cumulative Bernoulli successes (pooled for Count) *)
-  (* Running intersection envelope of the per-cumulative-draw Wilson
-     intervals, in p̂ scale (before the Count ×S rescale). *)
+  (* Running intersection envelope of the per-cumulative-draw
+     Clopper–Pearson intervals, in p̂ scale (before the Count ×S rescale). *)
   mutable env_lo : float;
   mutable env_hi : float;
   mutable last : frame option;
@@ -103,7 +103,7 @@ let step t =
         | Count -> t.draws * s
       in
       let p_hat = float_of_int t.hits /. float_of_int trials in
-      let lo, hi = Util.Stats.wilson_ci ~p_hat ~n:trials () in
+      let lo, hi = Util.Stats.clopper_pearson_ci ~k:t.hits ~n:trials () in
       (* Intersect with the running envelope: widths become non-increasing
          by construction, and the envelope still contains the truth
          whenever each per-round interval does. An empty intersection

@@ -14,19 +14,23 @@
 
     Statistics. For [Boolean] a world is one Bernoulli trial on the
     answer itself (success iff {e any} session matches, i.e. on
-    1 − Π(1 − p_s)), so the Wilson interval applies directly. For
-    [Count] the S per-world session trials are pooled: the estimate is
-    S·p̂ and the interval is the pooled Wilson interval rescaled by S —
-    conservative for the non-iid pool because
-    Σ p_s(1−p_s) ≤ n·p̄(1−p̄) (concavity of x(1−x)).
+    1 − Π(1 − p_s)), so the exact binomial (Clopper–Pearson) interval
+    {!Util.Stats.clopper_pearson_ci} applies directly, at the two-sided
+    level of a z = 5 normal band. Unlike a normal or Wilson interval it
+    keeps that coverage near 0 and 1 (few hits or few misses), where
+    answers of real queries often sit. For [Count] the S per-world
+    session trials are pooled: the estimate is S·p̂ and the interval is
+    the pooled interval rescaled by S — conservative for the non-iid
+    pool, because a Poisson-binomial count is less dispersed than the
+    binomial with the same mean.
 
-    Raw Wilson widths are {e not} monotone as p̂ drifts with more draws,
-    so each frame reports the running {e intersection envelope} of the
-    cumulative Wilson intervals: lo_k = max(lo_{k−1}, wilson_lo_k),
-    hi_k = min(hi_{k−1}, wilson_hi_k). Widths are non-increasing by
+    Raw interval widths are {e not} monotone as p̂ drifts with more
+    draws, so each frame reports the running {e intersection envelope}
+    of the cumulative intervals: lo_k = max(lo_{k−1}, cp_lo_k),
+    hi_k = min(hi_{k−1}, cp_hi_k). Widths are non-increasing by
     construction and the envelope contains the truth whenever every
-    per-round interval does (z = 5 makes a miss astronomically rare);
-    an empty intersection collapses to its midpoint. *)
+    per-round interval does (at this level a miss is astronomically
+    rare); an empty intersection collapses to its midpoint. *)
 
 type task = Boolean | Count
 

@@ -176,50 +176,13 @@ let take k l =
 
 let desc_by_snd l = List.stable_sort (fun (_, a) (_, b) -> compare b a) l
 
-(* ------------------------------------------------------------------ *)
-(* Step 1: compile                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* A request compiled once into per-session work plus the labeling
-   canon every cache key of this request shares. [p_rel] names the
-   sessions' relation, the prefix of their shard placement keys. *)
-type work = {
-  rows :
-    [ `Patterns of Ppd.Compile.request array
-    | `Predicates of Plan.t * Plan.pred_session list ];
-  p_rel : string;
-  lab : Prefs.Labeling.t;
-  lab_canon : int list array;
-}
-
-let compile (req : Request.t) =
-  Obs.with_span "compile" @@ fun () ->
-  let rows, p_rel =
-    match req.Request.source with
-    | Request.Query q ->
-        let compiled = Ppd.Compile.compile req.Request.db q in
-        ( `Patterns (Array.of_list compiled.Ppd.Compile.requests),
-          Ppd.Database.p_name compiled.Ppd.Compile.p_rel )
-    | Request.Plan p ->
-        ( (match p.Plan.lowered with
-          | Plan.Patterns rs -> `Patterns (Array.of_list rs)
-          | Plan.Predicates rows -> `Predicates (p, rows)),
-          p.Plan.p_rel )
-  in
-  (* Labels are interned during compilation: read the labeling after. *)
-  let lab = Ppd.Database.labeling req.Request.db in
-  let lab_canon =
-    Array.init (Prefs.Labeling.n_items lab) (Prefs.Labeling.labels_of lab)
-  in
-  { rows; p_rel; lab; lab_canon }
-
-let n_sessions work =
-  match work.rows with
-  | `Patterns requests -> Array.length requests
-  | `Predicates (_, rows) -> List.length rows
+let n_sessions (plan : Plan.t) =
+  match plan.Plan.lowered with
+  | Plan.Patterns requests -> List.length requests
+  | Plan.Predicates rows -> List.length rows
 
 (* ------------------------------------------------------------------ *)
-(* Step 2: grouped, single-flight, store-backed solve                  *)
+(* Step 1: grouped, single-flight, store-backed solve                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Per-eval solve context. Tallies are atomics because term hooks fire
@@ -249,12 +212,16 @@ type ctx = {
   solver_calls : int Atomic.t;
 }
 
-let make_ctx (t : t) (req : Request.t) (work : work) =
+(* The request's plan was compiled when the request was built, and labels
+   are interned during compilation: read the labeling after. [lab_canon]
+   is the labeling canon every cache key of the request shares. *)
+let make_ctx (t : t) (req : Request.t) =
+  let lab = Ppd.Database.labeling req.Request.plan.Plan.db in
   {
-    solver = req.Request.solver;
+    solver = Plan.routed_solver req.Request.plan;
     seed = req.Request.seed;
-    lab = work.lab;
-    lab_canon = work.lab_canon;
+    lab;
+    lab_canon = Array.init (Prefs.Labeling.n_items lab) (Prefs.Labeling.labels_of lab);
     budget = req.Request.budget;
     deadline = req.Request.deadline;
     par =
@@ -559,15 +526,16 @@ let pred_session_prob ctx (plan : Plan.t) (row : Plan.pred_session) =
       Hardq.Brute.prob_pred ~par:ctx.par (Rim.Mallows.to_rim mal)
         (plan_pred ctx.lab row)
 
-(* Step 2 proper: per-session probabilities for the request's task, in
-   global session order (the order step 3 folds and ranks). Pattern rows
+(* Step 1 proper: per-session probabilities for the request's task, in
+   global session order (the order step 2 folds and ranks). Pattern rows
    always run on the engine's placement — one partition when unsharded —
    each partition solving its sessions as one [batch_probs] batch; only
    the top-k deep query goes session by session through [solve_cached].
    The shards block is reported only when there is more than one. *)
-let resolve t ctx (req : Request.t) work =
-  match work.rows with
-  | `Predicates (plan, rows) ->
+let resolve t ctx (req : Request.t) =
+  let plan = req.Request.plan in
+  match plan.Plan.lowered with
+  | Plan.Predicates rows ->
       let probs =
         Obs.with_span "solve" (fun () ->
             List.map
@@ -576,25 +544,26 @@ let resolve t ctx (req : Request.t) work =
               rows)
       in
       (probs, 0., None)
-  | `Patterns requests ->
+  | Plan.Patterns requests ->
+      let requests = Array.of_list requests in
       let batch = batch_probs t ctx in
       let probs, summary, bound_s =
         match req.Request.task with
         | Request.Top_k { k; strategy } ->
             Shard.top_k t.placement ?deadline:ctx.deadline ~batch
               ~bounds:(upper_bounds t ctx) ~prob:(solve_cached ctx) ~k ~strategy
-              ~p_rel:work.p_rel requests
+              ~p_rel:plan.Plan.p_rel requests
         | Request.Boolean | Request.Count ->
             let probs, summary =
               Shard.probs t.placement ?deadline:ctx.deadline ~batch
-                ~p_rel:work.p_rel requests
+                ~p_rel:plan.Plan.p_rel requests
             in
             (probs, summary, 0.)
       in
       (probs, bound_s, if Shard.shards t.placement > 1 then Some summary else None)
 
 (* ------------------------------------------------------------------ *)
-(* Steps 3 and 4: fold the task, build the stats                       *)
+(* Steps 2 and 3: fold the task, build the stats                       *)
 (* ------------------------------------------------------------------ *)
 
 (* The left folds replicate the sequential reference's order exactly
@@ -613,13 +582,13 @@ let fold_task task probs =
    [Ppd.Aggregate.over_sessions]'s fold order exactly (bit-identity with
    the sequential reference); modals collapse the probability to an
    indicator. *)
-let plan_answer (req : Request.t) (plan : Plan.t) answer per_session =
+let plan_answer (plan : Plan.t) answer per_session =
   let aggregate op agg =
     let value_of =
       match agg with
       | Lang.Ast.Key_index index -> Ppd.Aggregate.session_key_value ~index
       | Lang.Ast.Joined { relation; attr } ->
-          Ppd.Aggregate.joined_value req.Request.db ~relation ~key_index:0 ~attr
+          Ppd.Aggregate.joined_value plan.Plan.db ~relation ~key_index:0 ~attr
     in
     let weighted_sum, weight =
       List.fold_left
@@ -676,9 +645,9 @@ let fold_obs (t : t) ctx ~sessions =
           t.term_evictions_folded <- ev);
   Obs.Histogram.observe h_distinct (hits + misses + sf_joins)
 
-(* Step 4, the one place a [Response.stats] is built. [distinct]
+(* Step 3, the one place a [Response.stats] is built. [distinct]
    defaults to the store tallies' distinct keys. *)
-let respond t ctx ~m0 ~t_start ~t_compiled ~bound_s ~sessions ?distinct ?shards
+let respond t ctx ~m0 ~t_start ~t_ready ~bound_s ~sessions ?distinct ?shards
     ~batch_id ~batch_size answer per_session =
   let t_end = Util.Timer.wall () in
   let hits = Atomic.get ctx.hits
@@ -700,9 +669,9 @@ let respond t ctx ~m0 ~t_start ~t_compiled ~bound_s ~sessions ?distinct ?shards
         jobs = Pool.size t.pool;
         batch_id;
         batch_size;
-        compile_s = t_compiled -. t_start;
+        compile_s = t_ready -. t_start;
         bound_s;
-        solve_s = t_end -. t_compiled -. bound_s;
+        solve_s = t_end -. t_ready -. bound_s;
         total_s = t_end -. t_start;
         metrics = (if Obs.enabled () then Obs.diff m0 (Obs.snapshot ()) else []);
         shards;
@@ -713,21 +682,16 @@ let respond t ctx ~m0 ~t_start ~t_compiled ~bound_s ~sessions ?distinct ?shards
 (* The executor                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Steps 2-4 over already-compiled work; every exact answer the engine
+(* Steps 1-3 over the request's plan; every exact answer the engine
    returns comes from here. *)
-let execute t (req : Request.t) work ~m0 ~t_start ~batch_id ~batch_size =
-  let t_compiled = Util.Timer.wall () in
-  let ctx = make_ctx t req work in
-  let probs, bound_s, shards = resolve t ctx req work in
-  let answer = fold_task req.Request.task probs in
-  let answer =
-    match req.Request.source with
-    | Request.Query _ -> answer
-    | Request.Plan plan -> plan_answer req plan answer probs
-  in
-  let sessions = n_sessions work in
+let execute t (req : Request.t) ~m0 ~t_start ~batch_id ~batch_size =
+  let ctx = make_ctx t req in
+  let t_ready = Util.Timer.wall () in
+  let probs, bound_s, shards = resolve t ctx req in
+  let answer = plan_answer req.Request.plan (fold_task req.Request.task probs) probs in
+  let sessions = n_sessions req.Request.plan in
   fold_obs t ctx ~sessions;
-  respond t ctx ~m0 ~t_start ~t_compiled ~bound_s ~sessions ?shards ~batch_id
+  respond t ctx ~m0 ~t_start ~t_ready ~bound_s ~sessions ?shards ~batch_id
     ~batch_size answer probs
 
 let snapshot () = if Obs.enabled () then Obs.snapshot () else []
@@ -737,8 +701,7 @@ let eval_one t ~batch_id ~batch_size (req : Request.t) =
   Obs.with_span "engine.eval" @@ fun () ->
   let m0 = snapshot () in
   let t_start = Util.Timer.wall () in
-  let work = compile req in
-  execute t req work ~m0 ~t_start ~batch_id ~batch_size
+  execute t req ~m0 ~t_start ~batch_id ~batch_size
 
 let next_batch_id t = Atomic.fetch_and_add t.batch_ids 1
 
@@ -784,51 +747,31 @@ type anytime = {
 type served = { response : Response.t; anytime : anytime option }
 
 (* Cost model: serve exactly whenever an exact answer is affordable — it
-   satisfies any SLO with a degenerate (point) interval. Plans carry the
-   planner's dichotomy verdict; raw CQs are classified by their compiled
-   unions' shape families (General is the #P-hard family of §4.4 — that
-   is what the sampler is for). Ranked, modal and aggregate answers have
-   no CI semantics, so they always route exact. An explicitly requested
-   sampler opts the request into anytime. *)
-let route_exact (req : Request.t) work =
-  match req.Request.task with
-  | Request.Top_k _ -> true
-  | Request.Boolean | Request.Count -> (
-      match req.Request.source with
-      | Request.Plan p -> (
-          match (p.Plan.modal, p.Plan.task) with
-          | Some _, _ -> true
-          | None, (Lang.Ast.Sum _ | Lang.Ast.Avg _ | Lang.Ast.Top_sessions _)
-            ->
-              true
-          | None, (Lang.Ast.Prob | Lang.Ast.Count) -> (
-              match p.Plan.verdict with
-              | Plan.Tractable _ -> true
-              | Plan.Hard _ | Plan.Estimated _ -> false))
-      | Request.Query _ -> (
-          match req.Request.solver with
-          | Hardq.Solver.Approx _ -> false
-          | Hardq.Solver.Exact _ -> (
-              match work.rows with
-              | `Predicates _ -> assert false (* predicates come from plans *)
-              | `Patterns requests ->
-                  not
-                    (Array.exists
-                       (fun { Ppd.Compile.union; _ } ->
-                         match union with
-                         | Some u ->
-                             Prefs.Pattern_union.kind u
-                             = Prefs.Pattern_union.General
-                         | None -> false)
-                       requests))))
+   satisfies any SLO with a degenerate (point) interval. The plan carries
+   the planner's dichotomy verdict (a general pattern union is the #P-hard
+   family of §4.4 — that is what the sampler is for; a requested sampler
+   is an [Estimated] verdict, which opts the request into anytime).
+   Ranked, modal and aggregate answers have no CI semantics, so they
+   always route exact. *)
+let route_exact (req : Request.t) =
+  let p = req.Request.plan in
+  match (req.Request.task, p.Plan.modal, p.Plan.task) with
+  | Request.Top_k _, _, _
+  | _, Some _, _
+  | _, None, (Lang.Ast.Sum _ | Lang.Ast.Avg _ | Lang.Ast.Top_sessions _) ->
+      true
+  | (Request.Boolean | Request.Count), None, (Lang.Ast.Prob | Lang.Ast.Count) -> (
+      match p.Plan.verdict with
+      | Plan.Tractable _ -> true
+      | Plan.Hard _ | Plan.Estimated _ -> false)
 
 (* The anytime sampler's sessions: one (model, event predicate) pair per
    session whose event is not statically impossible (those contribute
    nothing to either task's answer). *)
-let sampler_sessions (work : work) =
-  let lab = work.lab in
-  match work.rows with
-  | `Patterns requests ->
+let sampler_sessions (plan : Plan.t) =
+  let lab = Ppd.Database.labeling plan.Plan.db in
+  match plan.Plan.lowered with
+  | Plan.Patterns requests ->
       Array.of_list
         (List.filter_map
            (fun { Ppd.Compile.session; union } ->
@@ -838,8 +781,8 @@ let sampler_sessions (work : work) =
                  Some
                    ( Rim.Mallows.to_rim session.Ppd.Database.model,
                      fun r -> Prefs.Matcher.matches_union lab u r ))
-           (Array.to_list requests))
-  | `Predicates (_, rows) ->
+           requests)
+  | Plan.Predicates rows ->
       Array.of_list
         (List.filter_map
            (fun (row : Plan.pred_session) ->
@@ -856,46 +799,29 @@ let sampler_sessions (work : work) =
              else None)
            rows)
 
-(* The base digest anytime rounds derive their RNGs from: the plan digest
-   when there is a plan, else a fold of the compiled per-session content —
-   a pure function of the request's meaning, like [key_digest]. Round [r]
-   then folds [r] on top, so frame sequences are byte-identical at any
-   pool width and any stopping target (the prefix property). *)
-let serve_digest (req : Request.t) (work : work) =
-  match req.Request.source with
-  | Request.Plan p -> Plan.digest p
-  | Request.Query _ -> (
-      let module D = Hardq.Digest in
-      let h = D.labels D.empty work.lab_canon in
-      match work.rows with
-      | `Predicates _ -> assert false
-      | `Patterns requests ->
-          Array.fold_left
-            (fun h { Ppd.Compile.session; union } ->
-              let h = D.model h session.Ppd.Database.model in
-              match union with
-              | None -> D.bool h false
-              | Some u -> D.union h u)
-            h requests)
-
 (* How many draws an anytime serve may spend before giving up on an
-   unreachable CI target: well past the point where the pooled Wilson
-   width stops moving at double precision. *)
+   unreachable CI target: well past the point where the pooled
+   Clopper–Pearson width stops moving at double precision. *)
 let max_serve_draws = 1 lsl 20
 
-(* The resumable sampler loop over compiled work. Round 1 always runs
+(* The resumable sampler loop over the request's plan. Round 1 always runs
    (64 draws), so even an already-expired deadline returns an estimate
    with a CI rather than nothing. *)
-let serve_anytime t ~on_frame ~cancelled (req : Request.t) slo work ~m0 ~t_start =
-  let t_compiled = Util.Timer.wall () in
+let serve_anytime t ~on_frame ~cancelled (req : Request.t) slo ~m0 ~t_start =
+  let t_ready = Util.Timer.wall () in
   let task =
     match req.Request.task with
     | Request.Boolean -> Hardq.Anytime.Boolean
     | Request.Count -> Hardq.Anytime.Count
     | Request.Top_k _ -> assert false (* always routed exact *)
   in
-  let sessions = sampler_sessions work in
-  let base = serve_digest req work in
+  let plan = req.Request.plan in
+  let sessions = sampler_sessions plan in
+  (* Round [r]'s RNG folds [r] onto the plan digest — a pure function of
+     the request's meaning, like [key_digest] — so frame sequences are
+     byte-identical at any pool width and any stopping target (the prefix
+     property). *)
+  let base = Plan.digest plan in
   let rng_of_round r =
     Util.Rng.derive req.Request.seed (Hardq.Digest.to_int (Hardq.Digest.int base r))
   in
@@ -940,10 +866,10 @@ let serve_anytime t ~on_frame ~cancelled (req : Request.t) slo work ~m0 ~t_start
   if status = `Timeout then Obs.Counter.incr c_any_timeouts;
   Obs.Histogram.observe h_ci_width_bp
     (int_of_float (Hardq.Anytime.width last *. 1e4));
-  let ctx = make_ctx t req work in
+  let ctx = make_ctx t req in
   Atomic.set ctx.solver_calls rounds;
   let response =
-    respond t ctx ~m0 ~t_start ~t_compiled ~bound_s:0. ~sessions:(n_sessions work)
+    respond t ctx ~m0 ~t_start ~t_ready ~bound_s:0. ~sessions:(n_sessions plan)
       ~distinct:(Array.length sessions) ~batch_id:(next_batch_id t) ~batch_size:1
       answer []
   in
@@ -970,13 +896,11 @@ let serve t ?(on_frame = fun (_ : Hardq.Anytime.frame) -> ())
       Obs.with_span "engine.serve" @@ fun () ->
       let m0 = snapshot () in
       let t_start = Util.Timer.wall () in
-      let work = compile req in
-      if route_exact req work then
+      if route_exact req then
         (* Exact answers satisfy any SLO; scalar ones surface as a
-           degenerate point interval so clients see a uniform shape. The
-           work compiled for routing is the work executed. *)
+           degenerate point interval so clients see a uniform shape. *)
         let response =
-          execute t req work ~m0 ~t_start ~batch_id:(next_batch_id t) ~batch_size:1
+          execute t req ~m0 ~t_start ~batch_id:(next_batch_id t) ~batch_size:1
         in
         let anytime =
           match response.Response.answer with
@@ -993,4 +917,4 @@ let serve t ?(on_frame = fun (_ : Hardq.Anytime.frame) -> ())
           | Response.Ranked _ -> None
         in
         { response; anytime }
-      else serve_anytime t ~on_frame ~cancelled req slo work ~m0 ~t_start
+      else serve_anytime t ~on_frame ~cancelled req slo ~m0 ~t_start

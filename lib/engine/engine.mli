@@ -21,10 +21,10 @@
       {!Request.t} / {!Response.t} records, configured by a {!Config.t}
       record instead of optional-argument sprawl;
     - answers every exact request — {!eval}, {!eval_batch} and {!serve}'s
-      exact route — with one executor: compile once, resolve the
-      per-session probabilities through the store on the engine's
-      session partitions ({!Config.shards}; one when unsharded), fold
-      the task, build the stats.
+      exact route — with one executor over the plan the request was
+      built with: resolve the per-session probabilities through the
+      store on the engine's session partitions ({!Config.shards}; one
+      when unsharded), fold the task, build the stats.
 
     {b Determinism.} Results are bit-identical whatever the pool size,
     cache configuration or warm state: each sub-problem's RNG is derived
@@ -119,13 +119,12 @@ val create : Config.t -> t
 val config : t -> Config.t
 
 val eval : t -> Request.t -> Response.t
-(** Evaluate one request: compile the query (Algorithm 2), group the
-    per-session inferences by canonical key, claim each distinct key in
-    the store (hit / own / join), solve the owned ones on the pool, and
-    aggregate for the requested task. Compilation errors
-    ([Ppd.Compile.Unsupported], [Ppd.Compile.Grounding_too_large]) and
-    solver timeouts ([Util.Timer.Out_of_time], for positive request
-    budgets) propagate to the caller. Raises {!Stopped} after
+(** Evaluate one request: group its plan's per-session inferences (the
+    query was compiled by Algorithm 2 when the request was built) by
+    canonical key, claim each distinct key in the store (hit / own /
+    join), solve the owned ones on the pool, and aggregate for the
+    requested task. Solver timeouts ([Util.Timer.Out_of_time], for
+    positive request budgets) propagate to the caller. Raises {!Stopped} after
     {!shutdown}. Safe to call from concurrent threads. *)
 
 val eval_batch : t -> Request.t array -> (Response.t, exn) result array
@@ -182,8 +181,8 @@ val serve :
     stops the loop with status [`Cancelled]. Hard-verdict requests run
     the anytime sampler sequentially on the calling thread (round cost
     is bounded, so cancellation latency is too); tractable, ranked,
-    modal and aggregate requests run {!eval}'s executor on the work
-    already compiled for routing, and the exact answer satisfies any SLO
+    modal and aggregate requests run {!eval}'s executor directly (routing
+    reads only the plan's verdict), and the exact answer satisfies any SLO
     as a point interval. The sampling path
     never raises [Util.Timer.Out_of_time]: deadlines degrade to
     [`Timeout] with the best estimate so far. *)

@@ -12,10 +12,6 @@ type task =
   | Top_k of { k : int; strategy : topk_strategy }
       (* Most-Probable-Session: the k sessions likeliest to satisfy Q *)
 
-type source =
-  | Query of Ppd.Query.t  (* compiled by the engine via [Ppd.Compile] *)
-  | Plan of Plan.t  (* pre-compiled and routed by the planner *)
-
 type slo =
   [ `Deadline of float
     (* relative wall-clock span in seconds: serve the best estimate
@@ -24,10 +20,10 @@ type slo =
   ]
 
 type t = {
-  db : Ppd.Database.t;
-  source : source;
+  plan : Plan.t;
+      (* compiled and routed when the request is built; the database is
+         [plan.db] and the solver [Plan.routed_solver plan] *)
   task : task;
-  solver : Hardq.Solver.t;
   budget : float;
       (* CPU seconds per solver invocation; <= 0 means no limit. Budgets are
          measured on process CPU time, which aggregates across domains, so
@@ -54,20 +50,6 @@ type t = {
          Ignored by [Engine.eval]. *)
 }
 
-let make ?(task = Boolean) ?(solver = Hardq.Solver.default_exact) ?(budget = 0.)
-    ?(seed = 42) ?deadline ?(parallelism = `Intra) ?slo db query =
-  {
-    db;
-    source = Query query;
-    task;
-    solver;
-    budget;
-    seed;
-    deadline;
-    parallelism;
-    slo;
-  }
-
 (* The engine task a plan's own task projects onto. Aggregates ride on
    Count (they need the same per-session probabilities; the engine folds
    them by [plan.task]); Top_sessions is a naive top-k, matching the
@@ -88,17 +70,12 @@ let of_plan ?task ?(budget = 0.) ?(seed = 42) ?deadline ?(parallelism = `Intra)
     | Some t, Lang.Ast.Prob, None -> t
     | _ -> task_of_plan plan
   in
-  {
-    db = plan.Plan.db;
-    source = Plan plan;
-    task;
-    solver = Plan.routed_solver plan;
-    budget;
-    seed;
-    deadline;
-    parallelism;
-    slo;
-  }
+  { plan; task; budget; seed; deadline; parallelism; slo }
+
+let make ?task ?(solver = Hardq.Solver.default_exact) ?budget ?seed ?deadline
+    ?parallelism ?slo db query =
+  of_plan ?task ?budget ?seed ?deadline ?parallelism ?slo
+    (Obs.with_span "compile" (fun () -> Plan.of_query ~solver db query))
 
 let boolean = Boolean
 let count = Count

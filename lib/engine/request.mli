@@ -13,13 +13,6 @@ type task =
       (** Most-Probable-Session: the [k] sessions likeliest to satisfy the
           query, optionally pruned with upper bounds. *)
 
-type source =
-  | Query of Ppd.Query.t
-      (** a raw CQ, compiled by the engine via {!Ppd.Compile} *)
-  | Plan of Plan.t
-      (** a pre-compiled plan; the planner's task/modal/solver routing
-          governs evaluation (see {!of_plan}) *)
-
 type slo =
   [ `Deadline of float
     (** relative wall-clock span in seconds: stream whatever precision is
@@ -33,10 +26,11 @@ type slo =
     still answered exactly (an exact answer satisfies any SLO). *)
 
 type t = {
-  db : Ppd.Database.t;
-  source : source;
+  plan : Plan.t;
+      (** What the engine executes, compiled and routed when the request
+          was built: the database is [plan.db], the solver
+          {!Plan.routed_solver}, the per-session work [plan.lowered]. *)
   task : task;
-  solver : Hardq.Solver.t;
   budget : float;
       (** CPU seconds per solver invocation; [<= 0] means no limit. Budgets
           are measured on process CPU time, which aggregates across domains,
@@ -73,9 +67,14 @@ val make :
   Ppd.Database.t ->
   Ppd.Query.t ->
   t
-(** Defaults: [task = Boolean], [solver = Hardq.Solver.default_exact],
-    [budget = 0.] (no limit), [seed = 42], no deadline, no SLO,
-    [parallelism = `Intra]. *)
+(** A request over a datalog CQ: {!of_plan} of
+    [Plan.of_query ~solver db query], so the query is compiled
+    (Algorithm 2) here, under an [Obs] span named ["compile"], not by the
+    engine, and raises
+    {!Ppd.Compile.Unsupported} or {!Ppd.Compile.Grounding_too_large}
+    here too. Defaults: [task = Boolean], [solver =
+    Hardq.Solver.default_exact], [budget = 0.] (no limit), [seed = 42],
+    no deadline, no SLO, [parallelism = `Intra]. *)
 
 val of_plan :
   ?task:task ->

@@ -21,7 +21,13 @@ type stats = {
       (** id of the {!Engine.eval_batch} call that carried this request
           (every eval gets one; a solo eval is a batch of one) *)
   batch_size : int;  (** number of requests in that batch *)
-  compile_s : float;  (** wall seconds rewriting the query (Algorithm 2) *)
+  compile_s : float;
+      (** wall seconds the engine spent preparing the request's plan
+          (labeling snapshot) before solving. The plan itself is
+          compiled (Algorithm 2) when the request is built —
+          {!Request.make} under an [Obs] span named ["compile"],
+          {!Plan.compile} by the caller — so that time is not in this
+          record. *)
   bound_s : float;  (** wall seconds computing top-k upper bounds *)
   solve_s : float;  (** wall seconds in the (parallel) solve phase *)
   total_s : float;  (** wall seconds end to end *)

@@ -438,6 +438,13 @@ let routed_solver t =
 
 let with_leaf t leaf = { t with leaf }
 
+let of_query ~solver db q =
+  with_leaf
+    (compile ~hint:solver db (Lang.Ast.of_query q))
+    (match solver with
+    | Hardq.Solver.Exact e -> Exact e
+    | Hardq.Solver.Approx a -> Sample a)
+
 let leaf_name = function
   | Exact e -> Printf.sprintf "exact[%s]" (Hardq.Solver.exact_name e)
   | Union_ie -> "union-ie"

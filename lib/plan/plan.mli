@@ -101,6 +101,14 @@ val with_leaf : t -> leaf -> t
 (** Override the routing decision, keeping everything else — the seam
     the differential suite uses to plant a misclassification. *)
 
+val of_query : solver:Hardq.Solver.t -> Ppd.Database.t -> Ppd.Query.t -> t
+(** The plan of a datalog CQ evaluated with [solver]: {!compile} of
+    {!Lang.Ast.of_query} with [solver] as the hint, and the leaf then
+    forced to exactly [solver] ([`Auto] stays [`Auto], so the engine
+    dispatches per union and keys its caches on the solver asked for).
+    Raises like {!compile} — {!Ppd.Compile.Unsupported} for head
+    variables and the rest of the fragment {!Ppd.Compile} rejects. *)
+
 val digest : t -> Hardq.Digest.t
 (** Structural identity of the normalized plan: conjunct order inside a
     disjunct and disjunct order are both sorted away, so semantically

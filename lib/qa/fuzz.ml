@@ -84,8 +84,14 @@ let run ?(log = Format.std_formatter) cfg =
     (Unix.gettimeofday () -. start);
   { cases = !cases; failures = !failures; skips = !skips; added = List.rev !added }
 
-let sweep ~log ~(check : Ppd.Case.t -> Oracle.result) path =
+(* The acceptance bar for routing: a corpus must send at least one query
+   to each plan node kind — a corpus that never exercises, say, the
+   sampling leaf would let routing regressions through silently. *)
+let required_kinds = [ "exact"; "union-ie"; "sample"; "aggregate"; "top-k" ]
+
+let replay ?(log = Format.std_formatter) ?(extra = []) ?(require_kinds = []) path =
   let cases = ref 0 and failures = ref 0 and skips = ref 0 in
+  let covered = Hashtbl.create 8 in
   let check_file file =
     incr cases;
     match Ppd.Case.load file with
@@ -93,8 +99,9 @@ let sweep ~log ~(check : Ppd.Case.t -> Oracle.result) path =
         incr failures;
         Format.fprintf log "FAIL %s unparseable@.  detail: %s@." file msg
     | Ok case -> (
-        match check case with
+        match Oracle.check ~extra case with
         | Pass r ->
+            List.iter (fun k -> Hashtbl.replace covered k ()) r.Oracle.kinds;
             Format.fprintf log "ok %s answer=%s checks=%d@." file
               (json_float r.Oracle.answer)
               r.Oracle.checks
@@ -114,46 +121,17 @@ let sweep ~log ~(check : Ppd.Case.t -> Oracle.result) path =
     incr failures;
     Format.fprintf log "FAIL %s missing@." path
   end;
+  if require_kinds <> [] then begin
+    match List.filter (fun k -> not (Hashtbl.mem covered k)) require_kinds with
+    | [] ->
+        Format.fprintf log "coverage: every plan node kind routed (%s)@."
+          (String.concat ", " require_kinds)
+    | missing ->
+        List.iter
+          (fun k ->
+            incr failures;
+            Format.fprintf log
+              "FAIL coverage — no passing case routed to plan node kind %s@." k)
+          missing
+  end;
   { cases = !cases; failures = !failures; skips = !skips; added = [] }
-
-let replay ?(log = Format.std_formatter) ?(extra = []) path =
-  sweep ~log ~check:(Oracle.check ~extra) path
-
-let anytime_diff ?(log = Format.std_formatter) path =
-  sweep ~log ~check:(fun case -> Oracle.anytime case) path
-
-let shard_diff ?(log = Format.std_formatter) path =
-  sweep ~log ~check:(fun case -> Oracle.shard_diff case) path
-
-(* The acceptance bar for the planner: besides every per-case check
-   passing, the corpus as a whole must route at least one query to each
-   plan node kind — a corpus that never exercises, say, the sampling
-   leaf would let routing regressions through silently. *)
-let required_kinds = [ "exact"; "union-ie"; "sample"; "aggregate"; "top-k" ]
-
-let lang_diff ?(log = Format.std_formatter) path =
-  let covered = Hashtbl.create 8 in
-  let o =
-    sweep ~log
-      ~check:(fun case ->
-        let result, kinds = Oracle.lang_diff case in
-        List.iter (fun k -> Hashtbl.replace covered k ()) kinds;
-        result)
-      path
-  in
-  let missing =
-    List.filter (fun k -> not (Hashtbl.mem covered k)) required_kinds
-  in
-  if missing = [] then begin
-    Format.fprintf log "coverage: every plan node kind routed (%s)@."
-      (String.concat ", " required_kinds);
-    o
-  end
-  else begin
-    List.iter
-      (fun k ->
-        Format.fprintf log
-          "FAIL coverage — no corpus case routed to plan node kind %s@." k)
-      missing;
-    { o with failures = o.failures + List.length missing }
-  end

@@ -36,35 +36,22 @@ val run : ?log:Format.formatter -> config -> outcome
     logged with the exact [hardq_qa replay] command that reproduces
     it. *)
 
+val required_kinds : string list
+(** The plan node kinds a regression corpus must route at least one
+    passing case to: [exact], [union-ie], [sample], [aggregate],
+    [top-k]. *)
+
 val replay :
   ?log:Format.formatter ->
   ?extra:(string * Oracle.solver_fn) list ->
+  ?require_kinds:string list ->
   string ->
   outcome
 (** [replay path] re-checks one [.case] file, or every [.case] file
-    under a directory. Each verdict prints one line: [ok <file>
-    answer=<v> checks=<n>] where [<v>] is the exact serving-layer JSON
-    rendering of the Boolean answer ({!Server.Json}), [skip <file> —
-    <reason>], or a [FAIL] record. Unparseable files count as
-    failures. *)
-
-val anytime_diff : ?log:Format.formatter -> string -> outcome
-(** [anytime_diff path] runs {!Oracle.anytime} — the anytime serving
-    sweep (CI containment, monotone widths, cross-pool and prefix
-    frame-byte determinism) — over one [.case] file or a directory of
-    them, with the same per-file verdict lines as {!replay}. *)
-
-val shard_diff : ?log:Format.formatter -> string -> outcome
-(** [shard_diff path] runs {!Oracle.shard_diff} — the sharded
-    scatter-gather byte-identity sweep at shard counts 1, 2 and 4, with
-    the two-phase top-k prune-soundness asserts — over one [.case] file
-    or a directory of them, with the same per-file verdict lines as
-    {!replay}. *)
-
-val lang_diff : ?log:Format.formatter -> string -> outcome
-(** [lang_diff path] runs {!Oracle.lang_diff} — the query-language
-    frontend and planner differential sweep — over one [.case] file or
-    a directory of them, then asserts that the corpus as a whole routed
-    at least one query to every plan node kind ([exact], [union-ie],
-    [sample], [aggregate], [top-k]); each missing kind counts as one
-    failure in the outcome. *)
+    under a directory, with {!Oracle.check} — the same oracle the fuzz
+    loop runs. Each verdict prints one line: [ok <file> answer=<v>
+    checks=<n>] where [<v>] is the exact serving-layer JSON rendering of
+    the Boolean answer ({!Server.Json}), [skip <file> — <reason>], or a
+    [FAIL] record. Unparseable files count as failures, and so does each
+    of [require_kinds] (default none) that no passing case routed a
+    plan to ({!Oracle.report.kinds}). *)

@@ -1,10 +1,13 @@
-(** The differential oracle: every applicable solver must agree.
+(** The differential oracle: every applicable solver, and every way the
+    engine can be asked, must agree.
 
     The paper's five-plus evaluation strategies all compute the same
     marginal [Pr(G)] (Eq. 2), so cross-solver divergence on any input is
-    a bug by construction. For each compiled per-session pattern union
-    the oracle runs the full applicability matrix (see DESIGN.md §10):
+    a bug by construction. {!check} is the one entry point; on one case
+    it runs (see DESIGN.md §10):
 
+    {b Per-union solver matrix.} For each compiled per-session pattern
+    union:
     - brute-force [m!] enumeration (the ground truth, [m ≤ 7]);
     - the general inclusion–exclusion solver — always;
     - [`Auto] dispatch — always (must match whatever it picked);
@@ -19,22 +22,48 @@
       test, future backends).
 
     Exact answers must agree within [eps]; sampling answers are judged
-    against {!Util.Stats.wilson_ci} (rejection sampling is binomial) or
-    a flat absolute band (importance-sampling estimators). On top of
-    agreement, metamorphic invariants: answers lie in [[0,1]];
-    [k]-edge upper bounds are admissible; widening a pattern union can
-    only increase its probability (and the union bound caps it); a
-    two-label pattern with unique distinct witnesses satisfies
-    [Pr(a ≻ b) + Pr(b ≻ a) = 1]; grouped, ungrouped, and engine
-    evaluation agree bit-identically on the query level.
+    against {!Util.Stats.clopper_pearson_ci} (rejection sampling is
+    binomial) or a flat absolute band (importance-sampling estimators).
+    On top of agreement, metamorphic invariants: answers lie in
+    [[0,1]]; [k]-edge upper bounds are admissible; widening a pattern
+    union can only increase its probability (and the union bound caps
+    it); a two-label pattern with unique distinct witnesses satisfies
+    [Pr(a ≻ b) + Pr(b ≻ a) = 1]; grouped and ungrouped sequential
+    evaluation agree bit for bit.
 
-    The engine row is itself a matrix: with the sub-answer cache on, a
-    cold and a warm evaluation at pool widths 1 and 2 must each be
-    byte-identical to the cache-off reference — for the exact Boolean
-    and Count tasks and (when [approx]) a MIS-lite sampler, whose
-    per-sub-problem RNG is derived from the cache digest precisely so
-    cache warmth cannot shift its stream — and the warm pass must serve
-    entirely from the store (zero misses). *)
+    {b Engine lattice.} jobs {1, 2} × shards {1, 2, 4} × cache {off,
+    cold, warm} × source {[Request.make] over the datalog CQ,
+    [Request.of_plan] over the parsed text}, each cell evaluating
+    Boolean, Count-Session and top-3 (naive, 1-edge and 2-edge bounds).
+    Every answer must equal the sequential {!Ppd.Solve} reference byte
+    for byte, ranked session keys included; the warm Boolean and Count
+    passes must miss nothing; sharded cells must report every shard
+    answered, and two-phase top-k must neither deep-query a shard whose
+    bound fell below the k-th answer nor prune one whose bound did not.
+    With [approx], a MIS-lite row must return one value in every cell
+    (its per-sub-problem RNG is derived from the cache digest precisely
+    so cache warmth, pool width and placement cannot shift its stream).
+
+    {b SLO rows}, at pool widths 1 and 2: a case carrying a [deadline]
+    is served under it and must come back as a typed answer — the plain
+    evaluation when the exact route answered, containing it when
+    sampling ran. With [approx], a [`Ci_width 0.15] serve under an exact
+    solver answers tractable verdicts as a frameless point interval;
+    and under a forced rejection sampler every streamed CI contains the
+    exact answer and nests inside the previous frame's (so widths never
+    widen), pool widths 1 and 2 emit byte-identical frames (as wire
+    NDJSON) and a looser target's frames are a byte prefix of a tighter
+    one's.
+
+    {b Language rows.} The query parses as language text, round-trips
+    through the canonical printer and equals {!Lang.Ast.of_query};
+    [possibly] / [certainly] answer the indicators of the exact answer,
+    [sum(key 0)] replicates the aggregate fold, [using rejection]
+    compiles to exactly the solver table's [rejection] leaf and (run at
+    2000 draws per session) is deterministic, in range and within 0.25
+    of exact ([approx] only),
+    and synthesized rank atoms route to the O(m²) DP and to enumeration
+    and agree with brute force. *)
 
 type solver_fn = Rim.Model.t -> Prefs.Labeling.t -> Prefs.Pattern_union.t -> float
 (** Extra solver under test: same contract as [Hardq.Solver.exact_prob]
@@ -45,6 +74,9 @@ type report = {
   nontrivial : int;  (** requests with a satisfiable pattern union *)
   checks : int;  (** individual assertions that ran *)
   answer : float;  (** canonical Boolean answer ([Engine.eval], exact) *)
+  kinds : string list;
+      (** {!Plan.node_kinds} of every plan compiled, sorted — a corpus
+          sweep unions them to assert routing coverage *)
 }
 
 type result =
@@ -65,53 +97,12 @@ val check :
 (** Run the matrix on one case. [eps] (default 1e-9) bounds exact
     disagreement; [budget] (default 0.5 CPU s) bounds each solver
     invocation; [approx:false] (default [true]) skips the sampling
-    solvers — shrinking uses that to keep iterations fast. Failure
-    details carry the session index and both values at full precision.
-
-    A case carrying a [deadline] gets one more row: it is served under a
-    [`Deadline] SLO and must come back as a normal typed answer — never
-    an exception — bit-identical to the plain evaluation when the exact
-    route answered, inside the final CI when sampling ran (met or timed
-    out). *)
+    rows (sampling solvers, the MIS-lite lattice row, the accuracy-SLO
+    serves and the [using rejection] leaf) — shrinking uses that to keep
+    iterations fast and sampling-independent. Failure details name the
+    check, the lattice cell or session, and both values at full
+    precision. *)
 
 val fails : ?eps:float -> ?budget:float -> ?extra:(string * solver_fn) list -> Ppd.Case.t -> bool
 (** [true] iff {!check} (without sampling solvers) returns [Fail] — the
     shrinker's persistence predicate. *)
-
-val lang_diff : ?eps:float -> ?budget:float -> Ppd.Case.t -> result * string list
-(** Language-frontend/planner differential sweep on one case ([make
-    lang-diff]): the case's datalog query must parse as language text,
-    round-trip through the canonical printer, match
-    {!Lang.Ast.of_query} exactly, and — for the base query plus the
-    [count], [top(2)], [possibly], [certainly] and [sum(key 0)]
-    wrappers — the compiled {!Plan.t} evaluated by the engine must
-    answer bit-identically to the direct solver path for the same
-    task ([eps] only enters the synthesized rank-atom checks, where the
-    O(m²) DP is compared against brute-force enumeration, and the
-    [using rejection] sample leaf, which is checked for determinism,
-    range and a gross-error band instead). The second component lists
-    the {!Plan.node_kinds} exercised, in no particular order — the
-    corpus sweep unions them to assert routing coverage. *)
-
-val shard_diff : ?budget:float -> Ppd.Case.t -> result
-(** Sharded scatter-gather sweep on one case ([make shard-diff]): the
-    case is evaluated through engines at shard counts 1, 2 and 4, and
-    the Boolean, Count-Session and top-k answers (both strategies) must
-    be byte-identical to the sequential [Ppd.Solve] reference — exact
-    [=], no eps. The scatter-gather accounting is asserted on top: a
-    healthy cluster reports every shard answered and the answer exact,
-    and the two-phase top-k neither deep-queried a shard whose phase-1
-    upper bound fell below the final k-th answer nor pruned one whose
-    bound survived it (prune-soundness both ways). *)
-
-val anytime : ?eps:float -> ?budget:float -> Ppd.Case.t -> result
-(** Anytime serving sweep on one case ([make anytime-diff]): with a
-    forced sampling solver under a [`Ci_width] SLO, (a) every streamed
-    frame's CI contains the exact answer, (b) CI widths are
-    non-increasing frame to frame (exactly — the envelope guarantees
-    it), (c) pool widths 1 and 2 emit byte-identical frame sequences
-    (compared as wire-encoded NDJSON progress lines), and a looser
-    target's sequence is a byte-for-byte prefix of a tighter target's.
-    A final row serves with an exact solver: tractable verdicts must
-    answer as a frameless point interval bit-identical to [Engine.eval];
-    hard verdicts sample and must keep exact inside the final CI. *)

@@ -181,6 +181,9 @@ type stats = {
   solver_calls : int;
   jobs : int;
   compile_s : float;
+      (** engine-side plan preparation before solving; the query is
+          compiled (Algorithm 2) before the engine is called, so this is
+          not its compile time (see {!Engine.Response.stats}) *)
   bound_s : float;
   solve_s : float;
   total_s : float;  (** engine wall time *)

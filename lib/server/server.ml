@@ -216,7 +216,7 @@ let effective_budget t (e : Protocol.eval) deadline start =
       else (rem_cpu, true)
 
 (* Build the engine request for one job (or the typed error reply when
-   the dataset cannot be resolved). *)
+   the dataset cannot be resolved or the query not compiled). *)
 let prepare t (job : job) start =
   let e = job.eval in
   match Registry.find t.registry e.Protocol.dataset with
@@ -229,30 +229,30 @@ let prepare t (job : job) start =
         | None -> if t.cfg.intra then `Intra else `Inter
       in
       let slo = Protocol.slo_of_eval e in
-      (match e.Protocol.query with
-      | Protocol.Cq q ->
-          Ok
-            (Engine.Request.make ~task:e.Protocol.task ~solver:e.Protocol.solver
-               ~budget ~seed:e.Protocol.seed ?deadline:job.deadline ~parallelism
-               ?slo db q)
-      | Protocol.Lang { ast; _ } -> (
-          (* A non-default wire solver acts as a planner hint; a [using]
-             clause in the text wins (Plan.compile's precedence). *)
-          let hint =
-            if e.Protocol.solver = Hardq.Solver.default_exact then None
-            else Some e.Protocol.solver
-          in
-          match Plan.compile ?hint db ast with
-          | plan ->
-              Ok
-                (Engine.Request.of_plan ~task:e.Protocol.task ~budget
-                   ~seed:e.Protocol.seed ?deadline:job.deadline ~parallelism
-                   ?slo plan)
-          | exception Ppd.Compile.Unsupported msg ->
-              Error (Protocol.Err (Protocol.error Protocol.Unsupported msg))
-          | exception Ppd.Compile.Grounding_too_large msg ->
-              Error (Protocol.Err (Protocol.error Protocol.Unsupported msg))))
-      |> Result.map (fun req -> (req, deadline_limited))
+      (* Both query forms compile here, before the engine: a query outside
+         the supported fragment is a typed [unsupported] reply. *)
+      let request () =
+        match e.Protocol.query with
+        | Protocol.Cq q ->
+            Engine.Request.make ~task:e.Protocol.task ~solver:e.Protocol.solver
+              ~budget ~seed:e.Protocol.seed ?deadline:job.deadline ~parallelism
+              ?slo db q
+        | Protocol.Lang { ast; _ } ->
+            (* A non-default wire solver acts as a planner hint; a [using]
+               clause in the text wins (Plan.compile's precedence). *)
+            let hint =
+              if e.Protocol.solver = Hardq.Solver.default_exact then None
+              else Some e.Protocol.solver
+            in
+            Engine.Request.of_plan ~task:e.Protocol.task ~budget
+              ~seed:e.Protocol.seed ?deadline:job.deadline ~parallelism ?slo
+              (Plan.compile ?hint db ast)
+      in
+      match request () with
+      | req -> Ok (req, deadline_limited)
+      | exception (Ppd.Compile.Unsupported msg | Ppd.Compile.Grounding_too_large msg)
+        ->
+          Error (Protocol.Err (Protocol.error Protocol.Unsupported msg))
 
 (* Map one engine result for [job] onto the wire reply. [anytime] is the
    wire block of an SLO-carrying serve; plain evaluations omit it. *)
@@ -311,10 +311,6 @@ let finish ?anytime (job : job) start deadline_limited
            (Printf.sprintf
               "%s passed its cap of %d DP states; pick a cheaper solver" table
               cap))
-  | Error (Ppd.Compile.Unsupported msg) ->
-      Protocol.Err (Protocol.error Protocol.Unsupported msg)
-  | Error (Ppd.Compile.Grounding_too_large msg) ->
-      Protocol.Err (Protocol.error Protocol.Unsupported msg)
   | Error Engine.Stopped ->
       Protocol.Err (Protocol.error Protocol.Shutting_down "server is draining")
   | Error exn ->

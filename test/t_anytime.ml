@@ -188,9 +188,10 @@ let unit_serve_exact_route_point_interval () =
   check_float_eq "point interval lo" p a.Engine.ci_lo;
   check_float_eq "point interval hi" p a.Engine.ci_hi
 
-(* The exact route executes the work it compiled for routing: one
-   [compile] span under [engine.serve], and no nested [engine.eval]
-   re-running Algorithm 2. *)
+(* Algorithm 2 runs once per request: the [compile] span of
+   [Request.make], before the engine; [engine.serve]'s exact route
+   executes that plan with no [compile] span of its own and no nested
+   [engine.eval]. *)
 let unit_serve_exact_route_compiles_once () =
   Obs.enable_tracing ();
   Obs.clear_trace ();
@@ -212,8 +213,8 @@ let unit_serve_exact_route_compiles_once () =
       (Obs.Span.children s)
   in
   let total name = List.fold_left (fun n r -> n + count name r) 0 roots in
-  Alcotest.(check (list string)) "one engine.serve root" [ "engine.serve" ]
-    (List.map Obs.Span.name roots);
+  Alcotest.(check (list string)) "request compile, then one engine.serve"
+    [ "compile"; "engine.serve" ] (List.map Obs.Span.name roots);
   Alcotest.(check int) "one compile span" 1 (total "compile");
   Alcotest.(check int) "no nested engine.eval" 0 (total "engine.eval");
   check_float_eq "answer matches plain eval" (exact_answer ())
@@ -235,6 +236,97 @@ let unit_serve_cancellation () =
       Alcotest.(check string) "cancelled run is a prefix" (frame_bytes g)
         (frame_bytes f)
   | _ -> Alcotest.fail "expected at least one frame on both runs")
+
+(* ------------------------------------------------------------------ *)
+(* Interval coverage near 0 and 1                                      *)
+(* ------------------------------------------------------------------ *)
+
+let unit_interval_values () =
+  let ci ?alpha k n = Util.Stats.clopper_pearson_ci ?alpha ~k ~n () in
+  (* 63 hits in 64 draws is a 0.26% outcome at p = 0.99996; a z = 5
+     Wilson interval tops out at 0.99942 there and misses it. *)
+  let _, hi = ci 63 64 in
+  if hi < 0.99996 then Alcotest.failf "63/64: upper bound %.17g < 0.99996" hi;
+  List.iter
+    (fun n ->
+      check_float_eq (Printf.sprintf "0/%d lower bound" n) 0. (fst (ci 0 n));
+      check_float_eq (Printf.sprintf "%d/%d upper bound" n n) 1. (snd (ci n n)))
+    [ 1; 64; 1 lsl 20 ];
+  let lo, hi = ci ~alpha:0.05 5 10 in
+  Helpers.check_close ~eps:5e-5 "5/10 at 95%: lower" 0.1871 lo;
+  Helpers.check_close ~eps:5e-5 "5/10 at 95%: upper" 0.8129 hi;
+  (* Finite and nested around the estimate at the largest pooled trial
+     counts a serve reaches (max_serve_draws x sessions). *)
+  List.iter
+    (fun (k, n) ->
+      let lo, hi = ci k n and p = float_of_int k /. float_of_int n in
+      if not (Float.is_finite lo && Float.is_finite hi && lo <= p && p <= hi) then
+        Alcotest.failf "%d/%d: [%.17g, %.17g] does not bracket %.17g" k n lo hi p)
+    [ (1, 1 lsl 26); (1 lsl 25, 1 lsl 26); ((1 lsl 26) - 1, 1 lsl 26) ]
+
+(* The two corpus cases whose exact answers sit nearest 1 and 0. *)
+let near_one_case =
+  {|hardq-case v1
+relation "C" "item" "cat" "grp" "num"
+tuple "i0" "A" "G1" 1
+tuple "i1" "A" "G2" 2
+tuple "i2" "A" "G3" 3
+tuple "i3" "B" "G1" 4
+tuple "i4" "B" "G2" 5
+tuple "i5" "B" "G3" 6
+tuple "i6" "A" "G1" 7
+prelation "P" "sid"
+session "s0" phi 0x1.8p-1 center 2 0 6 4 1 5 3
+session "s1" phi 0x1p-2 center 6 5 4 3 2 1 0
+session "s2" phi 0x1.d70a3d70a3d71p-1 center 0 1 2 3 4 5 6
+query Q() :- P(_; x0; x1), C(x0, "A", g, _), C(x1, "B", g, _).
+|}
+
+let near_zero_case =
+  {|hardq-case v1
+relation "C" "item" "cat" "grp" "num"
+tuple "i0" "B" "G1" 0
+tuple "i1" "A" "G2" 5
+tuple "i2" "B" "G1" 3
+tuple "i3" "B" "G1" 3
+prelation "P" "sid"
+session "s0" phi 0x1.91c05f4846238p-2 center 1 2 0 3
+session "s1" phi 0x1.1078017c098c6p-2 center 2 1 0 3
+query Q() :- P(_; x0; x1), P(_; x1; x2), P(_; "i3"; x0), C(x0, c, g, _), C(x1, _, _, _), C(x2, c, g, n2), n2 > 1.
+|}
+
+(* Forced-rejection serves at 300 seeds each: no streamed frame may
+   exclude the exact answer. A z = 5 Wilson interval, which is not valid
+   with few misses or few hits, excludes it for both cases at some of
+   these seeds. *)
+let unit_serve_frames_cover_near_0_and_1 () =
+  Engine.with_engine
+    Engine.Config.(default |> with_jobs 1)
+    (fun engine ->
+      List.iter
+        (fun (name, text) ->
+          let { Ppd.Case.db; query; _ } =
+            match Ppd.Case.of_string text with
+            | Ok c -> c
+            | Error msg -> Alcotest.failf "%s: %s" name msg
+          in
+          let exact =
+            Engine.Response.answer_float
+              (Engine.eval engine (Engine.Request.make db query))
+          in
+          for seed = 1 to 300 do
+            ignore
+              (Engine.serve engine
+                 ~on_frame:(fun (f : Hardq.Anytime.frame) ->
+                   let lo = f.Hardq.Anytime.ci_lo and hi = f.Hardq.Anytime.ci_hi in
+                   if exact < lo || exact > hi then
+                     Alcotest.failf
+                       "%s, seed %d, frame %d: exact %.17g outside [%.17g, %.17g]" name
+                       seed f.Hardq.Anytime.round exact lo hi)
+                 (Engine.Request.make ~solver:sampling ~seed ~slo:(`Ci_width 0.15) db
+                    query))
+          done)
+        [ ("near 1", near_one_case); ("near 0", near_zero_case) ])
 
 let suites =
   [
@@ -258,5 +350,8 @@ let suites =
         tc "exact route compiles once, no nested eval" `Quick
           unit_serve_exact_route_compiles_once;
         tc "cancellation stops between rounds" `Quick unit_serve_cancellation;
+        tc "exact binomial interval values" `Quick unit_interval_values;
+        tc "streamed CIs cover answers near 0 and 1" `Quick
+          unit_serve_frames_cover_near_0_and_1;
       ] );
   ]

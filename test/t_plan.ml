@@ -2,7 +2,9 @@
    solver paths, commutative plan digests, cache behaviour of permuted
    but semantically equal queries, and the differential value of the
    planner seam — a planted misclassification must change (or abort) the
-   answer, which is exactly what `make lang-diff` detects. *)
+   answer, which is exactly what the QA oracle's engine lattice detects
+   (`make qa-replay`). A datalog CQ lowers through the same planner
+   ([Plan.of_query]), its solver kept as asked. *)
 
 let tc = Alcotest.test_case
 
@@ -146,7 +148,7 @@ let unit_planted_misroute_detected () =
   (* The seam the differential suite leans on: force a chain-shaped
      (general) plan through the two-label DP. The misrouted solver must
      not silently reproduce the true answer — it either aborts or
-     diverges, and either way `lang-diff`'s bit-identity check trips. *)
+     diverges, and either way the oracle's plan-source cells trip. *)
   let db = tiny_db () in
   let text = "Q() :- P(s; \"a\"; \"b\"), P(s; \"b\"; \"c\")." in
   let plan = compile db text in
@@ -268,6 +270,77 @@ let prop_rank_dp_vs_brute =
           k dp brute;
       true)
 
+(* ------------------------------------------------------------------ *)
+(* Datalog CQs lower through the planner                               *)
+(* ------------------------------------------------------------------ *)
+
+let unit_of_query_keeps_solver () =
+  let db = tiny_db () in
+  List.iter
+    (fun text ->
+      let q = Ppd.Parser.parse text in
+      let direct = (Ppd.Compile.compile db q).Ppd.Compile.requests in
+      List.iter
+        (fun solver ->
+          let plan = Plan.of_query ~solver db q in
+          if Plan.routed_solver plan <> solver then
+            Alcotest.failf "%s: routed to %s, asked for %s" text
+              (Hardq.Solver.name (Plan.routed_solver plan))
+              (Hardq.Solver.name solver);
+          match plan.Plan.lowered with
+          | Plan.Predicates _ -> Alcotest.failf "%s: lowered to predicate rows" text
+          | Plan.Patterns rows ->
+              let shape (r : Ppd.Compile.request) =
+                ( r.Ppd.Compile.session.Ppd.Database.key,
+                  Option.map
+                    (fun u ->
+                      List.map
+                        (fun g -> (Prefs.Pattern.nodes g, Prefs.Pattern.edges g))
+                        (Prefs.Pattern_union.patterns u))
+                    r.Ppd.Compile.union )
+              in
+              if List.map shape rows <> List.map shape direct then
+                Alcotest.failf "%s: planner rows differ from Ppd.Compile's" text)
+        [
+          Hardq.Solver.Exact `Auto;
+          Hardq.Solver.Exact `General;
+          Hardq.Solver.Approx (Hardq.Solver.Rejection { n = 100 });
+        ])
+    [
+      "Q() :- P(_; \"a\"; \"b\").";
+      "Q() :- P(s; \"a\"; \"b\"), P(s; \"a\"; \"c\").";
+      "Q() :- P(s; \"a\"; \"b\"), P(s; \"b\"; \"c\").";
+    ];
+  match
+    Plan.of_query ~solver:Hardq.Solver.default_exact db
+      (Ppd.Parser.parse "Q(x) :- P(_; x; _).")
+  with
+  | _ -> Alcotest.fail "a head variable compiled"
+  | exception Ppd.Compile.Unsupported _ -> ()
+
+(* The CLI builds its request before evaluating, so an unsupported CQ
+   fails there — still the clean one-line diagnosis and exit 1. *)
+let unit_cli_unsupported_query () =
+  let binary = "../bin/hardq_cli.exe" in
+  if not (Sys.file_exists binary) then Alcotest.failf "binary not found at %s" binary;
+  let err = Filename.temp_file "hardq_test_unsupported" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove err) @@ fun () ->
+  let code =
+    Sys.command
+      (String.concat " "
+         (List.map Filename.quote
+            [
+              binary; "eval"; "--dataset"; "polls"; "--size"; "6"; "--sessions"; "5";
+              "--query";
+              "Q(l) :- P(_, _; l; r), C(l, p, \"M\", _, _, _), C(r, p, \"F\", _, _, _).";
+            ])
+      ^ " >/dev/null 2>" ^ Filename.quote err)
+  in
+  Alcotest.(check int) "exit status" 1 code;
+  let msg = In_channel.with_open_text err In_channel.input_all in
+  if not (Helpers.contains msg "unsupported query") then
+    Alcotest.failf "stderr does not say \"unsupported query\": %s" msg
+
 let suites =
   [
     ( "plan",
@@ -287,5 +360,9 @@ let suites =
         tc "permuted disjuncts share cache entries" `Quick
           unit_permuted_disjuncts_cache_hit;
         prop_rank_dp_vs_brute;
+        tc "a datalog CQ lowers with its solver kept" `Quick
+          unit_of_query_keeps_solver;
+        tc "hardq eval: unsupported CQ exits 1, typed" `Quick
+          unit_cli_unsupported_query;
       ] );
   ]

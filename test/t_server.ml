@@ -871,6 +871,37 @@ let unit_server_state_cap_is_budget () =
   | Ok _ -> Alcotest.fail "the server must answer once the cap is back"
   | Error msg -> Alcotest.failf "transport error: %s" msg
 
+(* A "query" compiles when the server builds its engine request, before
+   the engine: a CQ outside the supported fragment (a head variable) must
+   still come back as the typed [unsupported] reply — not as [internal]
+   — and the connection must keep answering. *)
+let unit_server_unsupported_query_is_typed () =
+  let address = Protocol.Local (temp_socket ()) in
+  let config =
+    { (Server.default_config address) with Server.preload = [ fast_spec ] }
+  in
+  with_server config @@ fun server ->
+  let client = Server.Client.connect ~retries:40 (Server.address server) in
+  Fun.protect ~finally:(fun () -> Server.Client.close client) @@ fun () ->
+  let head_var =
+    Ppd.Parser.parse
+      "Q(l) :- P(_, _; l; r), C(l, p, \"M\", _, _, _), C(r, p, \"F\", _, _, _)."
+  in
+  (match Server.Client.eval client (Protocol.eval fast_spec head_var) with
+  | Ok (Protocol.Err { code = Protocol.Unsupported; message }) ->
+      Alcotest.(check bool) "message names head variables" true
+        (contains message "head variables")
+  | Ok (Protocol.Err e) ->
+      Alcotest.failf "wrong error code %s: %s"
+        (Protocol.error_code_to_string e.Protocol.code)
+        e.Protocol.message
+  | Ok _ -> Alcotest.fail "a head-variable query was answered"
+  | Error msg -> Alcotest.failf "transport error: %s" msg);
+  match Server.Client.eval client (Protocol.eval fast_spec sample_query) with
+  | Ok (Protocol.Answer _) -> ()
+  | Ok _ -> Alcotest.fail "the next request on the connection must be answered"
+  | Error msg -> Alcotest.failf "transport error: %s" msg
+
 let unit_server_drain_completes_inflight () =
   let address = Protocol.Local (temp_socket ()) in
   let config =
@@ -1800,6 +1831,8 @@ let suites =
           unit_server_deadline_exceeded;
         tc "DP state cap comes back as budget_exhausted" `Quick
           unit_server_state_cap_is_budget;
+        tc "unsupported query comes back typed; connection survives" `Quick
+          unit_server_unsupported_query_is_typed;
         tc "drain answers in-flight requests, then refuses" `Quick
           unit_server_drain_completes_inflight;
         tc "gather window batches a burst; single-flight solves once" `Quick
