@@ -1,4 +1,4 @@
-.PHONY: all build test bench check ci bench-self-test par-matrix smoke-bench smoke-server cache-diff bench-cache bench-kernel bench-anytime bench-shard qa-replay qa-fuzz fmt clean
+.PHONY: all build test bench check ci bench-self-test par-matrix smoke-server qa-replay qa-fuzz fmt clean
 
 all: build
 
@@ -12,17 +12,16 @@ test:
 check:
 	dune build && dune runtest
 
-# Tier-1 CI gate: full build, the whole test suite, the server smoke
-# test, and a formatting check over the source tree. The format step is
+# Tier-1 CI gate: full build, the whole test suite, the cross-domain
+# matrix, the server smoke test, the QA replay and fuzz, the serving
+# benchmark's self-test, and a formatting check over the source tree. The format step is
 # skipped (with a notice) when ocamlformat is not installed, so `make ci`
 # works in minimal containers; install ocamlformat to enforce it.
 ci:
 	dune build
 	dune runtest
 	$(MAKE) par-matrix
-	$(MAKE) smoke-bench
 	$(MAKE) smoke-server
-	$(MAKE) cache-diff
 	$(MAKE) qa-replay
 	$(MAKE) qa-fuzz
 	$(MAKE) bench-self-test
@@ -53,57 +52,12 @@ par-matrix:
 		  || exit 1; \
 	done
 
-# Engine-scaling smoke: the intra-query speedup bench on a small
-# instance, mostly for its embedded bit-identity assertions.
-smoke-bench:
-	dune build bench/main.exe
-	HARDQ_BENCH_SMOKE=1 dune exec bench/main.exe -- micro
-
 # Black-box server lifecycle check: start the real binary, query each
 # task type over the wire, SIGTERM it, assert a clean drain (exit 0 and
 # a flushed metrics snapshot).
 smoke-server:
 	dune build bin/hardq_server.exe bin/hardq_client.exe bin/hardq_qa.exe
 	sh scripts/server_smoke.sh
-
-# Sub-answer cache differential: a repeated-shape load over the wire
-# must clear a 50% sub-answer hit rate with a clean warm pass (loadgen
-# exits non-zero otherwise) — the end-to-end gate on the two-tier store
-# and batch scheduler. (Answer bit-identity under the cache is asserted
-# by the QA oracle inside `dune runtest`.)
-cache-diff:
-	dune build bench/loadgen.exe
-	dune exec bench/loadgen.exe -- --connections 4 --requests 20 \
-	  --size 6 --sessions 30 --cache-out /tmp/BENCH_cache_ci.json >/dev/null
-
-# Refresh the committed cache benchmark document (BENCH_cache.json).
-bench-cache:
-	dune build bench/loadgen.exe
-	dune exec bench/loadgen.exe -- --cache-out BENCH_cache.json
-
-# Refresh the committed kernel benchmark document (BENCH_kernel.json):
-# boxed-vs-flat single-thread wall time per exact DP solver, plus a
-# cold-exact-shaped row (the Figure 4 union over 60 Polls sessions).
-# Boxed and flat samples interleave; rows carry the median over 31
-# repeats, the IQR and nproc.
-bench-kernel:
-	dune build bench/main.exe
-	rm -f BENCH_kernel.json
-	BENCH_JSON_OUT=BENCH_kernel.json dune exec bench/main.exe -- kernel
-
-# Refresh the committed anytime benchmark document (BENCH_anytime.json):
-# time-to-target-CI and frames/sec for the sampling serve path.
-bench-anytime:
-	dune build bench/main.exe
-	rm -f BENCH_anytime.json
-	BENCH_JSON_OUT=BENCH_anytime.json dune exec bench/main.exe -- anytime
-
-# Refresh the committed shard benchmark document (BENCH_shard.json):
-# open-loop scatter-gather latency (p50/p99) and cross-shard top-k
-# prune rates at shard counts 1, 2 and 4.
-bench-shard:
-	dune build bench/loadgen.exe
-	dune exec bench/loadgen.exe -- --shard-out BENCH_shard.json
 
 # Replay the committed regression corpus through the one differential
 # oracle (Qa.Oracle.check, DESIGN.md §10); failures print the offending

@@ -16,28 +16,7 @@ let row fmt = Printf.printf ("  " ^^ fmt ^^ "\n%!")
    schema test, a CI collector) can read results without scraping the
    human-oriented stdout around them. *)
 let json_line fields =
-  let escape s =
-    let b = Buffer.create (String.length s) in
-    String.iter
-      (function
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  in
-  let field (k, v) =
-    let value =
-      match v with
-      | `Int i -> string_of_int i
-      | `Float f -> Printf.sprintf "%.6g" f
-      | `Str s -> Printf.sprintf "\"%s\"" (escape s)
-      | `Bool b -> string_of_bool b
-    in
-    Printf.sprintf "\"%s\": %s" (escape k) value
-  in
-  let line = Printf.sprintf "{%s}" (String.concat ", " (List.map field fields)) in
+  let line = Server.Json.to_string (Server.Json.Obj fields) in
   Printf.printf "  %s\n%!" line;
   match Sys.getenv_opt "BENCH_JSON_OUT" with
   | None | Some "" -> ()
@@ -53,15 +32,16 @@ let obs_fields ?(prefix = "obs.") (snap : Obs.snapshot) =
   List.concat_map
     (fun (name, v) ->
       match v with
-      | Obs.Count n -> [ (prefix ^ name, `Int n) ]
+      | Obs.Count n -> [ (prefix ^ name, Server.Json.Int n) ]
       | Obs.Hist { count; sum; _ } ->
           [
-            (prefix ^ name ^ ".count", `Int count);
-            (prefix ^ name ^ ".sum", `Int sum);
+            (prefix ^ name ^ ".count", Server.Json.Int count);
+            (prefix ^ name ^ ".sum", Server.Json.Int sum);
           ])
     snap
 
-(* Time a solver call under a budget; None = timed out or state explosion. *)
+(* Time a solver call under a budget; None = timed out or state explosion.
+   Any other exception is a bug and propagates. *)
 let timed_opt ?(budget = 0.) f =
   let t0 = Util.Timer.now () in
   let result =
@@ -71,7 +51,7 @@ let timed_opt ?(budget = 0.) f =
     in
     match run () with
     | r -> r
-    | exception (Failure _ | Hardq.Dp_table.State_explosion _) -> None
+    | exception Hardq.Dp_table.State_explosion _ -> None
   in
   (result, Util.Timer.now () -. t0)
 

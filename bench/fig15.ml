@@ -51,11 +51,12 @@ let run ~full () =
           let warm, t_warm = eval () in
           assert (warm.Engine.Response.stats.Engine.Response.cache_misses = 0);
           Exp_util.json_line
-            (("bench", `Str "fig15-scaling") :: ("sessions", `Int n)
-            :: ("cold_s", `Float t_cold) :: ("warm_s", `Float t_warm)
-            :: ("distinct", `Int cold.Engine.Response.stats.Engine.Response.distinct)
-            :: Exp_util.obs_fields
-                 cold.Engine.Response.stats.Engine.Response.metrics);
+            Server.Json.(
+              ("bench", String "fig15-scaling") :: ("sessions", Int n)
+              :: ("cold_s", Float t_cold) :: ("warm_s", Float t_warm)
+              :: ("distinct", Int cold.Engine.Response.stats.Engine.Response.distinct)
+              :: Exp_util.obs_fields
+                   cold.Engine.Response.stats.Engine.Response.metrics);
           if naive_too then begin
             let _, t_naive =
               Util.Timer.time (fun () ->

@@ -6,7 +6,7 @@
      dune exec bench/main.exe                 # quick pass over everything
      dune exec bench/main.exe -- fig9 fig12   # selected experiments
      dune exec bench/main.exe -- all --full   # paper-scale parameters
-     dune exec bench/main.exe -- micro        # kernel microbenches only
+     dune exec bench/main.exe -- micro        # kernels + design ablations
 
    EXPERIMENTS.md records the paper-vs-measured comparison produced from
    this harness. *)
@@ -26,9 +26,6 @@ let experiments =
     ("fig14", Fig14.run);
     ("fig15", Fig15.run);
     ("micro", Micro.run);
-    ("kernel", Micro.run_kernel);
-    ("plan", Micro.run_plan);
-    ("anytime", Micro.run_anytime);
   ]
 
 let () =
@@ -56,10 +53,17 @@ let () =
   Printf.printf "hardq experiment harness (%s scale)\n"
     (if full then "full" else "quick");
   let t0 = Util.Timer.now () in
-  List.iter
-    (fun (name, f) ->
-      try f ~full ()
-      with e ->
-        Printf.printf "  !! %s failed: %s\n%!" name (Printexc.to_string e))
-    selected;
-  Printf.printf "\ntotal harness time: %.1fs\n" (Util.Timer.now () -. t0)
+  (* A failing experiment does not stop the others, but it fails the
+     run: otherwise the asserts inside the experiments check nothing. *)
+  let failed =
+    List.filter
+      (fun (name, f) ->
+        match f ~full () with
+        | () -> false
+        | exception e ->
+            Printf.eprintf "!! %s failed: %s\n%!" name (Printexc.to_string e);
+            true)
+      selected
+  in
+  Printf.printf "\ntotal harness time: %.1fs\n" (Util.Timer.now () -. t0);
+  if failed <> [] then exit 1
