@@ -1,4 +1,4 @@
-.PHONY: all build test bench check ci bench-self-test par-matrix smoke-server qa-replay qa-fuzz fmt clean
+.PHONY: all build test bench check ci examples bench-self-test par-matrix smoke-server qa-replay qa-fuzz fmt clean
 
 all: build
 
@@ -12,14 +12,16 @@ test:
 check:
 	dune build && dune runtest
 
-# Tier-1 CI gate: full build, the whole test suite, the cross-domain
-# matrix, the server smoke test, the QA replay and fuzz, the serving
-# benchmark's self-test, and a formatting check over the source tree. The format step is
-# skipped (with a notice) when ocamlformat is not installed, so `make ci`
-# works in minimal containers; install ocamlformat to enforce it.
+# Tier-1 CI gate: full build, the whole test suite, the example
+# programs, the cross-domain matrix, the server smoke test, the QA
+# replay and fuzz, the serving benchmark's self-test, and a formatting
+# check over the source tree. The format step is skipped (with a
+# notice) when ocamlformat is not installed, so `make ci` works in
+# minimal containers; install ocamlformat to enforce it.
 ci:
 	dune build
 	dune runtest
+	$(MAKE) examples
 	$(MAKE) par-matrix
 	$(MAKE) smoke-server
 	$(MAKE) qa-replay
@@ -31,6 +33,18 @@ ci:
 	else \
 		echo "ci: ocamlformat not installed -- skipping format check"; \
 	fi
+
+# Run every example program (examples/*.ml); a non-zero exit fails the
+# target. Their output goes to /dev/null: the gate catches crashes and
+# uncaught exceptions, not changed numbers.
+EXAMPLES := $(patsubst %.ml,%.exe,$(wildcard examples/*.ml))
+
+examples:
+	dune build $(EXAMPLES)
+	@for exe in $(EXAMPLES); do \
+		echo "examples: $$exe"; \
+		./_build/default/$$exe > /dev/null || exit 1; \
+	done
 
 # Serving-benchmark harness self-test: manifest names and units match
 # the harness, every metric is computed, tiny runs of every workload

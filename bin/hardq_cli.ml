@@ -462,9 +462,9 @@ let query_cmd =
   let text_arg =
     let doc =
       "Query text, e.g. 'count possibly Q() :- prefers(\"A\", \"B\") or \
-       rank(\"C\") <= 2.'. The datalog fragment is a sub-language, so any \
-       --query accepted by $(b,hardq eval) works here too. Defaults to the \
-       dataset's showcase query."
+       rank(\"C\") <= 2.'. Same lexer and atoms as $(b,hardq eval)'s datalog, \
+       so a --query text means the same here (bar keyword-named queries or \
+       relations). Defaults to the dataset's showcase query."
     in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc)
   in

@@ -1,30 +1,12 @@
-(* Movie preference analytics on the MovieLens surrogate: learn a Mallows
-   mixture from observed rankings, then answer a hard query about release
-   years and genres with the importance-sampling solvers.
+(* Movie preference analytics on the MovieLens surrogate: answer the
+   paper's §6.3 hard query about release years and genres with the
+   importance-sampling solvers.
 
    Run with:  dune exec examples/movie_analytics.exe *)
 
 let () =
   let rng = Util.Rng.make 11 in
-
-  (* 1. Mixture learning (stands in for the external tool the paper uses):
-     synthesize ranking data from two "taste clusters" and recover them. *)
-  let m = 12 in
-  let blockbusters = Prefs.Ranking.identity m in
-  let arthouse = Prefs.Ranking.reverse blockbusters in
-  let gen = Rim.Mixture.make
-      [
-        (0.6, Rim.Mallows.make ~center:blockbusters ~phi:0.25);
-        (0.4, Rim.Mallows.make ~center:arthouse ~phi:0.25);
-      ]
-  in
-  let observed = List.init 400 (fun _ -> Rim.Mixture.sample gen rng) in
-  let report = Rim.Learn.fit_mixture ~k:2 ~rng observed in
-  Format.printf "learned mixture (%d EM iterations, log-likelihood %.1f):@.%a@.@."
-    report.Rim.Learn.iterations report.Rim.Learn.log_likelihood Rim.Mixture.pp
-    report.Rim.Learn.mixture;
-
-  (* 2. The paper's §6.3 movie query on the surrogate catalog. *)
+  (* The paper's §6.3 movie query on the surrogate catalog. *)
   let db = Datasets.Movielens.generate ~n_movies:60 ~n_components:6 ~seed:3 () in
   let q = Ppd.Parser.parse Datasets.Movielens.query_fig14 in
   Format.printf "query: %a@." Ppd.Query.pp q;

@@ -1,8 +1,5 @@
-(* The query language's abstract syntax.
-
-   The language is a strict superset of the datalog fragment accepted by
-   [Ppd.Parser]: every [Ppd.Query.to_string] rendering parses unchanged
-   (atoms [P(s; x; y)], [C(x, "A", _, _)], [n >= 3]), and adds
+(* The query language's abstract syntax: Ppd.Parser's datalog (terms and
+   atoms are Ppd.Query's, read by Ppd.Parser's rules) plus
 
    - [prefers(a, b)]      — preference sugar over the default p-relation;
    - [rank(x) <= k]       — rank atoms over concrete items;
@@ -20,9 +17,7 @@ type term = Ppd.Query.term
 type atom =
   | Prefers of { left : term; right : term }
       (* default p-relation, wildcard session terms *)
-  | Pref of { rel : string; session : term list; left : term; right : term }
-  | Rel of { rel : string; terms : term list }
-  | Cmp of { lhs : term; op : Ppd.Value.op; rhs : term }
+  | Datalog of Ppd.Query.atom
   | Rank of { item : term; op : Prefs.Rank_pred.op; k : int }
   | Top of { k : int; item : term }
 
@@ -41,29 +36,15 @@ type t = {
   body : conj list; (* disjuncts; non-empty, each non-empty *)
 }
 
-(* Reserved words; never parsed as variables or relation names. The
-   solver names after [using] come from [Hardq.Solver.valid_names] — the
-   single canonical list shared with the CLI and the server. *)
-let keywords =
-  [
-    "and"; "or"; "prefers"; "rank"; "top"; "count"; "sum"; "avg"; "prob";
-    "possibly"; "certainly"; "using"; "key";
-  ]
+type error = Ppd.Parser.error = { pos : int; msg : string }
 
-type error = { pos : int; msg : string }
-
-let error_to_string { pos; msg } = Printf.sprintf "%s at offset %d" msg pos
+let error_to_string = Ppd.Parser.error_to_string
 
 let equal (a : t) (b : t) = a = b
 
 (* ---------------------------------------------------------------- *)
 (* Embedding the datalog fragment                                    *)
 (* ---------------------------------------------------------------- *)
-
-let atom_of_query_atom = function
-  | Ppd.Query.Pref { rel; session; left; right } -> Pref { rel; session; left; right }
-  | Ppd.Query.Rel { rel; terms } -> Rel { rel; terms }
-  | Ppd.Query.Cmp { lhs; op; rhs } -> Cmp { lhs; op; rhs }
 
 let of_query (q : Ppd.Query.t) =
   {
@@ -72,35 +53,22 @@ let of_query (q : Ppd.Query.t) =
     task = Prob;
     modal = None;
     using = None;
-    body = [ List.map atom_of_query_atom q.Ppd.Query.body ];
+    body = [ List.map (fun a -> Datalog a) q.Ppd.Query.body ];
   }
 
 (* ---------------------------------------------------------------- *)
 (* Printer (round-trips through Parser.parse)                        *)
 (* ---------------------------------------------------------------- *)
 
-let term_to_string = function
-  | Ppd.Query.Var v -> v
-  | Ppd.Query.Wildcard -> "_"
-  | Ppd.Query.Const (Ppd.Value.Int i) -> string_of_int i
-  | Ppd.Query.Const (Ppd.Value.Str s) -> "\"" ^ s ^ "\""
-
-let terms_to_string terms = String.concat ", " (List.map term_to_string terms)
-
 let atom_to_string = function
   | Prefers { left; right } ->
-      Printf.sprintf "prefers(%s, %s)" (term_to_string left) (term_to_string right)
-  | Pref { rel; session; left; right } ->
-      Printf.sprintf "%s(%s; %s; %s)" rel (terms_to_string session)
-        (term_to_string left) (term_to_string right)
-  | Rel { rel; terms } -> Printf.sprintf "%s(%s)" rel (terms_to_string terms)
-  | Cmp { lhs; op; rhs } ->
-      Printf.sprintf "%s %s %s" (term_to_string lhs)
-        (Ppd.Value.op_to_string op) (term_to_string rhs)
+      Printf.sprintf "prefers(%s, %s)" (Ppd.Query.term_to_string left)
+        (Ppd.Query.term_to_string right)
+  | Datalog a -> Ppd.Query.atom_to_string a
   | Rank { item; op; k } ->
-      Printf.sprintf "rank(%s) %s %d" (term_to_string item)
+      Printf.sprintf "rank(%s) %s %d" (Ppd.Query.term_to_string item)
         (Prefs.Rank_pred.op_to_string op) k
-  | Top { k; item } -> Printf.sprintf "top(%d, %s)" k (term_to_string item)
+  | Top { k; item } -> Printf.sprintf "top(%d, %s)" k (Ppd.Query.term_to_string item)
 
 let agg_to_string = function
   | Key_index i -> Printf.sprintf "key %d" i

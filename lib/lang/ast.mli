@@ -1,10 +1,10 @@
-(** Abstract syntax of the declarative query language — a strict
-    superset of {!Ppd.Parser}'s datalog fragment (every
-    [Ppd.Query.to_string] rendering parses unchanged) extended with
-    preference sugar ([prefers(a, b)]), rank atoms ([rank(x) <= k],
-    [top(k, x)]), disjunction ([or]), task prefixes ([count],
-    [sum(...)], [avg(...)], [top(k)]), modal prefixes ([possibly],
-    [certainly]) and solver hints ([using <name>]). *)
+(** Abstract syntax of the declarative query language: {!Ppd.Parser}'s
+    datalog extended with preference sugar ([prefers(a, b)]), rank atoms
+    ([rank(x) <= k], [top(k, x)]), disjunction ([or]), task prefixes
+    ([count], [sum(...)], [avg(...)], [top(k)]), modal prefixes
+    ([possibly], [certainly]) and solver hints ([using <name>]). Terms
+    and datalog atoms are {!Ppd.Query}'s, read by {!Ppd.Parser}'s rules,
+    so a datalog text means the same in both frontends. *)
 
 type term = Ppd.Query.term
 
@@ -12,10 +12,8 @@ type atom =
   | Prefers of { left : term; right : term }
       (** [prefers(a, b)]: sugar for a preference atom over the
           database's default p-relation with wildcard session terms *)
-  | Pref of { rel : string; session : term list; left : term; right : term }
-      (** the explicit datalog form [P(s…; x; y)] *)
-  | Rel of { rel : string; terms : term list }
-  | Cmp of { lhs : term; op : Ppd.Value.op; rhs : term }
+  | Datalog of Ppd.Query.atom
+      (** a preference [P(s…; x; y)], relational or comparison atom *)
   | Rank of { item : term; op : Prefs.Rank_pred.op; k : int }
       (** [rank(x) ⋈ k]; ranks are 1-based *)
   | Top of { k : int; item : term }  (** [top(k, x)] ≡ [rank(x) <= k] *)
@@ -42,14 +40,11 @@ type t = {
   body : conj list;  (** disjuncts; non-empty, each non-empty *)
 }
 
-val keywords : string list
-(** Reserved words of the language (never variables or relation names). *)
-
-type error = { pos : int; msg : string }
+type error = Ppd.Parser.error = { pos : int; msg : string }
 (** A positioned syntax error; [pos] is a byte offset into the input. *)
 
 val error_to_string : error -> string
-(** ["<msg> at offset <pos>"] — the same shape as [Ppd.Parser] errors. *)
+(** ["<msg> at offset <pos>"], as {!Ppd.Parser.error_to_string}. *)
 
 val equal : t -> t -> bool
 
@@ -57,7 +52,6 @@ val of_query : Ppd.Query.t -> t
 (** Embed a datalog query: task [Prob], no modal, no hint, one
     disjunct. [parse (Ppd.Query.to_string q)] equals [of_query q]. *)
 
-val term_to_string : term -> string
 val atom_to_string : atom -> string
 
 val to_string : t -> string

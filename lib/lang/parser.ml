@@ -1,5 +1,6 @@
-(* Recursive-descent parser with one-token backtracking points. Grammar
-   (see DESIGN.md §14):
+(* Recursive-descent parser with one-token backtracking points, built on
+   Ppd.Parser's lexer and its term and datalog-atom rules. Grammar (see
+   DESIGN.md §14):
 
      query   ::= prefix* header? body '.'? EOF
      prefix  ::= 'count' | 'prob' | 'possibly' | 'certainly'
@@ -7,54 +8,38 @@
                | 'top' '(' INT ')'          (* task, not the rank atom *)
                | 'using' IDENT              (* Hardq.Solver.of_string *)
      agg     ::= 'key' INT | IDENT '.' IDENT
-     header  ::= IDENT '(' [IDENT (',' IDENT)*] ')' ':-'
+     header  ::= IDENT '(' [var (',' var)*] ')' ':-'   (* Ppd.Parser.header *)
      body    ::= conj ('or' conj)*
      conj    ::= atom ((',' | 'and') atom)*
      atom    ::= 'prefers' '(' term ',' term ')'
                | 'rank' '(' term ')' OP INT
                | 'top' '(' INT ',' term ')'
-               | IDENT '(' terms (';' terms)* ')'   (* Rel / Pref *)
-               | term OP term
-     term    ::= IDENT | '_' | INT | STRING
+               | datalog-atom                       (* Ppd.Parser.atom *)
+
+   Words are reserved only where this grammar reads them: the prefixes
+   before the header, the sugar heads 'prefers(', 'rank(' and 'top(',
+   and 'and'/'or' between atoms. Inside terms they are variables.
 
    Errors carry the offset of the offending lexeme, rendered by
-   [Ast.error_to_string] as "<msg> at offset <pos>" — the same shape as
-   [Ppd.Parser]'s messages. *)
+   [Ast.error_to_string] as "<msg> at offset <pos>". *)
 
-exception Fail of Ast.error
-
-let fail pos fmt = Printf.ksprintf (fun msg -> raise (Fail { Ast.pos; msg })) fmt
-
-type state = { toks : Lexer.lexeme array; mutable i : int }
-
-let peek st = st.toks.(min st.i (Array.length st.toks - 1))
-
-(* one-token lookahead, clamped at Eof *)
-let peek2 st = st.toks.(min (st.i + 1) (Array.length st.toks - 1))
-let advance st = st.i <- st.i + 1
-
-let expect st tok what =
-  let l = peek st in
-  if l.Lexer.tok = tok then advance st
-  else fail l.Lexer.pos "expected %s, found %s" what (Lexer.token_to_string l.Lexer.tok)
+open Ppd.Parser
 
 let expect_int st what =
   let l = peek st in
-  match l.Lexer.tok with
-  | Lexer.Int k ->
+  match l.tok with
+  | Int k ->
       advance st;
       k
-  | t -> fail l.Lexer.pos "expected %s, found %s" what (Lexer.token_to_string t)
+  | t -> fail l.pos "expected %s, found %s" what (token_to_string t)
 
 let expect_ident st what =
   let l = peek st in
-  match l.Lexer.tok with
-  | Lexer.Ident s ->
+  match l.tok with
+  | Ident s ->
       advance st;
       s
-  | t -> fail l.Lexer.pos "expected %s, found %s" what (Lexer.token_to_string t)
-
-let is_keyword s = List.mem s Ast.keywords
+  | t -> fail l.pos "expected %s, found %s" what (token_to_string t)
 
 let rank_op_of_value_op = function
   | Ppd.Value.Le -> Prefs.Rank_pred.Le
@@ -64,152 +49,85 @@ let rank_op_of_value_op = function
   | Ppd.Value.Eq -> Prefs.Rank_pred.Eq
   | Ppd.Value.Neq -> Prefs.Rank_pred.Neq
 
-let term st =
-  let l = peek st in
-  match l.Lexer.tok with
-  | Lexer.Ident s when not (is_keyword s) ->
-      advance st;
-      Ppd.Query.Var s
-  | Lexer.Underscore ->
-      advance st;
-      Ppd.Query.Wildcard
-  | Lexer.Int k ->
-      advance st;
-      Ppd.Query.Const (Ppd.Value.Int k)
-  | Lexer.Str s ->
-      advance st;
-      Ppd.Query.Const (Ppd.Value.Str s)
-  | t -> fail l.Lexer.pos "expected a term, found %s" (Lexer.token_to_string t)
-
-let terms st =
-  let first = term st in
-  let rec more acc =
-    if (peek st).Lexer.tok = Lexer.Comma then begin
-      advance st;
-      more (term st :: acc)
-    end
-    else List.rev acc
-  in
-  more [ first ]
-
 (* prefers(a, b) *)
 let prefers_atom st =
-  expect st Lexer.Lparen "'(' after prefers";
+  expect st Lparen "'(' after prefers";
   let left = term st in
-  expect st Lexer.Comma "',' between the items of prefers";
+  expect st Comma "',' between the items of prefers";
   let right = term st in
-  expect st Lexer.Rparen "')' closing prefers";
+  expect st Rparen "')' closing prefers";
   Ast.Prefers { left; right }
 
 (* rank(x) <= k *)
 let rank_atom st =
-  expect st Lexer.Lparen "'(' after rank";
+  expect st Lparen "'(' after rank";
   let item = term st in
-  expect st Lexer.Rparen "')' closing rank";
+  expect st Rparen "')' closing rank";
   let l = peek st in
-  match l.Lexer.tok with
-  | Lexer.Op op ->
+  match l.tok with
+  | Op op ->
       advance st;
       let k = expect_int st "an integer rank bound" in
       Ast.Rank { item; op = rank_op_of_value_op op; k }
-  | t ->
-      fail l.Lexer.pos "expected a comparison after rank(...), found %s"
-        (Lexer.token_to_string t)
+  | t -> fail l.pos "expected a comparison after rank(...), found %s" (token_to_string t)
 
 (* top(k, x) — the atom form; top(k) alone is a task prefix. *)
 let top_atom st =
-  expect st Lexer.Lparen "'(' after top";
+  expect st Lparen "'(' after top";
   let k = expect_int st "an integer rank bound" in
-  expect st Lexer.Comma "',' between bound and item in top";
+  expect st Comma "',' between bound and item in top";
   let item = term st in
-  expect st Lexer.Rparen "')' closing top";
+  expect st Rparen "')' closing top";
   Ast.Top { k; item }
 
-(* NAME(terms) or NAME(session; left; right) *)
-let rel_or_pref_atom st rel pos =
-  expect st Lexer.Lparen "'('";
-  let first = terms st in
-  let rec groups acc =
-    if (peek st).Lexer.tok = Lexer.Semi then begin
-      advance st;
-      groups (terms st :: acc)
-    end
-    else List.rev acc
-  in
-  let gs = groups [ first ] in
-  expect st Lexer.Rparen "')'";
-  match gs with
-  | [ ts ] -> Ast.Rel { rel; terms = ts }
-  | [ session; [ left ]; [ right ] ] -> Ast.Pref { rel; session; left; right }
-  | [ _; _; _ ] ->
-      fail pos "preference atom %s(...): item groups must be single terms" rel
-  | gs -> fail pos "atom %s(...): %d ';'-groups (want 1 or 3)" rel (List.length gs)
-
 let atom st =
-  let l = peek st in
-  match l.Lexer.tok with
-  | Lexer.Ident "prefers" when (peek2 st).Lexer.tok = Lexer.Lparen ->
+  let sugar = (peek2 st).tok = Lparen in
+  match (peek st).tok with
+  | Ident "prefers" when sugar ->
       advance st;
       prefers_atom st
-  | Lexer.Ident "rank" when (peek2 st).Lexer.tok = Lexer.Lparen ->
+  | Ident "rank" when sugar ->
       advance st;
       rank_atom st
-  | Lexer.Ident "top" when (peek2 st).Lexer.tok = Lexer.Lparen ->
+  | Ident "top" when sugar ->
       advance st;
       top_atom st
-  | Lexer.Ident rel
-    when (not (is_keyword rel)) && (peek2 st).Lexer.tok = Lexer.Lparen ->
-      advance st;
-      rel_or_pref_atom st rel l.Lexer.pos
-  | _ -> (
-      let lhs = term st in
-      let l = peek st in
-      match l.Lexer.tok with
-      | Lexer.Op op ->
-          advance st;
-          let rhs = term st in
-          Ast.Cmp { lhs; op; rhs }
-      | t ->
-          fail l.Lexer.pos "expected a comparison operator, found %s"
-            (Lexer.token_to_string t))
+  | _ -> Ast.Datalog (Ppd.Parser.atom st)
 
 let conj st =
-  let first = atom st in
   let rec more acc =
-    match (peek st).Lexer.tok with
-    | Lexer.Comma | Lexer.Ident "and" ->
+    match (peek st).tok with
+    | Comma | Ident "and" ->
         advance st;
         more (atom st :: acc)
     | _ -> List.rev acc
   in
-  more [ first ]
+  more [ atom st ]
 
 let body st =
-  let first = conj st in
   let rec more acc =
-    if (peek st).Lexer.tok = Lexer.Ident "or" then begin
+    if (peek st).tok = Ident "or" then begin
       advance st;
       more (conj st :: acc)
     end
     else List.rev acc
   in
-  more [ first ]
+  more [ conj st ]
 
 let agg st =
   let l = peek st in
-  match l.Lexer.tok with
-  | Lexer.Ident "key" ->
+  match l.tok with
+  | Ident "key" ->
       advance st;
       Ast.Key_index (expect_int st "a session-key index after 'key'")
-  | Lexer.Ident relation when not (is_keyword relation) ->
+  | Ident relation ->
       advance st;
-      expect st Lexer.Dot "'.' between relation and attribute";
+      expect st Dot "'.' between relation and attribute";
       let attr = expect_ident st "an attribute name" in
       Ast.Joined { relation; attr }
   | t ->
-      fail l.Lexer.pos
-        "expected 'key <index>' or '<relation>.<attribute>', found %s"
-        (Lexer.token_to_string t)
+      fail l.pos "expected 'key <index>' or '<relation>.<attribute>', found %s"
+        (token_to_string t)
 
 (* Task / modal / using prefixes, any order, at most one of each.
    'top' is ambiguous with the rank-atom sugar: 'top(k)' here, but
@@ -223,31 +141,31 @@ let prefixes st =
   in
   let rec loop () =
     let l = peek st in
-    match l.Lexer.tok with
-    | Lexer.Ident "count" ->
+    match l.tok with
+    | Ident "count" ->
         advance st;
-        set "task" task Ast.Count l.Lexer.pos;
+        set "task" task Ast.Count l.pos;
         loop ()
-    | Lexer.Ident "prob" ->
+    | Ident "prob" ->
         advance st;
-        set "task" task Ast.Prob l.Lexer.pos;
+        set "task" task Ast.Prob l.pos;
         loop ()
-    | Lexer.Ident (("sum" | "avg") as which) ->
+    | Ident (("sum" | "avg") as which) ->
         advance st;
-        expect st Lexer.Lparen "'(' after the aggregate";
+        expect st Lparen "'(' after the aggregate";
         let a = agg st in
-        expect st Lexer.Rparen "')' closing the aggregate";
-        set "task" task (if which = "sum" then Ast.Sum a else Ast.Avg a) l.Lexer.pos;
+        expect st Rparen "')' closing the aggregate";
+        set "task" task (if which = "sum" then Ast.Sum a else Ast.Avg a) l.pos;
         loop ()
-    | Lexer.Ident "top" -> (
+    | Ident "top" -> (
         let save = st.i in
         advance st;
         match
-          if (peek st).Lexer.tok <> Lexer.Lparen then None
+          if (peek st).tok <> Lparen then None
           else begin
             advance st;
-            match ((peek st).Lexer.tok, (peek2 st).Lexer.tok) with
-            | Lexer.Int k, Lexer.Rparen ->
+            match ((peek st).tok, (peek2 st).tok) with
+            | Int k, Rparen ->
                 advance st;
                 advance st;
                 Some k
@@ -255,95 +173,57 @@ let prefixes st =
           end
         with
         | Some k ->
-            if k < 1 then fail l.Lexer.pos "top(%d): the session count must be >= 1" k;
-            set "task" task (Ast.Top_sessions k) l.Lexer.pos;
+            if k < 1 then fail l.pos "top(%d): the session count must be >= 1" k;
+            set "task" task (Ast.Top_sessions k) l.pos;
             loop ()
         | None ->
             (* 'top(k, x)' — the rank atom; rewind and let the body have it *)
             st.i <- save)
-    | Lexer.Ident "possibly" ->
+    | Ident "possibly" ->
         advance st;
-        set "modal" modal Ast.Possibly l.Lexer.pos;
+        set "modal" modal Ast.Possibly l.pos;
         loop ()
-    | Lexer.Ident "certainly" ->
+    | Ident "certainly" ->
         advance st;
-        set "modal" modal Ast.Certainly l.Lexer.pos;
+        set "modal" modal Ast.Certainly l.pos;
         loop ()
-    | Lexer.Ident "using" -> (
+    | Ident "using" -> (
         advance st;
         let l = peek st in
         let name = expect_ident st "a solver name after 'using'" in
         match Hardq.Solver.of_string name with
         | Ok s ->
-            set "using" using s l.Lexer.pos;
+            set "using" using s l.pos;
             loop ()
-        | Error msg -> fail l.Lexer.pos "%s" msg)
+        | Error msg -> fail l.pos "%s" msg)
     | _ -> ()
   in
   loop ();
   (Option.value !task ~default:Ast.Prob, !modal, !using)
 
-(* NAME(vars) :- , or nothing (defaults to Q() :- when absent). *)
-let header st =
-  let save = st.i in
-  match (peek st).Lexer.tok with
-  | Lexer.Ident name
-    when (not (is_keyword name)) && (peek2 st).Lexer.tok = Lexer.Lparen -> (
-      advance st;
-      advance st;
-      let vars =
-        if (peek st).Lexer.tok = Lexer.Rparen then []
-        else
-          let rec more acc =
-            match (peek st).Lexer.tok with
-            | Lexer.Ident v when not (is_keyword v) ->
-                advance st;
-                if (peek st).Lexer.tok = Lexer.Comma then begin
-                  advance st;
-                  more (v :: acc)
-                end
-                else List.rev (v :: acc)
-            | _ -> raise Exit
-          in
-          try more [] with Exit -> [ "\x00" ] (* sentinel: not a header *)
-      in
-      if
-        vars <> [ "\x00" ]
-        && (peek st).Lexer.tok = Lexer.Rparen
-        && (peek2 st).Lexer.tok = Lexer.Turnstile
-      then begin
-        advance st;
-        advance st;
-        Some (name, vars)
-      end
-      else begin
-        st.i <- save;
-        None
-      end)
-  | _ -> None
-
-let parse_state st =
-  let task, modal, using = prefixes st in
-  let name, head =
-    match header st with Some (n, h) -> (n, h) | None -> ("Q", [])
+(* The header is optional (Q() :- when absent). The body never holds
+   ':-', so IDENT '(' (IDENT | ',')* ')' ':-' ahead means a header, and
+   Ppd.Parser.header then reads it with the datalog rules. *)
+let has_header st =
+  let tok j = st.toks.(min j (Array.length st.toks - 1)).tok in
+  let rec vars j =
+    match tok j with
+    | Ident _ | Comma -> vars (j + 1)
+    | Rparen -> tok (j + 1) = Turnstile
+    | _ -> false
   in
-  let body = body st in
-  if (peek st).Lexer.tok = Lexer.Dot then advance st;
-  let l = peek st in
-  if l.Lexer.tok <> Lexer.Eof then
-    fail l.Lexer.pos "trailing input: %s" (Lexer.token_to_string l.Lexer.tok);
-  { Ast.name; head; task; modal; using; body }
-
-let parse src =
-  match Lexer.tokens src with
-  | Error e -> Error e
-  | Ok toks -> (
-      let st = { toks = Array.of_list toks; i = 0 } in
-      try Ok (parse_state st) with Fail e -> Error e)
-
-exception Parse_error of string
+  match (tok st.i, tok (st.i + 1)) with
+  | Ident _, Lparen -> vars (st.i + 2)
+  | _ -> false
 
 let parse_exn src =
-  match parse src with
-  | Ok ast -> ast
-  | Error e -> raise (Parse_error (Ast.error_to_string e))
+  let st = start src in
+  let task, modal, using = prefixes st in
+  let name, head = if has_header st then header st else ("Q", []) in
+  let body = body st in
+  if (peek st).tok = Dot then advance st;
+  let l = peek st in
+  if l.tok <> Eof then fail l.pos "trailing input: %s" (token_to_string l.tok);
+  { Ast.name; head; task; modal; using; body }
+
+let parse src = match parse_exn src with ast -> Ok ast | exception Parse_error e -> Error e

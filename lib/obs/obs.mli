@@ -14,12 +14,13 @@
 
     {b Overhead contract.} Everything is disabled by default. When
     disabled, every recording entry point ({!Counter.add},
-    {!Histogram.observe}, {!with_span}) is a single atomic load and a
-    predictable branch — near-zero cost, verified by the engine-scaling
-    microbenchmark staying within noise of the uninstrumented baseline.
-    Instrumented hot loops accumulate into plain local ints and flush once
-    per solver call, so even the {e enabled} overhead is a handful of
-    atomic adds per inference. *)
+    {!Histogram.observe}, {!with_span}) is one atomic load and a branch.
+    No check measures that path. [Server.start] always calls {!enable},
+    so every request a server answers records its metrics; the CLI
+    enables recording only under [--metrics-json]. Instrumented hot loops
+    accumulate into plain local ints and flush once per solver call, so
+    even the {e enabled} overhead is a handful of atomic adds per
+    inference. *)
 
 (** {1 Switches} *)
 

@@ -83,10 +83,7 @@ let desugar_disjunct db (ast : Lang.Ast.t) conj =
           atoms :=
             Ppd.Query.Pref { rel = Ppd.Database.p_name p; session; left; right }
             :: !atoms
-      | Lang.Ast.Pref { rel; session; left; right } ->
-          atoms := Ppd.Query.Pref { rel; session; left; right } :: !atoms
-      | Lang.Ast.Rel { rel; terms } -> atoms := Ppd.Query.Rel { rel; terms } :: !atoms
-      | Lang.Ast.Cmp { lhs; op; rhs } -> atoms := Ppd.Query.Cmp { lhs; op; rhs } :: !atoms
+      | Lang.Ast.Datalog a -> atoms := a :: !atoms
       | Lang.Ast.Rank { item; op; k } -> ranks := rank_pred db ~item ~op ~k :: !ranks
       | Lang.Ast.Top { k; item } ->
           ranks := rank_pred db ~item ~op:Prefs.Rank_pred.Le ~k :: !ranks)

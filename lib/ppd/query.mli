@@ -42,6 +42,12 @@ val item_terms : t -> term list
 (** Distinct terms appearing as a preference-atom endpoint, in first-use
     order. *)
 
+val term_to_string : term -> string
+(** A term in {!Parser}'s concrete syntax; string constants are quoted. *)
+
+val atom_to_string : atom -> string
+(** An atom in {!Parser}'s concrete syntax, as {!to_string} writes it. *)
+
 val to_string : t -> string
 (** The query in {!Parser}'s concrete syntax. String constants are always
     quoted, so [Parser.parse (to_string q)] reproduces [q] exactly — the

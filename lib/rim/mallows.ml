@@ -68,7 +68,5 @@ let recenter t center =
   if Prefs.Ranking.length center <> m t then invalid_arg "Mallows.recenter: wrong length";
   { center; phi = t.phi; rim = None }
 
-let equal_params t1 t2 = Prefs.Ranking.equal t1.center t2.center && t1.phi = t2.phi
-
 let pp ppf t =
   Format.fprintf ppf "MAL(%a, %.3g)" Prefs.Ranking.pp t.center t.phi

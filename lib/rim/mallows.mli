@@ -30,5 +30,4 @@ val expected_distance : m:int -> phi:float -> float
 val recenter : t -> Prefs.Ranking.t -> t
 (** Same dispersion, new center. *)
 
-val equal_params : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -37,7 +37,7 @@ val address_to_string : address -> string
 
 type error_code =
   | Bad_request  (** malformed JSON or missing/ill-typed fields *)
-  | Query_parse_error  (** query text rejected by [Ppd.Parser] *)
+  | Query_parse_error  (** ["query"] or ["q"] text that does not parse *)
   | Unknown_dataset
   | Unknown_solver
   | Unsupported  (** query outside the supported fragment, or grounding too large *)

@@ -25,6 +25,24 @@ let random_mallows ?phi r m =
   let phi = match phi with Some p -> p | None -> Util.Rng.float r 1. in
   Rim.Mallows.make ~center:(Prefs.Ranking.of_array (Util.Rng.permutation r m)) ~phi
 
+(* A random RIM(σ, Π) over items 0..m-1 with an arbitrary distribution
+   in every insertion row: more general than Mallows or one-φ-per-step
+   generalized Mallows. About one row in four is a point mass, so rigid
+   insertions and zero-probability rankings occur too. *)
+let random_rim r m =
+  let row i =
+    if Util.Rng.int r 4 = 0 then
+      let j0 = Util.Rng.int r (i + 1) in
+      Array.init (i + 1) (fun j -> if j = j0 then 1. else 0.)
+    else
+      let w = Array.init (i + 1) (fun _ -> 0.05 +. Util.Rng.float r 1.) in
+      let sum = Array.fold_left ( +. ) 0. w in
+      Array.map (fun x -> x /. sum) w
+  in
+  Rim.Model.make
+    ~sigma:(Prefs.Ranking.of_array (Util.Rng.permutation r m))
+    ~pi:(Array.init m row)
+
 (* A random labeling of m items with n_labels labels; each item gets each
    label independently with probability p. *)
 let random_labeling ?(p = 0.4) r ~m ~n_labels =

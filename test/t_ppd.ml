@@ -503,69 +503,6 @@ let prop_aggregate_linearity =
                  avg.Ppd.Aggregate.value expected);
           true)
 
-let unit_csv_roundtrip () =
-  let rel =
-    Ppd.Relation.make ~name:"C" ~attrs:[ "id"; "label"; "n" ]
-      [
-        [ v "a"; v "x,with comma"; vi 1 ];
-        [ v "b"; v "quote \" inside"; vi 2 ];
-        [ v "c"; v "plain"; vi (-3) ];
-      ]
-  in
-  let text = Ppd.Csv_io.csv_of_relation rel in
-  let rel' = Ppd.Csv_io.relation_of_csv ~name:"C" text in
-  Alcotest.(check int) "tuples preserved" 3 (Ppd.Relation.cardinality rel');
-  List.iter2
-    (fun a b ->
-      Alcotest.(check bool) "tuple equal" true (Array.for_all2 Ppd.Value.equal a b))
-    (Ppd.Relation.tuples rel) (Ppd.Relation.tuples rel')
-
-let unit_csv_database () =
-  let items_csv = "id,wing\nc0,prog\nc1,cons\nc2,cons\n" in
-  let prefs_csv = "voter,phi,center\nann,0.3,c0;c1;c2\nbob,0.7,c2;c1;c0\n" in
-  let db =
-    Ppd.Csv_io.database_of_csv ~items:items_csv ~items_name:"C"
-      ~preferences:[ ("P", prefs_csv) ] ()
-  in
-  Alcotest.(check int) "3 items" 3 (Ppd.Database.m db);
-  let p = Ppd.Database.find_p_relation db "P" in
-  Alcotest.(check int) "2 sessions" 2 (Array.length (Ppd.Database.sessions p));
-  let s0 = (Ppd.Database.sessions p).(0) in
-  Helpers.check_close "phi parsed" 0.3 (Rim.Mallows.phi s0.Ppd.Database.model);
-  Alcotest.(check (list int)) "center resolved" [ 0; 1; 2 ]
-    (Prefs.Ranking.to_list (Rim.Mallows.center s0.Ppd.Database.model));
-  (* Round-trip the p-relation. *)
-  let text = Ppd.Csv_io.csv_of_p_relation ~items:(Ppd.Database.items db) p in
-  let p' = Ppd.Csv_io.p_relation_of_csv ~name:"P" ~items:(Ppd.Database.items db) text in
-  Alcotest.(check int) "roundtrip sessions" 2 (Array.length (Ppd.Database.sessions p'));
-  (* And the whole database answers queries. *)
-  let q = Ppd.Parser.parse "Q() :- P(_; x; y), C(x, \"prog\"), C(y, \"cons\")." in
-  let pr = Ppd.Solve.boolean_prob db q (Helpers.rng 25) in
-  Alcotest.(check bool) "probability in (0,1]" true (pr > 0. && pr <= 1.)
-
-let unit_csv_malformed () =
-  let bad s msg =
-    match Ppd.Csv_io.relation_of_csv ~name:"R" s with
-    | _ -> Alcotest.failf "expected Malformed for %s" msg
-    | exception Ppd.Csv_io.Malformed _ -> ()
-  in
-  bad "" "empty csv";
-  bad "a,b\n1\n" "arity mismatch";
-  (match Ppd.Csv_io.parse_csv "a,\"unterminated\n" with
-  | _ -> Alcotest.fail "expected Malformed for unterminated quote"
-  | exception Ppd.Csv_io.Malformed _ -> ());
-  let items = Ppd.Csv_io.relation_of_csv ~name:"C" "id\na\nb\n" in
-  let badp s msg =
-    match Ppd.Csv_io.p_relation_of_csv ~name:"P" ~items s with
-    | _ -> Alcotest.failf "expected Malformed for %s" msg
-    | exception Ppd.Csv_io.Malformed _ -> ()
-  in
-  badp "k,phi\nx,0.5\n" "missing center column";
-  badp "k,phi,center\nx,1.5,a;b\n" "phi out of range";
-  badp "k,phi,center\nx,0.5,a\n" "incomplete center";
-  badp "k,phi,center\nx,0.5,a;zz\n" "unknown item";
-  badp "k,phi,center\nx,0.5,a;a\n" "duplicate item"
-
 let suites =
   [
     ( "ppd.parser",
@@ -606,11 +543,5 @@ let suites =
       [
         tc "avg/sum/count over sessions" `Quick unit_aggregate_avg_age;
         prop_aggregate_linearity;
-      ] );
-    ( "ppd.csv",
-      [
-        tc "relation roundtrip with quoting" `Quick unit_csv_roundtrip;
-        tc "database from CSV" `Quick unit_csv_database;
-        tc "malformed inputs rejected" `Quick unit_csv_malformed;
       ] );
   ]

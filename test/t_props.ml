@@ -1,6 +1,6 @@
 (* Cross-cutting property tests: randomized end-to-end fuzzing of the
    query engine against the possible-world oracle, and properties of the
-   newer components (Gmallows, CSV, upper bounds). *)
+   newer components (arbitrary-Π RIM models, upper bounds). *)
 
 let v = Ppd.Value.str
 let vi = Ppd.Value.int
@@ -91,48 +91,23 @@ let fuzz_solver_agreement =
       in
       abs_float (a -. b) < 1e-9)
 
-let prop_gmallows_solvers =
-  Helpers.qtest ~count:50 "exact solvers agree with brute force on generalized Mallows"
+let prop_rim_solvers =
+  Helpers.qtest ~count:50 "exact solvers agree with brute force on random-Pi RIM models"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let r = Helpers.rng seed in
       let m = 5 in
-      let center = Prefs.Ranking.of_array (Util.Rng.permutation r m) in
-      let phis = Array.init m (fun _ -> Util.Rng.float r 1.) in
-      let model = Rim.Gmallows.to_rim (Rim.Gmallows.make ~center ~phis) in
+      let model = Helpers.random_rim r m in
       let lab = Helpers.random_labeling r ~m ~n_labels:3 in
-      let gu =
-        Helpers.random_union
-          (Helpers.random_bipartite_pattern ~n_labels:3 ~n_left:1 ~n_right:2)
-          r ~z:2
-      in
-      let a = Hardq.Bipartite.prob model lab gu in
-      let b = Hardq.Brute.prob model lab gu in
-      abs_float (a -. b) < 1e-9)
-
-let prop_csv_roundtrip =
-  Helpers.qtest ~count:100 "CSV relation round-trip on adversarial strings"
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let r = Helpers.rng seed in
-      let alphabet = [| "a"; ","; "\""; "\n"; "x,y"; "\"\""; " "; "7" |] in
-      let cell () =
-        let len = Util.Rng.int r 4 in
-        let s = String.concat "" (List.init len (fun _ -> Util.Rng.pick r alphabet)) in
-        (* The CSV format is untyped: digit-only strings would round-trip as
-           ints (documented), so keep string cells visibly non-numeric. *)
-        if int_of_string_opt s <> None then s ^ "x" else s
-      in
-      let n_rows = 1 + Util.Rng.int r 4 in
-      let rel =
-        Ppd.Relation.make ~name:"R" ~attrs:[ "k"; "a"; "b" ]
-          (List.init n_rows (fun i ->
-               [ v (Printf.sprintf "k%d" i); v (cell ()); vi (Util.Rng.int r 100) ]))
-      in
-      let rel' = Ppd.Csv_io.relation_of_csv ~name:"R" (Ppd.Csv_io.csv_of_relation rel) in
-      List.for_all2
-        (fun a b -> Array.for_all2 Ppd.Value.equal a b)
-        (Ppd.Relation.tuples rel) (Ppd.Relation.tuples rel'))
+      let agrees solver gu = abs_float (solver model lab gu -. Hardq.Brute.prob model lab gu) < 1e-9 in
+      agrees Hardq.Two_label.prob
+        (Helpers.random_union
+           (fun r -> Helpers.random_two_label_pattern r ~n_labels:3)
+           r ~z:2)
+      && agrees Hardq.Bipartite.prob
+           (Helpers.random_union
+              (Helpers.random_bipartite_pattern ~n_labels:3 ~n_left:1 ~n_right:2)
+              r ~z:2))
 
 let prop_upper_bound_monotone_in_k =
   Helpers.qtest ~count:60 "k-edge upper bounds tighten as k grows"
@@ -181,8 +156,7 @@ let suites =
       [ fuzz_engine_vs_worlds; fuzz_solver_agreement ] );
     ( "props.components",
       [
-        prop_gmallows_solvers;
-        prop_csv_roundtrip;
+        prop_rim_solvers;
         prop_upper_bound_monotone_in_k;
         prop_aggregate_bounds;
       ] );

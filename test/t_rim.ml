@@ -168,16 +168,6 @@ let unit_amp_matches_empirical () =
         in
         Helpers.check_rel ~tol:0.12 "AMP frequency" expected got)
 
-let unit_mixture_normalizes () =
-  let c1 = Rim.Mallows.make ~center:(Prefs.Ranking.identity 4) ~phi:0.3 in
-  let c2 = Rim.Mallows.make ~center:(Prefs.Ranking.of_list [ 3; 2; 1; 0 ]) ~phi:0.6 in
-  let mix = Rim.Mixture.make [ (2., c1); (1., c2) ] in
-  let total = ref 0. in
-  Prefs.Ranking.all 4 (fun t -> total := !total +. Rim.Mixture.prob mix t);
-  Helpers.check_close ~eps:1e-9 "mixture sums to 1" 1. !total;
-  let w = List.map fst (Rim.Mixture.components mix) in
-  Helpers.check_close "weights normalized" 1. (List.fold_left ( +. ) 0. w)
-
 let unit_expected_distance_monotone () =
   let m = 8 in
   let prev = ref (-1.) in
@@ -191,34 +181,6 @@ let unit_expected_distance_monotone () =
   Helpers.check_close ~eps:1e-9 "uniform mean distance"
     (float_of_int (m * (m - 1)) /. 4.)
     (Rim.Mallows.expected_distance ~m ~phi:1.)
-
-let unit_learn_single () =
-  let r = Helpers.rng 23 in
-  let center = Prefs.Ranking.of_array (Util.Rng.permutation r 8) in
-  let mal = Rim.Mallows.make ~center ~phi:0.3 in
-  let sample = List.init 400 (fun _ -> Rim.Mallows.sample mal r) in
-  let fitted = Rim.Learn.fit sample in
-  if not (Prefs.Ranking.equal (Rim.Mallows.center fitted) center) then
-    Alcotest.failf "center not recovered: %a vs %a" Prefs.Ranking.pp
-      (Rim.Mallows.center fitted) Prefs.Ranking.pp center;
-  Helpers.check_rel ~tol:0.25 "phi recovered" 0.3 (Rim.Mallows.phi fitted)
-
-let unit_learn_mixture_separated () =
-  let r = Helpers.rng 29 in
-  let c1 = Prefs.Ranking.identity 6 in
-  let c2 = Prefs.Ranking.reverse c1 in
-  let m1 = Rim.Mallows.make ~center:c1 ~phi:0.2 in
-  let m2 = Rim.Mallows.make ~center:c2 ~phi:0.2 in
-  let sample =
-    List.init 300 (fun i -> if i mod 2 = 0 then Rim.Mallows.sample m1 r else Rim.Mallows.sample m2 r)
-  in
-  let report = Rim.Learn.fit_mixture ~k:2 ~rng:r sample in
-  let centers =
-    List.map (fun (_, c) -> Rim.Mallows.center c) (Rim.Mixture.components report.Rim.Learn.mixture)
-  in
-  let found c = List.exists (fun c' -> Prefs.Ranking.kendall_tau c c' <= 2) centers in
-  Alcotest.(check bool) "center 1 recovered (within 2 swaps)" true (found c1);
-  Alcotest.(check bool) "center 2 recovered (within 2 swaps)" true (found c2)
 
 let suites =
   [
@@ -243,12 +205,5 @@ let suites =
         tc "samples respect condition" `Quick unit_amp_consistency;
         tc "density normalizes on support" `Quick unit_amp_density_normalizes;
         tc "density matches empirical frequency" `Slow unit_amp_matches_empirical;
-      ] );
-    ( "rim.mixture",
-      [ tc "normalization" `Quick unit_mixture_normalizes ] );
-    ( "rim.learn",
-      [
-        tc "single Mallows recovery" `Slow unit_learn_single;
-        tc "separated mixture recovery" `Slow unit_learn_mixture_separated;
       ] );
   ]

@@ -902,6 +902,38 @@ let unit_server_unsupported_query_is_typed () =
   | Ok _ -> Alcotest.fail "the next request on the connection must be answered"
   | Error msg -> Alcotest.failf "transport error: %s" msg
 
+(* The paper's Q2 with bare constants: "query" and "q" read terms with
+   the same rules, so both members mean the same query and the expected
+   session counts are the same bytes. *)
+let unit_server_query_and_q_agree () =
+  let address = Protocol.Local (temp_socket ()) in
+  let config =
+    { (Server.default_config address) with Server.preload = [ fast_spec ] }
+  in
+  with_server config @@ fun server ->
+  let client = Server.Client.connect ~retries:40 (Server.address server) in
+  Fun.protect ~finally:(fun () -> Server.Client.close client) @@ fun () ->
+  let text = "Q() :- P(_, _; x; y), C(x, D, _, _, e, _), C(y, R, _, _, e, _)." in
+  let request =
+    drop_field "query"
+      (Protocol.request_to_json
+         {
+           Protocol.id = None;
+           op =
+             Protocol.Eval
+               (Protocol.eval ~task:Engine.Request.Count fast_spec sample_query);
+         })
+  in
+  let answer member =
+    match Server.Client.rpc_json client (with_field member (Json.String text) request) with
+    | Ok reply -> (
+        match Json.member "answer" reply with
+        | Some a -> Json.to_string a
+        | None -> Alcotest.failf "%s: no answer in %s" member (Json.to_string reply))
+    | Error msg -> Alcotest.failf "%s: transport error: %s" member msg
+  in
+  Alcotest.(check string) "same answer bytes" (answer "query") (answer "q")
+
 let unit_server_drain_completes_inflight () =
   let address = Protocol.Local (temp_socket ()) in
   let config =
@@ -1833,6 +1865,8 @@ let suites =
           unit_server_state_cap_is_budget;
         tc "unsupported query comes back typed; connection survives" `Quick
           unit_server_unsupported_query_is_typed;
+        tc "bare-constant Q2: \"query\" and \"q\" answer the same bytes" `Quick
+          unit_server_query_and_q_agree;
         tc "drain answers in-flight requests, then refuses" `Quick
           unit_server_drain_completes_inflight;
         tc "gather window batches a burst; single-flight solves once" `Quick

@@ -1,6 +1,5 @@
 (* Possible-world semantics: the direct Monte-Carlo oracle for the whole
-   query-evaluation pipeline, plus the Gmallows and pairwise-learning
-   additions. *)
+   query-evaluation pipeline. *)
 
 let tc = Alcotest.test_case
 
@@ -83,81 +82,6 @@ let unit_world_rejects_heads () =
     (Invalid_argument "World.holds: query has head variables") (fun () ->
       ignore (Ppd.World.holds db w q))
 
-let unit_gmallows_reduces_to_mallows () =
-  let r = Helpers.rng 5 in
-  let m = 5 in
-  let center = Prefs.Ranking.of_array (Util.Rng.permutation r m) in
-  let gm = Rim.Gmallows.uniform_phi ~center ~phi:0.4 in
-  let mal = Rim.Mallows.make ~center ~phi:0.4 in
-  Prefs.Ranking.all m (fun tau ->
-      Helpers.check_close ~eps:1e-12 "gmallows = mallows at uniform phis"
-        (Rim.Mallows.prob mal tau) (Rim.Gmallows.prob gm tau))
-
-let unit_gmallows_normalizes_and_shapes () =
-  let center = Prefs.Ranking.identity 5 in
-  (* phi = 0 early, 1 late: top of the ranking rigid, bottom uniform. *)
-  let gm = Rim.Gmallows.make ~center ~phis:[| 0.; 0.; 0.; 1.; 1. |] in
-  let total = ref 0. in
-  Prefs.Ranking.all 5 (fun tau -> total := !total +. Rim.Gmallows.prob gm tau);
-  Helpers.check_close ~eps:1e-9 "sums to 1" 1. !total;
-  (* Items 0,1,2 keep their relative order surely; 3,4 may swap. *)
-  let r = Helpers.rng 6 in
-  for _ = 1 to 200 do
-    let tau = Rim.Gmallows.sample gm r in
-    if not (Prefs.Ranking.prefers tau 0 1 && Prefs.Ranking.prefers tau 1 2) then
-      Alcotest.fail "rigid prefix violated"
-  done;
-  (* And solvers accept the RIM form. *)
-  let lab = Prefs.Labeling.make [| [ 0 ]; []; []; []; [ 1 ] |] in
-  let gu =
-    Prefs.Pattern_union.singleton (Prefs.Pattern.two_label ~left:[ 1 ] ~right:[ 0 ])
-  in
-  let p_exact = Hardq.Two_label.prob (Rim.Gmallows.to_rim gm) lab gu in
-  let p_brute = Hardq.Brute.prob (Rim.Gmallows.to_rim gm) lab gu in
-  Helpers.check_close ~eps:1e-9 "solvers work on generalized Mallows" p_brute p_exact
-
-let unit_gmallows_invalid () =
-  Alcotest.check_raises "wrong phi count"
-    (Invalid_argument "Gmallows.make: need one phi per item") (fun () ->
-      ignore (Rim.Gmallows.make ~center:(Prefs.Ranking.identity 3) ~phis:[| 0.5 |]));
-  Alcotest.check_raises "phi out of range"
-    (Invalid_argument "Gmallows.make: phi out of [0,1]") (fun () ->
-      ignore
-        (Rim.Gmallows.make ~center:(Prefs.Ranking.identity 2) ~phis:[| 0.5; 1.5 |]))
-
-let unit_pairwise_learning_recovers_center () =
-  let r = Helpers.rng 7 in
-  let m = 7 in
-  let truth = Rim.Mallows.make ~center:(Prefs.Ranking.of_array (Util.Rng.permutation r m)) ~phi:0.2 in
-  (* Each judge reveals 6 random pairs of one sampled ranking. *)
-  let observations =
-    List.init 150 (fun _ ->
-        let tau = Rim.Mallows.sample truth r in
-        List.init 6 (fun _ ->
-            let a = Util.Rng.int r m in
-            let b = Util.Rng.int r m in
-            if a = b then None
-            else if Prefs.Ranking.prefers tau a b then Some (a, b)
-            else Some (b, a))
-        |> List.filter_map Fun.id)
-  in
-  let fitted = Rim.Learn.fit_from_pairwise ~m ~rng:r observations in
-  let d =
-    Prefs.Ranking.kendall_tau (Rim.Mallows.center fitted) (Rim.Mallows.center truth)
-  in
-  if d > 2 then
-    Alcotest.failf "center not recovered: kendall distance %d (%a vs %a)" d
-      Prefs.Ranking.pp (Rim.Mallows.center fitted) Prefs.Ranking.pp
-      (Rim.Mallows.center truth)
-
-let unit_pairwise_learning_rejects_garbage () =
-  Alcotest.check_raises "no consistent observation"
-    (Invalid_argument "Learn.fit_from_pairwise: no consistent observation")
-    (fun () ->
-      ignore
-        (Rim.Learn.fit_from_pairwise ~m:3 ~rng:(Helpers.rng 8)
-           [ [ (0, 1); (1, 0) ] ]))
-
 let suites =
   [
     ( "ppd.world",
@@ -166,16 +90,5 @@ let suites =
         tc "engine = possible-world Monte Carlo (6 query shapes)" `Slow
           unit_engine_matches_worlds;
         tc "head variables rejected" `Quick unit_world_rejects_heads;
-      ] );
-    ( "rim.gmallows",
-      [
-        tc "reduces to Mallows" `Quick unit_gmallows_reduces_to_mallows;
-        tc "normalization and rigid prefix" `Quick unit_gmallows_normalizes_and_shapes;
-        tc "invalid parameters" `Quick unit_gmallows_invalid;
-      ] );
-    ( "rim.pairwise-learning",
-      [
-        tc "recovers the center from pairs" `Slow unit_pairwise_learning_recovers_center;
-        tc "rejects inconsistent input" `Quick unit_pairwise_learning_rejects_garbage;
       ] );
   ]
