@@ -1,8 +1,15 @@
 (* hardq — command-line front end: evaluate hard CQs over the bundled
    synthetic RIM-PPDs, run Count-Session / Most-Probable-Session, and
-   sample from Mallows models. *)
+   sample from Mallows models.
+
+   The evaluation subcommands are local clients of the server's request
+   path: their flags become a [Server.Protocol.eval], the dataset comes
+   from the server's registry, the engine request from
+   [Protocol.request_of_eval], and one executor, one error map and one
+   response printer serve all four. *)
 
 open Cmdliner
+module Protocol = Server.Protocol
 
 (* ------------------------------------------------------------------ *)
 (* Shared arguments                                                    *)
@@ -20,16 +27,22 @@ let dataset_arg =
   in
   Arg.(
     value
-    & opt (enum [ ("polls", `Polls); ("movielens", `Movielens); ("crowdrank", `Crowdrank) ]) `Polls
+    & opt (enum (List.map (fun n -> (n, n)) Server.Registry.names)) "polls"
     & info [ "dataset" ] ~docv:"NAME" ~doc)
 
 let size_arg =
-  let doc = "Scale of the generated dataset (candidates/movies and sessions)." in
-  Arg.(value & opt int 12 & info [ "size" ] ~docv:"N" ~doc)
+  let doc =
+    "Scale of the generated dataset (candidates or movies); the dataset's \
+     default when absent, as in $(b,hardq-server)."
+  in
+  Arg.(value & opt (some int) None & info [ "size" ] ~docv:"N" ~doc)
 
 let sessions_arg =
-  let doc = "Number of sessions (voters/workers) to generate." in
-  Arg.(value & opt int 100 & info [ "sessions" ] ~docv:"N" ~doc)
+  let doc =
+    "Number of sessions (voters/workers) to generate; the dataset's default \
+     when absent."
+  in
+  Arg.(value & opt (some int) None & info [ "sessions" ] ~docv:"N" ~doc)
 
 let solver_conv =
   let parse s =
@@ -71,52 +84,19 @@ let intra_arg =
   in
   Arg.(value & opt bool true & info [ "intra" ] ~docv:"BOOL" ~doc)
 
-let parallelism_of intra = if intra then `Intra else `Inter
-
-let kernel_conv =
-  let parse s =
-    match Hardq.Kernel.of_string s with
-    | Ok t -> Ok t
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf t = Format.pp_print_string ppf (Hardq.Kernel.to_string t) in
-  Arg.conv (parse, print)
-
-let kernel_arg =
-  let doc =
-    "DP kernel of the exact solvers: $(b,flat) (arena-indexed, GC-free \
-     inner loops; the default) or $(b,boxed) (the reference layout). \
-     Answers are byte-identical either way."
-  in
-  Arg.(
-    value
-    & opt kernel_conv Hardq.Kernel.default
-    & info [ "kernel" ] ~docv:"KERNEL" ~doc)
-
 let budget_arg =
   let doc = "CPU-seconds budget per solver invocation (0 = unlimited)." in
   Arg.(value & opt float 0. & info [ "budget" ] ~docv:"SECONDS" ~doc)
-
-(* A shard count: an integer >= 1, anything else is a usage error. *)
-let shards_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ ->
-        Error
-          (`Msg (Printf.sprintf "invalid shard count %S, expected an integer >= 1" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
 
 let shards_arg =
   let doc =
     "Session partition count, at least 1 (1 = unsharded). The engine \
      places the query's sessions on that many partitions, runs them on \
      its domain pool through its sub-answer store and merges the \
-     per-session answers (two-phase bound pruning for topk). Answers \
+     per-session answers (two-phase bound pruning for top-k). Answers \
      are bit-identical at any shard count."
   in
-  Arg.(value & opt shards_conv 1 & info [ "shards" ] ~docv:"N" ~doc)
+  Arg.(value & opt Engine_flags.shards_conv 1 & info [ "shards" ] ~docv:"N" ~doc)
 
 let stats_arg =
   Arg.(
@@ -139,14 +119,258 @@ let trace_arg =
           "Record engine spans (compile/group/solve/bounds/aggregate) and \
            print the span tree to stderr.")
 
-(* Run [f] with observability configured by the flags, then emit the
-   snapshot / trace — also on failure exits, so a budget-exhausted run
-   still reports how far it got. *)
-let with_obs metrics_json trace f =
-  if Option.is_some metrics_json then Obs.enable ();
-  if trace then Obs.enable_tracing ();
-  let code = f () in
-  (match metrics_json with
+let query_arg =
+  let doc =
+    "The conjunctive query, e.g. 'Q() :- P(_, _; x; y), C(x, \"D\", _, _, e, \
+     _), C(y, \"R\", _, _, e, _).'. Defaults to the dataset's showcase query."
+  in
+  Arg.(value & opt (some string) None & info [ "query"; "q" ] ~docv:"CQ" ~doc)
+
+let per_session_arg =
+  Arg.(
+    value & flag
+    & info [ "per-session"; "v" ] ~doc:"Print per-session probabilities.")
+
+(* What every evaluation subcommand takes: the dataset spec, the request
+   defaults and the engine configuration. *)
+type common = {
+  spec : Protocol.dataset_spec;
+  solver : Hardq.Solver.t;
+  seed : int;
+  budget : float;
+  parallelism : [ `Inter | `Intra ];
+  config : Engine.Config.t;
+  stats : bool;
+  metrics_json : string option;
+  trace : bool;
+}
+
+let common =
+  let make dataset size sessions seed solver jobs cache intra kernel budget
+      shards stats metrics_json trace =
+    (* [--jobs 0] = engine default (one domain per core) = Config.default. *)
+    let config =
+      Engine.Config.(
+        default |> with_cache cache |> with_kernel kernel |> with_shards shards)
+    in
+    {
+      spec = Protocol.dataset ?size ?sessions ~seed dataset;
+      solver;
+      seed;
+      budget;
+      parallelism = (if intra then `Intra else `Inter);
+      config =
+        (if jobs <= 0 then config else Engine.Config.with_jobs jobs config);
+      stats;
+      metrics_json;
+      trace;
+    }
+  in
+  Term.(
+    const make $ dataset_arg $ size_arg $ sessions_arg $ seed_arg $ solver_arg
+    $ jobs_arg $ cache_arg $ intra_arg $ Engine_flags.kernel_arg $ budget_arg
+    $ shards_arg $ stats_arg $ metrics_json_arg $ trace_arg)
+
+(* The query text a subcommand runs: the flag's, or the dataset's
+   showcase query. *)
+let query_text c = function
+  | Some text -> text
+  | None -> Option.get (Server.Registry.showcase_query c.spec.Protocol.ds_name)
+
+(* ------------------------------------------------------------------ *)
+(* The error map                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A failure typed like the server's error replies. *)
+exception Failed of Protocol.error
+
+let ok = function Ok v -> v | Error e -> raise (Failed e)
+
+(* Every failure of an evaluation subcommand: one line on stderr, exit
+   status 1. *)
+let report exn =
+  let e =
+    match exn with
+    | Failed e -> e
+    | Ppd.Compile.Unsupported msg -> Protocol.error Protocol.Unsupported msg
+    | Util.Timer.Out_of_time ->
+        Protocol.error Protocol.Budget_exhausted
+          "a solver invocation ran out of its --budget allowance; raise it or \
+           pick a cheaper solver"
+    | Hardq.Dp_table.State_explosion { table; cap } ->
+        Protocol.error Protocol.Budget_exhausted
+          (Printf.sprintf
+             "%s passed its cap of %d DP states; pick a cheaper solver (e.g. \
+              --solver mis-amp-lite)"
+             table cap)
+    | exn -> raise exn
+  in
+  (match e.Protocol.code with
+  | Protocol.Bad_request -> Format.eprintf "%s@." e.Protocol.message
+  | code ->
+      Format.eprintf "%s: %s@."
+        (match code with
+        | Protocol.Query_parse_error -> "parse error"
+        | Protocol.Unsupported -> "unsupported query"
+        | Protocol.Budget_exhausted -> "budget exhausted"
+        | code -> Protocol.error_code_to_string code)
+        e.Protocol.message);
+  1
+
+(* ------------------------------------------------------------------ *)
+(* The response printer                                                *)
+(* ------------------------------------------------------------------ *)
+
+type outcome =
+  | Served of Engine.Request.t * Engine.served
+  | Explained of Plan.t
+  | Answers of Ppd.Query.t * Ppd.Answers.answer list * Engine.Response.t list
+      (* the head query, its ranked answers, each grounding's response *)
+
+let session_name (s : Ppd.Database.session) =
+  String.concat "/"
+    (Array.to_list (Array.map Ppd.Value.to_string s.Ppd.Database.key))
+
+let print_row (s, p) = Format.printf "  %-18s %.6f@." (session_name s) p
+
+let print_frame (e : Protocol.eval) (f : Hardq.Anytime.frame) =
+  if e.Protocol.stream then
+    Format.printf "frame %2d  draws %6d  estimate %.6f  ci [%.6f, %.6f]@."
+      f.Hardq.Anytime.round f.Hardq.Anytime.draws f.Hardq.Anytime.estimate
+      f.Hardq.Anytime.ci_lo f.Hardq.Anytime.ci_hi
+
+let print_stats c (resp : Engine.Response.t) =
+  if c.stats then
+    Format.printf "%a@." Engine.Response.pp_stats resp.Engine.Response.stats
+
+(* A datalog [eval] prints its query, the Boolean probability and the
+   session count; [topk] its ranking; a [query] text its answer, the
+   plan's verdict and any anytime outcome; [answers] its tuples. *)
+let print c (e : Protocol.eval) = function
+  | Explained plan -> Format.printf "%s@." (Plan.explain plan)
+  | Answers (q, answers, responses) ->
+      Format.printf "query: %a@." Ppd.Query.pp q;
+      List.iter
+        (fun (a : Ppd.Answers.answer) ->
+          Format.printf "  (%s)  confidence %.6f@."
+            (String.concat ", " (List.map Ppd.Value.to_string a.Ppd.Answers.values))
+            a.Ppd.Answers.confidence)
+        answers;
+      List.iter (print_stats c) responses
+  | Served (req, { Engine.response = resp; anytime }) -> (
+      let plan = req.Engine.Request.plan in
+      (match (e.Protocol.query, resp.Engine.Response.answer) with
+      | Protocol.Cq q, Engine.Response.Probability _ ->
+          Format.printf "query: %a@." Ppd.Query.pp q;
+          Format.printf "V+ = {%s}, itemwise: %b@."
+            (String.concat ", " (Ppd.Compile.v_plus plan.Plan.db q))
+            (Ppd.Compile.is_itemwise plan.Plan.db q)
+      | _ -> ());
+      if e.Protocol.per_session then
+        List.iter print_row resp.Engine.Response.per_session;
+      let stats = resp.Engine.Response.stats in
+      (match (e.Protocol.query, resp.Engine.Response.answer, req.Engine.Request.task) with
+      | Protocol.Cq _, Engine.Response.Probability p, _ ->
+          let probs = resp.Engine.Response.per_session in
+          Format.printf "Pr(Q | D)    = %.6f@." p;
+          Format.printf "E[count(Q)]  = %.4f over %d sessions@."
+            (List.fold_left (fun acc (_, p) -> acc +. p) 0. probs)
+            (List.length probs)
+      | Protocol.Cq _, Engine.Response.Ranked ranked, Engine.Request.Top_k { k; _ } ->
+          Format.printf "top-%d sessions (%d solver calls, bounds %.3fs, solve %.3fs):@."
+            k stats.Engine.Response.solver_calls stats.Engine.Response.bound_s
+            stats.Engine.Response.solve_s;
+          List.iter print_row ranked
+      | _, Engine.Response.Probability p, _ -> Format.printf "Pr(Q | D)    = %.6f@." p
+      | _, Engine.Response.Expectation v, _ ->
+          Format.printf "E[%s]  = %.6f@."
+            (match plan.Plan.task with
+            | Lang.Ast.Count -> "count(Q)"
+            | _ -> "aggregate")
+            v
+      | _, Engine.Response.Ranked ranked, _ ->
+          List.iteri
+            (fun i (s, p) -> Format.printf "%2d. %-18s %.6f@." (i + 1) (session_name s) p)
+            ranked);
+      (match e.Protocol.query with
+      | Protocol.Cq _ -> ()
+      | Protocol.Lang _ -> (
+          Format.printf "verdict: %s (%s)@."
+            (Plan.verdict_string plan.Plan.verdict)
+            (Plan.leaf_name plan.Plan.leaf);
+          match anytime with
+          | None -> ()
+          | Some a ->
+              Format.printf
+                "anytime: %s after %d round(s), %d draw(s), ci [%.6f, %.6f] \
+                 (width %.6f)@."
+                (match a.Engine.status with
+                | `Final -> "final"
+                | `Timeout -> "timeout"
+                | `Cancelled -> "cancelled")
+                a.Engine.rounds a.Engine.draws a.Engine.ci_lo a.Engine.ci_hi
+                (a.Engine.ci_hi -. a.Engine.ci_lo)));
+      print_stats c resp)
+
+(* ------------------------------------------------------------------ *)
+(* The executor                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The registry the server resolves datasets with, without its bounds on
+   what a remote client may ask to synthesize. *)
+let registry = Server.Registry.create ~max_size:max_int ~max_sessions:max_int ()
+
+(* Run one subcommand: [build] turns its flags into an eval and a mode;
+   the dataset comes from [registry] and every engine request from
+   [Protocol.request_of_eval]. [`Serve] runs the request through
+   [Engine.serve] (plain evaluation without an SLO, anytime frames with
+   one), [`Explain] stops at the plan, and [`Answers (k, q)] grounds the
+   head of [q] and evaluates every grounding in one engine batch. *)
+let execute c build =
+  if Option.is_some c.metrics_json then Obs.enable ();
+  if c.trace then Obs.enable_tracing ();
+  let code =
+    match
+      let e, mode = build () in
+      let db = ok (Server.Registry.find registry e.Protocol.dataset) in
+      let request e =
+        ok
+          (Protocol.request_of_eval ~db ~budget:e.Protocol.budget
+             ~parallelism:c.parallelism e)
+      in
+      match mode with
+      | `Explain -> (e, Explained (request e).Engine.Request.plan)
+      | `Serve ->
+          let req = request e in
+          Engine.with_engine c.config (fun engine ->
+              (e, Served (req, Engine.serve engine ~on_frame:(print_frame e) req)))
+      | `Answers (k, q) ->
+          Engine.with_engine c.config (fun engine ->
+              let responses = ref [] in
+              let prob qs =
+                let reqs =
+                  List.map
+                    (fun q -> request { e with Protocol.query = Protocol.Cq q })
+                    qs
+                in
+                Array.to_list (Engine.eval_batch engine (Array.of_list reqs))
+                |> List.map (function
+                     | Ok resp ->
+                         responses := resp :: !responses;
+                         Engine.Response.answer_float resp
+                     | Error exn -> raise exn)
+              in
+              let answers = Ppd.Answers.top ~k prob db q in
+              (e, Answers (q, answers, List.rev !responses)))
+    with
+    | e, outcome ->
+        print c e outcome;
+        0
+    | exception exn -> report exn
+  in
+  (* The snapshot and trace go out on failure exits too, so a
+     budget-exhausted run still reports how far it got. *)
+  (match c.metrics_json with
   | None -> ()
   | Some path ->
       let oc = open_out path in
@@ -156,145 +380,36 @@ let with_obs metrics_json trace f =
            (Obs.snapshot ()));
       output_char oc '\n';
       close_out oc);
-  if trace then Format.eprintf "%a" Obs.pp_trace ();
+  if c.trace then Format.eprintf "%a" Obs.pp_trace ();
   code
 
-(* [--jobs 0] = engine default (one domain per core) = Config.default. *)
-let engine_config ?(shards = 1) jobs cache kernel =
-  let cfg = Engine.Config.(default |> with_cache cache |> with_kernel kernel) in
-  let cfg = Engine.Config.with_shards shards cfg in
-  if jobs <= 0 then cfg else Engine.Config.with_jobs jobs cfg
-
-let print_stats show (resp : Engine.Response.t) =
-  if show then Format.printf "%a@." Engine.Response.pp_stats resp.Engine.Response.stats
-
-let query_arg =
-  let doc =
-    "The conjunctive query, e.g. 'Q() :- P(_, _; x; y), C(x, \"D\", _, _, e, \
-     _), C(y, \"R\", _, _, e, _).'. Defaults to the dataset's showcase query."
-  in
-  Arg.(value & opt (some string) None & info [ "query"; "q" ] ~docv:"CQ" ~doc)
-
-let make_db dataset size sessions seed =
-  match dataset with
-  | `Polls ->
-      ( Datasets.Polls.generate ~n_candidates:size ~n_voters:sessions ~seed (),
-        Datasets.Polls.query_two_label )
-  | `Movielens ->
-      ( Datasets.Movielens.generate ~n_movies:(max size 20)
-          ~n_components:(min sessions 16) ~seed (),
-        Datasets.Movielens.query_fig14 )
-  | `Crowdrank ->
-      ( Datasets.Crowdrank.generate ~n_workers:sessions ~seed (),
-        Datasets.Crowdrank.query_fig15 )
-
-(* One line naming the DP state cap a solver ran into; exit status 1. *)
-let state_explosion table cap =
-  Format.eprintf
-    "budget exhausted: %s passed its cap of %d DP states; pick a cheaper \
-     solver (e.g. --solver mis-amp-lite)@."
-    table cap;
-  1
-
-let with_query dataset size sessions seed query f =
-  let db, default_q = make_db dataset size sessions seed in
-  let qtext = Option.value ~default:default_q query in
-  match Ppd.Parser.parse_result qtext with
-  | Error msg ->
-      Format.eprintf "parse error: %s@." msg;
-      1
-  | Ok q -> (
-      match f db q with
-      | () -> 0
-      | exception Ppd.Compile.Unsupported msg ->
-          Format.eprintf "unsupported query: %s@." msg;
-          1
-      | exception Util.Timer.Out_of_time ->
-          Format.eprintf
-            "budget exhausted: a solver invocation ran out of its --budget \
-             allowance; raise it or pick a cheaper solver@.";
-          1
-      | exception Hardq.Dp_table.State_explosion { table; cap } ->
-          state_explosion table cap)
-
 (* ------------------------------------------------------------------ *)
-(* eval                                                                *)
+(* eval, topk, answers — datalog CQs                                   *)
 (* ------------------------------------------------------------------ *)
+
+(* A datalog subcommand's query: [--query] (or the showcase query)
+   parsed as a CQ. *)
+let cq c query =
+  match Ppd.Parser.parse_result (query_text c query) with
+  | Ok q -> q
+  | Error msg -> raise (Failed (Protocol.error Protocol.Query_parse_error msg))
+
+let cq_eval ?task ?(per_session = false) c q =
+  Protocol.eval ?task ~solver:c.solver ~budget:c.budget ~seed:c.seed
+    ~per_session c.spec q
 
 let eval_cmd =
-  let run dataset size sessions seed query solver jobs cache intra kernel
-      budget shards stats verbose metrics_json trace =
-    with_obs metrics_json trace @@ fun () ->
-    with_query dataset size sessions seed query (fun db q ->
-        Format.printf "query: %a@." Ppd.Query.pp q;
-        Format.printf "V+ = {%s}, itemwise: %b@."
-          (String.concat ", " (Ppd.Compile.v_plus db q))
-          (Ppd.Compile.is_itemwise db q);
-        Engine.with_engine (engine_config ~shards jobs cache kernel)
-          (fun engine ->
-            let req =
-              Engine.Request.make ~solver ~budget ~seed
-                ~parallelism:(parallelism_of intra) db q
-            in
-            let resp = Engine.eval engine req in
-            let probs = resp.Engine.Response.per_session in
-            if verbose then
-              List.iter
-                (fun ((s : Ppd.Database.session), p) ->
-                  Format.printf "  %-18s %.6f@."
-                    (String.concat "/"
-                       (Array.to_list
-                          (Array.map Ppd.Value.to_string s.Ppd.Database.key)))
-                    p)
-                probs;
-            let count = List.fold_left (fun acc (_, p) -> acc +. p) 0. probs in
-            Format.printf "Pr(Q | D)    = %.6f@."
-              (Engine.Response.answer_float resp);
-            Format.printf "E[count(Q)]  = %.4f over %d sessions@." count
-              (List.length probs);
-            print_stats stats resp))
-  in
-  let verbose =
-    Arg.(value & flag & info [ "per-session"; "v" ] ~doc:"Print per-session probabilities.")
+  let run c query per_session =
+    execute c @@ fun () -> (cq_eval ~per_session c (cq c query), `Serve)
   in
   Cmd.v
     (Cmd.info "eval" ~doc:"Evaluate a Boolean CQ and its Count-Session aggregate")
-    Term.(
-      const run $ dataset_arg $ size_arg $ sessions_arg $ seed_arg $ query_arg
-      $ solver_arg $ jobs_arg $ cache_arg $ intra_arg $ kernel_arg $ budget_arg
-      $ shards_arg $ stats_arg $ verbose $ metrics_json_arg $ trace_arg)
-
-(* ------------------------------------------------------------------ *)
-(* topk                                                                *)
-(* ------------------------------------------------------------------ *)
+    Term.(const run $ common $ query_arg $ per_session_arg)
 
 let topk_cmd =
-  let run dataset size sessions seed query solver jobs cache intra kernel
-      budget shards stats k strategy metrics_json trace =
-    with_obs metrics_json trace @@ fun () ->
-    with_query dataset size sessions seed query (fun db q ->
-        Engine.with_engine (engine_config ~shards jobs cache kernel)
-          (fun engine ->
-            let req =
-              Engine.Request.make
-                ~task:(Engine.Request.top_k ~strategy k)
-                ~solver ~budget ~seed ~parallelism:(parallelism_of intra) db q
-            in
-            let resp = Engine.eval engine req in
-            Format.printf
-              "top-%d sessions (%d solver calls, bounds %.3fs, solve %.3fs):@." k
-              resp.Engine.Response.stats.Engine.Response.solver_calls
-              resp.Engine.Response.stats.Engine.Response.bound_s
-              resp.Engine.Response.stats.Engine.Response.solve_s;
-            List.iter
-              (fun ((s : Ppd.Database.session), p) ->
-                Format.printf "  %-18s %.6f@."
-                  (String.concat "/"
-                     (Array.to_list
-                        (Array.map Ppd.Value.to_string s.Ppd.Database.key)))
-                  p)
-              (Engine.Response.ranked resp);
-            print_stats stats resp))
+  let run c query k strategy =
+    execute c @@ fun () ->
+    (cq_eval ~task:(Engine.Request.top_k ~strategy k) c (cq c query), `Serve)
   in
   let k_arg = Arg.(value & opt int 5 & info [ "k" ] ~docv:"K" ~doc:"How many sessions.") in
   let strategy_arg =
@@ -305,159 +420,46 @@ let topk_cmd =
   in
   Cmd.v
     (Cmd.info "topk" ~doc:"Most-Probable-Session query")
-    Term.(
-      const run $ dataset_arg $ size_arg $ sessions_arg $ seed_arg $ query_arg
-      $ solver_arg $ jobs_arg $ cache_arg $ intra_arg $ kernel_arg $ budget_arg
-      $ shards_arg $ stats_arg $ k_arg $ strategy_arg $ metrics_json_arg
-      $ trace_arg)
-
-(* ------------------------------------------------------------------ *)
-(* answers                                                             *)
-(* ------------------------------------------------------------------ *)
+    Term.(const run $ common $ query_arg $ k_arg $ strategy_arg)
 
 let answers_cmd =
-  let run dataset size sessions seed query solver k =
-    with_query dataset size sessions seed query (fun db q ->
-        match Ppd.Answers.top ~solver ~k db q (Util.Rng.make seed) with
-        | answers ->
-            Format.printf "query: %a@." Ppd.Query.pp q;
-            List.iter
-              (fun (a : Ppd.Answers.answer) ->
-                Format.printf "  (%s)  confidence %.6f@."
-                  (String.concat ", "
-                     (List.map Ppd.Value.to_string a.Ppd.Answers.values))
-                  a.Ppd.Answers.confidence)
-              answers
-        | exception Ppd.Answers.Unsupported msg ->
-            Format.eprintf "unsupported: %s@." msg)
+  let run c query k =
+    execute c @@ fun () ->
+    let q = cq c query in
+    (cq_eval c q, `Answers (k, q))
   in
   let k_arg =
     Arg.(value & opt int 10 & info [ "k" ] ~docv:"K" ~doc:"Show the K most probable answers.")
   in
   Cmd.v
     (Cmd.info "answers"
-       ~doc:"Evaluate a CQ with head variables: answer tuples with confidences")
-    Term.(
-      const run $ dataset_arg $ size_arg $ sessions_arg $ seed_arg $ query_arg
-      $ solver_arg $ k_arg)
+       ~doc:
+         "Evaluate a CQ with head variables: answer tuples with confidences, \
+          one engine batch over the head's groundings")
+    Term.(const run $ common $ query_arg $ k_arg)
 
 (* ------------------------------------------------------------------ *)
 (* query — the declarative language frontend                           *)
 (* ------------------------------------------------------------------ *)
 
 let query_cmd =
-  let run dataset size sessions seed text solver jobs cache intra kernel budget
-      stats explain verbose target_ci deadline_ms stream metrics_json trace =
-    with_obs metrics_json trace @@ fun () ->
-    let slo =
-      match (target_ci, deadline_ms) with
-      | Some _, Some _ -> Error "--target-ci and --deadline are mutually exclusive"
-      | Some w, None when w <= 0. -> Error "--target-ci must be positive"
-      | Some w, None -> Ok (Some (`Ci_width w))
-      | None, Some ms when ms <= 0. -> Error "--deadline must be positive"
-      | None, Some ms -> Ok (Some (`Deadline (ms /. 1000.)))
-      | None, None -> Ok None
+  let run c text explain per_session target_ci deadline_ms stream =
+    execute c @@ fun () ->
+    let bad msg = raise (Failed (Protocol.error Protocol.Bad_request msg)) in
+    (match (target_ci, deadline_ms) with
+    | Some _, Some _ -> bad "--target-ci and --deadline are mutually exclusive"
+    | Some w, None when w <= 0. -> bad "--target-ci must be positive"
+    | None, Some ms when ms <= 0. -> bad "--deadline must be positive"
+    | _ -> ());
+    let e =
+      match
+        Protocol.eval_lang ~solver:c.solver ~budget:c.budget ~seed:c.seed
+          ~per_session ?target_ci ?deadline_ms ~stream c.spec (query_text c text)
+      with
+      | Ok e -> e
+      | Error msg -> raise (Failed (Protocol.error Protocol.Query_parse_error msg))
     in
-    match slo with
-    | Error msg ->
-        Format.eprintf "%s@." msg;
-        1
-    | Ok slo -> (
-    let db, default_q = make_db dataset size sessions seed in
-    let text = Option.value ~default:default_q text in
-    match Lang.Parser.parse text with
-    | Error e ->
-        Format.eprintf "parse error: %s@." (Lang.Ast.error_to_string e);
-        1
-    | Ok ast -> (
-        let hint =
-          if solver = Hardq.Solver.Exact `Auto then None else Some solver
-        in
-        match Plan.compile ?hint db ast with
-        | exception Ppd.Compile.Unsupported msg ->
-            Format.eprintf "unsupported query: %s@." msg;
-            1
-        | exception Ppd.Compile.Grounding_too_large msg ->
-            Format.eprintf "grounding too large: %s@." msg;
-            1
-        | plan ->
-            if explain then begin
-              Format.printf "%s@." (Plan.explain plan);
-              0
-            end
-            else
-              Engine.with_engine (engine_config jobs cache kernel) (fun engine ->
-                  let req =
-                    Engine.Request.of_plan ~budget ~seed
-                      ~parallelism:(parallelism_of intra) ?slo plan
-                  in
-                  (* [serve] without an SLO is exactly [eval]; with one, the
-                     cost model may route onto the anytime sampler, whose
-                     rounds surface here as --stream frames. *)
-                  let on_frame (f : Hardq.Anytime.frame) =
-                    if stream then
-                      Format.printf
-                        "frame %2d  draws %6d  estimate %.6f  ci [%.6f, %.6f]@."
-                        f.Hardq.Anytime.round f.Hardq.Anytime.draws
-                        f.Hardq.Anytime.estimate f.Hardq.Anytime.ci_lo
-                        f.Hardq.Anytime.ci_hi
-                  in
-                  match Engine.serve engine ~on_frame req with
-                  | exception Util.Timer.Out_of_time ->
-                      Format.eprintf
-                        "budget exhausted: a solver invocation ran out of its \
-                         --budget allowance; raise it or pick a cheaper solver@.";
-                      1
-                  | exception Hardq.Dp_table.State_explosion { table; cap } ->
-                      state_explosion table cap
-                  | { Engine.response = resp; anytime } ->
-                      if verbose then
-                        List.iter
-                          (fun ((s : Ppd.Database.session), p) ->
-                            Format.printf "  %-18s %.6f@."
-                              (String.concat "/"
-                                 (Array.to_list
-                                    (Array.map Ppd.Value.to_string
-                                       s.Ppd.Database.key)))
-                              p)
-                          resp.Engine.Response.per_session;
-                      (match resp.Engine.Response.answer with
-                      | Engine.Response.Probability p ->
-                          Format.printf "Pr(Q | D)    = %.6f@." p
-                      | Engine.Response.Expectation v ->
-                          Format.printf "E[%s]  = %.6f@."
-                            (match plan.Plan.task with
-                            | Lang.Ast.Count -> "count(Q)"
-                            | _ -> "aggregate")
-                            v
-                      | Engine.Response.Ranked ranked ->
-                          List.iteri
-                            (fun i ((s : Ppd.Database.session), p) ->
-                              Format.printf "%2d. %-18s %.6f@." (i + 1)
-                                (String.concat "/"
-                                   (Array.to_list
-                                      (Array.map Ppd.Value.to_string
-                                         s.Ppd.Database.key)))
-                                p)
-                            ranked);
-                      Format.printf "verdict: %s (%s)@."
-                        (Plan.verdict_string plan.Plan.verdict)
-                        (Plan.leaf_name plan.Plan.leaf);
-                      (match anytime with
-                      | None -> ()
-                      | Some a ->
-                          Format.printf
-                            "anytime: %s after %d round(s), %d draw(s), ci \
-                             [%.6f, %.6f] (width %.6f)@."
-                            (match a.Engine.status with
-                            | `Final -> "final"
-                            | `Timeout -> "timeout"
-                            | `Cancelled -> "cancelled")
-                            a.Engine.rounds a.Engine.draws a.Engine.ci_lo
-                            a.Engine.ci_hi
-                            (a.Engine.ci_hi -. a.Engine.ci_lo));
-                      print_stats stats resp;
-                      0)))
+    (e, if explain then `Explain else `Serve)
   in
   let text_arg =
     let doc =
@@ -475,11 +477,6 @@ let query_cmd =
           ~doc:
             "Print the compiled plan, its tractability verdict and the \
              reasoning instead of evaluating.")
-  in
-  let verbose =
-    Arg.(
-      value & flag
-      & info [ "per-session"; "v" ] ~doc:"Print per-session probabilities.")
   in
   let target_ci_arg =
     let doc =
@@ -514,10 +511,8 @@ let query_cmd =
           disjunction, aggregates, modals) through the tractability-aware \
           planner")
     Term.(
-      const run $ dataset_arg $ size_arg $ sessions_arg $ seed_arg $ text_arg
-      $ solver_arg $ jobs_arg $ cache_arg $ intra_arg $ kernel_arg $ budget_arg
-      $ stats_arg $ explain_arg $ verbose $ target_ci_arg $ deadline_ms_arg
-      $ stream_arg $ metrics_json_arg $ trace_arg)
+      const run $ common $ text_arg $ explain_arg $ per_session_arg
+      $ target_ci_arg $ deadline_ms_arg $ stream_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sample                                                              *)

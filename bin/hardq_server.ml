@@ -57,33 +57,6 @@ let batch_max_arg =
   let doc = "Flush a gather bucket once it holds this many requests." in
   Arg.(value & opt int 16 & info [ "batch-max" ] ~docv:"N" ~doc)
 
-let kernel_arg =
-  let parse s =
-    match Hardq.Kernel.of_string s with
-    | Ok t -> Ok t
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf t = Format.pp_print_string ppf (Hardq.Kernel.to_string t) in
-  let kconv = Arg.conv (parse, print) in
-  let doc =
-    "DP kernel of the exact solvers: $(b,flat) (arena-indexed, GC-free \
-     inner loops; the default) or $(b,boxed) (the reference layout). \
-     Answers are byte-identical either way."
-  in
-  Arg.(
-    value & opt kconv Hardq.Kernel.default & info [ "kernel" ] ~docv:"KERNEL" ~doc)
-
-(* A shard count: an integer >= 1, anything else is a usage error. *)
-let shards_conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | _ ->
-        Error
-          (`Msg (Printf.sprintf "invalid shard count %S, expected an integer >= 1" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
 let shards_arg =
   let doc =
     "Session partition count, at least 1 (1 = unsharded). With more \
@@ -93,7 +66,7 @@ let shards_arg =
      replies carry an additive $(b,shards) accounting block. Answers \
      are bit-identical at any shard count."
   in
-  Arg.(value & opt shards_conv 1 & info [ "shards" ] ~docv:"N" ~doc)
+  Arg.(value & opt Engine_flags.shards_conv 1 & info [ "shards" ] ~docv:"N" ~doc)
 
 let intra_arg =
   let doc =
@@ -195,7 +168,7 @@ let cmd =
     (Cmd.info "hardq-server" ~doc ~man)
     Term.(
       const run $ listen_arg $ jobs_arg $ cache_arg $ term_cache_arg
-      $ batch_window_arg $ batch_max_arg $ shards_arg $ intra_arg $ kernel_arg
+      $ batch_window_arg $ batch_max_arg $ shards_arg $ intra_arg $ Engine_flags.kernel_arg
       $ queue_arg
       $ workers_arg $ max_connections_arg $ timeout_arg $ metrics_json_arg
       $ preload_arg $ quiet_arg)

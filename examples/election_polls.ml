@@ -45,7 +45,9 @@ let () =
       Format.printf "  e = %-5s confidence %.4f@."
         (Ppd.Value.to_string (List.hd a.Ppd.Answers.values))
         a.Ppd.Answers.confidence)
-    (Ppd.Answers.top ~k:3 db qe rng);
+    (Ppd.Answers.top ~k:3
+       (List.map (fun q -> Ppd.Solve.boolean_prob db q rng))
+       db qe);
 
   (* Aggregation (paper §7): average age of voters preferring some Democrat
      to some Republican. *)

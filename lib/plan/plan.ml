@@ -156,7 +156,9 @@ let compile_disjuncts ?grounding_cap db disjuncts =
 
 let compile ?grounding_cap ?hint db (ast : Lang.Ast.t) =
   if ast.Lang.Ast.head <> [] then
-    unsupported "head variables are not supported by the planner (Boolean tasks only)";
+    unsupported
+      "head variables are not supported by the planner (Boolean tasks only); \
+       evaluate the query with hardq answers";
   let disjuncts = List.map (desugar_disjunct db ast) ast.Lang.Ast.body in
   let has_ranks = List.exists (fun d -> d.ranks <> []) disjuncts in
   let prel, compiled, tables, status_of =

@@ -1,8 +1,6 @@
-exception Unsupported of string
-
 type answer = { values : Value.t list; confidence : float }
 
-let unsupported fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
+let unsupported fmt = Printf.ksprintf (fun s -> raise (Compile.Unsupported s)) fmt
 
 (* Comparison constraints of one variable. *)
 let cmps_of q v =
@@ -10,16 +8,7 @@ let cmps_of q v =
     (fun (lhs, op, rhs) ->
       match (lhs, rhs) with
       | Query.Var v', Query.Const c when v' = v -> Some (op, c)
-      | Query.Const c, Query.Var v' when v' = v ->
-          let flip : Value.op -> Value.op = function
-            | Value.Eq -> Value.Eq
-            | Value.Neq -> Value.Neq
-            | Value.Lt -> Value.Gt
-            | Value.Le -> Value.Ge
-            | Value.Gt -> Value.Lt
-            | Value.Ge -> Value.Le
-          in
-          Some (flip op, c)
+      | Query.Const c, Query.Var v' when v' = v -> Some (Value.flip_op op, c)
       | _ -> None)
     (Query.cmp_atoms q)
 
@@ -65,32 +54,21 @@ let domain_of_var db q v =
 
 let domains db q = List.map (fun v -> (v, domain_of_var db q v)) q.Query.head
 
-let evaluate ?solver ?group ?(min_confidence = 0.) db q rng =
-  match q.Query.head with
-  | [] ->
-      let p = Solve.boolean_prob ?solver ?group db q rng in
-      if p > min_confidence then [ { values = []; confidence = p } ] else []
-  | head ->
-      let doms = domains db q in
-      let combos =
-        Util.Combinat.cartesian_product (List.map (fun (_, d) -> d) doms)
-      in
-      let answers =
-        List.filter_map
-          (fun combo ->
-            let bindings = List.combine head combo in
-            let q' = Query.substitute q bindings in
-            let p = Solve.boolean_prob ?solver ?group db q' rng in
-            if p > min_confidence then Some { values = combo; confidence = p }
-            else None)
-          combos
-      in
-      List.stable_sort (fun a b -> compare b.confidence a.confidence) answers
+let groundings db q =
+  let doms = domains db q in
+  List.map
+    (fun combo -> (combo, Query.substitute q (List.combine q.Query.head combo)))
+    (Util.Combinat.cartesian_product (List.map snd doms))
 
-let top ?solver ?group ~k db q rng =
-  let rec take n = function
-    | [] -> []
-    | _ when n <= 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
+let evaluate ?(min_confidence = 0.) prob db q =
+  let gs = groundings db q in
+  let answers =
+    List.filter_map
+      (fun ((values, _), confidence) ->
+        if confidence > min_confidence then Some { values; confidence }
+        else None)
+      (List.combine gs (prob (List.map snd gs)))
   in
-  take k (evaluate ?solver ?group db q rng)
+  List.stable_sort (fun a b -> compare b.confidence a.confidence) answers
+
+let top ~k prob db q = List.filteri (fun i _ -> i < k) (evaluate prob db q)

@@ -30,18 +30,10 @@ type analysis = {
   grounded : (string * string list) list; (* var, attrs it occurs under *)
 }
 
-let flip_op : Value.op -> Value.op = function
-  | Value.Eq -> Value.Eq
-  | Value.Neq -> Value.Neq
-  | Value.Lt -> Value.Gt
-  | Value.Le -> Value.Ge
-  | Value.Gt -> Value.Lt
-  | Value.Ge -> Value.Le
-
 let analyze db q =
   if q.Query.head <> [] then
     unsupported
-      "query has head variables; evaluate it with Ppd.Answers (Boolean \
+      "query has head variables; evaluate it with hardq answers (Boolean \
        evaluation needs an empty head)";
   let item_rel = Database.items db in
   let item_rel_name = Relation.name item_rel in
@@ -136,7 +128,7 @@ let analyze db q =
     (fun (lhs, op, rhs) ->
       match (lhs, rhs) with
       | Query.Var v, Query.Const c -> add_cmp v op c
-      | Query.Const c, Query.Var v -> add_cmp v (flip_op op) c
+      | Query.Const c, Query.Var v -> add_cmp v (Value.flip_op op) c
       | _ -> unsupported "comparisons must relate a variable and a constant")
     (Query.cmp_atoms q);
   (* Bound variables: session vars and variables bound by session atoms. *)

@@ -25,6 +25,14 @@ let op_to_string = function
   | Gt -> ">"
   | Ge -> ">="
 
+let flip_op = function
+  | Eq -> Eq
+  | Neq -> Neq
+  | Lt -> Gt
+  | Le -> Ge
+  | Gt -> Lt
+  | Ge -> Le
+
 let apply_op op a b =
   let c = compare a b in
   match op with

@@ -17,6 +17,9 @@ type op = Eq | Neq | Lt | Le | Gt | Ge
 
 val op_to_string : op -> string
 
+val flip_op : op -> op
+(** The operator of the swapped comparison: [a < b] iff [b > a]. *)
+
 val apply_op : op -> t -> t -> bool
 (** Comparison across types: ints compare numerically, strings
     lexicographically; an int and a string never satisfy [Eq] and order

@@ -50,20 +50,6 @@ let log_prob t r =
 let prob t r = exp (log_prob t r)
 let sample t rng = Model.sample (to_rim t) rng
 
-let expected_distance ~m ~phi =
-  (* Sum over insertion steps of E[i - j] with weights φ^(i-j). *)
-  let acc = ref 0. in
-  for i = 1 to m - 1 do
-    let wsum = ref 0. and ksum = ref 0. in
-    for k = 0 to i do
-      let w = phi ** float_of_int k in
-      wsum := !wsum +. w;
-      ksum := !ksum +. (float_of_int k *. w)
-    done;
-    acc := !acc +. (!ksum /. !wsum)
-  done;
-  !acc
-
 let recenter t center =
   if Prefs.Ranking.length center <> m t then invalid_arg "Mallows.recenter: wrong length";
   { center; phi = t.phi; rim = None }

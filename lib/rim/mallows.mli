@@ -23,10 +23,6 @@ val prob : t -> Prefs.Ranking.t -> float
 
 val log_prob : t -> Prefs.Ranking.t -> float
 val sample : t -> Util.Rng.t -> Prefs.Ranking.t
-val expected_distance : m:int -> phi:float -> float
-(** Expected Kendall-tau distance from the center under MAL(·, φ) with
-    [m] items. Strictly increasing in [phi]; used by the learner. *)
-
 val recenter : t -> Prefs.Ranking.t -> t
 (** Same dispersion, new center. *)
 

@@ -289,6 +289,20 @@ val slo_of_eval : eval -> Engine.Request.slo option
 (** The engine-level SLO a request's additive members project onto
     ([target_ci] wins when a hand-built record carries both). *)
 
+val request_of_eval :
+  db:Ppd.Database.t ->
+  budget:float ->
+  ?deadline:float ->
+  parallelism:[ `Inter | `Intra ] ->
+  eval ->
+  (Engine.Request.t, error) result
+(** The engine request of an eval over [db] ({!Engine.Request.make} for
+    a CQ, {!Plan.compile} with [solver] as hint for a text), with the
+    caller's resolved [budget], [deadline] and [parallelism]. A query
+    outside the supported fragment or past the grounding cap is an
+    [Unsupported] error. The server and [hardq] build every request
+    here. *)
+
 val anytime_of_engine : Engine.anytime -> anytime option
 (** Project a serve outcome onto the wire block. [None] for [`Cancelled]
     — the client that could have read it is gone. *)

@@ -22,7 +22,7 @@ let key (d : Protocol.dataset_spec) =
     (Option.value ~default:42 d.Protocol.ds_seed)
 
 (* Each family maps the generic (size, sessions) knobs onto its own
-   generator parameters, defaulting like the CLI does. *)
+   generator parameters and defaults; [hardq] resolves datasets here too. *)
 let generate (d : Protocol.dataset_spec) =
   let seed = Option.value ~default:42 d.Protocol.ds_seed in
   let size ~default = Option.value ~default d.Protocol.ds_size in

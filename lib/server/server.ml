@@ -228,31 +228,12 @@ let prepare t (job : job) start =
         | Some p -> p
         | None -> if t.cfg.intra then `Intra else `Inter
       in
-      let slo = Protocol.slo_of_eval e in
-      (* Both query forms compile here, before the engine: a query outside
-         the supported fragment is a typed [unsupported] reply. *)
-      let request () =
-        match e.Protocol.query with
-        | Protocol.Cq q ->
-            Engine.Request.make ~task:e.Protocol.task ~solver:e.Protocol.solver
-              ~budget ~seed:e.Protocol.seed ?deadline:job.deadline ~parallelism
-              ?slo db q
-        | Protocol.Lang { ast; _ } ->
-            (* A non-default wire solver acts as a planner hint; a [using]
-               clause in the text wins (Plan.compile's precedence). *)
-            let hint =
-              if e.Protocol.solver = Hardq.Solver.default_exact then None
-              else Some e.Protocol.solver
-            in
-            Engine.Request.of_plan ~task:e.Protocol.task ~budget
-              ~seed:e.Protocol.seed ?deadline:job.deadline ~parallelism ?slo
-              (Plan.compile ?hint db ast)
-      in
-      match request () with
-      | req -> Ok (req, deadline_limited)
-      | exception (Ppd.Compile.Unsupported msg | Ppd.Compile.Grounding_too_large msg)
-        ->
-          Error (Protocol.Err (Protocol.error Protocol.Unsupported msg))
+      match
+        Protocol.request_of_eval ~db ~budget ?deadline:job.deadline
+          ~parallelism e
+      with
+      | Ok req -> Ok (req, deadline_limited)
+      | Error err -> Error (Protocol.Err err)
 
 (* Map one engine result for [job] onto the wire reply. [anytime] is the
    wire block of an SLO-carrying serve; plain evaluations omit it. *)

@@ -318,28 +318,59 @@ let unit_of_query_keeps_solver () =
   | _ -> Alcotest.fail "a head variable compiled"
   | exception Ppd.Compile.Unsupported _ -> ()
 
-(* The CLI builds its request before evaluating, so an unsupported CQ
-   fails there — still the clean one-line diagnosis and exit 1. *)
-let unit_cli_unsupported_query () =
+(* Every failure of an evaluation subcommand is typed like the server's
+   error replies: exit status 1 and a one-line diagnosis on stderr, never
+   an uncaught exception. [answers] grounds head variables, so its
+   unsupported query names a head variable that is no item attribute. *)
+let unit_cli_failures_exit_one () =
   let binary = "../bin/hardq_cli.exe" in
   if not (Sys.file_exists binary) then Alcotest.failf "binary not found at %s" binary;
-  let err = Filename.temp_file "hardq_test_unsupported" ".err" in
-  Fun.protect ~finally:(fun () -> Sys.remove err) @@ fun () ->
-  let code =
-    Sys.command
-      (String.concat " "
-         (List.map Filename.quote
-            [
-              binary; "eval"; "--dataset"; "polls"; "--size"; "6"; "--sessions"; "5";
-              "--query";
-              "Q(l) :- P(_, _; l; r), C(l, p, \"M\", _, _, _), C(r, p, \"F\", _, _, _).";
-            ])
-      ^ " >/dev/null 2>" ^ Filename.quote err)
+  let polls = [ "--dataset"; "polls"; "--size"; "6"; "--sessions"; "5" ] in
+  let head_var =
+    "Q(l) :- P(_, _; l; r), C(l, p, \"M\", _, _, _), C(r, p, \"F\", _, _, _)."
   in
-  Alcotest.(check int) "exit status" 1 code;
-  let msg = In_channel.with_open_text err In_channel.input_all in
-  if not (Helpers.contains msg "unsupported query") then
-    Alcotest.failf "stderr does not say \"unsupported query\": %s" msg
+  let session_head =
+    "Q(v) :- P(v, _; l; r), C(l, p, \"M\", _, _, _), C(r, p, \"F\", _, _, _)."
+  in
+  (* Three chained preference atoms: 60^3 grounding assignments. *)
+  let chain =
+    "Q() :- P(_; x; y), P(_; y; z), P(_; z; w), M(x, t1, a, g), M(y, t1, b, \
+     h), M(y, t2, b, h), M(z, t2, c, k), M(z, t3, c, k), M(w, t3, d, l)."
+  in
+  let movielens = [ "--dataset"; "movielens"; "--size"; "60"; "--sessions"; "2" ] in
+  let cases =
+    List.concat_map
+      (fun cmd ->
+        [
+          ("parse error", cmd, polls, "Q() :- P(_; x; _", "parse error: ");
+          ( "unsupported CQ",
+            cmd,
+            polls,
+            (if cmd = "answers" then session_head else head_var),
+            "unsupported query: " );
+          ("grounding too large", cmd, movielens, chain, "unsupported query: grounding");
+        ])
+      [ "eval"; "topk"; "answers"; "query" ]
+  in
+  List.iter
+    (fun (what, cmd, dataset, text, diagnosis) ->
+      let query = if cmd = "query" then [ text ] else [ "--query"; text ] in
+      let err = Filename.temp_file "hardq_test_cli" ".err" in
+      Fun.protect ~finally:(fun () -> Sys.remove err) @@ fun () ->
+      let code =
+        Sys.command
+          (String.concat " " (List.map Filename.quote ((binary :: cmd :: dataset) @ query))
+          ^ " >/dev/null 2>" ^ Filename.quote err)
+      in
+      let msg = In_channel.with_open_text err In_channel.input_all in
+      let case = Printf.sprintf "hardq %s, %s" cmd what in
+      Alcotest.(check int) (case ^ ": exit status") 1 code;
+      if
+        String.index_opt (String.trim msg) '\n' <> None
+        || Helpers.contains msg "internal error"
+        || not (String.starts_with ~prefix:diagnosis msg)
+      then Alcotest.failf "%s: want one line starting %S, got %S" case diagnosis msg)
+    cases
 
 let suites =
   [
@@ -362,7 +393,7 @@ let suites =
         prop_rank_dp_vs_brute;
         tc "a datalog CQ lowers with its solver kept" `Quick
           unit_of_query_keeps_solver;
-        tc "hardq eval: unsupported CQ exits 1, typed" `Quick
-          unit_cli_unsupported_query;
+        tc "hardq CLI: typed failures" `Quick
+          unit_cli_failures_exit_one;
       ] );
   ]

@@ -376,6 +376,9 @@ let unit_derived_labels () =
       Helpers.check_close "derived-label semantics" !expected p)
     probs
 
+(* The sequential reference evaluator for [Ppd.Answers]. *)
+let solve_reference db rng = List.map (fun q -> Ppd.Solve.boolean_prob db q rng)
+
 let unit_answers_head_variable () =
   let db = figure1_db () in
   (* Which education levels e admit a Democrat with edu e preferred to a
@@ -385,7 +388,7 @@ let unit_answers_head_variable () =
     Ppd.Parser.parse
       "Q(e) :- P(_, _; c1; c2), C(c1, \"D\", _, _, e, _), C(c2, \"R\", _, _, e, _)."
   in
-  let answers = Ppd.Answers.evaluate db q (Helpers.rng 20) in
+  let answers = Ppd.Answers.evaluate (solve_reference db (Helpers.rng 20)) db q in
   let doms = Ppd.Answers.domains db q in
   Alcotest.(check (list string)) "domain of e" [ "BS"; "JD" ]
     (List.map Ppd.Value.to_string (List.assoc "e" doms));
@@ -410,14 +413,14 @@ let unit_answers_head_variable () =
         (a1.Ppd.Answers.confidence >= a2.Ppd.Answers.confidence)
   | _ -> Alcotest.fail "expected two answers");
   (* top-1 is the head of evaluate. *)
-  let t1 = Ppd.Answers.top ~k:1 db q (Helpers.rng 20) in
+  let t1 = Ppd.Answers.top ~k:1 (solve_reference db (Helpers.rng 20)) db q in
   Alcotest.(check int) "top 1" 1 (List.length t1)
 
 let unit_answers_item_head () =
   let db = figure1_db () in
   (* Which candidates are preferred to Clinton by someone? *)
   let q = Ppd.Parser.parse "Q(x) :- P(_, _; x; \"Clinton\")." in
-  let answers = Ppd.Answers.evaluate db q (Helpers.rng 22) in
+  let answers = Ppd.Answers.evaluate (solve_reference db (Helpers.rng 22)) db q in
   (* Clinton herself never precedes Clinton: 3 non-trivial answers. *)
   Alcotest.(check int) "three answers" 3 (List.length answers);
   List.iter

@@ -168,20 +168,6 @@ let unit_amp_matches_empirical () =
         in
         Helpers.check_rel ~tol:0.12 "AMP frequency" expected got)
 
-let unit_expected_distance_monotone () =
-  let m = 8 in
-  let prev = ref (-1.) in
-  List.iter
-    (fun phi ->
-      let d = Rim.Mallows.expected_distance ~m ~phi in
-      if d <= !prev then Alcotest.failf "expected distance not increasing at phi=%.2f" phi;
-      prev := d)
-    [ 0.; 0.1; 0.3; 0.5; 0.7; 0.9; 1. ];
-  (* phi = 1: uniform, expected distance = m(m-1)/4. *)
-  Helpers.check_close ~eps:1e-9 "uniform mean distance"
-    (float_of_int (m * (m - 1)) /. 4.)
-    (Rim.Mallows.expected_distance ~m ~phi:1.)
-
 let suites =
   [
     ( "rim.model",
@@ -197,7 +183,6 @@ let suites =
         prop_mallows_kendall_equals_rim;
         tc "normalization constant" `Quick unit_mallows_normalization;
         tc "uniform and point mass" `Quick unit_mallows_uniform_and_point;
-        tc "expected distance" `Quick unit_expected_distance_monotone;
       ] );
     ( "rim.amp",
       [

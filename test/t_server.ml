@@ -934,6 +934,51 @@ let unit_server_query_and_q_agree () =
   in
   Alcotest.(check string) "same answer bytes" (answer "query") (answer "q")
 
+(* [hardq query] is a local client of the server's request path: the
+   same spec and text give the same dataset and the same answer. Size
+   and the default session count of crowdrank are where the CLI's own
+   dataset builder used to differ from the registry's. *)
+let unit_server_cli_agrees () =
+  let cli = "../bin/hardq_cli.exe" in
+  if not (Sys.file_exists cli) then Alcotest.failf "binary not found at %s" cli;
+  let text =
+    "count Q() :- P(w; m1; m2), M(m1, \"Thriller\", _, _, _), M(m2, \
+     \"Comedy\", _, _, _)."
+  in
+  let address = Protocol.Local (temp_socket ()) in
+  with_server (Server.default_config address) @@ fun server ->
+  let client = Server.Client.connect ~retries:40 (Server.address server) in
+  Fun.protect ~finally:(fun () -> Server.Client.close client) @@ fun () ->
+  List.iter
+    (fun size ->
+      let spec = Protocol.dataset ~size ~sessions:50 ~seed:42 "crowdrank" in
+      let served =
+        match Result.map (Server.Client.eval client) (Protocol.eval_lang spec text) with
+        | Ok (Ok (Protocol.Answer { answer = Protocol.Expectation v; _ })) -> v
+        | _ -> Alcotest.failf "size %d: the server gave no expectation" size
+      in
+      let out = Filename.temp_file "hardq_test_cli" ".out" in
+      Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
+      let code =
+        Sys.command
+          (String.concat " "
+             (List.map Filename.quote
+                [ cli; "query"; "--dataset"; "crowdrank"; "--size"; string_of_int size;
+                  "--sessions"; "50"; "--seed"; "42"; text ])
+          ^ " >" ^ Filename.quote out)
+      in
+      Alcotest.(check int) "exit status" 0 code;
+      let printed =
+        List.find_opt
+          (String.starts_with ~prefix:"E[count(Q)]")
+          (In_channel.with_open_text out In_channel.input_lines)
+      in
+      Alcotest.(check (option string))
+        (Printf.sprintf "size %d" size)
+        (Some (Printf.sprintf "E[count(Q)]  = %.6f" served))
+        printed)
+    [ 10; 30 ]
+
 let unit_server_drain_completes_inflight () =
   let address = Protocol.Local (temp_socket ()) in
   let config =
@@ -1867,6 +1912,8 @@ let suites =
           unit_server_unsupported_query_is_typed;
         tc "bare-constant Q2: \"query\" and \"q\" answer the same bytes" `Quick
           unit_server_query_and_q_agree;
+        tc "hardq query answers what the server answers" `Quick
+          unit_server_cli_agrees;
         tc "drain answers in-flight requests, then refuses" `Quick
           unit_server_drain_completes_inflight;
         tc "gather window batches a burst; single-flight solves once" `Quick

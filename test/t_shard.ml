@@ -577,7 +577,9 @@ let usage_error binary args =
 
 let unit_cli_rejects_shards_below_one () =
   usage_error "../bin/hardq_cli.exe" [ "topk"; "--shards"; "0" ];
-  usage_error "../bin/hardq_cli.exe" [ "eval"; "--shards=-3" ]
+  usage_error "../bin/hardq_cli.exe" [ "eval"; "--shards=-3" ];
+  usage_error "../bin/hardq_cli.exe" [ "query"; "--shards"; "0" ];
+  usage_error "../bin/hardq_cli.exe" [ "answers"; "--shards=-1" ]
 
 let unit_server_rejects_shards_below_one () =
   usage_error "../bin/hardq_server.exe" [ "--shards"; "0" ];
