@@ -41,13 +41,11 @@ let run ~full () =
             let resp = Engine.eval engine req in
             (resp, Util.Timer.wall () -. t0)
           in
-          (* The cold evaluation runs instrumented, so its response carries
-             the sampler-draw / cache metrics delta for the JSON row; the
-             enabled overhead is a few atomic adds per inference, noise
-             against the sampler work measured here. *)
-          Obs.enable ();
+          (* Metrics always record, as in served requests: the cold
+             response's [metrics] is the snapshot diff across its
+             evaluation (sampler draws, cache activity) for the JSON
+             row. *)
           let cold, t_cold = eval () in
-          Obs.disable ();
           let warm, t_warm = eval () in
           assert (warm.Engine.Response.stats.Engine.Response.cache_misses = 0);
           Exp_util.json_line

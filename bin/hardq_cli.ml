@@ -64,18 +64,6 @@ let solver_arg =
     & opt solver_conv (Hardq.Solver.Exact `Auto)
     & info [ "solver" ] ~docv:"SOLVER" ~doc)
 
-let jobs_arg =
-  let doc =
-    "Domains to evaluate with (0 = one per available core). Results are \
-     bit-identical whatever the setting."
-  in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
-let cache_arg =
-  let doc = "Memoize per-session inference results (the paper's grouping \
-             optimization, persistent across queries of one run)." in
-  Arg.(value & opt bool true & info [ "cache" ] ~docv:"BOOL" ~doc)
-
 let intra_arg =
   let doc =
     "Let each solver call fan its own work (inclusion-exclusion terms, DP \
@@ -105,9 +93,9 @@ let stats_arg =
 
 let metrics_json_arg =
   let doc =
-    "Enable observability counters and write the run's metrics snapshot \
-     (one JSON object: per-solver DP states, prune counts, sampler draws, \
-     engine cache activity) to $(docv)."
+    "Write the run's metrics snapshot (one JSON object: per-solver DP \
+     states, prune counts, sampler draws, engine cache activity) to \
+     $(docv)."
   in
   Arg.(value & opt (some string) None & info [ "metrics-json" ] ~docv:"PATH" ~doc)
 
@@ -146,13 +134,8 @@ type common = {
 }
 
 let common =
-  let make dataset size sessions seed solver jobs cache intra kernel budget
-      shards stats metrics_json trace =
-    (* [--jobs 0] = engine default (one domain per core) = Config.default. *)
-    let config =
-      Engine.Config.(
-        default |> with_cache cache |> with_kernel kernel |> with_shards shards)
-    in
+  let make dataset size sessions seed solver jobs intra kernel budget shards
+      stats metrics_json trace =
     {
       spec = Protocol.dataset ?size ?sessions ~seed dataset;
       solver;
@@ -160,7 +143,10 @@ let common =
       budget;
       parallelism = (if intra then `Intra else `Inter);
       config =
-        (if jobs <= 0 then config else Engine.Config.with_jobs jobs config);
+        {
+          Engine.Config.(default |> with_kernel kernel |> with_shards shards) with
+          jobs;
+        };
       stats;
       metrics_json;
       trace;
@@ -168,7 +154,7 @@ let common =
   in
   Term.(
     const make $ dataset_arg $ size_arg $ sessions_arg $ seed_arg $ solver_arg
-    $ jobs_arg $ cache_arg $ intra_arg $ Engine_flags.kernel_arg $ budget_arg
+    $ Engine_flags.jobs_arg $ intra_arg $ Engine_flags.kernel_arg $ budget_arg
     $ shards_arg $ stats_arg $ metrics_json_arg $ trace_arg)
 
 (* The query text a subcommand runs: the flag's, or the dataset's
@@ -327,7 +313,6 @@ let registry = Server.Registry.create ~max_size:max_int ~max_sessions:max_int ()
    one), [`Explain] stops at the plan, and [`Answers (k, q)] grounds the
    head of [q] and evaluates every grounding in one engine batch. *)
 let execute c build =
-  if Option.is_some c.metrics_json then Obs.enable ();
   if c.trace then Obs.enable_tracing ();
   let code =
     match

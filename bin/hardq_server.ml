@@ -26,20 +26,25 @@ let listen_arg =
     & opt address_conv (Server.Protocol.Tcp ("127.0.0.1", 7199))
     & info [ "listen"; "l" ] ~docv:"ADDR" ~doc)
 
-let jobs_arg =
-  let doc = "Engine pool size (0 = one domain per available core)." in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
 let cache_arg =
-  let doc = "Answer-tier cache capacity (entries)." in
-  Arg.(value & opt int 8192 & info [ "cache" ] ~docv:"N" ~doc)
+  let doc =
+    "Answer-tier cache capacity (entries; 0 retains nothing, so every \
+     request solves cold)."
+  in
+  Arg.(
+    value
+    & opt (Engine_flags.count_conv ~min:0 "cache capacity") 8192
+    & info [ "cache" ] ~docv:"N" ~doc)
 
 let term_cache_arg =
   let doc =
     "Term-tier cache capacity (solved IE conjunctions shared across \
-     queries over the same model; 0 disables the tier)."
+     queries over the same model; 0 leaves the tier out)."
   in
-  Arg.(value & opt int 4096 & info [ "term-cache" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (Engine_flags.count_conv ~min:0 "term-cache capacity") 4096
+    & info [ "term-cache" ] ~docv:"N" ~doc)
 
 let batch_window_arg =
   let doc =
@@ -81,14 +86,20 @@ let queue_arg =
     "Admission-queue bound: requests beyond it are shed immediately with \
      a typed $(b,overloaded) error."
   in
-  Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (Engine_flags.count_conv ~min:1 "queue bound") 64
+    & info [ "queue" ] ~docv:"N" ~doc)
 
 let workers_arg =
   let doc =
     "Evaluator threads. The engine is thread-safe and single-flights \
      duplicate sub-problems, so workers evaluate batches concurrently."
   in
-  Arg.(value & opt int 2 & info [ "workers" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (Engine_flags.count_conv ~min:1 "worker count") 2
+    & info [ "workers" ] ~docv:"N" ~doc)
 
 let max_connections_arg =
   let doc = "Connections beyond this are refused with $(b,overloaded)." in
@@ -125,7 +136,7 @@ let run listen jobs cache term_cache batch_window_ms batch_max shards intra
   let config =
     {
       (Server.default_config listen) with
-      Server.jobs = (if jobs <= 0 then None else Some jobs);
+      Server.jobs;
       cache_capacity = cache;
       term_cache_capacity = term_cache;
       batch_window_ms;
@@ -167,7 +178,7 @@ let cmd =
   Cmd.v
     (Cmd.info "hardq-server" ~doc ~man)
     Term.(
-      const run $ listen_arg $ jobs_arg $ cache_arg $ term_cache_arg
+      const run $ listen_arg $ Engine_flags.jobs_arg $ cache_arg $ term_cache_arg
       $ batch_window_arg $ batch_max_arg $ shards_arg $ intra_arg $ Engine_flags.kernel_arg
       $ queue_arg
       $ workers_arg $ max_connections_arg $ timeout_arg $ metrics_json_arg

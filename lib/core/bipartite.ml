@@ -2,8 +2,8 @@ exception Unsupported of string
 
 let max_states = ref 5_000_000
 
-(* Observability (all no-ops unless [Obs.enable]d): counted into plain
-   local ints inside the DP and flushed once per call. *)
+(* Observability: counted into plain local ints inside the DP and flushed
+   once per call. *)
 let c_calls = Obs.counter "solver.bipartite.calls"
 let c_states = Obs.counter "solver.bipartite.dp_states"
 let c_edges_pruned = Obs.counter "solver.bipartite.edges_pruned"
@@ -157,7 +157,7 @@ type opt_scratch = {
   sc_patterns_pruned : int ref;
 }
 
-let run_optimized_boxed ~budget ~par ~obs ~states ~edges_pruned ~patterns_pruned
+let run_optimized_boxed ~budget ~par ~states ~edges_pruned ~patterns_pruned
     ctx feasible =
   let m = Rim.Model.m ctx.model in
   let gu0 = make_interner ctx feasible in
@@ -170,7 +170,7 @@ let run_optimized_boxed ~budget ~par ~obs ~states ~edges_pruned ~patterns_pruned
     Util.Timer.check budget;
     let cur = !table in
     let n_states = Dp_table.Boxed.length cur in
-    if obs then states := !states + n_states;
+    states := !states + n_states;
     let next =
       Dp_table.Boxed.create ~capacity:(2 * n_states) ~name:"Bipartite"
         ~max_states:!max_states ()
@@ -204,21 +204,21 @@ let run_optimized_boxed ~budget ~par ~obs ~states ~edges_pruned ~patterns_pruned
                     (fun e ->
                       match edge_situation ctx ~value i e with
                       | Satisfied ->
-                          if obs then incr sc.sc_edges_pruned;
+                          incr sc.sc_edges_pruned;
                           false
                       | Violated ->
-                          if obs then incr sc.sc_edges_pruned;
+                          incr sc.sc_edges_pruned;
                           violated := true;
                           false
                       | Uncertain -> true)
                     edges
                 in
                 if !violated then begin
-                  if obs then incr sc.sc_patterns_pruned;
+                  incr sc.sc_patterns_pruned;
                   None
                 end
                 else if uncertain = [] then begin
-                  if obs then incr sc.sc_patterns_pruned;
+                  incr sc.sc_patterns_pruned;
                   satisfied_pattern := true;
                   None
                 end
@@ -313,7 +313,7 @@ type flat_opt_scratch = {
   fs_patterns_pruned : int ref;
 }
 
-let run_optimized_flat ~budget ~par ~obs ~states ~edges_pruned ~patterns_pruned
+let run_optimized_flat ~budget ~par ~states ~edges_pruned ~patterns_pruned
     ctx feasible =
   let m = Rim.Model.m ctx.model in
   let key0 = canonical_structure feasible in
@@ -330,7 +330,7 @@ let run_optimized_flat ~budget ~par ~obs ~states ~edges_pruned ~patterns_pruned
   Dp_table.Flat.with_pair ~name:"Bipartite" ~max_states:!max_states
   @@ fun t0 t1 ->
   let cur = ref t0 and nxt = ref t1 in
-  let hwm = ref 0 and flat_states = ref 0 in
+  let hwm = ref 0 in
   (let seed = Array.make (struct_len0 + n_tracked0) 0 in
    Array.blit struct0 0 seed 0 struct_len0;
    Dp_table.Flat.add !cur seed 0 (struct_len0 + n_tracked0) 1.);
@@ -358,11 +358,8 @@ let run_optimized_flat ~budget ~par ~obs ~states ~edges_pruned ~patterns_pruned
     Util.Timer.check budget;
     let curt = !cur and next = !nxt in
     let n_states = Dp_table.Flat.length curt in
-    if obs then begin
-      flat_states := !flat_states + n_states;
-      states := !states + n_states;
-      Dp_table.Flat.note_layer_width n_states
-    end;
+    states := !states + n_states;
+    Dp_table.Flat.note_layer_width n_states;
     fill_layer ctx ly i;
     let pi_row = ly.pi_row and steps = ly.steps and row = ly.row in
     let stride = ly.stride and exhausted = ly.exhausted in
@@ -424,10 +421,10 @@ let run_optimized_flat ~budget ~par ~obs ~states ~edges_pruned ~patterns_pruned
               let lv = sc.fs_vals.(sc.fs_slot.(l))
               and rv = sc.fs_vals.(sc.fs_slot.(r)) in
               if lv > 0 && rv > 0 && lv < rv then begin
-                if obs then incr sc.fs_edges_pruned
+                incr sc.fs_edges_pruned
               end
               else if exhausted.(l) && exhausted.(r) then begin
-                if obs then incr sc.fs_edges_pruned;
+                incr sc.fs_edges_pruned;
                 violated := true
               end
               else begin
@@ -437,11 +434,11 @@ let run_optimized_flat ~budget ~par ~obs ~states ~edges_pruned ~patterns_pruned
               end
             done;
             if !violated then begin
-              if obs then incr sc.fs_patterns_pruned;
+              incr sc.fs_patterns_pruned;
               ew := span_start
             end
             else if !ew = span_start then begin
-              if obs then incr sc.fs_patterns_pruned;
+              incr sc.fs_patterns_pruned;
               satisfied_pattern := true
             end
             else begin
@@ -514,15 +511,14 @@ let run_optimized_flat ~budget ~par ~obs ~states ~edges_pruned ~patterns_pruned
       ~add:(Dp_table.Flat.add_cell next)
       ~add_prob:(fun cell ci -> acc.(0) <- acc.(0) +. cell.(ci))
       ();
-    if obs then
-      hwm :=
-        max !hwm
-          (max (Dp_table.Flat.used_words curt) (Dp_table.Flat.used_words next));
+    hwm :=
+      max !hwm
+        (max (Dp_table.Flat.used_words curt) (Dp_table.Flat.used_words next));
     Dp_table.Flat.clear curt;
     cur := next;
     nxt := curt
   done;
-  if obs then Dp_table.Flat.flush_call ~states:!flat_states ~hwm_words:!hwm;
+  Dp_table.Flat.flush_call ~states:!states ~hwm_words:!hwm;
   min 1. acc.(0)
 
 let run_optimized ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)
@@ -534,24 +530,21 @@ let run_optimized ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)
       1.
   | feasible ->
       Conj.freeze ctx.conj;
-      let obs = Obs.enabled () in
       let states = ref 0 and edges_pruned = ref 0 and patterns_pruned = ref 0 in
       let result =
         match kernel with
         | Kernel.Boxed ->
-            run_optimized_boxed ~budget ~par ~obs ~states ~edges_pruned
+            run_optimized_boxed ~budget ~par ~states ~edges_pruned
               ~patterns_pruned ctx feasible
         | Kernel.Flat ->
-            run_optimized_flat ~budget ~par ~obs ~states ~edges_pruned
+            run_optimized_flat ~budget ~par ~states ~edges_pruned
               ~patterns_pruned ctx feasible
       in
-      if obs then begin
-        Obs.Counter.incr c_calls;
-        Obs.Counter.add c_states !states;
-        Obs.Counter.add c_edges_pruned !edges_pruned;
-        Obs.Counter.add c_patterns_pruned !patterns_pruned;
-        Obs.Histogram.observe h_states !states
-      end;
+      Obs.Counter.incr c_calls;
+      Obs.Counter.add c_states !states;
+      Obs.Counter.add c_edges_pruned !edges_pruned;
+      Obs.Counter.add c_patterns_pruned !patterns_pruned;
+      Obs.Histogram.observe h_states !states;
       result
 
 (* ------------------------------------------------------------------ *)
@@ -581,7 +574,7 @@ let union_satisfied pats vals off =
   done;
   !sat
 
-let run_basic_boxed ~budget ~par ~obs ~states ctx feasible =
+let run_basic_boxed ~budget ~par ~states ctx feasible =
   let m = Rim.Model.m ctx.model in
   let table =
     ref
@@ -593,7 +586,7 @@ let run_basic_boxed ~budget ~par ~obs ~states ctx feasible =
     Util.Timer.check budget;
     let cur = !table in
     let n_states = Dp_table.Boxed.length cur in
-    if obs then states := !states + n_states;
+    states := !states + n_states;
     let next =
       Dp_table.Boxed.create ~capacity:(2 * n_states) ~name:"Bipartite (basic)"
         ~max_states:!max_states ()
@@ -628,13 +621,13 @@ let run_basic_boxed ~budget ~par ~obs ~states ctx feasible =
 (* Chunk-local scratch of the basic flat kernel. *)
 type basic_scratch = { bs_buf : int array; bs_cell : float array }
 
-let run_basic_flat ~budget ~par ~obs ~states ctx feasible =
+let run_basic_flat ~budget ~par ~states ctx feasible =
   let m = Rim.Model.m ctx.model in
   let w = ctx.n_tracks in
   Dp_table.Flat.with_pair ~name:"Bipartite (basic)" ~max_states:!max_states
   @@ fun t0 t1 ->
   let cur = ref t0 and nxt = ref t1 in
-  let hwm = ref 0 and flat_states = ref 0 in
+  let hwm = ref 0 in
   let ly = make_layer ctx in
   (let seed = Array.make w 0 in
    Dp_table.Flat.add !cur seed 0 w 1.);
@@ -642,11 +635,8 @@ let run_basic_flat ~budget ~par ~obs ~states ctx feasible =
     Util.Timer.check budget;
     let curt = !cur and next = !nxt in
     let n_states = Dp_table.Flat.length curt in
-    if obs then begin
-      flat_states := !flat_states + n_states;
-      states := !states + n_states;
-      Dp_table.Flat.note_layer_width n_states
-    end;
+    states := !states + n_states;
+    Dp_table.Flat.note_layer_width n_states;
     fill_layer ctx ly i;
     let pi_row = ly.pi_row and steps = ly.steps and row = ly.row in
     let stride = ly.stride in
@@ -673,15 +663,14 @@ let run_basic_flat ~budget ~par ~obs ~states ctx feasible =
       ~add:(Dp_table.Flat.add_cell next)
       ~add_prob:(fun _ _ -> ())
       ();
-    if obs then
-      hwm :=
-        max !hwm
-          (max (Dp_table.Flat.used_words curt) (Dp_table.Flat.used_words next));
+    hwm :=
+      max !hwm
+        (max (Dp_table.Flat.used_words curt) (Dp_table.Flat.used_words next));
     Dp_table.Flat.clear curt;
     cur := next;
     nxt := curt
   done;
-  if obs then Dp_table.Flat.flush_call ~states:!flat_states ~hwm_words:!hwm;
+  Dp_table.Flat.flush_call ~states:!states ~hwm_words:!hwm;
   let final = !cur in
   let pats = pattern_arrays feasible in
   let data = Dp_table.Flat.data final in
@@ -699,17 +688,14 @@ let run_basic ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)
   | feasible when List.exists (fun edges -> edges = []) feasible -> 1.
   | feasible ->
       Conj.freeze ctx.conj;
-      let obs = Obs.enabled () in
       let states = ref 0 in
       let result =
         match kernel with
-        | Kernel.Boxed -> run_basic_boxed ~budget ~par ~obs ~states ctx feasible
-        | Kernel.Flat -> run_basic_flat ~budget ~par ~obs ~states ctx feasible
+        | Kernel.Boxed -> run_basic_boxed ~budget ~par ~states ctx feasible
+        | Kernel.Flat -> run_basic_flat ~budget ~par ~states ctx feasible
       in
-      if obs then begin
-        Obs.Counter.incr c_basic_calls;
-        Obs.Counter.add c_basic_states !states
-      end;
+      Obs.Counter.incr c_basic_calls;
+      Obs.Counter.add c_basic_states !states;
       result
 
 (* ------------------------------------------------------------------ *)

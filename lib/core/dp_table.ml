@@ -31,9 +31,9 @@ let () =
 
 let explode name cap = raise (State_explosion { table = name; cap })
 
-(* Flat-kernel observability (no-ops unless [Obs.enable]d). Layer widths
-   and high-water marks are recorded through the helpers below; the
-   per-solver state counters stay with each solver. *)
+(* Flat-kernel observability. Layer widths and high-water marks are
+   recorded through the helpers below; the per-solver state counters stay
+   with each solver. *)
 let c_flat_calls = Obs.counter "dp.flat.calls"
 let c_flat_states = Obs.counter "dp.flat.states"
 let h_layer_width = Obs.histogram "dp.flat.layer_width"
@@ -314,8 +314,7 @@ module Flat = struct
     | None -> 0
     | Some (t0, t1) -> retained t0 + retained t1
 
-  (* Observability helpers — callers guard with [Obs.enabled] and flush
-     once per solver call. *)
+  (* Observability helpers — callers flush once per solver call. *)
   let note_layer_width n = Obs.Histogram.observe h_layer_width n
 
   let flush_call ~states ~hwm_words =

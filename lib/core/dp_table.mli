@@ -109,11 +109,10 @@ module Flat : sig
 
   val note_layer_width : int -> unit
   (** Record one layer's state count in the [dp.flat.layer_width]
-      histogram. Callers guard with [Obs.enabled]. *)
+      histogram. *)
 
   val flush_call : states:int -> hwm_words:int -> unit
   (** Flush one flat solver call's tallies: total states across layers
       into [dp.flat.states], the arena high-water mark into
-      [dp.flat.arena_words_hwm], and bump [dp.flat.calls]. Callers
-      guard with [Obs.enabled]. *)
+      [dp.flat.arena_words_hwm], and bump [dp.flat.calls]. *)
 end

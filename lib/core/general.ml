@@ -21,7 +21,6 @@ let term_key c = (Prefs.Pattern.nodes c, Prefs.Pattern.edges c)
 
 let prob_instrumented ?budget ?(par = Util.Par.inline) ?(memo = true) ?cache
     ?kernel model lab gu =
-  let obs = Obs.enabled () in
   let terms = Array.of_list (conjunctions gu) in
   let n = Array.length terms in
   (* Deduplicate structurally identical conjunctions: each term points at
@@ -109,16 +108,14 @@ let prob_instrumented ?budget ?(par = Util.Par.inline) ?(memo = true) ?cache
       let sign = if size land 1 = 1 then 1. else -1. in
       total := !total +. (sign *. probs.(r)))
     terms;
-  if obs then begin
-    Obs.Counter.incr c_calls;
-    (* Evaluated terms only: representatives answered by the injected
-       cross-call cache cost nothing here (the engine counts those hits
-       in its own term-tier counters). *)
-    Obs.Counter.add c_terms !n_unsolved;
-    Obs.Counter.add c_memo_hits (n - !n_reps);
-    if Util.Par.width par > 1 then Obs.Counter.add c_par_terms !n_unsolved;
-    Obs.Histogram.observe h_terms !n_unsolved
-  end;
+  Obs.Counter.incr c_calls;
+  (* Evaluated terms only: representatives answered by the injected
+     cross-call cache cost nothing here (the engine counts those hits in
+     its own term-tier counters). *)
+  Obs.Counter.add c_terms !n_unsolved;
+  Obs.Counter.add c_memo_hits (n - !n_reps);
+  if Util.Par.width par > 1 then Obs.Counter.add c_par_terms !n_unsolved;
+  Obs.Histogram.observe h_terms !n_unsolved;
   (* Inclusion-exclusion cancellation can leave tiny out-of-range residue;
      the value is returned raw and clamped at the Solver.prob boundary. *)
   (!total, List.rev !times)

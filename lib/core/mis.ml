@@ -4,10 +4,8 @@ let c_draws = Obs.counter "sampler.mis.draws"
 let c_proposals = Obs.counter "sampler.mis.proposals"
 
 let record_obs ~d ~n_per =
-  if Obs.enabled () then begin
-    Obs.Counter.add c_draws (d * n_per);
-    Obs.Counter.add c_proposals d
-  end
+  Obs.Counter.add c_draws (d * n_per);
+  Obs.Counter.add c_proposals d
 
 let balance_estimate ~target ~proposals ~n_per rng =
   let d = Array.length proposals in

@@ -181,7 +181,7 @@ type flat_scratch = { buf : int array; f : int array; cell : float array }
 (* The expansion reads only the current table's arrays and π's row i,
    hoisted once per layer: no allocation and no call outside this module
    except the emission. *)
-let run_flat ~budget ~par ~obs model pr =
+let run_flat ~budget ~par model pr =
   let q = Array.length pr.parents in
   let max_w = 2 * (pr.m + 1) in
   Dp_table.Flat.with_pair ~name:"Pattern_solver" ~max_states:!max_states
@@ -195,10 +195,8 @@ let run_flat ~budget ~par ~obs model pr =
     Util.Timer.check budget;
     let curt = !cur and next = !nxt in
     let n_states = Dp_table.Flat.length curt in
-    if obs then begin
-      states := !states + n_states;
-      Dp_table.Flat.note_layer_width n_states
-    end;
+    states := !states + n_states;
+    Dp_table.Flat.note_layer_width n_states;
     Rim.Model.blit_pi_row model i pi_row;
     let data = Dp_table.Flat.data curt
     and offs = Dp_table.Flat.offs curt
@@ -258,15 +256,14 @@ let run_flat ~budget ~par ~obs model pr =
       ~add:(Dp_table.Flat.add_cell next)
       ~add_prob:(fun cell ci -> acc.(0) <- acc.(0) +. cell.(ci))
       ();
-    if obs then
-      hwm :=
-        max !hwm
-          (max (Dp_table.Flat.used_words curt) (Dp_table.Flat.used_words next));
+    hwm :=
+      max !hwm
+        (max (Dp_table.Flat.used_words curt) (Dp_table.Flat.used_words next));
     Dp_table.Flat.clear curt;
     cur := next;
     nxt := curt
   done;
-  if obs then Dp_table.Flat.flush_call ~states:!states ~hwm_words:!hwm;
+  Dp_table.Flat.flush_call ~states:!states ~hwm_words:!hwm;
   min 1. acc.(0)
 
 let prob_general ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)
@@ -276,7 +273,7 @@ let prob_general ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)
   | Some pr -> (
       match kernel with
       | Kernel.Boxed -> run_boxed ~budget ~par model pr
-      | Kernel.Flat -> run_flat ~budget ~par ~obs:(Obs.enabled ()) model pr)
+      | Kernel.Flat -> run_flat ~budget ~par model pr)
 
 let prob ?budget ?par ?kernel model lab g =
   if Prefs.Pattern.is_bipartite g then

@@ -39,10 +39,8 @@ let run ?(par = Util.Par.inline) ~n model pred rng =
       Array.fold_left ( + ) 0 partial
     end
   in
-  if Obs.enabled () then begin
-    Obs.Counter.add c_draws n;
-    Obs.Counter.add c_accepts hits
-  end;
+  Obs.Counter.add c_draws n;
+  Obs.Counter.add c_accepts hits;
   {
     Estimate.value = float_of_int hits /. float_of_int n;
     n_samples = n;

@@ -2,8 +2,8 @@ exception Unsupported of string
 
 let max_states = ref 5_000_000
 
-(* Observability (all no-ops unless [Obs.enable]d): states are counted
-   into a plain local int and flushed once per call. *)
+(* Observability: states are counted into a plain local int and flushed
+   once per call. *)
 let c_calls = Obs.counter "solver.two_label.calls"
 let c_states = Obs.counter "solver.two_label.dp_states"
 let h_states = Obs.histogram "solver.two_label.dp_states_per_call"
@@ -89,7 +89,7 @@ let fill_layer pr i ~hit ~live =
     end
   done
 
-let run_boxed ~budget ~par ~obs ~states model pr =
+let run_boxed ~budget ~par ~states model pr =
   let m = Rim.Model.m model in
   let w = pr.a + pr.b in
   let table =
@@ -101,7 +101,7 @@ let run_boxed ~budget ~par ~obs ~states model pr =
     Util.Timer.check budget;
     let cur = !table in
     let n_states = Dp_table.Boxed.length cur in
-    if obs then states := !states + n_states;
+    states := !states + n_states;
     let next =
       Dp_table.Boxed.create ~capacity:(2 * n_states) ~name:"Two_label"
         ~max_states:!max_states ()
@@ -162,7 +162,7 @@ type scratch = {
    each word's block of {!Conj.step_table} and each int's live-field
    mask — so it allocates nothing and calls nothing outside this module
    except the emission itself. *)
-let run_flat ~budget ~par ~obs ~states model pr =
+let run_flat ~budget ~par ~states model pr =
   let m = Rim.Model.m model in
   let a = pr.a and w = pr.a + pr.b in
   let { bits; ints; idx; sh } = layout ~m ~w in
@@ -180,10 +180,8 @@ let run_flat ~budget ~par ~obs ~states model pr =
     Util.Timer.check budget;
     let curt = !cur and next = !nxt in
     let n_states = Dp_table.Flat.length curt in
-    if obs then begin
-      states := !states + n_states;
-      Dp_table.Flat.note_layer_width n_states
-    end;
+    states := !states + n_states;
+    Dp_table.Flat.note_layer_width n_states;
     Rim.Model.blit_pi_row model i pi_row;
     fill_layer pr i ~hit ~live;
     Array.fill live_mask 0 ints 0;
@@ -233,33 +231,29 @@ let run_flat ~budget ~par ~obs ~states model pr =
       ~add:(Dp_table.Flat.add_cell next)
       ~add_prob:(fun _ _ -> ())
       ();
-    if obs then
-      hwm :=
-        max !hwm
-          (max (Dp_table.Flat.used_words curt) (Dp_table.Flat.used_words next));
+    hwm :=
+      max !hwm
+        (max (Dp_table.Flat.used_words curt) (Dp_table.Flat.used_words next));
     Dp_table.Flat.clear curt;
     cur := next;
     nxt := curt
   done;
-  if obs then Dp_table.Flat.flush_call ~states:!states ~hwm_words:!hwm;
+  Dp_table.Flat.flush_call ~states:!states ~hwm_words:!hwm;
   max 0. (1. -. Dp_table.Flat.sum !cur)
 
 let prob_edges ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)
     ?(kernel = Kernel.default) model lab pairs =
   if pairs = [] then invalid_arg "Two_label.prob_edges: empty union";
   let pr = build_problem model lab pairs in
-  let obs = Obs.enabled () in
   let states = ref 0 in
   let result =
     match kernel with
-    | Kernel.Boxed -> run_boxed ~budget ~par ~obs ~states model pr
-    | Kernel.Flat -> run_flat ~budget ~par ~obs ~states model pr
+    | Kernel.Boxed -> run_boxed ~budget ~par ~states model pr
+    | Kernel.Flat -> run_flat ~budget ~par ~states model pr
   in
-  if obs then begin
-    Obs.Counter.incr c_calls;
-    Obs.Counter.add c_states !states;
-    Obs.Histogram.observe h_states !states
-  end;
+  Obs.Counter.incr c_calls;
+  Obs.Counter.add c_states !states;
+  Obs.Histogram.observe h_states !states;
   result
 
 let prob ?budget ?par ?kernel model lab gu =

@@ -57,10 +57,8 @@ let upper_bound ?budget ~k model lab gu =
   let sets =
     List.filter_map (select_edges ~k lab sigma) (Prefs.Pattern_union.patterns gu)
   in
-  if Obs.enabled () then begin
-    Obs.Counter.incr c_calls;
-    Obs.Counter.add c_edges (List.fold_left (fun acc s -> acc + List.length s) 0 sets)
-  end;
+  Obs.Counter.incr c_calls;
+  Obs.Counter.add c_edges (List.fold_left (fun acc s -> acc + List.length s) 0 sets);
   if sets = [] then 0.
   else if List.exists (fun s -> s = []) sets then 1.
   else if k = 1 then

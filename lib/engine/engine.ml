@@ -8,7 +8,6 @@ module Reference = Ppd.Solve
 module Config = struct
   type t = {
     jobs : int option;
-    cache : bool;
     answer_capacity : int;
     term_capacity : int;
     batch_window : float;
@@ -20,7 +19,6 @@ module Config = struct
   let default =
     {
       jobs = None;
-      cache = true;
       answer_capacity = 8192;
       term_capacity = 4096;
       batch_window = 0.002;
@@ -30,7 +28,6 @@ module Config = struct
     }
 
   let with_jobs jobs c = { c with jobs = Some jobs }
-  let with_cache cache c = { c with cache }
   let with_answer_capacity answer_capacity c = { c with answer_capacity }
   let with_term_capacity term_capacity c = { c with term_capacity }
   let with_batch_window batch_window c = { c with batch_window }
@@ -71,8 +68,8 @@ type term_key =
 type t = {
   pool : Pool.t;
   config : Config.t;
-  answers : (key, float) Store.t option;
-  terms : (term_key, float) Store.t option;
+  answers : (key, float) Store.t;
+  terms : (term_key, float) Store.t option; (* None at term capacity 0 *)
   placement : Shard.t; (* session partitions; one when unsharded *)
   batch_ids : int Atomic.t;
   obs_m : Mutex.t; (* guards the evictions-folded counters below *)
@@ -106,12 +103,9 @@ let create (cfg : Config.t) =
   {
     pool = Pool.create ?jobs:cfg.Config.jobs ();
     config = cfg;
-    answers =
-      (if cfg.Config.cache then
-         Some (Store.create ~capacity:cfg.Config.answer_capacity)
-       else None);
+    answers = Store.create ~capacity:cfg.Config.answer_capacity;
     terms =
-      (if cfg.Config.cache && cfg.Config.term_capacity > 0 then
+      (if cfg.Config.term_capacity > 0 then
          Some (Store.create ~capacity:cfg.Config.term_capacity)
        else None);
     placement = Shard.create ~shards:cfg.Config.shards ();
@@ -124,13 +118,13 @@ let create (cfg : Config.t) =
 
 let config t = t.config
 let jobs t = Pool.size t.pool
-let cache_hits t = match t.answers with None -> 0 | Some c -> Store.hits c
-let cache_misses t = match t.answers with None -> 0 | Some c -> Store.misses c
-let cache_length t = match t.answers with None -> 0 | Some c -> Store.length c
+let cache_hits t = Store.hits t.answers
+let cache_misses t = Store.misses t.answers
+let cache_length t = Store.length t.answers
 let term_cache_length t = match t.terms with None -> 0 | Some c -> Store.length c
 
 let clear_cache t =
-  Option.iter Store.clear t.answers;
+  Store.clear t.answers;
   Option.iter Store.clear t.terms
 
 let shutdown t = if not (Atomic.exchange t.stopped true) then Pool.shutdown t.pool
@@ -202,7 +196,7 @@ type ctx = {
       (* DP layout of the exact solvers; answers are byte-identical for
          either kernel (see Hardq.Kernel), so cache keys ignore it *)
   terms : (term_key, float) Store.t option;
-  answers : (key, float) Store.t option;
+  answers : (key, float) Store.t;
   local : (key, float) Hashtbl.t; (* [solve_cached]'s within-eval memo *)
   hits : int Atomic.t; (* distinct requests answered by the cache *)
   misses : int Atomic.t; (* distinct requests this eval solved itself *)
@@ -261,11 +255,11 @@ let term_hook ctx (s : Ppd.Database.session) =
               match Store.find_opt st (tkey c) with
               | Some p ->
                   Atomic.incr ctx.term_hits;
-                  if Obs.enabled () then Obs.Counter.incr c_term_hits;
+                  Obs.Counter.incr c_term_hits;
                   Some p
               | None ->
                   Atomic.incr ctx.term_misses;
-                  if Obs.enabled () then Obs.Counter.incr c_term_misses;
+                  Obs.Counter.incr c_term_misses;
                   None);
           store = (fun c p -> Store.put st (tkey c) p);
         }
@@ -288,20 +282,21 @@ let solve_one ctx (s : Ppd.Database.session) union rng =
 
 (* The RNG of one sub-problem is a pure function of its canonical content
    (via the digest) and the request seed — never of request order or cache
-   state, so cache on/off and warm/cold runs draw identical streams. *)
+   state, so warm and cold runs at any store capacity draw identical
+   streams. *)
 let job_rng ctx digest =
   Util.Rng.derive ctx.seed (Hardq.Digest.to_int digest)
 
 (* Solve a key this eval owns in the store and publish it — or abandon
    the claim if the solve fails, so waiters take over. *)
-let solve_owned ctx st key digest session union =
+let solve_owned ctx key digest session union =
   let published = ref false in
   Fun.protect
-    ~finally:(fun () -> if not !published then Store.abandon st key)
+    ~finally:(fun () -> if not !published then Store.abandon ctx.answers key)
     (fun () ->
       Atomic.incr ctx.solver_calls;
       let p = solve_one ctx session union (job_rng ctx digest) in
-      Store.publish st key p;
+      Store.publish ctx.answers key p;
       published := true;
       p)
 
@@ -309,14 +304,14 @@ let solve_owned ctx st key digest session union =
    while this eval owns nothing it has not published, so blocking here
    cannot deadlock. [await -> None] means the owner failed: re-claim and,
    if we become owner, take over the solve. *)
-let rec join_deferred ctx st key digest session union =
-  match Store.await st key with
+let rec join_deferred ctx key digest session union =
+  match Store.await ctx.answers key with
   | Some p -> p
   | None -> (
-      match Store.claim st key with
+      match Store.claim ctx.answers key with
       | Store.Hit p -> p
-      | Store.Busy -> join_deferred ctx st key digest session union
-      | Store.Owner -> solve_owned ctx st key digest session union)
+      | Store.Busy -> join_deferred ctx key digest session union
+      | Store.Owner -> solve_owned ctx key digest session union)
 
 (* Batch phase: probabilities for every request of one partition, in
    request order.
@@ -359,30 +354,25 @@ let batch_probs t ctx requests =
                   let digest =
                     key_digest ctx.solver ctx.seed ctx.lab_canon session u
                   in
-                  let own () =
-                    Atomic.incr ctx.misses;
-                    let j = !n_jobs in
-                    incr n_jobs;
-                    jobs := (key, session, u, digest) :: !jobs;
-                    Hashtbl.add seen key (`Job j);
-                    slot.(i) <- j
-                  in
-                  match ctx.answers with
-                  | None -> own ()
-                  | Some st -> (
-                      match Store.claim st key with
-                      | Store.Hit p ->
-                          Atomic.incr ctx.hits;
-                          Hashtbl.add seen key (`Done p);
-                          fixed.(i) <- p
-                      | Store.Owner -> own ()
-                      | Store.Busy ->
-                          Atomic.incr ctx.sf_joins;
-                          let d = !n_defer in
-                          incr n_defer;
-                          deferred := (key, session, u, digest) :: !deferred;
-                          Hashtbl.add seen key (`Defer d);
-                          defer.(i) <- d))))
+                  match Store.claim ctx.answers key with
+                  | Store.Hit p ->
+                      Atomic.incr ctx.hits;
+                      Hashtbl.add seen key (`Done p);
+                      fixed.(i) <- p
+                  | Store.Owner ->
+                      Atomic.incr ctx.misses;
+                      let j = !n_jobs in
+                      incr n_jobs;
+                      jobs := (key, session, u, digest) :: !jobs;
+                      Hashtbl.add seen key (`Job j);
+                      slot.(i) <- j
+                  | Store.Busy ->
+                      Atomic.incr ctx.sf_joins;
+                      let d = !n_defer in
+                      incr n_defer;
+                      deferred := (key, session, u, digest) :: !deferred;
+                      Hashtbl.add seen key (`Defer d);
+                      defer.(i) <- d)))
         requests);
   let job_arr = Array.of_list (List.rev !jobs) in
   let results = Array.make (Array.length job_arr) 0. in
@@ -392,13 +382,10 @@ let batch_probs t ctx requests =
      failed eval wake up and take over instead of blocking forever. *)
   Fun.protect
     ~finally:(fun () ->
-      match ctx.answers with
-      | None -> ()
-      | Some st ->
-          Array.iteri
-            (fun j (key, _, _, _) ->
-              if not published.(j) then Store.abandon st key)
-            job_arr)
+      Array.iteri
+        (fun j (key, _, _, _) ->
+          if not published.(j) then Store.abandon ctx.answers key)
+        job_arr)
     (fun () ->
       Obs.with_span "solve" (fun () ->
           (* The memoized Mallows -> RIM conversion mutates the model
@@ -413,22 +400,16 @@ let batch_probs t ctx requests =
               results.(j) <- solve_one ctx session u (job_rng ctx digest)));
       ignore (Atomic.fetch_and_add ctx.solver_calls (Array.length job_arr));
       Obs.with_span "cache-fill" (fun () ->
-          match ctx.answers with
-          | None -> ()
-          | Some st ->
-              Array.iteri
-                (fun j (key, _, _, _) ->
-                  Store.publish st key results.(j);
-                  published.(j) <- true)
-                job_arr));
+          Array.iteri
+            (fun j (key, _, _, _) ->
+              Store.publish ctx.answers key results.(j);
+              published.(j) <- true)
+            job_arr));
   (* Only now — owning nothing — wait for the keys other evals claimed. *)
   let joined =
     Obs.with_span "join" (fun () ->
         Array.map
-          (fun (key, session, u, digest) ->
-            match ctx.answers with
-            | None -> assert false (* deferrals only exist with a store *)
-            | Some st -> join_deferred ctx st key digest session u)
+          (fun (key, session, u, digest) -> join_deferred ctx key digest session u)
           (Array.of_list (List.rev !deferred)))
   in
   Array.init n (fun i ->
@@ -447,22 +428,16 @@ let solve_cached ctx session union =
   | None ->
       let digest = key_digest ctx.solver ctx.seed ctx.lab_canon session union in
       let p =
-        match ctx.answers with
-        | None ->
+        match Store.claim ctx.answers key with
+        | Store.Hit p ->
+            Atomic.incr ctx.hits;
+            p
+        | Store.Owner ->
             Atomic.incr ctx.misses;
-            Atomic.incr ctx.solver_calls;
-            solve_one ctx session union (job_rng ctx digest)
-        | Some st -> (
-            match Store.claim st key with
-            | Store.Hit p ->
-                Atomic.incr ctx.hits;
-                p
-            | Store.Owner ->
-                Atomic.incr ctx.misses;
-                solve_owned ctx st key digest session union
-            | Store.Busy ->
-                Atomic.incr ctx.sf_joins;
-                join_deferred ctx st key digest session union)
+            solve_owned ctx key digest session union
+        | Store.Busy ->
+            Atomic.incr ctx.sf_joins;
+            join_deferred ctx key digest session union
       in
       Hashtbl.replace ctx.local key p;
       p
@@ -631,12 +606,9 @@ let fold_obs (t : t) ctx ~sessions =
   Obs.Counter.add c_cache_misses misses;
   Obs.Counter.add c_sf_joins sf_joins;
   Mutex.protect t.obs_m (fun () ->
-      (match t.answers with
-      | None -> ()
-      | Some c ->
-          let ev = Store.evictions c in
-          Obs.Counter.add c_cache_evictions (ev - t.answer_evictions_folded);
-          t.answer_evictions_folded <- ev);
+      let ev = Store.evictions t.answers in
+      Obs.Counter.add c_cache_evictions (ev - t.answer_evictions_folded);
+      t.answer_evictions_folded <- ev;
       match t.terms with
       | None -> ()
       | Some c ->
@@ -673,7 +645,7 @@ let respond t ctx ~m0 ~t_start ~t_ready ~bound_s ~sessions ?distinct ?shards
         bound_s;
         solve_s = t_end -. t_ready -. bound_s;
         total_s = t_end -. t_start;
-        metrics = (if Obs.enabled () then Obs.diff m0 (Obs.snapshot ()) else []);
+        metrics = Obs.diff m0 (Obs.snapshot ());
         shards;
       };
   }
@@ -694,12 +666,10 @@ let execute t (req : Request.t) ~m0 ~t_start ~batch_id ~batch_size =
   respond t ctx ~m0 ~t_start ~t_ready ~bound_s ~sessions ?shards ~batch_id
     ~batch_size answer probs
 
-let snapshot () = if Obs.enabled () then Obs.snapshot () else []
-
 let eval_one t ~batch_id ~batch_size (req : Request.t) =
   if Atomic.get t.stopped then raise Stopped;
   Obs.with_span "engine.eval" @@ fun () ->
-  let m0 = snapshot () in
+  let m0 = Obs.snapshot () in
   let t_start = Util.Timer.wall () in
   execute t req ~m0 ~t_start ~batch_id ~batch_size
 
@@ -894,7 +864,7 @@ let serve t ?(on_frame = fun (_ : Hardq.Anytime.frame) -> ())
   | Some slo ->
       if Atomic.get t.stopped then raise Stopped;
       Obs.with_span "engine.serve" @@ fun () ->
-      let m0 = snapshot () in
+      let m0 = Obs.snapshot () in
       let t_start = Util.Timer.wall () in
       if route_exact req then
         (* Exact answers satisfy any SLO; scalar ones surface as a

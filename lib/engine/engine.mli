@@ -50,18 +50,20 @@ module Reference = Ppd.Solve
     QA oracle diffs {!eval} against. *)
 
 (** Engine construction knobs. Build one with {!Config.default} and the
-    [with_*] setters (the record is public, so [{ default with cache =
-    false }] works too). *)
+    [with_*] setters (the record is public, so [{ default with
+    answer_capacity = 0 }] works too). *)
 module Config : sig
   type t = {
     jobs : int option;
         (** total domain count; [None] = one per core (at least 1);
             [Some 1] spawns no domains and evaluates inline *)
-    cache : bool;  (** master switch for both store tiers *)
-    answer_capacity : int;  (** answer-tier LRU entries (default 8192) *)
+    answer_capacity : int;
+        (** answer-tier LRU entries (default 8192). The tier always
+            exists: it single-flights concurrent solves of one key, and
+            at 0 it retains nothing, so every request solves cold *)
     term_capacity : int;
-        (** term-tier LRU entries (default 4096); 0 disables the term
-            tier only *)
+        (** term-tier LRU entries (default 4096); 0 leaves the term
+            tier out *)
     batch_window : float;
         (** serving-layer gather window in seconds (default 2 ms). A
             record of the setting only: nothing reads it — the engine
@@ -94,7 +96,6 @@ module Config : sig
 
   val default : t
   val with_jobs : int -> t -> t
-  val with_cache : bool -> t -> t
   val with_answer_capacity : int -> t -> t
   val with_term_capacity : int -> t -> t
   val with_batch_window : float -> t -> t
@@ -105,8 +106,7 @@ module Config : sig
 end
 
 type t
-(** An engine: a domain pool plus (optionally) the two-tier sub-answer
-    store. Create once, evaluate many requests — concurrently if you
+(** An engine: a domain pool plus the two-tier sub-answer store. Create once, evaluate many requests — concurrently if you
     like — then {!shutdown}. *)
 
 exception Stopped
@@ -192,9 +192,8 @@ val jobs : t -> int
 
 val cache_hits : t -> int
 val cache_misses : t -> int
-(** Lifetime answer-tier counters across every {!eval} on this engine (0
-    when the cache is disabled). Per-request counters are in
-    {!Response.stats}. *)
+(** Lifetime answer-tier counters across every {!eval} on this engine.
+    Per-request counters are in {!Response.stats}. *)
 
 val cache_length : t -> int
 (** Answer-tier entries currently cached. *)

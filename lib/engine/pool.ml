@@ -83,7 +83,7 @@ let drain t (task : task) =
       end
     end
   done;
-  if !stolen > 0 && Obs.enabled () then Obs.Counter.add c_chunks_stolen !stolen
+  Obs.Counter.add c_chunks_stolen !stolen
 
 let rec find_runnable = function
   | [] -> None
@@ -153,13 +153,13 @@ let exec t ~n body =
 let run_with counter t ~n body =
   if n <= 0 then ()
   else if t.size = 1 || n = 1 || t.stop then begin
-    if Obs.enabled () then Obs.Counter.incr c_inlined;
+    Obs.Counter.incr c_inlined;
     for i = 0 to n - 1 do
       body i
     done
   end
   else begin
-    if Obs.enabled () then Obs.Counter.incr counter;
+    Obs.Counter.incr counter;
     exec t ~n body
   end
 

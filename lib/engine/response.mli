@@ -34,9 +34,8 @@ type stats = {
   metrics : Obs.snapshot;
       (** What moved in the {!Obs} registry during this evaluation
           (per-solver DP states, prune counts, sampler draws, cache
-          activity...). Empty unless [Obs.enabled ()] — and then it is a
-          process-wide delta, so concurrent evaluations on other engines
-          bleed into it. *)
+          activity...). A process-wide delta, so concurrent evaluations
+          on other engines bleed into it. *)
   shards : Shard.summary option;
       (** Per-shard accounting when the engine has more than one
           session partition ([Config.shards > 1]) and the request has

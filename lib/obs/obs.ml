@@ -1,26 +1,22 @@
-(* Process-wide observability: sharded atomic counters, log-scale
-   histograms and lightweight spans behind a single enable flag.
+(* Process-wide observability: sharded atomic counters and log-scale
+   histograms that always record, and lightweight spans behind a tracing
+   switch.
 
    Design constraints (DESIGN.md §8):
    - zero dependencies beyond the stdlib + unix (wall clock for spans);
    - domain-safe: counters and histograms are sharded per domain and
      merged on read, so solver code running inside pool workers can
      record without locks or cross-domain contention;
-   - near-no-op when disabled: every recording entry point is one atomic
-     load and a predictable branch, so instrumented hot paths cost the
-     same as uninstrumented ones to within measurement noise. Callers on
-     truly hot loops additionally accumulate into plain local ints and
-     flush once per call. *)
+   - cheap enough to leave on: recording is one atomic add on the calling
+     domain's shard, and callers on hot loops accumulate into plain local
+     ints and flush once per call. Spans allocate, so they alone stay
+     behind a switch (off unless [enable_tracing]). *)
 
 (* ------------------------------------------------------------------ *)
-(* Global switches                                                     *)
+(* Tracing switch                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let metrics_on = Atomic.make false
 let trace_on = Atomic.make false
-let enable () = Atomic.set metrics_on true
-let disable () = Atomic.set metrics_on false
-let enabled () = Atomic.get metrics_on
 let enable_tracing () = Atomic.set trace_on true
 let disable_tracing () = Atomic.set trace_on false
 let tracing () = Atomic.get trace_on
@@ -49,7 +45,7 @@ module Counter = struct
 
   let unregistered name = { name; cells = make_cells () }
   let name t = t.name
-  let add t n = if n <> 0 && Atomic.get metrics_on then cells_add t.cells n
+  let add t n = if n <> 0 then cells_add t.cells n
   let incr t = add t 1
   let value t = cells_value t.cells
   let reset t = cells_reset t.cells
@@ -91,11 +87,9 @@ module Histogram = struct
   let lower_bound b = if b = 0 then 0 else 1 lsl (b - 1)
 
   let observe t v =
-    if Atomic.get metrics_on then begin
-      let idx = (bucket_of v * n_shards * stride) + shard_index () in
-      ignore (Atomic.fetch_and_add t.cells.(idx) 1);
-      cells_add t.sum (max 0 v)
-    end
+    let idx = (bucket_of v * n_shards * stride) + shard_index () in
+    ignore (Atomic.fetch_and_add t.cells.(idx) 1);
+    cells_add t.sum (max 0 v)
 
   let bucket_count t b =
     let base = b * n_shards * stride in

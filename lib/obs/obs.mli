@@ -1,5 +1,6 @@
-(** Process-wide observability: named atomic counters, log-scale
-    histograms and lightweight spans behind a single enable flag.
+(** Process-wide observability: named atomic counters and log-scale
+    histograms that always record, and lightweight spans behind a tracing
+    switch.
 
     Metrics live in a process-wide registry; {!counter} and {!histogram}
     intern by name, so any layer (solvers, samplers, the engine, the CLI)
@@ -12,27 +13,20 @@
     points) — quiesce the pool before snapshotting for exact totals, which
     is what the engine does.
 
-    {b Overhead contract.} Everything is disabled by default. When
-    disabled, every recording entry point ({!Counter.add},
-    {!Histogram.observe}, {!with_span}) is one atomic load and a branch.
-    No check measures that path. [Server.start] always calls {!enable},
-    so every request a server answers records its metrics; the CLI
-    enables recording only under [--metrics-json]. Instrumented hot loops
-    accumulate into plain local ints and flush once per solver call, so
-    even the {e enabled} overhead is a handful of atomic adds per
-    inference. *)
+    {b Overhead contract.} There is one metrics mode: {!Counter.add} and
+    {!Histogram.observe} always record, in every process (server, CLI,
+    tests, benchmarks), so whatever measures the served path measures
+    the recording with it. Recording is one atomic add on the calling
+    domain's shard, and instrumented hot loops accumulate into plain
+    local ints and flush once per solver call, so the cost is a handful
+    of atomic adds per inference. Spans allocate and pile up per domain,
+    so they alone keep a switch: {!with_span} is one atomic load and a
+    branch unless {!enable_tracing} was called. *)
 
-(** {1 Switches} *)
-
-val enable : unit -> unit
-(** Turn metric recording on (counters and histograms). *)
-
-val disable : unit -> unit
-
-val enabled : unit -> bool
+(** {1 Tracing switch} *)
 
 val enable_tracing : unit -> unit
-(** Turn span recording on (independent of {!enable}). *)
+(** Turn span recording on. *)
 
 val disable_tracing : unit -> unit
 val tracing : unit -> bool
@@ -45,11 +39,10 @@ module Counter : sig
   val name : t -> string
 
   val incr : t -> unit
-  (** No-op unless {!enabled}. *)
 
   val add : t -> int -> unit
-  (** [add t n] — no-op unless {!enabled} (or when [n = 0]). Negative
-      deltas are permitted (gauges). *)
+  (** [add t n] — no-op when [n = 0]. Negative deltas are permitted
+      (gauges). *)
 
   val value : t -> int
   (** Sum over every domain shard. *)
@@ -67,8 +60,8 @@ module Histogram : sig
   val name : t -> string
 
   val observe : t -> int -> unit
-  (** Record one value. No-op unless {!enabled}; negative values land in
-      bucket 0 and contribute 0 to the sum. *)
+  (** Record one value; negative values land in bucket 0 and contribute
+      0 to the sum. *)
 
   val count : t -> int
   val sum : t -> int

@@ -317,9 +317,11 @@ let check_shards ~checks ~tag ~shards ~(task : Engine.Request.task) ~n_ranked
               ran checks "prune invariant")
       | _ -> ())
 
-(* jobs {1, 2} x shards {1, 2, 4} x cache {off, cold, warm} x source
-   {query, plan}: every cell evaluates every row, and every answer must
-   equal the reference byte for byte — ranked session keys included. *)
+(* jobs {1, 2} x shards {1, 2, 4} x cache {cap0, cold, warm} x source
+   {query, plan} (cap0: both store tiers at capacity 0, perfbench's
+   cold-exact configuration): every cell evaluates every row, and every
+   answer must equal the reference byte for byte — ranked session keys
+   included. *)
 let lattice ~checks rows =
   let cell ~jobs ~shards ~cache engine row source =
     let tag check =
@@ -373,12 +375,11 @@ let lattice ~checks rows =
     (fun jobs ->
       List.iter
         (fun shards ->
-          let cfg cache =
-            Engine.Config.(
-              default |> with_jobs jobs |> with_shards shards |> with_cache cache)
-          in
-          Engine.with_engine (cfg false) (pass ~jobs ~shards ~cache:"off");
-          Engine.with_engine (cfg true) (fun engine ->
+          let cfg = Engine.Config.(default |> with_jobs jobs |> with_shards shards) in
+          Engine.with_engine
+            Engine.Config.(cfg |> with_answer_capacity 0 |> with_term_capacity 0)
+            (pass ~jobs ~shards ~cache:"cap0");
+          Engine.with_engine cfg (fun engine ->
               pass ~jobs ~shards ~cache:"cold" engine;
               pass ~jobs ~shards ~cache:"warm" engine))
         [ 1; 2; 4 ])

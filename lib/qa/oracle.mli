@@ -31,8 +31,8 @@
     [Pr(a ≻ b) + Pr(b ≻ a) = 1]; grouped and ungrouped sequential
     evaluation agree bit for bit.
 
-    {b Engine lattice.} jobs {1, 2} × shards {1, 2, 4} × cache {off,
-    cold, warm} × source {[Request.make] over the datalog CQ,
+    {b Engine lattice.} jobs {1, 2} × shards {1, 2, 4} × cache {cap0
+    (both store tiers at capacity 0), cold, warm} × source {[Request.make] over the datalog CQ,
     [Request.of_plan] over the parsed text}, each cell evaluating
     Boolean, Count-Session and top-3 (naive, 1-edge and 2-edge bounds).
     Every answer must equal the sequential {!Ppd.Solve} reference byte

@@ -813,7 +813,6 @@ let bind_listener = function
 
 let start cfg =
   if cfg.workers < 1 then invalid_arg "Server.start: workers must be >= 1";
-  Obs.enable ();
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let listen_fd, bound = bind_listener cfg.address in
   let stop_r, stop_w = Unix.pipe () in
@@ -825,8 +824,7 @@ let start cfg =
       engine =
         Engine.create
           {
-            Engine.Config.default with
-            jobs = cfg.jobs;
+            Engine.Config.jobs = cfg.jobs;
             answer_capacity = cfg.cache_capacity;
             term_capacity = cfg.term_cache_capacity;
             batch_window = cfg.batch_window_ms /. 1000.;

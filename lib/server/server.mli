@@ -61,8 +61,10 @@ module Client = Client
 type config = {
   address : Protocol.address;
   jobs : int option;  (** engine pool size; [None] = engine default *)
-  cache_capacity : int;  (** answer-tier store entries *)
-  term_cache_capacity : int;  (** term-tier store entries; [0] disables *)
+  cache_capacity : int;
+      (** answer-tier store entries; [0] retains nothing, so every
+          request solves cold *)
+  term_cache_capacity : int;  (** term-tier store entries; [0] leaves the tier out *)
   queue_capacity : int;  (** admission-backlog bound *)
   workers : int;  (** evaluator threads, >= 1 *)
   max_connections : int;
@@ -100,9 +102,8 @@ val default_config : Protocol.address -> config
 type t
 
 val start : config -> t
-(** Bind, enable [Obs] metrics, preload datasets, spawn the accept and
-    worker threads. Raises [Unix.Unix_error] if the address cannot be
-    bound. *)
+(** Bind, preload datasets, spawn the accept and worker threads.
+    Raises [Unix.Unix_error] if the address cannot be bound. *)
 
 val address : t -> Protocol.address
 (** The bound address — with the actual port when the config said 0. *)

@@ -172,14 +172,12 @@ let summarize ?(pruned_shards = 0) ?(deep_shards = 0) ?(pruned_sessions = 0)
   let answered = count (( = ) Answered)
   and timed_out = count (( = ) Timed_out)
   and errored = count (function Errored _ -> true | _ -> false) in
-  if Obs.enabled () then begin
-    Obs.Counter.add c_timeouts timed_out;
-    Obs.Counter.add c_errors errored;
-    Obs.Counter.add c_shards_pruned pruned_shards;
-    Obs.Counter.add c_shards_deep deep_shards;
-    Obs.Counter.add c_sessions_pruned pruned_sessions;
-    if timed_out + errored > 0 then Obs.Counter.incr c_gathers_partial
-  end;
+  Obs.Counter.add c_timeouts timed_out;
+  Obs.Counter.add c_errors errored;
+  Obs.Counter.add c_shards_pruned pruned_shards;
+  Obs.Counter.add c_shards_deep deep_shards;
+  Obs.Counter.add c_sessions_pruned pruned_sessions;
+  if timed_out + errored > 0 then Obs.Counter.incr c_gathers_partial;
   {
     shards = shards t;
     answered;

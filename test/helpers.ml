@@ -1,5 +1,6 @@
 (* Shared helpers for the test suite: random model/labeling/pattern
-   generators and floating-point assertions. *)
+   generators, floating-point assertions and the binaries' usage-error
+   check. *)
 
 let rng seed = Util.Rng.make seed
 
@@ -7,6 +8,27 @@ let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
   go 0
+
+(* Run [binary args] and require a command-line usage error: exit 124
+   and a message on stderr naming [flag]. A binary that wrongly accepts
+   the flag and starts serving is killed after 20 s (exit 137). *)
+let usage_error ~flag binary args =
+  if not (Sys.file_exists binary) then Alcotest.failf "binary not found at %s" binary;
+  let err = Filename.temp_file "hardq_test_usage" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove err) @@ fun () ->
+  let code =
+    Sys.command
+      (String.concat " "
+         (List.map Filename.quote ([ "timeout"; "-s"; "KILL"; "20"; binary ] @ args))
+      ^ " >/dev/null 2>" ^ Filename.quote err)
+  in
+  Alcotest.(check int) (String.concat " " args ^ ": cmdliner usage error") 124 code;
+  let ic = open_in err in
+  let msg = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  if not (contains msg flag) then
+    Alcotest.failf "%s %s: error does not name %s: %s" binary
+      (String.concat " " args) flag msg
 
 let check_close ?(eps = 1e-9) what expected actual =
   if abs_float (expected -. actual) > eps then

@@ -297,7 +297,10 @@ let unit_engine_cache_accounting () =
 
 let unit_engine_cache_disabled () =
   let db, q = crowdrank () in
-  Engine.with_engine Engine.Config.(default |> with_jobs 1 |> with_cache false) (fun engine ->
+  Engine.with_engine
+    Engine.Config.(
+      default |> with_jobs 1 |> with_answer_capacity 0 |> with_term_capacity 0)
+    (fun engine ->
       let req = Engine.Request.make ~solver:crowdrank_solver db q in
       let r1 = Engine.eval engine req in
       let r2 = Engine.eval engine req in
@@ -630,7 +633,9 @@ let unit_engine_single_flight_dedup () =
   let db, q = crowdrank () in
   let req = Engine.Request.make ~solver:crowdrank_solver db q in
   let reference =
-    Engine.with_engine Engine.Config.(default |> with_jobs 1 |> with_cache false)
+    Engine.with_engine
+      Engine.Config.(
+        default |> with_jobs 1 |> with_answer_capacity 0 |> with_term_capacity 0)
       (fun e -> Engine.Response.answer_float (Engine.eval e req))
   in
   Engine.with_engine Engine.Config.(default |> with_jobs 2) (fun engine ->

@@ -413,7 +413,9 @@ let cold_q = Ppd.Parser.parse Datasets.Polls.query_two_label
 let cold_tasks =
   [ Engine.Request.Count; Engine.Request.Top_k { k = 3; strategy = `Edges 1 } ]
 
-let cold_config = Engine.Config.(default |> with_jobs nd |> with_cache false)
+let cold_config =
+  Engine.Config.(
+    default |> with_jobs nd |> with_answer_capacity 0 |> with_term_capacity 0)
 
 let answer_bits (r : Engine.Response.t) =
   let bits = Int64.bits_of_float in

@@ -109,7 +109,10 @@ let unit_engine_bit_identity () =
   let db = Datasets.Polls.generate ~n_candidates:10 ~n_voters:40 ~seed:3 () in
   let q = Ppd.Parser.parse Datasets.Polls.query_two_label in
   let eval ~jobs ~parallelism =
-    Engine.with_engine Engine.Config.(default |> with_jobs jobs |> with_cache false) (fun engine ->
+    Engine.with_engine
+      Engine.Config.(
+        default |> with_jobs jobs |> with_answer_capacity 0 |> with_term_capacity 0)
+      (fun engine ->
         Engine.Response.answer_float
           (Engine.eval engine (Engine.Request.make ~parallelism db q)))
   in
@@ -125,7 +128,7 @@ let unit_engine_bit_identity () =
     (eval ~jobs:nd ~parallelism:`Inter)
 
 (* Pinned DP work: the cold-exact request shape (Polls, m = 10, 60
-   sessions, both store tiers off) must make exactly these solver calls
+   sessions, both store tiers at capacity 0) must make exactly these solver calls
    and expand exactly these flat DP states at every pool width. A kernel
    rewrite may make states cheaper, never more or fewer; a lost prune, a
    broken grouping or a changed emission order moves these counts. The
@@ -138,16 +141,15 @@ let unit_pinned_dp_work () =
   let q = Ppd.Parser.parse Datasets.Polls.query_two_label in
   let work task =
     Engine.with_engine
-      Engine.Config.(default |> with_jobs nd |> with_cache false)
+      Engine.Config.(
+        default |> with_jobs nd |> with_answer_capacity 0 |> with_term_capacity 0)
       (fun engine ->
-        Obs.enable ();
-        Fun.protect ~finally:Obs.disable (fun () ->
-            let before = Obs.snapshot () in
-            ignore (Engine.eval engine (Engine.Request.make ~task db q));
-            let d = Obs.diff before (Obs.snapshot ()) in
-            ( Obs.count d "solver.two_label.calls",
-              Obs.count d "dp.flat.states",
-              Obs.count d "solver.upper_bound.calls" )))
+        let before = Obs.snapshot () in
+        ignore (Engine.eval engine (Engine.Request.make ~task db q));
+        let d = Obs.diff before (Obs.snapshot ()) in
+        ( Obs.count d "solver.two_label.calls",
+          Obs.count d "dp.flat.states",
+          Obs.count d "solver.upper_bound.calls" ))
   in
   let check what (calls, states, bounds) (calls', states', bounds') =
     Alcotest.(check int) (what ^ ": two-label calls") calls calls';
@@ -169,11 +171,9 @@ let unit_two_label_states_within_bipartite () =
   let requests = (Ppd.Compile.compile db q).Ppd.Compile.requests in
   let lab = Ppd.Database.labeling db in
   let states counter solve =
-    Obs.enable ();
-    Fun.protect ~finally:Obs.disable (fun () ->
-        let before = Obs.snapshot () in
-        ignore (solve ());
-        Obs.count (Obs.diff before (Obs.snapshot ())) counter)
+    let before = Obs.snapshot () in
+    ignore (solve ());
+    Obs.count (Obs.diff before (Obs.snapshot ())) counter
   in
   List.iter
     (fun { Ppd.Compile.session; union } ->

@@ -1369,6 +1369,23 @@ let unit_server_half_close_still_replies () =
           | Ok _ -> Alcotest.fail "unexpected reply body"
           | Error msg -> Alcotest.failf "undecodable reply: %s" msg))
 
+
+(* Count flags are checked when they are parsed: a bad value is a usage
+   error (exit 124) naming the flag, never an uncaught exception at
+   startup or a silently accepted value. *)
+let unit_binaries_reject_bad_counts () =
+  List.iter
+    (fun (flag, arg) ->
+      Helpers.usage_error ~flag server_binary [ "--listen"; temp_socket (); arg ])
+    [
+      ("--queue", "--queue=0");
+      ("--workers", "--workers=0");
+      ("--cache", "--cache=-1");
+      ("--term-cache", "--term-cache=-5");
+      ("--jobs", "--jobs=-3");
+    ];
+  Helpers.usage_error ~flag:"--jobs" "../bin/hardq_cli.exe" [ "eval"; "--jobs=-3" ]
+
 (* ------------------------------------------------------------------ *)
 (* Streaming (anytime SLO) over raw sockets                            *)
 (* ------------------------------------------------------------------ *)
@@ -1935,6 +1952,8 @@ let suites =
         tc "metrics op returns the Obs registry" `Quick unit_server_metrics_op;
         tc "SIGTERM: binary drains, flushes metrics, exits 0" `Quick
           unit_server_binary_sigterm;
+        tc "bad count flags are usage errors naming the flag" `Quick
+          unit_binaries_reject_bad_counts;
       ] );
     ( "server.sharded",
       [

@@ -416,8 +416,10 @@ let unit_engine_shard_routing () =
     Engine.with_engine cfg (fun engine ->
         Engine.eval engine (Engine.Request.make ~task ~budget:2. ~seed:42 db q))
   in
-  let unsharded = Engine.Config.(default |> with_cache false) in
-  let sharded = Engine.Config.(default |> with_cache false |> with_shards 4) in
+  let unsharded =
+    Engine.Config.(default |> with_answer_capacity 0 |> with_term_capacity 0)
+  in
+  let sharded = Engine.Config.with_shards 4 unsharded in
   (* Count: same answer, and only the sharded engine attaches a block. *)
   let r0 = eval unsharded Engine.Request.Count in
   let r4 = eval sharded Engine.Request.Count in
@@ -496,7 +498,9 @@ let unit_unsharded_topk_ties () =
     Engine.with_engine cfg (fun engine ->
         Engine.eval engine (Engine.Request.make ~task ~seed:42 db q))
   in
-  let unsharded = Engine.Config.(default |> with_cache false) in
+  let unsharded =
+    Engine.Config.(default |> with_answer_capacity 0 |> with_term_capacity 0)
+  in
   let per_session = (eval unsharded Engine.Request.Count).Engine.Response.per_session in
   (match List.map snd per_session with
   | [ _; p1; p2; _ ] when p1 = p2 -> ()
@@ -527,7 +531,9 @@ let unit_plan_sources_sharded () =
       in
       let eval shards =
         Engine.with_engine
-          Engine.Config.(default |> with_cache false |> with_shards shards)
+          Engine.Config.(
+            default |> with_answer_capacity 0 |> with_term_capacity 0
+            |> with_shards shards)
           (fun engine -> Engine.eval engine (Engine.Request.of_plan ~budget:2. plan))
       in
       let r1 = eval 1 in
@@ -559,21 +565,7 @@ let unit_config_rejects_shards_below_one () =
       | exception Invalid_argument _ -> ())
     [ 0; -2 ]
 
-let usage_error binary args =
-  if not (Sys.file_exists binary) then Alcotest.failf "binary not found at %s" binary;
-  let err = Filename.temp_file "hardq_test_usage" ".err" in
-  Fun.protect ~finally:(fun () -> Sys.remove err) @@ fun () ->
-  let code =
-    Sys.command
-      (String.concat " " (List.map Filename.quote (binary :: args))
-      ^ " >/dev/null 2>" ^ Filename.quote err)
-  in
-  Alcotest.(check int) (String.concat " " args ^ ": cmdliner usage error") 124 code;
-  let ic = open_in err in
-  let msg = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  if not (Helpers.contains msg "--shards") then
-    Alcotest.failf "%s: error does not name --shards: %s" binary msg
+let usage_error = Helpers.usage_error ~flag:"--shards"
 
 let unit_cli_rejects_shards_below_one () =
   usage_error "../bin/hardq_cli.exe" [ "topk"; "--shards"; "0" ];
