@@ -55,15 +55,18 @@ bench-self-test:
 	bash perfbench/run.sh --self-test
 
 # Cross-domain determinism matrix: the intra-query parallelism suite
-# (test/t_par.ml) re-runs with the pool pinned to 1 domain (everything
-# inline), 2 domains (the smallest real pool) and the recommended count
-# (one per core). Solver answers must be bit-identical in all three.
+# (test/t_par.ml) and the kernel-equivalence suite (test/t_kernel.ml)
+# re-run with the pool pinned to 1 domain (everything inline), 2 domains
+# (the smallest real pool) and the recommended count (one per core).
+# Solver answers must be bit-identical in all three.
 par-matrix:
 	dune build test/test_main.exe
 	@for d in 1 2 recommended; do \
-		echo "par-matrix: HARDQ_TEST_DOMAINS=$$d"; \
-		HARDQ_TEST_DOMAINS=$$d ./_build/default/test/test_main.exe test par \
-		  || exit 1; \
+		for suite in par kernel; do \
+			echo "par-matrix: HARDQ_TEST_DOMAINS=$$d $$suite"; \
+			HARDQ_TEST_DOMAINS=$$d ./_build/default/test/test_main.exe \
+			  test $$suite || exit 1; \
+		done; \
 	done
 
 # Black-box server lifecycle check: start the real binary, query each

@@ -1,27 +1,57 @@
 type t = {
   lab : Prefs.Labeling.t;
-  sigma : Prefs.Ranking.t;
-  ids : (Prefs.Pattern.node, int) Hashtbl.t;
+  m : int; (* length of sigma *)
+  pos : int array; (* item -> its position in sigma, -1 when absent *)
+  mutable ids : (Prefs.Pattern.node * int) list; (* few per union *)
+  mutable n : int;
   mutable match_rows : bool array list; (* reversed: id n-1 first *)
   mutable remaining_rows : int array list;
   mutable cache : (bool array array * int array array) option;
 }
 
 let create lab sigma =
-  { lab; sigma; ids = Hashtbl.create 16; match_rows = []; remaining_rows = []; cache = None }
+  let m = Prefs.Ranking.length sigma in
+  let size = ref (Prefs.Labeling.n_items lab) in
+  for i = 0 to m - 1 do
+    size := max !size (Prefs.Ranking.item_at sigma i + 1)
+  done;
+  let pos = Array.make !size (-1) in
+  for i = 0 to m - 1 do
+    pos.(Prefs.Ranking.item_at sigma i) <- i
+  done;
+  {
+    lab;
+    m;
+    pos;
+    ids = [];
+    n = 0;
+    match_rows = [];
+    remaining_rows = [];
+    cache = None;
+  }
 
+let rec sorted_uniq = function
+  | x :: (y :: _ as rest) -> x < y && sorted_uniq rest
+  | _ -> true
+
+(* A row marks the positions of the items carrying every label of
+   [node]: one pass over [Labeling.items_with_all] through σ's inverse,
+   not a label-list scan per position. *)
 let intern t node =
-  let node = List.sort_uniq Stdlib.compare node in
-  match Hashtbl.find_opt t.ids node with
+  let node = if sorted_uniq node then node else List.sort_uniq compare node in
+  match List.assoc_opt node t.ids with
   | Some id -> id
   | None ->
-      let id = Hashtbl.length t.ids in
-      Hashtbl.add t.ids node id;
-      let m = Prefs.Ranking.length t.sigma in
-      let row =
-        Array.init m (fun i ->
-            Prefs.Labeling.has_all t.lab (Prefs.Ranking.item_at t.sigma i) node)
-      in
+      let id = t.n in
+      t.ids <- (node, id) :: t.ids;
+      t.n <- id + 1;
+      let m = t.m in
+      let row = Array.make m false in
+      List.iter
+        (fun item ->
+          let p = t.pos.(item) in
+          if p >= 0 then row.(p) <- true)
+        (Prefs.Labeling.items_with_all t.lab node);
       let rem = Array.make m 0 in
       let acc = ref 0 in
       for i = m - 1 downto 0 do
@@ -32,8 +62,6 @@ let intern t node =
       t.remaining_rows <- rem :: t.remaining_rows;
       t.cache <- None;
       id
-
-let n t = Hashtbl.length t.ids
 
 let tables t =
   match t.cache with
@@ -52,9 +80,8 @@ let matches t c i =
   let m, _ = tables t in
   m.(c).(i)
 
-let remaining t c i =
-  let _, r = tables t in
-  r.(c).(i)
+let match_row t c = (fst (tables t)).(c)
+let remaining_row t c = (snd (tables t)).(c)
 
 let total t c =
   let m, r = tables t in

@@ -16,28 +16,30 @@ val create : Prefs.Labeling.t -> Prefs.Ranking.t -> t
 val intern : t -> Prefs.Pattern.node -> int
 (** Id of a conjunction (allocating it on first use). *)
 
-val n : t -> int
-(** Number of interned conjunctions so far. *)
-
 val freeze : t -> unit
 (** Force the internal lookup tables. After [freeze] (and absent further
     {!intern} calls) the context is safe to read from several domains
-    concurrently; without it the first {!matches}/{!remaining} lookup
-    builds the tables lazily, which would race. *)
+    concurrently; without it the first lookup builds the tables lazily,
+    which would race. *)
 
 val matches : t -> int -> int -> bool
 (** [matches t c i] — does the item inserted at step [i] (i.e. [σ_i])
     carry conjunction [c]? *)
 
-val remaining : t -> int -> int -> int
-(** [remaining t c i] — number of steps [k > i] whose item carries [c]. *)
+val match_row : t -> int -> bool array
+(** [match_row t c] — [matches t c i] for every step [i], as one array a
+    kernel reads without a call per lookup. It must not be written. *)
+
+val remaining_row : t -> int -> int array
+(** [remaining_row t c] — for every step [i], the number of steps
+    [k > i] whose item carries [c], with the same rule as {!match_row}. *)
 
 val total : t -> int -> int
 (** Number of items in the whole domain carrying [c]. *)
 
 val exhausted : t -> int -> int -> bool
 (** [exhausted t c i] — no step after [i] inserts an item carrying [c]
-    ([remaining t c i = 0]): a min/max tracked for [c] can then only
+    ([(remaining_row t c).(i) = 0]): a min/max tracked for [c] can then only
     shift, never take a new item. *)
 
 val edge_dead : t -> int -> int -> int -> bool

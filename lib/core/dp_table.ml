@@ -19,7 +19,9 @@
    grown to their high-water mark, so a typical call allocates no table
    memory at all. A fresh table is small enough (every array at most
    [Max_young_wosize] = 256 words) to be born in the minor heap, and a
-   pair past [Flat.retain_cap_words] is dropped rather than kept. *)
+   pair past [Flat.retain_cap_words] is dropped rather than kept. The
+   two-label DP keeps its layers in a fixed-width table of its own
+   (Two_label), with the same contract and the same [Spare] pair. *)
 
 exception State_explosion of { table : string; cap : int }
 
@@ -38,6 +40,30 @@ let c_flat_calls = Obs.counter "dp.flat.calls"
 let c_flat_states = Obs.counter "dp.flat.states"
 let h_layer_width = Obs.histogram "dp.flat.layer_width"
 let h_arena_hwm = Obs.histogram "dp.flat.arena_words_hwm"
+
+(* A per-domain spare value (a solver's pair of layer tables). A solver
+   call checks it out and hands it back on return (or on an exception),
+   so back-to-back calls on one domain reuse tables already grown to
+   their high-water mark and allocate nothing. Checkout is an atomic
+   exchange, so two systhreads on one domain, or a nested call, never
+   share a value: the loser simply builds a fresh one. *)
+module Spare = struct
+  type 'a t = 'a option Atomic.t Domain.DLS.key
+
+  let make () = Domain.DLS.new_key (fun () -> Atomic.make None)
+
+  let with_ key ~fresh ~prepare ~keep f =
+    let slot = Domain.DLS.get key in
+    let v =
+      match Atomic.exchange slot None with Some v -> v | None -> fresh ()
+    in
+    prepare v;
+    Fun.protect
+      ~finally:(fun () -> if keep v then Atomic.set slot (Some v))
+      (fun () -> f v)
+
+  let peek key = Atomic.get (Domain.DLS.get key)
+end
 
 module Boxed = struct
   type 'k t = {
@@ -271,22 +297,16 @@ module Flat = struct
     done;
     !acc
 
-  (* Per-domain spare pair. A solver call checks out its two tables and
-     hands them back on return (or on an exception), so back-to-back
-     calls on one domain reuse arenas already grown to their high-water
-     mark and allocate nothing. Checkout is an atomic exchange, so two
-     systhreads on one domain, or a nested call, never share a pair: the
-     loser simply creates fresh tables. A pair is kept only while its
-     total size stays within [retain_cap_words]; a large DP's tables
-     are dropped on return and never stay resident. Checkout clears, so
+  (* Per-domain spare pair: see [Spare]. A pair is kept only while its
+     total size stays within [retain_cap_words]; a large DP's tables are
+     dropped on return and never stay resident. Checkout clears, so
      whatever state an aborted call left behind is gone. *)
   let retain_cap_words = 16_384
 
   let retained t =
     Array.length t.data + (3 * Array.length t.offs) + Array.length t.idx
 
-  let spare : (t * t) option Atomic.t Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> Atomic.make None)
+  let spare : (t * t) Spare.t = Spare.make ()
 
   let reset t ~name ~max_states =
     clear t;
@@ -294,23 +314,16 @@ module Flat = struct
     t.max_states <- max_states
 
   let with_pair ~name ~max_states f =
-    let slot = Domain.DLS.get spare in
-    let t0, t1 =
-      match Atomic.exchange slot None with
-      | Some ((t0, t1) as pair) ->
-          reset t0 ~name ~max_states;
-          reset t1 ~name ~max_states;
-          pair
-      | None -> (create ~name ~max_states (), create ~name ~max_states ())
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        if retained t0 + retained t1 <= retain_cap_words then
-          Atomic.set slot (Some (t0, t1)))
-      (fun () -> f t0 t1)
+    Spare.with_ spare
+      ~fresh:(fun () -> (create ~name ~max_states (), create ~name ~max_states ()))
+      ~prepare:(fun (t0, t1) ->
+        reset t0 ~name ~max_states;
+        reset t1 ~name ~max_states)
+      ~keep:(fun (t0, t1) -> retained t0 + retained t1 <= retain_cap_words)
+      (fun (t0, t1) -> f t0 t1)
 
   let spare_words () =
-    match Atomic.get (Domain.DLS.get spare) with
+    match Spare.peek spare with
     | None -> 0
     | Some (t0, t1) -> retained t0 + retained t1
 

@@ -17,6 +17,32 @@ exception State_explosion of { table : string; cap : int }
     table's name (the solver that owns it), [cap] the cap. Callers
     surface it as a typed budget error, like a CPU budget running out. *)
 
+(** A per-domain spare value, checked out for the length of one solver
+    call. *)
+module Spare : sig
+  type 'a t
+
+  val make : unit -> 'a t
+  (** A slot per domain, empty at first. *)
+
+  val with_ :
+    'a t ->
+    fresh:(unit -> 'a) ->
+    prepare:('a -> unit) ->
+    keep:('a -> bool) ->
+    ('a -> 'b) ->
+    'b
+  (** [with_ t ~fresh ~prepare ~keep f] runs [prepare] and then [f] on
+      the calling domain's spare value, or on [fresh ()] when the slot is
+      empty (or checked out by a nested or concurrent holder: checkout
+      is an atomic exchange, so a value is never shared). The value goes
+      back when [f] returns or raises, if [keep] says so. [f] must not
+      let it escape. *)
+
+  val peek : 'a t -> 'a option
+  (** The calling domain's spare value, if any (not checked out). *)
+end
+
 (** Insertion-ordered layer keyed by structured values (reference
     kernel). Keys are compared and hashed structurally. *)
 module Boxed : sig
@@ -39,8 +65,10 @@ module Boxed : sig
 end
 
 (** Insertion-ordered layer over integer-encoded states in a flat arena
-    (production kernel). A state is a span of ints; spans are copied
-    into the arena on first insertion and indexed by open addressing.
+    (the flat bipartite and signature kernels; the flat two-label kernel
+    keeps a fixed-width table of its own). A state is a span of ints;
+    spans are copied into the arena on first insertion and indexed by
+    open addressing.
     [clear] retains capacity, so two tables swap/cleared between layers
     allocate only up to the call's high-water mark. A fresh table's
     arrays are at most 256 words each, so creating one allocates in the

@@ -11,63 +11,82 @@ let h_states = Obs.histogram "solver.two_label.dp_states_per_call"
 (* State: one word per tracked conjunction, [lv_0..lv_{a-1}; rv_0..rv_{b-1}],
    where a value is (position + 1) and 0 means "no item with that
    conjunction yet". After item i is inserted, a word whose edges are all
-   dead ({!Conj.edge_dead}: neither side has an item left to insert) can
-   never make an edge fire again, so both kernels zero it before the state
-   is emitted (paper Algorithm 4's violated-edge rule); states that differ
-   only in such words merge. The boxed kernel keys a state on its a+b
-   words as an int array; the flat kernel packs the same words into
-   [b]-bit fields (the smallest [b] with [2^b > m]), [62 / b] per int, and
-   stores the ints in a {!Dp_table.Flat} arena. Both kernels visit states
-   in first-insertion order and expand with identical arithmetic, so their
-   contribution streams — and answers — are bit-identical (pinned by
-   test/t_kernel.ml and the QA oracle). *)
+   dead (neither side has an item left to insert) can never make an edge
+   fire again, so both kernels zero it before the state is emitted (paper
+   Algorithm 4's violated-edge rule); states that differ only in such
+   words merge.
 
-(* Shared preamble output: the interned problem. State word [k] tracks
-   conjunction [word_conj.(k)]: words [0 .. a-1] hold left minima, words
-   [a .. a+b-1] right maxima. *)
+   The boxed kernel keys a state on its a+b words as an int array in a
+   {!Dp_table.Boxed} layer. The flat kernel packs the same words into
+   [b]-bit fields (the smallest [b] with [2^b > m]), [62 / b] per int, so
+   a state is one int whenever a+b <= 62 / b (every Polls union), and
+   keeps each layer in this module's own fixed-width [table]: no offsets
+   or lengths per state, and the insert is a call inside this module, so
+   a small layer expands with no closure and no cross-module call per
+   emission. Both kernels visit states in first-insertion order and emit
+   in (state, j) order with identical arithmetic, so their contribution
+   streams — and answers — are bit-identical (pinned by test/t_kernel.ml
+   and the QA oracle). *)
+
+(* Shared preamble output: the interned problem. Words [0 .. a-1] hold
+   left minima, words [a .. a+b-1] right maxima; [word_hit.(k)] and
+   [word_rem.(k)] are the {!Conj.match_row} and {!Conj.remaining_row} of
+   the conjunction word [k] tracks. *)
 type problem = {
-  conj : Conj.t;
   a : int; (* number of left conjunctions *)
   b : int; (* number of right conjunctions *)
-  word_conj : int array;
+  word_hit : bool array array;
+  word_rem : int array array;
   edge_l : int array; (* edge -> its left word *)
   edge_r : int array; (* edge -> its right word (>= a) *)
 }
 
+(* Each role numbers its words in order of first use, through an array
+   indexed by conjunction id (a union of [z] edges interns at most [2z]
+   conjunctions). *)
 let build_problem model lab pairs =
-  let sigma = Rim.Model.sigma model in
-  let conj = Conj.create lab sigma in
-  let lefts = Hashtbl.create 8 and rights = Hashtbl.create 8 in
-  let intern_role tbl node =
+  let conj = Conj.create lab (Rim.Model.sigma model) in
+  let z = List.length pairs in
+  let role () = (Array.make (2 * z) (-1), Array.make z 0, ref 0) in
+  let lefts = role () and rights = role () in
+  let word (word_of, conjs, count) node =
     let c = Conj.intern conj node in
-    match Hashtbl.find_opt tbl c with
-    | Some k -> k
-    | None ->
-        let k = Hashtbl.length tbl in
-        Hashtbl.add tbl c k;
-        k
+    if word_of.(c) < 0 then begin
+      word_of.(c) <- !count;
+      conjs.(!count) <- c;
+      incr count
+    end;
+    word_of.(c)
   in
-  let edges =
-    List.map (fun (l, r) -> (intern_role lefts l, intern_role rights r)) pairs
-  in
-  let a = Hashtbl.length lefts and b = Hashtbl.length rights in
-  let word_conj = Array.make (a + b) 0 in
-  Hashtbl.iter (fun c k -> word_conj.(k) <- c) lefts;
-  Hashtbl.iter (fun c k -> word_conj.(a + k) <- c) rights;
-  let edge_l = Array.of_list (List.map fst edges)
-  and edge_r = Array.of_list (List.map (fun (_, rk) -> a + rk) edges) in
-  (* The lookup tables must exist before any parallel layer reads them. *)
-  Conj.freeze conj;
-  { conj; a; b; word_conj; edge_l; edge_r }
+  let edge_l = Array.make z 0 and edge_r = Array.make z 0 in
+  List.iteri
+    (fun e (l, r) ->
+      edge_l.(e) <- word lefts l;
+      edge_r.(e) <- word rights r)
+    pairs;
+  let _, lconjs, a = lefts and _, rconjs, b = rights in
+  let a = !a and b = !b in
+  let word_conj = Array.append (Array.sub lconjs 0 a) (Array.sub rconjs 0 b) in
+  {
+    a;
+    b;
+    word_hit = Array.map (Conj.match_row conj) word_conj;
+    word_rem = Array.map (Conj.remaining_row conj) word_conj;
+    edge_l;
+    edge_r = Array.map (fun r -> a + r) edge_r;
+  }
 
 (* A state satisfies G when some edge has min(l) < max(r); [vals] holds
-   the a+b word values. A loop over the edge arrays: no closure, no
+   the a+b word values (every edge's words are below a+b, so the reads
+   need no bounds check). A loop over the edge arrays: no closure, no
    allocation. *)
-let satisfies pr vals =
+let[@inline] satisfies pr vals =
+  if Array.length vals <> pr.a + pr.b then invalid_arg "Two_label.satisfies";
   let el = pr.edge_l and er = pr.edge_r in
   let sat = ref false and e = ref 0 in
   while (not !sat) && !e < Array.length el do
-    let lv = vals.(el.(!e)) and rv = vals.(er.(!e)) in
+    let lv = Array.unsafe_get vals (Array.unsafe_get el !e)
+    and rv = Array.unsafe_get vals (Array.unsafe_get er !e) in
     if lv > 0 && rv > 0 && lv < rv then sat := true else incr e
   done;
   !sat
@@ -79,11 +98,11 @@ let satisfies pr vals =
 let fill_layer pr i ~hit ~live =
   Array.fill live 0 (Array.length live) false;
   for k = 0 to Array.length hit - 1 do
-    hit.(k) <- Conj.matches pr.conj pr.word_conj.(k) i
+    hit.(k) <- pr.word_hit.(k).(i)
   done;
   for e = 0 to Array.length pr.edge_l - 1 do
     let l = pr.edge_l.(e) and r = pr.edge_r.(e) in
-    if not (Conj.edge_dead pr.conj pr.word_conj.(l) pr.word_conj.(r) i) then begin
+    if pr.word_rem.(l).(i) > 0 || pr.word_rem.(r).(i) > 0 then begin
       live.(l) <- true;
       live.(r) <- true
     end
@@ -129,27 +148,194 @@ let run_boxed ~budget ~par ~states model pr =
   done;
   max 0. (1. -. Dp_table.Boxed.sum !table)
 
-(* The flat kernel's field layout: word [k] lives in int [idx.(k)] at bit
-   [sh.(k)], [bits] wide; a state is [ints] ints. *)
-type layout = { bits : int; ints : int; idx : int array; sh : int array }
+(* The flat kernel's layer table: fixed-width keys of [ints] packed ints
+   (slot [s] holds [keys.(s * ints) ..]), numbered by first insertion,
+   behind an open-addressing index (0 = empty, else slot + 1; linear
+   probing, rehash at load 0.5). It is {!Dp_table.Flat}'s contract with
+   the span bookkeeping taken out: every key of a call has the same
+   width, so there are no per-slot offsets or lengths, and it lives in
+   this module so the kernel's insert is a local, inlinable call. *)
+type table = {
+  mutable ints : int;
+  mutable cap : int; (* the State_explosion cap *)
+  mutable keys : int array;
+  mutable probs : float array;
+  mutable n : int;
+  mutable index : int array;
+  mutable mask : int;
+}
 
-let layout ~m ~w =
+(* Small enough to be born in the minor heap; a Polls m = 10 call's
+   layers fit without growing. *)
+let create_table () =
+  {
+    ints = 1;
+    cap = 0;
+    keys = Array.make 64 0;
+    probs = Array.make 64 0.;
+    n = 0;
+    index = Array.make 128 0;
+    mask = 127;
+  }
+
+let clear t =
+  t.n <- 0;
+  Array.fill t.index 0 (t.mask + 1) 0
+
+let used_words t = t.n * t.ints
+
+let retained t =
+  Array.length t.keys + Array.length t.probs + Array.length t.index
+
+(* Word mix plus a multiply-xorshift finalizer (DESIGN §13.4: the probe
+   uses the low bits, and small position values cluster without it).
+   The index order is never observable: slots are insertion-ordered. *)
+let[@inline] hash_key buf off ints =
+  let h = ref (ints + 1) in
+  for k = off to off + ints - 1 do
+    h := (!h * 0x9E3779B1) lxor Array.unsafe_get buf k
+  done;
+  let h = !h * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 32)) land max_int
+
+let rehash t =
+  let size = 2 * (t.mask + 1) in
+  let index = Array.make size 0 and mask = size - 1 in
+  for s = 0 to t.n - 1 do
+    let i = ref (hash_key t.keys (s * t.ints) t.ints land mask) in
+    while index.(!i) <> 0 do
+      i := (!i + 1) land mask
+    done;
+    index.(!i) <- s + 1
+  done;
+  t.index <- index;
+  t.mask <- mask
+
+(* Slow path of [insert]: append the key at index slot [i] and return its
+   slot; the caller stores the probability, so no float crosses this
+   call boxed. *)
+let add_new t buf off i =
+  if t.n >= t.cap then
+    raise (Dp_table.State_explosion { table = "Two_label"; cap = t.cap });
+  let s = t.n and ints = t.ints in
+  if (s + 1) * ints > Array.length t.keys then begin
+    let keys = Array.make (max (2 * Array.length t.keys) ((s + 1) * ints)) 0 in
+    Array.blit t.keys 0 keys 0 (s * ints);
+    t.keys <- keys
+  end;
+  if s = Array.length t.probs then begin
+    let probs = Array.make (2 * s) 0. in
+    Array.blit t.probs 0 probs 0 s;
+    t.probs <- probs
+  end;
+  Array.blit buf off t.keys (s * ints) ints;
+  t.index.(i) <- s + 1;
+  t.n <- s + 1;
+  if 2 * t.n > t.mask + 1 then rehash t;
+  s
+
+(* Accumulate [p] onto the state whose key is [buf.(off .. off+ints-1)].
+   Inlined at both call sites, so [p] stays unboxed. *)
+let[@inline] insert t buf off p =
+  let ints = t.ints in
+  if off < 0 || off + ints > Array.length buf then
+    invalid_arg "Two_label: key out of bounds";
+  let index = t.index and mask = t.mask and keys = t.keys in
+  let i = ref (hash_key buf off ints land mask) and go = ref true in
+  while !go do
+    let e = Array.unsafe_get index !i in
+    if e = 0 then begin
+      let s = add_new t buf off !i in
+      t.probs.(s) <- p;
+      go := false
+    end
+    else begin
+      let s = e - 1 in
+      let base = s * ints and k = ref 0 in
+      while
+        !k < ints
+        && Array.unsafe_get keys (base + !k) = Array.unsafe_get buf (off + !k)
+      do
+        incr k
+      done;
+      if !k = ints then begin
+        let probs = t.probs in
+        Array.unsafe_set probs s (Array.unsafe_get probs s +. p);
+        go := false
+      end
+      else i := (!i + 1) land mask
+    end
+  done
+
+let sum t =
+  let acc = ref 0. in
+  for s = 0 to t.n - 1 do
+    acc := !acc +. t.probs.(s)
+  done;
+  !acc
+
+(* The calling domain's spare pair (see {!Dp_table.Spare}), kept while it
+   totals at most [Dp_table.Flat.retain_cap_words]. *)
+let spare : (table * table) Dp_table.Spare.t = Dp_table.Spare.make ()
+
+let with_tables ~ints ~cap f =
+  let reset t =
+    clear t;
+    t.ints <- ints;
+    t.cap <- cap
+  in
+  Dp_table.Spare.with_ spare
+    ~fresh:(fun () -> (create_table (), create_table ()))
+    ~prepare:(fun (t0, t1) ->
+      reset t0;
+      reset t1)
+    ~keep:(fun (t0, t1) ->
+      retained t0 + retained t1 <= Dp_table.Flat.retain_cap_words)
+    f
+
+(* What the expansion reads. The field layout, fixed per call: word [x]
+   lives in int [idx.(x)] at bit [sh.(x)], [bits] wide (the smallest
+   [bits] with [2^bits > m]), [62 / bits] fields per int, so a state is
+   [ints] ints. And the per-layer hoists, filled before layer i expands:
+   π's row i, each word's block of {!Conj.step_table} and each int's
+   live-field mask. *)
+type kernel = {
+  w : int;
+  ints : int;
+  fmask : int; (* (1 lsl bits) - 1 *)
+  idx : int array;
+  sh : int array;
+  stride : int; (* m + 1 *)
+  steps : int array;
+  row : int array;
+  live_mask : int array;
+  pi_row : float array;
+}
+
+let kernel ~m ~w =
   let bits = ref 1 in
   while 1 lsl !bits <= m do
     incr bits
   done;
   let bits = !bits in
   let fields = 62 / bits in
+  let ints = (w + fields - 1) / fields in
   {
-    bits;
-    ints = (w + fields - 1) / fields;
-    idx = Array.init w (fun k -> k / fields);
-    sh = Array.init w (fun k -> k mod fields * bits);
+    w;
+    ints;
+    fmask = (1 lsl bits) - 1;
+    idx = Array.init w (fun x -> x / fields);
+    sh = Array.init w (fun x -> x mod fields * bits);
+    stride = m + 1;
+    steps = Conj.step_table m;
+    row = Array.make w 0;
+    live_mask = Array.make ints 0;
+    pi_row = Array.make m 0.;
   }
 
-(* Chunk-local scratch of the flat kernel: the decoded words of the state
-   being expanded, their stepped values, the packed emission buffer and
-   the float cell its probability travels in. *)
+(* Chunk-local scratch: the decoded words of the state being expanded,
+   their stepped values, the packed successor and the float cell an
+   emission's probability travels in on the chunked path. *)
 type scratch = {
   vals : int array;
   nv : int array;
@@ -157,89 +343,136 @@ type scratch = {
   cell : float array;
 }
 
-(* The flat kernel's expansion reads only arrays hoisted before the
-   layer starts — the current table's arena and slot arrays, π's row i,
-   each word's block of {!Conj.step_table} and each int's live-field
-   mask — so it allocates nothing and calls nothing outside this module
-   except the emission itself. *)
+let scratch k =
+  {
+    vals = Array.make k.w 0;
+    nv = Array.make k.w 0;
+    buf = Array.make k.ints 0;
+    cell = [| 0. |];
+  }
+
+(* The expansion helpers below index without bounds checks: every
+   per-word array ([idx], [sh], [row], [vals], [nv]) has [w] cells and
+   every per-int array ([buf], [live_mask]) [ints], by construction in
+   [run_flat] and [scratch]; [idx.(x) < ints]; a step-table index is
+   below [4 m (m + 1)] because a row offset, [j] and a word value are
+   below [4], [m] and [m + 1]; and a key slot [s < n] has its [ints]
+   words below [n * ints]. *)
+
+(* Unpack state [s] of [t] into [sc.vals]. *)
+let[@inline] decode k sc t s =
+  let base = s * k.ints and keys = t.keys and vals = sc.vals in
+  let idx = k.idx and sh = k.sh and fmask = k.fmask in
+  for x = 0 to k.w - 1 do
+    Array.unsafe_set vals x
+      ((Array.unsafe_get keys (base + Array.unsafe_get idx x)
+       lsr Array.unsafe_get sh x)
+      land fmask)
+  done
+
+(* Step every word for insertion position [j] into [sc.nv] and pack the
+   stepped words into [sc.buf] (dead words included: see [mask_dead]). *)
+let[@inline] step k sc j =
+  let jb = j * k.stride and steps = k.steps and row = k.row in
+  let vals = sc.vals and nv = sc.nv and buf = sc.buf in
+  let idx = k.idx and sh = k.sh in
+  for n = 0 to k.ints - 1 do
+    Array.unsafe_set buf n 0
+  done;
+  for x = 0 to k.w - 1 do
+    let v =
+      Array.unsafe_get steps
+        (Array.unsafe_get row x + jb + Array.unsafe_get vals x)
+    in
+    Array.unsafe_set nv x v;
+    let n = Array.unsafe_get idx x in
+    Array.unsafe_set buf n
+      (Array.unsafe_get buf n lor (v lsl Array.unsafe_get sh x))
+  done
+
+(* Zero the dead words of the packed successor in [sc.buf]. *)
+let[@inline] mask_dead k sc =
+  let buf = sc.buf and live_mask = k.live_mask in
+  for n = 0 to k.ints - 1 do
+    Array.unsafe_set buf n
+      (Array.unsafe_get buf n land Array.unsafe_get live_mask n)
+  done
+
+(* The flat kernel. A layer under {!Dp_par.default_min_par} states (or a
+   sequential pool) loops over its states here and inserts each
+   surviving successor straight into the next table: no closure and no
+   call out of this module per emission. A larger layer runs through
+   {!Dp_par.run_flat}, whose chunk buffers replay in chunk order into
+   the same [insert]. Both paths emit in (state, j) order, the order the
+   boxed kernel adds in, so the answers are bit-identical. *)
 let run_flat ~budget ~par ~states model pr =
   let m = Rim.Model.m model in
   let a = pr.a and w = pr.a + pr.b in
-  let { bits; ints; idx; sh } = layout ~m ~w in
-  let mask = (1 lsl bits) - 1 and stride = m + 1 in
-  let steps = Conj.step_table m in
-  Dp_table.Flat.with_pair ~name:"Two_label" ~max_states:!max_states
-  @@ fun t0 t1 ->
+  let k = kernel ~m ~w in
+  let ints = k.ints and idx = k.idx and sh = k.sh in
+  let seq = scratch k in
+  with_tables ~ints ~cap:!max_states @@ fun (t0, t1) ->
   let cur = ref t0 and nxt = ref t1 in
   let hwm = ref 0 in
-  let pi_row = Array.make m 0. in
   let hit = Array.make w false and live = Array.make w false in
-  let row = Array.make w 0 and live_mask = Array.make ints 0 in
-  Dp_table.Flat.add !cur (Array.make ints 0) 0 ints 1.;
+  insert !cur (Array.make ints 0) 0 1.;
   for i = 0 to m - 1 do
     Util.Timer.check budget;
     let curt = !cur and next = !nxt in
-    let n_states = Dp_table.Flat.length curt in
+    let n_states = curt.n in
     states := !states + n_states;
     Dp_table.Flat.note_layer_width n_states;
-    Rim.Model.blit_pi_row model i pi_row;
+    Rim.Model.blit_pi_row model i k.pi_row;
     fill_layer pr i ~hit ~live;
-    Array.fill live_mask 0 ints 0;
-    for k = 0 to w - 1 do
-      row.(k) <- Conj.step_row m ~hit:hit.(k) ~left:(k < a);
-      if live.(k) then
-        live_mask.(idx.(k)) <- live_mask.(idx.(k)) lor (mask lsl sh.(k))
+    Array.fill k.live_mask 0 ints 0;
+    for x = 0 to w - 1 do
+      k.row.(x) <- Conj.step_row m ~hit:hit.(x) ~left:(x < a);
+      if live.(x) then
+        k.live_mask.(idx.(x)) <-
+          k.live_mask.(idx.(x)) lor (k.fmask lsl sh.(x))
     done;
-    let data = Dp_table.Flat.data curt
-    and offs = Dp_table.Flat.offs curt
-    and probs = Dp_table.Flat.probs curt in
-    let expand sc s ~emit ~emit_prob:_ =
-      let off = offs.(s) and q = probs.(s) in
-      let vals = sc.vals and nv = sc.nv and buf = sc.buf and cell = sc.cell in
-      for k = 0 to w - 1 do
-        vals.(k) <- (data.(off + idx.(k)) lsr sh.(k)) land mask
-      done;
-      for j = 0 to i do
-        let jb = j * stride in
-        for k = 0 to w - 1 do
-          nv.(k) <- steps.(row.(k) + jb + vals.(k))
-        done;
-        if not (satisfies pr nv) then begin
-          for n = 0 to ints - 1 do
-            buf.(n) <- 0
-          done;
-          for k = 0 to w - 1 do
-            buf.(idx.(k)) <- buf.(idx.(k)) lor (nv.(k) lsl sh.(k))
-          done;
-          for n = 0 to ints - 1 do
-            buf.(n) <- buf.(n) land live_mask.(n)
-          done;
-          cell.(0) <- q *. pi_row.(j);
-          emit buf 0 ints cell 0
-        end
+    let pi_row = k.pi_row in
+    if Util.Par.width par <= 1 || n_states < Dp_par.default_min_par then
+      for s = 0 to n_states - 1 do
+        decode k seq curt s;
+        let q = curt.probs.(s) in
+        for j = 0 to i do
+          step k seq j;
+          if satisfies pr seq.nv then
+            (* A satisfied successor leaves the DP: its mass is the
+               answer, read off as 1 minus what stays. *)
+            ()
+          else begin
+            mask_dead k seq;
+            insert next seq.buf 0 (q *. pi_row.(j))
+          end
+        done
       done
-    in
-    Dp_par.run_flat ~par ~n:n_states
-      ~ctx:(fun () ->
-        {
-          vals = Array.make w 0;
-          nv = Array.make w 0;
-          buf = Array.make ints 0;
-          cell = [| 0. |];
-        })
-      ~expand
-      ~add:(Dp_table.Flat.add_cell next)
-      ~add_prob:(fun _ _ -> ())
-      ();
-    hwm :=
-      max !hwm
-        (max (Dp_table.Flat.used_words curt) (Dp_table.Flat.used_words next));
-    Dp_table.Flat.clear curt;
+    else
+      Dp_par.run_flat ~par ~n:n_states
+        ~ctx:(fun () -> scratch k)
+        ~expand:(fun sc s ~emit ~emit_prob:_ ->
+          decode k sc curt s;
+          let q = curt.probs.(s) in
+          for j = 0 to i do
+            step k sc j;
+            if satisfies pr sc.nv then ()
+            else begin
+              mask_dead k sc;
+              sc.cell.(0) <- q *. pi_row.(j);
+              emit sc.buf 0 ints sc.cell 0
+            end
+          done)
+        ~add:(fun buf off _ cell ci -> insert next buf off cell.(ci))
+        ~add_prob:(fun _ _ -> ())
+        ();
+    hwm := max !hwm (max (used_words curt) (used_words next));
+    clear curt;
     cur := next;
     nxt := curt
   done;
   Dp_table.Flat.flush_call ~states:!states ~hwm_words:!hwm;
-  max 0. (1. -. Dp_table.Flat.sum !cur)
+  max 0. (1. -. sum !cur)
 
 let prob_edges ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)
     ?(kernel = Kernel.default) model lab pairs =

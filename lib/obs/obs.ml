@@ -25,15 +25,22 @@ let tracing () = Atomic.get trace_on
 (* Sharded cells                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Domains hash onto [n_shards] shards; shards are spread [stride] words
-   apart so two busy domains rarely share a cache line. Reads sum every
-   slot (unused slots stay 0). *)
+(* Domains hash onto [n_shards] shards. A counter's shards are spread
+   [stride] cells apart so two busy domains rarely share a cache line;
+   only the [n_shards] used cells are read or reset. *)
 let n_shards = 8
 let stride = 8
 let make_cells () = Array.init (n_shards * stride) (fun _ -> Atomic.make 0)
-let shard_index () = (Domain.self () :> int) land (n_shards - 1) * stride
-let cells_add cells n = ignore (Atomic.fetch_and_add cells.(shard_index ()) n)
-let cells_value cells = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 cells
+let shard () = (Domain.self () :> int) land (n_shards - 1)
+let cells_add cells n = ignore (Atomic.fetch_and_add cells.(shard () * stride) n)
+
+let cells_value cells =
+  let acc = ref 0 in
+  for s = 0 to n_shards - 1 do
+    acc := !acc + Atomic.get cells.(s * stride)
+  done;
+  !acc
+
 let cells_reset cells = Array.iter (fun a -> Atomic.set a 0) cells
 
 (* ------------------------------------------------------------------ *)
@@ -57,22 +64,17 @@ end
 
 module Histogram = struct
   (* Power-of-two buckets over nonnegative ints: bucket 0 holds the
-     value 0, bucket b >= 1 holds values in [2^(b-1), 2^b). Bucket-major
-     cell layout; each bucket is itself sharded. *)
+     value 0, bucket b >= 1 holds values in [2^(b-1), 2^b). Shard-major
+     cell layout: each shard owns one row of [row] cells, its
+     [n_buckets] bucket counts followed by its share of the sum, so a
+     histogram is [n_shards * row] cells and shards sit a row apart. *)
   let n_buckets = 63
+  let row = n_buckets + 1
 
-  type t = {
-    name : string;
-    cells : int Atomic.t array; (* n_buckets * n_shards * stride *)
-    sum : int Atomic.t array;
-  }
+  type t = { name : string; cells : int Atomic.t array }
 
   let unregistered name =
-    {
-      name;
-      cells = Array.init (n_buckets * n_shards * stride) (fun _ -> Atomic.make 0);
-      sum = make_cells ();
-    }
+    { name; cells = Array.init (n_shards * row) (fun _ -> Atomic.make 0) }
 
   let name t = t.name
 
@@ -87,32 +89,29 @@ module Histogram = struct
   let lower_bound b = if b = 0 then 0 else 1 lsl (b - 1)
 
   let observe t v =
-    let idx = (bucket_of v * n_shards * stride) + shard_index () in
-    ignore (Atomic.fetch_and_add t.cells.(idx) 1);
-    cells_add t.sum (max 0 v)
+    let base = shard () * row in
+    ignore (Atomic.fetch_and_add t.cells.(base + bucket_of v) 1);
+    if v > 0 then ignore (Atomic.fetch_and_add t.cells.(base + n_buckets) v)
 
-  let bucket_count t b =
-    let base = b * n_shards * stride in
+  (* Cell [k] of every shard row, summed. *)
+  let column t k =
     let acc = ref 0 in
-    for k = base to base + (n_shards * stride) - 1 do
-      acc := !acc + Atomic.get t.cells.(k)
+    for s = 0 to n_shards - 1 do
+      acc := !acc + Atomic.get t.cells.((s * row) + k)
     done;
     !acc
 
   let buckets t =
     let out = ref [] in
     for b = n_buckets - 1 downto 0 do
-      let c = bucket_count t b in
+      let c = column t b in
       if c > 0 then out := (lower_bound b, c) :: !out
     done;
     !out
 
   let count t = List.fold_left (fun acc (_, c) -> acc + c) 0 (buckets t)
-  let sum t = cells_value t.sum
-
-  let reset t =
-    cells_reset t.cells;
-    cells_reset t.sum
+  let sum t = column t n_buckets
+  let reset t = cells_reset t.cells
 end
 
 (* ------------------------------------------------------------------ *)

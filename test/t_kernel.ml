@@ -297,6 +297,86 @@ let prop_two_label =
         (Hardq.Brute.prob model lab gu) p;
       true)
 
+(* The one-int boundary of the flat two-label kernel: a state of [w]
+   words is one int while [w <= 62 / b] and two past it, where [b], the
+   field width, grows at m = 8, 16 and 32. [boundary_union] tracks
+   exactly [w] words at [m] items: edge e asks for its left label (on the
+   item σ inserts [span] steps after its right label's item) to precede
+   its right label. An odd [w] makes the last edge reuse the first right
+   label. The edge whose right word takes the highest field has an item
+   pair of its own, so no other word repeats what that field holds; the
+   other edges share two item pairs, which keeps the state count small. *)
+let boundary_union r ~m ~w ~span =
+  let center = Util.Rng.permutation r m in
+  let model =
+    Rim.Mallows.to_rim
+      (Rim.Mallows.make
+         ~center:(Prefs.Ranking.of_array center)
+         ~phi:(0.2 +. Util.Rng.float r 0.4))
+  in
+  let labels = Array.make m [] in
+  let place label pos =
+    labels.(center.(pos)) <- label :: labels.(center.(pos))
+  in
+  let z = (w + 1) / 2 and odd = w mod 2 = 1 in
+  let last = if odd then z - 2 else z - 1 in
+  let edges =
+    List.init z (fun e ->
+        let lo = (if e = last then 2 else e mod 2) * (m / 3) in
+        let reuse = odd && e = z - 1 in
+        place (2 * e) (lo + span);
+        if not reuse then place ((2 * e) + 1) lo;
+        Prefs.Pattern.two_label ~left:[ 2 * e ]
+          ~right:[ (if reuse then 1 else (2 * e) + 1) ])
+  in
+  (model, Prefs.Labeling.make labels, Prefs.Pattern_union.make edges)
+
+let fields_per_int m =
+  let rec bits b = if 1 lsl b > m then b else bits (b + 1) in
+  62 / bits 1
+
+let prop_one_int_boundary =
+  Helpers.qtest ~count:8 (named "flat == boxed: one-int boundary") seed_gen
+    (fun seed ->
+      let r = Helpers.rng (4000 + seed) in
+      List.iter
+        (fun m ->
+          let f = fields_per_int m in
+          List.iter
+            (fun w ->
+              let model, lab, gu = boundary_union r ~m ~w ~span:1 in
+              ignore
+                (check_kernels
+                   (Printf.sprintf "m=%d w=%d" m w)
+                   (fun ~kernel ~par ->
+                     exact ?par ~kernel `Two_label model lab gu)))
+            [ f; f + 1 ])
+        [ 7; 8; 15; 16; 31; 32 ];
+      (* Wide spans keep many words live: layers pass Dp_par's parallel
+         cut-off, so a pool of two or more domains runs the chunked
+         path. *)
+      let m = 32 in
+      let model, lab, gu =
+        boundary_union r ~m ~w:(fields_per_int m + 1) ~span:(m / 4)
+      in
+      let solve ~kernel ~par = exact ?par ~kernel `Two_label model lab gu in
+      let before = Obs.snapshot () in
+      let p = check_kernels "m=32 chunked layers" solve in
+      (match
+         Obs.find (Obs.diff before (Obs.snapshot ())) "dp.flat.layer_width"
+       with
+      | Some (Obs.Hist { buckets; _ })
+        when List.exists
+               (fun (lo, _) -> lo >= Hardq.Dp_par.default_min_par)
+               buckets ->
+          ()
+      | _ -> Alcotest.fail "no layer reached the parallel cut-off");
+      with_pool (max 2 nd) (fun pool ->
+          check_bits "m=32 chunked layers, 2+ domains" p
+            (solve ~kernel:Hardq.Kernel.Flat
+               ~par:(Some (Engine.Pool.sharer pool))));
+      true)
+
 let prop_bipartite =
   Helpers.qtest ~count:30 (named "flat == boxed: bipartite DPs") seed_gen
     (fun seed ->
@@ -505,6 +585,7 @@ let suites =
         tc (named "arena grows mid-query (m=30)") `Slow
           unit_arena_growth_mid_query;
         prop_two_label;
+        prop_one_int_boundary;
         prop_bipartite;
         prop_general;
         tc "Engine.Config.with_kernel is answer-invisible" `Quick

@@ -110,21 +110,47 @@ let unit_spans_tree () =
 
 let unit_counter_from_many_domains () =
   (* Sharded adds from inside pool worker domains must all land: the merged
-     value equals the number of parallel increments. *)
+     value equals the number of parallel increments, and every histogram
+     bucket and the sum merge across shards to the sequential tally. *)
   let c = Obs.counter "test.multidomain" in
   let h = Obs.histogram "test.multidomain.h" in
   Obs.Counter.reset c;
   Obs.Histogram.reset h;
+  let n = 10_000 in
+  let value i = i * 7919 mod 5000 in
+  let lower v =
+    let rec go p = if 2 * p > v then p else go (2 * p) in
+    if v = 0 then 0 else go 1
+  in
+  let expected = Hashtbl.create 16 in
+  for i = 0 to n - 1 do
+    let lo = lower (value i) in
+    Hashtbl.replace expected lo
+      (1 + Option.value ~default:0 (Hashtbl.find_opt expected lo))
+  done;
+  let expected =
+    List.sort compare (Hashtbl.fold (fun lo k acc -> (lo, k) :: acc) expected [])
+  in
   let pool = Engine.Pool.create ~jobs:4 () in
   Fun.protect
     ~finally:(fun () -> Engine.Pool.shutdown pool)
     (fun () ->
-      let n = 10_000 in
       Engine.Pool.run pool ~n (fun i ->
           Obs.Counter.incr c;
-          Obs.Histogram.observe h (i land 7));
+          Obs.Histogram.observe h (value i));
       Alcotest.(check int) "every increment counted" n (Obs.Counter.value c);
-      Alcotest.(check int) "every observation counted" n (Obs.Histogram.count h))
+      Alcotest.(check int) "every observation counted" n (Obs.Histogram.count h);
+      Alcotest.(check (list (pair int int)))
+        "every bucket's count" expected (Obs.Histogram.buckets h);
+      Alcotest.(check int)
+        "the sum" (List.init n value |> List.fold_left ( + ) 0)
+        (Obs.Histogram.sum h);
+      match Obs.find (Obs.snapshot ()) "test.multidomain.h" with
+      | Some (Obs.Hist { count; buckets; _ }) ->
+          Alcotest.(check int) "snapshot count" n count;
+          Alcotest.(check (list (pair int int)))
+            "snapshot buckets" expected buckets
+      | _ -> Alcotest.fail "histogram missing from the snapshot")
 
 let unit_engine_metrics_in_response () =
   (* End to end: an eval reports its own per-solver work in
