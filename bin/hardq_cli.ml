@@ -3,10 +3,10 @@
    sample from Mallows models.
 
    The evaluation subcommands are local clients of the server's request
-   path: their flags become a [Server.Protocol.eval], the dataset comes
-   from the server's registry, the engine request from
-   [Protocol.request_of_eval], and one executor, one error map and one
-   response printer serve all four. *)
+   path: their flags become a [Server.Protocol.eval], the engine request
+   comes from the server's registry ([Registry.request]: the dataset and
+   its cached plan), and one executor, one error map and one response
+   printer serve all four. *)
 
 open Cmdliner
 module Protocol = Server.Protocol
@@ -307,8 +307,8 @@ let print c (e : Protocol.eval) = function
 let registry = Server.Registry.create ~max_size:max_int ~max_sessions:max_int ()
 
 (* Run one subcommand: [build] turns its flags into an eval and a mode;
-   the dataset comes from [registry] and every engine request from
-   [Protocol.request_of_eval]. [`Serve] runs the request through
+   every engine request comes from [Registry.request] on [registry].
+   [`Serve] runs the request through
    [Engine.serve] (plain evaluation without an SLO, anytime frames with
    one), [`Explain] stops at the plan, and [`Answers (k, q)] grounds the
    head of [q] and evaluates every grounding in one engine batch. *)
@@ -317,10 +317,9 @@ let execute c build =
   let code =
     match
       let e, mode = build () in
-      let db = ok (Server.Registry.find registry e.Protocol.dataset) in
       let request e =
         ok
-          (Protocol.request_of_eval ~db ~budget:e.Protocol.budget
+          (Server.Registry.request registry ~budget:e.Protocol.budget
              ~parallelism:c.parallelism e)
       in
       match mode with
@@ -345,6 +344,7 @@ let execute c build =
                          Engine.Response.answer_float resp
                      | Error exn -> raise exn)
               in
+              let db = ok (Server.Registry.find registry e.Protocol.dataset) in
               let answers = Ppd.Answers.top ~k prob db q in
               (e, Answers (q, answers, List.rev !responses)))
     with

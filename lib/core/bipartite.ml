@@ -24,7 +24,7 @@ type ctx = {
 }
 
 let build_ctx model lab pairs_per_pattern =
-  let conj = Conj.create lab (Rim.Model.sigma model) in
+  let conj = Conj.create lab model in
   let tracks = Hashtbl.create 16 in
   let intern_track node is_left =
     let c = Conj.intern conj node in

@@ -1,7 +1,9 @@
 type t = {
   lab : Prefs.Labeling.t;
   m : int; (* length of sigma *)
-  pos : int array; (* item -> its position in sigma, -1 when absent *)
+  pos : int array;
+      (* item -> its position in sigma, -1 when absent; the model's own
+         array, shorter than the labeling when sigma lacks its last items *)
   mutable ids : (Prefs.Pattern.node * int) list; (* few per union *)
   mutable n : int;
   mutable match_rows : bool array list; (* reversed: id n-1 first *)
@@ -9,20 +11,11 @@ type t = {
   mutable cache : (bool array array * int array array) option;
 }
 
-let create lab sigma =
-  let m = Prefs.Ranking.length sigma in
-  let size = ref (Prefs.Labeling.n_items lab) in
-  for i = 0 to m - 1 do
-    size := max !size (Prefs.Ranking.item_at sigma i + 1)
-  done;
-  let pos = Array.make !size (-1) in
-  for i = 0 to m - 1 do
-    pos.(Prefs.Ranking.item_at sigma i) <- i
-  done;
+let create lab model =
   {
     lab;
-    m;
-    pos;
+    m = Rim.Model.m model;
+    pos = Rim.Model.positions model;
     ids = [];
     n = 0;
     match_rows = [];
@@ -49,8 +42,9 @@ let intern t node =
       let row = Array.make m false in
       List.iter
         (fun item ->
-          let p = t.pos.(item) in
-          if p >= 0 then row.(p) <- true)
+          if item < Array.length t.pos then
+            let p = t.pos.(item) in
+            if p >= 0 then row.(p) <- true)
         (Prefs.Labeling.items_with_all t.lab node);
       let rem = Array.make m 0 in
       let acc = ref 0 in

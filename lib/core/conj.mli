@@ -9,9 +9,10 @@
 
 type t
 
-val create : Prefs.Labeling.t -> Prefs.Ranking.t -> t
-(** [create lab sigma] prepares an interning context for the reference
-    ranking [sigma]. *)
+val create : Prefs.Labeling.t -> Rim.Model.t -> t
+(** [create lab model] prepares an interning context for the model's
+    reference ranking σ, reading σ's inverse from the model
+    ({!Rim.Model.positions}) instead of building it per call. *)
 
 val intern : t -> Prefs.Pattern.node -> int
 (** Id of a conjunction (allocating it on first use). *)

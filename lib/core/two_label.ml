@@ -45,7 +45,7 @@ type problem = {
    indexed by conjunction id (a union of [z] edges interns at most [2z]
    conjunctions). *)
 let build_problem model lab pairs =
-  let conj = Conj.create lab (Rim.Model.sigma model) in
+  let conj = Conj.create lab model in
   let z = List.length pairs in
   let role () = (Array.make (2 * z) (-1), Array.make z 0, ref 0) in
   let lefts = role () and rights = role () in

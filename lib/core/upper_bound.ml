@@ -1,39 +1,37 @@
-let min_position lab sigma node =
-  let items = Prefs.Labeling.items_with_all lab node in
-  List.fold_left
-    (fun acc item ->
-      match Prefs.Ranking.position_of sigma item with
-      | p -> ( match acc with None -> Some p | Some q -> Some (min p q))
-      | exception Not_found -> acc)
-    None items
+(* Widen [lo.(v)]/[hi.(v)] to the positions in σ (through its inverse
+   [pos]) of [items]; items σ lacks are skipped. *)
+let rec extend pos lo hi v = function
+  | [] -> ()
+  | item :: items ->
+      (if item < Array.length pos then
+         let p = pos.(item) in
+         if p >= 0 then begin
+           if p < lo.(v) then lo.(v) <- p;
+           if p > hi.(v) then hi.(v) <- p
+         end);
+      extend pos lo hi v items
 
-let max_position lab sigma node =
-  let items = Prefs.Labeling.items_with_all lab node in
-  List.fold_left
-    (fun acc item ->
-      match Prefs.Ranking.position_of sigma item with
-      | p -> ( match acc with None -> Some p | Some q -> Some (max p q))
-      | exception Not_found -> acc)
-    None items
-
-let ease lab sigma l r =
-  match (min_position lab sigma l, max_position lab sigma r) with
-  | Some a, Some b -> Some (b - a)
-  | _ -> None
-
-let select_edges ~k lab sigma g =
+(* One pass per node over the items carrying it: whether it has a
+   witness at all, and its first and last position in σ. *)
+let select_edges ~k lab model g =
   if k < 1 then invalid_arg "Upper_bound.select_edges: k < 1";
-  let witnessable v = Prefs.Labeling.items_with_all lab (Prefs.Pattern.node g v) <> [] in
-  let all_nodes = List.init (Prefs.Pattern.n_nodes g) (fun v -> v) in
-  if not (List.for_all witnessable all_nodes) then None
+  let pos = Rim.Model.positions model in
+  let n = Prefs.Pattern.n_nodes g in
+  let lo = Array.make n max_int and hi = Array.make n (-1) in
+  let witnessed = ref true in
+  for v = 0 to n - 1 do
+    match Prefs.Labeling.items_with_all lab (Prefs.Pattern.node g v) with
+    | [] -> witnessed := false
+    | items -> extend pos lo hi v items
+  done;
+  if not !witnessed then None
   else begin
-    let tc = Prefs.Pattern.transitive_closure g in
     let scored =
       List.filter_map
         (fun (a, b) ->
-          let l = Prefs.Pattern.node tc a and r = Prefs.Pattern.node tc b in
-          Option.map (fun e -> (e, (l, r))) (ease lab sigma l r))
-        (Prefs.Pattern.edges tc)
+          if lo.(a) = max_int || hi.(b) < 0 then None
+          else Some (hi.(b) - lo.(a), (Prefs.Pattern.node g a, Prefs.Pattern.node g b)))
+        (Prefs.Pattern.closure_edges g)
     in
     let sorted = List.stable_sort (fun (a, _) (b, _) -> compare a b) scored in
     let rec take n = function
@@ -53,9 +51,8 @@ let c_edges = Obs.counter "solver.upper_bound.edges_selected"
 let prune_slack = 1e-9
 
 let upper_bound ?budget ~k model lab gu =
-  let sigma = Rim.Model.sigma model in
   let sets =
-    List.filter_map (select_edges ~k lab sigma) (Prefs.Pattern_union.patterns gu)
+    List.filter_map (select_edges ~k lab model) (Prefs.Pattern_union.patterns gu)
   in
   Obs.Counter.incr c_calls;
   Obs.Counter.add c_edges (List.fold_left (fun acc s -> acc + List.length s) 0 sets);

@@ -8,19 +8,10 @@
     [ease(l, r | σ) = β(r | σ) - α(l | σ)] (positions in the reference
     ranking); the [k] hardest (smallest-ease) edges are kept. *)
 
-val ease :
-  Prefs.Labeling.t ->
-  Prefs.Ranking.t ->
-  Prefs.Pattern.node ->
-  Prefs.Pattern.node ->
-  int option
-(** [ease lab sigma l r] in positions of [sigma]; [None] when either
-    conjunction has no matching item (the edge is unsatisfiable). *)
-
 val select_edges :
   k:int ->
   Prefs.Labeling.t ->
-  Prefs.Ranking.t ->
+  Rim.Model.t ->
   Prefs.Pattern.t ->
   (Prefs.Pattern.node * Prefs.Pattern.node) list option
 (** The [k] smallest-ease transitive-closure edges of the pattern;

@@ -149,9 +149,9 @@ let canonical_key solver seed lab_canon (s : Ppd.Database.session) union : key =
       (Prefs.Pattern_union.patterns union) )
 
 (* Digest of the same canonical content the key holds. Used only to derive
-   the sub-problem's RNG stream: the solve of a key must not depend on
-   request order or cache warm state, or a cache hit could return a float a
-   cold solve would not reproduce. *)
+   a sampler's RNG stream: the solve of a key must not depend on request
+   order or cache warm state, or a cache hit could return a float a cold
+   solve would not reproduce. Exact solves never read it. *)
 let key_digest solver seed lab_canon (s : Ppd.Database.session) union =
   let module D = Hardq.Digest in
   let h = D.int D.empty (key_seed solver seed) in
@@ -269,33 +269,43 @@ let check_deadline ctx =
   | Some d when Util.Timer.wall () > d -> raise Util.Timer.Out_of_time
   | _ -> ()
 
-let solve_one ctx (s : Ppd.Database.session) union rng =
+(* The RNG of one sub-problem is a pure function of its canonical content
+   (via a digest) and the request seed — never of request order or cache
+   state, so warm and cold runs at any store capacity draw identical
+   streams. *)
+let job_rng ctx digest =
+  Util.Rng.derive ctx.seed (Hardq.Digest.to_int digest)
+
+(* What exact solvers get for an RNG: they never draw from it, so no key
+   of theirs pays for a digest. *)
+let exact_rng = Util.Rng.make 0
+
+let solve_one ctx (s : Ppd.Database.session) union =
   (* The wall-clock guard between invocations: the per-invocation CPU
      budget cannot bound a request made of many small solver calls. *)
   check_deadline ctx;
   let budget =
     if ctx.budget > 0. then Some (Util.Timer.budget ctx.budget) else None
   in
+  let rng =
+    match ctx.solver with
+    | Hardq.Solver.Exact _ -> exact_rng
+    | Hardq.Solver.Approx _ ->
+        job_rng ctx (key_digest ctx.solver ctx.seed ctx.lab_canon s union)
+  in
   Hardq.Solver.prob ?budget ~par:ctx.par
     ?cache:(term_hook ctx s)
     ~kernel:ctx.kernel ctx.solver s.Ppd.Database.model ctx.lab union rng
 
-(* The RNG of one sub-problem is a pure function of its canonical content
-   (via the digest) and the request seed — never of request order or cache
-   state, so warm and cold runs at any store capacity draw identical
-   streams. *)
-let job_rng ctx digest =
-  Util.Rng.derive ctx.seed (Hardq.Digest.to_int digest)
-
 (* Solve a key this eval owns in the store and publish it — or abandon
    the claim if the solve fails, so waiters take over. *)
-let solve_owned ctx key digest session union =
+let solve_owned ctx key session union =
   let published = ref false in
   Fun.protect
     ~finally:(fun () -> if not !published then Store.abandon ctx.answers key)
     (fun () ->
       Atomic.incr ctx.solver_calls;
-      let p = solve_one ctx session union (job_rng ctx digest) in
+      let p = solve_one ctx session union in
       Store.publish ctx.answers key p;
       published := true;
       p)
@@ -304,22 +314,22 @@ let solve_owned ctx key digest session union =
    while this eval owns nothing it has not published, so blocking here
    cannot deadlock. [await -> None] means the owner failed: re-claim and,
    if we become owner, take over the solve. *)
-let rec join_deferred ctx key digest session union =
+let rec join_deferred ctx key session union =
   match Store.await ctx.answers key with
   | Some p -> p
   | None -> (
       match Store.claim ctx.answers key with
       | Store.Hit p -> p
-      | Store.Busy -> join_deferred ctx key digest session union
-      | Store.Owner -> solve_owned ctx key digest session union)
+      | Store.Busy -> join_deferred ctx key session union
+      | Store.Owner -> solve_owned ctx key session union)
 
 (* Batch phase: probabilities for every request of one partition, in
    request order.
 
-   Determinism: every distinct key's RNG is derived from (request seed,
-   structural digest) — independent of request order, pool width and cache
-   state. Workers fill disjoint slots of a results array, so the floats are
-   bit-identical whatever the pool size.
+   Determinism: every distinct sampler key's RNG is derived from (request
+   seed, structural digest) — independent of request order, pool width and
+   cache state; exact keys draw nothing. Workers fill disjoint slots of a
+   results array, so the floats are bit-identical whatever the pool size.
 
    Single flight: claims are taken without ever waiting (Hit/Owner/Busy);
    this eval solves the keys it owns, publishes them all, and only then
@@ -351,9 +361,6 @@ let batch_probs t ctx requests =
               | Some (`Job j) -> slot.(i) <- j
               | Some (`Defer d) -> defer.(i) <- d
               | None -> (
-                  let digest =
-                    key_digest ctx.solver ctx.seed ctx.lab_canon session u
-                  in
                   match Store.claim ctx.answers key with
                   | Store.Hit p ->
                       Atomic.incr ctx.hits;
@@ -363,14 +370,14 @@ let batch_probs t ctx requests =
                       Atomic.incr ctx.misses;
                       let j = !n_jobs in
                       incr n_jobs;
-                      jobs := (key, session, u, digest) :: !jobs;
+                      jobs := (key, session, u) :: !jobs;
                       Hashtbl.add seen key (`Job j);
                       slot.(i) <- j
                   | Store.Busy ->
                       Atomic.incr ctx.sf_joins;
                       let d = !n_defer in
                       incr n_defer;
-                      deferred := (key, session, u, digest) :: !deferred;
+                      deferred := (key, session, u) :: !deferred;
                       Hashtbl.add seen key (`Defer d);
                       defer.(i) <- d)))
         requests);
@@ -383,7 +390,7 @@ let batch_probs t ctx requests =
   Fun.protect
     ~finally:(fun () ->
       Array.iteri
-        (fun j (key, _, _, _) ->
+        (fun j (key, _, _) ->
           if not published.(j) then Store.abandon ctx.answers key)
         job_arr)
     (fun () ->
@@ -392,16 +399,16 @@ let batch_probs t ctx requests =
              record; force it before the parallel phase so workers only
              ever read it. *)
           Array.iter
-            (fun (_, (s : Ppd.Database.session), _, _) ->
+            (fun (_, (s : Ppd.Database.session), _) ->
               ignore (Rim.Mallows.to_rim s.Ppd.Database.model))
             job_arr;
           Pool.run t.pool ~n:(Array.length job_arr) (fun j ->
-              let _, session, u, digest = job_arr.(j) in
-              results.(j) <- solve_one ctx session u (job_rng ctx digest)));
+              let _, session, u = job_arr.(j) in
+              results.(j) <- solve_one ctx session u));
       ignore (Atomic.fetch_and_add ctx.solver_calls (Array.length job_arr));
       Obs.with_span "cache-fill" (fun () ->
           Array.iteri
-            (fun j (key, _, _, _) ->
+            (fun j (key, _, _) ->
               Store.publish ctx.answers key results.(j);
               published.(j) <- true)
             job_arr));
@@ -409,7 +416,7 @@ let batch_probs t ctx requests =
   let joined =
     Obs.with_span "join" (fun () ->
         Array.map
-          (fun (key, session, u, digest) -> join_deferred ctx key digest session u)
+          (fun (key, session, u) -> join_deferred ctx key session u)
           (Array.of_list (List.rev !deferred)))
   in
   Array.init n (fun i ->
@@ -426,7 +433,6 @@ let solve_cached ctx session union =
   match Hashtbl.find_opt ctx.local key with
   | Some p -> p
   | None ->
-      let digest = key_digest ctx.solver ctx.seed ctx.lab_canon session union in
       let p =
         match Store.claim ctx.answers key with
         | Store.Hit p ->
@@ -434,10 +440,10 @@ let solve_cached ctx session union =
             p
         | Store.Owner ->
             Atomic.incr ctx.misses;
-            solve_owned ctx key digest session union
+            solve_owned ctx key session union
         | Store.Busy ->
             Atomic.incr ctx.sf_joins;
-            join_deferred ctx key digest session union
+            join_deferred ctx key session union
       in
       Hashtbl.replace ctx.local key p;
       p

@@ -27,10 +27,11 @@
       when unsharded), fold the task, build the stats.
 
     {b Determinism.} Results are bit-identical whatever the pool size,
-    cache configuration or warm state: each sub-problem's RNG is derived
-    from (request seed, structural digest) — a pure function of the
-    sub-problem, never of request order — and each inference writes only
-    its own slot. A cache hit returns the very float a cold solve would
+    cache configuration or warm state: each sampler sub-problem's RNG is
+    derived from (request seed, structural digest) — a pure function of
+    the sub-problem, never of request order; exact solves draw nothing
+    and compute no digest — and each inference writes only its own
+    slot. A cache hit returns the very float a cold solve would
     compute.
 
     {b Thread safety.} One engine may serve concurrent [eval]s from

@@ -28,6 +28,9 @@ type t = {
   item_index : (Value.t, int) Hashtbl.t;
   o_rels : Relation.t list;
   p_rels : p_relation list;
+  label_m : Mutex.t;
+      (* serializes the label registry below: requests compile, and so
+         intern, on several threads against one resident database *)
   label_ids : (label_key, int) Hashtbl.t;
   mutable label_names : string list; (* reversed *)
   mutable item_labels : int list array; (* per item, reversed order *)
@@ -61,6 +64,7 @@ let make ~items ?(relations = []) ?(preferences = []) () =
     item_index;
     o_rels = relations;
     p_rels = preferences;
+    label_m = Mutex.create ();
     label_ids = Hashtbl.create 64;
     label_names = [];
     item_labels = Array.make m [];
@@ -87,6 +91,7 @@ let label_key_name = function
   | Universal -> "*"
 
 let intern_label t key =
+  Mutex.protect t.label_m @@ fun () ->
   match Hashtbl.find_opt t.label_ids key with
   | Some id -> id
   | None ->
@@ -110,11 +115,13 @@ let intern_label t key =
       id
 
 let label_name t id =
+  Mutex.protect t.label_m @@ fun () ->
   let n = List.length t.label_names in
   if id < 0 || id >= n then invalid_arg "Database.label_name";
   List.nth t.label_names (n - 1 - id)
 
 let labeling t =
+  Mutex.protect t.label_m @@ fun () ->
   match t.labeling_cache with
   | Some l -> l
   | None ->

@@ -64,7 +64,15 @@ type label_key =
 val intern_label : t -> label_key -> int
 (** Id of the predicate label, allocating and materializing it over the
     item domain on first use. Raises [Not_found] for an unknown
-    attribute. *)
+    attribute.
+
+    Interning is append-only and idempotent: ids are dense ([0..n-1] in
+    allocation order), and an id, once allocated, names the same label
+    and item set for the database's lifetime. So anything compiled
+    against the database (a [Plan.t]) stays valid while later
+    compilations intern more labels. The label registry is serialized
+    per database: {!intern_label}, {!label_name} and {!labeling} may run
+    on several threads or domains at once. *)
 
 val label_name : t -> int -> string
 (** Human-readable form of an interned label. *)

@@ -35,12 +35,24 @@ let of_pairs ~n_items pairs =
 let n_items t = Array.length t.labels
 let labels_of t i = t.labels.(i)
 let has t i l = List.mem l t.labels.(i)
-let has_all t i ls = List.for_all (fun l -> List.mem l t.labels.(i)) ls
+(* Direct recursion, no closure: the solvers call these once per
+   pattern node per solve. *)
+let rec mem_all ls labels =
+  match ls with [] -> true | l :: rest -> List.mem l labels && mem_all rest labels
+
+let has_all t i ls = mem_all ls t.labels.(i)
 let items_with t l = Option.value ~default:[] (Hashtbl.find_opt t.index l)
+
+let rec filter_all t rest = function
+  | [] -> []
+  | i :: items ->
+      if mem_all rest t.labels.(i) then i :: filter_all t rest items
+      else filter_all t rest items
 
 let items_with_all t = function
   | [] -> List.init (n_items t) (fun i -> i)
-  | l :: rest -> List.filter (fun i -> has_all t i rest) (items_with t l)
+  | [ l ] -> items_with t l
+  | l :: rest -> filter_all t rest (items_with t l)
 
 let all_labels t =
   List.sort_uniq Stdlib.compare

@@ -96,25 +96,30 @@ let bipartite_roles t =
 
 let is_bipartite t = Option.is_some (bipartite_roles t)
 
-let transitive_closure t =
+(* Two nodes have no path of length two: their edges are closed already
+   (the case of every two-label pattern, on each 1-edge bound). *)
+let closure_edges t =
   let n = Array.length t.nodes in
-  let reach = Array.make_matrix n n false in
-  List.iter (fun (a, b) -> reach.(a).(b) <- true) t.edges;
-  for k = 0 to n - 1 do
-    for i = 0 to n - 1 do
-      if reach.(i).(k) then
-        for j = 0 to n - 1 do
-          if reach.(k).(j) then reach.(i).(j) <- true
-        done
-    done
-  done;
-  let edges = ref [] in
-  for i = n - 1 downto 0 do
-    for j = n - 1 downto 0 do
-      if reach.(i).(j) then edges := (i, j) :: !edges
-    done
-  done;
-  make ~nodes:(Array.to_list t.nodes) ~edges:!edges
+  if n <= 2 then t.edges
+  else begin
+    let reach = Array.make_matrix n n false in
+    List.iter (fun (a, b) -> reach.(a).(b) <- true) t.edges;
+    for k = 0 to n - 1 do
+      for i = 0 to n - 1 do
+        if reach.(i).(k) then
+          for j = 0 to n - 1 do
+            if reach.(k).(j) then reach.(i).(j) <- true
+          done
+      done
+    done;
+    let edges = ref [] in
+    for i = n - 1 downto 0 do
+      for j = n - 1 downto 0 do
+        if reach.(i).(j) then edges := (i, j) :: !edges
+      done
+    done;
+    !edges
+  end
 
 let conjunction ts =
   let nodes = List.concat_map (fun t -> Array.to_list t.nodes) ts in

@@ -46,8 +46,9 @@ val bipartite_roles : t -> [ `L | `R | `Iso ] array option
 
 val is_bipartite : t -> bool
 
-val transitive_closure : t -> t
-(** Same nodes, edges closed under transitivity. *)
+val closure_edges : t -> (int * int) list
+(** The edges closed under transitivity, sorted: the edges of the
+    pattern's transitive closure, whose nodes are the pattern's own. *)
 
 val conjunction : t list -> t
 (** Disjoint union of node sets and their edges: the pattern [g1 ∧ … ∧ gk]

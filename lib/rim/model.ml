@@ -1,4 +1,20 @@
-type t = { sigma : Prefs.Ranking.t; pi : float array array }
+type t = {
+  sigma : Prefs.Ranking.t;
+  pi : float array array;
+  pos : int array; (* sigma's inverse: item -> position, -1 when absent *)
+}
+
+let inverse sigma =
+  let m = Prefs.Ranking.length sigma in
+  let size = ref 0 in
+  for i = 0 to m - 1 do
+    size := max !size (Prefs.Ranking.item_at sigma i + 1)
+  done;
+  let pos = Array.make !size (-1) in
+  for i = 0 to m - 1 do
+    pos.(Prefs.Ranking.item_at sigma i) <- i
+  done;
+  pos
 
 let make ~sigma ~pi =
   let m = Prefs.Ranking.length sigma in
@@ -14,9 +30,10 @@ let make ~sigma ~pi =
       if abs_float (sum -. 1.) > 1e-9 then
         invalid_arg "Rim.Model.make: pi row does not sum to 1")
     pi;
-  { sigma; pi = Array.map Array.copy pi }
+  { sigma; pi = Array.map Array.copy pi; pos = inverse sigma }
 
 let sigma t = t.sigma
+let positions t = t.pos
 let m t = Prefs.Ranking.length t.sigma
 let pi t i j = t.pi.(i).(j)
 let blit_pi_row t i dst = Array.blit t.pi.(i) 0 dst 0 (i + 1)
@@ -69,7 +86,7 @@ let sample t rng =
 let uniform sigma =
   let n = Prefs.Ranking.length sigma in
   let pi = Array.init n (fun i -> Array.make (i + 1) (1. /. float_of_int (i + 1))) in
-  { sigma; pi }
+  { sigma; pi; pos = inverse sigma }
 
 let pp ppf t =
   Format.fprintf ppf "RIM(\u{03C3}=%a, m=%d)" Prefs.Ranking.pp t.sigma (m t)

@@ -12,6 +12,13 @@ val make : sigma:Prefs.Ranking.t -> pi:float array array -> t
     [Invalid_argument] otherwise. *)
 
 val sigma : t -> Prefs.Ranking.t
+
+val positions : t -> int array
+(** σ's inverse, built once with the model: entry [x] is the 0-based
+    position of item [x] in σ, or [-1] when σ lacks [x]; its length is
+    one past σ's largest item. The solvers read it on every call, so it
+    is shared and must not be written. *)
+
 val m : t -> int
 (** Number of items. *)
 

@@ -150,25 +150,26 @@ let slo_of_eval (e : eval) =
 
 (* Both query forms compile here, before the engine: a query outside the
    supported fragment is a typed [Unsupported] error. *)
-let request_of_eval ~db ~budget ?deadline ~parallelism (e : eval) =
-  let slo = slo_of_eval e in
+let plan_of_eval ~db (e : eval) =
   match
+    Obs.with_span "compile" @@ fun () ->
     match e.query with
-    | Cq q ->
-        Engine.Request.make ~task:e.task ~solver:e.solver ~budget ~seed:e.seed
-          ?deadline ~parallelism ?slo db q
+    | Cq q -> Plan.of_query ~solver:e.solver db q
     | Lang { ast; _ } ->
         (* A non-default wire solver acts as a planner hint; a [using]
            clause in the text wins (Plan.compile's precedence). *)
         let hint =
           if e.solver = Hardq.Solver.default_exact then None else Some e.solver
         in
-        Engine.Request.of_plan ~task:e.task ~budget ~seed:e.seed ?deadline
-          ~parallelism ?slo (Plan.compile ?hint db ast)
+        Plan.compile ?hint db ast
   with
-  | req -> Ok req
+  | plan -> Ok plan
   | exception (Ppd.Compile.Unsupported msg | Ppd.Compile.Grounding_too_large msg) ->
       Stdlib.Error (error Unsupported msg)
+
+let request_of_plan ~budget ?deadline ~parallelism (e : eval) plan =
+  Engine.Request.of_plan ~task:e.task ~budget ~seed:e.seed ?deadline
+    ~parallelism ?slo:(slo_of_eval e) plan
 
 let parallelism_to_string = function `Inter -> "inter" | `Intra -> "intra"
 

@@ -289,19 +289,23 @@ val slo_of_eval : eval -> Engine.Request.slo option
 (** The engine-level SLO a request's additive members project onto
     ([target_ci] wins when a hand-built record carries both). *)
 
-val request_of_eval :
-  db:Ppd.Database.t ->
+val plan_of_eval : db:Ppd.Database.t -> eval -> (Plan.t, error) result
+(** Compile an eval's query against [db]: {!Plan.of_query} with [solver]
+    for a CQ, {!Plan.compile} with [solver] as hint for a text. A query
+    outside the supported fragment or past the grounding cap is an
+    [Unsupported] error. The plan depends on the query, [solver] and
+    [db] alone; [Registry.request] caches it per dataset. *)
+
+val request_of_plan :
   budget:float ->
   ?deadline:float ->
   parallelism:[ `Inter | `Intra ] ->
   eval ->
-  (Engine.Request.t, error) result
-(** The engine request of an eval over [db] ({!Engine.Request.make} for
-    a CQ, {!Plan.compile} with [solver] as hint for a text), with the
-    caller's resolved [budget], [deadline] and [parallelism]. A query
-    outside the supported fragment or past the grounding cap is an
-    [Unsupported] error. The server and [hardq] build every request
-    here. *)
+  Plan.t ->
+  Engine.Request.t
+(** The engine request of an eval over its compiled plan, with the
+    caller's resolved [budget], [deadline] and [parallelism]: what
+    {!Engine.Request.make} builds for the same CQ. *)
 
 val anytime_of_engine : Engine.anytime -> anytime option
 (** Project a serve outcome onto the wire block. [None] for [`Cancelled]

@@ -8,8 +8,13 @@
     the "synthesized instances": [polls] at [size=20, sessions=5000] is
     generated on first use and cached like the defaults.
 
+    Each resident dataset also keeps the plans compiled against it
+    (prepared plans, DESIGN.md §9.5): {!request} compiles a query once per
+    dataset and serves every repeat from that cache.
+
     Thread-safe: generation of a missing entry runs under the registry
-    lock (concurrent requests for the same spec generate once). *)
+    lock (concurrent requests for the same spec generate once); plans
+    compile outside it, once per key ({!request}). *)
 
 type t
 
@@ -26,6 +31,41 @@ val find :
 (** Resolve a spec, generating and caching on first use. Errors:
     [Unknown_dataset] (message enumerates {!names}) and [Bad_request]
     for out-of-bounds parameters. *)
+
+val plan_capacity : sessions:int -> int
+(** How many compiled plans a resident dataset of [sessions] sessions
+    keeps, least recently used first out: [min 64 (65536 / sessions)],
+    at least 1. A plan holds one row (session, pattern union) per
+    session of its p-relation, about 76 words on the Figure 4 query, so
+    the cache holds at most 65536 such rows (about 40 MB) or one plan:
+    64 plans at the 100 sessions of [warm-mix], 13 at 5000, and 1 at the
+    server's [max_sessions] of 100000 (about 61 MB beside a 25 MB
+    dataset, what one in-flight request held before plans were
+    cached). *)
+
+val request :
+  t ->
+  budget:float ->
+  ?deadline:float ->
+  parallelism:[ `Inter | `Intra ] ->
+  Protocol.eval ->
+  (Engine.Request.t, Protocol.error) result
+(** The engine request of an eval: resolve its dataset as {!find} does,
+    take its plan from that dataset's plan cache (compiling it with
+    {!Protocol.plan_of_eval} on a miss), and finish it with
+    {!Protocol.request_of_plan}. The server and [hardq] build every
+    request here.
+
+    The cache key is the full query value (the ["query"] CQ or the
+    parsed ["q"] AST) and the eval's [solver], never a digest alone;
+    task, seed, budget and SLO are per request and not part of it. A
+    hit returns the very plan a miss compiled: interning is append-only
+    and idempotent ({!Ppd.Database.intern_label}), so the plan's label
+    ids keep their meaning while later queries intern more labels.
+    Compiles are single-flight per key, and a failed compile (a typed
+    [Unsupported] error or an exception) leaves no entry. Hits and
+    misses count in the [registry.plan_hits] and [registry.plan_misses]
+    metrics. *)
 
 val preload : t -> Protocol.dataset_spec -> (unit, Protocol.error) result
 (** Generate now (at server start) rather than on first request. *)

@@ -219,21 +219,17 @@ let effective_budget t (e : Protocol.eval) deadline start =
    the dataset cannot be resolved or the query not compiled). *)
 let prepare t (job : job) start =
   let e = job.eval in
-  match Registry.find t.registry e.Protocol.dataset with
+  let budget, deadline_limited = effective_budget t e job.deadline start in
+  let parallelism =
+    match e.Protocol.parallelism with
+    | Some p -> p
+    | None -> if t.cfg.intra then `Intra else `Inter
+  in
+  match
+    Registry.request t.registry ~budget ?deadline:job.deadline ~parallelism e
+  with
+  | Ok req -> Ok (req, deadline_limited)
   | Error err -> Error (Protocol.Err err)
-  | Ok db ->
-      let budget, deadline_limited = effective_budget t e job.deadline start in
-      let parallelism =
-        match e.Protocol.parallelism with
-        | Some p -> p
-        | None -> if t.cfg.intra then `Intra else `Inter
-      in
-      match
-        Protocol.request_of_eval ~db ~budget ?deadline:job.deadline
-          ~parallelism e
-      with
-      | Ok req -> Ok (req, deadline_limited)
-      | Error err -> Error (Protocol.Err err)
 
 (* Map one engine result for [job] onto the wire reply. [anytime] is the
    wire block of an SLO-carrying serve; plain evaluations omit it. *)

@@ -7,7 +7,9 @@
 # snapshot. hardq-client opens one connection per run, so every eval
 # arrives while no other connection is open: the snapshot must count
 # lone-connection flushes (server.batch.direct > 0), the scheduler's
-# skip of the gather window.
+# skip of the gather window. Every eval after the first asks the same
+# query of the same dataset, so the snapshot must also count prepared
+# plan hits (registry.plan_hits > 0): the repeats did not compile again.
 #
 # Usage: scripts/server_smoke.sh [server-exe [client-exe [qa-exe]]]
 set -eu
@@ -85,5 +87,9 @@ DIRECT=$(sed -n 's/.*"server\.batch\.direct": *\([0-9]*\).*/\1/p' "$METRICS")
 [ "${DIRECT:-0}" -gt 0 ] \
     || { echo "smoke: no lone-connection batch skipped the gather window (server.batch.direct=${DIRECT:-absent})" >&2; exit 1; }
 echo "smoke: $DIRECT lone-connection batches skipped the gather window"
+PLAN_HITS=$(sed -n 's/.*"registry\.plan_hits": *\([0-9]*\).*/\1/p' "$METRICS")
+[ "${PLAN_HITS:-0}" -gt 0 ] \
+    || { echo "smoke: no repeated query reused its prepared plan (registry.plan_hits=${PLAN_HITS:-absent})" >&2; exit 1; }
+echo "smoke: $PLAN_HITS requests reused a prepared plan"
 
 echo "smoke: server drained cleanly, metrics snapshot written"

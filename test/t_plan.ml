@@ -372,6 +372,67 @@ let unit_cli_failures_exit_one () =
       then Alcotest.failf "%s: want one line starting %S, got %S" case diagnosis msg)
     cases
 
+(* ------------------------------------------------------------------ *)
+(* Concurrent label interning                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Plans compile (and intern labels) on several server workers at once
+   against one resident database. Four domains compile distinct queries,
+   each with fresh comparison labels and a shared equality label: ids
+   must stay dense, every label's item set must be exact, and every
+   plan must answer what a sequential compile on a fresh copy answers. *)
+let unit_concurrent_interning () =
+  let fresh () = Datasets.Polls.generate ~n_candidates:10 ~n_voters:20 ~seed:3 () in
+  let text d i =
+    let k = 20 + (13 * d) + i in
+    Printf.sprintf
+      "count Q() :- P(_, _; x; y), C(x, _, \"M\", a, _, _), a >= %d, C(y, _, \"F\", \
+       b, _, _), b < %d."
+      k (k + 7)
+  in
+  let n_domains = 4 and per_domain = 12 in
+  let shared = fresh () in
+  let plans =
+    List.init n_domains (fun d ->
+        Domain.spawn (fun () ->
+            List.init per_domain (fun i -> (text d i, compile shared (text d i)))))
+    |> List.concat_map Domain.join
+  in
+  let reference = fresh () in
+  let expected =
+    List.map (fun (t, _) -> (t, compile reference t)) plans
+  in
+  let count_labels db =
+    let rec go n =
+      match Ppd.Database.label_name db n with
+      | _ -> go (n + 1)
+      | exception Invalid_argument _ -> n
+    in
+    go 0
+  in
+  let n = count_labels shared in
+  Alcotest.(check int) "as many labels as a sequential compile" (count_labels reference) n;
+  let names db = List.init n (Ppd.Database.label_name db) in
+  Alcotest.(check (list string))
+    "each label once" (List.sort compare (names reference))
+    (List.sort_uniq compare (names shared));
+  let lab = Ppd.Database.labeling shared and ref_lab = Ppd.Database.labeling reference in
+  let ref_id = List.mapi (fun id name -> (name, id)) (names reference) in
+  List.iteri
+    (fun id name ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "items of label %s" name)
+        (Prefs.Labeling.items_with ref_lab (List.assoc name ref_id))
+        (Prefs.Labeling.items_with lab id))
+    (names shared);
+  Engine.with_engine Engine.Config.(default |> with_jobs 1) (fun engine ->
+      let answer plan =
+        Engine.Response.answer_float (Engine.eval engine (Engine.Request.of_plan plan))
+      in
+      List.iter2
+        (fun (t, plan) (_, seq) -> check_bits t (answer seq) (answer plan))
+        plans expected)
+
 let suites =
   [
     ( "plan",
@@ -395,5 +456,7 @@ let suites =
           unit_of_query_keeps_solver;
         tc "hardq CLI: typed failures" `Quick
           unit_cli_failures_exit_one;
+        tc "concurrent compiles intern labels densely and exactly" `Quick
+          unit_concurrent_interning;
       ] );
   ]

@@ -109,9 +109,8 @@ let unit_oracle_accepts_healthy_solvers () =
    [v >= j] instead of [v - 1 >= j] — the classic boundary slip between
    positions and their +1 encoding. *)
 let buggy_two_label_dp model lab pairs =
-  let sigma = Rim.Model.sigma model in
   let m = Rim.Model.m model in
-  let conj = Hardq.Conj.create lab sigma in
+  let conj = Hardq.Conj.create lab model in
   let lefts = Hashtbl.create 8 and rights = Hashtbl.create 8 in
   let intern_role tbl node =
     let c = Hardq.Conj.intern conj node in

@@ -1882,6 +1882,200 @@ let unit_server_sharded_drain_completes_inflight () =
   | Ok _ -> Alcotest.fail "unexpected reply"
   | Error msg -> Alcotest.failf "in-flight request lost: %s" msg
 
+(* ------------------------------------------------------------------ *)
+(* Prepared plans                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let c_plan_hits = Obs.counter "registry.plan_hits"
+let c_plan_misses = Obs.counter "registry.plan_misses"
+
+(* Run [f] and return its result with the plan hits and misses it
+   counted (the counters are process-wide; tests run one at a time). *)
+let plan_traffic f =
+  let h0 = Obs.Counter.value c_plan_hits and m0 = Obs.Counter.value c_plan_misses in
+  let r = f () in
+  (r, Obs.Counter.value c_plan_hits - h0, Obs.Counter.value c_plan_misses - m0)
+
+let check_traffic what ~hits ~misses (_, h, m) =
+  Alcotest.(check (pair int int)) (what ^ ": plan hits, misses") (hits, misses) (h, m)
+
+let lang_eval ?(spec = fast_spec) text =
+  match Protocol.eval_lang spec text with
+  | Ok e -> e
+  | Error msg -> Alcotest.failf "parse %S: %s" text msg
+
+let registry_plan registry e =
+  match
+    Server.Registry.request registry ~budget:0. ~parallelism:`Inter e
+  with
+  | Ok req -> req.Engine.Request.plan
+  | Error err -> Alcotest.failf "request: %s" err.Protocol.message
+
+(* A hit is the very plan the miss compiled. A permuted text digests
+   the same but is another query value, so it compiles its own plan. *)
+let unit_registry_plan_identity () =
+  let registry = Server.Registry.create () in
+  let plan e = plan_traffic (fun () -> registry_plan registry e) in
+  let e =
+    lang_eval
+      "count Q() :- prefers(\"cand01\", \"cand03\"), prefers(\"cand02\", \"cand04\")."
+  in
+  let ((p1, _, _) as miss) = plan e in
+  check_traffic "first request" ~hits:0 ~misses:1 miss;
+  let ((p2, _, _) as hit) = plan e in
+  check_traffic "repeat" ~hits:1 ~misses:0 hit;
+  Alcotest.(check bool) "a hit is the compiled plan" true (p1 == p2);
+  Alcotest.(check string) "digest equal on a hit and a miss"
+    (Hardq.Digest.to_hex (Plan.digest p1))
+    (Hardq.Digest.to_hex (Plan.digest p2));
+  let permuted =
+    lang_eval
+      "count Q() :- prefers(\"cand02\", \"cand04\"), prefers(\"cand01\", \"cand03\")."
+  in
+  let ((p3, _, _) as other) = plan permuted in
+  Alcotest.(check string) "permuted conjuncts digest the same"
+    (Hardq.Digest.to_hex (Plan.digest p1))
+    (Hardq.Digest.to_hex (Plan.digest p3));
+  check_traffic "permuted text" ~hits:0 ~misses:1 other;
+  (match permuted.Protocol.query with
+  | Protocol.Lang { ast; _ } ->
+      Alcotest.(check bool) "its plan is its own query" true
+        (Lang.Ast.equal ast p3.Plan.ast)
+  | Protocol.Cq _ -> Alcotest.fail "expected a text query");
+  (* The solver is part of the key. *)
+  check_traffic "another hint" ~hits:0 ~misses:1
+    (plan { e with Protocol.solver = Hardq.Solver.Exact `General })
+
+(* Interning a label no cached plan uses leaves every plan valid: the
+   repeat still hits and answers the same bits. *)
+let unit_registry_plan_survives_interning () =
+  let registry = Server.Registry.create () in
+  let db =
+    match Server.Registry.find registry fast_spec with
+    | Ok db -> db
+    | Error err -> Alcotest.failf "dataset: %s" err.Protocol.message
+  in
+  let e = Protocol.eval ~task:Engine.Request.Count fast_spec sample_query in
+  Engine.with_engine Engine.Config.(default |> with_jobs 1) (fun engine ->
+      let answer () =
+        plan_traffic (fun () ->
+            match
+              Server.Registry.request registry ~budget:0. ~parallelism:`Inter e
+            with
+            | Ok req -> Engine.Response.answer_float (Engine.eval engine req)
+            | Error err -> Alcotest.failf "request: %s" err.Protocol.message)
+      in
+      let ((a1, _, _) as miss) = answer () in
+      check_traffic "first request" ~hits:0 ~misses:1 miss;
+      ignore
+        (Ppd.Database.intern_label db
+           (Ppd.Database.Attr_cmp ("age", Ppd.Value.Ge, Ppd.Value.Int 33)));
+      let ((a2, _, _) as hit) = answer () in
+      check_traffic "after interning" ~hits:1 ~misses:0 hit;
+      Alcotest.(check int64) "same bits" (Int64.bits_of_float a1) (Int64.bits_of_float a2))
+
+(* The stated bound holds: a dataset keeps [plan_capacity] plans, least
+   recently used out first. *)
+let unit_registry_plan_bound () =
+  Alcotest.(check (list int))
+    "capacity at 30, 100, 5000 and 100000 sessions" [ 64; 64; 13; 1 ]
+    (List.map
+       (fun sessions -> Server.Registry.plan_capacity ~sessions)
+       [ 30; 100; 5000; 100_000 ]);
+  let registry = Server.Registry.create () in
+  let plan e = plan_traffic (fun () -> registry_plan registry e) in
+  let query i =
+    lang_eval (Printf.sprintf "count Q() :- rank(\"cand00\") <= %d." (i + 1))
+  in
+  let capacity = Server.Registry.plan_capacity ~sessions:30 in
+  for i = 0 to capacity - 1 do
+    check_traffic (Printf.sprintf "query %d" i) ~hits:0 ~misses:1 (plan (query i))
+  done;
+  check_traffic "all resident" ~hits:1 ~misses:0 (plan (query 0));
+  (* One more evicts the least recently used: query 1. *)
+  check_traffic "one past the bound" ~hits:0 ~misses:1 (plan (query capacity));
+  check_traffic "evicted" ~hits:0 ~misses:1 (plan (query 1));
+  check_traffic "recently used" ~hits:1 ~misses:0 (plan (query 0))
+
+(* Prepared plans over the wire. A repeated "q" text or "query" CQ is a
+   plan hit answering the same bytes, also after a query in between
+   interned fresh labels; an unsupported query is a typed error every
+   time and leaves no entry; anytime frames are the same bytes on a hit
+   as on a miss. *)
+let unit_server_plan_cache () =
+  let address = Protocol.Local (temp_socket ()) in
+  let config =
+    { (Server.default_config address) with Server.preload = [ fast_spec ] }
+  in
+  with_server config @@ fun server ->
+  let client = Server.Client.connect ~retries:40 (Server.address server) in
+  Fun.protect ~finally:(fun () -> Server.Client.close client) @@ fun () ->
+  let served e =
+    plan_traffic (fun () ->
+        match Server.Client.eval client e with
+        | Ok (Protocol.Err err) -> Error err.Protocol.code
+        | Ok result -> (
+            let reply = { Protocol.reply_id = None; result } in
+            match Json.member "answer" (Protocol.reply_to_json reply) with
+            | Some a -> Ok (Json.to_string a)
+            | None -> Alcotest.fail "a reply with neither answer nor error")
+        | Error msg -> Alcotest.failf "transport error: %s" msg)
+  in
+  let answer what ~hits ~misses e =
+    let ((r, _, _) as t) = served e in
+    check_traffic what ~hits ~misses t;
+    match r with
+    | Ok bytes -> bytes
+    | Error code ->
+        Alcotest.failf "%s: error %s" what (Protocol.error_code_to_string code)
+  in
+  let text = lang_eval "count Q() :- prefers(\"cand01\", \"cand03\")." in
+  let cq = Protocol.eval ~task:Engine.Request.Count fast_spec sample_query in
+  let t1 = answer "\"q\" miss" ~hits:0 ~misses:1 text in
+  Alcotest.(check string) "\"q\" hit: same bytes" t1
+    (answer "\"q\" hit" ~hits:1 ~misses:0 text);
+  let c1 = answer "\"query\" miss" ~hits:0 ~misses:1 cq in
+  ignore
+    (answer "fresh labels" ~hits:0 ~misses:1
+       (lang_eval "count Q() :- prefers(\"cand04\", \"cand05\")."));
+  Alcotest.(check string) "\"query\" hit after interning: same bytes" c1
+    (answer "\"query\" hit" ~hits:1 ~misses:0 cq);
+  Alcotest.(check string) "\"q\" hit after interning: same bytes" t1
+    (answer "\"q\" hit again" ~hits:1 ~misses:0 text);
+  let head_var =
+    Protocol.eval fast_spec
+      (Ppd.Parser.parse
+         "Q(l) :- P(_, _; l; r), C(l, p, \"M\", _, _, _), C(r, p, \"F\", _, _, _).")
+  in
+  for i = 1 to 2 do
+    match served head_var with
+    | (Error Protocol.Unsupported, _, _) as t ->
+        check_traffic (Printf.sprintf "unsupported, request %d" i) ~hits:0 ~misses:1 t
+    | _ -> Alcotest.failf "unsupported, request %d: not a typed error" i
+  done;
+  (* Anytime frames, miss then hit, on one raw connection. *)
+  let fd = raw_connect server in
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let r = raw_reader fd in
+  let stream () =
+    raw_send fd
+      { Protocol.id = Some (Json.Int 7); op = Protocol.Eval (streaming_eval ~target_ci:0.1 ()) };
+    let rec lines acc =
+      match raw_line r with
+      | None -> Alcotest.fail "eof before the terminal reply"
+      | Some line ->
+          if is_reply (decode_json line) then List.rev acc else lines (line :: acc)
+    in
+    lines []
+  in
+  let ((f1, _, _) as miss) = plan_traffic stream in
+  check_traffic "anytime miss" ~hits:0 ~misses:1 miss;
+  let ((f2, _, _) as hit) = plan_traffic stream in
+  check_traffic "anytime hit" ~hits:1 ~misses:0 hit;
+  if List.length f1 < 2 then Alcotest.failf "only %d frame(s)" (List.length f1);
+  Alcotest.(check (list string)) "frames byte-identical" f1 f2
+
 let suites =
   [
     ( "server.json",
@@ -1954,6 +2148,17 @@ let suites =
           unit_server_binary_sigterm;
         tc "bad count flags are usage errors naming the flag" `Quick
           unit_binaries_reject_bad_counts;
+        tc "a repeated query is a plan hit with the same bytes" `Quick
+          unit_server_plan_cache;
+      ] );
+    ( "server.registry",
+      [
+        tc "a plan hit is the compiled plan; keys hold the query" `Quick
+          unit_registry_plan_identity;
+        tc "a plan survives unrelated label interning" `Quick
+          unit_registry_plan_survives_interning;
+        tc "the plan bound evicts least recently used" `Quick
+          unit_registry_plan_bound;
       ] );
     ( "server.sharded",
       [
