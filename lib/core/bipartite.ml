@@ -710,22 +710,31 @@ let pairs_of_pattern g =
         (fun (a, b) -> (Prefs.Pattern.node g a, Prefs.Pattern.node g b))
         (Prefs.Pattern.edges g)
 
-(* Isolated nodes impose only a witness-existence condition. *)
-let isolated_nodes_ok lab g =
+(* Isolated nodes impose only a witness-existence condition. A witness
+   must be an item of σ (σ's inverse decides, as in Conj): an item the
+   labeling knows but σ lacks never appears in a ranking. *)
+let isolated_nodes_ok model lab g =
   match Prefs.Pattern.bipartite_roles g with
   | None -> raise (Unsupported "Bipartite: pattern is not bipartite")
   | Some roles ->
+      let pos = Rim.Model.positions model in
+      let in_sigma x = x < Array.length pos && pos.(x) >= 0 in
       let ok = ref true in
       Array.iteri
         (fun v role ->
-          if role = `Iso && Prefs.Labeling.items_with_all lab (Prefs.Pattern.node g v) = []
+          if
+            role = `Iso
+            && not
+                 (List.exists in_sigma
+                    (Prefs.Labeling.items_with_all lab (Prefs.Pattern.node g v)))
           then ok := false)
         roles;
       !ok
 
-let union_to_constraint_sets lab gu =
+let union_to_constraint_sets model lab gu =
   List.filter_map
-    (fun g -> if isolated_nodes_ok lab g then Some (pairs_of_pattern g) else None)
+    (fun g ->
+      if isolated_nodes_ok model lab g then Some (pairs_of_pattern g) else None)
     (Prefs.Pattern_union.patterns gu)
 
 let prob_constraint_sets ?budget ?par ?kernel model lab sets =
@@ -735,14 +744,14 @@ let prob_constraint_sets ?budget ?par ?kernel model lab sets =
     run_optimized ?budget ?par ?kernel ctx patterns
 
 let prob ?budget ?par ?kernel model lab gu =
-  match union_to_constraint_sets lab gu with
+  match union_to_constraint_sets model lab gu with
   | [] -> 0.
   | sets ->
       let ctx, patterns = build_ctx model lab sets in
       run_optimized ?budget ?par ?kernel ctx patterns
 
 let prob_basic ?budget ?par ?kernel model lab gu =
-  match union_to_constraint_sets lab gu with
+  match union_to_constraint_sets model lab gu with
   | [] -> 0.
   | sets ->
       let ctx, patterns = build_ctx model lab sets in

@@ -19,6 +19,41 @@ let conjunctions gu =
    float is bit-identical to evaluating both. *)
 let term_key c = (Prefs.Pattern.nodes c, Prefs.Pattern.edges c)
 
+(* How one IE term is solved. A term whose every node is carried by
+   exactly one item of σ (σ's inverse decides membership, the rule Conj
+   uses) is a partial order over those items, and RIM matching
+   (Po_solver) solves it over their positions alone. A node that no item
+   of σ carries makes the term 0, and so do edges that pin to a
+   self-loop or a cycle. Every other term keeps the signature DP. *)
+type route = Zero | Items of Prefs.Partial_order.t | Labels
+
+let route model lab c =
+  let pos = Rim.Model.positions model in
+  let in_sigma x = x < Array.length pos && pos.(x) >= 0 in
+  let carriers =
+    Array.map
+      (fun node -> List.filter in_sigma (Prefs.Labeling.items_with_all lab node))
+      (Prefs.Pattern.nodes c)
+  in
+  if Array.exists (( = ) []) carriers then Zero
+  else if Array.exists (fun l -> List.compare_length_with l 1 > 0) carriers then
+    Labels
+  else
+    let item v = List.hd carriers.(v) in
+    match
+      Prefs.Partial_order.make_opt
+        ~items:(List.map List.hd (Array.to_list carriers))
+        ~edges:(List.map (fun (u, v) -> (item u, item v)) (Prefs.Pattern.edges c))
+    with
+    | Some po -> Items po
+    | None -> Zero
+
+let solve_term ?budget ?(par = Util.Par.inline) ?kernel model lab c =
+  match route model lab c with
+  | Zero -> 0.
+  | Items po -> Po_solver.prob ?budget model po
+  | Labels -> Pattern_solver.prob ?budget ~par ?kernel model lab c
+
 let prob_instrumented ?budget ?(par = Util.Par.inline) ?(memo = true) ?cache
     ?kernel model lab gu =
   let terms = Array.of_list (conjunctions gu) in
@@ -56,8 +91,8 @@ let prob_instrumented ?budget ?(par = Util.Par.inline) ?(memo = true) ?cache
   let probs = Array.make n 0. and secs = Array.make n 0. in
   (* Cross-call term cache (capability-injected by the engine): look up
      each representative before the parallel region, evaluate only the
-     misses, publish afterwards. [Pattern_solver.prob] is deterministic
-     and RNG-free, so a reused float is bit-identical to re-evaluating;
+     misses, publish afterwards. Both term solvers are deterministic and
+     RNG-free, so a reused float is bit-identical to re-evaluating;
      hits report zero seconds, like memo hits. Both closures run on the
      calling domain only. *)
   let solved = Array.make !n_reps false in
@@ -91,7 +126,7 @@ let prob_instrumented ?budget ?(par = Util.Par.inline) ?(memo = true) ?cache
       let c, _ = terms.(t) in
       let p, dt =
         Util.Timer.time (fun () ->
-            Pattern_solver.prob ?budget ~par ?kernel model lab c)
+            solve_term ?budget ~par ?kernel model lab c)
       in
       probs.(t) <- p;
       secs.(t) <- dt);

@@ -1,110 +1,194 @@
 let max_states = ref 2_000_000
 
-(* State: int array over the tracked items (fixed order), entry = absolute
-   position + 1, or 0 when the item is not inserted yet. *)
+(* Observability: states are counted into a plain local int and flushed
+   once per call. *)
+let c_calls = Obs.counter "solver.po.calls"
+let c_states = Obs.counter "solver.po.dp_states"
+
+(* State: one word per tracked item (slot order), its absolute position
+   + 1 in the partial ranking, or 0 before it is inserted. Only items
+   with an edge are tracked: an isolated item of σ constrains nothing.
+   A word is read only when one of the item's neighbours is inserted,
+   so once the item and all its neighbours are in, its word is dead:
+   the step that completes them zeroes it, and states that differ only
+   in dead words merge (the two-label DP's dead-word rule, item-side).
+   A zero word is then never read as "not inserted yet" by a later
+   insertion, because no later insertion is a neighbour of it.
+   Layers live in {!Dp_table.Flat} tables, so states are numbered and
+   summed in first-insertion order, never in hash order. *)
+type problem = {
+  t : int; (* tracked items *)
+  first : int; (* σ step of the first tracked item *)
+  last : int; (* σ step of the last tracked item *)
+  slot_at : int array; (* σ step -> slot of its item, or -1 *)
+  preds : int array array; (* slot -> slots that must precede it *)
+  succs : int array array; (* slot -> slots it must precede *)
+  dies : int array array; (* σ step -> slots whose word it kills *)
+}
+
+let build_problem model po =
+  let pos = Rim.Model.positions model in
+  let step item =
+    if item < 0 || item >= Array.length pos || pos.(item) < 0 then
+      invalid_arg "Po_solver.prob: partial order mentions an unknown item";
+    pos.(item)
+  in
+  List.iter (fun item -> ignore (step item)) (Prefs.Partial_order.items po);
+  let edges = Prefs.Partial_order.edges po in
+  let tracked =
+    Array.of_list
+      (List.sort_uniq compare (List.concat_map (fun (a, b) -> [ a; b ]) edges))
+  in
+  let t = Array.length tracked in
+  let slot item =
+    let rec find k = if tracked.(k) = item then k else find (k + 1) in
+    find 0
+  in
+  let slot_at = Array.make (Rim.Model.m model) (-1) in
+  Array.iteri (fun k item -> slot_at.(step item) <- k) tracked;
+  let steps = Array.map step tracked in
+  let around pick =
+    Array.init t (fun k ->
+        Array.of_list (List.filter_map (fun e -> pick k e) edges))
+  in
+  let preds = around (fun k (a, b) -> if slot b = k then Some (slot a) else None)
+  and succs = around (fun k (a, b) -> if slot a = k then Some (slot b) else None) in
+  let dead_step k =
+    let last_of acc x = max acc steps.(x) in
+    Array.fold_left last_of (Array.fold_left last_of steps.(k) preds.(k)) succs.(k)
+  in
+  let dies =
+    Array.init (Rim.Model.m model) (fun i ->
+        Array.of_list (List.filter (fun k -> dead_step k = i) (List.init t Fun.id)))
+  in
+  {
+    t;
+    first = Array.fold_left min max_int steps;
+    last = Array.fold_left max (-1) steps;
+    slot_at;
+    preds;
+    succs;
+    dies;
+  }
+
+(* The DP starts at σ's first tracked item (before it every insertion
+   lands among untracked items only, with total mass 1) and stops after
+   its last: later insertions shift positions uniformly and cannot break
+   an order. The last layer's emissions are summed directly, in
+   (state, j) order, instead of being stored. *)
+let run ~budget ~states model pr =
+  let t = pr.t in
+  Dp_table.Flat.with_pair ~name:"Po_solver" ~max_states:!max_states
+  @@ fun t0 t1 ->
+  let cur = ref t0 and nxt = ref t1 in
+  let hwm = ref 0 in
+  let buf = Array.make t 0 in
+  let sorted = Array.make t 0 in
+  let cell = [| 0. |] in
+  let acc = ref 0. in
+  let pi_row = Array.make (pr.last + 1) 0. in
+  Dp_table.Flat.add !cur buf 0 t 1.;
+  for i = pr.first to pr.last do
+    Util.Timer.check budget;
+    let curt = !cur and next = !nxt in
+    let n_states = Dp_table.Flat.length curt in
+    states := !states + n_states;
+    Dp_table.Flat.note_layer_width n_states;
+    Rim.Model.blit_pi_row model i pi_row;
+    let data = Dp_table.Flat.data curt
+    and offs = Dp_table.Flat.offs curt
+    and probs = Dp_table.Flat.probs curt in
+    let k = pr.slot_at.(i) in
+    let dies = pr.dies.(i) in
+    let final = i = pr.last in
+    for s = 0 to n_states - 1 do
+      let off = offs.(s) and q = probs.(s) in
+      if k >= 0 then begin
+        (* A tracked item lands after every inserted predecessor and at
+           or before every inserted successor's position, so the edges
+           it closes hold by construction; other edges keep their order
+           under the shift. *)
+        let lo = ref 0 and hi = ref i in
+        let preds = pr.preds.(k) and succs = pr.succs.(k) in
+        for y = 0 to Array.length preds - 1 do
+          let v = data.(off + preds.(y)) in
+          if v > !lo then lo := v
+        done;
+        for y = 0 to Array.length succs - 1 do
+          let v = data.(off + succs.(y)) in
+          if v > 0 && v - 1 < !hi then hi := v - 1
+        done;
+        for j = !lo to !hi do
+          let p = q *. pi_row.(j) in
+          if p > 0. then
+            if final then acc := !acc +. p
+            else begin
+              for x = 0 to t - 1 do
+                let v = data.(off + x) in
+                buf.(x) <- (if v > j then v + 1 else v)
+              done;
+              buf.(k) <- j + 1;
+              for y = 0 to Array.length dies - 1 do
+                buf.(dies.(y)) <- 0
+              done;
+              cell.(0) <- p;
+              Dp_table.Flat.add_cell next buf 0 t cell 0
+            end
+        done
+      end
+      else begin
+        (* An untracked item: group insertion positions by how many
+           tracked items precede them; the successor state is the same
+           within a group, so a group emits once with its summed mass. *)
+        let n_in = ref 0 in
+        for x = 0 to t - 1 do
+          let v = data.(off + x) in
+          if v > 0 then begin
+            let y = ref !n_in in
+            while !y > 0 && sorted.(!y - 1) > v do
+              sorted.(!y) <- sorted.(!y - 1);
+              decr y
+            done;
+            sorted.(!y) <- v;
+            incr n_in
+          end
+        done;
+        let n_in = !n_in in
+        for c = 0 to n_in do
+          (* [sorted] holds position + 1: the first j after that item. *)
+          let jlo = if c = 0 then 0 else sorted.(c - 1) in
+          let jhi = if c = n_in then i else sorted.(c) - 1 in
+          let psum = ref 0. in
+          for j = jlo to jhi do
+            psum := !psum +. pi_row.(j)
+          done;
+          if !psum > 0. then begin
+            for x = 0 to t - 1 do
+              let v = data.(off + x) in
+              buf.(x) <- (if v > jlo then v + 1 else v)
+            done;
+            cell.(0) <- q *. !psum;
+            Dp_table.Flat.add_cell next buf 0 t cell 0
+          end
+        done
+      end
+    done;
+    hwm :=
+      max !hwm (max (Dp_table.Flat.used_words curt) (Dp_table.Flat.used_words next));
+    Dp_table.Flat.clear curt;
+    cur := next;
+    nxt := curt
+  done;
+  Dp_table.Flat.flush_call ~states:!states ~hwm_words:!hwm;
+  min 1. !acc
 
 let prob ?(budget = Util.Timer.no_limit) model po =
-  let tracked = Array.of_list (Prefs.Partial_order.items po) in
-  let t = Array.length tracked in
-  if t = 0 then 1.
-  else begin
-    let sigma = Rim.Model.sigma model in
-    let slot = Hashtbl.create t in
-    Array.iteri (fun k item -> Hashtbl.replace slot item k) tracked;
-    Array.iter
-      (fun item ->
-        if not (Prefs.Ranking.mem sigma item) then
-          invalid_arg "Po_solver.prob: partial order mentions an unknown item")
-      tracked;
-    (* Edges as slot pairs; transitive closure not needed (pairwise checks
-       on fully inserted endpoints suffice for final consistency, and
-       partial states are pruned as soon as any edge with both endpoints
-       inserted is violated). *)
-    let edges =
-      List.map
-        (fun (a, b) -> (Hashtbl.find slot a, Hashtbl.find slot b))
-        (Prefs.Partial_order.edges po)
-    in
-    let consistent st =
-      List.for_all
-        (fun (a, b) ->
-          let pa = st.(a) and pb = st.(b) in
-          pa = 0 || pb = 0 || pa < pb)
-        edges
-    in
-    (* The DP can stop once every tracked item has been inserted: later
-       insertions shift positions uniformly and cannot break an order. *)
-    let last_step =
-      Array.fold_left
-        (fun acc item -> max acc (Prefs.Ranking.position_of sigma item))
-        0
-        (Array.map (fun item -> item) tracked)
-    in
-    let table = ref (Hashtbl.create 64) in
-    Hashtbl.add !table (Array.make t 0) 1.;
-    for i = 0 to last_step do
-      Util.Timer.check budget;
-      let item = Prefs.Ranking.item_at sigma i in
-      let tracked_slot = Hashtbl.find_opt slot item in
-      let next = Hashtbl.create (Hashtbl.length !table * 2) in
-      let add st p =
-        match Hashtbl.find_opt next st with
-        | Some p0 -> Hashtbl.replace next st (p0 +. p)
-        | None ->
-            if Hashtbl.length next >= !max_states then
-              raise
-                (Dp_table.State_explosion
-                   { table = "Po_solver"; cap = !max_states });
-            Hashtbl.add next st p
-      in
-      Hashtbl.iter
-        (fun st q ->
-          match tracked_slot with
-          | Some k ->
-              for j = 0 to i do
-                let p = q *. Rim.Model.pi model i j in
-                if p > 0. then begin
-                  let st' =
-                    Array.map (fun v -> if v > 0 && v - 1 >= j then v + 1 else v) st
-                  in
-                  st'.(k) <- j + 1;
-                  if consistent st' then add st' p
-                end
-              done
-          | None ->
-              (* Group insertion positions by how many tracked positions
-                 shift; the state outcome is identical within a group. *)
-              let positions =
-                List.sort compare
-                  (List.filter (fun v -> v > 0) (Array.to_list st))
-              in
-              let boundaries = Array.of_list positions in
-              let n_inserted = Array.length boundaries in
-              for c = 0 to n_inserted do
-                let jlo = if c = 0 then 0 else boundaries.(c - 1) in
-                (* boundaries store pos+1, i.e. the first j strictly after
-                   that item *)
-                let jhi = if c = n_inserted then i else boundaries.(c) - 1 in
-                if jlo <= jhi then begin
-                  let psum = ref 0. in
-                  for j = jlo to jhi do
-                    psum := !psum +. Rim.Model.pi model i j
-                  done;
-                  if !psum > 0. then begin
-                    let st' =
-                      Array.map
-                        (fun v -> if v > 0 && v - 1 >= jlo then v + 1 else v)
-                        st
-                    in
-                    add st' (q *. !psum)
-                  end
-                end
-              done)
-        !table;
-      table := next
-    done;
-    min 1. (Hashtbl.fold (fun _ q acc -> acc +. q) !table 0.)
-  end
+  let pr = build_problem model po in
+  let states = ref 0 in
+  let p = if pr.t = 0 then 1. else run ~budget ~states model pr in
+  Obs.Counter.incr c_calls;
+  Obs.Counter.add c_states !states;
+  p
 
 let prob_subranking ?budget model sub =
   prob ?budget model (Prefs.Partial_order.of_chain (Prefs.Ranking.to_list sub))

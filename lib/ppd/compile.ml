@@ -375,15 +375,46 @@ let compile ?grounding_cap db q =
   (* Memoize pattern unions by the canonical form of the base environment:
      sessions sharing bindings share the (potentially expensive) grounding. *)
   let memo = Hashtbl.create 64 in
-  let union_for env0 =
-    let key =
-      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) env0 [])
-    in
+  let env_key env0 =
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) env0 [])
+  in
+  let union_for (key, env0) =
     match Hashtbl.find_opt memo key with
     | Some u -> u
     | None ->
         let u = union_for_env ?grounding_cap db a domains env0 in
         Hashtbl.add memo key u;
+        u
+  in
+  (* Memoize each session's canonical union by its sorted environment
+     keys: sessions whose environments are equal (every session, when the
+     query has no session atom) share one value instead of rebuilding it.
+     The union depends only on the set of environments, so the shared
+     value is the one each session would have built. *)
+  let session_memo = Hashtbl.create 64 in
+  let session_union envs =
+    let keyed =
+      List.sort_uniq
+        (fun (k1, _) (k2, _) -> compare k1 k2)
+        (List.map (fun env -> (env_key env, env)) envs)
+    in
+    let key = List.map fst keyed in
+    match Hashtbl.find_opt session_memo key with
+    | Some u -> u
+    | None ->
+        let u =
+          (* Canonical per-session form: grounding/environment order is
+             commutative, so permuted-but-equal queries compile to the
+             same union — and hence the same content-addressed
+             sub-answer cache key in the engine. *)
+          match
+            List.concat_map Prefs.Pattern_union.patterns
+              (List.filter_map union_for keyed)
+          with
+          | [] -> None
+          | ps -> Some (Prefs.Pattern_union.canonical (Prefs.Pattern_union.make ps))
+        in
+        Hashtbl.add session_memo key u;
         u
   in
   let requests =
@@ -400,18 +431,7 @@ let compile ?grounding_cap db q =
             with
             | true -> Some { session; union = None }
             | false -> None)
-        | envs ->
-            let unions = List.filter_map union_for envs in
-            let union =
-              (* Canonical per-session form: grounding/environment order is
-                 commutative, so permuted-but-equal queries compile to the
-                 same union — and hence the same content-addressed
-                 sub-answer cache key in the engine. *)
-              match List.concat_map Prefs.Pattern_union.patterns unions with
-              | [] -> None
-              | ps -> Some (Prefs.Pattern_union.canonical (Prefs.Pattern_union.make ps))
-            in
-            Some { session; union })
+        | envs -> Some { session; union = session_union envs })
       (Array.to_list (Database.sessions a.prel))
   in
   { p_rel = a.prel; requests }

@@ -50,6 +50,12 @@ let make_with_items ~items ~edges =
   let more = List.concat_map (fun (a, b) -> [ a; b ]) edges in
   build (items @ more) edges
 
+let make_opt ~items ~edges =
+  let more = List.concat_map (fun (a, b) -> [ a; b ]) edges in
+  match build (items @ more) edges with
+  | t -> Some t
+  | exception Invalid_argument _ -> None
+
 let empty = { items = []; edges = [] }
 let items t = t.items
 let edges t = t.edges
@@ -78,9 +84,7 @@ let transitive_closure t =
   in
   { items = t.items; edges = sort_uniq_edges closure_edges }
 
-let union t1 t2 =
-  let items = t1.items @ t2.items and edges = t1.edges @ t2.edges in
-  match build items edges with t -> Some t | exception Invalid_argument _ -> None
+let union t1 t2 = make_opt ~items:(t1.items @ t2.items) ~edges:(t1.edges @ t2.edges)
 
 let of_chain l =
   let rec chain_edges = function

@@ -15,6 +15,10 @@ val make : edges:(item * item) list -> t
 val make_with_items : items:item list -> edges:(item * item) list -> t
 (** Like {!make} but with possibly extra isolated items. *)
 
+val make_opt : items:item list -> edges:(item * item) list -> t option
+(** Like {!make_with_items}, but [None] where it would raise: the edges
+    hold a self-loop or a cycle, so no ranking extends them. *)
+
 val empty : t
 val items : t -> item list
 (** Sorted, distinct. *)

@@ -86,8 +86,10 @@ let run ?(log = Format.std_formatter) cfg =
 
 (* The acceptance bar for routing: a corpus must send at least one query
    to each plan node kind — a corpus that never exercises, say, the
-   sampling leaf would let routing regressions through silently. *)
-let required_kinds = [ "exact"; "union-ie"; "sample"; "aggregate"; "top-k" ]
+   sampling leaf would let routing regressions through silently — and
+   at least one IE term to RIM matching inside the general solver. *)
+let required_kinds =
+  [ "exact"; "union-ie"; "sample"; "aggregate"; "top-k"; Oracle.rim_matching ]
 
 let replay ?(log = Format.std_formatter) ?(extra = []) ?(require_kinds = []) path =
   let cases = ref 0 and failures = ref 0 and skips = ref 0 in

@@ -39,7 +39,8 @@ val run : ?log:Format.formatter -> config -> outcome
 val required_kinds : string list
 (** The plan node kinds a regression corpus must route at least one
     passing case to: [exact], [union-ie], [sample], [aggregate],
-    [top-k]. *)
+    [top-k], and {!Oracle.rim_matching} (an IE term of a general-kind
+    union solved by RIM matching). *)
 
 val replay :
   ?log:Format.formatter ->

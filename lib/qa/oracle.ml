@@ -21,6 +21,10 @@ exception Skipped of string
 
 let brute_max = 7
 
+(* The coverage tag of a case whose served general-kind union sends an
+   IE term to RIM matching ({!Hardq.General.route}). *)
+let rim_matching = "rim-matching"
+
 let fail check fmt = Printf.ksprintf (fun detail -> raise (Failed (check, detail))) fmt
 
 let close eps a b = abs_float (a -. b) <= eps
@@ -39,7 +43,8 @@ let ran checks fmt = Printf.ksprintf (fun _ -> incr checks) fmt
 
 (* Every applicable solver on every compiled per-session union, plus the
    metamorphic invariants. Returns the number of nontrivial unions. *)
-let union_rows ~eps ~budget ~approx ~extra ~checks ~approx_rng db compiled =
+let union_rows ~eps ~budget ~approx ~extra ~checks ~kinds ~approx_rng db
+    compiled =
   let b () = Util.Timer.budget budget in
   let ran fmt = ran checks fmt in
   let lab = Ppd.Database.labeling db in
@@ -109,6 +114,54 @@ let union_rows ~eps ~budget ~approx ~extra ~checks ~approx_rng db compiled =
                   ran "%s-bit %s" what name)
                 [ ("-par", "par"); ("-boxed", "kernel"); ("-par-boxed", "par kernel") ])
             dp_solvers;
+          (* General answers a term whose nodes each name one item of σ
+             by RIM matching, so the rows above no longer run the
+             signature DP on it. Keep that DP under its own gates on
+             exactly those terms: sequential, pooled and boxed runs give
+             the same bytes and agree with the routed term at 1e-12
+             relative. A served (general-kind) union taking the route
+             marks the case for the corpus coverage sweep. *)
+          List.iter
+            (fun c ->
+              match Hardq.General.route model lab c with
+              | Hardq.General.Labels -> ()
+              | route ->
+                  (match route with
+                  | Hardq.General.Items _ when kind = Prefs.Pattern_union.General ->
+                      kinds := rim_matching :: !kinds
+                  | _ -> ());
+                  let signature ?par ?kernel () =
+                    Hardq.Pattern_solver.prob ~budget:(b ()) ?par ?kernel model lab c
+                  in
+                  let p_seq = signature () in
+                  let boxed = Hardq.Kernel.Boxed in
+                  List.iter
+                    (fun (what, p) ->
+                      if p <> p_seq then
+                        fail
+                          (Printf.sprintf "signature DP %s bit-identity" what)
+                          "session %d term %s: seq=%.17g %s=%.17g" i
+                          (Format.asprintf "%a" Prefs.Pattern.pp c)
+                          p_seq what p;
+                      ran "signature %s" what)
+                    [
+                      ("par", signature ~par:(par ()) ());
+                      ("kernel", signature ~kernel:boxed ());
+                      ("par kernel", signature ~par:(par ()) ~kernel:boxed ());
+                    ];
+                  let routed = Hardq.General.solve_term ~budget:(b ()) model lab c in
+                  if
+                    routed <> p_seq
+                    && abs_float (routed -. p_seq)
+                       > 1e-12 *. Float.max (abs_float routed) (abs_float p_seq)
+                  then
+                    fail "routed term vs signature DP"
+                      "session %d term %s: routed=%.17g signature=%.17g" i
+                      (Format.asprintf "%a" Prefs.Pattern.pp c)
+                      routed p_seq;
+                  ran "routed term")
+            (List.sort_uniq Prefs.Pattern.compare
+               (List.map fst (Hardq.General.conjunctions u)));
           let ref_name, ref_p = List.hd matrix in
           if not (ref_p >= -.eps && ref_p <= 1. +. eps) then
             fail "probability in [0,1]" "session %d: %s returned %.17g" i ref_name
@@ -687,8 +740,8 @@ let check ?(eps = 1e-9) ?(budget = 0.5) ?(approx = true) ?(extra = [])
       | Ppd.Compile.Grounding_too_large msg -> raise (Skipped ("grounding: " ^ msg))
     in
     let nontrivial =
-      union_rows ~eps ~budget ~approx ~extra ~checks ~approx_rng:(case_rng case) db
-        compiled
+      union_rows ~eps ~budget ~approx ~extra ~checks ~kinds
+        ~approx_rng:(case_rng case) db compiled
     in
     (* Query level: grouped and ungrouped sequential evaluation are the
        same computation, and the reference for every engine cell. *)

@@ -18,6 +18,12 @@
       under both ("…-par-boxed") — these must match the sequential
       flat-kernel row bit for bit, not merely within [eps] (the two
       layouts are the same computation; DESIGN.md §13);
+    - on every IE term that {!Hardq.General.route} does not send to the
+      signature DP (RIM-matched and zero terms), {!Hardq.Pattern_solver}
+      run directly — sequential, pooled, boxed, pooled and boxed — must
+      give the same bytes and agree with the routed term at 1e-12
+      relative, so the signature DP keeps its gates on itemwise inputs
+      the general rows no longer send it;
     - any [extra] solvers injected by the caller (scratch copies under
       test, future backends).
 
@@ -75,9 +81,16 @@ type report = {
   checks : int;  (** individual assertions that ran *)
   answer : float;  (** canonical Boolean answer ([Engine.eval], exact) *)
   kinds : string list;
-      (** {!Plan.node_kinds} of every plan compiled, sorted — a corpus
-          sweep unions them to assert routing coverage *)
+      (** {!Plan.node_kinds} of every plan compiled, plus {!rim_matching}
+          when a general-kind union sent an IE term to RIM matching,
+          sorted — a corpus sweep unions them to assert routing
+          coverage *)
 }
+
+val rim_matching : string
+(** ["rim-matching"]: the coverage tag of {!report.kinds} for a case
+    whose served general-kind union solves an IE term with
+    {!Hardq.Po_solver}. *)
 
 type result =
   | Pass of report

@@ -19,8 +19,9 @@ type t = {
 }
 
 (* A plan keeps one row (session, pattern union) per session of its
-   p-relation, about 76 words on the Figure 4 query: as large as its
-   dataset's sessions. So the plan store of a dataset is bounded twice:
+   p-relation, about 6 words on the Figure 4 query, whose sessions all
+   share one union (more when unions differ per session): it grows with
+   its dataset's sessions. So the plan store of a dataset is bounded twice:
    at most [plans_per_dataset] plans, and at most [plan_rows] rows' worth
    of them (always at least one plan). *)
 let plans_per_dataset = 64

@@ -36,12 +36,16 @@ val plan_capacity : sessions:int -> int
 (** How many compiled plans a resident dataset of [sessions] sessions
     keeps, least recently used first out: [min 64 (65536 / sessions)],
     at least 1. A plan holds one row (session, pattern union) per
-    session of its p-relation, about 76 words on the Figure 4 query, so
-    the cache holds at most 65536 such rows (about 40 MB) or one plan:
-    64 plans at the 100 sessions of [warm-mix], 13 at 5000, and 1 at the
-    server's [max_sessions] of 100000 (about 61 MB beside a 25 MB
-    dataset, what one in-flight request held before plans were
-    cached). *)
+    session of its p-relation; sessions with equal grounding
+    environments share one union value, so on the Figure 4 query (no
+    session atom: every row shares one union) a row costs about 6
+    words (824 words at 100 sessions, 60224 at 10000, measured with
+    [Obj.reachable_words] on a plan minus its database). The cache thus
+    holds at most 65536 such rows (about 3 MB) or one plan: 64 plans at
+    the 100 sessions of [warm-mix], 13 at 5000, and 1 at the server's
+    [max_sessions] of 100000 (about 5 MB beside a 25 MB dataset). A
+    query whose unions differ per session (a session atom) costs more
+    per row, up to one union each. *)
 
 val request :
   t ->

@@ -123,11 +123,157 @@ let unit_disjoint_additivity () =
   Helpers.check_close ~eps:1e-12 "union of both is certain" 1.
     (Hardq.Subranking_solver.prob_subrankings model [ ab; ba ])
 
+(* ------------------------------------------------------------------ *)
+(* Routing IE terms to RIM matching (General.route)                    *)
+(* ------------------------------------------------------------------ *)
+
+let rel_close tol a b =
+  a = b || abs_float (a -. b) <= tol *. Float.max (abs_float a) (abs_float b)
+
+(* Inclusion-exclusion with the signature DP on every term, summed in
+   General's own term order: the reference the routing must match. *)
+let ie_pattern_solver model lab gu =
+  List.fold_left
+    (fun acc (c, size) ->
+      let sign = if size land 1 = 1 then 1. else -1. in
+      acc +. (sign *. Hardq.Pattern_solver.prob model lab c))
+    0. (Hardq.General.conjunctions gu)
+
+(* Items 0..m-1 form σ; item x carries its own label x, so a node [x] is
+   pinned to one item. Item m lies outside σ and carries label m (a node
+   no item of σ carries), and shared label m+1 sits on a random subset of
+   σ's items (a node with several or no carriers: the signature DP's). *)
+let itemwise_labeling r m =
+  Prefs.Labeling.make
+    (Array.init (m + 1) (fun x ->
+         if x = m then [ m ]
+         else if Util.Rng.float r 1. < 0.3 then [ x; m + 1 ]
+         else [ x ]))
+
+let random_itemwise_pattern r m =
+  let n_nodes = 2 + Util.Rng.int r 3 in
+  let node () =
+    match Util.Rng.int r 10 with
+    | 0 -> [ m ]
+    | 1 -> [ m + 1 ]
+    | _ -> [ Util.Rng.int r m ]
+  in
+  let nodes = List.init n_nodes (fun _ -> node ()) in
+  let edges = ref [] in
+  for a = 0 to n_nodes - 2 do
+    for b = a + 1 to n_nodes - 1 do
+      if Util.Rng.float r 1. < 0.5 then edges := (a, b) :: !edges
+    done
+  done;
+  if !edges = [] then edges := [ (0, n_nodes - 1) ];
+  Prefs.Pattern.make ~nodes ~edges:!edges
+
+let prop_routed_general_itemwise =
+  Helpers.qtest ~count:150
+    "routed General = Pattern_solver IE = brute on itemwise unions"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let r = Helpers.rng seed in
+      let m = 4 + Util.Rng.int r 5 in
+      let model = Helpers.random_rim r m in
+      let lab = itemwise_labeling r m in
+      let gu =
+        Helpers.random_union
+          (fun r -> random_itemwise_pattern r m)
+          r
+          ~z:(1 + Util.Rng.int r 3)
+      in
+      let routed = Hardq.General.prob model lab gu in
+      let reference = ie_pattern_solver model lab gu in
+      let brute = Hardq.Brute.prob model lab gu in
+      if not (rel_close 1e-12 routed reference) then
+        QCheck.Test.fail_reportf "routed=%.17g pattern-solver IE=%.17g on %s"
+          routed reference
+          (Format.asprintf "%a" Prefs.Pattern_union.pp gu);
+      if abs_float (routed -. brute) > 1e-9 then
+        QCheck.Test.fail_reportf "routed=%.17g brute=%.17g on %s" routed brute
+          (Format.asprintf "%a" Prefs.Pattern_union.pp gu);
+      true)
+
+(* One fixed input per routing rule, each checked against the signature
+   DP and brute force. σ ranks items 0..5; item x carries label x; item 6
+   is outside σ and alone carries label 6; label 7 sits on items 1 and 2. *)
+let unit_route_rules () =
+  let m = 6 in
+  let model = Rim.Mallows.to_rim (Helpers.random_mallows (Helpers.rng 13) m) in
+  let lab =
+    Prefs.Labeling.make
+      [| [ 0 ]; [ 1; 7 ]; [ 2; 7 ]; [ 3 ]; [ 4 ]; [ 5 ]; [ 6 ] |]
+  in
+  let route_name c =
+    match Hardq.General.route model lab c with
+    | Hardq.General.Zero -> "zero"
+    | Hardq.General.Items _ -> "items"
+    | Hardq.General.Labels -> "labels"
+  in
+  let case what c ~route ~expected =
+    Alcotest.(check string) (what ^ ": route") route (route_name c);
+    let gu = Prefs.Pattern_union.singleton c in
+    let p = Hardq.General.prob model lab gu in
+    Helpers.check_close ~eps:1e-12 (what ^ ": vs signature DP")
+      (Hardq.Pattern_solver.prob model lab c)
+      p;
+    Helpers.check_close (what ^ ": vs brute") (Hardq.Brute.prob model lab gu) p;
+    Option.iter (fun e -> Helpers.check_close ~eps:1e-12 what e p) expected
+  in
+  (* Po_solver itself rejects an item outside σ; the route never asks it. *)
+  (match
+     Hardq.Po_solver.prob model (Prefs.Partial_order.make ~edges:[ (0, 6) ])
+   with
+  | _ -> Alcotest.fail "Po_solver accepted an item outside sigma"
+  | exception Invalid_argument _ -> ());
+  case "sigma lacks the only carrier" (Prefs.Pattern.chain [ [ 0 ]; [ 6 ] ])
+    ~route:"zero" ~expected:(Some 0.);
+  case "an isolated node only an item outside sigma carries"
+    (Prefs.Pattern.make ~nodes:[ [ 0 ]; [ 4 ]; [ 6 ] ] ~edges:[ (0, 1) ])
+    ~route:"zero" ~expected:(Some 0.);
+  case "a node with two carriers"
+    (Prefs.Pattern.chain [ [ 0 ]; [ 7 ]; [ 3 ] ])
+    ~route:"labels" ~expected:None;
+  case "two nodes pinned to one item, joined"
+    (Prefs.Pattern.make ~nodes:[ [ 3 ]; [ 3 ] ] ~edges:[ (0, 1) ])
+    ~route:"zero" ~expected:(Some 0.);
+  case "an isolated pinned node"
+    (Prefs.Pattern.make ~nodes:[ [ 0 ]; [ 4 ]; [ 5 ] ] ~edges:[ (0, 1) ])
+    ~route:"items"
+    ~expected:
+      (Some (Hardq.Po_solver.prob model (Prefs.Partial_order.make ~edges:[ (0, 4) ])));
+  (* A cyclic merged conjunction: both orders of one pair. The merged
+     term is 0, so the union is certain. *)
+  let fwd = Prefs.Pattern.chain [ [ 1 ]; [ 4 ] ]
+  and bwd = Prefs.Pattern.chain [ [ 4 ]; [ 1 ] ] in
+  case "a cyclic merged conjunction"
+    (Prefs.Pattern.conjunction [ fwd; bwd ])
+    ~route:"zero" ~expected:(Some 0.);
+  Helpers.check_close ~eps:1e-12 "both orders of a pair are certain" 1.
+    (Hardq.General.prob model lab (Prefs.Pattern_union.make [ fwd; bwd ]))
+
+(* Each Po_solver call counts its layers like the flat label-side DPs. *)
+let unit_po_counters () =
+  let model = Rim.Mallows.to_rim (Helpers.random_mallows (Helpers.rng 17) 9) in
+  let po = Prefs.Partial_order.of_chain [ 3; 7; 1 ] in
+  let before = Obs.snapshot () in
+  ignore (Hardq.Po_solver.prob model po);
+  let d = Obs.diff before (Obs.snapshot ()) in
+  Alcotest.(check int) "solver.po.calls" 1 (Obs.count d "solver.po.calls");
+  Alcotest.(check int) "dp.flat.calls" 1 (Obs.count d "dp.flat.calls");
+  let states = Obs.count d "solver.po.dp_states" in
+  Alcotest.(check bool) "states counted" true (states > 0);
+  Alcotest.(check int) "dp.flat.states" states (Obs.count d "dp.flat.states")
+
 let suites =
   [
     ( "solvers.item-side",
       [
         tc "po solver basics" `Quick unit_po_solver_basics;
+        tc "IE term routing rules" `Quick unit_route_rules;
+        tc "po solver counters" `Quick unit_po_counters;
+        prop_routed_general_itemwise;
         prop_po_solver_vs_brute;
         prop_subranking_solver_vs_brute;
         tc "cross-validation at m=12" `Quick unit_cross_validation_beyond_brute;

@@ -433,6 +433,34 @@ let unit_concurrent_interning () =
         (fun (t, plan) (_, seq) -> check_bits t (answer seq) (answer plan))
         plans expected)
 
+(* The chain query that warm-mix serves compiles to one itemwise pattern
+   per session: every IE term is a partial order over three items, so
+   the general solver answers each distinct session with exactly one
+   RIM-matching call and no signature DP at all. *)
+let unit_chain_runs_rim_matching () =
+  let db = Datasets.Polls.generate ~n_candidates:12 ~n_voters:100 ~seed:42 () in
+  let plan =
+    compile db
+      "count Q() :- prefers(\"cand05\", \"cand02\"), prefers(\"cand02\", \"cand08\")."
+  in
+  Alcotest.(check string) "union-ie leaf" "union-ie" (Plan.leaf_name plan.Plan.leaf);
+  Engine.with_engine
+    Engine.Config.(
+      default |> with_jobs 1 |> with_answer_capacity 0 |> with_term_capacity 0)
+    (fun engine ->
+      let before = Obs.snapshot () in
+      ignore (Engine.eval engine (Engine.Request.of_plan plan));
+      let d = Obs.diff before (Obs.snapshot ()) in
+      let distinct = Obs.count d "engine.distinct" in
+      Alcotest.(check bool) "sessions solved" true (distinct > 0);
+      Alcotest.(check int) "solver.po.calls = distinct sessions" distinct
+        (Obs.count d "solver.po.calls");
+      Alcotest.(check int) "every flat DP call is RIM matching" distinct
+        (Obs.count d "dp.flat.calls");
+      Alcotest.(check int) "solver.po.dp_states = dp.flat.states"
+        (Obs.count d "dp.flat.states")
+        (Obs.count d "solver.po.dp_states"))
+
 let suites =
   [
     ( "plan",
@@ -458,5 +486,7 @@ let suites =
           unit_cli_failures_exit_one;
         tc "concurrent compiles intern labels densely and exactly" `Quick
           unit_concurrent_interning;
+        tc "the chain query's IE terms run RIM matching" `Quick
+          unit_chain_runs_rim_matching;
       ] );
   ]

@@ -250,6 +250,23 @@ let unit_session_join_binding () =
       | _, None -> Alcotest.fail "expected a union")
     compiled.Ppd.Compile.requests
 
+(* A query with no session atom grounds the same environments in every
+   session, so every session's row holds one shared union value. *)
+let unit_equal_environments_share_union () =
+  let db = Datasets.Polls.generate ~n_candidates:8 ~n_voters:20 ~seed:5 () in
+  let compiled =
+    Ppd.Compile.compile db (Ppd.Parser.parse Datasets.Polls.query_two_label)
+  in
+  match List.map (fun r -> r.Ppd.Compile.union) compiled.Ppd.Compile.requests with
+  | Some u :: rest ->
+      Alcotest.(check int) "20 sessions" 19 (List.length rest);
+      List.iter
+        (function
+          | Some u' when u' == u -> ()
+          | _ -> Alcotest.fail "a session holds its own union")
+        rest
+  | _ -> Alcotest.fail "expected a union"
+
 let unit_unconstrained_item_var () =
   let db = figure1_db () in
   let q = Ppd.Parser.parse "Q() :- P(_, _; c1; c2), C(c1, _, \"F\", _, _, _)." in
@@ -521,6 +538,8 @@ let suites =
         tc "classification and V+" `Quick unit_classification;
         tc "Q2 decomposes into {BS, JD}" `Quick unit_q2_decomposition;
         tc "session join binds per session" `Quick unit_session_join_binding;
+        tc "equal environments share one union" `Quick
+          unit_equal_environments_share_union;
         tc "derived comparison labels" `Quick unit_derived_labels;
         tc "unsupported fragments rejected" `Quick unit_unsupported_queries;
       ] );
