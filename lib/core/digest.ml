@@ -67,17 +67,3 @@ let model h mal =
   let h = int h (Array.length center) in
   let h = Array.fold_left int h center in
   float h (Rim.Mallows.phi mal)
-
-let labels h (lab : int list array) =
-  Array.fold_left ints (int h (Array.length lab)) lab
-
-let pattern h p =
-  let h = Array.fold_left ints (int h (Prefs.Pattern.n_nodes p)) (Prefs.Pattern.nodes p) in
-  List.fold_left
-    (fun h (a, b) -> int (int h a) b)
-    (int h (List.length (Prefs.Pattern.edges p)))
-    (Prefs.Pattern.edges p)
-
-let union h gu =
-  let pats = Prefs.Pattern_union.patterns gu in
-  List.fold_left pattern (int h (List.length pats)) pats

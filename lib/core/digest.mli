@@ -1,8 +1,11 @@
 (** Structural digests of solved sub-problems (64-bit FNV-1a, fold
     style). A digest fingerprints the canonical form of a sub-problem —
-    (solver, RIM model, labeling, pattern-union) plus the request seed
-    for sampler estimates — so the engine can derive per-sub-problem RNG
-    streams, group wire requests by plan shape, and expose stable ids.
+    (solver, RIM model, the items carrying each label the union names,
+    pattern-union) plus the request seed for sampler estimates — so the
+    engine can derive per-sub-problem RNG streams, group wire requests by
+    plan shape, and expose stable ids. The engine folds its answer key
+    with the primitives below, so a sampler's stream follows exactly what
+    the key holds.
 
     Digests are {e fingerprints}, not identities: any store whose
     correctness depends on equality (the engine's sub-answer cache) must
@@ -36,10 +39,8 @@ val compare : t -> t -> int
 (** {1 Composite helpers}
 
     Each folds the canonical form the corresponding solver layer already
-    uses: models by (center permutation, phi bits), labelings by the
-    per-item label rows, patterns by (nodes, edges) — the same shape as
-    {!General.prob}'s structural term key — and unions pattern-wise in
-    stored order. *)
+    uses: solvers by constructor and parameters, models by (center
+    permutation, phi bits). *)
 
 val solver : t -> Solver.t -> t
 (** Folds the constructor {e and} every parameter (sample counts,
@@ -47,6 +48,3 @@ val solver : t -> Solver.t -> t
     estimators that differ only in their parameters. *)
 
 val model : t -> Rim.Mallows.t -> t
-val labels : t -> int list array -> t
-val pattern : t -> Prefs.Pattern.t -> t
-val union : t -> Prefs.Pattern_union.t -> t

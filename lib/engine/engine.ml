@@ -40,30 +40,36 @@ module Config = struct
 end
 
 (* Content-addressed identity of one per-session inference: the solver, the
-   session's Mallows parameters, the labeling content and the pattern union
-   determine the answer — plus the request seed when (and only when) the
-   solver is sampler-based, since then the estimate depends on it. Interned
-   label ids are db-local, so the labeling matrix (item -> label ids) is
-   part of the key: together with the pattern structure it pins down the
-   semantics of every id, making cache entries valid across queries and
-   across databases. The labeling array is built once per [eval] and shared
-   physically by all keys, keeping structural comparison cheap. *)
+   session's Mallows parameters, the union's label projection and the
+   pattern union determine the answer — plus the request seed when (and
+   only when) the solver is sampler-based, since then the estimate depends
+   on it. Every solver reads the labeling only through the item sets of the
+   labels the union names, so the key holds exactly those: for each label
+   id, in order of first use in the union structure, the ascending items
+   carrying it. Label ids stay as they are in the structure, so equal keys
+   are identical solver inputs within a database and across databases, and
+   interning a label the union does not name leaves its keys unchanged. *)
+type projection = int list list (* carriers of each label, first use order *)
+
+type shape = Prefs.Pattern.node array * (int * int) list (* nodes, edges *)
+
 type key =
   int (* seed; 0 for exact solvers *)
   * Hardq.Solver.t
   * int array (* center ranking *)
   * float (* phi *)
-  * int list array (* labeling: item -> labels *)
-  * (Prefs.Pattern.node array * (int * int) list) list (* union structure *)
+  * projection
+  * shape list (* union structure *)
 
-(* Term-tier key: one inclusion-exclusion conjunction under one (model,
-   labeling). Same canonical structure as [General]'s per-call memo key,
-   scoped by the model parameters so the store can be engine-global. *)
+(* Term-tier key: one inclusion-exclusion conjunction under one model and
+   the conjunction's own label projection. Same canonical structure as
+   [General]'s per-call memo key, scoped by the model parameters so the
+   store can be engine-global. *)
 type term_key =
   int array (* center *)
   * float (* phi *)
-  * int list array (* labeling *)
-  * (Prefs.Pattern.node array * (int * int) list) (* conjunction structure *)
+  * projection
+  * shape (* conjunction structure *)
 
 type t = {
   pool : Pool.t;
@@ -137,28 +143,57 @@ let with_engine cfg f =
 let key_seed solver seed =
   match solver with Hardq.Solver.Exact _ -> 0 | Hardq.Solver.Approx _ -> seed
 
-let canonical_key solver seed lab_canon (s : Ppd.Database.session) union : key =
+(* The label projection of a list of pattern shapes: walk nodes in pattern
+   and index order, and take each new label's carriers from the labeling.
+   The lists are the labeling's own, so keys built against one labeling
+   share them physically and [compare] takes its physical-equality
+   shortcut. *)
+let projection lab shapes : projection =
+  let rec labels seen acc = function
+    | [] -> (seen, acc)
+    | l :: ls ->
+        if List.mem l seen then labels seen acc ls
+        else labels (l :: seen) (Prefs.Labeling.items_with lab l :: acc) ls
+  in
+  let _, acc =
+    List.fold_left
+      (fun st (nodes, _) ->
+        Array.fold_left (fun (seen, acc) node -> labels seen acc node) st nodes)
+      ([], []) shapes
+  in
+  List.rev acc
+
+let shape_of g : shape = (Prefs.Pattern.nodes g, Prefs.Pattern.edges g)
+
+let canonical_key solver seed (s : Ppd.Database.session) (proj, structure) : key =
   let mal = s.Ppd.Database.model in
   ( key_seed solver seed,
     solver,
     Prefs.Ranking.to_array (Rim.Mallows.center mal),
     Rim.Mallows.phi mal,
-    lab_canon,
-    List.map
-      (fun g -> (Prefs.Pattern.nodes g, Prefs.Pattern.edges g))
-      (Prefs.Pattern_union.patterns union) )
+    proj,
+    structure )
 
-(* Digest of the same canonical content the key holds. Used only to derive
+(* Digest of exactly what the key holds, in key order. Used only to derive
    a sampler's RNG stream: the solve of a key must not depend on request
-   order or cache warm state, or a cache hit could return a float a cold
-   solve would not reproduce. Exact solves never read it. *)
-let key_digest solver seed lab_canon (s : Ppd.Database.session) union =
+   order, cache warm state or labels the union does not name, or a cache
+   hit could return a float a cold solve would not reproduce. Exact solves
+   never read it. *)
+let key_digest ((seed, solver, center, phi, proj, structure) : key) =
   let module D = Hardq.Digest in
-  let h = D.int D.empty (key_seed solver seed) in
-  let h = D.solver h solver in
-  let h = D.model h s.Ppd.Database.model in
-  let h = D.labels h lab_canon in
-  D.union h union
+  let h = D.solver (D.int D.empty seed) solver in
+  let h = Array.fold_left D.int (D.int h (Array.length center)) center in
+  let h = D.float h phi in
+  let h = List.fold_left D.ints (D.int h (List.length proj)) proj in
+  List.fold_left
+    (fun h (nodes, edges) ->
+      let h = Array.fold_left D.ints (D.int h (Array.length nodes)) nodes in
+      List.fold_left
+        (fun h (a, b) -> D.int (D.int h a) b)
+        (D.int h (List.length edges))
+        edges)
+    (D.int h (List.length structure))
+    structure
 
 let take k l =
   let rec go n = function
@@ -179,14 +214,24 @@ let n_sessions (plan : Plan.t) =
 (* Step 1: grouped, single-flight, store-backed solve                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Each union's part of its keys, by physical union: sessions with equal
+   grounding environments share one union value (see [Ppd.Compile]). *)
+module Union_memo = Hashtbl.Make (struct
+  type t = Prefs.Pattern_union.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
 (* Per-eval solve context. Tallies are atomics because term hooks fire
-   on pool domains; the [solve_cached] memo is only touched by the
-   request's own thread (partitions run one after another). *)
+   on pool domains; the [unions] and [solve_cached] memos are only
+   touched by the request's own thread (partitions run one after
+   another). *)
 type ctx = {
   solver : Hardq.Solver.t;
   seed : int;
   lab : Prefs.Labeling.t;
-  lab_canon : int list array;
+  unions : (projection * shape list) Union_memo.t;
   budget : float;
   deadline : float option;
   par : Util.Par.t;
@@ -207,15 +252,15 @@ type ctx = {
 }
 
 (* The request's plan was compiled when the request was built, and labels
-   are interned during compilation: read the labeling after. [lab_canon]
-   is the labeling canon every cache key of the request shares. *)
+   are interned during compilation: read the labeling after. Interning is
+   append-only and an interned label's items never change, so a later
+   label cannot move a projection this eval builds. *)
 let make_ctx (t : t) (req : Request.t) =
-  let lab = Ppd.Database.labeling req.Request.plan.Plan.db in
   {
     solver = Plan.routed_solver req.Request.plan;
     seed = req.Request.seed;
-    lab;
-    lab_canon = Array.init (Prefs.Labeling.n_items lab) (Prefs.Labeling.labels_of lab);
+    lab = Ppd.Database.labeling req.Request.plan.Plan.db;
+    unions = Union_memo.create 16;
     budget = req.Request.budget;
     deadline = req.Request.deadline;
     par =
@@ -234,9 +279,20 @@ let make_ctx (t : t) (req : Request.t) =
     solver_calls = Atomic.make 0;
   }
 
+(* The key part of one union, built once per eval. *)
+let union_part ctx u =
+  match Union_memo.find_opt ctx.unions u with
+  | Some part -> part
+  | None ->
+      let structure = List.map shape_of (Prefs.Pattern_union.patterns u) in
+      let part = (projection ctx.lab structure, structure) in
+      Union_memo.add ctx.unions u part;
+      part
+
 (* The term-tier hook handed to the general solver: scope the engine-global
-   store to this session's (model, labeling). Closures run on whichever
-   domain evaluates the session; the store is thread-safe and
+   store to this session's model and each conjunction's label projection
+   (built per lookup: conjunctions are fresh values). Closures run on
+   whichever domain evaluates the session; the store is thread-safe and
    [Pattern_solver.prob] is deterministic, so reuse is bit-identical. *)
 let term_hook ctx (s : Ppd.Database.session) =
   match ctx.terms with
@@ -246,7 +302,8 @@ let term_hook ctx (s : Ppd.Database.session) =
       let center = Prefs.Ranking.to_array (Rim.Mallows.center mal) in
       let phi = Rim.Mallows.phi mal in
       let tkey c =
-        (center, phi, ctx.lab_canon, (Prefs.Pattern.nodes c, Prefs.Pattern.edges c))
+        let shape = shape_of c in
+        (center, phi, projection ctx.lab [ shape ], shape)
       in
       Some
         {
@@ -280,7 +337,7 @@ let job_rng ctx digest =
    of theirs pays for a digest. *)
 let exact_rng = Util.Rng.make 0
 
-let solve_one ctx (s : Ppd.Database.session) union =
+let solve_one ctx key (s : Ppd.Database.session) union =
   (* The wall-clock guard between invocations: the per-invocation CPU
      budget cannot bound a request made of many small solver calls. *)
   check_deadline ctx;
@@ -290,8 +347,7 @@ let solve_one ctx (s : Ppd.Database.session) union =
   let rng =
     match ctx.solver with
     | Hardq.Solver.Exact _ -> exact_rng
-    | Hardq.Solver.Approx _ ->
-        job_rng ctx (key_digest ctx.solver ctx.seed ctx.lab_canon s union)
+    | Hardq.Solver.Approx _ -> job_rng ctx (key_digest key)
   in
   Hardq.Solver.prob ?budget ~par:ctx.par
     ?cache:(term_hook ctx s)
@@ -305,7 +361,7 @@ let solve_owned ctx key session union =
     ~finally:(fun () -> if not !published then Store.abandon ctx.answers key)
     (fun () ->
       Atomic.incr ctx.solver_calls;
-      let p = solve_one ctx session union in
+      let p = solve_one ctx key session union in
       Store.publish ctx.answers key p;
       published := true;
       p)
@@ -355,7 +411,7 @@ let batch_probs t ctx requests =
           match union with
           | None -> () (* statically unsatisfiable: probability 0 *)
           | Some u -> (
-              let key = canonical_key ctx.solver ctx.seed ctx.lab_canon session u in
+              let key = canonical_key ctx.solver ctx.seed session (union_part ctx u) in
               match Hashtbl.find_opt seen key with
               | Some (`Done p) -> fixed.(i) <- p
               | Some (`Job j) -> slot.(i) <- j
@@ -403,8 +459,8 @@ let batch_probs t ctx requests =
               ignore (Rim.Mallows.to_rim s.Ppd.Database.model))
             job_arr;
           Pool.run t.pool ~n:(Array.length job_arr) (fun j ->
-              let _, session, u = job_arr.(j) in
-              results.(j) <- solve_one ctx session u));
+              let key, session, u = job_arr.(j) in
+              results.(j) <- solve_one ctx key session u));
       ignore (Atomic.fetch_and_add ctx.solver_calls (Array.length job_arr));
       Obs.with_span "cache-fill" (fun () ->
           Array.iteri
@@ -429,7 +485,7 @@ let batch_probs t ctx requests =
    immediately, so at most one is ever held per caller — the
    no-wait-while-owning rule holds trivially. *)
 let solve_cached ctx session union =
-  let key = canonical_key ctx.solver ctx.seed ctx.lab_canon session union in
+  let key = canonical_key ctx.solver ctx.seed session (union_part ctx union) in
   match Hashtbl.find_opt ctx.local key with
   | Some p -> p
   | None ->

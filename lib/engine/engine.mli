@@ -9,11 +9,13 @@
       ({!Pool}), in chunks;
     - memoizes them in a {b two-tier} content-addressed sub-answer store
       ({!Store}): an answer tier keyed on the canonicalized (seed, solver,
-      RIM model, labeling, pattern union) — the paper's §6.4 grouping
-      optimization generalized so results survive across queries {e and}
-      across concurrent requests — and a term tier sharing solved
-      inclusion–exclusion conjunctions between queries on the same
-      (model, labeling);
+      RIM model, label projection, pattern union) — the label projection
+      being, for each label the union names, the items carrying it, so
+      interning an unrelated label invalidates nothing; the paper's §6.4
+      grouping optimization generalized so results survive across
+      queries {e and} across concurrent requests — and a term tier
+      sharing solved inclusion–exclusion conjunctions between queries on
+      the same model with the same label projection;
     - deduplicates concurrent work with single-flight claims: two
       in-flight evaluations never solve the same key twice, the second
       joins the first's result;

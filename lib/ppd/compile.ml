@@ -372,11 +372,22 @@ let compile ?grounding_cap db q =
         (rel, svar, terms, index))
       a.session_atoms
   in
-  (* Memoize pattern unions by the canonical form of the base environment:
-     sessions sharing bindings share the (potentially expensive) grounding. *)
+  (* Memoize pattern unions by the canonical form of the base environment
+     restricted to the variables the grounding reads (those under item
+     atoms): sessions whose bindings agree there share the (potentially
+     expensive) grounding, even when their session variables differ. *)
+  let read_vars = Hashtbl.create 8 in
+  Array.iter
+    (List.iter (function
+      | _, Query.Var v -> Hashtbl.replace read_vars v ()
+      | _, (Query.Const _ | Query.Wildcard) -> ()))
+    a.node_constraints;
   let memo = Hashtbl.create 64 in
   let env_key env0 =
-    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) env0 [])
+    List.sort compare
+      (Hashtbl.fold
+         (fun k v acc -> if Hashtbl.mem read_vars k then (k, v) :: acc else acc)
+         env0 [])
   in
   let union_for (key, env0) =
     match Hashtbl.find_opt memo key with
@@ -387,8 +398,9 @@ let compile ?grounding_cap db q =
         u
   in
   (* Memoize each session's canonical union by its sorted environment
-     keys: sessions whose environments are equal (every session, when the
-     query has no session atom) share one value instead of rebuilding it.
+     keys: sessions whose environments agree on the read variables (every
+     session, when the query has no session atom) share one value instead
+     of rebuilding it.
      The union depends only on the set of environments, so the shared
      value is the one each session would have built. *)
   let session_memo = Hashtbl.create 64 in

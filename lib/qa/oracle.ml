@@ -374,8 +374,24 @@ let check_shards ~checks ~tag ~shards ~(task : Engine.Request.task) ~n_ranked
    {query, plan} (cap0: both store tiers at capacity 0, perfbench's
    cold-exact configuration): every cell evaluates every row, and every
    answer must equal the reference byte for byte — ranked session keys
-   included. *)
-let lattice ~checks rows =
+   included.
+
+   Metamorphic step: after each cold pass a fresh label that every item
+   carries and no row reads is interned into [db]. Answer keys hold only
+   the labels a union names, so the warm pass must still report zero
+   misses on [zero_miss] rows, and a sampler row's later cells (cold
+   solves under a grown labeling) must still agree with its first: a
+   digest folding more than the key holds would move them. *)
+let lattice ~checks ~db rows =
+  let id_attr = (Ppd.Relation.attrs (Ppd.Database.items db)).(0) in
+  let unread = ref 0 in
+  let intern_unread () =
+    incr unread;
+    let fresh = Ppd.Value.Str (Printf.sprintf "qa-unread-%d" !unread) in
+    ignore
+      (Ppd.Database.intern_label db
+         (Ppd.Database.Attr_cmp (id_attr, Ppd.Value.Neq, fresh)))
+  in
   let cell ~jobs ~shards ~cache engine row source =
     let tag check =
       Printf.sprintf "%s %s (jobs=%d, shards=%d, cache=%s, source=%s)" row.name
@@ -434,6 +450,7 @@ let lattice ~checks rows =
             (pass ~jobs ~shards ~cache:"cap0");
           Engine.with_engine cfg (fun engine ->
               pass ~jobs ~shards ~cache:"cold" engine;
+              intern_unread ();
               pass ~jobs ~shards ~cache:"warm" engine))
         [ 1; 2; 4 ])
     [ 1; 2 ]
@@ -820,7 +837,7 @@ let check ?(eps = 1e-9) ?(budget = 0.5) ?(approx = true) ?(extra = [])
         ]
       else []
     in
-    lattice ~checks rows;
+    lattice ~checks ~db rows;
     slo_rows ~eps ~budget ~approx ~checks ~exact:boolean case;
     language_rows ~eps ~budget ~approx ~checks ~compile ~exact:boolean db query text;
     Pass

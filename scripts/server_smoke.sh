@@ -10,6 +10,10 @@
 # skip of the gather window. Every eval after the first asks the same
 # query of the same dataset, so the snapshot must also count prepared
 # plan hits (registry.plan_hits > 0): the repeats did not compile again.
+# A query over item constants interns new item labels into the resident
+# database; answer keys hold only the labels their union names, so a
+# repeat of an earlier query afterwards must not add an answer-tier
+# miss (engine.cache.misses, read from the metrics op).
 #
 # Usage: scripts/server_smoke.sh [server-exe [client-exe [qa-exe]]]
 set -eu
@@ -53,6 +57,21 @@ run "count-session query" --dataset polls --size 6 --sessions 20 --task count
 run "most-probable-session query" \
     --dataset polls --size 6 --sessions 20 --task top-k -k 3
 run "metrics op" --op metrics
+
+cache_misses() {
+    "$CLIENT" --connect "$SOCK" --retries 100 --op metrics \
+        | sed -n 's/.*"engine\.cache\.misses": *\([0-9]*\).*/\1/p'
+}
+run "item-label query" --dataset polls --size 6 --sessions 20 --task count \
+    'Q() :- P(_, _; "cand01"; "cand04").'
+MISSES_BEFORE=$(cache_misses)
+[ -n "$MISSES_BEFORE" ] \
+    || { echo "smoke: metrics op lacks engine.cache.misses" >&2; exit 1; }
+run "repeat after new labels" --dataset polls --size 6 --sessions 20 --task boolean
+MISSES_AFTER=$(cache_misses)
+[ "$MISSES_AFTER" = "$MISSES_BEFORE" ] \
+    || { echo "smoke: repeat after new item labels missed the answer tier (engine.cache.misses $MISSES_BEFORE -> $MISSES_AFTER)" >&2; exit 1; }
+echo "smoke: repeat after new item labels hit the answer tier (engine.cache.misses $MISSES_AFTER)"
 
 # Differential replay: export the served instance (registry dataset +
 # showcase query) as a case file and re-answer it offline; both sides

@@ -422,6 +422,92 @@ let unit_cache_key_solver_and_rerun () =
         (Engine.Response.answer_float auto)
         (Engine.Response.answer_float again))
 
+(* Answer keys hold the items carrying each label the union names, not
+   the whole labeling: a label the union does not name cannot invalidate
+   them, and cannot move a sampler's stream either. Each check interns a
+   new label ("age >= k") that every item carries, so every item's label
+   row changes. *)
+let unit_cache_key_unrelated_label () =
+  let db, q = polls () in
+  let check solver ~k =
+    let name = Hardq.Solver.to_string solver in
+    let req = Engine.Request.make ~task:Engine.Request.Count ~solver db q in
+    Engine.with_engine Engine.Config.(default |> with_jobs 1) (fun engine ->
+        let cold = Engine.eval engine req in
+        ignore
+          (Ppd.Database.intern_label db
+             (Ppd.Database.Attr_cmp ("age", Ppd.Value.Ge, Ppd.Value.Int k)));
+        let warm = Engine.eval engine req in
+        let h, m, c = fresh_misses warm in
+        Alcotest.(check bool) (name ^ ": warm eval hits") true (h > 0);
+        Alcotest.(check int) (name ^ ": warm eval misses nothing") 0 m;
+        Alcotest.(check int) (name ^ ": warm eval solves nothing") 0 c;
+        check_float_eq (name ^ ": warm answer identical")
+          (Engine.Response.answer_float cold)
+          (Engine.Response.answer_float warm);
+        (* A cold solve after the interning draws the same streams. *)
+        let cap0 =
+          Engine.with_engine
+            Engine.Config.(
+              default |> with_jobs 1 |> with_answer_capacity 0
+              |> with_term_capacity 0)
+            (fun e -> Engine.eval e req)
+        in
+        check_float_eq (name ^ ": capacity-0 answer identical")
+          (Engine.Response.answer_float cold)
+          (Engine.Response.answer_float cap0))
+  in
+  check (Hardq.Solver.Exact `Auto) ~k:0;
+  check (Hardq.Solver.Approx (Hardq.Solver.Rejection { n = 300 })) ~k:1
+
+(* The negative twin: two databases whose label ids coincide ("sex=M" is
+   0, "sex=F" is 1 in both) but where item "c" carries a different one.
+   The union structures are equal, so only the carrier lists tell them
+   apart. *)
+let unit_cache_key_carriers_differ () =
+  let sexed_db sexes =
+    let items =
+      Ppd.Relation.make ~name:"C" ~attrs:[ "item"; "sex" ]
+        (List.map
+           (fun (n, sex) -> [ Ppd.Value.Str n; Ppd.Value.Str sex ])
+           sexes)
+    in
+    let base = tiny_db () in
+    Ppd.Database.make ~items
+      ~preferences:(Ppd.Database.p_relations base)
+      ()
+  in
+  let q = Ppd.Parser.parse "Q() :- P(_; l; r), C(l, \"M\"), C(r, \"F\")." in
+  let db1 = sexed_db [ ("a", "M"); ("b", "F"); ("c", "M") ] in
+  let db2 = sexed_db [ ("a", "M"); ("b", "F"); ("c", "F") ] in
+  let cap0 =
+    Engine.with_engine
+      Engine.Config.(
+        default |> with_jobs 1 |> with_answer_capacity 0 |> with_term_capacity 0)
+      (fun e ->
+        Engine.Response.answer_float (Engine.eval e (Engine.Request.make db2 q)))
+  in
+  Engine.with_engine Engine.Config.(default |> with_jobs 1) (fun engine ->
+      let r1 = Engine.eval engine (Engine.Request.make db1 q) in
+      let r2 = Engine.eval engine (Engine.Request.make db2 q) in
+      List.iter
+        (fun db ->
+          Alcotest.(check (list int))
+            "label ids coincide" [ 0; 1 ]
+            (List.map
+               (fun sex ->
+                 Ppd.Database.intern_label db
+                   (Ppd.Database.Attr_eq ("sex", Ppd.Value.Str sex)))
+               [ "M"; "F" ]))
+        [ db1; db2 ];
+      let h2, m2, c2 = fresh_misses r2 in
+      Alcotest.(check int) "second database does not alias" 0 h2;
+      Alcotest.(check bool) "second database is solved" true (m2 > 0 && c2 = m2);
+      check_float_eq "second database's own answer" cap0
+        (Engine.Response.answer_float r2);
+      if Engine.Response.answer_float r1 = cap0 then
+        Alcotest.fail "the two databases should answer differently")
+
 (* ------------------------------------------------------------------ *)
 (* Budget path                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -759,6 +845,9 @@ let suites =
           unit_cache_key_union_structure;
         tc "solver in key; exact reruns hit bitwise" `Quick
           unit_cache_key_solver_and_rerun;
+        tc "unrelated label keeps warm keys" `Quick unit_cache_key_unrelated_label;
+        tc "equal label ids, different carriers" `Quick
+          unit_cache_key_carriers_differ;
       ] );
     ( "engine.budget",
       [

@@ -248,7 +248,22 @@ let unit_session_join_binding () =
           | "Ann" -> Alcotest.(check string) "Ann's pattern" "sex=F" lab_name
           | _ -> Alcotest.(check string) "male voters" "sex=M" lab_name)
       | _, None -> Alcotest.fail "expected a union")
-    compiled.Ppd.Compile.requests
+    compiled.Ppd.Compile.requests;
+  (* The grounding reads only [sex], not the session variable [w]: Bob
+     and Dave bind it alike, so they share one union value. *)
+  let union_of name =
+    List.find_map
+      (fun r ->
+        if Ppd.Value.to_string r.Ppd.Compile.session.Ppd.Database.key.(0) = name
+        then r.Ppd.Compile.union
+        else None)
+      compiled.Ppd.Compile.requests
+  in
+  match (union_of "Bob", union_of "Dave", union_of "Ann") with
+  | Some bob, Some dave, Some ann ->
+      Alcotest.(check bool) "Bob and Dave share one union" true (bob == dave);
+      Alcotest.(check bool) "Ann keeps her own" false (ann == bob)
+  | _ -> Alcotest.fail "expected unions for Ann, Bob and Dave"
 
 (* A query with no session atom grounds the same environments in every
    session, so every session's row holds one shared union value. *)
