@@ -5,8 +5,12 @@
     over RIM insertions: states ⟨α, β⟩ track the minimum position of each
     left ("L-type") conjunction and the maximum position of each right
     ("R-type") conjunction, keeping only states that still *violate* every
-    pattern; the result is 1 minus their total mass. A tracked position
-    is forgotten once every edge it takes part in is dead (neither side
+    pattern. The result is the mass that leaves those states for
+    "satisfied", added up as it leaves (a sum of positive terms, so it
+    keeps its relative accuracy however small it is); the insertion
+    positions that satisfy a state form a prefix and a suffix read off
+    its words, so only the others are stepped. A tracked position is
+    forgotten once every edge it takes part in is dead (neither side
     has an item left to insert: Algorithm 4's violated-edge rule), so
     states that differ only there merge. *)
 

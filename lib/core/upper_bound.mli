@@ -34,7 +34,8 @@ val prune_slack : float
 (** How far a bound must fall below a running k-th best exact
     probability before top-k skips its session (or shard): skip only
     when [bound < kth -. prune_slack]. A bound and an exact probability
-    come from different DPs, both computed as [1 - Σ], so an admissible
-    bound can round a few ulps below the value it bounds; a strict
+    come from different DPs that add up the same mass in different
+    orders, so an admissible bound can round a few ulps below the value
+    it bounds; a strict
     [bound < kth] would then prune a session that belongs in the top k.
     [1e-9], the QA oracle's admissibility tolerance. *)

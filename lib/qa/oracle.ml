@@ -29,6 +29,11 @@ let fail check fmt = Printf.ksprintf (fun detail -> raise (Failed (check, detail
 
 let close eps a b = abs_float (a -. b) <= eps
 
+(* Exact answers below [small_p] are also held to [small_p_rel]
+   relative agreement. *)
+let small_p = 1e-6
+let small_p_rel = 1e-12
+
 (* Checks must be a pure function of the case: the sampling streams are
    keyed on the case content, not on any ambient state. *)
 let case_rng case = Util.Rng.derive (Hashtbl.hash (Ppd.Case.digest case)) 1
@@ -176,6 +181,24 @@ let union_rows ~eps ~budget ~approx ~extra ~checks ~kinds ~approx_rng db
                   ref_name ref_p (abs_float (p -. ref_p)) eps;
               ran "agree %s" name)
             (List.tl matrix);
+          (* Near 0 an absolute eps cannot see a wrong answer: below
+             [small_p] every exact row must also agree with the
+             reference to [small_p_rel] relative. *)
+          if ref_p < small_p then
+            List.iter
+              (fun (name, p) ->
+                let scale = Float.max (abs_float p) (abs_float ref_p) in
+                if p <> ref_p && abs_float (p -. ref_p) > small_p_rel *. scale
+                then
+                  fail
+                    (Printf.sprintf "%s vs %s (relative, p < %g)" name ref_name
+                       small_p)
+                    "session %d: %s=%.17g %s=%.17g (relative error %.3g > %g)" i
+                    name p ref_name ref_p
+                    (abs_float (p -. ref_p) /. scale)
+                    small_p_rel;
+                ran "relative %s" name)
+              (List.tl matrix);
           (* k-edge relaxations upper-bound the exact value (§4.3.2). *)
           List.iter
             (fun k ->

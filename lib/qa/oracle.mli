@@ -27,7 +27,9 @@
     - any [extra] solvers injected by the caller (scratch copies under
       test, future backends).
 
-    Exact answers must agree within [eps]; sampling answers are judged
+    Exact answers must agree within [eps], and where the reference is
+    below 1e-6 also within 1e-12 relative (an absolute [eps] cannot see
+    a wrong answer near 0); sampling answers are judged
     against {!Util.Stats.clopper_pearson_ci} (rejection sampling is
     binomial) or a flat absolute band (importance-sampling estimators).
     On top of agreement, metamorphic invariants: answers lie in

@@ -9,6 +9,15 @@ let contains haystack needle =
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
   go 0
 
+(* The path of a binary of this repository ([hardq_cli.exe],
+   [hardq_server.exe]), found from this test executable: the build puts
+   it in [test/] and the binaries in the sibling [bin/], so the path
+   does not depend on the working directory. *)
+let binary name =
+  Filename.concat
+    (Filename.concat (Filename.dirname Sys.executable_name) Filename.parent_dir_name)
+    (Filename.concat "bin" name)
+
 (* Run [binary args] and require a command-line usage error: exit 124
    and a message on stderr naming [flag]. A binary that wrongly accepts
    the flag and starts serving is killed after 20 s (exit 137). *)

@@ -216,7 +216,22 @@ let unit_emptying_layers () =
           (fun ~kernel ~par -> exact ?par ~kernel s model lab gu)
       in
       check_bits "certain union prob" 1. p)
-    [ `Two_label; `Bipartite; `Bipartite_basic; `General ]
+    [ `Two_label; `Bipartite; `Bipartite_basic; `General ];
+  (* Certain too (two items carry label 1, and the lower one has some
+     item above it), but the mass leaves over several layers: the
+     two-label DP ends with no unsatisfied state and answers exactly 1,
+     not the rounded sum of what left (1 - 2^-53 here). *)
+  let m = 6 in
+  let model = Rim.Mallows.to_rim (Rim.Mallows.make ~center:(Prefs.Ranking.identity m) ~phi:0.3) in
+  let lab =
+    Prefs.Labeling.make
+      (Array.init m (fun i -> if i = 1 || i = 4 then [ 0; 1 ] else [ 0 ]))
+  in
+  let p =
+    check_kernels "certain union, mass leaving over layers"
+      (fun ~kernel ~par -> exact ?par ~kernel `Two_label model lab gu)
+  in
+  check_bits "certain union, mass leaving over layers" 1. p
 
 (* m = 30 two-label union: wide enough that the flat arena must grow
    well past its initial capacity mid-query and the layers cross the
@@ -375,6 +390,61 @@ let prop_one_int_boundary =
           check_bits "m=32 chunked layers, 2+ domains" p
             (solve ~kernel:Hardq.Kernel.Flat
                ~par:(Some (Engine.Pool.sharer pool))));
+      true)
+
+let check_small what p =
+  if not (p > 0. && p < 1e-6) then
+    Alcotest.failf "%s: %.17g is not in (0, 1e-6)" what p
+
+(* A union of rare inversions: edge e's left label sits on one or two of
+   the items a concentrated Mallows center ranks last, its right label on
+   one or two it ranks first, so every edge needs an inversion across at
+   least m - 3 places and the union stays below 1e-6. *)
+let rare_inversion_union r =
+  let m = 12 + Util.Rng.int r 9 in
+  let center = Util.Rng.permutation r m in
+  let model =
+    Rim.Mallows.to_rim
+      (Rim.Mallows.make
+         ~center:(Prefs.Ranking.of_array center)
+         ~phi:(0.02 +. Util.Rng.float r 0.1))
+  in
+  let labels = Array.make m [] in
+  let place label pos =
+    let item = center.(pos) in
+    if not (List.mem label labels.(item)) then
+      labels.(item) <- label :: labels.(item)
+  in
+  let z = 1 + Util.Rng.int r 3 in
+  for e = 0 to z - 1 do
+    for _ = 0 to Util.Rng.int r 2 do
+      place (2 * e) (m - 1 - Util.Rng.int r 2);
+      place ((2 * e) + 1) (Util.Rng.int r 2)
+    done
+  done;
+  let gu =
+    Prefs.Pattern_union.make
+      (List.init z (fun e ->
+           Prefs.Pattern.two_label ~left:[ 2 * e ] ~right:[ (2 * e) + 1 ]))
+  in
+  (model, Prefs.Labeling.make labels, gu)
+
+(* The two-label answer is a sum of the mass that leaves for
+   "satisfied", so it keeps its relative accuracy at small p: it must
+   match the bipartite DP (another positive sum) to 1e-12 relative. *)
+let prop_two_label_small_p =
+  Helpers.qtest ~count:30 (named "two-label vs bipartite DP at small p")
+    seed_gen (fun seed ->
+      let r = Helpers.rng (5000 + seed) in
+      let model, lab, gu = rare_inversion_union r in
+      let p =
+        check_kernels "two_label (small p)"
+          (fun ~kernel ~par -> exact ?par ~kernel `Two_label model lab gu)
+      in
+      check_small "two_label (small p)" p;
+      Helpers.check_rel ~tol:1e-12 "two-label vs Bipartite.prob"
+        (Hardq.Bipartite.prob model lab gu)
+        p;
       true)
 
 let prop_bipartite =
@@ -562,6 +632,83 @@ let unit_arena_two_threads () =
             runs)
         results)
 
+(* Figure 9's shape widened to three edges under MAL(identity, 0.05) at
+   m = 20: edge e's right label is on two of every three items of the
+   top seven places and its left label on two of every three of the
+   bottom seven, six places apart. Its layers pass Dp_par's cut-off, so
+   a pool of two or more domains sends each state's satisfied mass
+   through the chunked [emit_prob] route, and p is about 6e-9. *)
+let unit_small_p_chunked () =
+  let m = 20 and z = 3 and block = 7 in
+  let model =
+    Rim.Mallows.to_rim
+      (Rim.Mallows.make ~center:(Prefs.Ranking.identity m) ~phi:0.05)
+  in
+  let labels = Array.make m [] in
+  for e = 0 to z - 1 do
+    for pos = 0 to block - 1 do
+      let k = (pos + e) mod z in
+      if k <> 2 then labels.(pos) <- ((2 * e) + 1) :: labels.(pos);
+      if k <> 1 then labels.(m - 1 - pos) <- (2 * e) :: labels.(m - 1 - pos)
+    done
+  done;
+  let lab = Prefs.Labeling.make labels in
+  let gu =
+    Prefs.Pattern_union.make
+      (List.init z (fun e ->
+           Prefs.Pattern.two_label ~left:[ 2 * e ] ~right:[ (2 * e) + 1 ]))
+  in
+  let solve ~kernel ~par = exact ?par ~kernel `Two_label model lab gu in
+  let before = Obs.snapshot () in
+  let p = check_kernels "small p, chunked layers" solve in
+  (match Obs.find (Obs.diff before (Obs.snapshot ())) "dp.flat.layer_width" with
+  | Some (Obs.Hist { buckets; _ })
+    when List.exists (fun (lo, _) -> lo >= Hardq.Dp_par.default_min_par) buckets
+    ->
+      ()
+  | _ -> Alcotest.fail "no layer reached the parallel cut-off");
+  with_pool (max 2 nd) (fun pool ->
+      check_bits "small p, chunked layers, 2+ domains" p
+        (solve ~kernel:Hardq.Kernel.Flat ~par:(Some (Engine.Pool.sharer pool))));
+  check_small "small p, chunked layers" p;
+  Helpers.check_rel ~tol:1e-12 "small p vs Bipartite.prob"
+    (Hardq.Bipartite.prob model lab gu)
+    p
+
+(* One item carries both labels of an edge, and σ inserts it after items
+   carrying each label alone, so both of its words are already set when
+   it lands: the positions that satisfy are the union of the left hit's
+   prefix and the right hit's suffix. Checked against brute force over
+   several centers and spreads. *)
+let unit_both_sides_hit () =
+  let lab = Prefs.Labeling.make [| [ 1 ]; [ 0 ]; [ 2 ]; [ 0; 1 ]; [ 1 ]; []; [ 0; 2 ] |] in
+  let gu =
+    Prefs.Pattern_union.make
+      [
+        Prefs.Pattern.two_label ~left:[ 0 ] ~right:[ 1 ];
+        Prefs.Pattern.two_label ~left:[ 2 ] ~right:[ 1 ];
+      ]
+  in
+  List.iter
+    (fun (center, phi) ->
+      let model =
+        Rim.Mallows.to_rim
+          (Rim.Mallows.make ~center:(Prefs.Ranking.of_array center) ~phi)
+      in
+      let what = Printf.sprintf "both sides hit, phi=%g" phi in
+      let p =
+        check_kernels what (fun ~kernel ~par ->
+            exact ?par ~kernel `Two_label model lab gu)
+      in
+      Helpers.check_close ~eps:1e-12 (what ^ " vs brute force")
+        (Hardq.Brute.prob model lab gu) p)
+    [
+      ([| 0; 1; 2; 3; 4; 5; 6 |], 0.3);
+      ([| 1; 0; 4; 3; 2; 6; 5 |], 0.7);
+      ([| 6; 5; 4; 3; 2; 1; 0 |], 0.5);
+      ([| 2; 4; 0; 1; 3; 6; 5 |], 1.);
+    ]
+
 let suites =
   [
     ( "kernel",
@@ -586,6 +733,11 @@ let suites =
           unit_arena_growth_mid_query;
         prop_two_label;
         prop_one_int_boundary;
+        prop_two_label_small_p;
+        tc (named "small-p union across the parallel cut-off") `Quick
+          unit_small_p_chunked;
+        tc (named "an item carrying both labels of an edge") `Quick
+          unit_both_sides_hit;
         prop_bipartite;
         prop_general;
         tc "Engine.Config.with_kernel is answer-invisible" `Quick

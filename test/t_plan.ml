@@ -323,7 +323,7 @@ let unit_of_query_keeps_solver () =
    an uncaught exception. [answers] grounds head variables, so its
    unsupported query names a head variable that is no item attribute. *)
 let unit_cli_failures_exit_one () =
-  let binary = "../bin/hardq_cli.exe" in
+  let binary = Helpers.binary "hardq_cli.exe" in
   if not (Sys.file_exists binary) then Alcotest.failf "binary not found at %s" binary;
   let polls = [ "--dataset"; "polls"; "--size"; "6"; "--sessions"; "5" ] in
   let head_var =

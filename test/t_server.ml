@@ -939,7 +939,7 @@ let unit_server_query_and_q_agree () =
    and the default session count of crowdrank are where the CLI's own
    dataset builder used to differ from the registry's. *)
 let unit_server_cli_agrees () =
-  let cli = "../bin/hardq_cli.exe" in
+  let cli = Helpers.binary "hardq_cli.exe" in
   if not (Sys.file_exists cli) then Alcotest.failf "binary not found at %s" cli;
   let text =
     "count Q() :- P(w; m1; m2), M(m1, \"Thriller\", _, _, _), M(m2, \
@@ -1208,7 +1208,7 @@ let unit_server_lone_connection_skips_window () =
 (* End-to-end: the real binary under SIGTERM                           *)
 (* ------------------------------------------------------------------ *)
 
-let server_binary = "../bin/hardq_server.exe"
+let server_binary = Helpers.binary "hardq_server.exe"
 
 let unit_server_binary_sigterm () =
   if not (Sys.file_exists server_binary) then
@@ -1384,7 +1384,9 @@ let unit_binaries_reject_bad_counts () =
       ("--term-cache", "--term-cache=-5");
       ("--jobs", "--jobs=-3");
     ];
-  Helpers.usage_error ~flag:"--jobs" "../bin/hardq_cli.exe" [ "eval"; "--jobs=-3" ]
+  Helpers.usage_error ~flag:"--jobs"
+    (Helpers.binary "hardq_cli.exe")
+    [ "eval"; "--jobs=-3" ]
 
 (* ------------------------------------------------------------------ *)
 (* Streaming (anytime SLO) over raw sockets                            *)

@@ -568,14 +568,16 @@ let unit_config_rejects_shards_below_one () =
 let usage_error = Helpers.usage_error ~flag:"--shards"
 
 let unit_cli_rejects_shards_below_one () =
-  usage_error "../bin/hardq_cli.exe" [ "topk"; "--shards"; "0" ];
-  usage_error "../bin/hardq_cli.exe" [ "eval"; "--shards=-3" ];
-  usage_error "../bin/hardq_cli.exe" [ "query"; "--shards"; "0" ];
-  usage_error "../bin/hardq_cli.exe" [ "answers"; "--shards=-1" ]
+  let cli = Helpers.binary "hardq_cli.exe" in
+  usage_error cli [ "topk"; "--shards"; "0" ];
+  usage_error cli [ "eval"; "--shards=-3" ];
+  usage_error cli [ "query"; "--shards"; "0" ];
+  usage_error cli [ "answers"; "--shards=-1" ]
 
 let unit_server_rejects_shards_below_one () =
-  usage_error "../bin/hardq_server.exe" [ "--shards"; "0" ];
-  usage_error "../bin/hardq_server.exe" [ "--shards=-1" ]
+  let server = Helpers.binary "hardq_server.exe" in
+  usage_error server [ "--shards"; "0" ];
+  usage_error server [ "--shards=-1" ]
 
 let suites =
   [
