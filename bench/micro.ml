@@ -3,6 +3,7 @@
    - Kendall-tau distance, RIM sampling, AMP sampling + density;
    - two-label vs bipartite vs basic-bipartite on the same union
      (the edge/pattern-pruning ablation);
+   - the flat DP kernels' per-call time, minor words and answer bits;
    - balance-heuristic MIS vs plain per-proposal IS weighting;
    - MIS-AMP accuracy against the greedy-modal branching cap. *)
 
@@ -81,6 +82,120 @@ let run_group name tests =
       | _ -> Printf.printf "    %-46s (no estimate)\n" test_name)
     results
 
+(* The flat DP kernels on fixed inputs: CPU µs per call (best of 5
+   passes), minor-heap words per warm call, DP states per call, the mean
+   per-call key high-water mark ([dp.flat.arena_words_hwm]) and a digest of the answers' bits, so two builds can be compared for
+   identical answers as well as for speed. *)
+let flat_kernel_cases () =
+  let db = Datasets.Polls.generate ~n_candidates:10 ~n_voters:60 ~seed:42 () in
+  let q = Ppd.Parser.parse Datasets.Polls.query_two_label in
+  (* Compiling interns the query's labels, so it precedes the labeling. *)
+  let requests = (Ppd.Compile.compile db q).Ppd.Compile.requests in
+  let lab = Ppd.Database.labeling db in
+  let polls =
+    List.filter_map
+      (fun { Ppd.Compile.session; union } ->
+        Option.map
+          (fun u -> (Rim.Mallows.to_rim session.Ppd.Database.model, u))
+          union)
+      requests
+  in
+  let fig07 m =
+    List.map
+      (fun inst ->
+        (Datasets.Instance.model inst, inst.Datasets.Instance.labeling,
+         inst.Datasets.Instance.union))
+      (Datasets.Bench_c.generate ~ms:[ m ] ~patterns_per_union:[ 3 ]
+         ~labels_per_pattern:[ 3 ] ~items_per_label:[ 3 ]
+         ~instances_per_combo:3 ~seed:77 ())
+  in
+  (* σ = identity at m = 16; the chain asks for five items in an order
+     the center mostly reverses. *)
+  let m = 16 in
+  let chain_model =
+    Rim.Mallows.to_rim
+      (Rim.Mallows.make ~center:(Prefs.Ranking.identity m) ~phi:0.7)
+  in
+  let chain = Prefs.Partial_order.of_chain [ 12; 3; 9; 1; 14 ] in
+  (* A three-node chain of labels (its middle node is both a source and a
+     target) over m = 12, each label on two items. *)
+  let m = 12 in
+  let sig_model =
+    Rim.Mallows.to_rim
+      (Rim.Mallows.make ~center:(Prefs.Ranking.identity m) ~phi:0.6)
+  in
+  let sig_lab =
+    Prefs.Labeling.make
+      (Array.init m (fun i ->
+           match i with 1 | 8 -> [ 2 ] | 3 | 10 -> [ 1 ] | 5 | 11 -> [ 0 ] | _ -> []))
+  in
+  let sig_pattern = Prefs.Pattern.chain [ [ 0 ]; [ 1 ]; [ 2 ] ] in
+  [
+    ( Printf.sprintf "Two_label.prob, %d Polls unions (m=10)" (List.length polls),
+      List.map (fun (model, u) () -> Hardq.Two_label.prob model lab u) polls );
+    ( "Upper_bound k=1, same unions",
+      List.map
+        (fun (model, u) () -> Hardq.Upper_bound.upper_bound ~k:1 model lab u)
+        polls );
+    ( "Bipartite.prob, 3 fig07 (m=14 q=3 z=3)",
+      List.map
+        (fun (model, lab, u) () -> Hardq.Bipartite.prob model lab u)
+        (fig07 14) );
+    (* The basic DP passes its state cap on these at m = 14. *)
+    ( "Bipartite.prob_basic, 3 fig07 (m=10 q=3 z=3)",
+      List.map
+        (fun (model, lab, u) () -> Hardq.Bipartite.prob_basic model lab u)
+        (fig07 10) );
+    ( "Po_solver.prob, 5-item chain (m=16)",
+      [ (fun () -> Hardq.Po_solver.prob chain_model chain) ] );
+    ( "Pattern_solver.prob_general, 3-node chain (m=12)",
+      [ (fun () -> Hardq.Pattern_solver.prob_general sig_model sig_lab sig_pattern) ] );
+  ]
+
+let flat_kernels () =
+  Printf.printf
+    "  flat DP kernels (per call: CPU us best of 5, minor words, states, key \
+     words hwm, answer digest):\n";
+  List.iter
+    (fun (name, calls) ->
+      let n = List.length calls in
+      let pass () = List.map (fun f -> f ()) calls in
+      let answers = pass () in
+      let before = Obs.snapshot () in
+      let w0 = Gc.minor_words () in
+      ignore (pass ());
+      let words = (Gc.minor_words () -. w0) /. float_of_int n in
+      let d = Obs.diff before (Obs.snapshot ()) in
+      let states = Obs.count d "dp.flat.states" in
+      let hwm =
+        match Obs.find d "dp.flat.arena_words_hwm" with
+        | Some (Obs.Hist { count; sum; _ }) when count > 0 ->
+            float_of_int sum /. float_of_int count
+        | _ -> 0.
+      in
+      (* Enough repetitions for a pass to take about 0.2 s. *)
+      let t0 = Sys.time () in
+      ignore (pass ());
+      let reps = max 1 (int_of_float (0.2 /. max 1e-6 (Sys.time () -. t0))) in
+      let best = ref infinity in
+      for _ = 1 to 5 do
+        let t0 = Sys.time () in
+        for _ = 1 to reps do
+          ignore (pass ())
+        done;
+        best := min !best ((Sys.time () -. t0) /. float_of_int (reps * n))
+      done;
+      let digest =
+        Digest.to_hex
+          (Digest.string
+             (String.concat ";" (List.map (Printf.sprintf "%h") answers)))
+      in
+      Printf.printf
+        "    %-48s %9.2f us %8.0f words %7d states %8.1f hwm %s\n%!" name
+        (!best *. 1e6) words (states / n) hwm
+        (String.sub digest 0 12))
+    (flat_kernel_cases ())
+
 (* Accuracy ablation: sensitivity of MIS-AMP to the greedy-modal branching
    cap (Algorithm 5 branches on distance ties; the cap bounds |S|). *)
 let modal_cap_ablation () =
@@ -102,6 +217,7 @@ let modal_cap_ablation () =
 let run ~full:_ () =
   Exp_util.header "Micro" "Bechamel microbenchmarks (kernels and ablations)";
   run_group "kernels" (kernel_tests ());
+  flat_kernels ();
   run_group "exact solvers (pruning ablation)" (solver_tests ());
   run_group "MIS weighting ablation" (mis_tests ());
   modal_cap_ablation ()

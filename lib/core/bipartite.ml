@@ -252,18 +252,22 @@ let run_optimized_boxed ~budget ~par ~states ~edges_pruned ~patterns_pruned
 (* Flat state encoding: the uncertain structure is spelled into the
    state words themselves, so no interner (and no cross-chunk interner
    coordination) is needed — state equality is structure+values
-   equality on the arena words directly:
+   equality on the key words directly:
 
      [n_pats;
       n_edges_1; l; r; l; r; ...;      (pattern 1, pairs ascending)
       ...;                             (patterns in ascending pair-list order)
-      v_t1; v_t2; ...]                 (values of tracked tracks, ascending id)
+      v_t1; v_t2; ...;                 (values of tracked tracks, ascending id)
+      0; ...]                          (padding to the seed state's length)
 
    The pattern spans are kept in exactly the order the boxed interner's
    [canonical_structure] sort produces, and the value suffix in
-   ascending track-id order exactly as [gu.tracked], so a flat state's
-   words are equal iff the boxed keys are equal — the two kernels build
-   identical layers in identical order. *)
+   ascending track-id order exactly as [gu.tracked]. The words before the
+   padding delimit themselves (the structure fixes how many values
+   follow), and a state only loses edges and tracks, so every state fits
+   the seed's length and two padded states are equal iff the boxed keys
+   are equal — the two kernels build identical layers in identical
+   order. *)
 
 let encode_structure key =
   let words = ref [] in
@@ -321,24 +325,23 @@ let run_optimized_flat ~budget ~par ~states ~edges_pruned ~patterns_pruned
   let np0 = struct0.(0) in
   let struct_len0 = Array.length struct0 in
   let total_pairs0 = (struct_len0 - 1 - np0) / 2 in
-  let max_w = struct_len0 + ctx.n_tracks in
   let tracked0 =
     List.sort_uniq compare
       (List.concat_map (List.concat_map (fun (l, r) -> [ l; r ])) key0)
   in
-  let n_tracked0 = List.length tracked0 in
-  Dp_table.Flat.with_pair ~name:"Bipartite" ~max_states:!max_states
+  let width = struct_len0 + List.length tracked0 in
+  Dp_table.Fixed.with_pair ~name:"Bipartite" ~width ~max_states:!max_states
   @@ fun t0 t1 ->
   let cur = ref t0 and nxt = ref t1 in
   let hwm = ref 0 in
-  (let seed = Array.make (struct_len0 + n_tracked0) 0 in
+  (let seed = Array.make width 0 in
    Array.blit struct0 0 seed 0 struct_len0;
-   Dp_table.Flat.add !cur seed 0 (struct_len0 + n_tracked0) 1.);
+   Dp_table.Fixed.add !cur seed 0 [| 1. |] 0);
   let acc = [| 0. |] in
   let ly = make_layer ctx in
   let make_scratch () =
     {
-      fs_buf = Array.make max_w 0;
+      fs_buf = Array.make width 0;
       fs_edges = Array.make (max 1 (2 * total_pairs0)) 0;
       fs_span_off = Array.make (max 1 np0) 0;
       fs_span_ne = Array.make (max 1 np0) 0;
@@ -357,17 +360,15 @@ let run_optimized_flat ~budget ~par ~states ~edges_pruned ~patterns_pruned
   for i = 0 to m - 1 do
     Util.Timer.check budget;
     let curt = !cur and next = !nxt in
-    let n_states = Dp_table.Flat.length curt in
+    let n_states = Dp_table.Fixed.length curt in
     states := !states + n_states;
-    Dp_table.Flat.note_layer_width n_states;
+    Dp_table.Fixed.note_layer_width n_states;
     fill_layer ctx ly i;
     let pi_row = ly.pi_row and steps = ly.steps and row = ly.row in
     let stride = ly.stride and exhausted = ly.exhausted in
-    let data = Dp_table.Flat.data curt
-    and offs = Dp_table.Flat.offs curt
-    and probs = Dp_table.Flat.probs curt in
+    let data = Dp_table.Fixed.keys curt and probs = Dp_table.Fixed.probs curt in
     let expand sc s ~emit ~emit_prob =
-      let o = offs.(s) and q = probs.(s) in
+      let o = s * width and q = probs.(s) in
       let cell = sc.fs_cell in
       let np = data.(o) in
       (* Decode the slot map of this state's tracked set (ascending id),
@@ -499,7 +500,8 @@ let run_optimized_flat ~budget ~par ~states ~edges_pruned ~patterns_pruned
                 incr w
               end
             done;
-            emit buf 0 !w cell 0
+            Array.fill buf !w (width - !w) 0;
+            emit buf 0 cell 0
           end
         end
       done
@@ -508,17 +510,17 @@ let run_optimized_flat ~budget ~par ~states ~edges_pruned ~patterns_pruned
       ~finish:(fun sc ->
         edges_pruned := !edges_pruned + !(sc.fs_edges_pruned);
         patterns_pruned := !patterns_pruned + !(sc.fs_patterns_pruned))
-      ~add:(Dp_table.Flat.add_cell next)
+      ~into:next
       ~add_prob:(fun cell ci -> acc.(0) <- acc.(0) +. cell.(ci))
       ();
     hwm :=
       max !hwm
-        (max (Dp_table.Flat.used_words curt) (Dp_table.Flat.used_words next));
-    Dp_table.Flat.clear curt;
+        (max (Dp_table.Fixed.used_words curt) (Dp_table.Fixed.used_words next));
+    Dp_table.Fixed.clear curt;
     cur := next;
     nxt := curt
   done;
-  Dp_table.Flat.flush_call ~states:!states ~hwm_words:!hwm;
+  Dp_table.Fixed.flush_call ~states:!states ~hwm_words:!hwm;
   min 1. acc.(0)
 
 let run_optimized ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)
@@ -624,27 +626,25 @@ type basic_scratch = { bs_buf : int array; bs_cell : float array }
 let run_basic_flat ~budget ~par ~states ctx feasible =
   let m = Rim.Model.m ctx.model in
   let w = ctx.n_tracks in
-  Dp_table.Flat.with_pair ~name:"Bipartite (basic)" ~max_states:!max_states
+  Dp_table.Fixed.with_pair ~name:"Bipartite (basic)" ~width:w
+    ~max_states:!max_states
   @@ fun t0 t1 ->
   let cur = ref t0 and nxt = ref t1 in
   let hwm = ref 0 in
   let ly = make_layer ctx in
-  (let seed = Array.make w 0 in
-   Dp_table.Flat.add !cur seed 0 w 1.);
+  Dp_table.Fixed.add !cur (Array.make w 0) 0 [| 1. |] 0;
   for i = 0 to m - 1 do
     Util.Timer.check budget;
     let curt = !cur and next = !nxt in
-    let n_states = Dp_table.Flat.length curt in
+    let n_states = Dp_table.Fixed.length curt in
     states := !states + n_states;
-    Dp_table.Flat.note_layer_width n_states;
+    Dp_table.Fixed.note_layer_width n_states;
     fill_layer ctx ly i;
     let pi_row = ly.pi_row and steps = ly.steps and row = ly.row in
     let stride = ly.stride in
-    let data = Dp_table.Flat.data curt
-    and offs = Dp_table.Flat.offs curt
-    and probs = Dp_table.Flat.probs curt in
+    let data = Dp_table.Fixed.keys curt and probs = Dp_table.Fixed.probs curt in
     let expand sc s ~emit ~emit_prob:_ =
-      let off = offs.(s) and q = probs.(s) in
+      let off = s * w and q = probs.(s) in
       let buf = sc.bs_buf and cell = sc.bs_cell in
       for j = 0 to i do
         let p' = q *. pi_row.(j) in
@@ -653,31 +653,30 @@ let run_basic_flat ~budget ~par ~states ctx feasible =
             buf.(t) <- steps.(row.(t) + (j * stride) + data.(off + t))
           done;
           cell.(0) <- p';
-          emit buf 0 w cell 0
+          emit buf 0 cell 0
         end
       done
     in
     Dp_par.run_flat ~par ~n:n_states
       ~ctx:(fun () -> { bs_buf = Array.make w 0; bs_cell = [| 0. |] })
       ~expand
-      ~add:(Dp_table.Flat.add_cell next)
+      ~into:next
       ~add_prob:(fun _ _ -> ())
       ();
     hwm :=
       max !hwm
-        (max (Dp_table.Flat.used_words curt) (Dp_table.Flat.used_words next));
-    Dp_table.Flat.clear curt;
+        (max (Dp_table.Fixed.used_words curt) (Dp_table.Fixed.used_words next));
+    Dp_table.Fixed.clear curt;
     cur := next;
     nxt := curt
   done;
-  Dp_table.Flat.flush_call ~states:!states ~hwm_words:!hwm;
+  Dp_table.Fixed.flush_call ~states:!states ~hwm_words:!hwm;
   let final = !cur in
   let pats = pattern_arrays feasible in
-  let data = Dp_table.Flat.data final in
+  let data = Dp_table.Fixed.keys final and probs = Dp_table.Fixed.probs final in
   let acc = ref 0. in
-  for s = 0 to Dp_table.Flat.length final - 1 do
-    if union_satisfied pats data (Dp_table.Flat.off final s) then
-      acc := !acc +. Dp_table.Flat.prob final s
+  for s = 0 to Dp_table.Fixed.length final - 1 do
+    if union_satisfied pats data (s * w) then acc := !acc +. probs.(s)
   done;
   !acc
 

@@ -41,28 +41,20 @@ module Vec = struct
     done
 end
 
-(* Unboxed growable vectors for the flat kernel's chunk buffers: int
+(* Unboxed growable vectors for the flat kernels' chunk buffers: int
    words and float probabilities never pass through a boxed tuple. *)
 module Ivec = struct
   type t = { mutable arr : int array; mutable len : int }
 
   let create () = { arr = Array.make 64 0; len = 0 }
 
-  let reserve v extra =
+  let append v buf off len =
     let cap = Array.length v.arr in
-    if v.len + extra > cap then begin
-      let arr = Array.make (max (2 * cap) (v.len + extra)) 0 in
+    if v.len + len > cap then begin
+      let arr = Array.make (max (2 * cap) (v.len + len)) 0 in
       Array.blit v.arr 0 arr 0 v.len;
       v.arr <- arr
-    end
-
-  let push v x =
-    reserve v 1;
-    v.arr.(v.len) <- x;
-    v.len <- v.len + 1
-
-  let append v buf off len =
-    reserve v len;
+    end;
     Array.blit buf off v.arr v.len len;
     v.len <- v.len + len
 end
@@ -121,27 +113,29 @@ let run ~par ?(min_par = default_min_par) ~n ~ctx ~expand
     done
   end
 
-(* Flat-kernel variant of [run]: a state emission is a span of ints
-   [(buf, off, len)] plus its probability, never a boxed key, and every
+(* Flat-kernel variant of [run]: a state emission is [width] ints
+   [(buf, off)] plus its probability, never a boxed key, and every
    probability travels as a float cell [(cell, ci)] — read in place by
    the consumer — so no emission boxes a float. The sequential path
-   passes the caller's scratch buffer and cell straight to [add] (which
-   copies the words into the arena); parallel chunks frame emissions as
-   [len; words...] into a private int vector with probabilities in a
-   parallel float vector, and the frames replay in chunk order with zero
-   further copying ([add] reads straight out of the chunk buffers). The
-   merged stream — and hence the next arena's slot order and every float
-   addition — is the sequential stream, exactly as with [run]. *)
+   inserts the caller's scratch buffer and cell straight into [into];
+   parallel chunks append each emission's words to a private int vector
+   (a frame is exactly [width] words: the table's width is fixed for the
+   call) with its probability in a parallel float vector, and the frames
+   replay in chunk order straight into [into]. The merged stream — and
+   hence the next table's slot order and every float addition — is the
+   sequential stream, exactly as with [run]. *)
 let run_flat ~par ?(min_par = default_min_par) ~n ~ctx ~expand
-    ?(finish = fun _ -> ()) ~add ~add_prob () =
+    ?(finish = fun _ -> ()) ~into ~add_prob () =
   if Util.Par.width par <= 1 || n < min_par then begin
     let c = ctx () in
+    let emit = Dp_table.Fixed.add into in
     for i = 0 to n - 1 do
-      expand c i ~emit:add ~emit_prob:add_prob
+      expand c i ~emit ~emit_prob:add_prob
     done;
     finish c
   end
   else begin
+    let width = Dp_table.Fixed.width into in
     let n_chunks = min n (4 * Util.Par.width par) in
     let kws = Array.init n_chunks (fun _ -> Ivec.create ()) in
     let kps = Array.init n_chunks (fun _ -> Fvec.create ()) in
@@ -152,9 +146,8 @@ let run_flat ~par ?(min_par = default_min_par) ~n ~ctx ~expand
         let cx = ctx () in
         cxs.(c) <- Some cx;
         let kw = kws.(c) and kp = kps.(c) and pv = ps.(c) in
-        let emit buf off len cell ci =
-          Ivec.push kw len;
-          Ivec.append kw buf off len;
+        let emit buf off cell ci =
+          Ivec.append kw buf off width;
           Fvec.push kp cell.(ci)
         in
         let emit_prob cell ci = Fvec.push pv cell.(ci) in
@@ -163,12 +156,8 @@ let run_flat ~par ?(min_par = default_min_par) ~n ~ctx ~expand
         done);
     for c = 0 to n_chunks - 1 do
       let kw = kws.(c) and kp = kps.(c) and pv = ps.(c) in
-      let pos = ref 0 and k = ref 0 in
-      while !pos < kw.Ivec.len do
-        let len = kw.Ivec.arr.(!pos) in
-        add kw.Ivec.arr (!pos + 1) len kp.Fvec.arr !k;
-        pos := !pos + 1 + len;
-        incr k
+      for k = 0 to kp.Fvec.len - 1 do
+        Dp_table.Fixed.add into kw.Ivec.arr (k * width) kp.Fvec.arr k
       done;
       for k = 0 to pv.Fvec.len - 1 do
         add_prob pv.Fvec.arr k

@@ -40,23 +40,22 @@ val run_flat :
   expand:
     ('c ->
     int ->
-    emit:(int array -> int -> int -> float array -> int -> unit) ->
+    emit:(int array -> int -> float array -> int -> unit) ->
     emit_prob:(float array -> int -> unit) ->
     unit) ->
   ?finish:('c -> unit) ->
-  add:(int array -> int -> int -> float array -> int -> unit) ->
+  into:Dp_table.Fixed.t ->
   add_prob:(float array -> int -> unit) ->
   unit ->
   unit
-(** [run] for the flat kernel: an emission is a span of ints
-    [(buf, off, len)] with a probability held in a float cell
-    [(cell, ci)], destined for {!Dp_table.Flat.add_cell}; [emit_prob]
-    likewise passes [(cell, ci)]. Cells keep floats unboxed end to end:
-    [add]/[add_prob] read [cell.(ci)] in place. On the sequential path
-    [emit] {e is} [add], so the caller may pass a scratch buffer and
-    cell it overwrites between emissions ([add] consumes them
-    immediately). On the parallel
-    path emissions are framed into chunk-private unboxed buffers and
-    replayed in chunk order, preserving the sequential contribution
-    stream exactly as {!run} does. The same aliasing rule applies:
-    [buf] must not be the destination table's own arena. *)
+(** [run] for the flat kernels: an emission [emit buf off cell ci] is a
+    state of [into]'s width at [buf.(off ..)] with its probability in a
+    float cell [cell.(ci)], destined for {!Dp_table.Fixed.add} into
+    [into]; [emit_prob] likewise passes [(cell, ci)]. Cells keep floats
+    unboxed end to end. On the sequential path [emit] {e is}
+    [Dp_table.Fixed.add into], so the caller may pass a scratch buffer
+    and cell it overwrites between emissions. On the parallel path each
+    chunk copies its emissions into private unboxed buffers, frames of
+    exactly [width] words, and the frames replay in chunk order straight
+    into [into], preserving the sequential contribution stream exactly
+    as {!run} does. [buf] must not be [into]'s own key array. *)

@@ -11,17 +11,16 @@
    same state sequence whether its keys are boxed or flat.
 
    [Boxed] is the reference layout (one structured key per state);
-   [Flat] packs every state of a layer into a single int arena with an
-   open-addressing index, so the hot path allocates nothing per state
-   and the GC never scans DP keys. A solver call takes two [Flat]
-   tables from its domain's spare pair ([Flat.with_pair]) and swaps/
-   clears them between layers; back-to-back calls reuse arenas already
-   grown to their high-water mark, so a typical call allocates no table
-   memory at all. A fresh table is small enough (every array at most
-   [Max_young_wosize] = 256 words) to be born in the minor heap, and a
-   pair past [Flat.retain_cap_words] is dropped rather than kept. The
-   two-label DP keeps its layers in a fixed-width table of its own
-   (Two_label), with the same contract and the same [Spare] pair. *)
+   [Fixed] packs every state of a layer, each [width] ints, into one int
+   array with an open-addressing index, so the hot path allocates
+   nothing per state and the GC never scans DP keys. A solver call takes
+   two [Fixed] tables from its domain's spare pair ([Fixed.with_pair])
+   and swaps/clears them between layers; back-to-back calls reuse
+   tables already grown to their high-water mark, so a typical call
+   allocates no table memory at all. A fresh table is small enough
+   (every array at most [Max_young_wosize] = 256 words) to be born in
+   the minor heap, and a pair past [Fixed.retain_cap_words] is dropped
+   rather than kept. *)
 
 exception State_explosion of { table : string; cap : int }
 
@@ -40,30 +39,6 @@ let c_flat_calls = Obs.counter "dp.flat.calls"
 let c_flat_states = Obs.counter "dp.flat.states"
 let h_layer_width = Obs.histogram "dp.flat.layer_width"
 let h_arena_hwm = Obs.histogram "dp.flat.arena_words_hwm"
-
-(* A per-domain spare value (a solver's pair of layer tables). A solver
-   call checks it out and hands it back on return (or on an exception),
-   so back-to-back calls on one domain reuse tables already grown to
-   their high-water mark and allocate nothing. Checkout is an atomic
-   exchange, so two systhreads on one domain, or a nested call, never
-   share a value: the loser simply builds a fresh one. *)
-module Spare = struct
-  type 'a t = 'a option Atomic.t Domain.DLS.key
-
-  let make () = Domain.DLS.new_key (fun () -> Atomic.make None)
-
-  let with_ key ~fresh ~prepare ~keep f =
-    let slot = Domain.DLS.get key in
-    let v =
-      match Atomic.exchange slot None with Some v -> v | None -> fresh ()
-    in
-    prepare v;
-    Fun.protect
-      ~finally:(fun () -> if keep v then Atomic.set slot (Some v))
-      (fun () -> f v)
-
-  let peek key = Atomic.get (Domain.DLS.get key)
-end
 
 module Boxed = struct
   type 'k t = {
@@ -119,50 +94,38 @@ module Boxed = struct
     !acc
 end
 
-module Flat = struct
+module Fixed = struct
   type t = {
-    mutable data : int array; (* state words, slot-contiguous *)
-    mutable used : int; (* words used in [data] *)
-    mutable offs : int array; (* slot -> offset into [data] *)
-    mutable lens : int array; (* slot -> word count *)
+    mutable width : int; (* ints per key, fixed per call *)
+    mutable keys : int array; (* slot s: [s * width .. s * width + width - 1] *)
     mutable probs : float array; (* slot -> accumulated probability *)
     mutable n : int; (* number of slots *)
-    mutable idx : int array; (* open addressing: 0 = empty, else slot+1 *)
-    mutable mask : int; (* Array.length idx - 1 (a power of two) *)
+    mutable index : int array; (* open addressing: 0 = empty, else slot+1 *)
+    mutable mask : int; (* Array.length index - 1 (a power of two) *)
     mutable name : string; (* reset when a spare table is checked out *)
     mutable max_states : int;
   }
 
-  (* Initial sizes: every array stays under [Max_young_wosize] (256
-     words), so a fresh table is a minor-heap allocation; the layer
-     widths of a typical Polls-sized call (m = 10) fit without growing. *)
-  let initial_idx = 64 (* power of two *)
-  let initial_slots = 32
-
-  let create ?(capacity_words = 128) ~name ~max_states () =
+  (* Small enough to be born in the minor heap; a Polls m = 10 call's
+     layers fit without growing. *)
+  let create ~width ~name ~max_states () =
     {
-      data = Array.make (max 16 capacity_words) 0;
-      used = 0;
-      offs = Array.make initial_slots 0;
-      lens = Array.make initial_slots 0;
-      probs = Array.make initial_slots 0.;
+      width;
+      keys = Array.make 64 0;
+      probs = Array.make 64 0.;
       n = 0;
-      idx = Array.make initial_idx 0;
-      mask = initial_idx - 1;
+      index = Array.make 128 0;
+      mask = 127;
       name;
       max_states;
     }
 
+  let width t = t.width
   let length t = t.n
-  let prob t s = t.probs.(s)
-  let off t s = t.offs.(s)
-  let len t s = t.lens.(s)
-  let data t = t.data
-  let offs t = t.offs
-  let lens t = t.lens
+  let keys t = t.keys
   let probs t = t.probs
-  let used_words t = t.used
-  let capacity_words t = Array.length t.data
+  let used_words t = t.n * t.width
+  let capacity_words t = Array.length t.keys
 
   (* Multiplicative word mix plus a finalizer; only intra-process
      determinism matters (the index order is never observable — slots
@@ -170,160 +133,129 @@ module Flat = struct
      product only carries low bits upward, so without the finalizer the
      small position values of DP states clustered into long probe runs
      (3.2 probes per insert on the Polls two-label calls, 1.1 with it).
-     Unsafe accesses: [off .. off+len-1] is in bounds by the caller's
-     contract, checked once here against the actual array. *)
-  let[@inline] hash_words buf off len =
-    if off < 0 || len < 0 || off + len > Array.length buf then
-      invalid_arg "Dp_table.Flat: span out of bounds";
-    let h = ref (len + 1) in
-    for k = off to off + len - 1 do
+     Callers check [off .. off+width-1] against [buf] first. *)
+  let[@inline] hash_key buf off width =
+    let h = ref (width + 1) in
+    for k = off to off + width - 1 do
       h := (!h * 0x9E3779B1) lxor Array.unsafe_get buf k
     done;
     let h = !h * 0x2545F4914F6CDD1D in
     (h lxor (h lsr 32)) land max_int
 
-  (* [a] spans are arena-resident (in bounds by construction); [b] was
-     bounds-checked by [hash_words] before any probe compares it. *)
-  let[@inline] words_equal a aoff b boff len =
-    let ok = ref true in
-    let k = ref 0 in
-    while !ok && !k < len do
-      if Array.unsafe_get a (aoff + !k) <> Array.unsafe_get b (boff + !k) then
-        ok := false
-      else incr k
-    done;
-    !ok
-
   let rehash t =
-    let size' = 2 * (t.mask + 1) in
-    let idx' = Array.make size' 0 in
-    let mask' = size' - 1 in
+    let size = 2 * (t.mask + 1) in
+    let index = Array.make size 0 and mask = size - 1 in
     for s = 0 to t.n - 1 do
-      let h = hash_words t.data t.offs.(s) t.lens.(s) in
-      let i = ref (h land mask') in
-      while idx'.(!i) <> 0 do
-        i := (!i + 1) land mask'
+      let i = ref (hash_key t.keys (s * t.width) t.width land mask) in
+      while index.(!i) <> 0 do
+        i := (!i + 1) land mask
       done;
-      idx'.(!i) <- s + 1
+      index.(!i) <- s + 1
     done;
-    t.idx <- idx';
-    t.mask <- mask'
+    t.index <- index;
+    t.mask <- mask
 
-  let grow_slots t =
-    let cap = Array.length t.offs in
-    if t.n = cap then begin
-      let cap' = 2 * cap in
-      let offs = Array.make cap' 0 in
-      Array.blit t.offs 0 offs 0 t.n;
-      t.offs <- offs;
-      let lens = Array.make cap' 0 in
-      Array.blit t.lens 0 lens 0 t.n;
-      t.lens <- lens;
-      let probs = Array.make cap' 0. in
-      Array.blit t.probs 0 probs 0 t.n;
-      t.probs <- probs
-    end
-
-  let grow_data t need =
-    let cap = Array.length t.data in
-    if t.used + need > cap then begin
-      let cap' = max (2 * cap) (t.used + need) in
-      let data = Array.make cap' 0 in
-      Array.blit t.data 0 data 0 t.used;
-      t.data <- data
-    end
-
-  (* Slow path of [insert]: append a new state's words at index slot
-     [i] and return its slot; the caller stores the probability (after
-     [grow_slots] may have replaced [probs]), so no float crosses this
-     call boxed. *)
-  let add_new t buf off len i =
+  (* Slow path of [add]: append the key at index slot [i] and return its
+     slot; the caller stores the probability (after the probabilities
+     may have grown), so no float crosses this call boxed. *)
+  let add_new t buf off i =
     if t.n >= t.max_states then explode t.name t.max_states;
-    grow_slots t;
-    grow_data t len;
-    Array.blit buf off t.data t.used len;
-    let s = t.n in
-    t.offs.(s) <- t.used;
-    t.lens.(s) <- len;
-    t.used <- t.used + len;
-    t.idx.(i) <- s + 1;
+    let s = t.n and width = t.width in
+    if (s + 1) * width > Array.length t.keys then begin
+      let keys = Array.make (max (2 * Array.length t.keys) ((s + 1) * width)) 0 in
+      Array.blit t.keys 0 keys 0 (s * width);
+      t.keys <- keys
+    end;
+    if s = Array.length t.probs then begin
+      let probs = Array.make (2 * s) 0. in
+      Array.blit t.probs 0 probs 0 s;
+      t.probs <- probs
+    end;
+    Array.blit buf off t.keys (s * width) width;
+    t.index.(i) <- s + 1;
     t.n <- s + 1;
     if 2 * t.n > t.mask + 1 then rehash t;
     s
 
-  (* Accumulate [p] onto the state whose words are [buf.(off ..
-     off+len-1)], copying the words into the arena when the state is
-     new. [buf] must not alias [t]'s own arena. Inlined into both entry
-     points so [p] stays unboxed on the hit path. *)
-  let[@inline] insert t buf off len p =
-    let h = hash_words buf off len in
-    let mask = t.mask in
-    let idx = t.idx and lens = t.lens and offs = t.offs and data = t.data in
-    let i = ref (h land mask) in
-    let continue = ref true in
-    while !continue do
-      let e = Array.unsafe_get idx !i in
+  (* Unsafe accesses: [buf]'s span is checked here, a key slot [s < n]
+     has its [width] words below [n * width], and the index is probed
+     under [mask]. *)
+  let add t buf off cell ci =
+    let width = t.width in
+    if off < 0 || off + width > Array.length buf then
+      invalid_arg "Dp_table.Fixed.add: key out of bounds";
+    let p = cell.(ci) in
+    let index = t.index and mask = t.mask and keys = t.keys in
+    let i = ref (hash_key buf off width land mask) and go = ref true in
+    while !go do
+      let e = Array.unsafe_get index !i in
       if e = 0 then begin
-        let s = add_new t buf off len !i in
+        let s = add_new t buf off !i in
         t.probs.(s) <- p;
-        continue := false
+        go := false
       end
       else begin
         let s = e - 1 in
-        if
-          Array.unsafe_get lens s = len
-          && words_equal data (Array.unsafe_get offs s) buf off len
-        then begin
+        let base = s * width and k = ref 0 in
+        while
+          !k < width
+          && Array.unsafe_get keys (base + !k) = Array.unsafe_get buf (off + !k)
+        do
+          incr k
+        done;
+        if !k = width then begin
           let probs = t.probs in
           Array.unsafe_set probs s (Array.unsafe_get probs s +. p);
-          continue := false
+          go := false
         end
         else i := (!i + 1) land mask
       end
     done
 
-  let add t buf off len p = insert t buf off len p
-  let add_cell t buf off len cell ci = insert t buf off len cell.(ci)
-
   let clear t =
-    t.used <- 0;
     t.n <- 0;
-    Array.fill t.idx 0 (t.mask + 1) 0
+    Array.fill t.index 0 (t.mask + 1) 0
 
-  let sum t =
-    let acc = ref 0. in
-    for s = 0 to t.n - 1 do
-      acc := !acc +. t.probs.(s)
-    done;
-    !acc
-
-  (* Per-domain spare pair: see [Spare]. A pair is kept only while its
-     total size stays within [retain_cap_words]; a large DP's tables are
-     dropped on return and never stay resident. Checkout clears, so
-     whatever state an aborted call left behind is gone. *)
+  (* The per-domain spare pair. A solver call checks it out and hands it
+     back on return (or on an exception), so back-to-back calls on one
+     domain reuse tables already grown to their high-water mark. A pair
+     is kept only while its total size stays within [retain_cap_words]:
+     a large DP's tables are dropped on return and never stay resident.
+     Checkout is an atomic exchange, so two systhreads on one domain, or
+     a nested call, never share a pair (the loser builds a fresh one),
+     and checkout clears whatever an aborted call left behind. *)
   let retain_cap_words = 16_384
 
   let retained t =
-    Array.length t.data + (3 * Array.length t.offs) + Array.length t.idx
+    Array.length t.keys + Array.length t.probs + Array.length t.index
 
-  let spare : (t * t) Spare.t = Spare.make ()
+  let spare : (t * t) option Atomic.t Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> Atomic.make None)
 
-  let reset t ~name ~max_states =
+  let reset t ~name ~width ~max_states =
     clear t;
     t.name <- name;
+    t.width <- width;
     t.max_states <- max_states
 
-  let with_pair ~name ~max_states f =
-    Spare.with_ spare
-      ~fresh:(fun () -> (create ~name ~max_states (), create ~name ~max_states ()))
-      ~prepare:(fun (t0, t1) ->
-        reset t0 ~name ~max_states;
-        reset t1 ~name ~max_states)
-      ~keep:(fun (t0, t1) -> retained t0 + retained t1 <= retain_cap_words)
-      (fun (t0, t1) -> f t0 t1)
+  let with_pair ~name ~width ~max_states f =
+    let slot = Domain.DLS.get spare in
+    let ((t0, t1) as pair) =
+      match Atomic.exchange slot None with
+      | Some pair -> pair
+      | None ->
+          (create ~width ~name ~max_states (), create ~width ~name ~max_states ())
+    in
+    reset t0 ~name ~width ~max_states;
+    reset t1 ~name ~width ~max_states;
+    Fun.protect
+      ~finally:(fun () ->
+        if retained t0 + retained t1 <= retain_cap_words then
+          Atomic.set slot (Some pair))
+      (fun () -> f t0 t1)
 
   let spare_words () =
-    match Spare.peek spare with
+    match Atomic.get (Domain.DLS.get spare) with
     | None -> 0
     | Some (t0, t1) -> retained t0 + retained t1
 
@@ -334,4 +266,23 @@ module Flat = struct
     Obs.Counter.incr c_flat_calls;
     Obs.Counter.add c_flat_states states;
     Obs.Histogram.observe h_arena_hwm hwm_words
+end
+
+(* [| sum; carry |]: Neumaier's variant of Kahan summation, which also
+   keeps the low bits when a term is larger than the running sum. *)
+module Mass = struct
+  type t = float array
+
+  let create () = [| 0.; 0. |]
+
+  let[@inline] add_x acc x =
+    let s = Array.unsafe_get acc 0 in
+    let t = s +. x in
+    let lost = if s >= x then s -. t +. x else x -. t +. s in
+    Array.unsafe_set acc 1 (Array.unsafe_get acc 1 +. lost);
+    Array.unsafe_set acc 0 t
+
+  let add acc cell ci = add_x acc cell.(ci)
+  let add_float acc x = add_x acc x
+  let total acc = acc.(0) +. acc.(1)
 end

@@ -7,8 +7,8 @@
       (int arrays, interned records). Easy to audit against the paper's
       pseudocode; allocates one key per state per layer.
     - [Flat] — the production layout: layers live in flat int/float
-      arenas ({!Dp_table.Flat}) with integer-encoded states and an
-      open-addressing index, so the hot loop performs no per-state
+      arrays ({!Dp_table.Fixed}) with integer-encoded states of one
+      width per call and an open-addressing index, so the hot loop performs no per-state
       allocation and the GC never scans boxed DP state.
 
     Both kernels process states in first-insertion order and merge

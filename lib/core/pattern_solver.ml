@@ -29,9 +29,13 @@ let embeds ~topo ~parents ~(masks : int array) (seq : int array) =
 (* State encoding: flat int words [pos0; mask0; pos1; mask1; ...] sorted by
    position (0-based absolute positions in the current partial ranking).
    The boxed kernel stores each state as its own int array; the flat
-   kernel stores the same words in a {!Dp_table.Flat} arena. Both visit
-   states in first-insertion order with identical arithmetic, so their
-   answers are bit-identical (pinned by test/t_kernel.ml). *)
+   kernel stores [t; pos0; mask0; ...; 0 ...] in a {!Dp_table.Fixed}
+   table: the pair count [t] leads and zeros pad every state to
+   [1 + 2 * relevant], [relevant] the number of items with a nonzero mask
+   (a state never holds more). With the count leading, padded words are
+   equal iff the pair lists are. Both kernels visit states in
+   first-insertion order with identical arithmetic, so their answers are
+   bit-identical (pinned by test/t_kernel.ml). *)
 
 let state_masks st = Array.init (Array.length st / 2) (fun k -> st.((2 * k) + 1))
 
@@ -173,9 +177,9 @@ let run_boxed ~budget ~par model pr =
   done;
   min 1. !prob
 
-(* Chunk-local scratch for the flat kernel: an emission buffer wide
-   enough for any state (2 words per relevant item, at most m items),
-   the embedding scratch and the emission's probability cell. *)
+(* Chunk-local scratch for the flat kernel: an emission buffer of the
+   table's width, the embedding scratch and the emission's probability
+   cell. *)
 type flat_scratch = { buf : int array; f : int array; cell : float array }
 
 (* The expansion reads only the current table's arrays and π's row i,
@@ -183,46 +187,49 @@ type flat_scratch = { buf : int array; f : int array; cell : float array }
    except the emission. *)
 let run_flat ~budget ~par model pr =
   let q = Array.length pr.parents in
-  let max_w = 2 * (pr.m + 1) in
-  Dp_table.Flat.with_pair ~name:"Pattern_solver" ~max_states:!max_states
+  let relevant =
+    Array.fold_left (fun n mx -> if mx <> 0 then n + 1 else n) 0 pr.step_mask
+  in
+  let width = 1 + (2 * relevant) in
+  Dp_table.Fixed.with_pair ~name:"Pattern_solver" ~width
+    ~max_states:!max_states
   @@ fun t0 t1 ->
   let cur = ref t0 and nxt = ref t1 in
   let hwm = ref 0 and states = ref 0 in
-  Dp_table.Flat.add !cur [||] 0 0 1.;
+  Dp_table.Fixed.add !cur (Array.make width 0) 0 [| 1. |] 0;
   let acc = [| 0. |] in
   let pi_row = Array.make pr.m 0. in
   for i = 0 to pr.m - 1 do
     Util.Timer.check budget;
     let curt = !cur and next = !nxt in
-    let n_states = Dp_table.Flat.length curt in
+    let n_states = Dp_table.Fixed.length curt in
     states := !states + n_states;
-    Dp_table.Flat.note_layer_width n_states;
+    Dp_table.Fixed.note_layer_width n_states;
     Rim.Model.blit_pi_row model i pi_row;
-    let data = Dp_table.Flat.data curt
-    and offs = Dp_table.Flat.offs curt
-    and lens = Dp_table.Flat.lens curt
-    and probs = Dp_table.Flat.probs curt in
+    let data = Dp_table.Fixed.keys curt and probs = Dp_table.Fixed.probs curt in
     let mx = pr.step_mask.(i) in
+    (* Item [k] of a state at [off] has its position at [off + 1 + 2k]
+       and its mask right after. *)
     let expand sc s ~emit ~emit_prob =
-      let off = offs.(s) and len = lens.(s) and qprob = probs.(s) in
-      let t = len / 2 in
+      let off = s * width and qprob = probs.(s) in
+      let t = data.(off) in
       let buf = sc.buf and cell = sc.cell in
       if mx = 0 then begin
         for c = 0 to t do
-          let jlo = if c = 0 then 0 else data.(off + (2 * (c - 1))) + 1 in
-          let jhi = if c = t then i else data.(off + (2 * c)) in
+          let jlo = if c = 0 then 0 else data.(off + 1 + (2 * (c - 1))) + 1 in
+          let jhi = if c = t then i else data.(off + 1 + (2 * c)) in
           if jlo <= jhi then begin
             let psum = ref 0. in
             for j = jlo to jhi do
               psum := !psum +. pi_row.(j)
             done;
             if !psum > 0. then begin
-              Array.blit data off buf 0 len;
+              Array.blit data off buf 0 width;
               for k = c to t - 1 do
-                buf.(2 * k) <- buf.(2 * k) + 1
+                buf.(1 + (2 * k)) <- buf.(1 + (2 * k)) + 1
               done;
               cell.(0) <- qprob *. !psum;
-              emit buf 0 len cell 0
+              emit buf 0 cell 0
             end
           end
         done
@@ -232,38 +239,40 @@ let run_flat ~budget ~par model pr =
           let p = qprob *. pi_row.(j) in
           if p > 0. then begin
             let c = ref 0 in
-            while !c < t && data.(off + (2 * !c)) < j do
+            while !c < t && data.(off + 1 + (2 * !c)) < j do
               incr c
             done;
             let c = !c in
-            Array.blit data off buf 0 (2 * c);
-            buf.(2 * c) <- j;
-            buf.((2 * c) + 1) <- mx;
+            (* The row's own padding zeroes every word past the new
+               last pair. *)
+            Array.blit data off buf 0 width;
+            buf.(0) <- t + 1;
+            buf.(1 + (2 * c)) <- j;
+            buf.(2 + (2 * c)) <- mx;
             for k = c to t - 1 do
-              buf.(2 * (k + 1)) <- data.(off + (2 * k)) + 1;
-              buf.((2 * (k + 1)) + 1) <- data.(off + (2 * k) + 1)
+              buf.(1 + (2 * (k + 1))) <- data.(off + 1 + (2 * k)) + 1;
+              buf.(2 + (2 * (k + 1))) <- data.(off + 2 + (2 * k))
             done;
             cell.(0) <- p;
-            if embeds_flat pr ~f:sc.f buf 0 (t + 1) then emit_prob cell 0
-            else emit buf 0 (len + 2) cell 0
+            if embeds_flat pr ~f:sc.f buf 1 (t + 1) then emit_prob cell 0
+            else emit buf 0 cell 0
           end
         done
     in
     Dp_par.run_flat ~par ~n:n_states
       ~ctx:(fun () ->
-        { buf = Array.make max_w 0; f = Array.make (max q 1) 0; cell = [| 0. |] })
-      ~expand
-      ~add:(Dp_table.Flat.add_cell next)
+        { buf = Array.make width 0; f = Array.make (max q 1) 0; cell = [| 0. |] })
+      ~expand ~into:next
       ~add_prob:(fun cell ci -> acc.(0) <- acc.(0) +. cell.(ci))
       ();
     hwm :=
       max !hwm
-        (max (Dp_table.Flat.used_words curt) (Dp_table.Flat.used_words next));
-    Dp_table.Flat.clear curt;
+        (max (Dp_table.Fixed.used_words curt) (Dp_table.Fixed.used_words next));
+    Dp_table.Fixed.clear curt;
     cur := next;
     nxt := curt
   done;
-  Dp_table.Flat.flush_call ~states:!states ~hwm_words:!hwm;
+  Dp_table.Fixed.flush_call ~states:!states ~hwm_words:!hwm;
   min 1. acc.(0)
 
 let prob_general ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)

@@ -14,8 +14,9 @@ let c_states = Obs.counter "solver.po.dp_states"
    in dead words merge (the two-label DP's dead-word rule, item-side).
    A zero word is then never read as "not inserted yet" by a later
    insertion, because no later insertion is a neighbour of it.
-   Layers live in {!Dp_table.Flat} tables, so states are numbered and
-   summed in first-insertion order, never in hash order. *)
+   Layers live in {!Dp_table.Fixed} tables of [t] ints per state, so
+   states are numbered and summed in first-insertion order, never in
+   hash order. *)
 type problem = {
   t : int; (* tracked items *)
   first : int; (* σ step of the first tracked item *)
@@ -78,7 +79,7 @@ let build_problem model po =
    (state, j) order, instead of being stored. *)
 let run ~budget ~states model pr =
   let t = pr.t in
-  Dp_table.Flat.with_pair ~name:"Po_solver" ~max_states:!max_states
+  Dp_table.Fixed.with_pair ~name:"Po_solver" ~width:t ~max_states:!max_states
   @@ fun t0 t1 ->
   let cur = ref t0 and nxt = ref t1 in
   let hwm = ref 0 in
@@ -87,22 +88,21 @@ let run ~budget ~states model pr =
   let cell = [| 0. |] in
   let acc = ref 0. in
   let pi_row = Array.make (pr.last + 1) 0. in
-  Dp_table.Flat.add !cur buf 0 t 1.;
+  cell.(0) <- 1.;
+  Dp_table.Fixed.add !cur buf 0 cell 0;
   for i = pr.first to pr.last do
     Util.Timer.check budget;
     let curt = !cur and next = !nxt in
-    let n_states = Dp_table.Flat.length curt in
+    let n_states = Dp_table.Fixed.length curt in
     states := !states + n_states;
-    Dp_table.Flat.note_layer_width n_states;
+    Dp_table.Fixed.note_layer_width n_states;
     Rim.Model.blit_pi_row model i pi_row;
-    let data = Dp_table.Flat.data curt
-    and offs = Dp_table.Flat.offs curt
-    and probs = Dp_table.Flat.probs curt in
+    let data = Dp_table.Fixed.keys curt and probs = Dp_table.Fixed.probs curt in
     let k = pr.slot_at.(i) in
     let dies = pr.dies.(i) in
     let final = i = pr.last in
     for s = 0 to n_states - 1 do
-      let off = offs.(s) and q = probs.(s) in
+      let off = s * t and q = probs.(s) in
       if k >= 0 then begin
         (* A tracked item lands after every inserted predecessor and at
            or before every inserted successor's position, so the edges
@@ -132,7 +132,7 @@ let run ~budget ~states model pr =
                 buf.(dies.(y)) <- 0
               done;
               cell.(0) <- p;
-              Dp_table.Flat.add_cell next buf 0 t cell 0
+              Dp_table.Fixed.add next buf 0 cell 0
             end
         done
       end
@@ -168,18 +168,19 @@ let run ~budget ~states model pr =
               buf.(x) <- (if v > jlo then v + 1 else v)
             done;
             cell.(0) <- q *. !psum;
-            Dp_table.Flat.add_cell next buf 0 t cell 0
+            Dp_table.Fixed.add next buf 0 cell 0
           end
         done
       end
     done;
     hwm :=
-      max !hwm (max (Dp_table.Flat.used_words curt) (Dp_table.Flat.used_words next));
-    Dp_table.Flat.clear curt;
+      max !hwm
+        (max (Dp_table.Fixed.used_words curt) (Dp_table.Fixed.used_words next));
+    Dp_table.Fixed.clear curt;
     cur := next;
     nxt := curt
   done;
-  Dp_table.Flat.flush_call ~states:!states ~hwm_words:!hwm;
+  Dp_table.Fixed.flush_call ~states:!states ~hwm_words:!hwm;
   min 1. !acc
 
 let prob ?(budget = Util.Timer.no_limit) model po =

@@ -13,7 +13,7 @@
 
     It serves answers: {!General} routes every inclusion–exclusion term
     whose nodes each name exactly one item of σ here (DESIGN.md §13.5).
-    Layers are {!Dp_table.Flat} tables (first-insertion order, so the
+    Layers are {!Dp_table.Fixed} tables (first-insertion order, so the
     sum is a pure function of the model and the order); there is no
     boxed kernel, so the flat == boxed contract holds trivially for the
     terms this solver answers. Each call counts [solver.po.calls] and

@@ -38,10 +38,8 @@ let h_states = Obs.histogram "solver.two_label.dp_states_per_call"
    {!Dp_table.Boxed} layer. The flat kernel packs the same words into
    [b]-bit fields (the smallest [b] with [2^b > m]), [62 / b] per int, so
    a state is one int whenever a+b <= 62 / b (every Polls union), and
-   keeps each layer in this module's own fixed-width [table]: no offsets
-   or lengths per state, and the insert is a call inside this module, so
-   a small layer expands with no closure and no cross-module call per
-   emission. Both kernels visit states in first-insertion order, add
+   keeps each layer in a {!Dp_table.Fixed} table of that many ints per
+   state. Both kernels visit states in first-insertion order, add
    each state's satisfied mass in that order and emit in (state, j)
    order with identical arithmetic, so their contribution streams — and
    answers — are bit-identical (pinned by test/t_kernel.ml and the QA
@@ -183,21 +181,11 @@ let[@inline] sat_mass ly ~lo ~hi q =
   if lo >= hi then q
   else q *. (Array.unsafe_get ly.pre lo +. Array.unsafe_get ly.suf hi)
 
-(* The answer accumulates in [acc = [| sum; carry |]] by compensated
-   (Neumaier) summation: a layer adds thousands of small masses to a
-   larger sum, and a plain sum of a wide union's masses drifts by about
-   1e-12 relative where this stays within a few ulps. The answer is
-   [sum +. carry], or exactly 1 when no state is left unsatisfied after
-   the last layer: then every ranking satisfies the union. *)
-let[@inline] add_mass acc x =
-  let s = Array.unsafe_get acc 0 in
-  let t = s +. x in
-  let lost = if s >= x then s -. t +. x else x -. t +. s in
-  Array.unsafe_set acc 1 (Array.unsafe_get acc 1 +. lost);
-  Array.unsafe_set acc 0 t
-
+(* The answer accumulates in a {!Dp_table.Mass} (compensated) sum. It is
+   that total, or exactly 1 when no state is left unsatisfied after the
+   last layer: then every ranking satisfies the union. *)
 let answer ~survivors acc =
-  if survivors = 0 then 1. else min 1. (acc.(0) +. acc.(1))
+  if survivors = 0 then 1. else min 1. (Dp_table.Mass.total acc)
 
 let run_boxed ~budget ~par ~states model pr =
   let m = Rim.Model.m model in
@@ -205,7 +193,7 @@ let run_boxed ~budget ~par ~states model pr =
   let table =
     ref (Dp_table.Boxed.create ~name:"Two_label" ~max_states:!max_states ())
   in
-  let ly = layer ~m pr and acc = [| 0.; 0. |] in
+  let ly = layer ~m pr and acc = Dp_table.Mass.create () in
   Dp_table.Boxed.add !table (Array.make w 0) 1.;
   for i = 0 to m - 1 do
     Util.Timer.check budget;
@@ -235,149 +223,11 @@ let run_boxed ~budget ~par ~states model pr =
       ~ctx:(fun () -> ())
       ~expand
       ~add:(Dp_table.Boxed.add next)
-      ~add_prob:(add_mass acc)
+      ~add_prob:(Dp_table.Mass.add_float acc)
       ();
     table := next
   done;
   answer ~survivors:(Dp_table.Boxed.length !table) acc
-
-(* The flat kernel's layer table: fixed-width keys of [ints] packed ints
-   (slot [s] holds [keys.(s * ints) ..]), numbered by first insertion,
-   behind an open-addressing index (0 = empty, else slot + 1; linear
-   probing, rehash at load 0.5). It is {!Dp_table.Flat}'s contract with
-   the span bookkeeping taken out: every key of a call has the same
-   width, so there are no per-slot offsets or lengths, and it lives in
-   this module so the kernel's insert is a local, inlinable call. *)
-type table = {
-  mutable ints : int;
-  mutable cap : int; (* the State_explosion cap *)
-  mutable keys : int array;
-  mutable probs : float array;
-  mutable n : int;
-  mutable index : int array;
-  mutable mask : int;
-}
-
-(* Small enough to be born in the minor heap; a Polls m = 10 call's
-   layers fit without growing. *)
-let create_table () =
-  {
-    ints = 1;
-    cap = 0;
-    keys = Array.make 64 0;
-    probs = Array.make 64 0.;
-    n = 0;
-    index = Array.make 128 0;
-    mask = 127;
-  }
-
-let clear t =
-  t.n <- 0;
-  Array.fill t.index 0 (t.mask + 1) 0
-
-let used_words t = t.n * t.ints
-
-let retained t =
-  Array.length t.keys + Array.length t.probs + Array.length t.index
-
-(* Word mix plus a multiply-xorshift finalizer (DESIGN §13.4: the probe
-   uses the low bits, and small position values cluster without it).
-   The index order is never observable: slots are insertion-ordered. *)
-let[@inline] hash_key buf off ints =
-  let h = ref (ints + 1) in
-  for k = off to off + ints - 1 do
-    h := (!h * 0x9E3779B1) lxor Array.unsafe_get buf k
-  done;
-  let h = !h * 0x2545F4914F6CDD1D in
-  (h lxor (h lsr 32)) land max_int
-
-let rehash t =
-  let size = 2 * (t.mask + 1) in
-  let index = Array.make size 0 and mask = size - 1 in
-  for s = 0 to t.n - 1 do
-    let i = ref (hash_key t.keys (s * t.ints) t.ints land mask) in
-    while index.(!i) <> 0 do
-      i := (!i + 1) land mask
-    done;
-    index.(!i) <- s + 1
-  done;
-  t.index <- index;
-  t.mask <- mask
-
-(* Slow path of [insert]: append the key at index slot [i] and return its
-   slot; the caller stores the probability, so no float crosses this
-   call boxed. *)
-let add_new t buf off i =
-  if t.n >= t.cap then
-    raise (Dp_table.State_explosion { table = "Two_label"; cap = t.cap });
-  let s = t.n and ints = t.ints in
-  if (s + 1) * ints > Array.length t.keys then begin
-    let keys = Array.make (max (2 * Array.length t.keys) ((s + 1) * ints)) 0 in
-    Array.blit t.keys 0 keys 0 (s * ints);
-    t.keys <- keys
-  end;
-  if s = Array.length t.probs then begin
-    let probs = Array.make (2 * s) 0. in
-    Array.blit t.probs 0 probs 0 s;
-    t.probs <- probs
-  end;
-  Array.blit buf off t.keys (s * ints) ints;
-  t.index.(i) <- s + 1;
-  t.n <- s + 1;
-  if 2 * t.n > t.mask + 1 then rehash t;
-  s
-
-(* Accumulate [p] onto the state whose key is [buf.(off .. off+ints-1)].
-   Inlined at both call sites, so [p] stays unboxed. *)
-let[@inline] insert t buf off p =
-  let ints = t.ints in
-  if off < 0 || off + ints > Array.length buf then
-    invalid_arg "Two_label: key out of bounds";
-  let index = t.index and mask = t.mask and keys = t.keys in
-  let i = ref (hash_key buf off ints land mask) and go = ref true in
-  while !go do
-    let e = Array.unsafe_get index !i in
-    if e = 0 then begin
-      let s = add_new t buf off !i in
-      t.probs.(s) <- p;
-      go := false
-    end
-    else begin
-      let s = e - 1 in
-      let base = s * ints and k = ref 0 in
-      while
-        !k < ints
-        && Array.unsafe_get keys (base + !k) = Array.unsafe_get buf (off + !k)
-      do
-        incr k
-      done;
-      if !k = ints then begin
-        let probs = t.probs in
-        Array.unsafe_set probs s (Array.unsafe_get probs s +. p);
-        go := false
-      end
-      else i := (!i + 1) land mask
-    end
-  done
-
-(* The calling domain's spare pair (see {!Dp_table.Spare}), kept while it
-   totals at most [Dp_table.Flat.retain_cap_words]. *)
-let spare : (table * table) Dp_table.Spare.t = Dp_table.Spare.make ()
-
-let with_tables ~ints ~cap f =
-  let reset t =
-    clear t;
-    t.ints <- ints;
-    t.cap <- cap
-  in
-  Dp_table.Spare.with_ spare
-    ~fresh:(fun () -> (create_table (), create_table ()))
-    ~prepare:(fun (t0, t1) ->
-      reset t0;
-      reset t1)
-    ~keep:(fun (t0, t1) ->
-      retained t0 + retained t1 <= Dp_table.Flat.retain_cap_words)
-    f
 
 (* What the expansion reads. The field layout, fixed per call: word [x]
    lives in int [idx.(x)] at bit [sh.(x)], [bits] wide (the smallest
@@ -419,7 +269,7 @@ let kernel ~m ~w =
 
 (* Chunk-local scratch: the decoded words of the state being expanded,
    the packed successor and the float cell an emission's probability
-   travels in on the chunked path. *)
+   travels in. *)
 type scratch = { vals : int array; buf : int array; cell : float array }
 
 let scratch k =
@@ -433,9 +283,9 @@ let scratch k =
    below [4], [m] and [m + 1]; and a key slot [s < n] has its [ints]
    words below [n * ints]. *)
 
-(* Unpack state [s] of [t] into [sc.vals]. *)
-let[@inline] decode k sc t s =
-  let base = s * k.ints and keys = t.keys and vals = sc.vals in
+(* Unpack state [s] of a layer's [keys] into [sc.vals]. *)
+let[@inline] decode k sc keys s =
+  let base = s * k.ints and vals = sc.vals in
   let idx = k.idx and sh = k.sh and fmask = k.fmask in
   for x = 0 to k.w - 1 do
     Array.unsafe_set vals x
@@ -474,29 +324,32 @@ let[@inline] mask_dead k sc =
 (* The flat kernel. A layer under {!Dp_par.default_min_par} states (or a
    sequential pool) loops over its states here, adds each state's
    satisfied mass to the answer and inserts each surviving successor
-   straight into the next table: no closure and no call out of this
-   module per emission. A larger layer runs through {!Dp_par.run_flat}:
+   straight into the next {!Dp_table.Fixed} table: no closure per layer
+   and none per emission. A larger layer runs through {!Dp_par.run_flat}:
    a state's satisfied mass goes through [emit_prob] and its successors
    through [emit], and the chunk buffers replay in chunk order into the
-   same accumulator and [insert]. Both paths add in state order and emit
-   in (state, j) order, the orders the boxed kernel uses, so the answers
-   are bit-identical. *)
+   same accumulator and table. Both paths add in state order and emit in
+   (state, j) order, the orders the boxed kernel uses, so the answers are
+   bit-identical. *)
 let run_flat ~budget ~par ~states model pr =
   let m = Rim.Model.m model in
   let a = pr.a and w = pr.a + pr.b in
   let k = kernel ~m ~w in
   let ints = k.ints and idx = k.idx and sh = k.sh in
-  let seq = scratch k and ly = layer ~m pr and acc = [| 0.; 0. |] in
-  with_tables ~ints ~cap:!max_states @@ fun (t0, t1) ->
+  let seq = scratch k and ly = layer ~m pr and acc = Dp_table.Mass.create () in
+  Dp_table.Fixed.with_pair ~name:"Two_label" ~width:ints
+    ~max_states:!max_states
+  @@ fun t0 t1 ->
   let cur = ref t0 and nxt = ref t1 in
   let hwm = ref 0 in
-  insert !cur (Array.make ints 0) 0 1.;
+  seq.cell.(0) <- 1.;
+  Dp_table.Fixed.add !cur (Array.make ints 0) 0 seq.cell 0;
   for i = 0 to m - 1 do
     Util.Timer.check budget;
     let curt = !cur and next = !nxt in
-    let n_states = curt.n in
+    let n_states = Dp_table.Fixed.length curt in
     states := !states + n_states;
-    Dp_table.Flat.note_layer_width n_states;
+    Dp_table.Fixed.note_layer_width n_states;
     fill_layer model pr i ly;
     Array.fill k.live_mask 0 ints 0;
     for x = 0 to w - 1 do
@@ -506,24 +359,29 @@ let run_flat ~budget ~par ~states model pr =
           k.live_mask.(idx.(x)) lor (k.fmask lsl sh.(x))
     done;
     let pi_row = ly.pi_row in
+    let keys = Dp_table.Fixed.keys curt and probs = Dp_table.Fixed.probs curt in
     if Util.Par.width par <= 1 || n_states < Dp_par.default_min_par then
       for s = 0 to n_states - 1 do
-        decode k seq curt s;
-        let q = curt.probs.(s) in
+        decode k seq keys s;
+        let q = probs.(s) and cell = seq.cell in
         let lo = sat_lo ly seq.vals and hi = sat_hi ly seq.vals i in
-        if lo > 0 || hi <= i then add_mass acc (sat_mass ly ~lo ~hi q);
+        if lo > 0 || hi <= i then begin
+          cell.(0) <- sat_mass ly ~lo ~hi q;
+          Dp_table.Mass.add acc cell 0
+        end;
         for j = lo to hi - 1 do
           step k seq j;
           mask_dead k seq;
-          insert next seq.buf 0 (q *. pi_row.(j))
+          cell.(0) <- q *. pi_row.(j);
+          Dp_table.Fixed.add next seq.buf 0 cell 0
         done
       done
     else
       Dp_par.run_flat ~par ~n:n_states
         ~ctx:(fun () -> scratch k)
         ~expand:(fun sc s ~emit ~emit_prob ->
-          decode k sc curt s;
-          let q = curt.probs.(s) in
+          decode k sc keys s;
+          let q = probs.(s) in
           let lo = sat_lo ly sc.vals and hi = sat_hi ly sc.vals i in
           if lo > 0 || hi <= i then begin
             sc.cell.(0) <- sat_mass ly ~lo ~hi q;
@@ -533,18 +391,18 @@ let run_flat ~budget ~par ~states model pr =
             step k sc j;
             mask_dead k sc;
             sc.cell.(0) <- q *. pi_row.(j);
-            emit sc.buf 0 ints sc.cell 0
+            emit sc.buf 0 sc.cell 0
           done)
-        ~add:(fun buf off _ cell ci -> insert next buf off cell.(ci))
-        ~add_prob:(fun cell ci -> add_mass acc cell.(ci))
-        ();
-    hwm := max !hwm (max (used_words curt) (used_words next));
-    clear curt;
+        ~into:next ~add_prob:(Dp_table.Mass.add acc) ();
+    hwm :=
+      max !hwm
+        (max (Dp_table.Fixed.used_words curt) (Dp_table.Fixed.used_words next));
+    Dp_table.Fixed.clear curt;
     cur := next;
     nxt := curt
   done;
-  Dp_table.Flat.flush_call ~states:!states ~hwm_words:!hwm;
-  answer ~survivors:!cur.n acc
+  Dp_table.Fixed.flush_call ~states:!states ~hwm_words:!hwm;
+  answer ~survivors:(Dp_table.Fixed.length !cur) acc
 
 let prob_edges ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)
     ?(kernel = Kernel.default) model lab pairs =

@@ -91,75 +91,86 @@ let unit_boxed_insertion_order () =
   Alcotest.(check (float 0.)) "sum in insertion order" 0.875
     (Hardq.Dp_table.Boxed.sum t)
 
-let unit_flat_basics () =
-  let t =
-    Hardq.Dp_table.Flat.create ~capacity_words:4 ~name:"t" ~max_states:100 ()
-  in
-  Hardq.Dp_table.Flat.add t [| 9; 3; 7 |] 1 2 0.25;
-  Hardq.Dp_table.Flat.add t [| 5; 5 |] 0 2 0.5;
-  Hardq.Dp_table.Flat.add t [| 3; 7 |] 0 2 0.125;
-  Alcotest.(check int) "distinct states" 2 (Hardq.Dp_table.Flat.length t);
-  Alcotest.(check (float 0.)) "duplicate merged" 0.375
-    (Hardq.Dp_table.Flat.prob t 0);
-  let data = Hardq.Dp_table.Flat.data t in
-  let words s =
-    Array.sub data (Hardq.Dp_table.Flat.off t s) (Hardq.Dp_table.Flat.len t s)
-  in
-  Alcotest.(check (array int)) "slot 0 words" [| 3; 7 |] (words 0);
-  Alcotest.(check (array int)) "slot 1 words" [| 5; 5 |] (words 1);
-  Alcotest.(check (float 0.)) "sum" 0.875 (Hardq.Dp_table.Flat.sum t)
+module Fixed = Hardq.Dp_table.Fixed
 
-(* Growth + clear: push enough distinct states through a tiny arena to
-   force both arena growth and index rehashes, then verify every span
+let add t words p = Fixed.add t words 0 [| p |] 0
+
+let prob t s = (Fixed.probs t).(s)
+let key t s = Array.sub (Fixed.keys t) (s * Fixed.width t) (Fixed.width t)
+
+(* States are numbered by first insertion, a repeat merges onto its
+   slot, and a key is read at any offset of the caller's buffer. *)
+let unit_flat_basics () =
+  let t = Fixed.create ~width:2 ~name:"t" ~max_states:100 () in
+  Fixed.add t [| 9; 3; 7 |] 1 [| 0.; 0.25 |] 1;
+  add t [| 5; 5 |] 0.5;
+  add t [| 3; 7 |] 0.125;
+  Alcotest.(check int) "distinct states" 2 (Fixed.length t);
+  Alcotest.(check (float 0.)) "duplicate merged" 0.375 (prob t 0);
+  Alcotest.(check (array int)) "slot 0 words" [| 3; 7 |] (key t 0);
+  Alcotest.(check (array int)) "slot 1 words" [| 5; 5 |] (key t 1);
+  let acc = Hardq.Dp_table.Mass.create () in
+  for s = 0 to Fixed.length t - 1 do
+    Hardq.Dp_table.Mass.add acc (Fixed.probs t) s
+  done;
+  Alcotest.(check (float 0.)) "sum" 0.875 (Hardq.Dp_table.Mass.total acc);
+  match Fixed.add t [| 1 |] 0 [| 1. |] 0 with
+  | () -> Alcotest.fail "a key shorter than the width was accepted"
+  | exception Invalid_argument _ -> ()
+
+(* Growth + clear: push enough distinct states through a fresh table to
+   force both key growth and index rehashes, then verify every key
    survived verbatim; [clear] must keep the capacity. *)
 let unit_flat_growth_and_clear () =
-  let t =
-    Hardq.Dp_table.Flat.create ~capacity_words:2 ~name:"t" ~max_states:10_000 ()
-  in
+  let t = Fixed.create ~width:3 ~name:"t" ~max_states:10_000 () in
   let n = 300 in
   for i = 0 to n - 1 do
-    Hardq.Dp_table.Flat.add t [| i; i * 7; i land 3 |] 0 3 (float_of_int i)
+    add t [| i; i * 7; i land 3 |] (float_of_int i)
   done;
-  Alcotest.(check int) "all states distinct" n (Hardq.Dp_table.Flat.length t);
-  let data = Hardq.Dp_table.Flat.data t in
+  Alcotest.(check int) "all states distinct" n (Fixed.length t);
   for i = 0 to n - 1 do
-    let off = Hardq.Dp_table.Flat.off t i in
-    Alcotest.(check int) "len" 3 (Hardq.Dp_table.Flat.len t i);
-    if data.(off) <> i || data.(off + 1) <> i * 7 || data.(off + 2) <> i land 3
-    then Alcotest.failf "state %d corrupted by growth" i
+    if key t i <> [| i; i * 7; i land 3 |] then
+      Alcotest.failf "state %d corrupted by growth" i;
+    Alcotest.(check (float 0.)) "prob" (float_of_int i) (prob t i)
   done;
-  Alcotest.(check int) "used words" (3 * n) (Hardq.Dp_table.Flat.used_words t);
-  let cap = Hardq.Dp_table.Flat.capacity_words t in
-  Hardq.Dp_table.Flat.clear t;
-  Alcotest.(check int) "clear empties" 0 (Hardq.Dp_table.Flat.length t);
-  Alcotest.(check int) "clear keeps capacity" cap
-    (Hardq.Dp_table.Flat.capacity_words t);
+  Alcotest.(check int) "used words" (3 * n) (Fixed.used_words t);
+  let cap = Fixed.capacity_words t in
+  Fixed.clear t;
+  Alcotest.(check int) "clear empties" 0 (Fixed.length t);
+  Alcotest.(check int) "clear keeps capacity" cap (Fixed.capacity_words t);
   (* Reuse after clear: the retained index must not resurrect old
      states. *)
-  Hardq.Dp_table.Flat.add t [| 1; 7; 1 |] 0 3 0.5;
-  Alcotest.(check int) "fresh after clear" 1 (Hardq.Dp_table.Flat.length t);
-  Alcotest.(check (float 0.)) "fresh prob" 0.5 (Hardq.Dp_table.Flat.prob t 0)
+  add t [| 1; 7; 1 |] 0.5;
+  Alcotest.(check int) "fresh after clear" 1 (Fixed.length t);
+  Alcotest.(check (float 0.)) "fresh prob" 0.5 (prob t 0)
 
 let unit_flat_state_explosion () =
-  let t = Hardq.Dp_table.Flat.create ~name:"boom" ~max_states:3 () in
+  let t = Fixed.create ~width:1 ~name:"boom" ~max_states:3 () in
   for i = 0 to 2 do
-    Hardq.Dp_table.Flat.add t [| i |] 0 1 1.
+    add t [| i |] 1.
   done;
-  match Hardq.Dp_table.Flat.add t [| 99 |] 0 1 1. with
+  match add t [| 99 |] 1. with
   | () -> Alcotest.fail "expected state explosion"
   | exception Hardq.Dp_table.State_explosion { table = msg; cap } ->
       Alcotest.(check bool) "failure names the table" true (contains msg "boom");
       Alcotest.(check int) "failure carries the cap" 3 cap
 
-(* Zero-length states are legal (the signature DP's seed layer). *)
-let unit_flat_empty_state () =
-  let t = Hardq.Dp_table.Flat.create ~name:"t" ~max_states:10 () in
-  Hardq.Dp_table.Flat.add t [||] 0 0 0.25;
-  Hardq.Dp_table.Flat.add t [||] 0 0 0.25;
-  Hardq.Dp_table.Flat.add t [| 4 |] 0 1 0.5;
-  Alcotest.(check int) "two states" 2 (Hardq.Dp_table.Flat.length t);
-  Alcotest.(check int) "empty span" 0 (Hardq.Dp_table.Flat.len t 0);
-  Alcotest.(check (float 0.)) "empty merged" 0.5 (Hardq.Dp_table.Flat.prob t 0)
+(* A seed state is all zeros: at width 0 every key is the one empty
+   state, and at a padded width the zero seed stays distinct from a
+   state that differs from it in one word. *)
+let unit_flat_seed_state () =
+  let t = Fixed.create ~width:0 ~name:"t" ~max_states:10 () in
+  add t [||] 0.25;
+  add t [| 4 |] 0.25;
+  Alcotest.(check int) "one empty state" 1 (Fixed.length t);
+  Alcotest.(check (float 0.)) "empty merged" 0.5 (prob t 0);
+  let t = Fixed.create ~width:3 ~name:"t" ~max_states:10 () in
+  add t (Array.make 3 0) 0.25;
+  add t [| 1; 0; 0 |] 0.5;
+  add t (Array.make 3 0) 0.125;
+  Alcotest.(check int) "seed and one-word state" 2 (Fixed.length t);
+  Alcotest.(check (array int)) "seed first" [| 0; 0; 0 |] (key t 0);
+  Alcotest.(check (float 0.)) "seed merged" 0.375 (prob t 0)
 
 (* ------------------------------------------------------------------ *)
 (* Fixed edge cases                                                     *)
@@ -510,28 +521,28 @@ let unit_engine_kernel_bit_identity () =
 (* Arena lifecycle: the per-domain spare table pair                     *)
 (* ------------------------------------------------------------------ *)
 
-module Flat = Hardq.Dp_table.Flat
-
 (* A solver call checks its two layer tables out of the domain's spare
-   pair: the same grown pair comes back call after call, a nested (or
-   concurrent) holder never shares it, a holder that raised leaves
-   nothing behind, and a pair past the retention cap — here a 10^5-state
-   layer — is dropped instead of staying resident. *)
+   pair: the same grown pair comes back call after call (at whatever
+   width the call asks for), a nested (or concurrent) holder never
+   shares it, a holder that raised leaves nothing behind, and a pair
+   past the retention cap — here a 10^5-state layer — is dropped instead
+   of staying resident. *)
 let unit_spare_pair_lifecycle () =
-  let fill t n = for i = 0 to n - 1 do Flat.add t [| i |] 0 1 1. done in
+  let fill t n = for i = 0 to n - 1 do add t (Array.make (Fixed.width t) i) 1. done in
   let first =
-    Flat.with_pair ~name:"a" ~max_states:100 (fun t0 t1 ->
+    Fixed.with_pair ~name:"a" ~width:1 ~max_states:100 (fun t0 t1 ->
         fill t0 3;
         fill t1 5;
         t0)
   in
-  if Flat.spare_words () = 0 then Alcotest.fail "a small pair is kept";
+  if Fixed.spare_words () = 0 then Alcotest.fail "a small pair is kept";
   let again =
-    Flat.with_pair ~name:"b" ~max_states:100 (fun t0 t1 ->
+    Fixed.with_pair ~name:"b" ~width:4 ~max_states:100 (fun t0 t1 ->
         Alcotest.(check int)
           "checked out empty" 0
-          (Flat.length t0 + Flat.length t1);
-        Flat.with_pair ~name:"c" ~max_states:100 (fun u0 u1 ->
+          (Fixed.length t0 + Fixed.length t1);
+        Alcotest.(check int) "the new width applies" 4 (Fixed.width t1);
+        Fixed.with_pair ~name:"c" ~width:1 ~max_states:100 (fun u0 u1 ->
             Alcotest.(check bool)
               "a nested holder gets other tables" true
               (u0 != t0 && u0 != t1 && u1 != t0 && u1 != t1));
@@ -539,22 +550,24 @@ let unit_spare_pair_lifecycle () =
   in
   Alcotest.(check bool) "the grown pair is reused" true (first == again);
   (match
-     Flat.with_pair ~name:"boom" ~max_states:4 (fun t0 _ -> fill t0 10)
+     Fixed.with_pair ~name:"boom" ~width:1 ~max_states:4 (fun t0 _ ->
+         fill t0 10)
    with
   | () -> Alcotest.fail "expected state explosion"
   | exception Hardq.Dp_table.State_explosion { table; cap } ->
       Alcotest.(check string) "checked-out name" "boom" table;
       Alcotest.(check int) "checked-out cap" 4 cap);
-  Flat.with_pair ~name:"d" ~max_states:100 (fun t0 t1 ->
+  Fixed.with_pair ~name:"d" ~width:2 ~max_states:100 (fun t0 t1 ->
       Alcotest.(check int)
         "an aborted holder left nothing" 0
-        (Flat.length t0 + Flat.length t1);
+        (Fixed.length t0 + Fixed.length t1);
       fill t0 50;
-      Alcotest.(check int) "the new cap applies" 50 (Flat.length t0));
-  Flat.with_pair ~name:"big" ~max_states:200_000 (fun t0 _ -> fill t0 100_000);
-  if Flat.spare_words () > Flat.retain_cap_words then
+      Alcotest.(check int) "the new cap applies" 50 (Fixed.length t0));
+  Fixed.with_pair ~name:"big" ~width:1 ~max_states:200_000 (fun t0 _ ->
+      fill t0 100_000);
+  if Fixed.spare_words () > Fixed.retain_cap_words then
     Alcotest.failf "retained %d words past the %d-word cap"
-      (Flat.spare_words ()) Flat.retain_cap_words
+      (Fixed.spare_words ()) Fixed.retain_cap_words
 
 (* The cold-exact request shape, answered as comparable bits. *)
 let cold_db () = Datasets.Polls.generate ~n_candidates:10 ~n_voters:60 ~seed:42 ()
@@ -709,6 +722,72 @@ let unit_both_sides_hit () =
       ([| 2; 4; 0; 1; 3; 6; 5 |], 1.);
     ]
 
+(* DESIGN §13.4's "no allocation per expansion": a warm call's minor
+   words do not grow with the number of states it expands. Each flat
+   kernel runs one union shape at two sizes of m; the larger expands
+   thousands more states (each made by at least one emission), and its
+   extra minor words stay under half a word per extra state, where a
+   float boxed per emission would cost at least two. Both sizes outgrow
+   the spare pair's retention cap or neither does, so fresh tables cost
+   both the same; arrays past 256 words are born in the major heap, and
+   per-layer scratch is a few dozen words. *)
+let unit_no_alloc_per_expansion () =
+  let labeled m ~labels ~phi =
+    ( Rim.Mallows.to_rim
+        (Rim.Mallows.make ~center:(Prefs.Ranking.identity m) ~phi),
+      Prefs.Labeling.make (Array.init m (fun i -> [ i mod labels ])) )
+  in
+  let two_edges =
+    Prefs.Pattern_union.make
+      [
+        Prefs.Pattern.two_label ~left:[ 1 ] ~right:[ 0 ];
+        Prefs.Pattern.two_label ~left:[ 3 ] ~right:[ 2 ];
+      ]
+  in
+  let union solve m =
+    let model, lab = labeled m ~labels:4 ~phi:0.5 in
+    fun () -> solve model lab two_edges
+  in
+  let chain m =
+    let model, _ = labeled m ~labels:1 ~phi:0.5 in
+    let po = Prefs.Partial_order.of_chain [ m - 1; m / 2; 0; m - 2 ] in
+    fun () -> Hardq.Po_solver.prob model po
+  in
+  let signature m =
+    let model, lab = labeled m ~labels:3 ~phi:0.5 in
+    let g = Prefs.Pattern.chain [ [ 2 ]; [ 1 ]; [ 0 ] ] in
+    fun () -> Hardq.Pattern_solver.prob_general model lab g
+  in
+  let measure f =
+    ignore (f ());
+    ignore (f ());
+    let before = Obs.snapshot () in
+    let w0 = Gc.minor_words () in
+    ignore (f ());
+    let words = Gc.minor_words () -. w0 in
+    (words, Obs.count (Obs.diff before (Obs.snapshot ())) "dp.flat.states")
+  in
+  List.iter
+    (fun (name, shape, small, large) ->
+      let w_small, s_small = measure (shape small)
+      and w_large, s_large = measure (shape large) in
+      if s_large - s_small < 5000 then
+        Alcotest.failf "%s: m = %d expands only %d more states than m = %d"
+          name large (s_large - s_small) small;
+      if w_large -. w_small > 0.5 *. float_of_int (s_large - s_small) then
+        Alcotest.failf
+          "%s: %.0f more minor words for %d more states (m = %d vs %d)" name
+          (w_large -. w_small) (s_large - s_small) large small)
+    [
+      ("two-label", union (fun model lab u -> Hardq.Two_label.prob model lab u), 16, 32);
+      ("bipartite", union (fun model lab u -> Hardq.Bipartite.prob model lab u), 24, 32);
+      ( "bipartite basic",
+        union (fun model lab u -> Hardq.Bipartite.prob_basic model lab u),
+        12, 16 );
+      ("RIM matching", chain, 16, 40);
+      ("signature", signature, 10, 13);
+    ]
+
 let suites =
   [
     ( "kernel",
@@ -717,12 +796,13 @@ let suites =
           unit_kernel_of_string;
         tc "Boxed table: insertion order, merge, sum" `Quick
           unit_boxed_insertion_order;
-        tc "Flat table: spans, merge, sum" `Quick unit_flat_basics;
+        tc "Flat table: insertion order, merge, sum" `Quick unit_flat_basics;
         tc "Flat table: growth, rehash, clear keeps capacity" `Quick
           unit_flat_growth_and_clear;
         tc "Flat table: state explosion names the table" `Quick
           unit_flat_state_explosion;
-        tc "Flat table: zero-length states" `Quick unit_flat_empty_state;
+        tc "Flat table: empty or padded seed state" `Quick
+          unit_flat_seed_state;
         tc (named "m=1 domain: all solvers, both kernels") `Quick
           unit_single_item_domain;
         tc (named "statically infeasible union short-circuits") `Quick
@@ -744,6 +824,8 @@ let suites =
           unit_engine_kernel_bit_identity;
         tc "spare pair: reuse, exclusive checkout, retention cap" `Quick
           unit_spare_pair_lifecycle;
+        tc "flat kernels: no minor words per expansion" `Quick
+          unit_no_alloc_per_expansion;
         tc (named "arena after an aborted DP: answers as fresh") `Quick
           unit_arena_after_abort;
         tc (named "arena under two threads: answers as sequential") `Quick
