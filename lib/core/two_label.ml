@@ -238,6 +238,7 @@ let run_boxed ~budget ~par ~states model pr =
 type kernel = {
   w : int;
   ints : int;
+  fields : int; (* 62 / bits: words [n * fields ..] live in int [n] *)
   fmask : int; (* (1 lsl bits) - 1 *)
   idx : int array;
   sh : int array;
@@ -258,6 +259,7 @@ let kernel ~m ~w =
   {
     w;
     ints;
+    fields;
     fmask = (1 lsl bits) - 1;
     idx = Array.init w (fun x -> x / fields);
     sh = Array.init w (fun x -> x mod fields * bits);
@@ -295,30 +297,23 @@ let[@inline] decode k sc keys s =
   done
 
 (* Step every word for insertion position [j] and pack the stepped words
-   into [sc.buf] (dead words included: see [mask_dead]). *)
+   into [sc.buf] int by int, zeroing the dead ones with [live_mask]. *)
 let[@inline] step k sc j =
   let jb = j * k.stride and steps = k.steps and row = k.row in
-  let vals = sc.vals and buf = sc.buf in
-  let idx = k.idx and sh = k.sh in
+  let vals = sc.vals and buf = sc.buf and sh = k.sh in
+  let fields = k.fields and w = k.w in
   for n = 0 to k.ints - 1 do
-    Array.unsafe_set buf n 0
-  done;
-  for x = 0 to k.w - 1 do
-    let v =
-      Array.unsafe_get steps
-        (Array.unsafe_get row x + jb + Array.unsafe_get vals x)
-    in
-    let n = Array.unsafe_get idx x in
-    Array.unsafe_set buf n
-      (Array.unsafe_get buf n lor (v lsl Array.unsafe_get sh x))
-  done
-
-(* Zero the dead words of the packed successor in [sc.buf]. *)
-let[@inline] mask_dead k sc =
-  let buf = sc.buf and live_mask = k.live_mask in
-  for n = 0 to k.ints - 1 do
-    Array.unsafe_set buf n
-      (Array.unsafe_get buf n land Array.unsafe_get live_mask n)
+    let last = (n + 1) * fields in
+    let last = if last > w then w else last in
+    let acc = ref 0 in
+    for x = n * fields to last - 1 do
+      let v =
+        Array.unsafe_get steps
+          (Array.unsafe_get row x + jb + Array.unsafe_get vals x)
+      in
+      acc := !acc lor (v lsl Array.unsafe_get sh x)
+    done;
+    Array.unsafe_set buf n (!acc land Array.unsafe_get k.live_mask n)
   done
 
 (* The flat kernel. A layer under {!Dp_par.default_min_par} states (or a
@@ -371,7 +366,6 @@ let run_flat ~budget ~par ~states model pr =
         end;
         for j = lo to hi - 1 do
           step k seq j;
-          mask_dead k seq;
           cell.(0) <- q *. pi_row.(j);
           Dp_table.Fixed.add next seq.buf 0 cell 0
         done
@@ -389,7 +383,6 @@ let run_flat ~budget ~par ~states model pr =
           end;
           for j = lo to hi - 1 do
             step k sc j;
-            mask_dead k sc;
             sc.cell.(0) <- q *. pi_row.(j);
             emit sc.buf 0 sc.cell 0
           done)

@@ -120,29 +120,37 @@ let unit_flat_basics () =
 
 (* Growth + clear: push enough distinct states through a fresh table to
    force both key growth and index rehashes, then verify every key
-   survived verbatim; [clear] must keep the capacity. *)
+   survived verbatim and a repeat still merges; [clear] must keep the
+   capacity. Width 1 takes [add]'s one-word probe loop, width 3 the
+   general one. *)
 let unit_flat_growth_and_clear () =
-  let t = Fixed.create ~width:3 ~name:"t" ~max_states:10_000 () in
-  let n = 300 in
-  for i = 0 to n - 1 do
-    add t [| i; i * 7; i land 3 |] (float_of_int i)
-  done;
-  Alcotest.(check int) "all states distinct" n (Fixed.length t);
-  for i = 0 to n - 1 do
-    if key t i <> [| i; i * 7; i land 3 |] then
-      Alcotest.failf "state %d corrupted by growth" i;
-    Alcotest.(check (float 0.)) "prob" (float_of_int i) (prob t i)
-  done;
-  Alcotest.(check int) "used words" (3 * n) (Fixed.used_words t);
-  let cap = Fixed.capacity_words t in
-  Fixed.clear t;
-  Alcotest.(check int) "clear empties" 0 (Fixed.length t);
-  Alcotest.(check int) "clear keeps capacity" cap (Fixed.capacity_words t);
-  (* Reuse after clear: the retained index must not resurrect old
-     states. *)
-  add t [| 1; 7; 1 |] 0.5;
-  Alcotest.(check int) "fresh after clear" 1 (Fixed.length t);
-  Alcotest.(check (float 0.)) "fresh prob" 0.5 (prob t 0)
+  List.iter
+    (fun width ->
+      let words i = Array.sub [| i; i * 7; i land 3 |] 0 width in
+      let t = Fixed.create ~width ~name:"t" ~max_states:10_000 () in
+      let n = 300 in
+      for i = 0 to n - 1 do
+        add t (words i) (float_of_int i)
+      done;
+      add t (words 17) 0.5;
+      Alcotest.(check int) "all states distinct" n (Fixed.length t);
+      for i = 0 to n - 1 do
+        if key t i <> words i then
+          Alcotest.failf "width %d: state %d corrupted by growth" width i;
+        let p = float_of_int i +. if i = 17 then 0.5 else 0. in
+        Alcotest.(check (float 0.)) "prob" p (prob t i)
+      done;
+      Alcotest.(check int) "used words" (width * n) (Fixed.used_words t);
+      let cap = Fixed.capacity_words t in
+      Fixed.clear t;
+      Alcotest.(check int) "clear empties" 0 (Fixed.length t);
+      Alcotest.(check int) "clear keeps capacity" cap (Fixed.capacity_words t);
+      (* Reuse after clear: the retained index must not resurrect old
+         states. *)
+      add t (words 1) 0.5;
+      Alcotest.(check int) "fresh after clear" 1 (Fixed.length t);
+      Alcotest.(check (float 0.)) "fresh prob" 0.5 (prob t 0))
+    [ 1; 3 ]
 
 let unit_flat_state_explosion () =
   let t = Fixed.create ~width:1 ~name:"boom" ~max_states:3 () in
