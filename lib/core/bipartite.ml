@@ -165,7 +165,7 @@ let run_optimized_boxed ~budget ~par ~states ~edges_pruned ~patterns_pruned
     ref (Dp_table.Boxed.create ~name:"Bipartite" ~max_states:!max_states ())
   in
   Dp_table.Boxed.add !table (gu0, Array.make (Array.length gu0.tracked) 0) 1.;
-  let prob = ref 0. in
+  let acc = Dp_table.Mass.create () in
   for i = 0 to m - 1 do
     Util.Timer.check budget;
     let cur = !table in
@@ -239,11 +239,11 @@ let run_optimized_boxed ~budget ~par ~states ~edges_pruned ~patterns_pruned
         edges_pruned := !edges_pruned + !(sc.sc_edges_pruned);
         patterns_pruned := !patterns_pruned + !(sc.sc_patterns_pruned))
       ~add:(Dp_table.Boxed.add next)
-      ~add_prob:(fun p' -> prob := !prob +. p')
+      ~add_prob:(Dp_table.Mass.add_float acc)
       ();
     table := next
   done;
-  min 1. !prob
+  min 1. (Dp_table.Mass.total acc)
 
 (* ------------------------------------------------------------------ *)
 (* Optimized solver, flat kernel                                       *)
@@ -337,7 +337,7 @@ let run_optimized_flat ~budget ~par ~states ~edges_pruned ~patterns_pruned
   (let seed = Array.make width 0 in
    Array.blit struct0 0 seed 0 struct_len0;
    Dp_table.Fixed.add !cur seed 0 [| 1. |] 0);
-  let acc = [| 0. |] in
+  let acc = Dp_table.Mass.create () in
   let ly = make_layer ctx in
   let make_scratch () =
     {
@@ -510,9 +510,7 @@ let run_optimized_flat ~budget ~par ~states ~edges_pruned ~patterns_pruned
       ~finish:(fun sc ->
         edges_pruned := !edges_pruned + !(sc.fs_edges_pruned);
         patterns_pruned := !patterns_pruned + !(sc.fs_patterns_pruned))
-      ~into:next
-      ~add_prob:(fun cell ci -> acc.(0) <- acc.(0) +. cell.(ci))
-      ();
+      ~into:next ~add_prob:(Dp_table.Mass.add acc) ();
     hwm :=
       max !hwm
         (max (Dp_table.Fixed.used_words curt) (Dp_table.Fixed.used_words next));
@@ -521,7 +519,7 @@ let run_optimized_flat ~budget ~par ~states ~edges_pruned ~patterns_pruned
     nxt := curt
   done;
   Dp_table.Fixed.flush_call ~states:!states ~hwm_words:!hwm;
-  min 1. acc.(0)
+  min 1. (Dp_table.Mass.total acc)
 
 let run_optimized ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)
     ?(kernel = Kernel.default) ctx patterns =
@@ -613,12 +611,12 @@ let run_basic_boxed ~budget ~par ~states ctx feasible =
   done;
   let pats = pattern_arrays feasible in
   let final = !table in
-  let acc = ref 0. in
+  let acc = Dp_table.Mass.create () in
   for s = 0 to Dp_table.Boxed.length final - 1 do
     if union_satisfied pats (Dp_table.Boxed.key final s) 0 then
-      acc := !acc +. Dp_table.Boxed.prob final s
+      Dp_table.Mass.add_float acc (Dp_table.Boxed.prob final s)
   done;
-  !acc
+  Dp_table.Mass.total acc
 
 (* Chunk-local scratch of the basic flat kernel. *)
 type basic_scratch = { bs_buf : int array; bs_cell : float array }
@@ -674,11 +672,11 @@ let run_basic_flat ~budget ~par ~states ctx feasible =
   let final = !cur in
   let pats = pattern_arrays feasible in
   let data = Dp_table.Fixed.keys final and probs = Dp_table.Fixed.probs final in
-  let acc = ref 0. in
+  let acc = Dp_table.Mass.create () in
   for s = 0 to Dp_table.Fixed.length final - 1 do
-    if union_satisfied pats data (s * w) then acc := !acc +. probs.(s)
+    if union_satisfied pats data (s * w) then Dp_table.Mass.add acc probs s
   done;
-  !acc
+  Dp_table.Mass.total acc
 
 let run_basic ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)
     ?(kernel = Kernel.default) ctx patterns =

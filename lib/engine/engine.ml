@@ -608,9 +608,7 @@ let resolve t ctx (req : Request.t) =
 let fold_task task probs =
   Obs.with_span "aggregate" @@ fun () ->
   match task with
-  | Request.Boolean ->
-      Response.Probability
-        (1. -. List.fold_left (fun acc (_, p) -> acc *. (1. -. p)) 1. probs)
+  | Request.Boolean -> Response.Probability (Ppd.Solve.any_session probs)
   | Request.Count ->
       Response.Expectation (List.fold_left (fun acc (_, p) -> acc +. p) 0. probs)
   | Request.Top_k { k; _ } -> Response.Ranked (take k (desc_by_snd probs))

@@ -41,9 +41,15 @@ let per_session ?(solver = default_solver) ?(group = true) db q rng =
         | Some u -> (session, solve solver lab rng session u))
       compiled.Compile.requests
 
+(* [1 - Π (1 - p_s)] cancels when the answer is small (a one-session
+   answer of 1.7e-18 came out 0); summing [log1p (-p_s)] and taking
+   [-expm1] of the sum keeps it. [0. -. x], not [-. x], so that no
+   session satisfying answers 0, not -0. *)
+let any_session probs =
+  0. -. expm1 (List.fold_left (fun acc (_, p) -> acc +. log1p (-.p)) 0. probs)
+
 let boolean_prob ?solver ?group db q rng =
-  let probs = per_session ?solver ?group db q rng in
-  1. -. List.fold_left (fun acc (_, p) -> acc *. (1. -. p)) 1. probs
+  any_session (per_session ?solver ?group db q rng)
 
 let count_sessions ?solver ?group db q rng =
   List.fold_left (fun acc (_, p) -> acc +. p) 0. (per_session ?solver ?group db q rng)

@@ -31,6 +31,12 @@ val per_session :
 (** Probability that the query holds in each surviving session, in
     session order. Defaults: [solver] = exact auto, [group] = true. *)
 
+val any_session : ('s * float) list -> float
+(** [1 - Π_s (1 - p_s)], the probability that some session satisfies the
+    query, computed as [-expm1 (Σ_s log1p (-p_s))] (folded left in list
+    order) so that small answers keep their relative accuracy. The one
+    Boolean fold: the engine's and {!boolean_prob}'s. *)
+
 val boolean_prob :
   ?solver:Hardq.Solver.t ->
   ?group:bool ->

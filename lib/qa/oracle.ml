@@ -791,6 +791,17 @@ let check ?(eps = 1e-9) ?(budget = 0.5) ?(approx = true) ?(extra = [])
     if boolean <> ungrouped then
       fail "grouping bit-identity" "grouped=%.17g ungrouped=%.17g" boolean ungrouped;
     ran checks "group";
+    (* Metamorphic: the chance that some session satisfies the query is
+       at least the likeliest session's and at most the sum of all (the
+       union bound). A fold that cancels breaks the lower end on a small
+       answer. *)
+    let probs = Ppd.Solve.per_session ~group:true db query (rng ()) in
+    let p_max = List.fold_left (fun acc (_, p) -> max acc p) 0. probs in
+    let p_sum = min 1. (List.fold_left (fun acc (_, p) -> acc +. p) 0. probs) in
+    if boolean < p_max *. (1. -. 1e-12) || boolean > p_sum *. (1. +. 1e-12) then
+      fail "boolean within [max p_s, sum p_s]" "boolean=%.17g max=%.17g sum=%.17g"
+        boolean p_max p_sum;
+    ran checks "boolean bounds";
     let count = Ppd.Solve.count_sessions ~group:true db query (rng ()) in
     let ranked =
       Exact_ranked

@@ -653,32 +653,36 @@ let unit_arena_two_threads () =
             runs)
         results)
 
-(* Figure 9's shape widened to three edges under MAL(identity, 0.05) at
-   m = 20: edge e's right label is on two of every three items of the
-   top seven places and its left label on two of every three of the
-   bottom seven, six places apart. Its layers pass Dp_par's cut-off, so
-   a pool of two or more domains sends each state's satisfied mass
-   through the chunked [emit_prob] route, and p is about 6e-9. *)
-let unit_small_p_chunked () =
-  let m = 20 and z = 3 and block = 7 in
+(* Figure 9's shape widened to [z] edges under MAL(identity, [phi]):
+   edge e's right label is on two of every three items of the top
+   [block] places and its left label on two of every three of the bottom
+   [block], so every edge needs a long inversion. *)
+let fig9_union ~m ~z ~block ~phi =
   let model =
     Rim.Mallows.to_rim
-      (Rim.Mallows.make ~center:(Prefs.Ranking.identity m) ~phi:0.05)
+      (Rim.Mallows.make ~center:(Prefs.Ranking.identity m) ~phi)
   in
   let labels = Array.make m [] in
   for e = 0 to z - 1 do
     for pos = 0 to block - 1 do
-      let k = (pos + e) mod z in
+      let k = (pos + e) mod 3 in
       if k <> 2 then labels.(pos) <- ((2 * e) + 1) :: labels.(pos);
       if k <> 1 then labels.(m - 1 - pos) <- (2 * e) :: labels.(m - 1 - pos)
     done
   done;
-  let lab = Prefs.Labeling.make labels in
   let gu =
     Prefs.Pattern_union.make
       (List.init z (fun e ->
            Prefs.Pattern.two_label ~left:[ 2 * e ] ~right:[ (2 * e) + 1 ]))
   in
+  (model, Prefs.Labeling.make labels, gu)
+
+(* Three edges at m = 20 under φ = 0.05, block 7: the layers pass
+   Dp_par's cut-off, so a pool of two or more domains sends each state's
+   satisfied mass through the chunked [emit_prob] route, and p is about
+   6e-9. *)
+let unit_small_p_chunked () =
+  let model, lab, gu = fig9_union ~m:20 ~z:3 ~block:7 ~phi:0.05 in
   let solve ~kernel ~par = exact ?par ~kernel `Two_label model lab gu in
   let before = Obs.snapshot () in
   let p = check_kernels "small p, chunked layers" solve in
@@ -695,6 +699,20 @@ let unit_small_p_chunked () =
   Helpers.check_rel ~tol:1e-12 "small p vs Bipartite.prob"
     (Hardq.Bipartite.prob model lab gu)
     p
+
+(* Four edges at m = 22 under φ = 0.1, block 7: p is about 9.9e-9. Both
+   bipartite DPs add up their satisfied mass by compensated summation,
+   so the optimized one agrees with the two-label DP to 1e-12 relative
+   in both kernels (a plain running sum was 1.8e-12 off). *)
+let unit_bipartite_small_p () =
+  let model, lab, gu = fig9_union ~m:22 ~z:4 ~block:7 ~phi:0.1 in
+  let p_two = exact `Two_label model lab gu in
+  check_small "two-label, four edges at m = 22" p_two;
+  let p =
+    check_kernels "bipartite, four edges at m = 22" (fun ~kernel ~par ->
+        exact ?par ~kernel `Bipartite model lab gu)
+  in
+  Helpers.check_rel ~tol:1e-12 "Bipartite.prob vs Two_label.prob" p_two p
 
 (* One item carries both labels of an edge, and σ inserts it after items
    carrying each label alone, so both of its words are already set when
@@ -826,6 +844,8 @@ let suites =
           unit_small_p_chunked;
         tc (named "an item carrying both labels of an edge") `Quick
           unit_both_sides_hit;
+        tc (named "bipartite sum at small p (four edges, m=22)") `Quick
+          unit_bipartite_small_p;
         prop_bipartite;
         prop_general;
         tc "Engine.Config.with_kernel is answer-invisible" `Quick
