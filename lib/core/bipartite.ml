@@ -330,16 +330,10 @@ let run_optimized_flat ~budget ~par ~states ~edges_pruned ~patterns_pruned
       (List.concat_map (List.concat_map (fun (l, r) -> [ l; r ])) key0)
   in
   let width = struct_len0 + List.length tracked0 in
-  Dp_table.Fixed.with_pair ~name:"Bipartite" ~width ~max_states:!max_states
-  @@ fun t0 t1 ->
-  let cur = ref t0 and nxt = ref t1 in
-  let hwm = ref 0 in
-  (let seed = Array.make width 0 in
-   Array.blit struct0 0 seed 0 struct_len0;
-   Dp_table.Fixed.add !cur seed 0 [| 1. |] 0);
+  let seed = Array.append struct0 (Array.make (List.length tracked0) 0) in
   let acc = Dp_table.Mass.create () in
   let ly = make_layer ctx in
-  let make_scratch () =
+  let scratch () =
     {
       fs_buf = Array.make width 0;
       fs_edges = Array.make (max 1 (2 * total_pairs0)) 0;
@@ -357,169 +351,156 @@ let run_optimized_flat ~budget ~par ~states ~edges_pruned ~patterns_pruned
       fs_patterns_pruned = ref 0;
     }
   in
-  for i = 0 to m - 1 do
-    Util.Timer.check budget;
-    let curt = !cur and next = !nxt in
-    let n_states = Dp_table.Fixed.length curt in
-    states := !states + n_states;
-    Dp_table.Fixed.note_layer_width n_states;
-    fill_layer ctx ly i;
-    let pi_row = ly.pi_row and steps = ly.steps and row = ly.row in
-    let stride = ly.stride and exhausted = ly.exhausted in
-    let data = Dp_table.Fixed.keys curt and probs = Dp_table.Fixed.probs curt in
-    let expand sc s ~emit ~emit_prob =
-      let o = s * width and q = probs.(s) in
-      let cell = sc.fs_cell in
-      let np = data.(o) in
-      (* Decode the slot map of this state's tracked set (ascending id),
-         stamping instead of clearing. *)
-      sc.fs_stamp <- sc.fs_stamp + 1;
-      let stamp = sc.fs_stamp in
-      let pos = ref (o + 1) in
-      for _p = 0 to np - 1 do
-        let ne = data.(!pos) in
-        incr pos;
-        for _e = 0 to ne - 1 do
-          sc.fs_slot_stamp.(data.(!pos)) <- stamp;
-          sc.fs_slot_stamp.(data.(!pos + 1)) <- stamp;
-          pos := !pos + 2
-        done
-      done;
-      let struct_len = !pos - o in
-      let n_tracked = ref 0 in
-      for t = 0 to ctx.n_tracks - 1 do
-        if sc.fs_slot_stamp.(t) = stamp then begin
-          sc.fs_slot.(t) <- !n_tracked;
-          sc.fs_tracked.(!n_tracked) <- t;
-          incr n_tracked
-        end
-      done;
-      let n_tracked = !n_tracked in
-      let vals_base = o + struct_len in
-      for j = 0 to i do
-        let p' = q *. pi_row.(j) in
-        if p' > 0. then begin
-          cell.(0) <- p';
-          for k = 0 to n_tracked - 1 do
-            let t = sc.fs_tracked.(k) in
-            sc.fs_vals.(k) <-
-              steps.(row.(t) + (j * stride) + data.(vals_base + k))
-          done;
-          (* Re-evaluate uncertain edges, writing survivors per pattern
-             into fs_edges (pairs keep their in-pattern order, which is
-             ascending — filtering a sorted span). *)
-          let satisfied_pattern = ref false in
-          let n_new = ref 0 and ew = ref 0 in
-          let pos = ref (o + 1) in
-          for _p = 0 to np - 1 do
-            let ne = data.(!pos) in
-            incr pos;
-            let violated = ref false in
-            let span_start = !ew in
-            for _e = 0 to ne - 1 do
-              let l = data.(!pos) and r = data.(!pos + 1) in
-              pos := !pos + 2;
-              let lv = sc.fs_vals.(sc.fs_slot.(l))
-              and rv = sc.fs_vals.(sc.fs_slot.(r)) in
-              if lv > 0 && rv > 0 && lv < rv then begin
-                incr sc.fs_edges_pruned
+  Dp_table.Layers.run ~name:"Bipartite" ~width ~max_states:!max_states ~budget
+    ~par ~states ~last:(m - 1) ~seed ~scratch
+    ~layer:(fun i keys probs ->
+      fill_layer ctx ly i;
+      let pi_row = ly.pi_row and steps = ly.steps and row = ly.row in
+      let stride = ly.stride and exhausted = ly.exhausted in
+      fun sc out s ->
+        let o = s * width and q = probs.(s) in
+        let cell = sc.fs_cell in
+        let np = keys.(o) in
+        (* Decode the slot map of this state's tracked set (ascending id),
+           stamping instead of clearing. *)
+        sc.fs_stamp <- sc.fs_stamp + 1;
+        let stamp = sc.fs_stamp in
+        let pos = ref (o + 1) in
+        for _p = 0 to np - 1 do
+          let ne = keys.(!pos) in
+          incr pos;
+          for _e = 0 to ne - 1 do
+            sc.fs_slot_stamp.(keys.(!pos)) <- stamp;
+            sc.fs_slot_stamp.(keys.(!pos + 1)) <- stamp;
+            pos := !pos + 2
+          done
+        done;
+        let struct_len = !pos - o in
+        let n_tracked = ref 0 in
+        for t = 0 to ctx.n_tracks - 1 do
+          if sc.fs_slot_stamp.(t) = stamp then begin
+            sc.fs_slot.(t) <- !n_tracked;
+            sc.fs_tracked.(!n_tracked) <- t;
+            incr n_tracked
+          end
+        done;
+        let n_tracked = !n_tracked in
+        let vals_base = o + struct_len in
+        for j = 0 to i do
+          let p' = q *. pi_row.(j) in
+          if p' > 0. then begin
+            cell.(0) <- p';
+            for k = 0 to n_tracked - 1 do
+              let t = sc.fs_tracked.(k) in
+              sc.fs_vals.(k) <-
+                steps.(row.(t) + (j * stride) + keys.(vals_base + k))
+            done;
+            (* Re-evaluate uncertain edges, writing survivors per pattern
+               into fs_edges (pairs keep their in-pattern order, which is
+               ascending — filtering a sorted span). *)
+            let satisfied_pattern = ref false in
+            let n_new = ref 0 and ew = ref 0 in
+            let pos = ref (o + 1) in
+            for _p = 0 to np - 1 do
+              let ne = keys.(!pos) in
+              incr pos;
+              let violated = ref false in
+              let span_start = !ew in
+              for _e = 0 to ne - 1 do
+                let l = keys.(!pos) and r = keys.(!pos + 1) in
+                pos := !pos + 2;
+                let lv = sc.fs_vals.(sc.fs_slot.(l))
+                and rv = sc.fs_vals.(sc.fs_slot.(r)) in
+                if lv > 0 && rv > 0 && lv < rv then begin
+                  incr sc.fs_edges_pruned
+                end
+                else if exhausted.(l) && exhausted.(r) then begin
+                  incr sc.fs_edges_pruned;
+                  violated := true
+                end
+                else begin
+                  sc.fs_edges.(!ew) <- l;
+                  sc.fs_edges.(!ew + 1) <- r;
+                  ew := !ew + 2
+                end
+              done;
+              if !violated then begin
+                incr sc.fs_patterns_pruned;
+                ew := span_start
               end
-              else if exhausted.(l) && exhausted.(r) then begin
-                incr sc.fs_edges_pruned;
-                violated := true
+              else if !ew = span_start then begin
+                incr sc.fs_patterns_pruned;
+                satisfied_pattern := true
               end
               else begin
-                sc.fs_edges.(!ew) <- l;
-                sc.fs_edges.(!ew + 1) <- r;
-                ew := !ew + 2
+                sc.fs_span_off.(!n_new) <- span_start;
+                sc.fs_span_ne.(!n_new) <- (!ew - span_start) / 2;
+                incr n_new
               end
             done;
-            if !violated then begin
-              incr sc.fs_patterns_pruned;
-              ew := span_start
-            end
-            else if !ew = span_start then begin
-              incr sc.fs_patterns_pruned;
-              satisfied_pattern := true
-            end
-            else begin
-              sc.fs_span_off.(!n_new) <- span_start;
-              sc.fs_span_ne.(!n_new) <- (!ew - span_start) / 2;
-              incr n_new
-            end
-          done;
-          if !satisfied_pattern then emit_prob cell 0
-          else if !n_new > 0 then begin
-            let n_new = !n_new in
-            (* Sort surviving spans into the canonical pattern order. *)
-            let order = sc.fs_order in
-            for x = 0 to n_new - 1 do
-              order.(x) <- x
-            done;
-            for x = 1 to n_new - 1 do
-              let v = order.(x) in
-              let y = ref x in
-              while
-                !y > 0
-                && span_compare sc.fs_edges
-                     sc.fs_span_off.(order.(!y - 1))
-                     sc.fs_span_ne.(order.(!y - 1))
-                     sc.fs_span_off.(v) sc.fs_span_ne.(v)
-                   > 0
-              do
-                order.(!y) <- order.(!y - 1);
-                decr y
+            if !satisfied_pattern then Dp_table.Layers.emit_mass out cell 0
+            else if !n_new > 0 then begin
+              let n_new = !n_new in
+              (* Sort surviving spans into the canonical pattern order. *)
+              let order = sc.fs_order in
+              for x = 0 to n_new - 1 do
+                order.(x) <- x
               done;
-              order.(!y) <- v
-            done;
-            (* New tracked set. *)
-            sc.fs_stamp <- sc.fs_stamp + 1;
-            let stamp2 = sc.fs_stamp in
-            for x = 0 to n_new - 1 do
-              let off = sc.fs_span_off.(x) and ne = sc.fs_span_ne.(x) in
-              for e = 0 to ne - 1 do
-                sc.fs_new.(sc.fs_edges.(off + (2 * e))) <- stamp2;
-                sc.fs_new.(sc.fs_edges.(off + (2 * e) + 1)) <- stamp2
-              done
-            done;
-            (* Assemble the emission: structure then values. *)
-            let buf = sc.fs_buf in
-            buf.(0) <- n_new;
-            let w = ref 1 in
-            for x = 0 to n_new - 1 do
-              let sp = order.(x) in
-              let ne = sc.fs_span_ne.(sp) in
-              buf.(!w) <- ne;
-              incr w;
-              Array.blit sc.fs_edges sc.fs_span_off.(sp) buf !w (2 * ne);
-              w := !w + (2 * ne)
-            done;
-            for t = 0 to ctx.n_tracks - 1 do
-              if sc.fs_new.(t) = stamp2 then begin
-                buf.(!w) <- sc.fs_vals.(sc.fs_slot.(t));
-                incr w
-              end
-            done;
-            Array.fill buf !w (width - !w) 0;
-            emit buf 0 cell 0
+              for x = 1 to n_new - 1 do
+                let v = order.(x) in
+                let y = ref x in
+                while
+                  !y > 0
+                  && span_compare sc.fs_edges
+                       sc.fs_span_off.(order.(!y - 1))
+                       sc.fs_span_ne.(order.(!y - 1))
+                       sc.fs_span_off.(v) sc.fs_span_ne.(v)
+                     > 0
+                do
+                  order.(!y) <- order.(!y - 1);
+                  decr y
+                done;
+                order.(!y) <- v
+              done;
+              (* New tracked set. *)
+              sc.fs_stamp <- sc.fs_stamp + 1;
+              let stamp2 = sc.fs_stamp in
+              for x = 0 to n_new - 1 do
+                let off = sc.fs_span_off.(x) and ne = sc.fs_span_ne.(x) in
+                for e = 0 to ne - 1 do
+                  sc.fs_new.(sc.fs_edges.(off + (2 * e))) <- stamp2;
+                  sc.fs_new.(sc.fs_edges.(off + (2 * e) + 1)) <- stamp2
+                done
+              done;
+              (* Assemble the emission: structure then values. *)
+              let buf = sc.fs_buf in
+              buf.(0) <- n_new;
+              let w = ref 1 in
+              for x = 0 to n_new - 1 do
+                let sp = order.(x) in
+                let ne = sc.fs_span_ne.(sp) in
+                buf.(!w) <- ne;
+                incr w;
+                Array.blit sc.fs_edges sc.fs_span_off.(sp) buf !w (2 * ne);
+                w := !w + (2 * ne)
+              done;
+              for t = 0 to ctx.n_tracks - 1 do
+                if sc.fs_new.(t) = stamp2 then begin
+                  buf.(!w) <- sc.fs_vals.(sc.fs_slot.(t));
+                  incr w
+                end
+              done;
+              Array.fill buf !w (width - !w) 0;
+              Dp_table.Layers.emit out buf 0 cell 0
+            end
           end
-        end
-      done
-    in
-    Dp_par.run_flat ~par ~n:n_states ~ctx:make_scratch ~expand
-      ~finish:(fun sc ->
-        edges_pruned := !edges_pruned + !(sc.fs_edges_pruned);
-        patterns_pruned := !patterns_pruned + !(sc.fs_patterns_pruned))
-      ~into:next ~add_prob:(Dp_table.Mass.add acc) ();
-    hwm :=
-      max !hwm
-        (max (Dp_table.Fixed.used_words curt) (Dp_table.Fixed.used_words next));
-    Dp_table.Fixed.clear curt;
-    cur := next;
-    nxt := curt
-  done;
-  Dp_table.Fixed.flush_call ~states:!states ~hwm_words:!hwm;
-  min 1. (Dp_table.Mass.total acc)
+        done)
+    ~finish:(fun sc ->
+      edges_pruned := !edges_pruned + !(sc.fs_edges_pruned);
+      patterns_pruned := !patterns_pruned + !(sc.fs_patterns_pruned))
+    ~add_prob:(Dp_table.Mass.add acc)
+    ~answer:(fun _ -> min 1. (Dp_table.Mass.total acc))
+    ()
 
 let run_optimized ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)
     ?(kernel = Kernel.default) ctx patterns =
@@ -624,59 +605,37 @@ type basic_scratch = { bs_buf : int array; bs_cell : float array }
 let run_basic_flat ~budget ~par ~states ctx feasible =
   let m = Rim.Model.m ctx.model in
   let w = ctx.n_tracks in
-  Dp_table.Fixed.with_pair ~name:"Bipartite (basic)" ~width:w
-    ~max_states:!max_states
-  @@ fun t0 t1 ->
-  let cur = ref t0 and nxt = ref t1 in
-  let hwm = ref 0 in
   let ly = make_layer ctx in
-  Dp_table.Fixed.add !cur (Array.make w 0) 0 [| 1. |] 0;
-  for i = 0 to m - 1 do
-    Util.Timer.check budget;
-    let curt = !cur and next = !nxt in
-    let n_states = Dp_table.Fixed.length curt in
-    states := !states + n_states;
-    Dp_table.Fixed.note_layer_width n_states;
-    fill_layer ctx ly i;
-    let pi_row = ly.pi_row and steps = ly.steps and row = ly.row in
-    let stride = ly.stride in
-    let data = Dp_table.Fixed.keys curt and probs = Dp_table.Fixed.probs curt in
-    let expand sc s ~emit ~emit_prob:_ =
-      let off = s * w and q = probs.(s) in
-      let buf = sc.bs_buf and cell = sc.bs_cell in
-      for j = 0 to i do
-        let p' = q *. pi_row.(j) in
-        if p' > 0. then begin
-          for t = 0 to w - 1 do
-            buf.(t) <- steps.(row.(t) + (j * stride) + data.(off + t))
-          done;
-          cell.(0) <- p';
-          emit buf 0 cell 0
-        end
-      done
-    in
-    Dp_par.run_flat ~par ~n:n_states
-      ~ctx:(fun () -> { bs_buf = Array.make w 0; bs_cell = [| 0. |] })
-      ~expand
-      ~into:next
-      ~add_prob:(fun _ _ -> ())
-      ();
-    hwm :=
-      max !hwm
-        (max (Dp_table.Fixed.used_words curt) (Dp_table.Fixed.used_words next));
-    Dp_table.Fixed.clear curt;
-    cur := next;
-    nxt := curt
-  done;
-  Dp_table.Fixed.flush_call ~states:!states ~hwm_words:!hwm;
-  let final = !cur in
-  let pats = pattern_arrays feasible in
-  let data = Dp_table.Fixed.keys final and probs = Dp_table.Fixed.probs final in
-  let acc = Dp_table.Mass.create () in
-  for s = 0 to Dp_table.Fixed.length final - 1 do
-    if union_satisfied pats data (s * w) then Dp_table.Mass.add acc probs s
-  done;
-  Dp_table.Mass.total acc
+  Dp_table.Layers.run ~name:"Bipartite (basic)" ~width:w
+    ~max_states:!max_states ~budget ~par ~states ~last:(m - 1)
+    ~scratch:(fun () -> { bs_buf = Array.make w 0; bs_cell = [| 0. |] })
+    ~layer:(fun i keys probs ->
+      fill_layer ctx ly i;
+      let pi_row = ly.pi_row and steps = ly.steps and row = ly.row in
+      let stride = ly.stride in
+      fun sc out s ->
+        let off = s * w and q = probs.(s) in
+        let buf = sc.bs_buf and cell = sc.bs_cell in
+        for j = 0 to i do
+          let p' = q *. pi_row.(j) in
+          if p' > 0. then begin
+            for t = 0 to w - 1 do
+              buf.(t) <- steps.(row.(t) + (j * stride) + keys.(off + t))
+            done;
+            cell.(0) <- p';
+            Dp_table.Layers.emit out buf 0 cell 0
+          end
+        done)
+    ~add_prob:(fun _ _ -> ())
+    ~answer:(fun final ->
+      let pats = pattern_arrays feasible in
+      let keys = Dp_table.Fixed.keys final and probs = Dp_table.Fixed.probs final in
+      let acc = Dp_table.Mass.create () in
+      for s = 0 to Dp_table.Fixed.length final - 1 do
+        if union_satisfied pats keys (s * w) then Dp_table.Mass.add acc probs s
+      done;
+      Dp_table.Mass.total acc)
+    ()
 
 let run_basic ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)
     ?(kernel = Kernel.default) ctx patterns =

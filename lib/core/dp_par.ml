@@ -41,41 +41,6 @@ module Vec = struct
     done
 end
 
-(* Unboxed growable vectors for the flat kernels' chunk buffers: int
-   words and float probabilities never pass through a boxed tuple. *)
-module Ivec = struct
-  type t = { mutable arr : int array; mutable len : int }
-
-  let create () = { arr = Array.make 64 0; len = 0 }
-
-  let append v buf off len =
-    let cap = Array.length v.arr in
-    if v.len + len > cap then begin
-      let arr = Array.make (max (2 * cap) (v.len + len)) 0 in
-      Array.blit v.arr 0 arr 0 v.len;
-      v.arr <- arr
-    end;
-    Array.blit buf off v.arr v.len len;
-    v.len <- v.len + len
-end
-
-module Fvec = struct
-  type t = { mutable arr : float array; mutable len : int }
-
-  let create () = { arr = Array.make 64 0.; len = 0 }
-
-  let grow v =
-    let arr = Array.make (2 * Array.length v.arr) 0. in
-    Array.blit v.arr 0 arr 0 v.len;
-    v.arr <- arr
-
-  (* Inlined so the pushed float never crosses a call boxed. *)
-  let[@inline] push v x =
-    if v.len = Array.length v.arr then grow v;
-    Array.unsafe_set v.arr v.len x;
-    v.len <- v.len + 1
-end
-
 (* Below this many states a layer is expanded on the calling domain:
    the buffering overhead would dwarf the work. The threshold is a
    constant (never a function of the width), but correctness does not
@@ -109,59 +74,6 @@ let run ~par ?(min_par = default_min_par) ~n ~ctx ~expand
     for c = 0 to n_chunks - 1 do
       Vec.iter (fun (k, p) -> add k p) kvs.(c);
       Vec.iter add_prob ps.(c);
-      match cxs.(c) with Some cx -> finish cx | None -> ()
-    done
-  end
-
-(* Flat-kernel variant of [run]: a state emission is [width] ints
-   [(buf, off)] plus its probability, never a boxed key, and every
-   probability travels as a float cell [(cell, ci)] — read in place by
-   the consumer — so no emission boxes a float. The sequential path
-   inserts the caller's scratch buffer and cell straight into [into];
-   parallel chunks append each emission's words to a private int vector
-   (a frame is exactly [width] words: the table's width is fixed for the
-   call) with its probability in a parallel float vector, and the frames
-   replay in chunk order straight into [into]. The merged stream — and
-   hence the next table's slot order and every float addition — is the
-   sequential stream, exactly as with [run]. *)
-let run_flat ~par ?(min_par = default_min_par) ~n ~ctx ~expand
-    ?(finish = fun _ -> ()) ~into ~add_prob () =
-  if Util.Par.width par <= 1 || n < min_par then begin
-    let c = ctx () in
-    let emit = Dp_table.Fixed.add into in
-    for i = 0 to n - 1 do
-      expand c i ~emit ~emit_prob:add_prob
-    done;
-    finish c
-  end
-  else begin
-    let width = Dp_table.Fixed.width into in
-    let n_chunks = min n (4 * Util.Par.width par) in
-    let kws = Array.init n_chunks (fun _ -> Ivec.create ()) in
-    let kps = Array.init n_chunks (fun _ -> Fvec.create ()) in
-    let ps = Array.init n_chunks (fun _ -> Fvec.create ()) in
-    let cxs = Array.make n_chunks None in
-    Util.Par.share par ~n:n_chunks (fun c ->
-        let lo = c * n / n_chunks and hi = (c + 1) * n / n_chunks in
-        let cx = ctx () in
-        cxs.(c) <- Some cx;
-        let kw = kws.(c) and kp = kps.(c) and pv = ps.(c) in
-        let emit buf off cell ci =
-          Ivec.append kw buf off width;
-          Fvec.push kp cell.(ci)
-        in
-        let emit_prob cell ci = Fvec.push pv cell.(ci) in
-        for i = lo to hi - 1 do
-          expand cx i ~emit ~emit_prob
-        done);
-    for c = 0 to n_chunks - 1 do
-      let kw = kws.(c) and kp = kps.(c) and pv = ps.(c) in
-      for k = 0 to kp.Fvec.len - 1 do
-        Dp_table.Fixed.add into kw.Ivec.arr (k * width) kp.Fvec.arr k
-      done;
-      for k = 0 to pv.Fvec.len - 1 do
-        add_prob pv.Fvec.arr k
-      done;
       match cxs.(c) with Some cx -> finish cx | None -> ()
     done
   end

@@ -1,4 +1,6 @@
-(** Deterministic chunked expansion of one DP layer.
+(** Deterministic chunked expansion of one DP layer of the boxed
+    reference kernels (the flat kernels run on {!Dp_table.Layers}, which
+    applies the same chunk-order replay to fixed-width frames).
 
     [run] expands [n] states into contributions to the next layer's
     table ([emit]/[add]) and an optional scalar accumulator
@@ -31,31 +33,3 @@ val run :
   add_prob:(float -> unit) ->
   unit ->
   unit
-
-val run_flat :
-  par:Util.Par.t ->
-  ?min_par:int ->
-  n:int ->
-  ctx:(unit -> 'c) ->
-  expand:
-    ('c ->
-    int ->
-    emit:(int array -> int -> float array -> int -> unit) ->
-    emit_prob:(float array -> int -> unit) ->
-    unit) ->
-  ?finish:('c -> unit) ->
-  into:Dp_table.Fixed.t ->
-  add_prob:(float array -> int -> unit) ->
-  unit ->
-  unit
-(** [run] for the flat kernels: an emission [emit buf off cell ci] is a
-    state of [into]'s width at [buf.(off ..)] with its probability in a
-    float cell [cell.(ci)], destined for {!Dp_table.Fixed.add} into
-    [into]; [emit_prob] likewise passes [(cell, ci)]. Cells keep floats
-    unboxed end to end. On the sequential path [emit] {e is}
-    [Dp_table.Fixed.add into], so the caller may pass a scratch buffer
-    and cell it overwrites between emissions. On the parallel path each
-    chunk copies its emissions into private unboxed buffers, frames of
-    exactly [width] words, and the frames replay in chunk order straight
-    into [into], preserving the sequential contribution stream exactly
-    as {!run} does. [buf] must not be [into]'s own key array. *)

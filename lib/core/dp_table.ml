@@ -185,8 +185,9 @@ module Fixed = struct
 
   (* Unsafe accesses: [buf]'s span is checked here, a key slot [s < n]
      has its [width] words below [n * width], and the index is probed
-     under [mask]. *)
-  let add t buf off cell ci =
+     under [mask]. Inlined into the layer driver's [emit], so a kernel's
+     emission is one call, as into [add]. *)
+  let[@inline] insert t buf off cell ci =
     let width = t.width in
     if off < 0 || off + width > Array.length buf then
       invalid_arg "Dp_table.Fixed.add: key out of bounds";
@@ -242,6 +243,8 @@ module Fixed = struct
         end
       done
     end
+
+  let add t buf off cell ci = insert t buf off cell ci
 
   let clear t =
     t.n <- 0;
@@ -316,4 +319,135 @@ module Mass = struct
   let add acc cell ci = add_x acc cell.(ci)
   let add_float acc x = add_x acc x
   let total acc = acc.(0) +. acc.(1)
+end
+
+(* The one layer driver of the flat kernels. A kernel supplies its state
+   encoding (a table width and a seed), a per-layer hoist that returns
+   the layer's per-state [expand], and a read of the last table; the
+   driver owns the rest: the table pair, the budget check, the tallies,
+   the sequential/chunked split, the chunk-order replay and the swap.
+
+   An expansion emits through an [out]. On the sequential path [next] is
+   the next layer's table, so an emission is one call ([emit], with
+   [Fixed.insert] inlined) and a satisfied mass goes straight to
+   [add_prob]. A parallel chunk's [out] logs both streams in emission
+   order instead — [words]/[kp] one [width]-word frame and probability
+   per successor, [mp] the satisfied masses — and the driver replays the
+   logs in chunk order into the next table and [add_prob]. The merged
+   streams are then the sequential ones for any chunking, so the next
+   table's slot order and every float addition are too (see dp_par.ml
+   for why the two streams may be logged apart). *)
+module Layers = struct
+  type out = {
+    mutable next : Fixed.t;
+    add_prob : float array -> int -> unit;
+    log : bool;
+    width : int;
+    mutable words : int array;
+    mutable kp : float array;
+    mutable n_kp : int;
+    mutable mp : float array;
+    mutable n_mp : int;
+  }
+
+  let make ~log ~width ~add_prob next =
+    let n = if log then 64 else 0 in
+    {
+      next;
+      add_prob;
+      log;
+      width;
+      words = Array.make (n * width) 0;
+      kp = Array.make n 0.;
+      n_kp = 0;
+      mp = Array.make n 0.;
+      n_mp = 0;
+    }
+
+  let grow_floats a n =
+    let a' = Array.make (2 * n) 0. in
+    Array.blit a 0 a' 0 n;
+    a'
+
+  (* [words] holds [width] words per cell of [kp]. *)
+  let log_state o buf off cell ci =
+    let w = o.width and k = o.n_kp in
+    if k = Array.length o.kp then begin
+      o.kp <- grow_floats o.kp k;
+      let words = Array.make (2 * k * w) 0 in
+      Array.blit o.words 0 words 0 (k * w);
+      o.words <- words
+    end;
+    Array.blit buf off o.words (k * w) w;
+    o.kp.(k) <- cell.(ci);
+    o.n_kp <- k + 1
+
+  let emit o buf off cell ci =
+    if o.log then log_state o buf off cell ci
+    else Fixed.insert o.next buf off cell ci
+
+  let emit_mass o cell ci =
+    if not o.log then o.add_prob cell ci
+    else begin
+      let k = o.n_mp in
+      if k = Array.length o.mp then o.mp <- grow_floats o.mp k;
+      o.mp.(k) <- cell.(ci);
+      o.n_mp <- k + 1
+    end
+
+  (* A layer of [n] states in [n_chunks] contiguous chunks on the pool,
+     each with its own scratch and log, replayed in chunk order on the
+     calling domain; [finish] follows each chunk's replay. *)
+  let chunked ~par ~n ~scratch ~expand ~finish ~add_prob next =
+    let n_chunks = min n (4 * Util.Par.width par) in
+    let width = Fixed.width next in
+    let outs = Array.init n_chunks (fun _ -> make ~log:true ~width ~add_prob next) in
+    let cxs = Array.make n_chunks None in
+    Util.Par.share par ~n:n_chunks (fun c ->
+        let cx = scratch () in
+        cxs.(c) <- Some cx;
+        for s = c * n / n_chunks to ((c + 1) * n / n_chunks) - 1 do
+          expand cx outs.(c) s
+        done);
+    Array.iteri
+      (fun c o ->
+        for k = 0 to o.n_kp - 1 do
+          Fixed.add next o.words (k * width) o.kp k
+        done;
+        for k = 0 to o.n_mp - 1 do
+          add_prob o.mp k
+        done;
+        Option.iter finish cxs.(c))
+      outs
+
+  let run ~name ~width ~max_states ~budget ~par ~states ?(first = 0) ~last
+      ?seed ~scratch ~layer ?(finish = ignore) ~add_prob ~answer () =
+    Fixed.with_pair ~name ~width ~max_states @@ fun t0 t1 ->
+    let seed = match seed with Some s -> s | None -> Array.make width 0 in
+    Fixed.add t0 seed 0 [| 1. |] 0;
+    let seq = make ~log:false ~width ~add_prob t1 and sc = scratch () in
+    let cur = ref t0 and nxt = ref t1 and hwm = ref 0 and total = ref 0 in
+    for i = first to last do
+      Util.Timer.check budget;
+      let curt = !cur and next = !nxt in
+      let n = Fixed.length curt in
+      total := !total + n;
+      Fixed.note_layer_width n;
+      let expand = layer i (Fixed.keys curt) (Fixed.probs curt) in
+      if Util.Par.width par <= 1 || n < Dp_par.default_min_par then begin
+        seq.next <- next;
+        for s = 0 to n - 1 do
+          expand sc seq s
+        done
+      end
+      else chunked ~par ~n ~scratch ~expand ~finish ~add_prob next;
+      hwm := max !hwm (max (Fixed.used_words curt) (Fixed.used_words next));
+      Fixed.clear curt;
+      cur := next;
+      nxt := curt
+    done;
+    finish sc;
+    states := !states + !total;
+    Fixed.flush_call ~states:!total ~hwm_words:!hwm;
+    answer !cur
 end

@@ -97,14 +97,6 @@ module Fixed : sig
   val spare_words : unit -> int
   (** Words held by the calling domain's spare pair (0 when none). *)
 
-  val note_layer_width : int -> unit
-  (** Record one layer's state count in the [dp.flat.layer_width]
-      histogram. *)
-
-  val flush_call : states:int -> hwm_words:int -> unit
-  (** Flush one flat solver call's tallies: total states across layers
-      into [dp.flat.states], the key high-water mark into
-      [dp.flat.arena_words_hwm], and bump [dp.flat.calls]. *)
 end
 
 (** A compensated (Neumaier) sum: the satisfied mass a DP adds up,
@@ -122,4 +114,61 @@ module Mass : sig
   (** [add] for the boxed kernels, whose probabilities are boxed anyway. *)
 
   val total : t -> float
+end
+
+(** The one layer driver of the flat kernels (DESIGN.md §13.6). A
+    kernel supplies a table width, a seed state, chunk scratch, a
+    per-layer hoist returning its per-state expansion, and a read of the
+    last table; the driver owns the {!Fixed.with_pair} tables, the
+    budget check per layer, the state and layer-width tallies, the
+    sequential/chunked split at {!Dp_par.default_min_par} with
+    chunk-order replay, the high-water mark, the swap and the call's
+    [dp.flat.*] flush. *)
+module Layers : sig
+  type out
+  (** Where an expansion emits: the next table, or a parallel chunk's
+      private log. *)
+
+  val emit : out -> int array -> int -> float array -> int -> unit
+  (** [emit out buf off cell ci]: a successor state, its words at
+      [buf.(off ..)] (the table's width) and its probability
+      [cell.(ci)]. One call per emission: on the sequential path the
+      table insert is inlined. [buf] and [cell] may be overwritten once
+      [emit] returns. *)
+
+  val emit_mass : out -> float array -> int -> unit
+  (** [emit_mass out cell ci]: mass [cell.(ci)] leaves the DP as
+      satisfied. *)
+
+  val run :
+    name:string ->
+    width:int ->
+    max_states:int ->
+    budget:Util.Timer.budget ->
+    par:Util.Par.t ->
+    states:int ref ->
+    ?first:int ->
+    last:int ->
+    ?seed:int array ->
+    scratch:(unit -> 'c) ->
+    layer:(int -> int array -> float array -> 'c -> out -> int -> unit) ->
+    ?finish:('c -> unit) ->
+    add_prob:(float array -> int -> unit) ->
+    answer:(Fixed.t -> 'a) ->
+    unit ->
+    'a
+  (** Seed a table [name] of [width] ints per state (capped at
+      [max_states]) with [seed] (default all zeros) at probability 1,
+      then insert items [first] (default 0) to [last], one layer each:
+      check [budget], run [layer i keys probs] on the calling domain
+      (the hoist; [keys]/[probs] are the current table's, read-only)
+      and call the [expand] it returns as [expand sc out s] once per
+      state [s] in slot order — so write the hoist as
+      [fun i keys probs -> ...; fun sc out s -> ...]. [scratch] makes
+      the calling domain's scratch once per call and one per parallel
+      chunk; [finish] runs on each after its emissions merge (a chunk's
+      after its replay, the calling domain's once at the end). Satisfied
+      mass reaches [add_prob] in emission order. Adds the call's states
+      to [states] and returns [answer] of the last table. Raises
+      {!State_explosion} and [Util.Timer.Out_of_time]. *)
 end

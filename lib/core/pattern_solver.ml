@@ -191,89 +191,69 @@ let run_flat ~budget ~par model pr =
     Array.fold_left (fun n mx -> if mx <> 0 then n + 1 else n) 0 pr.step_mask
   in
   let width = 1 + (2 * relevant) in
-  Dp_table.Fixed.with_pair ~name:"Pattern_solver" ~width
-    ~max_states:!max_states
-  @@ fun t0 t1 ->
-  let cur = ref t0 and nxt = ref t1 in
-  let hwm = ref 0 and states = ref 0 in
-  Dp_table.Fixed.add !cur (Array.make width 0) 0 [| 1. |] 0;
   let acc = [| 0. |] in
   let pi_row = Array.make pr.m 0. in
-  for i = 0 to pr.m - 1 do
-    Util.Timer.check budget;
-    let curt = !cur and next = !nxt in
-    let n_states = Dp_table.Fixed.length curt in
-    states := !states + n_states;
-    Dp_table.Fixed.note_layer_width n_states;
-    Rim.Model.blit_pi_row model i pi_row;
-    let data = Dp_table.Fixed.keys curt and probs = Dp_table.Fixed.probs curt in
-    let mx = pr.step_mask.(i) in
-    (* Item [k] of a state at [off] has its position at [off + 1 + 2k]
-       and its mask right after. *)
-    let expand sc s ~emit ~emit_prob =
-      let off = s * width and qprob = probs.(s) in
-      let t = data.(off) in
-      let buf = sc.buf and cell = sc.cell in
-      if mx = 0 then begin
-        for c = 0 to t do
-          let jlo = if c = 0 then 0 else data.(off + 1 + (2 * (c - 1))) + 1 in
-          let jhi = if c = t then i else data.(off + 1 + (2 * c)) in
-          if jlo <= jhi then begin
-            let psum = ref 0. in
-            for j = jlo to jhi do
-              psum := !psum +. pi_row.(j)
-            done;
-            if !psum > 0. then begin
-              Array.blit data off buf 0 width;
-              for k = c to t - 1 do
-                buf.(1 + (2 * k)) <- buf.(1 + (2 * k)) + 1
+  Dp_table.Layers.run ~name:"Pattern_solver" ~width ~max_states:!max_states
+    ~budget ~par ~states:(ref 0) ~last:(pr.m - 1)
+    ~scratch:(fun () ->
+      { buf = Array.make width 0; f = Array.make (max q 1) 0; cell = [| 0. |] })
+    ~layer:(fun i data probs ->
+      Rim.Model.blit_pi_row model i pi_row;
+      let mx = pr.step_mask.(i) in
+      (* Item [k] of a state at [off] has its position at [off + 1 + 2k]
+         and its mask right after. *)
+      fun sc out s ->
+        let off = s * width and qprob = probs.(s) in
+        let t = data.(off) in
+        let buf = sc.buf and cell = sc.cell in
+        if mx = 0 then begin
+          for c = 0 to t do
+            let jlo = if c = 0 then 0 else data.(off + 1 + (2 * (c - 1))) + 1 in
+            let jhi = if c = t then i else data.(off + 1 + (2 * c)) in
+            if jlo <= jhi then begin
+              let psum = ref 0. in
+              for j = jlo to jhi do
+                psum := !psum +. pi_row.(j)
               done;
-              cell.(0) <- qprob *. !psum;
-              emit buf 0 cell 0
+              if !psum > 0. then begin
+                Array.blit data off buf 0 width;
+                for k = c to t - 1 do
+                  buf.(1 + (2 * k)) <- buf.(1 + (2 * k)) + 1
+                done;
+                cell.(0) <- qprob *. !psum;
+                Dp_table.Layers.emit out buf 0 cell 0
+              end
             end
-          end
-        done
-      end
-      else
-        for j = 0 to i do
-          let p = qprob *. pi_row.(j) in
-          if p > 0. then begin
-            let c = ref 0 in
-            while !c < t && data.(off + 1 + (2 * !c)) < j do
-              incr c
-            done;
-            let c = !c in
-            (* The row's own padding zeroes every word past the new
-               last pair. *)
-            Array.blit data off buf 0 width;
-            buf.(0) <- t + 1;
-            buf.(1 + (2 * c)) <- j;
-            buf.(2 + (2 * c)) <- mx;
-            for k = c to t - 1 do
-              buf.(1 + (2 * (k + 1))) <- data.(off + 1 + (2 * k)) + 1;
-              buf.(2 + (2 * (k + 1))) <- data.(off + 2 + (2 * k))
-            done;
-            cell.(0) <- p;
-            if embeds_flat pr ~f:sc.f buf 1 (t + 1) then emit_prob cell 0
-            else emit buf 0 cell 0
-          end
-        done
-    in
-    Dp_par.run_flat ~par ~n:n_states
-      ~ctx:(fun () ->
-        { buf = Array.make width 0; f = Array.make (max q 1) 0; cell = [| 0. |] })
-      ~expand ~into:next
-      ~add_prob:(fun cell ci -> acc.(0) <- acc.(0) +. cell.(ci))
-      ();
-    hwm :=
-      max !hwm
-        (max (Dp_table.Fixed.used_words curt) (Dp_table.Fixed.used_words next));
-    Dp_table.Fixed.clear curt;
-    cur := next;
-    nxt := curt
-  done;
-  Dp_table.Fixed.flush_call ~states:!states ~hwm_words:!hwm;
-  min 1. acc.(0)
+          done
+        end
+        else
+          for j = 0 to i do
+            let p = qprob *. pi_row.(j) in
+            if p > 0. then begin
+              let c = ref 0 in
+              while !c < t && data.(off + 1 + (2 * !c)) < j do
+                incr c
+              done;
+              let c = !c in
+              (* The row's own padding zeroes every word past the new
+                 last pair. *)
+              Array.blit data off buf 0 width;
+              buf.(0) <- t + 1;
+              buf.(1 + (2 * c)) <- j;
+              buf.(2 + (2 * c)) <- mx;
+              for k = c to t - 1 do
+                buf.(1 + (2 * (k + 1))) <- data.(off + 1 + (2 * k)) + 1;
+                buf.(2 + (2 * (k + 1))) <- data.(off + 2 + (2 * k))
+              done;
+              cell.(0) <- p;
+              if embeds_flat pr ~f:sc.f buf 1 (t + 1) then
+                Dp_table.Layers.emit_mass out cell 0
+              else Dp_table.Layers.emit out buf 0 cell 0
+            end
+          done)
+    ~add_prob:(fun cell ci -> acc.(0) <- acc.(0) +. cell.(ci))
+    ~answer:(fun _ -> min 1. acc.(0))
+    ()
 
 let prob_general ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)
     ?(kernel = Kernel.default) model lab g =

@@ -79,109 +79,91 @@ let build_problem model po =
    (state, j) order, instead of being stored. *)
 let run ~budget ~states model pr =
   let t = pr.t in
-  Dp_table.Fixed.with_pair ~name:"Po_solver" ~width:t ~max_states:!max_states
-  @@ fun t0 t1 ->
-  let cur = ref t0 and nxt = ref t1 in
-  let hwm = ref 0 in
-  let buf = Array.make t 0 in
-  let sorted = Array.make t 0 in
-  let cell = [| 0. |] in
-  let acc = ref 0. in
+  let acc = [| 0. |] in
   let pi_row = Array.make (pr.last + 1) 0. in
-  cell.(0) <- 1.;
-  Dp_table.Fixed.add !cur buf 0 cell 0;
-  for i = pr.first to pr.last do
-    Util.Timer.check budget;
-    let curt = !cur and next = !nxt in
-    let n_states = Dp_table.Fixed.length curt in
-    states := !states + n_states;
-    Dp_table.Fixed.note_layer_width n_states;
-    Rim.Model.blit_pi_row model i pi_row;
-    let data = Dp_table.Fixed.keys curt and probs = Dp_table.Fixed.probs curt in
-    let k = pr.slot_at.(i) in
-    let dies = pr.dies.(i) in
-    let final = i = pr.last in
-    for s = 0 to n_states - 1 do
-      let off = s * t and q = probs.(s) in
-      if k >= 0 then begin
-        (* A tracked item lands after every inserted predecessor and at
-           or before every inserted successor's position, so the edges
-           it closes hold by construction; other edges keep their order
-           under the shift. *)
-        let lo = ref 0 and hi = ref i in
-        let preds = pr.preds.(k) and succs = pr.succs.(k) in
-        for y = 0 to Array.length preds - 1 do
-          let v = data.(off + preds.(y)) in
-          if v > !lo then lo := v
-        done;
-        for y = 0 to Array.length succs - 1 do
-          let v = data.(off + succs.(y)) in
-          if v > 0 && v - 1 < !hi then hi := v - 1
-        done;
-        for j = !lo to !hi do
-          let p = q *. pi_row.(j) in
-          if p > 0. then
-            if final then acc := !acc +. p
-            else begin
+  Dp_table.Layers.run ~name:"Po_solver" ~width:t ~max_states:!max_states
+    ~budget ~par:Util.Par.inline ~states ~first:pr.first ~last:pr.last
+    ~scratch:(fun () -> (Array.make t 0, Array.make t 0, [| 0. |]))
+    ~layer:(fun i data probs ->
+      Rim.Model.blit_pi_row model i pi_row;
+      let k = pr.slot_at.(i) in
+      let dies = pr.dies.(i) in
+      let final = i = pr.last in
+      fun (buf, sorted, cell) out s ->
+        let off = s * t and q = probs.(s) in
+        if k >= 0 then begin
+          (* A tracked item lands after every inserted predecessor and at
+             or before every inserted successor's position, so the edges
+             it closes hold by construction; other edges keep their order
+             under the shift. *)
+          let lo = ref 0 and hi = ref i in
+          let preds = pr.preds.(k) and succs = pr.succs.(k) in
+          for y = 0 to Array.length preds - 1 do
+            let v = data.(off + preds.(y)) in
+            if v > !lo then lo := v
+          done;
+          for y = 0 to Array.length succs - 1 do
+            let v = data.(off + succs.(y)) in
+            if v > 0 && v - 1 < !hi then hi := v - 1
+          done;
+          for j = !lo to !hi do
+            let p = q *. pi_row.(j) in
+            if p > 0. then begin
+              cell.(0) <- p;
+              if final then Dp_table.Layers.emit_mass out cell 0
+              else begin
+                for x = 0 to t - 1 do
+                  let v = data.(off + x) in
+                  buf.(x) <- (if v > j then v + 1 else v)
+                done;
+                buf.(k) <- j + 1;
+                for y = 0 to Array.length dies - 1 do
+                  buf.(dies.(y)) <- 0
+                done;
+                Dp_table.Layers.emit out buf 0 cell 0
+              end
+            end
+          done
+        end
+        else begin
+          (* An untracked item: group insertion positions by how many
+             tracked items precede them; the successor state is the same
+             within a group, so a group emits once with its summed mass. *)
+          let n_in = ref 0 in
+          for x = 0 to t - 1 do
+            let v = data.(off + x) in
+            if v > 0 then begin
+              let y = ref !n_in in
+              while !y > 0 && sorted.(!y - 1) > v do
+                sorted.(!y) <- sorted.(!y - 1);
+                decr y
+              done;
+              sorted.(!y) <- v;
+              incr n_in
+            end
+          done;
+          let n_in = !n_in in
+          for c = 0 to n_in do
+            (* [sorted] holds position + 1: the first j after that item. *)
+            let jlo = if c = 0 then 0 else sorted.(c - 1) in
+            let jhi = if c = n_in then i else sorted.(c) - 1 in
+            let psum = ref 0. in
+            for j = jlo to jhi do
+              psum := !psum +. pi_row.(j)
+            done;
+            if !psum > 0. then begin
               for x = 0 to t - 1 do
                 let v = data.(off + x) in
-                buf.(x) <- (if v > j then v + 1 else v)
+                buf.(x) <- (if v > jlo then v + 1 else v)
               done;
-              buf.(k) <- j + 1;
-              for y = 0 to Array.length dies - 1 do
-                buf.(dies.(y)) <- 0
-              done;
-              cell.(0) <- p;
-              Dp_table.Fixed.add next buf 0 cell 0
+              cell.(0) <- q *. !psum;
+              Dp_table.Layers.emit out buf 0 cell 0
             end
-        done
-      end
-      else begin
-        (* An untracked item: group insertion positions by how many
-           tracked items precede them; the successor state is the same
-           within a group, so a group emits once with its summed mass. *)
-        let n_in = ref 0 in
-        for x = 0 to t - 1 do
-          let v = data.(off + x) in
-          if v > 0 then begin
-            let y = ref !n_in in
-            while !y > 0 && sorted.(!y - 1) > v do
-              sorted.(!y) <- sorted.(!y - 1);
-              decr y
-            done;
-            sorted.(!y) <- v;
-            incr n_in
-          end
-        done;
-        let n_in = !n_in in
-        for c = 0 to n_in do
-          (* [sorted] holds position + 1: the first j after that item. *)
-          let jlo = if c = 0 then 0 else sorted.(c - 1) in
-          let jhi = if c = n_in then i else sorted.(c) - 1 in
-          let psum = ref 0. in
-          for j = jlo to jhi do
-            psum := !psum +. pi_row.(j)
-          done;
-          if !psum > 0. then begin
-            for x = 0 to t - 1 do
-              let v = data.(off + x) in
-              buf.(x) <- (if v > jlo then v + 1 else v)
-            done;
-            cell.(0) <- q *. !psum;
-            Dp_table.Fixed.add next buf 0 cell 0
-          end
-        done
-      end
-    done;
-    hwm :=
-      max !hwm
-        (max (Dp_table.Fixed.used_words curt) (Dp_table.Fixed.used_words next));
-    Dp_table.Fixed.clear curt;
-    cur := next;
-    nxt := curt
-  done;
-  Dp_table.Fixed.flush_call ~states:!states ~hwm_words:!hwm;
-  min 1. !acc
+          done
+        end)
+    ~add_prob:(fun cell ci -> acc.(0) <- acc.(0) +. cell.(ci))
+    ~answer:(fun _ -> min 1. acc.(0))
+    ()
 
 let prob ?(budget = Util.Timer.no_limit) model po =
   let pr = build_problem model po in

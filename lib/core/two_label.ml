@@ -316,86 +316,44 @@ let[@inline] step k sc j =
     Array.unsafe_set buf n (!acc land Array.unsafe_get k.live_mask n)
   done
 
-(* The flat kernel. A layer under {!Dp_par.default_min_par} states (or a
-   sequential pool) loops over its states here, adds each state's
-   satisfied mass to the answer and inserts each surviving successor
-   straight into the next {!Dp_table.Fixed} table: no closure per layer
-   and none per emission. A larger layer runs through {!Dp_par.run_flat}:
-   a state's satisfied mass goes through [emit_prob] and its successors
-   through [emit], and the chunk buffers replay in chunk order into the
-   same accumulator and table. Both paths add in state order and emit in
-   (state, j) order, the orders the boxed kernel uses, so the answers are
-   bit-identical. *)
+(* The flat kernel, on {!Dp_table.Layers}: the hoist fills the layer's
+   step rows and live-field masks, and a state adds its satisfied mass
+   and emits its successors in (state, j) order, the orders the boxed
+   kernel uses, so the answers are bit-identical. *)
 let run_flat ~budget ~par ~states model pr =
   let m = Rim.Model.m model in
   let a = pr.a and w = pr.a + pr.b in
   let k = kernel ~m ~w in
   let ints = k.ints and idx = k.idx and sh = k.sh in
-  let seq = scratch k and ly = layer ~m pr and acc = Dp_table.Mass.create () in
-  Dp_table.Fixed.with_pair ~name:"Two_label" ~width:ints
-    ~max_states:!max_states
-  @@ fun t0 t1 ->
-  let cur = ref t0 and nxt = ref t1 in
-  let hwm = ref 0 in
-  seq.cell.(0) <- 1.;
-  Dp_table.Fixed.add !cur (Array.make ints 0) 0 seq.cell 0;
-  for i = 0 to m - 1 do
-    Util.Timer.check budget;
-    let curt = !cur and next = !nxt in
-    let n_states = Dp_table.Fixed.length curt in
-    states := !states + n_states;
-    Dp_table.Fixed.note_layer_width n_states;
-    fill_layer model pr i ly;
-    Array.fill k.live_mask 0 ints 0;
-    for x = 0 to w - 1 do
-      k.row.(x) <- Conj.step_row m ~hit:ly.hit.(x) ~left:(x < a);
-      if ly.live.(x) then
-        k.live_mask.(idx.(x)) <-
-          k.live_mask.(idx.(x)) lor (k.fmask lsl sh.(x))
-    done;
-    let pi_row = ly.pi_row in
-    let keys = Dp_table.Fixed.keys curt and probs = Dp_table.Fixed.probs curt in
-    if Util.Par.width par <= 1 || n_states < Dp_par.default_min_par then
-      for s = 0 to n_states - 1 do
-        decode k seq keys s;
-        let q = probs.(s) and cell = seq.cell in
-        let lo = sat_lo ly seq.vals and hi = sat_hi ly seq.vals i in
+  let ly = layer ~m pr and acc = Dp_table.Mass.create () in
+  Dp_table.Layers.run ~name:"Two_label" ~width:ints ~max_states:!max_states
+    ~budget ~par ~states ~last:(m - 1)
+    ~scratch:(fun () -> scratch k)
+    ~layer:(fun i keys probs ->
+      fill_layer model pr i ly;
+      Array.fill k.live_mask 0 ints 0;
+      for x = 0 to w - 1 do
+        k.row.(x) <- Conj.step_row m ~hit:ly.hit.(x) ~left:(x < a);
+        if ly.live.(x) then
+          k.live_mask.(idx.(x)) <- k.live_mask.(idx.(x)) lor (k.fmask lsl sh.(x))
+      done;
+      let pi_row = ly.pi_row in
+      fun sc out s ->
+        decode k sc keys s;
+        let q = probs.(s) and cell = sc.cell in
+        let lo = sat_lo ly sc.vals and hi = sat_hi ly sc.vals i in
         if lo > 0 || hi <= i then begin
           cell.(0) <- sat_mass ly ~lo ~hi q;
-          Dp_table.Mass.add acc cell 0
+          Dp_table.Layers.emit_mass out cell 0
         end;
         for j = lo to hi - 1 do
-          step k seq j;
+          step k sc j;
           cell.(0) <- q *. pi_row.(j);
-          Dp_table.Fixed.add next seq.buf 0 cell 0
-        done
-      done
-    else
-      Dp_par.run_flat ~par ~n:n_states
-        ~ctx:(fun () -> scratch k)
-        ~expand:(fun sc s ~emit ~emit_prob ->
-          decode k sc keys s;
-          let q = probs.(s) in
-          let lo = sat_lo ly sc.vals and hi = sat_hi ly sc.vals i in
-          if lo > 0 || hi <= i then begin
-            sc.cell.(0) <- sat_mass ly ~lo ~hi q;
-            emit_prob sc.cell 0
-          end;
-          for j = lo to hi - 1 do
-            step k sc j;
-            sc.cell.(0) <- q *. pi_row.(j);
-            emit sc.buf 0 sc.cell 0
-          done)
-        ~into:next ~add_prob:(Dp_table.Mass.add acc) ();
-    hwm :=
-      max !hwm
-        (max (Dp_table.Fixed.used_words curt) (Dp_table.Fixed.used_words next));
-    Dp_table.Fixed.clear curt;
-    cur := next;
-    nxt := curt
-  done;
-  Dp_table.Fixed.flush_call ~states:!states ~hwm_words:!hwm;
-  answer ~survivors:(Dp_table.Fixed.length !cur) acc
+          Dp_table.Layers.emit out sc.buf 0 cell 0
+        done)
+    ~add_prob:(Dp_table.Mass.add acc)
+    ~answer:(fun last -> answer ~survivors:(Dp_table.Fixed.length last) acc)
+    ()
 
 let prob_edges ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)
     ?(kernel = Kernel.default) model lab pairs =
