@@ -331,7 +331,6 @@ let run_optimized_flat ~budget ~par ~states ~edges_pruned ~patterns_pruned
   in
   let width = struct_len0 + List.length tracked0 in
   let seed = Array.append struct0 (Array.make (List.length tracked0) 0) in
-  let acc = Dp_table.Mass.create () in
   let ly = make_layer ctx in
   let scratch () =
     {
@@ -498,8 +497,7 @@ let run_optimized_flat ~budget ~par ~states ~edges_pruned ~patterns_pruned
     ~finish:(fun sc ->
       edges_pruned := !edges_pruned + !(sc.fs_edges_pruned);
       patterns_pruned := !patterns_pruned + !(sc.fs_patterns_pruned))
-    ~add_prob:(Dp_table.Mass.add acc)
-    ~answer:(fun _ -> min 1. (Dp_table.Mass.total acc))
+    ~answer:(fun _ acc -> min 1. (Dp_table.Mass.total acc))
     ()
 
 let run_optimized ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)
@@ -626,11 +624,9 @@ let run_basic_flat ~budget ~par ~states ctx feasible =
             Dp_table.Layers.emit out buf 0 cell 0
           end
         done)
-    ~add_prob:(fun _ _ -> ())
-    ~answer:(fun final ->
+    ~answer:(fun final acc ->
       let pats = pattern_arrays feasible in
       let keys = Dp_table.Fixed.keys final and probs = Dp_table.Fixed.probs final in
-      let acc = Dp_table.Mass.create () in
       for s = 0 to Dp_table.Fixed.length final - 1 do
         if union_satisfied pats keys (s * w) then Dp_table.Mass.add acc probs s
       done;

@@ -329,18 +329,18 @@ end
 
    An expansion emits through an [out]. On the sequential path [next] is
    the next layer's table, so an emission is one call ([emit], with
-   [Fixed.insert] inlined) and a satisfied mass goes straight to
-   [add_prob]. A parallel chunk's [out] logs both streams in emission
-   order instead — [words]/[kp] one [width]-word frame and probability
-   per successor, [mp] the satisfied masses — and the driver replays the
-   logs in chunk order into the next table and [add_prob]. The merged
+   [Fixed.insert] inlined) and a satisfied mass goes straight into the
+   call's one [mass]. A parallel chunk's [out] logs both streams in
+   emission order instead — [words]/[kp] one [width]-word frame and
+   probability per successor, [mp] the satisfied masses — and the driver
+   replays the logs in chunk order into the next table and [mass]. The merged
    streams are then the sequential ones for any chunking, so the next
    table's slot order and every float addition are too (see dp_par.ml
    for why the two streams may be logged apart). *)
 module Layers = struct
   type out = {
     mutable next : Fixed.t;
-    add_prob : float array -> int -> unit;
+    mass : Mass.t;
     log : bool;
     width : int;
     mutable words : int array;
@@ -350,11 +350,11 @@ module Layers = struct
     mutable n_mp : int;
   }
 
-  let make ~log ~width ~add_prob next =
+  let make ~log ~width mass next =
     let n = if log then 64 else 0 in
     {
       next;
-      add_prob;
+      mass;
       log;
       width;
       words = Array.make (n * width) 0;
@@ -387,7 +387,7 @@ module Layers = struct
     else Fixed.insert o.next buf off cell ci
 
   let emit_mass o cell ci =
-    if not o.log then o.add_prob cell ci
+    if not o.log then Mass.add_x o.mass cell.(ci)
     else begin
       let k = o.n_mp in
       if k = Array.length o.mp then o.mp <- grow_floats o.mp k;
@@ -398,10 +398,10 @@ module Layers = struct
   (* A layer of [n] states in [n_chunks] contiguous chunks on the pool,
      each with its own scratch and log, replayed in chunk order on the
      calling domain; [finish] follows each chunk's replay. *)
-  let chunked ~par ~n ~scratch ~expand ~finish ~add_prob next =
+  let chunked ~par ~n ~scratch ~expand ~finish mass next =
     let n_chunks = min n (4 * Util.Par.width par) in
     let width = Fixed.width next in
-    let outs = Array.init n_chunks (fun _ -> make ~log:true ~width ~add_prob next) in
+    let outs = Array.init n_chunks (fun _ -> make ~log:true ~width mass next) in
     let cxs = Array.make n_chunks None in
     Util.Par.share par ~n:n_chunks (fun c ->
         let cx = scratch () in
@@ -415,17 +415,18 @@ module Layers = struct
           Fixed.add next o.words (k * width) o.kp k
         done;
         for k = 0 to o.n_mp - 1 do
-          add_prob o.mp k
+          Mass.add mass o.mp k
         done;
         Option.iter finish cxs.(c))
       outs
 
   let run ~name ~width ~max_states ~budget ~par ~states ?(first = 0) ~last
-      ?seed ~scratch ~layer ?(finish = ignore) ~add_prob ~answer () =
+      ?seed ~scratch ~layer ?(finish = ignore) ~answer () =
     Fixed.with_pair ~name ~width ~max_states @@ fun t0 t1 ->
     let seed = match seed with Some s -> s | None -> Array.make width 0 in
     Fixed.add t0 seed 0 [| 1. |] 0;
-    let seq = make ~log:false ~width ~add_prob t1 and sc = scratch () in
+    let seq = make ~log:false ~width (Mass.create ()) t1 in
+    let sc = scratch () in
     let cur = ref t0 and nxt = ref t1 and hwm = ref 0 and total = ref 0 in
     for i = first to last do
       Util.Timer.check budget;
@@ -440,7 +441,7 @@ module Layers = struct
           expand sc seq s
         done
       end
-      else chunked ~par ~n ~scratch ~expand ~finish ~add_prob next;
+      else chunked ~par ~n ~scratch ~expand ~finish seq.mass next;
       hwm := max !hwm (max (Fixed.used_words curt) (Fixed.used_words next));
       Fixed.clear curt;
       cur := next;
@@ -449,5 +450,5 @@ module Layers = struct
     finish sc;
     states := !states + !total;
     Fixed.flush_call ~states:!total ~hwm_words:!hwm;
-    answer !cur
+    answer !cur seq.mass
 end

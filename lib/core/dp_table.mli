@@ -153,8 +153,7 @@ module Layers : sig
     scratch:(unit -> 'c) ->
     layer:(int -> int array -> float array -> 'c -> out -> int -> unit) ->
     ?finish:('c -> unit) ->
-    add_prob:(float array -> int -> unit) ->
-    answer:(Fixed.t -> 'a) ->
+    answer:(Fixed.t -> Mass.t -> 'a) ->
     unit ->
     'a
   (** Seed a table [name] of [width] ints per state (capped at
@@ -168,7 +167,8 @@ module Layers : sig
       the calling domain's scratch once per call and one per parallel
       chunk; [finish] runs on each after its emissions merge (a chunk's
       after its replay, the calling domain's once at the end). Satisfied
-      mass reaches [add_prob] in emission order. Adds the call's states
-      to [states] and returns [answer] of the last table. Raises
+      mass is added up, in emission order, in one {!Mass}. Adds the
+      call's states to [states] and returns [answer] of the last table
+      and that mass. Raises
       {!State_explosion} and [Util.Timer.Out_of_time]. *)
 end

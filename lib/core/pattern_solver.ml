@@ -107,7 +107,7 @@ let run_boxed ~budget ~par model pr =
     ref (Dp_table.Boxed.create ~name:"Pattern_solver" ~max_states:!max_states ())
   in
   Dp_table.Boxed.add !table [||] 1.;
-  let prob = ref 0. in
+  let acc = Dp_table.Mass.create () in
   for i = 0 to pr.m - 1 do
     Util.Timer.check budget;
     let cur = !table in
@@ -171,11 +171,11 @@ let run_boxed ~budget ~par model pr =
       ~ctx:(fun () -> ())
       ~expand
       ~add:(Dp_table.Boxed.add next)
-      ~add_prob:(fun p -> prob := !prob +. p)
+      ~add_prob:(Dp_table.Mass.add_float acc)
       ();
     table := next
   done;
-  min 1. !prob
+  min 1. (Dp_table.Mass.total acc)
 
 (* Chunk-local scratch for the flat kernel: an emission buffer of the
    table's width, the embedding scratch and the emission's probability
@@ -191,7 +191,6 @@ let run_flat ~budget ~par model pr =
     Array.fold_left (fun n mx -> if mx <> 0 then n + 1 else n) 0 pr.step_mask
   in
   let width = 1 + (2 * relevant) in
-  let acc = [| 0. |] in
   let pi_row = Array.make pr.m 0. in
   Dp_table.Layers.run ~name:"Pattern_solver" ~width ~max_states:!max_states
     ~budget ~par ~states:(ref 0) ~last:(pr.m - 1)
@@ -251,8 +250,7 @@ let run_flat ~budget ~par model pr =
               else Dp_table.Layers.emit out buf 0 cell 0
             end
           done)
-    ~add_prob:(fun cell ci -> acc.(0) <- acc.(0) +. cell.(ci))
-    ~answer:(fun _ -> min 1. acc.(0))
+    ~answer:(fun _ acc -> min 1. (Dp_table.Mass.total acc))
     ()
 
 let prob_general ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)

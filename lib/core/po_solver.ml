@@ -79,7 +79,6 @@ let build_problem model po =
    (state, j) order, instead of being stored. *)
 let run ~budget ~states model pr =
   let t = pr.t in
-  let acc = [| 0. |] in
   let pi_row = Array.make (pr.last + 1) 0. in
   Dp_table.Layers.run ~name:"Po_solver" ~width:t ~max_states:!max_states
     ~budget ~par:Util.Par.inline ~states ~first:pr.first ~last:pr.last
@@ -161,8 +160,7 @@ let run ~budget ~states model pr =
             end
           done
         end)
-    ~add_prob:(fun cell ci -> acc.(0) <- acc.(0) +. cell.(ci))
-    ~answer:(fun _ -> min 1. acc.(0))
+    ~answer:(fun _ acc -> min 1. (Dp_table.Mass.total acc))
     ()
 
 let prob ?(budget = Util.Timer.no_limit) model po =

@@ -325,7 +325,7 @@ let run_flat ~budget ~par ~states model pr =
   let a = pr.a and w = pr.a + pr.b in
   let k = kernel ~m ~w in
   let ints = k.ints and idx = k.idx and sh = k.sh in
-  let ly = layer ~m pr and acc = Dp_table.Mass.create () in
+  let ly = layer ~m pr in
   Dp_table.Layers.run ~name:"Two_label" ~width:ints ~max_states:!max_states
     ~budget ~par ~states ~last:(m - 1)
     ~scratch:(fun () -> scratch k)
@@ -351,8 +351,7 @@ let run_flat ~budget ~par ~states model pr =
           cell.(0) <- q *. pi_row.(j);
           Dp_table.Layers.emit out sc.buf 0 cell 0
         done)
-    ~add_prob:(Dp_table.Mass.add acc)
-    ~answer:(fun last -> answer ~survivors:(Dp_table.Fixed.length last) acc)
+    ~answer:(fun last -> answer ~survivors:(Dp_table.Fixed.length last))
     ()
 
 let prob_edges ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)
