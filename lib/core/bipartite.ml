@@ -626,7 +626,8 @@ let run_basic_flat ~budget ~par ~states ctx feasible =
         done)
     ~answer:(fun final acc ->
       let pats = pattern_arrays feasible in
-      let keys = Dp_table.Fixed.keys final and probs = Dp_table.Fixed.probs final in
+      let keys = Dp_table.Fixed.keys final in
+      let probs = Dp_table.Fixed.probs final in
       for s = 0 to Dp_table.Fixed.length final - 1 do
         if union_satisfied pats keys (s * w) then Dp_table.Mass.add acc probs s
       done;

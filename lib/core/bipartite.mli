@@ -27,7 +27,7 @@ val prob :
     has no matching item is unsatisfiable and is dropped). Raises
     {!Unsupported} if some pattern is not bipartite. With [par], large DP
     layers expand in parallel; the result is bit-identical to the
-    sequential run (see {!Dp_par}). *)
+    sequential run (see {!Dp_table.Layers}). *)
 
 val prob_basic :
   ?budget:Util.Timer.budget ->

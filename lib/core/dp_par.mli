@@ -20,7 +20,8 @@
     emissions merge — the place to flush chunk-local tallies. *)
 
 val default_min_par : int
-(** Layers smaller than this run sequentially (overridable). *)
+(** Layers smaller than this run sequentially ([run] takes [?min_par];
+    {!Dp_table.Layers} always cuts here). *)
 
 val run :
   par:Util.Par.t ->

@@ -1,11 +1,12 @@
-(** Layer tables for the insertion-step dynamic programs.
+(** Layer tables for the insertion-step dynamic programs, and the one
+    layer driver of the flat kernels ({!Layers}).
 
     Both tables number states by {e first insertion} and iterate in that
     order, making a layer's state sequence — and therefore every float
     addition downstream — an intrinsic property of the contribution
     stream that built it, independent of hashing. This is what lets the
     {!Fixed} kernels reproduce the {!Boxed} reference bit for bit (see
-    {!Kernel}), and both reproduce themselves at any {!Dp_par} width.
+    {!Kernel}), and both reproduce themselves at any pool width.
 
     {!Boxed} stores one structured key per state (the reference layout);
     {!Fixed} packs all states of a layer, each the same number of ints,
@@ -169,6 +170,6 @@ module Layers : sig
       after its replay, the calling domain's once at the end). Satisfied
       mass is added up, in emission order, in one {!Mass}. Adds the
       call's states to [states] and returns [answer] of the last table
-      and that mass. Raises
-      {!State_explosion} and [Util.Timer.Out_of_time]. *)
+      and that mass. Raises {!State_explosion} and
+      [Util.Timer.Out_of_time]. *)
 end

@@ -12,8 +12,9 @@
       allocation and the GC never scans boxed DP state.
 
     Both kernels process states in first-insertion order and merge
-    parallel chunk buffers in chunk order ({!Dp_par}), so the float
-    contribution stream — and therefore every answer bit — is the same
+    parallel chunk buffers in chunk order ({!Dp_par} for the boxed one,
+    {!Dp_table.Layers} for the flat one), so the float contribution
+    stream — and therefore every answer bit — is the same
     for either kernel at any domain width. The QA oracle and
     [test/t_kernel.ml] pin that equivalence. *)
 

@@ -27,7 +27,7 @@ val prob :
 (** Exact [Pr(g | σ, Π, λ)]. May raise [Util.Timer.Out_of_time] or
     {!Dp_table.State_explosion} (see {!max_states}). With [par], large
     DP layers expand in parallel; the result is bit-identical to the
-    sequential run (see {!Dp_par}). *)
+    sequential run (see {!Dp_table.Layers}). *)
 
 val prob_general :
   ?budget:Util.Timer.budget ->

@@ -335,7 +335,8 @@ let run_flat ~budget ~par ~states model pr =
       for x = 0 to w - 1 do
         k.row.(x) <- Conj.step_row m ~hit:ly.hit.(x) ~left:(x < a);
         if ly.live.(x) then
-          k.live_mask.(idx.(x)) <- k.live_mask.(idx.(x)) lor (k.fmask lsl sh.(x))
+          k.live_mask.(idx.(x)) <-
+            k.live_mask.(idx.(x)) lor (k.fmask lsl sh.(x))
       done;
       let pi_row = ly.pi_row in
       fun sc out s ->

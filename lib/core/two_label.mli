@@ -27,7 +27,7 @@ val prob :
   float
 (** Exact marginal probability. May raise [Util.Timer.Out_of_time].
     With [par], large DP layers expand in parallel; the result is
-    bit-identical to the sequential run (see {!Dp_par}). [kernel]
+    bit-identical to the sequential run (see {!Dp_table.Layers}). [kernel]
     selects the DP layout (default {!Kernel.Flat}); both kernels are
     byte-identical (see {!Kernel}). *)
 
