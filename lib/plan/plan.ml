@@ -345,19 +345,19 @@ let compile ?grounding_cap ?hint db (ast : Lang.Ast.t) =
       | Prefs.Pattern_union.Two_label ->
           ( Exact `Two_label,
             Tractable
-              "every per-session pattern union is two-label: O(m²) DP (§4.1)"
-          )
+              "every per-session pattern union is two-label: O(m^{2z+1}) DP \
+               (§4.2)" )
       | Prefs.Pattern_union.Bipartite ->
           ( Exact `Bipartite,
             Tractable
               "every per-session pattern union is bipartite-matchable: \
-               polynomial DP over label multisets (§4.2)" )
+               polynomial DP over label multisets (§4.3)" )
       | Prefs.Pattern_union.General ->
           ( Union_ie,
             Hard
               "some pattern has an item that is both source and target: \
                inclusion–exclusion over the union, worst-case exponential in \
-               its size (§4.3)" )
+               its size (§4.1)" )
     in
     let leaf, verdict =
       match hint with
