@@ -1,4 +1,4 @@
-.PHONY: all build test bench check ci examples bench-self-test par-matrix smoke-server qa-replay qa-fuzz fmt clean
+.PHONY: all build test bench bench-kernels check ci examples bench-self-test par-matrix smoke-server qa-replay qa-fuzz fmt clean
 
 all: build
 
@@ -102,6 +102,13 @@ qa-fuzz:
 
 bench:
 	dune exec bench/main.exe
+
+# Per-call rows of the flat DP kernels on fixed inputs (CPU us, minor
+# words, states, key words and an answer digest), without the Bechamel
+# groups of `micro`: run it on two checkouts to compare them.
+bench-kernels:
+	dune build bench/main.exe
+	./_build/default/bench/main.exe kernels
 
 fmt:
 	dune fmt

@@ -7,6 +7,7 @@
      dune exec bench/main.exe -- fig9 fig12   # selected experiments
      dune exec bench/main.exe -- all --full   # paper-scale parameters
      dune exec bench/main.exe -- micro        # kernels + design ablations
+     dune exec bench/main.exe -- kernels      # flat DP kernel rows only
 
    EXPERIMENTS.md records the paper-vs-measured comparison produced from
    this harness. *)
@@ -26,6 +27,7 @@ let experiments =
     ("fig14", Fig14.run);
     ("fig15", Fig15.run);
     ("micro", Micro.run);
+    ("kernels", fun ~full:_ () -> Micro.flat_kernels ());
   ]
 
 let () =
