@@ -602,9 +602,56 @@ let cold_answers engine db =
       answer_bits (Engine.eval engine (Engine.Request.make ~task db cold_q)))
     cold_tasks
 
+(* The five flat kernels on one input shape each, at a size [m]: the
+   kernel's name, the table name its {!Hardq.Dp_table.State_explosion}
+   carries, its state cap, and the call at [m] (the input is built
+   once, then solved under a budget per call). Sizes [small]
+   and [large] are [unit_no_alloc_per_expansion]'s. *)
+let flat_kernels =
+  let labeled m ~labels =
+    ( Rim.Mallows.to_rim
+        (Rim.Mallows.make ~center:(Prefs.Ranking.identity m) ~phi:0.5),
+      Prefs.Labeling.make (Array.init m (fun i -> [ i mod labels ])) )
+  in
+  let two_edges =
+    Prefs.Pattern_union.make
+      [
+        Prefs.Pattern.two_label ~left:[ 1 ] ~right:[ 0 ];
+        Prefs.Pattern.two_label ~left:[ 3 ] ~right:[ 2 ];
+      ]
+  in
+  let union solve m =
+    let model, lab = labeled m ~labels:4 in
+    fun budget -> solve ~budget model lab two_edges
+  in
+  let chain m =
+    let model, _ = labeled m ~labels:1 in
+    let po = Prefs.Partial_order.of_chain [ m - 1; m / 2; 0; m - 2 ] in
+    fun budget -> Hardq.Po_solver.prob ~budget model po
+  in
+  let signature m =
+    let model, lab = labeled m ~labels:3 in
+    let g = Prefs.Pattern.chain [ [ 2 ]; [ 1 ]; [ 0 ] ] in
+    fun budget -> Hardq.Pattern_solver.prob_general ~budget model lab g
+  in
+  [
+    ( "two-label", "Two_label", Hardq.Two_label.max_states,
+      union (fun ~budget m l u -> Hardq.Two_label.prob ~budget m l u), 16, 32 );
+    ( "bipartite", "Bipartite", Hardq.Bipartite.max_states,
+      union (fun ~budget m l u -> Hardq.Bipartite.prob ~budget m l u), 24, 32 );
+    ( "bipartite basic", "Bipartite (basic)", Hardq.Bipartite.max_states,
+      union (fun ~budget m l u -> Hardq.Bipartite.prob_basic ~budget m l u),
+      12, 16 );
+    ("RIM matching", "Po_solver", Hardq.Po_solver.max_states, chain, 16, 40);
+    ( "signature", "Pattern_solver", Hardq.Pattern_solver.max_states,
+      signature, 10, 13 );
+  ]
+
 (* A DP that raises — past its state cap mid-layer, or out of a tiny CPU
    budget — hands its tables back dirty; the next solves on the same
-   engine must still match a fresh engine's to the bit. *)
+   engine must still match a fresh engine's to the bit, and so must the
+   next direct call of each flat kernel match a call made before the
+   aborts. Each kernel's explosion names its own table. *)
 let unit_arena_after_abort () =
   let db = cold_db () in
   let fresh = Engine.with_engine cold_config (fun e -> cold_answers e db) in
@@ -625,7 +672,29 @@ let unit_arena_after_abort () =
       | _ -> Alcotest.fail "expected Out_of_time"
       | exception Util.Timer.Out_of_time -> ());
       if cold_answers engine db <> fresh then
-        Alcotest.fail "answers after an aborted DP differ from a fresh engine's")
+        Alcotest.fail "answers after an aborted DP differ from a fresh engine's");
+  List.iter
+    (fun (name, table, max_states, solve, m, _) ->
+      let solve = solve m in
+      let fresh = solve Util.Timer.no_limit in
+      let saved = !max_states in
+      (match
+         Fun.protect
+           ~finally:(fun () -> max_states := saved)
+           (fun () ->
+             max_states := 3;
+             solve Util.Timer.no_limit)
+       with
+      | _ -> Alcotest.failf "%s: expected a state explosion" name
+      | exception Hardq.Dp_table.State_explosion { table = t; cap } ->
+          Alcotest.(check string) (name ^ ": table") table t;
+          Alcotest.(check int) (name ^ ": cap") 3 cap);
+      (match solve (Util.Timer.budget 1e-9) with
+      | _ -> Alcotest.failf "%s: expected Out_of_time" name
+      | exception Util.Timer.Out_of_time -> ());
+      check_bits (name ^ ": after aborts vs before") fresh
+        (solve Util.Timer.no_limit))
+    flat_kernels
 
 (* Two threads evaluating through one engine (one pool, one spare pair
    per domain) answer exactly as a sequential run does. *)
@@ -758,32 +827,6 @@ let unit_both_sides_hit () =
    both the same; arrays past 256 words are born in the major heap, and
    per-layer scratch is a few dozen words. *)
 let unit_no_alloc_per_expansion () =
-  let labeled m ~labels ~phi =
-    ( Rim.Mallows.to_rim
-        (Rim.Mallows.make ~center:(Prefs.Ranking.identity m) ~phi),
-      Prefs.Labeling.make (Array.init m (fun i -> [ i mod labels ])) )
-  in
-  let two_edges =
-    Prefs.Pattern_union.make
-      [
-        Prefs.Pattern.two_label ~left:[ 1 ] ~right:[ 0 ];
-        Prefs.Pattern.two_label ~left:[ 3 ] ~right:[ 2 ];
-      ]
-  in
-  let union solve m =
-    let model, lab = labeled m ~labels:4 ~phi:0.5 in
-    fun () -> solve model lab two_edges
-  in
-  let chain m =
-    let model, _ = labeled m ~labels:1 ~phi:0.5 in
-    let po = Prefs.Partial_order.of_chain [ m - 1; m / 2; 0; m - 2 ] in
-    fun () -> Hardq.Po_solver.prob model po
-  in
-  let signature m =
-    let model, lab = labeled m ~labels:3 ~phi:0.5 in
-    let g = Prefs.Pattern.chain [ [ 2 ]; [ 1 ]; [ 0 ] ] in
-    fun () -> Hardq.Pattern_solver.prob_general model lab g
-  in
   let measure f =
     ignore (f ());
     ignore (f ());
@@ -794,7 +837,11 @@ let unit_no_alloc_per_expansion () =
     (words, Obs.count (Obs.diff before (Obs.snapshot ())) "dp.flat.states")
   in
   List.iter
-    (fun (name, shape, small, large) ->
+    (fun (name, _, _, solve, small, large) ->
+      let shape m =
+        let solve = solve m in
+        fun () -> solve Util.Timer.no_limit
+      in
       let w_small, s_small = measure (shape small)
       and w_large, s_large = measure (shape large) in
       if s_large - s_small < 5000 then
@@ -804,15 +851,7 @@ let unit_no_alloc_per_expansion () =
         Alcotest.failf
           "%s: %.0f more minor words for %d more states (m = %d vs %d)" name
           (w_large -. w_small) (s_large - s_small) large small)
-    [
-      ("two-label", union (fun model lab u -> Hardq.Two_label.prob model lab u), 16, 32);
-      ("bipartite", union (fun model lab u -> Hardq.Bipartite.prob model lab u), 24, 32);
-      ( "bipartite basic",
-        union (fun model lab u -> Hardq.Bipartite.prob_basic model lab u),
-        12, 16 );
-      ("RIM matching", chain, 16, 40);
-      ("signature", signature, 10, 13);
-    ]
+    flat_kernels
 
 let suites =
   [
