@@ -356,7 +356,7 @@ let run_optimized_flat ~budget ~par ~states ~edges_pruned ~patterns_pruned
       fill_layer ctx ly i;
       let pi_row = ly.pi_row and steps = ly.steps and row = ly.row in
       let stride = ly.stride and exhausted = ly.exhausted in
-      fun sc out s ->
+      fun sc next out s ->
         let o = s * width and q = probs.(s) in
         let cell = sc.fs_cell in
         let np = keys.(o) in
@@ -490,7 +490,7 @@ let run_optimized_flat ~budget ~par ~states ~edges_pruned ~patterns_pruned
                 end
               done;
               Array.fill buf !w (width - !w) 0;
-              Dp_table.Layers.emit out buf 0 cell 0
+              Dp_table.Fixed.add next buf 0 cell 0
             end
           end
         done)
@@ -611,7 +611,7 @@ let run_basic_flat ~budget ~par ~states ctx feasible =
       fill_layer ctx ly i;
       let pi_row = ly.pi_row and steps = ly.steps and row = ly.row in
       let stride = ly.stride in
-      fun sc out s ->
+      fun sc next _ s ->
         let off = s * w and q = probs.(s) in
         let buf = sc.bs_buf and cell = sc.bs_cell in
         for j = 0 to i do
@@ -621,7 +621,7 @@ let run_basic_flat ~budget ~par ~states ctx feasible =
               buf.(t) <- steps.(row.(t) + (j * stride) + keys.(off + t))
             done;
             cell.(0) <- p';
-            Dp_table.Layers.emit out buf 0 cell 0
+            Dp_table.Fixed.add next buf 0 cell 0
           end
         done)
     ~answer:(fun final acc ->

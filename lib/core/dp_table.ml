@@ -104,11 +104,12 @@ module Fixed = struct
     mutable mask : int; (* Array.length index - 1 (a power of two) *)
     mutable name : string; (* reset when a spare table is checked out *)
     mutable max_states : int;
+    log : bool; (* a parallel chunk's log: [add] appends, never merges *)
   }
 
   (* Small enough to be born in the minor heap; a Polls m = 10 call's
      layers fit without growing. *)
-  let create ~width ~name ~max_states () =
+  let make ~log ~width ~name ~max_states =
     {
       width;
       keys = Array.make 64 0;
@@ -118,7 +119,11 @@ module Fixed = struct
       mask = 127;
       name;
       max_states;
+      log;
     }
+
+  let create ~width ~name ~max_states () =
+    make ~log:false ~width ~name ~max_states
 
   let width t = t.width
   let length t = t.n
@@ -161,11 +166,10 @@ module Fixed = struct
     t.index <- index;
     t.mask <- mask
 
-  (* Slow path of [add]: append the key at index slot [i] and return its
-     slot; the caller stores the probability (after the probabilities
-     may have grown), so no float crosses this call boxed. *)
-  let add_new t buf off i =
-    if t.n >= t.max_states then explode t.name t.max_states;
+  (* Copy the key at [buf.(off ..)] into a new last slot and return it;
+     the caller stores the probability (after the probabilities may have
+     grown), so no float crosses this call boxed. *)
+  let append t buf off =
     let s = t.n and width = t.width in
     if (s + 1) * width > Array.length t.keys then begin
       let keys = Array.make (max (2 * Array.length t.keys) ((s + 1) * width)) 0 in
@@ -178,73 +182,83 @@ module Fixed = struct
       t.probs <- probs
     end;
     Array.blit buf off t.keys (s * width) width;
-    t.index.(i) <- s + 1;
     t.n <- s + 1;
+    s
+
+  (* Slow path of [add]: a new state at index slot [i]. *)
+  let add_new t buf off i =
+    if t.n >= t.max_states then explode t.name t.max_states;
+    let s = append t buf off in
+    t.index.(i) <- s + 1;
     if 2 * t.n > t.mask + 1 then rehash t;
     s
 
   (* Unsafe accesses: [buf]'s span is checked here, a key slot [s < n]
      has its [width] words below [n * width], and the index is probed
-     under [mask]. Inlined into the layer driver's [emit], so a kernel's
-     emission is one call, as into [add]. *)
-  let[@inline] insert t buf off cell ci =
+     under [mask]. *)
+  let add t buf off cell ci =
     let width = t.width in
     if off < 0 || off + width > Array.length buf then
       invalid_arg "Dp_table.Fixed.add: key out of bounds";
     let p = cell.(ci) in
-    let index = t.index and mask = t.mask and keys = t.keys in
-    let go = ref true in
-    (* One-word keys (every Polls two-label state) hash and probe with no
-       word loop: a Polls two-label call runs about 5% faster than
-       through the general loop. *)
-    if width = 1 then begin
-      let x = Array.unsafe_get buf off in
-      let i = ref (hash_word x land mask) in
-      while !go do
-        let e = Array.unsafe_get index !i in
-        if e = 0 then begin
-          let s = add_new t buf off !i in
-          t.probs.(s) <- p;
-          go := false
-        end
-        else if Array.unsafe_get keys (e - 1) = x then begin
-          let probs = t.probs in
-          Array.unsafe_set probs (e - 1) (Array.unsafe_get probs (e - 1) +. p);
-          go := false
-        end
-        else i := (!i + 1) land mask
-      done
+    if t.log then begin
+      let s = append t buf off in
+      t.probs.(s) <- p
     end
     else begin
-      let i = ref (hash_key buf off width land mask) in
-      while !go do
-        let e = Array.unsafe_get index !i in
-        if e = 0 then begin
-          let s = add_new t buf off !i in
-          t.probs.(s) <- p;
-          go := false
-        end
-        else begin
-          let s = e - 1 in
-          let base = s * width and k = ref 0 in
-          while
-            !k < width
-            && Array.unsafe_get keys (base + !k)
-               = Array.unsafe_get buf (off + !k)
-          do
-            incr k
-          done;
-          if !k = width then begin
+      let index = t.index and mask = t.mask and keys = t.keys in
+      let go = ref true in
+      (* One-word keys (every Polls two-label state) hash and probe with no
+         word loop: a Polls two-label call runs about 5% faster than
+         through the general loop. *)
+      if width = 1 then begin
+        let x = Array.unsafe_get buf off in
+        let i = ref (hash_word x land mask) in
+        while !go do
+          let e = Array.unsafe_get index !i in
+          if e = 0 then begin
+            let s = add_new t buf off !i in
+            t.probs.(s) <- p;
+            go := false
+          end
+          else if Array.unsafe_get keys (e - 1) = x then begin
             let probs = t.probs in
-            Array.unsafe_set probs s (Array.unsafe_get probs s +. p);
+            Array.unsafe_set probs (e - 1)
+              (Array.unsafe_get probs (e - 1) +. p);
             go := false
           end
           else i := (!i + 1) land mask
-        end
-      done
+        done
+      end
+      else begin
+        let i = ref (hash_key buf off width land mask) in
+        while !go do
+          let e = Array.unsafe_get index !i in
+          if e = 0 then begin
+            let s = add_new t buf off !i in
+            t.probs.(s) <- p;
+            go := false
+          end
+          else begin
+            let s = e - 1 in
+            let base = s * width and k = ref 0 in
+            while
+              !k < width
+              && Array.unsafe_get keys (base + !k)
+                 = Array.unsafe_get buf (off + !k)
+            do
+              incr k
+            done;
+            if !k = width then begin
+              let probs = t.probs in
+              Array.unsafe_set probs s (Array.unsafe_get probs s +. p);
+              go := false
+            end
+            else i := (!i + 1) land mask
+          end
+        done
+      end
     end
-
-  let add t buf off cell ci = insert t buf off cell ci
 
   let clear t =
     t.n <- 0;
@@ -327,105 +341,72 @@ end
    driver owns the rest: the table pair, the budget check, the tallies,
    the sequential/chunked split, the chunk-order replay and the swap.
 
-   An expansion emits through an [out]. On the sequential path [next] is
-   the next layer's table, so an emission is one call ([emit], with
-   [Fixed.insert] inlined) and a satisfied mass goes straight into the
-   call's one [mass]. A parallel chunk's [out] logs both streams in
-   emission order instead — [words]/[kp] one [width]-word frame and
-   probability per successor, [mp] the satisfied masses — and the driver
-   replays the logs in chunk order into the next table and [mass]. The merged
-   streams are then the sequential ones for any chunking, so the next
-   table's slot order and every float addition are too (see dp_par.ml
-   for why the two streams may be logged apart). *)
+   An expansion emits a successor with [Fixed.add next] and satisfied
+   mass with [emit_mass out]. On the sequential path [next] is the next
+   layer's table, so an emission is one call into [Fixed.add] as before
+   the driver, and [out] adds into the call's one [mass]. A parallel
+   chunk gets a log table for [next] ([Fixed.add] appends to it, in
+   emission order) and an [out] that logs its masses in [mp]; the driver
+   replays both logs in chunk order into the next table and [mass]. The
+   merged streams are then the sequential ones for any chunking, so the
+   next table's slot order and every float addition are too (dp_par.ml
+   says why the two streams may be logged apart). *)
 module Layers = struct
   type out = {
-    mutable next : Fixed.t;
     mass : Mass.t;
     log : bool;
-    width : int;
-    mutable words : int array;
-    mutable kp : float array;
-    mutable n_kp : int;
     mutable mp : float array;
     mutable n_mp : int;
   }
-
-  let make ~log ~width mass next =
-    let n = if log then 64 else 0 in
-    {
-      next;
-      mass;
-      log;
-      width;
-      words = Array.make (n * width) 0;
-      kp = Array.make n 0.;
-      n_kp = 0;
-      mp = Array.make n 0.;
-      n_mp = 0;
-    }
-
-  let grow_floats a n =
-    let a' = Array.make (2 * n) 0. in
-    Array.blit a 0 a' 0 n;
-    a'
-
-  (* [words] holds [width] words per cell of [kp]. *)
-  let log_state o buf off cell ci =
-    let w = o.width and k = o.n_kp in
-    if k = Array.length o.kp then begin
-      o.kp <- grow_floats o.kp k;
-      let words = Array.make (2 * k * w) 0 in
-      Array.blit o.words 0 words 0 (k * w);
-      o.words <- words
-    end;
-    Array.blit buf off o.words (k * w) w;
-    o.kp.(k) <- cell.(ci);
-    o.n_kp <- k + 1
-
-  let emit o buf off cell ci =
-    if o.log then log_state o buf off cell ci
-    else Fixed.insert o.next buf off cell ci
 
   let emit_mass o cell ci =
     if not o.log then Mass.add_x o.mass cell.(ci)
     else begin
       let k = o.n_mp in
-      if k = Array.length o.mp then o.mp <- grow_floats o.mp k;
+      if k = Array.length o.mp then begin
+        let mp = Array.make (2 * k) 0. in
+        Array.blit o.mp 0 mp 0 k;
+        o.mp <- mp
+      end;
       o.mp.(k) <- cell.(ci);
       o.n_mp <- k + 1
     end
 
   (* A layer of [n] states in [n_chunks] contiguous chunks on the pool,
-     each with its own scratch and log, replayed in chunk order on the
+     each with its own scratch and logs, replayed in chunk order on the
      calling domain; [finish] follows each chunk's replay. *)
   let chunked ~par ~n ~scratch ~expand ~finish mass next =
     let n_chunks = min n (4 * Util.Par.width par) in
     let width = Fixed.width next in
-    let outs = Array.init n_chunks (fun _ -> make ~log:true ~width mass next) in
+    let logs =
+      Array.init n_chunks (fun _ ->
+          ( Fixed.make ~log:true ~width ~name:"" ~max_states:max_int,
+            { mass; log = true; mp = Array.make 64 0.; n_mp = 0 } ))
+    in
     let cxs = Array.make n_chunks None in
     Util.Par.share par ~n:n_chunks (fun c ->
-        let cx = scratch () in
+        let cx = scratch () and tbl, out = logs.(c) in
         cxs.(c) <- Some cx;
         for s = c * n / n_chunks to ((c + 1) * n / n_chunks) - 1 do
-          expand cx outs.(c) s
+          expand cx tbl out s
         done);
     Array.iteri
-      (fun c o ->
-        for k = 0 to o.n_kp - 1 do
-          Fixed.add next o.words (k * width) o.kp k
+      (fun c (tbl, out) ->
+        for k = 0 to Fixed.length tbl - 1 do
+          Fixed.add next (Fixed.keys tbl) (k * width) (Fixed.probs tbl) k
         done;
-        for k = 0 to o.n_mp - 1 do
-          Mass.add mass o.mp k
+        for k = 0 to out.n_mp - 1 do
+          Mass.add mass out.mp k
         done;
         Option.iter finish cxs.(c))
-      outs
+      logs
 
   let run ~name ~width ~max_states ~budget ~par ~states ?(first = 0) ~last
       ?seed ~scratch ~layer ?(finish = ignore) ~answer () =
     Fixed.with_pair ~name ~width ~max_states @@ fun t0 t1 ->
     let seed = match seed with Some s -> s | None -> Array.make width 0 in
     Fixed.add t0 seed 0 [| 1. |] 0;
-    let seq = make ~log:false ~width (Mass.create ()) t1 in
+    let seq = { mass = Mass.create (); log = false; mp = [||]; n_mp = 0 } in
     let sc = scratch () in
     let cur = ref t0 and nxt = ref t1 and hwm = ref 0 and total = ref 0 in
     for i = first to last do
@@ -435,12 +416,10 @@ module Layers = struct
       total := !total + n;
       Fixed.note_layer_width n;
       let expand = layer i (Fixed.keys curt) (Fixed.probs curt) in
-      if Util.Par.width par <= 1 || n < Dp_par.default_min_par then begin
-        seq.next <- next;
+      if Util.Par.width par <= 1 || n < Dp_par.default_min_par then
         for s = 0 to n - 1 do
-          expand sc seq s
+          expand sc next seq s
         done
-      end
       else chunked ~par ~n ~scratch ~expand ~finish seq.mass next;
       hwm := max !hwm (max (Fixed.used_words curt) (Fixed.used_words next));
       Fixed.clear curt;

@@ -127,15 +127,8 @@ end
     [dp.flat.*] flush. *)
 module Layers : sig
   type out
-  (** Where an expansion emits: the next table, or a parallel chunk's
-      private log. *)
-
-  val emit : out -> int array -> int -> float array -> int -> unit
-  (** [emit out buf off cell ci]: a successor state, its words at
-      [buf.(off ..)] (the table's width) and its probability
-      [cell.(ci)]. One call per emission: on the sequential path the
-      table insert is inlined. [buf] and [cell] may be overwritten once
-      [emit] returns. *)
+  (** Where an expansion's satisfied mass goes: the call's one {!Mass},
+      or a parallel chunk's private log. *)
 
   val emit_mass : out -> float array -> int -> unit
   (** [emit_mass out cell ci]: mass [cell.(ci)] leaves the DP as
@@ -152,7 +145,8 @@ module Layers : sig
     last:int ->
     ?seed:int array ->
     scratch:(unit -> 'c) ->
-    layer:(int -> int array -> float array -> 'c -> out -> int -> unit) ->
+    layer:
+      (int -> int array -> float array -> 'c -> Fixed.t -> out -> int -> unit) ->
     ?finish:('c -> unit) ->
     answer:(Fixed.t -> Mass.t -> 'a) ->
     unit ->
@@ -162,14 +156,17 @@ module Layers : sig
       then insert items [first] (default 0) to [last], one layer each:
       check [budget], run [layer i keys probs] on the calling domain
       (the hoist; [keys]/[probs] are the current table's, read-only)
-      and call the [expand] it returns as [expand sc out s] once per
-      state [s] in slot order — so write the hoist as
-      [fun i keys probs -> ...; fun sc out s -> ...]. [scratch] makes
-      the calling domain's scratch once per call and one per parallel
-      chunk; [finish] runs on each after its emissions merge (a chunk's
-      after its replay, the calling domain's once at the end). Satisfied
-      mass is added up, in emission order, in one {!Mass}. Adds the
-      call's states to [states] and returns [answer] of the last table
-      and that mass. Raises {!State_explosion} and
+      and call the [expand] it returns as [expand sc next out s] once
+      per state [s] in slot order — so write the hoist as
+      [fun i keys probs -> ...; fun sc next out s -> ...]. An expansion
+      emits each successor with [Fixed.add next] (the next layer's
+      table, or on a parallel chunk a log the driver replays into it)
+      and its satisfied mass with {!emit_mass}: one call per emission.
+      [scratch] makes the calling domain's scratch once per call and one
+      per parallel chunk; [finish] runs on each after its emissions
+      merge (a chunk's after its replay, the calling domain's once at
+      the end). Satisfied mass is added up, in emission order, in one
+      {!Mass}. Adds the call's states to [states] and returns [answer]
+      of the last table and that mass. Raises {!State_explosion} and
       [Util.Timer.Out_of_time]. *)
 end

@@ -201,7 +201,7 @@ let run_flat ~budget ~par model pr =
       let mx = pr.step_mask.(i) in
       (* Item [k] of a state at [off] has its position at [off + 1 + 2k]
          and its mask right after. *)
-      fun sc out s ->
+      fun sc next out s ->
         let off = s * width and qprob = probs.(s) in
         let t = data.(off) in
         let buf = sc.buf and cell = sc.cell in
@@ -220,7 +220,7 @@ let run_flat ~budget ~par model pr =
                   buf.(1 + (2 * k)) <- buf.(1 + (2 * k)) + 1
                 done;
                 cell.(0) <- qprob *. !psum;
-                Dp_table.Layers.emit out buf 0 cell 0
+                Dp_table.Fixed.add next buf 0 cell 0
               end
             end
           done
@@ -247,7 +247,7 @@ let run_flat ~budget ~par model pr =
               cell.(0) <- p;
               if embeds_flat pr ~f:sc.f buf 1 (t + 1) then
                 Dp_table.Layers.emit_mass out cell 0
-              else Dp_table.Layers.emit out buf 0 cell 0
+              else Dp_table.Fixed.add next buf 0 cell 0
             end
           done)
     ~answer:(fun _ acc -> min 1. (Dp_table.Mass.total acc))

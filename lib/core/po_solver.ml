@@ -88,7 +88,7 @@ let run ~budget ~states model pr =
       let k = pr.slot_at.(i) in
       let dies = pr.dies.(i) in
       let final = i = pr.last in
-      fun (buf, sorted, cell) out s ->
+      fun (buf, sorted, cell) next out s ->
         let off = s * t and q = probs.(s) in
         if k >= 0 then begin
           (* A tracked item lands after every inserted predecessor and at
@@ -119,7 +119,7 @@ let run ~budget ~states model pr =
                 for y = 0 to Array.length dies - 1 do
                   buf.(dies.(y)) <- 0
                 done;
-                Dp_table.Layers.emit out buf 0 cell 0
+                Dp_table.Fixed.add next buf 0 cell 0
               end
             end
           done
@@ -156,7 +156,7 @@ let run ~budget ~states model pr =
                 buf.(x) <- (if v > jlo then v + 1 else v)
               done;
               cell.(0) <- q *. !psum;
-              Dp_table.Layers.emit out buf 0 cell 0
+              Dp_table.Fixed.add next buf 0 cell 0
             end
           done
         end)

@@ -339,7 +339,7 @@ let run_flat ~budget ~par ~states model pr =
             k.live_mask.(idx.(x)) lor (k.fmask lsl sh.(x))
       done;
       let pi_row = ly.pi_row in
-      fun sc out s ->
+      fun sc next out s ->
         decode k sc keys s;
         let q = probs.(s) and cell = sc.cell in
         let lo = sat_lo ly sc.vals and hi = sat_hi ly sc.vals i in
@@ -350,7 +350,7 @@ let run_flat ~budget ~par ~states model pr =
         for j = lo to hi - 1 do
           step k sc j;
           cell.(0) <- q *. pi_row.(j);
-          Dp_table.Layers.emit out sc.buf 0 cell 0
+          Dp_table.Fixed.add next sc.buf 0 cell 0
         done)
     ~answer:(fun last -> answer ~survivors:(Dp_table.Fixed.length last))
     ()
