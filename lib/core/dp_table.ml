@@ -185,12 +185,17 @@ module Fixed = struct
     t.n <- s + 1;
     s
 
-  (* Slow path of [add]: a new state at index slot [i]. *)
+  (* Slow path of [add]: a new state at index slot [i]. A log table
+     never fills its index, so every key probes to an empty slot and
+     lands here: it appends each emission and merges none, at no cost
+     to an indexed table's hot path. *)
   let add_new t buf off i =
     if t.n >= t.max_states then explode t.name t.max_states;
     let s = append t buf off in
-    t.index.(i) <- s + 1;
-    if 2 * t.n > t.mask + 1 then rehash t;
+    if not t.log then begin
+      t.index.(i) <- s + 1;
+      if 2 * t.n > t.mask + 1 then rehash t
+    end;
     s
 
   (* Unsafe accesses: [buf]'s span is checked here, a key slot [s < n]
@@ -201,63 +206,56 @@ module Fixed = struct
     if off < 0 || off + width > Array.length buf then
       invalid_arg "Dp_table.Fixed.add: key out of bounds";
     let p = cell.(ci) in
-    if t.log then begin
-      let s = append t buf off in
-      t.probs.(s) <- p
+    let index = t.index and mask = t.mask and keys = t.keys in
+    let go = ref true in
+    (* One-word keys (every Polls two-label state) hash and probe with no
+       word loop: a Polls two-label call runs about 5% faster than
+       through the general loop. *)
+    if width = 1 then begin
+      let x = Array.unsafe_get buf off in
+      let i = ref (hash_word x land mask) in
+      while !go do
+        let e = Array.unsafe_get index !i in
+        if e = 0 then begin
+          let s = add_new t buf off !i in
+          t.probs.(s) <- p;
+          go := false
+        end
+        else if Array.unsafe_get keys (e - 1) = x then begin
+          let probs = t.probs in
+          Array.unsafe_set probs (e - 1) (Array.unsafe_get probs (e - 1) +. p);
+          go := false
+        end
+        else i := (!i + 1) land mask
+      done
     end
     else begin
-      let index = t.index and mask = t.mask and keys = t.keys in
-      let go = ref true in
-      (* One-word keys (every Polls two-label state) hash and probe with no
-         word loop: a Polls two-label call runs about 5% faster than
-         through the general loop. *)
-      if width = 1 then begin
-        let x = Array.unsafe_get buf off in
-        let i = ref (hash_word x land mask) in
-        while !go do
-          let e = Array.unsafe_get index !i in
-          if e = 0 then begin
-            let s = add_new t buf off !i in
-            t.probs.(s) <- p;
-            go := false
-          end
-          else if Array.unsafe_get keys (e - 1) = x then begin
+      let i = ref (hash_key buf off width land mask) in
+      while !go do
+        let e = Array.unsafe_get index !i in
+        if e = 0 then begin
+          let s = add_new t buf off !i in
+          t.probs.(s) <- p;
+          go := false
+        end
+        else begin
+          let s = e - 1 in
+          let base = s * width and k = ref 0 in
+          while
+            !k < width
+            && Array.unsafe_get keys (base + !k)
+               = Array.unsafe_get buf (off + !k)
+          do
+            incr k
+          done;
+          if !k = width then begin
             let probs = t.probs in
-            Array.unsafe_set probs (e - 1)
-              (Array.unsafe_get probs (e - 1) +. p);
+            Array.unsafe_set probs s (Array.unsafe_get probs s +. p);
             go := false
           end
           else i := (!i + 1) land mask
-        done
-      end
-      else begin
-        let i = ref (hash_key buf off width land mask) in
-        while !go do
-          let e = Array.unsafe_get index !i in
-          if e = 0 then begin
-            let s = add_new t buf off !i in
-            t.probs.(s) <- p;
-            go := false
-          end
-          else begin
-            let s = e - 1 in
-            let base = s * width and k = ref 0 in
-            while
-              !k < width
-              && Array.unsafe_get keys (base + !k)
-                 = Array.unsafe_get buf (off + !k)
-            do
-              incr k
-            done;
-            if !k = width then begin
-              let probs = t.probs in
-              Array.unsafe_set probs s (Array.unsafe_get probs s +. p);
-              go := false
-            end
-            else i := (!i + 1) land mask
-          end
-        done
-      end
+        end
+      done
     end
 
   let clear t =
