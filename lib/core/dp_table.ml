@@ -343,32 +343,22 @@ end
    mass with [emit_mass out]. On the sequential path [next] is the next
    layer's table, so an emission is one call into [Fixed.add] as before
    the driver, and [out] adds into the call's one [mass]. A parallel
-   chunk gets a log table for [next] ([Fixed.add] appends to it, in
-   emission order) and an [out] that logs its masses in [mp]; the driver
-   replays both logs in chunk order into the next table and [mass]. The
+   chunk gets log tables instead ([Fixed.add] appends to a log, in
+   emission order): one for [next], and one of width 0 for its masses;
+   the driver replays both in chunk order into the next table and
+   [mass]. The
    merged streams are then the sequential ones for any chunking, so the
    next table's slot order and every float addition are too (dp_par.ml
    says why the two streams may be logged apart). *)
 module Layers = struct
-  type out = {
-    mass : Mass.t;
-    log : bool;
-    mutable mp : float array;
-    mutable n_mp : int;
-  }
+  type out = { mass : Mass.t; log : Fixed.t option }
 
   let emit_mass o cell ci =
-    if not o.log then Mass.add_x o.mass cell.(ci)
-    else begin
-      let k = o.n_mp in
-      if k = Array.length o.mp then begin
-        let mp = Array.make (2 * k) 0. in
-        Array.blit o.mp 0 mp 0 k;
-        o.mp <- mp
-      end;
-      o.mp.(k) <- cell.(ci);
-      o.n_mp <- k + 1
-    end
+    match o.log with
+    | None -> Mass.add_x o.mass cell.(ci)
+    | Some t -> Fixed.add t [||] 0 cell ci
+
+  let log_table width = Fixed.make ~log:true ~width ~name:"" ~max_states:max_int
 
   (* A layer of [n] states in [n_chunks] contiguous chunks on the pool,
      each with its own scratch and logs, replayed in chunk order on the
@@ -377,24 +367,23 @@ module Layers = struct
     let n_chunks = min n (4 * Util.Par.width par) in
     let width = Fixed.width next in
     let logs =
-      Array.init n_chunks (fun _ ->
-          ( Fixed.make ~log:true ~width ~name:"" ~max_states:max_int,
-            { mass; log = true; mp = Array.make 64 0.; n_mp = 0 } ))
+      Array.init n_chunks (fun _ -> (log_table width, log_table 0))
     in
     let cxs = Array.make n_chunks None in
     Util.Par.share par ~n:n_chunks (fun c ->
-        let cx = scratch () and tbl, out = logs.(c) in
+        let cx = scratch () and tbl, masses = logs.(c) in
+        let out = { mass; log = Some masses } in
         cxs.(c) <- Some cx;
         for s = c * n / n_chunks to ((c + 1) * n / n_chunks) - 1 do
           expand cx tbl out s
         done);
     Array.iteri
-      (fun c (tbl, out) ->
+      (fun c (tbl, masses) ->
         for k = 0 to Fixed.length tbl - 1 do
           Fixed.add next (Fixed.keys tbl) (k * width) (Fixed.probs tbl) k
         done;
-        for k = 0 to out.n_mp - 1 do
-          Mass.add mass out.mp k
+        for k = 0 to Fixed.length masses - 1 do
+          Mass.add mass (Fixed.probs masses) k
         done;
         Option.iter finish cxs.(c))
       logs
@@ -404,7 +393,7 @@ module Layers = struct
     Fixed.with_pair ~name ~width ~max_states @@ fun t0 t1 ->
     let seed = match seed with Some s -> s | None -> Array.make width 0 in
     Fixed.add t0 seed 0 [| 1. |] 0;
-    let seq = { mass = Mass.create (); log = false; mp = [||]; n_mp = 0 } in
+    let seq = { mass = Mass.create (); log = None } in
     let sc = scratch () in
     let cur = ref t0 and nxt = ref t1 and hwm = ref 0 and total = ref 0 in
     for i = first to last do
