@@ -42,7 +42,6 @@ val conjunctions : Prefs.Pattern_union.t -> (Prefs.Pattern.t * int) list
 val prob :
   ?budget:Util.Timer.budget ->
   ?par:Util.Par.t ->
-  ?memo:bool ->
   ?cache:Term_cache.t ->
   ?kernel:Kernel.t ->
   Rim.Model.t ->
@@ -54,29 +53,13 @@ val prob :
     returned raw: floating-point cancellation can leave residue slightly
     outside [0, 1], which {!Solver.prob} clamps (with a debug log).
 
-    With [par], the [2^z - 1] terms evaluate concurrently (and each
-    term's DP layers may fan out further into the same pool); the
-    alternating sum is still taken in subset-size order on the calling
-    domain, so the result is bit-identical to the sequential run.
-    [memo] (default [true]) evaluates only one representative of each
-    structurally identical conjunction and reuses its probability —
-    also bit-identical, since duplicates rerun the same computation.
+    One pass over the {!conjunctions}: each term is looked up in
+    [cache], the misses are solved (with [par], concurrently, and each
+    term's DP layers may fan out further into the same pool) and
+    published to [cache], and the signed terms are added up in
+    {!conjunctions}' order on the calling domain, so the result is
+    bit-identical to the sequential run.
 
-    [cache] extends the memo across calls: each representative is looked
-    up before evaluation and published after, on the calling domain (see
-    {!Term_cache}). The caller is responsible for scoping the cache to a
-    single (model, labeling). *)
-
-val prob_instrumented :
-  ?budget:Util.Timer.budget ->
-  ?par:Util.Par.t ->
-  ?memo:bool ->
-  ?cache:Term_cache.t ->
-  ?kernel:Kernel.t ->
-  Rim.Model.t ->
-  Prefs.Labeling.t ->
-  Prefs.Pattern_union.t ->
-  float * (int * float) list
-(** Like {!prob} but also returns, for every conjunction, its subset
-    size and wall-clock seconds — the measurement behind the paper's
-    Figure 5. Terms answered from the memo report zero seconds. *)
+    [cache] shares solved terms across calls: lookups and stores happen
+    on the calling domain (see {!Term_cache}). The caller is responsible
+    for scoping the cache to a single (model, labeling). *)

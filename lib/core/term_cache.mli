@@ -1,7 +1,6 @@
 (** Capability handed to {!General.prob} so a caller (the engine) can
     share solved inclusion–exclusion conjunction terms across queries
-    against the same (model, labeling) — the cross-request analogue of
-    the solver's per-call structural memo.
+    against the same (model, labeling).
 
     Like [Util.Par.t], this is dependency-free capability injection:
     [lib/core] never learns about the engine's store. Contract:

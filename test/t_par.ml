@@ -223,28 +223,6 @@ let prop_general_par_bit_identical =
               (Format.asprintf "%a" Prefs.Pattern_union.pp gu);
           true))
 
-(* Memoizing structurally identical conjunctions changes nothing: the
-   representative reruns the exact computation the duplicate would. *)
-let prop_memo_bit_identical =
-  Helpers.qtest ~count:40 "memoized IE == unmemoized, bit for bit"
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let r = Helpers.rng seed in
-      let m = 6 in
-      let model = Rim.Mallows.to_rim (Helpers.random_mallows r m) in
-      let lab = Helpers.random_labeling r ~m ~n_labels:3 in
-      (* Duplicate patterns dedup inside Pattern_union.make, so build a
-         union whose *conjunctions* collide instead: two-label patterns
-         over few labels collide readily at z = 3. *)
-      let gu =
-        Helpers.random_union (Helpers.random_two_label_pattern ~n_labels:3) r ~z:3
-      in
-      let a = Hardq.General.prob ~memo:true model lab gu in
-      let b = Hardq.General.prob ~memo:false model lab gu in
-      if a <> b then
-        QCheck.Test.fail_reportf "memo=%.17g unmemo=%.17g" a b;
-      true)
-
 (* ------------------------------------------------------------------ *)
 (* Pool stress: nesting, saturation, shutdown                           *)
 (* ------------------------------------------------------------------ *)
@@ -403,7 +381,6 @@ let suites =
         tc (named "engine intra/inter/jobs bit-identity") `Quick
           unit_engine_bit_identity;
         prop_general_par_bit_identical;
-        prop_memo_bit_identical;
         tc (named "dp chunk replay is ordered") `Quick unit_dp_par_ordered_replay;
         tc (named "rejection chunking is seed-deterministic") `Quick
           unit_rejection_chunked_determinism;
