@@ -48,13 +48,24 @@ end
    id, in order of first use in the union structure, the ascending items
    carrying it. Label ids stay as they are in the structure, so equal keys
    are identical solver inputs within a database and across databases, and
-   interning a label the union does not name leaves its keys unchanged. *)
+   interning a label the union does not name leaves its keys unchanged.
+
+   Both key types lead with a full hash of their (projection, structure)
+   part. The stores hash keys with [Hashtbl.hash], which reads at most 10
+   scalars, and the center ranking alone holds m of them: without the
+   leading hash, keys that differ only in projection or structure share
+   one bucket. The hash is a function of fields the key already holds, so
+   equality is unchanged. *)
 type projection = int list list (* carriers of each label, first use order *)
 
 type shape = Prefs.Pattern.node array * (int * int) list (* nodes, edges *)
 
+(* [Hashtbl.hash_param] over the whole (projection, structure) part. *)
+let part_hash (part : projection * 'a) = Hashtbl.hash_param 64 256 part
+
 type key =
-  int (* seed; 0 for exact solvers *)
+  int (* part_hash (projection, structure) *)
+  * int (* seed; 0 for exact solvers *)
   * Hardq.Solver.t
   * int array (* center ranking *)
   * float (* phi *)
@@ -62,11 +73,11 @@ type key =
   * shape list (* union structure *)
 
 (* Term-tier key: one inclusion-exclusion conjunction under one model and
-   the conjunction's own label projection. Same canonical structure as
-   [General]'s per-call memo key, scoped by the model parameters so the
-   store can be engine-global. *)
+   the conjunction's own label projection, scoped by the model parameters
+   so the store can be engine-global. *)
 type term_key =
-  int array (* center *)
+  int (* part_hash (projection, shape) *)
+  * int array (* center *)
   * float (* phi *)
   * projection
   * shape (* conjunction structure *)
@@ -165,9 +176,10 @@ let projection lab shapes : projection =
 
 let shape_of g : shape = (Prefs.Pattern.nodes g, Prefs.Pattern.edges g)
 
-let canonical_key solver seed (s : Ppd.Database.session) (proj, structure) : key =
+let canonical_key solver seed (s : Ppd.Database.session) (h, proj, structure) : key =
   let mal = s.Ppd.Database.model in
-  ( key_seed solver seed,
+  ( h,
+    key_seed solver seed,
     solver,
     Prefs.Ranking.to_array (Rim.Mallows.center mal),
     Rim.Mallows.phi mal,
@@ -178,8 +190,8 @@ let canonical_key solver seed (s : Ppd.Database.session) (proj, structure) : key
    a sampler's RNG stream: the solve of a key must not depend on request
    order, cache warm state or labels the union does not name, or a cache
    hit could return a float a cold solve would not reproduce. Exact solves
-   never read it. *)
-let key_digest ((seed, solver, center, phi, proj, structure) : key) =
+   never read it, and neither does the leading hash. *)
+let key_digest ((_, seed, solver, center, phi, proj, structure) : key) =
   let module D = Hardq.Digest in
   let h = D.solver (D.int D.empty seed) solver in
   let h = Array.fold_left D.int (D.int h (Array.length center)) center in
@@ -231,7 +243,7 @@ type ctx = {
   solver : Hardq.Solver.t;
   seed : int;
   lab : Prefs.Labeling.t;
-  unions : (projection * shape list) Union_memo.t;
+  unions : (int * projection * shape list) Union_memo.t;
   budget : float;
   deadline : float option;
   par : Util.Par.t;
@@ -285,7 +297,8 @@ let union_part ctx u =
   | Some part -> part
   | None ->
       let structure = List.map shape_of (Prefs.Pattern_union.patterns u) in
-      let part = (projection ctx.lab structure, structure) in
+      let proj = projection ctx.lab structure in
+      let part = (part_hash (proj, structure), proj, structure) in
       Union_memo.add ctx.unions u part;
       part
 
@@ -303,7 +316,8 @@ let term_hook ctx (s : Ppd.Database.session) =
       let phi = Rim.Mallows.phi mal in
       let tkey c =
         let shape = shape_of c in
-        (center, phi, projection ctx.lab [ shape ], shape)
+        let proj = projection ctx.lab [ shape ] in
+        (part_hash (proj, shape), center, phi, proj, shape)
       in
       Some
         {
