@@ -52,11 +52,6 @@ let run ?(par = Util.Par.inline) ~n model pred rng =
 let estimate ?par ~n model lab gu rng =
   run ?par ~n model (fun r -> Prefs.Matcher.matches_union lab gu r) rng
 
-let estimate_subrankings ?par ~n model subs rng =
-  run ?par ~n model
-    (fun r -> List.exists (fun sub -> Prefs.Matcher.matches_subranking r ~sub) subs)
-    rng
-
 let samples_until ~exact ~rel_tol ~max_samples model lab gu rng =
   if exact <= 0. then invalid_arg "Rejection.samples_until: exact must be positive";
   let hits = ref 0 in

@@ -2,6 +2,20 @@
     many match the pattern union. Simple, unbiased, and hopeless for rare
     events — the baseline of Figure 9. *)
 
+val run :
+  ?par:Util.Par.t ->
+  n:int ->
+  Rim.Model.t ->
+  (Prefs.Ranking.t -> bool) ->
+  Util.Rng.t ->
+  Estimate.t
+(** The fraction of [n] draws from the model that satisfy the predicate.
+    Runs of more than 4096 samples split into fixed 4096-sample chunks,
+    each with a child RNG derived sequentially from [rng] up front; the
+    chunks may then evaluate in parallel ([par]) with an estimate that
+    depends only on the seed and [n], never on the width. Smaller runs
+    consume [rng] directly (the historical stream). *)
+
 val estimate :
   ?par:Util.Par.t ->
   n:int ->
@@ -10,20 +24,7 @@ val estimate :
   Prefs.Pattern_union.t ->
   Util.Rng.t ->
   Estimate.t
-(** Runs of more than 4096 samples split into fixed 4096-sample chunks,
-    each with a child RNG derived sequentially from [rng] up front; the
-    chunks may then evaluate in parallel ([par]) with an estimate that
-    depends only on the seed and [n], never on the width. Smaller runs
-    consume [rng] directly (the historical stream). *)
-
-val estimate_subrankings :
-  ?par:Util.Par.t ->
-  n:int ->
-  Rim.Model.t ->
-  Prefs.Ranking.t list ->
-  Util.Rng.t ->
-  Estimate.t
-(** Same, with the event "consistent with at least one sub-ranking". *)
+(** {!run} with the event "matches the pattern union". *)
 
 val samples_until :
   exact:float ->

@@ -565,11 +565,9 @@ let pred_session_prob ctx (plan : Plan.t) (row : Plan.pred_session) =
       | _ -> assert false (* Rank_poly is routed only for that shape *))
   | Plan.Sample (Hardq.Solver.Rejection { n }) ->
       let rng = job_rng ctx (Hardq.Digest.model (Plan.digest plan) mal) in
-      let hits = ref 0 in
-      for _ = 1 to n do
-        if plan_pred ctx.lab row (Rim.Mallows.sample mal rng) then incr hits
-      done;
-      float_of_int !hits /. float_of_int n
+      (Hardq.Rejection.run ~par:ctx.par ~n (Rim.Mallows.to_rim mal)
+         (plan_pred ctx.lab row) rng)
+        .Hardq.Estimate.value
   | Plan.Sample _ ->
       (* Plan.compile never routes MIS estimators over rank atoms *)
       assert false
