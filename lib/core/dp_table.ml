@@ -396,23 +396,34 @@ module Layers = struct
     let seq = { mass = Mass.create (); log = None } in
     let sc = scratch () in
     let cur = ref t0 and nxt = ref t1 and hwm = ref 0 and total = ref 0 in
-    for i = first to last do
-      Util.Timer.check budget;
-      let curt = !cur and next = !nxt in
-      let n = Fixed.length curt in
-      total := !total + n;
-      Fixed.note_layer_width n;
-      let expand = layer i (Fixed.keys curt) (Fixed.probs curt) in
-      if Util.Par.width par <= 1 || n < Dp_par.default_min_par then
-        for s = 0 to n - 1 do
-          expand sc next seq s
-        done
-      else chunked ~par ~n ~scratch ~expand ~finish seq.mass next;
-      hwm := max !hwm (max (Fixed.used_words curt) (Fixed.used_words next));
-      Fixed.clear curt;
-      cur := next;
-      nxt := curt
-    done;
+    (* A layer's states are tallied before its budget check, so an
+       aborted call still counts the states it built; the handler is set
+       up once per call, not per layer, and the flush is written out
+       twice so that no closure captures the tallies. *)
+    (try
+       for i = first to last do
+         let curt = !cur and next = !nxt in
+         let n = Fixed.length curt in
+         total := !total + n;
+         Fixed.note_layer_width n;
+         Util.Timer.check budget;
+         let expand = layer i (Fixed.keys curt) (Fixed.probs curt) in
+         if Util.Par.width par <= 1 || n < Dp_par.default_min_par then
+           for s = 0 to n - 1 do
+             expand sc next seq s
+           done
+         else chunked ~par ~n ~scratch ~expand ~finish seq.mass next;
+         hwm := max !hwm (max (Fixed.used_words curt) (Fixed.used_words next));
+         Fixed.clear curt;
+         cur := next;
+         nxt := curt
+       done
+     with e ->
+       let bt = Printexc.get_raw_backtrace () in
+       let hwm = max !hwm (max (Fixed.used_words !cur) (Fixed.used_words !nxt)) in
+       states := !states + !total;
+       Fixed.flush_call ~states:!total ~hwm_words:hwm;
+       Printexc.raise_with_backtrace e bt);
     finish sc;
     states := !states + !total;
     Fixed.flush_call ~states:!total ~hwm_words:!hwm;

@@ -168,5 +168,8 @@ module Layers : sig
       the end). Satisfied mass is added up, in emission order, in one
       {!Mass}. Adds the call's states to [states] and returns [answer]
       of the last table and that mass. Raises {!State_explosion} and
-      [Util.Timer.Out_of_time]. *)
+      [Util.Timer.Out_of_time]; an aborted call still adds the states
+      it built (each layer's table is counted before its budget check)
+      to [states] and flushes its [dp.flat.*] tallies before it
+      re-raises. *)
 end

@@ -651,8 +651,20 @@ let flat_kernels =
    budget — hands its tables back dirty; the next solves on the same
    engine must still match a fresh engine's to the bit, and so must the
    next direct call of each flat kernel match a call made before the
-   aborts. Each kernel's explosion names its own table. *)
+   aborts. Each kernel's explosion names its own table, and each aborted
+   call still counts as one [dp.flat] call with the states it built. *)
 let unit_arena_after_abort () =
+  let counted name what abort =
+    let before = Obs.snapshot () in
+    abort ();
+    let d = Obs.diff before (Obs.snapshot ()) in
+    Alcotest.(check int)
+      (Printf.sprintf "%s: %s call counted" name what)
+      1
+      (Obs.count d "dp.flat.calls");
+    if Obs.count d "dp.flat.states" <= 0 then
+      Alcotest.failf "%s: %s call counted no states" name what
+  in
   let db = cold_db () in
   let fresh = Engine.with_engine cold_config (fun e -> cold_answers e db) in
   Engine.with_engine cold_config (fun engine ->
@@ -678,20 +690,22 @@ let unit_arena_after_abort () =
       let solve = solve m in
       let fresh = solve Util.Timer.no_limit in
       let saved = !max_states in
-      (match
-         Fun.protect
-           ~finally:(fun () -> max_states := saved)
-           (fun () ->
-             max_states := 3;
-             solve Util.Timer.no_limit)
-       with
-      | _ -> Alcotest.failf "%s: expected a state explosion" name
-      | exception Hardq.Dp_table.State_explosion { table = t; cap } ->
-          Alcotest.(check string) (name ^ ": table") table t;
-          Alcotest.(check int) (name ^ ": cap") 3 cap);
-      (match solve (Util.Timer.budget 1e-9) with
-      | _ -> Alcotest.failf "%s: expected Out_of_time" name
-      | exception Util.Timer.Out_of_time -> ());
+      counted name "capped" (fun () ->
+          match
+            Fun.protect
+              ~finally:(fun () -> max_states := saved)
+              (fun () ->
+                max_states := 3;
+                solve Util.Timer.no_limit)
+          with
+          | _ -> Alcotest.failf "%s: expected a state explosion" name
+          | exception Hardq.Dp_table.State_explosion { table = t; cap } ->
+              Alcotest.(check string) (name ^ ": table") table t;
+              Alcotest.(check int) (name ^ ": cap") 3 cap);
+      counted name "out-of-budget" (fun () ->
+          match solve (Util.Timer.budget 1e-9) with
+          | _ -> Alcotest.failf "%s: expected Out_of_time" name
+          | exception Util.Timer.Out_of_time -> ());
       check_bits (name ^ ": after aborts vs before") fresh
         (solve Util.Timer.no_limit))
     flat_kernels
