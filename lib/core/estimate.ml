@@ -7,7 +7,6 @@ type t = {
 }
 
 let value t = t.value
-let total_time t = t.overhead_time +. t.sampling_time
 
 let exact v =
   { value = v; n_samples = 0; n_proposals = 0; overhead_time = 0.; sampling_time = 0. }

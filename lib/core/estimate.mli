@@ -11,7 +11,6 @@ type t = {
 }
 
 val value : t -> float
-val total_time : t -> float
 val exact : float -> t
 (** Wrap an exactly-known value (0 samples). *)
 

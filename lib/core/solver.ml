@@ -114,6 +114,3 @@ let prob ?budget ?par ?cache ?kernel t mal lab gu rng =
       clamp (approx_name a) (Estimate.value (approx_prob ?par a mal lab gu rng))
 
 let default_exact = Exact `Auto
-
-let default_approx =
-  Approx (Mis_adaptive { n_per = 1000; delta_d = 5; d_max = 50; tol = 0.05 })

@@ -83,4 +83,3 @@ val prob :
     when the clamp fires. *)
 
 val default_exact : t
-val default_approx : t

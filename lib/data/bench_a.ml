@@ -44,17 +44,3 @@ let generate ?(m = 15) ?(phi = 0.1) ?(n_unions = 33) ?(items_per_label = 3) ~see
         union;
         params = [ ("m", m); ("z", 3); ("items_per_label", items_per_label) ];
       })
-
-let truncate_union inst z =
-  let ps = Prefs.Pattern_union.patterns inst.Instance.union in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-  in
-  {
-    inst with
-    Instance.union = Prefs.Pattern_union.make (take z ps);
-    params = ("z", z) :: List.remove_assoc "z" inst.Instance.params;
-    name = inst.Instance.name ^ Printf.sprintf "/z%d" z;
-  }

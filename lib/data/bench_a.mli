@@ -16,7 +16,3 @@ val generate :
   Instance.t list
 (** Defaults: [m = 15], [phi = 0.1], [n_unions = 33],
     [items_per_label = 3] (the paper's parameters). *)
-
-val truncate_union : Instance.t -> int -> Instance.t
-(** Instance with only the first [z] patterns of the union (used to build
-    the Figure 5 conjunction-size sweep). *)

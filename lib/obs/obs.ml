@@ -143,8 +143,6 @@ let counter name =
       invalid_arg
         (Printf.sprintf "Obs.counter: %S is registered as a histogram" name)
 
-let counter_indexed base i = counter (Printf.sprintf "%s.%d" base i)
-
 let histogram name =
   match intern name (fun n -> H (Histogram.unregistered n)) with
   | H h -> h

@@ -79,11 +79,6 @@ val counter : string -> Counter.t
     return the same one. Raises [Invalid_argument] if the name is already
     registered as a histogram. *)
 
-val counter_indexed : string -> int -> Counter.t
-(** [counter_indexed base i] interns ["<base>.<i>"] — the per-member
-    counter family convention (one counter per shard, per worker, ...)
-    without every caller reinventing the name format. *)
-
 val histogram : string -> Histogram.t
 (** Intern, like {!counter}. *)
 

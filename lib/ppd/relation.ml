@@ -18,7 +18,6 @@ let name t = t.name
 let attrs t = Array.copy t.attrs
 let arity t = Array.length t.attrs
 let tuples t = t.tuples
-let cardinality t = List.length t.tuples
 
 let attr_index t a =
   let rec go i =
@@ -36,4 +35,4 @@ let select t pred = List.filter pred t.tuples
 let pp ppf t =
   Format.fprintf ppf "@[<v>%s(%s) [%d tuples]@]" t.name
     (String.concat ", " (Array.to_list t.attrs))
-    (cardinality t)
+    (List.length t.tuples)

@@ -10,7 +10,6 @@ val name : t -> string
 val attrs : t -> string array
 val arity : t -> int
 val tuples : t -> Value.t array list
-val cardinality : t -> int
 
 val attr_index : t -> string -> int
 (** Raises [Not_found] for an unknown attribute. *)

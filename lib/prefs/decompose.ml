@@ -74,11 +74,6 @@ let subrankings_into ?(cap = default_cap) ~seen ~out lab g =
         (Partial_order.linear_extensions po))
     (partial_orders ~cap lab g)
 
-let subrankings_of_pattern ?cap lab g =
-  let seen = Hashtbl.create 64 and out = ref [] in
-  subrankings_into ?cap ~seen ~out lab g;
-  List.rev !out
-
 let subrankings ?cap lab gu =
   let seen = Hashtbl.create 64 and out = ref [] in
   List.iter (fun g -> subrankings_into ?cap ~seen ~out lab g) (Pattern_union.patterns gu);

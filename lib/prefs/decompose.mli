@@ -23,5 +23,3 @@ val partial_orders : ?cap:int -> Labeling.t -> Pattern.t -> Partial_order.t list
 val subrankings : ?cap:int -> Labeling.t -> Pattern_union.t -> Ranking.t list
 (** The deduplicated sub-ranking union equivalent to [G]; [cap]
     (default 1_000_000) bounds the total number of sub-rankings. *)
-
-val subrankings_of_pattern : ?cap:int -> Labeling.t -> Pattern.t -> Ranking.t list

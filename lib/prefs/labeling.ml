@@ -33,7 +33,6 @@ let of_pairs ~n_items pairs =
   make a
 
 let n_items t = Array.length t.labels
-let labels_of t i = t.labels.(i)
 let has t i l = List.mem l t.labels.(i)
 (* Direct recursion, no closure: the solvers call these once per
    pattern node per solve. *)

@@ -15,9 +15,6 @@ val of_pairs : n_items:int -> (item * label) list -> t
 (** Build from (item, label) association pairs. *)
 
 val n_items : t -> int
-val labels_of : t -> item -> label list
-(** Sorted, distinct. *)
-
 val has : t -> item -> label -> bool
 val has_all : t -> item -> label list -> bool
 

@@ -61,7 +61,6 @@ let items t = t.items
 let edges t = t.edges
 let size t = List.length t.items
 let is_empty t = t.items = []
-let mem_item t x = List.mem x t.items
 
 let transitive_closure t =
   (* BFS from each item over the successor relation. *)
@@ -122,17 +121,6 @@ let fold_linear_extensions t f init =
   !acc
 
 let linear_extensions t = List.rev (fold_linear_extensions t (fun acc r -> r :: acc) [])
-
-exception Cap_exceeded
-
-let linear_extensions_capped ~cap t =
-  match
-    fold_linear_extensions t
-      (fun (n, acc) r -> if n >= cap then raise Cap_exceeded else (n + 1, r :: acc))
-      (0, [])
-  with
-  | _, acc -> Some (List.rev acc)
-  | exception Cap_exceeded -> None
 
 let count_linear_extensions t = fold_linear_extensions t (fun n _ -> n + 1) 0
 let equal t1 t2 = t1 = t2

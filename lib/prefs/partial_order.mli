@@ -30,7 +30,6 @@ val size : t -> int
 (** Number of items. *)
 
 val is_empty : t -> bool
-val mem_item : t -> item -> bool
 
 val succs : t -> item -> item list
 (** Direct successors (items this one must precede). *)
@@ -55,9 +54,6 @@ val linear_extensions : t -> Ranking.t list
 (** All linear extensions over exactly [items t] (the sub-rankings
     [Δ(υ)] of the paper). Exponential; use {!count_linear_extensions}
     or a cap when the order may be wide. *)
-
-val linear_extensions_capped : cap:int -> t -> Ranking.t list option
-(** [None] if there are more than [cap] extensions. *)
 
 val count_linear_extensions : t -> int
 

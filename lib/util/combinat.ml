@@ -114,5 +114,3 @@ let choose n k =
     let k = min k (n - k) in
     let rec go acc i = if i > k then acc else go (acc * (n - k + i) / i) (i + 1) in
     go 1 1
-
-let interleavings_count a b = choose (a + b) a

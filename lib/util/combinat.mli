@@ -36,6 +36,3 @@ val cartesian_product : 'a list list -> 'a list list
 
 val choose : int -> int -> int
 (** Binomial coefficient, exact in int range. *)
-
-val interleavings_count : int -> int -> int
-(** [interleavings_count a b = choose (a+b) a]. *)

@@ -14,7 +14,6 @@ let variance a =
     ss /. float_of_int (n - 1)
 
 let stddev a = sqrt (variance a)
-let stderr_of_mean a = stddev a /. sqrt (float_of_int (Array.length a))
 
 let sorted a =
   let b = Array.copy a in
@@ -139,7 +138,3 @@ let summarize a =
     max = maximum a;
     median = median a;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.6g sd=%.3g min=%.6g med=%.6g max=%.6g" s.n
-    s.mean s.stddev s.min s.median s.max

@@ -9,9 +9,6 @@ val variance : float array -> float
 val stddev : float array -> float
 (** Square root of {!variance}. *)
 
-val stderr_of_mean : float array -> float
-(** Standard error of the sample mean: [stddev / sqrt n]. *)
-
 val median : float array -> float
 (** Median (does not mutate the input). *)
 
@@ -50,4 +47,3 @@ type summary = {
 (** One-shot summary of a sample. *)
 
 val summarize : float array -> summary
-val pp_summary : Format.formatter -> summary -> unit
