@@ -130,6 +130,33 @@ let flat_kernel_cases () =
            match i with 1 | 8 -> [ 2 ] | 3 | 10 -> [ 1 ] | 5 | 11 -> [ 0 ] | _ -> []))
   in
   let sig_pattern = Prefs.Pattern.chain [ [ 0 ]; [ 1 ]; [ 2 ] ] in
+  let chains nodes =
+    Prefs.Pattern_union.make
+      (List.map (fun c -> Prefs.Pattern.chain (List.map (fun v -> [ v ]) c)) nodes)
+  in
+  (* Six chains over m = 12 items, each item its own label: all 63 IE
+     terms are partial orders over items (RIM matching). *)
+  let items_model =
+    Rim.Mallows.to_rim
+      (Rim.Mallows.make ~center:(Prefs.Ranking.identity m) ~phi:0.7)
+  in
+  let items_lab = Prefs.Labeling.make (Array.init m (fun i -> [ i ])) in
+  let items_union =
+    chains [ [ 0; 3; 6 ]; [ 1; 4; 7 ]; [ 2; 5; 8 ]; [ 6; 9 ]; [ 7; 10 ]; [ 8; 11 ] ]
+  in
+  (* Two three-node label chains over m = 8, each label on two items: all
+     3 IE terms go to the signature DP. *)
+  let m = 8 in
+  let labels_model =
+    Rim.Mallows.to_rim
+      (Rim.Mallows.make ~center:(Prefs.Ranking.identity m) ~phi:0.6)
+  in
+  let labels_lab =
+    Prefs.Labeling.of_pairs ~n_items:m
+      [ (1, 2); (6, 2); (3, 1); (7, 1); (5, 0); (0, 0);
+        (0, 3); (4, 3); (2, 4); (6, 4); (4, 5); (1, 5) ]
+  in
+  let labels_union = chains [ [ 0; 1; 2 ]; [ 3; 4; 5 ] ] in
   [
     ( Printf.sprintf "Two_label.prob, %d Polls unions (m=10)" (List.length polls),
       List.map (fun (model, u) () -> Hardq.Two_label.prob model lab u) polls );
@@ -150,6 +177,10 @@ let flat_kernel_cases () =
       [ (fun () -> Hardq.Po_solver.prob chain_model chain) ] );
     ( "Pattern_solver.prob_general, 3-node chain (m=12)",
       [ (fun () -> Hardq.Pattern_solver.prob_general sig_model sig_lab sig_pattern) ] );
+    ( "General.prob, itemwise z=6 chains (m=12)",
+      [ (fun () -> Hardq.General.prob items_model items_lab items_union) ] );
+    ( "General.prob, label z=2 chains (m=8)",
+      [ (fun () -> Hardq.General.prob labels_model labels_lab labels_union) ] );
   ]
 
 let flat_kernels () =
