@@ -55,10 +55,15 @@ let prob ?budget ?(par = Util.Par.inline) ?cache ?kernel model lab gu =
      publish them afterwards. Both term solvers are deterministic and
      RNG-free, so a reused float is bit-identical to solving again. Both
      closures run on the calling domain only. *)
+  let find, store =
+    match cache with
+    | None -> ((fun _ -> None), fun _ _ -> ())
+    | Some k -> (k.Term_cache.find, k.Term_cache.store)
+  in
   let misses = ref [] in
   Array.iteri
     (fun t (c, _) ->
-      match Option.bind cache (fun k -> k.Term_cache.find c) with
+      match find c with
       | Some p -> probs.(t) <- p
       | None -> misses := t :: !misses)
     terms;
@@ -70,9 +75,7 @@ let prob ?budget ?(par = Util.Par.inline) ?cache ?kernel model lab gu =
   Util.Par.share par ~n:n_solved (fun k ->
       let t = misses.(k) in
       probs.(t) <- solve_term ?budget ~par ?kernel model lab (fst terms.(t)));
-  Option.iter
-    (fun k -> Array.iter (fun t -> k.Term_cache.store (fst terms.(t)) probs.(t)) misses)
-    cache;
+  Array.iter (fun t -> store (fst terms.(t)) probs.(t)) misses;
   let total = ref 0. in
   Array.iteri
     (fun t (_, size) ->
