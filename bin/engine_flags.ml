@@ -1,25 +1,8 @@
 (* The flags and converters shared by [hardq] and [hardq-server]: the
-   [--kernel] and [--jobs] flags, and the bounded count converter behind
-   [--shards] and the server's capacity flags. *)
+   [--jobs] flag, and the bounded count converter behind [--shards] and
+   the server's capacity flags. *)
 
 open Cmdliner
-
-let kernel_arg =
-  let parse s =
-    match Hardq.Kernel.of_string s with
-    | Ok t -> Ok t
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf t = Format.pp_print_string ppf (Hardq.Kernel.to_string t) in
-  let doc =
-    "DP kernel of the exact solvers: $(b,flat) (arena-indexed, GC-free \
-     inner loops; the default) or $(b,boxed) (the reference layout). \
-     Answers are byte-identical either way."
-  in
-  Arg.(
-    value
-    & opt (conv (parse, print)) Hardq.Kernel.default
-    & info [ "kernel" ] ~docv:"KERNEL" ~doc)
 
 (* A count of [what]: an integer >= [min], anything else is a usage
    error (exit 124) that names the flag. *)

@@ -134,8 +134,8 @@ type common = {
 }
 
 let common =
-  let make dataset size sessions seed solver jobs intra kernel budget shards
-      stats metrics_json trace =
+  let make dataset size sessions seed solver jobs intra budget shards stats
+      metrics_json trace =
     {
       spec = Protocol.dataset ?size ?sessions ~seed dataset;
       solver;
@@ -143,10 +143,7 @@ let common =
       budget;
       parallelism = (if intra then `Intra else `Inter);
       config =
-        {
-          Engine.Config.(default |> with_kernel kernel |> with_shards shards) with
-          jobs;
-        };
+        { Engine.Config.(default |> with_shards shards) with jobs };
       stats;
       metrics_json;
       trace;
@@ -154,7 +151,7 @@ let common =
   in
   Term.(
     const make $ dataset_arg $ size_arg $ sessions_arg $ seed_arg $ solver_arg
-    $ Engine_flags.jobs_arg $ intra_arg $ Engine_flags.kernel_arg $ budget_arg
+    $ Engine_flags.jobs_arg $ intra_arg $ budget_arg
     $ shards_arg $ stats_arg $ metrics_json_arg $ trace_arg)
 
 (* The query text a subcommand runs: the flag's, or the dataset's

@@ -131,8 +131,7 @@ let quiet_arg =
   Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress lifecycle log lines.")
 
 let run listen jobs cache term_cache batch_window_ms batch_max shards intra
-    kernel queue
-    workers max_connections timeout_ms metrics_json preload quiet =
+    queue workers max_connections timeout_ms metrics_json preload quiet =
   let config =
     {
       (Server.default_config listen) with
@@ -143,7 +142,6 @@ let run listen jobs cache term_cache batch_window_ms batch_max shards intra
       batch_max;
       shards;
       intra;
-      kernel;
       queue_capacity = queue;
       workers;
       max_connections;
@@ -179,8 +177,7 @@ let cmd =
     (Cmd.info "hardq-server" ~doc ~man)
     Term.(
       const run $ listen_arg $ Engine_flags.jobs_arg $ cache_arg $ term_cache_arg
-      $ batch_window_arg $ batch_max_arg $ shards_arg $ intra_arg $ Engine_flags.kernel_arg
-      $ queue_arg
+      $ batch_window_arg $ batch_max_arg $ shards_arg $ intra_arg $ queue_arg
       $ workers_arg $ max_connections_arg $ timeout_arg $ metrics_json_arg
       $ preload_arg $ quiet_arg)
 

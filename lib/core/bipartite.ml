@@ -50,23 +50,7 @@ let build_ctx model lab pairs_per_pattern =
     tracks;
   ({ model; conj; n_tracks; track_conj; track_is_left }, patterns)
 
-(* An edge (l, r) given values v (position+1 per track; 0 = unset) at step i. *)
-type situation = Satisfied | Violated | Uncertain
-
-let edge_situation ctx ~value i (l, r) =
-  let lv = value l and rv = value r in
-  if lv > 0 && rv > 0 && lv < rv then Satisfied
-  else if Conj.edge_dead ctx.conj ctx.track_conj.(l) ctx.track_conj.(r) i then
-    Violated
-  else Uncertain
-
-(* The boxed kernels' track update. *)
-let[@inline] update_track ctx i j t v =
-  Conj.step
-    ~hit:(Conj.matches ctx.conj ctx.track_conj.(t) i)
-    ~left:ctx.track_is_left.(t) j v
-
-(* Per-layer hoists of the flat kernels: π's row i, per track the block
+(* Per-layer hoists of the kernels: π's row i, per track the block
    of {!Conj.step_table} for its role and whether item i carries its
    conjunction, and per track whether no item after i carries it (an
    unset side can then never be filled). Filled once per layer on the
@@ -113,144 +97,17 @@ let statically_feasible ctx patterns =
     patterns
 
 (* ------------------------------------------------------------------ *)
-(* Optimized solver (Algorithm 4), boxed kernel                        *)
+(* Optimized solver (Algorithm 4)                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Gu: the per-state uncertain structure, interned. *)
-type gu = {
-  gu_edges : (int * int) list list; (* uncertain edges per uncertain pattern *)
-  tracked : int array; (* sorted track ids appearing in gu_edges *)
-  slot : int array; (* track id -> index into [tracked] or -1 *)
-}
-
-(* The canonical form states are keyed on: patterns sorted as pair lists
-   (the flat kernel reproduces exactly this ordering on integer spans). *)
+(* The canonical form of a state's uncertain structure: patterns sorted
+   as pair lists (the kernel keeps exactly this ordering on integer
+   spans). *)
 let canonical_structure edges_per_pattern =
   List.sort compare (List.map (List.sort compare) edges_per_pattern)
 
-(* A fresh gu interner. States compare structurally, so chunk-local
-   interning is sound: two chunks that intern the same uncertain
-   structure produce distinct records that still collide in the next
-   layer's table. *)
-let make_interner ctx =
-  let gu_table : ((int * int) list list, gu) Hashtbl.t = Hashtbl.create 32 in
-  fun edges_per_pattern ->
-    let key = canonical_structure edges_per_pattern in
-    match Hashtbl.find_opt gu_table key with
-    | Some g -> g
-    | None ->
-        let tracks =
-          List.sort_uniq compare
-            (List.concat_map (List.concat_map (fun (l, r) -> [ l; r ])) key)
-        in
-        let tracked = Array.of_list tracks in
-        let slot = Array.make ctx.n_tracks (-1) in
-        Array.iteri (fun s t -> slot.(t) <- s) tracked;
-        let g = { gu_edges = key; tracked; slot } in
-        Hashtbl.add gu_table key g;
-        g
-
-(* Chunk-local expansion scratch for the boxed optimized solver. *)
-type opt_scratch = {
-  intern_gu : (int * int) list list -> gu;
-  sc_edges_pruned : int ref;
-  sc_patterns_pruned : int ref;
-}
-
-let run_optimized_boxed ~budget ~par ~states ~edges_pruned ~patterns_pruned
-    ctx feasible =
-  let m = Rim.Model.m ctx.model in
-  let gu0 = make_interner ctx feasible in
-  let table =
-    ref (Dp_table.Boxed.create ~name:"Bipartite" ~max_states:!max_states ())
-  in
-  Dp_table.Boxed.add !table (gu0, Array.make (Array.length gu0.tracked) 0) 1.;
-  let acc = Dp_table.Mass.create () in
-  for i = 0 to m - 1 do
-    Util.Timer.check budget;
-    let cur = !table in
-    let n_states = Dp_table.Boxed.length cur in
-    states := !states + n_states;
-    let next =
-      Dp_table.Boxed.create ~capacity:(2 * n_states) ~name:"Bipartite"
-        ~max_states:!max_states ()
-    in
-    let make_scratch () =
-      {
-        intern_gu = make_interner ctx;
-        sc_edges_pruned = ref 0;
-        sc_patterns_pruned = ref 0;
-      }
-    in
-    let expand sc s ~emit ~emit_prob =
-      let g, vals = Dp_table.Boxed.key cur s in
-      let q = Dp_table.Boxed.prob cur s in
-      for j = 0 to i do
-        let p' = q *. Rim.Model.pi ctx.model i j in
-        if p' > 0. then begin
-          (* New track values for g.tracked. *)
-          let vals' =
-            Array.mapi (fun s v -> update_track ctx i j g.tracked.(s) v) vals
-          in
-          let value t = vals'.(g.slot.(t)) in
-          (* Re-evaluate uncertain edges. *)
-          let satisfied_pattern = ref false in
-          let remaining_patterns =
-            List.filter_map
-              (fun edges ->
-                let violated = ref false in
-                let uncertain =
-                  List.filter
-                    (fun e ->
-                      match edge_situation ctx ~value i e with
-                      | Satisfied ->
-                          incr sc.sc_edges_pruned;
-                          false
-                      | Violated ->
-                          incr sc.sc_edges_pruned;
-                          violated := true;
-                          false
-                      | Uncertain -> true)
-                    edges
-                in
-                if !violated then begin
-                  incr sc.sc_patterns_pruned;
-                  None
-                end
-                else if uncertain = [] then begin
-                  incr sc.sc_patterns_pruned;
-                  satisfied_pattern := true;
-                  None
-                end
-                else Some uncertain)
-              g.gu_edges
-          in
-          if !satisfied_pattern then emit_prob p'
-          else if remaining_patterns <> [] then begin
-            let g' = sc.intern_gu remaining_patterns in
-            let vals'' = Array.map (fun t -> vals'.(g.slot.(t))) g'.tracked in
-            emit (g', vals'') p'
-          end
-        end
-      done
-    in
-    Dp_par.run ~par ~n:n_states ~ctx:make_scratch ~expand
-      ~finish:(fun sc ->
-        edges_pruned := !edges_pruned + !(sc.sc_edges_pruned);
-        patterns_pruned := !patterns_pruned + !(sc.sc_patterns_pruned))
-      ~add:(Dp_table.Boxed.add next)
-      ~add_prob:(Dp_table.Mass.add_float acc)
-      ();
-    table := next
-  done;
-  min 1. (Dp_table.Mass.total acc)
-
-(* ------------------------------------------------------------------ *)
-(* Optimized solver, flat kernel                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Flat state encoding: the uncertain structure is spelled into the
-   state words themselves, so no interner (and no cross-chunk interner
+(* State encoding: the uncertain structure is spelled into the state
+   words themselves, so no interner (and no cross-chunk interner
    coordination) is needed — state equality is structure+values
    equality on the key words directly:
 
@@ -260,14 +117,13 @@ let run_optimized_boxed ~budget ~par ~states ~edges_pruned ~patterns_pruned
       v_t1; v_t2; ...;                 (values of tracked tracks, ascending id)
       0; ...]                          (padding to the seed state's length)
 
-   The pattern spans are kept in exactly the order the boxed interner's
+   The pattern spans are kept in exactly the order the
    [canonical_structure] sort produces, and the value suffix in
-   ascending track-id order exactly as [gu.tracked]. The words before the
-   padding delimit themselves (the structure fixes how many values
-   follow), and a state only loses edges and tracks, so every state fits
-   the seed's length and two padded states are equal iff the boxed keys
-   are equal — the two kernels build identical layers in identical
-   order. *)
+   ascending track-id order. The words before the padding delimit
+   themselves (the structure fixes how many values follow), and a state
+   only loses edges and tracks, so every state fits the seed's length
+   and two padded states are equal iff their structures and values
+   are. *)
 
 let encode_structure key =
   let words = ref [] in
@@ -298,9 +154,9 @@ let span_compare (edges : int array) off1 ne1 off2 ne2 =
   done;
   !c
 
-(* Chunk-local scratch for the flat optimized solver; all arrays are
+(* Chunk-local scratch of the optimized solver; all arrays are
    sized once from the initial structure (states only ever shrink). *)
-type flat_opt_scratch = {
+type opt_scratch = {
   fs_buf : int array; (* emission buffer: structure + vals'' *)
   fs_edges : int array; (* surviving uncertain pairs, flattened *)
   fs_span_off : int array; (* surviving pattern -> offset into fs_edges *)
@@ -317,7 +173,7 @@ type flat_opt_scratch = {
   fs_patterns_pruned : int ref;
 }
 
-let run_optimized_flat ~budget ~par ~states ~edges_pruned ~patterns_pruned
+let optimized ~budget ~par ~states ~edges_pruned ~patterns_pruned
     ctx feasible =
   let m = Rim.Model.m ctx.model in
   let key0 = canonical_structure feasible in
@@ -414,6 +270,8 @@ let run_optimized_flat ~budget ~par ~states ~edges_pruned ~patterns_pruned
                   incr sc.fs_edges_pruned
                 end
                 else if exhausted.(l) && exhausted.(r) then begin
+                  (* Neither side can take a new item: Algorithm 4's
+                     violated edge. *)
                   incr sc.fs_edges_pruned;
                   violated := true
                 end
@@ -500,31 +358,39 @@ let run_optimized_flat ~budget ~par ~states ~edges_pruned ~patterns_pruned
     ~answer:(fun _ acc -> min 1. (Dp_table.Mass.total acc))
     ()
 
-let run_optimized ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)
-    ?(kernel = Kernel.default) ctx patterns =
+(* The solvers' counters are flushed on both paths, so an aborted call
+   ([State_explosion], [Out_of_time]) shows in them as it does in
+   [dp.flat.*]. *)
+let count_optimized ~states ~edges_pruned ~patterns_pruned =
+  Obs.Counter.incr c_calls;
+  Obs.Counter.add c_states states;
+  Obs.Counter.add c_edges_pruned edges_pruned;
+  Obs.Counter.add c_patterns_pruned patterns_pruned;
+  Obs.Histogram.observe h_states states
+
+let run_optimized ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline) ctx
+    patterns =
   match statically_feasible ctx patterns with
   | [] -> 0.
   | feasible when List.exists (fun edges -> edges = []) feasible ->
       (* A pattern with no (remaining) edge constraints is always satisfied. *)
       1.
-  | feasible ->
+  | feasible -> (
       Conj.freeze ctx.conj;
       let states = ref 0 and edges_pruned = ref 0 and patterns_pruned = ref 0 in
-      let result =
-        match kernel with
-        | Kernel.Boxed ->
-            run_optimized_boxed ~budget ~par ~states ~edges_pruned
-              ~patterns_pruned ctx feasible
-        | Kernel.Flat ->
-            run_optimized_flat ~budget ~par ~states ~edges_pruned
-              ~patterns_pruned ctx feasible
-      in
-      Obs.Counter.incr c_calls;
-      Obs.Counter.add c_states !states;
-      Obs.Counter.add c_edges_pruned !edges_pruned;
-      Obs.Counter.add c_patterns_pruned !patterns_pruned;
-      Obs.Histogram.observe h_states !states;
-      result
+      match
+        optimized ~budget ~par ~states ~edges_pruned ~patterns_pruned ctx
+          feasible
+      with
+      | result ->
+          count_optimized ~states:!states ~edges_pruned:!edges_pruned
+            ~patterns_pruned:!patterns_pruned;
+          result
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          count_optimized ~states:!states ~edges_pruned:!edges_pruned
+            ~patterns_pruned:!patterns_pruned;
+          Printexc.raise_with_backtrace e bt)
 
 (* ------------------------------------------------------------------ *)
 (* Basic solver (§4.3.1): full tracking, classification at the end.    *)
@@ -553,54 +419,10 @@ let union_satisfied pats vals off =
   done;
   !sat
 
-let run_basic_boxed ~budget ~par ~states ctx feasible =
-  let m = Rim.Model.m ctx.model in
-  let table =
-    ref
-      (Dp_table.Boxed.create ~name:"Bipartite (basic)" ~max_states:!max_states
-         ())
-  in
-  Dp_table.Boxed.add !table (Array.make ctx.n_tracks 0) 1.;
-  for i = 0 to m - 1 do
-    Util.Timer.check budget;
-    let cur = !table in
-    let n_states = Dp_table.Boxed.length cur in
-    states := !states + n_states;
-    let next =
-      Dp_table.Boxed.create ~capacity:(2 * n_states) ~name:"Bipartite (basic)"
-        ~max_states:!max_states ()
-    in
-    let expand () s ~emit ~emit_prob:_ =
-      let vals = Dp_table.Boxed.key cur s and q = Dp_table.Boxed.prob cur s in
-      for j = 0 to i do
-        let p' = q *. Rim.Model.pi ctx.model i j in
-        if p' > 0. then begin
-          let vals' = Array.mapi (fun t v -> update_track ctx i j t v) vals in
-          emit vals' p'
-        end
-      done
-    in
-    Dp_par.run ~par ~n:n_states
-      ~ctx:(fun () -> ())
-      ~expand
-      ~add:(Dp_table.Boxed.add next)
-      ~add_prob:(fun _ -> ())
-      ();
-    table := next
-  done;
-  let pats = pattern_arrays feasible in
-  let final = !table in
-  let acc = Dp_table.Mass.create () in
-  for s = 0 to Dp_table.Boxed.length final - 1 do
-    if union_satisfied pats (Dp_table.Boxed.key final s) 0 then
-      Dp_table.Mass.add_float acc (Dp_table.Boxed.prob final s)
-  done;
-  Dp_table.Mass.total acc
-
-(* Chunk-local scratch of the basic flat kernel. *)
+(* Chunk-local scratch of the basic solver. *)
 type basic_scratch = { bs_buf : int array; bs_cell : float array }
 
-let run_basic_flat ~budget ~par ~states ctx feasible =
+let basic ~budget ~par ~states ctx feasible =
   let m = Rim.Model.m ctx.model in
   let w = ctx.n_tracks in
   let ly = make_layer ctx in
@@ -634,22 +456,26 @@ let run_basic_flat ~budget ~par ~states ctx feasible =
       Dp_table.Mass.total acc)
     ()
 
-let run_basic ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)
-    ?(kernel = Kernel.default) ctx patterns =
+let count_basic states =
+  Obs.Counter.incr c_basic_calls;
+  Obs.Counter.add c_basic_states states
+
+let run_basic ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline) ctx
+    patterns =
   match statically_feasible ctx patterns with
   | [] -> 0.
   | feasible when List.exists (fun edges -> edges = []) feasible -> 1.
-  | feasible ->
+  | feasible -> (
       Conj.freeze ctx.conj;
       let states = ref 0 in
-      let result =
-        match kernel with
-        | Kernel.Boxed -> run_basic_boxed ~budget ~par ~states ctx feasible
-        | Kernel.Flat -> run_basic_flat ~budget ~par ~states ctx feasible
-      in
-      Obs.Counter.incr c_basic_calls;
-      Obs.Counter.add c_basic_states !states;
-      result
+      match basic ~budget ~par ~states ctx feasible with
+      | result ->
+          count_basic !states;
+          result
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          count_basic !states;
+          Printexc.raise_with_backtrace e bt)
 
 (* ------------------------------------------------------------------ *)
 (* Public entry points                                                 *)
@@ -690,22 +516,22 @@ let union_to_constraint_sets model lab gu =
       if isolated_nodes_ok model lab g then Some (pairs_of_pattern g) else None)
     (Prefs.Pattern_union.patterns gu)
 
-let prob_constraint_sets ?budget ?par ?kernel model lab sets =
+let prob_constraint_sets ?budget ?par model lab sets =
   if sets = [] then 0.
   else
     let ctx, patterns = build_ctx model lab sets in
-    run_optimized ?budget ?par ?kernel ctx patterns
+    run_optimized ?budget ?par ctx patterns
 
-let prob ?budget ?par ?kernel model lab gu =
+let prob ?budget ?par model lab gu =
   match union_to_constraint_sets model lab gu with
   | [] -> 0.
   | sets ->
       let ctx, patterns = build_ctx model lab sets in
-      run_optimized ?budget ?par ?kernel ctx patterns
+      run_optimized ?budget ?par ctx patterns
 
-let prob_basic ?budget ?par ?kernel model lab gu =
+let prob_basic ?budget ?par model lab gu =
   match union_to_constraint_sets model lab gu with
   | [] -> 0.
   | sets ->
       let ctx, patterns = build_ctx model lab sets in
-      run_basic ?budget ?par ?kernel ctx patterns
+      run_basic ?budget ?par ctx patterns

@@ -10,14 +10,16 @@
     The optimized solver additionally prunes, per state, edges that are
     already satisfied and patterns that are satisfied (probability moved
     to the output immediately) or violated (dropped), shrinking both the
-    tracked label set and the state space ("situations" of §4.3.1). *)
+    tracked label set and the state space ("situations" of §4.3.1).
+
+    Each call, an aborted one too, counts [solver.bipartite.*] (the
+    basic variant [solver.bipartite_basic.*]). *)
 
 exception Unsupported of string
 
 val prob :
   ?budget:Util.Timer.budget ->
   ?par:Util.Par.t ->
-  ?kernel:Kernel.t ->
   Rim.Model.t ->
   Prefs.Labeling.t ->
   Prefs.Pattern_union.t ->
@@ -32,7 +34,6 @@ val prob :
 val prob_basic :
   ?budget:Util.Timer.budget ->
   ?par:Util.Par.t ->
-  ?kernel:Kernel.t ->
   Rim.Model.t ->
   Prefs.Labeling.t ->
   Prefs.Pattern_union.t ->
@@ -44,7 +45,6 @@ val prob_basic :
 val prob_constraint_sets :
   ?budget:Util.Timer.budget ->
   ?par:Util.Par.t ->
-  ?kernel:Kernel.t ->
   Rim.Model.t ->
   Prefs.Labeling.t ->
   (Prefs.Pattern.node * Prefs.Pattern.node) list list ->

@@ -86,8 +86,6 @@ let exhausted t c i =
   let _, r = tables t in
   r.(c).(i) = 0
 
-let edge_dead t l r i = exhausted t l i && exhausted t r i
-
 let step ~hit ~left j v =
   let shifted = if v > 0 && v - 1 >= j then v + 1 else v in
   if not hit then shifted

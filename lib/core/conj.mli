@@ -43,12 +43,6 @@ val exhausted : t -> int -> int -> bool
     ([(remaining_row t c).(i) = 0]): a min/max tracked for [c] can then only
     shift, never take a new item. *)
 
-val edge_dead : t -> int -> int -> int -> bool
-(** [edge_dead t l r i] — both sides of the constraint
-    [min(l) < max(r)] are {!exhausted} after step [i]. An edge that is
-    not satisfied at that point can never become satisfied (paper
-    Algorithm 4's violated edge). *)
-
 val step : hit:bool -> left:bool -> int -> int -> int
 (** [step ~hit ~left j v] — the track update of every insertion DP.
     [v] is a tracked min ([left]) or max position plus one (0 = no item

@@ -2,15 +2,13 @@
 
    Every DP in lib/core expands the states of one layer into weighted
    contributions to the next. For answers to be reproducible across
-   kernels and pool widths, the *order* in which a layer's states are
-   visited — and hence the order in which floats land in the next
-   layer's accumulators — must be an intrinsic property of the table,
-   not an artifact of a hashtable's bucket layout. Both tables here
-   therefore number states by first insertion and iterate in that
-   order: a layer built from the same contribution stream exposes the
-   same state sequence whether its keys are boxed or flat.
+   pool widths, the *order* in which a layer's states are visited — and
+   hence the order in which floats land in the next layer's
+   accumulators — must be an intrinsic property of the table, not an
+   artifact of a hashtable's bucket layout. The table therefore numbers
+   states by first insertion and iterates in that order: a layer built
+   from the same contribution stream exposes the same state sequence.
 
-   [Boxed] is the reference layout (one structured key per state);
    [Fixed] packs every state of a layer, each [width] ints, into one int
    array with an open-addressing index, so the hot path allocates
    nothing per state and the GC never scans DP keys. A solver call takes
@@ -32,67 +30,13 @@ let () =
 
 let explode name cap = raise (State_explosion { table = name; cap })
 
-(* Flat-kernel observability. Layer widths and high-water marks are
-   recorded through the helpers below; the per-solver state counters stay
-   with each solver. *)
+(* DP-kernel observability, under the [dp.flat.*] names. Layer widths
+   and high-water marks are recorded through the helpers below; the
+   per-solver state counters stay with each solver. *)
 let c_flat_calls = Obs.counter "dp.flat.calls"
 let c_flat_states = Obs.counter "dp.flat.states"
 let h_layer_width = Obs.histogram "dp.flat.layer_width"
 let h_arena_hwm = Obs.histogram "dp.flat.arena_words_hwm"
-
-module Boxed = struct
-  type 'k t = {
-    index : ('k, int) Hashtbl.t;
-    mutable keys : 'k array;
-    mutable probs : float array;
-    mutable len : int;
-    name : string;
-    max_states : int;
-  }
-
-  let create ?(capacity = 64) ~name ~max_states () =
-    {
-      index = Hashtbl.create (max 16 capacity);
-      keys = [||];
-      probs = [||];
-      len = 0;
-      name;
-      max_states;
-    }
-
-  let length t = t.len
-  let key t s = t.keys.(s)
-  let prob t s = t.probs.(s)
-
-  let add t k p =
-    match Hashtbl.find_opt t.index k with
-    | Some s -> t.probs.(s) <- t.probs.(s) +. p
-    | None ->
-        if t.len >= t.max_states then explode t.name t.max_states;
-        let cap = Array.length t.keys in
-        if t.len = cap then begin
-          let cap' = max 64 (2 * cap) in
-          let keys = Array.make cap' k in
-          Array.blit t.keys 0 keys 0 t.len;
-          t.keys <- keys;
-          let probs = Array.make cap' 0. in
-          Array.blit t.probs 0 probs 0 t.len;
-          t.probs <- probs
-        end;
-        t.keys.(t.len) <- k;
-        t.probs.(t.len) <- p;
-        Hashtbl.add t.index k t.len;
-        t.len <- t.len + 1
-
-  (* Insertion-order sum: the order every kernel uses, so the final
-     accumulation is part of the pinned contribution stream too. *)
-  let sum t =
-    let acc = ref 0. in
-    for s = 0 to t.len - 1 do
-      acc := !acc +. t.probs.(s)
-    done;
-    !acc
-end
 
 module Fixed = struct
   type t = {
@@ -329,11 +273,10 @@ module Mass = struct
     Array.unsafe_set acc 0 t
 
   let add acc cell ci = add_x acc cell.(ci)
-  let add_float acc x = add_x acc x
   let total acc = acc.(0) +. acc.(1)
 end
 
-(* The one layer driver of the flat kernels. A kernel supplies its state
+(* The one layer driver of the DP kernels. A kernel supplies its state
    encoding (a table width and a seed), a per-layer hoist that returns
    the layer's per-state [expand], and a read of the last table; the
    driver owns the rest: the table pair, the budget check, the tallies,
@@ -346,12 +289,17 @@ end
    chunk gets log tables instead ([Fixed.add] appends to a log, in
    emission order): one for [next], and one of width 0 for its masses;
    the driver replays both in chunk order into the next table and
-   [mass]. The
-   merged streams are then the sequential ones for any chunking, so the
-   next table's slot order and every float addition are too (dp_par.ml
-   says why the two streams may be logged apart). *)
+   [mass]. The merged streams are then the sequential ones for any
+   chunking, so the next table's slot order and every float addition
+   are too. The two streams may be logged apart because they feed
+   disjoint accumulators: only each stream's own order matters. *)
 module Layers = struct
   type out = { mass : Mass.t; log : Fixed.t option }
+
+  (* Below this many states a layer is expanded on the calling domain:
+     the logging overhead would dwarf the work. The merged stream is
+     chunking-invariant, so the cut-off moves no answer bit. *)
+  let default_min_par = 192
 
   let emit_mass o cell ci =
     match o.log with
@@ -408,7 +356,7 @@ module Layers = struct
          Fixed.note_layer_width n;
          Util.Timer.check budget;
          let expand = layer i (Fixed.keys curt) (Fixed.probs curt) in
-         if Util.Par.width par <= 1 || n < Dp_par.default_min_par then
+         if Util.Par.width par <= 1 || n < default_min_par then
            for s = 0 to n - 1 do
              expand sc next seq s
            done

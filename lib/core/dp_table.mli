@@ -1,45 +1,21 @@
-(** Layer tables for the insertion-step dynamic programs, and the one
-    layer driver of the flat kernels ({!Layers}).
+(** The layer table of the insertion-step dynamic programs, and their
+    one layer driver ({!Layers}).
 
-    Both tables number states by {e first insertion} and iterate in that
+    {!Fixed} numbers states by {e first insertion} and iterates in that
     order, making a layer's state sequence — and therefore every float
     addition downstream — an intrinsic property of the contribution
-    stream that built it, independent of hashing. This is what lets the
-    {!Fixed} kernels reproduce the {!Boxed} reference bit for bit (see
-    {!Kernel}), and both reproduce themselves at any pool width.
-
-    {!Boxed} stores one structured key per state (the reference layout);
-    {!Fixed} packs all states of a layer, each the same number of ints,
-    into one int array behind an open-addressing index, so the DP hot
-    path performs no per-state allocation. *)
+    stream that built it, independent of hashing. This is what lets
+    every kernel reproduce itself bit for bit at any pool width. It
+    packs all states of a layer, each the same number of ints, into one
+    int array behind an open-addressing index, so the DP hot path
+    performs no per-state allocation. *)
 
 exception State_explosion of { table : string; cap : int }
 (** A table would grow past its [max_states] cap: [table] is the
     table's name (the solver that owns it), [cap] the cap. Callers
     surface it as a typed budget error, like a CPU budget running out. *)
 
-(** Insertion-ordered layer keyed by structured values (reference
-    kernel). Keys are compared and hashed structurally. *)
-module Boxed : sig
-  type 'k t
-
-  val create : ?capacity:int -> name:string -> max_states:int -> unit -> 'k t
-
-  val length : 'k t -> int
-  (** Number of distinct states, in insertion order [0 .. length-1]. *)
-
-  val key : 'k t -> int -> 'k
-  val prob : 'k t -> int -> float
-
-  val add : 'k t -> 'k -> float -> unit
-  (** Accumulate onto an existing state or append a new one. Raises
-      {!State_explosion} past [max_states]. *)
-
-  val sum : 'k t -> float
-  (** Probabilities summed in insertion order. *)
-end
-
-(** The flat kernels' layer table: every state of a call is [width]
+(** The kernels' layer table: every state of a call is [width]
     ints (a kernel whose states vary in length zero-pads them to a
     width fixed before its first layer), slot [s] holding words
     [s * width .. s * width + width - 1] of {!keys}. [clear] retains
@@ -111,24 +87,27 @@ module Mass : sig
   val add : t -> float array -> int -> unit
   (** [add t cell ci] adds [cell.(ci)] (a cell, so no float is boxed). *)
 
-  val add_float : t -> float -> unit
-  (** [add] for the boxed kernels, whose probabilities are boxed anyway. *)
-
   val total : t -> float
 end
 
-(** The one layer driver of the flat kernels (DESIGN.md §13.6). A
+(** The one layer driver of the DP kernels (DESIGN.md §13.6). A
     kernel supplies a table width, a seed state, chunk scratch, a
     per-layer hoist returning its per-state expansion, and a read of the
     last table; the driver owns the {!Fixed.with_pair} tables, the
     budget check per layer, the state and layer-width tallies, the
-    sequential/chunked split at {!Dp_par.default_min_par} with
-    chunk-order replay, the high-water mark, the swap and the call's
+    sequential/chunked split at {!default_min_par} with chunk-order
+    replay, the high-water mark, the swap and the call's
     [dp.flat.*] flush. *)
 module Layers : sig
   type out
   (** Where an expansion's satisfied mass goes: the call's one {!Mass},
       or a parallel chunk's private log. *)
+
+  val default_min_par : int
+  (** Layers of fewer states than this expand on the calling domain;
+      larger ones, on a pool wider than 1, in contiguous chunks whose
+      emissions are replayed in chunk order. The cut-off moves no answer
+      bit: the replayed streams are the sequential ones. *)
 
   val emit_mass : out -> float array -> int -> unit
   (** [emit_mass out cell ci]: mass [cell.(ci)] leaves the DP as

@@ -41,13 +41,13 @@ let route model lab c =
     | Some po -> Items po
     | None -> Zero
 
-let solve_term ?budget ?(par = Util.Par.inline) ?kernel model lab c =
+let solve_term ?budget ?(par = Util.Par.inline) model lab c =
   match route model lab c with
   | Zero -> 0.
   | Items po -> Po_solver.prob ?budget model po
-  | Labels -> Pattern_solver.prob ?budget ~par ?kernel model lab c
+  | Labels -> Pattern_solver.prob ?budget ~par model lab c
 
-let prob ?budget ?(par = Util.Par.inline) ?cache ?kernel model lab gu =
+let prob ?budget ?(par = Util.Par.inline) ?cache model lab gu =
   let terms = Array.of_list (conjunctions gu) in
   let probs = Array.make (Array.length terms) 0. in
   (* Cross-call term cache (capability-injected by the engine): look up
@@ -74,7 +74,7 @@ let prob ?budget ?(par = Util.Par.inline) ?cache ?kernel model lab gu =
      of each term share the same pool (nested fan-out). *)
   Util.Par.share par ~n:n_solved (fun k ->
       let t = misses.(k) in
-      probs.(t) <- solve_term ?budget ~par ?kernel model lab (fst terms.(t)));
+      probs.(t) <- solve_term ?budget ~par model lab (fst terms.(t)));
   Array.iter (fun t -> store (fst terms.(t)) probs.(t)) misses;
   let total = ref 0. in
   Array.iteri

@@ -10,9 +10,8 @@
     count); a term with a node no item of σ carries, or whose pinned
     edges form a self-loop or a cycle, is 0; every other term goes to
     the signature DP ({!Pattern_solver}, the paper's LTM role).
-    {!Po_solver} has no boxed kernel and runs sequentially, so [kernel]
-    and [par] reach only {!Pattern_solver} terms (and [par] the term
-    fan-out): flat == boxed holds trivially for RIM-matched terms. *)
+    {!Po_solver} runs sequentially, so [par] reaches only the term
+    fan-out and {!Pattern_solver} terms. *)
 
 type route =
   | Zero  (** the term is 0 without a DP *)
@@ -27,7 +26,6 @@ val route : Rim.Model.t -> Prefs.Labeling.t -> Prefs.Pattern.t -> route
 val solve_term :
   ?budget:Util.Timer.budget ->
   ?par:Util.Par.t ->
-  ?kernel:Kernel.t ->
   Rim.Model.t ->
   Prefs.Labeling.t ->
   Prefs.Pattern.t ->
@@ -43,7 +41,6 @@ val prob :
   ?budget:Util.Timer.budget ->
   ?par:Util.Par.t ->
   ?cache:Term_cache.t ->
-  ?kernel:Kernel.t ->
   Rim.Model.t ->
   Prefs.Labeling.t ->
   Prefs.Pattern_union.t ->

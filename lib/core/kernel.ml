@@ -1,15 +1,3 @@
-type t = Boxed | Flat
+type t = Flat
 
-let default = Flat
-let to_string = function Boxed -> "boxed" | Flat -> "flat"
-
-let valid_names = [ "boxed"; "flat" ]
-
-let of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "boxed" -> Ok Boxed
-  | "flat" -> Ok Flat
-  | other ->
-      Error
-        (Printf.sprintf "unknown kernel %S (valid names: %s)" other
-           (String.concat ", " valid_names))
+let to_string Flat = "flat"

@@ -19,7 +19,6 @@ exception Unsupported of string
 val prob :
   ?budget:Util.Timer.budget ->
   ?par:Util.Par.t ->
-  ?kernel:Kernel.t ->
   Rim.Model.t ->
   Prefs.Labeling.t ->
   Prefs.Pattern.t ->
@@ -32,7 +31,6 @@ val prob :
 val prob_general :
   ?budget:Util.Timer.budget ->
   ?par:Util.Par.t ->
-  ?kernel:Kernel.t ->
   Rim.Model.t ->
   Prefs.Labeling.t ->
   Prefs.Pattern.t ->

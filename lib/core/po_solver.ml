@@ -163,13 +163,23 @@ let run ~budget ~states model pr =
     ~answer:(fun _ acc -> min 1. (Dp_table.Mass.total acc))
     ()
 
+let count states =
+  Obs.Counter.incr c_calls;
+  Obs.Counter.add c_states states
+
+(* Counted on both paths, so an aborted call ([State_explosion],
+   [Out_of_time]) shows here as it does in [dp.flat.*]. *)
 let prob ?(budget = Util.Timer.no_limit) model po =
   let pr = build_problem model po in
   let states = ref 0 in
-  let p = if pr.t = 0 then 1. else run ~budget ~states model pr in
-  Obs.Counter.incr c_calls;
-  Obs.Counter.add c_states !states;
-  p
+  match if pr.t = 0 then 1. else run ~budget ~states model pr with
+  | p ->
+      count !states;
+      p
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      count !states;
+      Printexc.raise_with_backtrace e bt
 
 let prob_subranking ?budget model sub =
   prob ?budget model (Prefs.Partial_order.of_chain (Prefs.Ranking.to_list sub))

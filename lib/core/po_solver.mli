@@ -14,9 +14,8 @@
     It serves answers: {!General} routes every inclusion–exclusion term
     whose nodes each name exactly one item of σ here (DESIGN.md §13.5).
     Layers are {!Dp_table.Fixed} tables (first-insertion order, so the
-    sum is a pure function of the model and the order); there is no
-    boxed kernel, so the flat == boxed contract holds trivially for the
-    terms this solver answers. Each call counts [solver.po.calls] and
+    sum is a pure function of the model and the order). Each call,
+    aborted ones included, counts [solver.po.calls] and
     [solver.po.dp_states], and its layers count in [dp.flat.*]. *)
 
 val prob : ?budget:Util.Timer.budget -> Rim.Model.t -> Prefs.Partial_order.t -> float

@@ -11,21 +11,21 @@ let exact_name : exact -> string = function
 (* [cache] reaches only the general (inclusion-exclusion) paths: the
    other exact solvers have no conjunction terms to share, and the
    estimators are sampler-driven. *)
-let exact_prob ?budget ?par ?cache ?kernel which model lab gu =
+let exact_prob ?budget ?par ?cache which model lab gu =
   match which with
-  | `Two_label -> Two_label.prob ?budget ?par ?kernel model lab gu
-  | `Bipartite -> Bipartite.prob ?budget ?par ?kernel model lab gu
-  | `Bipartite_basic -> Bipartite.prob_basic ?budget ?par ?kernel model lab gu
-  | `General -> General.prob ?budget ?par ?cache ?kernel model lab gu
+  | `Two_label -> Two_label.prob ?budget ?par model lab gu
+  | `Bipartite -> Bipartite.prob ?budget ?par model lab gu
+  | `Bipartite_basic -> Bipartite.prob_basic ?budget ?par model lab gu
+  | `General -> General.prob ?budget ?par ?cache model lab gu
   | `Brute -> Brute.prob ?par model lab gu
   | `Auto -> (
       match Prefs.Pattern_union.kind gu with
       | Prefs.Pattern_union.Two_label ->
-          Two_label.prob ?budget ?par ?kernel model lab gu
+          Two_label.prob ?budget ?par model lab gu
       | Prefs.Pattern_union.Bipartite ->
-          Bipartite.prob ?budget ?par ?kernel model lab gu
+          Bipartite.prob ?budget ?par model lab gu
       | Prefs.Pattern_union.General ->
-          General.prob ?budget ?par ?cache ?kernel model lab gu)
+          General.prob ?budget ?par ?cache model lab gu)
 
 type approx =
   | Rejection of { n : int }
@@ -104,11 +104,11 @@ let clamp which raw =
     clamped
   end
 
-let prob ?budget ?par ?cache ?kernel t mal lab gu rng =
+let prob ?budget ?par ?cache t mal lab gu rng =
   match t with
   | Exact e ->
       clamp (exact_name e)
-        (exact_prob ?budget ?par ?cache ?kernel e (Rim.Mallows.to_rim mal) lab gu)
+        (exact_prob ?budget ?par ?cache e (Rim.Mallows.to_rim mal) lab gu)
   | Approx a ->
       (* Raw estimates are unclamped (the accuracy experiments need them). *)
       clamp (approx_name a) (Estimate.value (approx_prob ?par a mal lab gu rng))

@@ -11,7 +11,6 @@ val exact_prob :
   ?budget:Util.Timer.budget ->
   ?par:Util.Par.t ->
   ?cache:Term_cache.t ->
-  ?kernel:Kernel.t ->
   exact ->
   Rim.Model.t ->
   Prefs.Labeling.t ->
@@ -23,10 +22,7 @@ val exact_prob :
     solver's result is bit-identical to its sequential run. [cache]
     shares solved conjunction terms across calls on the general
     (inclusion-exclusion) paths only — see {!Term_cache} for the
-    bit-identity contract; the other solvers ignore it. [kernel]
-    selects the DP layout of the exact solvers (default
-    {!Kernel.Flat}); both kernels return byte-identical answers, see
-    {!Kernel}. [`Brute] enumerates rankings and has no DP to select. *)
+    bit-identity contract; the other solvers ignore it. *)
 
 type approx =
   | Rejection of { n : int }
@@ -68,7 +64,6 @@ val prob :
   ?budget:Util.Timer.budget ->
   ?par:Util.Par.t ->
   ?cache:Term_cache.t ->
-  ?kernel:Kernel.t ->
   t ->
   Rim.Mallows.t ->
   Prefs.Labeling.t ->

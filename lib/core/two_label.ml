@@ -15,7 +15,7 @@ let h_states = Obs.histogram "solver.two_label.dp_states_per_call"
    so it is a sum of positive terms and stays accurate however small it
    is. After item i is inserted, a word whose edges are all dead
    (neither side has an item left to insert) can never make an edge fire
-   again, so both kernels zero it before the state is emitted (paper
+   again, so the kernel zeroes it before the state is emitted (paper
    Algorithm 4's violated-edge rule); states that differ only in such
    words merge.
 
@@ -34,16 +34,10 @@ let h_states = Obs.histogram "solver.two_label.dp_states_per_call"
    read from per-layer prefix and suffix sums of π's row, and steps
    only the positions in [lo, hi).
 
-   The boxed kernel keys a state on its a+b words as an int array in a
-   {!Dp_table.Boxed} layer. The flat kernel packs the same words into
-   [b]-bit fields (the smallest [b] with [2^b > m]), [62 / b] per int, so
-   a state is one int whenever a+b <= 62 / b (every Polls union), and
-   keeps each layer in a {!Dp_table.Fixed} table of that many ints per
-   state. Both kernels visit states in first-insertion order, add
-   each state's satisfied mass in that order and emit in (state, j)
-   order with identical arithmetic, so their contribution streams — and
-   answers — are bit-identical (pinned by test/t_kernel.ml and the QA
-   oracle). *)
+   The kernel packs a state's a+b words into [b]-bit fields (the
+   smallest [b] with [2^b > m]), [62 / b] per int, so a state is one int
+   whenever a+b <= 62 / b (every Polls union), and keeps each layer in a
+   {!Dp_table.Fixed} table of that many ints per state. *)
 
 (* Shared preamble output: the interned problem. Words [0 .. a-1] hold
    left minima, words [a .. a+b-1] right maxima; [word_hit.(k)] and
@@ -93,7 +87,7 @@ let build_problem model lab pairs =
     edge_r = Array.map (fun r -> a + r) edge_r;
   }
 
-(* Per-layer hoists shared by both kernels, filled on the calling domain
+(* Per-layer hoists, filled on the calling domain
    before layer i expands and only read while it expands. *)
 type layer = {
   hit : bool array; (* word -> item i carries its conjunction *)
@@ -187,52 +181,10 @@ let[@inline] sat_mass ly ~lo ~hi q =
 let answer ~survivors acc =
   if survivors = 0 then 1. else min 1. (Dp_table.Mass.total acc)
 
-let run_boxed ~budget ~par ~states model pr =
-  let m = Rim.Model.m model in
-  let w = pr.a + pr.b in
-  let table =
-    ref (Dp_table.Boxed.create ~name:"Two_label" ~max_states:!max_states ())
-  in
-  let ly = layer ~m pr and acc = Dp_table.Mass.create () in
-  Dp_table.Boxed.add !table (Array.make w 0) 1.;
-  for i = 0 to m - 1 do
-    Util.Timer.check budget;
-    let cur = !table in
-    let n_states = Dp_table.Boxed.length cur in
-    states := !states + n_states;
-    let next =
-      Dp_table.Boxed.create ~capacity:(2 * n_states) ~name:"Two_label"
-        ~max_states:!max_states ()
-    in
-    fill_layer model pr i ly;
-    let expand () s ~emit ~emit_prob =
-      let st = Dp_table.Boxed.key cur s and q = Dp_table.Boxed.prob cur s in
-      let lo = sat_lo ly st and hi = sat_hi ly st i in
-      if lo > 0 || hi <= i then emit_prob (sat_mass ly ~lo ~hi q);
-      for j = lo to hi - 1 do
-        let st' =
-          Array.mapi
-            (fun k v -> Conj.step ~hit:ly.hit.(k) ~left:(k < pr.a) j v)
-            st
-        in
-        Array.iteri (fun k l -> if not l then st'.(k) <- 0) ly.live;
-        emit st' (q *. ly.pi_row.(j))
-      done
-    in
-    Dp_par.run ~par ~n:n_states
-      ~ctx:(fun () -> ())
-      ~expand
-      ~add:(Dp_table.Boxed.add next)
-      ~add_prob:(Dp_table.Mass.add_float acc)
-      ();
-    table := next
-  done;
-  answer ~survivors:(Dp_table.Boxed.length !table) acc
-
 (* What the expansion reads. The field layout, fixed per call: word [x]
    lives in int [idx.(x)] at bit [sh.(x)], [bits] wide (the smallest
    [bits] with [2^bits > m]), [62 / bits] fields per int, so a state is
-   [ints] ints. And the flat-only per-layer hoists, filled before layer
+   [ints] ints. And the kernel's other per-layer hoists, filled before layer
    i expands: each word's block of {!Conj.step_table} and each int's
    live-field mask. *)
 type kernel = {
@@ -280,7 +232,7 @@ let scratch k =
 (* The expansion helpers below index without bounds checks: every
    per-word array ([idx], [sh], [row], [vals]) has [w] cells and
    every per-int array ([buf], [live_mask]) [ints], by construction in
-   [run_flat] and [scratch]; [idx.(x) < ints]; a step-table index is
+   [run] and [scratch]; [idx.(x) < ints]; a step-table index is
    below [4 m (m + 1)] because a row offset, [j] and a word value are
    below [4], [m] and [m + 1]; and a key slot [s < n] has its [ints]
    words below [n * ints]. *)
@@ -316,11 +268,10 @@ let[@inline] step k sc j =
     Array.unsafe_set buf n (!acc land Array.unsafe_get k.live_mask n)
   done
 
-(* The flat kernel, on {!Dp_table.Layers}: the hoist fills the layer's
-   step rows and live-field masks, and a state adds its satisfied mass
-   and emits its successors in (state, j) order, the orders the boxed
-   kernel uses, so the answers are bit-identical. *)
-let run_flat ~budget ~par ~states model pr =
+(* The kernel, on {!Dp_table.Layers}: the hoist fills the layer's step
+   rows and live-field masks, and a state adds its satisfied mass and
+   emits its successors in (state, j) order. *)
+let run ~budget ~par ~states model pr =
   let m = Rim.Model.m model in
   let a = pr.a and w = pr.a + pr.b in
   let k = kernel ~m ~w in
@@ -355,22 +306,28 @@ let run_flat ~budget ~par ~states model pr =
     ~answer:(fun last -> answer ~survivors:(Dp_table.Fixed.length last))
     ()
 
-let prob_edges ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline)
-    ?(kernel = Kernel.default) model lab pairs =
+let count states =
+  Obs.Counter.incr c_calls;
+  Obs.Counter.add c_states states;
+  Obs.Histogram.observe h_states states
+
+(* Counted on both paths, so an aborted call ([State_explosion],
+   [Out_of_time]) shows here as it does in [dp.flat.*]. *)
+let prob_edges ?(budget = Util.Timer.no_limit) ?(par = Util.Par.inline) model
+    lab pairs =
   if pairs = [] then invalid_arg "Two_label.prob_edges: empty union";
   let pr = build_problem model lab pairs in
   let states = ref 0 in
-  let result =
-    match kernel with
-    | Kernel.Boxed -> run_boxed ~budget ~par ~states model pr
-    | Kernel.Flat -> run_flat ~budget ~par ~states model pr
-  in
-  Obs.Counter.incr c_calls;
-  Obs.Counter.add c_states !states;
-  Obs.Histogram.observe h_states !states;
-  result
+  match run ~budget ~par ~states model pr with
+  | result ->
+      count !states;
+      result
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      count !states;
+      Printexc.raise_with_backtrace e bt
 
-let prob ?budget ?par ?kernel model lab gu =
+let prob ?budget ?par model lab gu =
   let pairs =
     List.map
       (fun g ->
@@ -379,4 +336,4 @@ let prob ?budget ?par ?kernel model lab gu =
         (Prefs.Pattern.node g 0, Prefs.Pattern.node g 1))
       (Prefs.Pattern_union.patterns gu)
   in
-  prob_edges ?budget ?par ?kernel model lab pairs
+  prob_edges ?budget ?par model lab pairs

@@ -12,7 +12,8 @@
     its words, so only the others are stepped. A tracked position is
     forgotten once every edge it takes part in is dead (neither side
     has an item left to insert: Algorithm 4's violated-edge rule), so
-    states that differ only there merge. *)
+    states that differ only there merge. Each call, an aborted one too,
+    counts [solver.two_label.calls] and [solver.two_label.dp_states]. *)
 
 exception Unsupported of string
 (** Raised when the union is not a union of two-label patterns. *)
@@ -20,21 +21,17 @@ exception Unsupported of string
 val prob :
   ?budget:Util.Timer.budget ->
   ?par:Util.Par.t ->
-  ?kernel:Kernel.t ->
   Rim.Model.t ->
   Prefs.Labeling.t ->
   Prefs.Pattern_union.t ->
   float
 (** Exact marginal probability. May raise [Util.Timer.Out_of_time].
     With [par], large DP layers expand in parallel; the result is
-    bit-identical to the sequential run (see {!Dp_table.Layers}). [kernel]
-    selects the DP layout (default {!Kernel.Flat}); both kernels are
-    byte-identical (see {!Kernel}). *)
+    bit-identical to the sequential run (see {!Dp_table.Layers}). *)
 
 val prob_edges :
   ?budget:Util.Timer.budget ->
   ?par:Util.Par.t ->
-  ?kernel:Kernel.t ->
   Rim.Model.t ->
   Prefs.Labeling.t ->
   (Prefs.Pattern.node * Prefs.Pattern.node) list ->

@@ -12,7 +12,6 @@ module Config = struct
     term_capacity : int;
     batch_window : float;
     batch_max : int;
-    kernel : Hardq.Kernel.t;
     shards : int;
   }
 
@@ -23,7 +22,6 @@ module Config = struct
       term_capacity = 4096;
       batch_window = 0.002;
       batch_max = 16;
-      kernel = Hardq.Kernel.default;
       shards = 1;
     }
 
@@ -32,7 +30,6 @@ module Config = struct
   let with_term_capacity term_capacity c = { c with term_capacity }
   let with_batch_window batch_window c = { c with batch_window }
   let with_batch_max batch_max c = { c with batch_max }
-  let with_kernel kernel c = { c with kernel }
   let with_shards shards c =
     if shards < 1 then
       invalid_arg "Engine.Config.with_shards: shards must be >= 1";
@@ -249,9 +246,6 @@ type ctx = {
   par : Util.Par.t;
       (* intra-query capability handed to every solver call; inline when
          the request asked for inter-session parallelism only *)
-  kernel : Hardq.Kernel.t;
-      (* DP layout of the exact solvers; answers are byte-identical for
-         either kernel (see Hardq.Kernel), so cache keys ignore it *)
   terms : (term_key, float) Store.t option;
   answers : (key, float) Store.t;
   local : (key, float) Hashtbl.t; (* [solve_cached]'s within-eval memo *)
@@ -279,7 +273,6 @@ let make_ctx (t : t) (req : Request.t) =
       (match req.Request.parallelism with
       | `Intra -> Pool.sharer t.pool
       | `Inter -> Util.Par.inline);
-    kernel = t.config.Config.kernel;
     terms = t.terms;
     answers = t.answers;
     local = Hashtbl.create 64;
@@ -364,8 +357,7 @@ let solve_one ctx key (s : Ppd.Database.session) union =
     | Hardq.Solver.Approx _ -> job_rng ctx (key_digest key)
   in
   Hardq.Solver.prob ?budget ~par:ctx.par
-    ?cache:(term_hook ctx s)
-    ~kernel:ctx.kernel ctx.solver s.Ppd.Database.model ctx.lab union rng
+    ?cache:(term_hook ctx s) ctx.solver s.Ppd.Database.model ctx.lab union rng
 
 (* Solve a key this eval owns in the store and publish it — or abandon
    the claim if the solve fails, so waiters take over. *)

@@ -76,13 +76,6 @@ module Config : sig
         (** largest request group the serving layer gathers (default
             16). A record of the setting only, like [batch_window]: the
             server reads its own [Server.config.batch_max] *)
-    kernel : Hardq.Kernel.t;
-        (** DP layout of the exact solvers (default {!Hardq.Kernel.Flat}).
-            Either kernel returns byte-identical answers (see
-            {!Hardq.Kernel}), so the cache keys — and cached floats — are
-            valid across kernels; the knob trades the boxed reference
-            layout against the flat production layout for debugging and
-            differential testing. *)
     shards : int;
         (** session partitions, at least 1 (default 1 = unsharded). The
             sessions of every pattern-row request — a parsed CQ or a
@@ -103,7 +96,6 @@ module Config : sig
   val with_term_capacity : int -> t -> t
   val with_batch_window : float -> t -> t
   val with_batch_max : int -> t -> t
-  val with_kernel : Hardq.Kernel.t -> t -> t
   val with_shards : int -> t -> t
   (** Raises [Invalid_argument] when the count is below 1. *)
 end

@@ -72,21 +72,12 @@ let union_rows ~eps ~budget ~approx ~extra ~checks ~kinds ~approx_rng db
           let mal = session.Ppd.Database.model in
           let model = Rim.Mallows.to_rim mal in
           let kind = Prefs.Pattern_union.kind u in
-          let exact ?par ?kernel name s =
-            (name, Hardq.Solver.exact_prob ~budget:(b ()) ?par ?kernel s model lab u)
+          let exact ?par name s =
+            (name, Hardq.Solver.exact_prob ~budget:(b ()) ?par s model lab u)
           in
-          (* Every applicable DP solver in four rows: sequential and
-             under the 2-domain pool ("-par"), each in the default flat
-             kernel and the boxed reference layout ("-boxed"). *)
-          let dp name s =
-            let boxed = Hardq.Kernel.Boxed in
-            [
-              exact name s;
-              exact ~par:(par ()) (name ^ "-par") s;
-              exact ~kernel:boxed (name ^ "-boxed") s;
-              exact ~par:(par ()) ~kernel:boxed (name ^ "-par-boxed") s;
-            ]
-          in
+          (* Every applicable DP solver in two rows: sequential and
+             under the 2-domain pool ("-par"). *)
+          let dp name s = [ exact name s; exact ~par:(par ()) (name ^ "-par") s ] in
           let dp_solvers =
             [ ("general", `General); ("auto", `Auto) ]
             @ (if kind = Prefs.Pattern_union.Two_label then
@@ -102,28 +93,24 @@ let union_rows ~eps ~budget ~approx ~extra ~checks ~kinds ~approx_rng db
             @ List.concat_map (fun (name, s) -> dp name s) dp_solvers
             @ List.map (fun (name, fn) -> (name, fn model lab u)) extra
           in
-          (* The -par and -boxed rows also pass through the eps matrix
-             below, but their real contract is stronger: bit-identity
-             with the sequential flat run, whatever the pool width — the
-             two kernels are the same computation in two layouts. *)
+          (* The -par rows also pass through the eps matrix below, but
+             their real contract is stronger: bit-identity with the
+             sequential run, whatever the pool width. *)
           List.iter
             (fun (name, _) ->
               let p_seq = List.assoc name matrix in
-              List.iter
-                (fun (suffix, what) ->
-                  let p = List.assoc (name ^ suffix) matrix in
-                  if p <> p_seq then
-                    fail
-                      (Printf.sprintf "%s %s bit-identity" name what)
-                      "session %d: %s=%.17g %s%s=%.17g" i name p_seq name suffix p;
-                  ran "%s-bit %s" what name)
-                [ ("-par", "par"); ("-boxed", "kernel"); ("-par-boxed", "par kernel") ])
+              let p = List.assoc (name ^ "-par") matrix in
+              if p <> p_seq then
+                fail
+                  (Printf.sprintf "%s par bit-identity" name)
+                  "session %d: %s=%.17g %s-par=%.17g" i name p_seq name p;
+              ran "par-bit %s" name)
             dp_solvers;
           (* General answers a term whose nodes each name one item of σ
              by RIM matching, so the rows above no longer run the
              signature DP on it. Keep that DP under its own gates on
-             exactly those terms: sequential, pooled and boxed runs give
-             the same bytes and agree with the routed term at 1e-12
+             exactly those terms: sequential and pooled runs give the
+             same bytes and agree with the routed term at 1e-12
              relative. A served (general-kind) union taking the route
              marks the case for the corpus coverage sweep. *)
           List.iter
@@ -135,25 +122,16 @@ let union_rows ~eps ~budget ~approx ~extra ~checks ~kinds ~approx_rng db
                   | Hardq.General.Items _ when kind = Prefs.Pattern_union.General ->
                       kinds := rim_matching :: !kinds
                   | _ -> ());
-                  let signature ?par ?kernel () =
-                    Hardq.Pattern_solver.prob ~budget:(b ()) ?par ?kernel model lab c
+                  let signature ?par () =
+                    Hardq.Pattern_solver.prob ~budget:(b ()) ?par model lab c
                   in
-                  let p_seq = signature () in
-                  let boxed = Hardq.Kernel.Boxed in
-                  List.iter
-                    (fun (what, p) ->
-                      if p <> p_seq then
-                        fail
-                          (Printf.sprintf "signature DP %s bit-identity" what)
-                          "session %d term %s: seq=%.17g %s=%.17g" i
-                          (Format.asprintf "%a" Prefs.Pattern.pp c)
-                          p_seq what p;
-                      ran "signature %s" what)
-                    [
-                      ("par", signature ~par:(par ()) ());
-                      ("kernel", signature ~kernel:boxed ());
-                      ("par kernel", signature ~par:(par ()) ~kernel:boxed ());
-                    ];
+                  let p_seq = signature () and p = signature ~par:(par ()) () in
+                  if p <> p_seq then
+                    fail "signature DP par bit-identity"
+                      "session %d term %s: seq=%.17g par=%.17g" i
+                      (Format.asprintf "%a" Prefs.Pattern.pp c)
+                      p_seq p;
+                  ran "signature par";
                   let routed = Hardq.General.solve_term ~budget:(b ()) model lab c in
                   if
                     routed <> p_seq

@@ -14,14 +14,11 @@
     - the two-label DP — unions classified [Two_label];
     - the optimized and basic bipartite DPs — unions up to [Bipartite];
     - every one of those DP solvers again under a 2-domain work-sharing
-      pool ("…-par"), under the boxed reference kernel ("…-boxed") and
-      under both ("…-par-boxed") — these must match the sequential
-      flat-kernel row bit for bit, not merely within [eps] (the two
-      layouts are the same computation; DESIGN.md §13);
+      pool ("…-par") — these must match the sequential row bit for bit,
+      not merely within [eps] (DESIGN.md §13.6);
     - on every IE term that {!Hardq.General.route} does not send to the
       signature DP (RIM-matched and zero terms), {!Hardq.Pattern_solver}
-      run directly — sequential, pooled, boxed, pooled and boxed — must
-      give the same bytes and agree with the routed term at 1e-12
+      run directly — sequential and pooled — must give the same bytes and agree with the routed term at 1e-12
       relative, so the signature DP keeps its gates on itemwise inputs
       the general rows no longer send it;
     - any [extra] solvers injected by the caller (scratch copies under

@@ -29,8 +29,7 @@ type config = {
          admitted request as its own batch immediately *)
   batch_max : int; (* largest request group one batch may carry *)
   kernel : Hardq.Kernel.t;
-      (* DP layout of the exact solvers; answers are byte-identical for
-         either kernel, so the knob is free to flip between restarts *)
+      (* read by perfbench's run header only; there is one DP layout *)
   shards : int;
       (* session partition count; > 1 partitions classic-query
          sessions on the engine's pool — replies gain the additive
@@ -55,7 +54,7 @@ let default_config address =
     intra = true;
     batch_window_ms = 2.;
     batch_max = 16;
-    kernel = Hardq.Kernel.default;
+    kernel = Hardq.Kernel.Flat;
     shards = 1;
   }
 
@@ -825,7 +824,6 @@ let start cfg =
             term_capacity = cfg.term_cache_capacity;
             batch_window = cfg.batch_window_ms /. 1000.;
             batch_max = cfg.batch_max;
-            kernel = cfg.kernel;
             shards = cfg.shards;
           };
       registry = Registry.create ();

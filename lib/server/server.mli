@@ -80,8 +80,10 @@ type config = {
   batch_window_ms : float;  (** gather window; [<= 0] = no batching *)
   batch_max : int;  (** flush a gather bucket at this many requests *)
   kernel : Hardq.Kernel.t;
-      (** DP layout of the exact solvers (default {!Hardq.Kernel.Flat});
-          answers are byte-identical for either kernel *)
+      (** Always {!Hardq.Kernel.Flat}, the one DP layout; nothing in the
+          server reads it. It stays only for the serving benchmark's run
+          header ([perfbench/perfbench.ml]), which prints it, and goes
+          when that line does. *)
   shards : int;
       (** session partition count (default 1 = unsharded). [> 1]
           places classic-query sessions on that many partitions run on

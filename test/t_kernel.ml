@@ -1,11 +1,11 @@
-(* Kernel equivalence: the flat arena kernel (Hardq.Kernel.Flat) must be
-   byte-identical to the boxed reference (Boxed) on every DP solver —
-   not within an epsilon, exactly. Both kernels number layer states by
-   first insertion and expand with shared arithmetic, and Dp_par replays
-   parallel chunks in chunk order, so their contribution streams are the
-   same float sequence whatever the pool width (DESIGN.md §13). The
-   suite pins that contract with fixed edge cases, QCheck differential
-   properties across random instances, and Dp_table unit tests.
+(* The DP kernels: every insertion DP must return the same bits under a
+   pool as sequentially — not within an epsilon, exactly. Layer states
+   are numbered by first insertion, and Dp_table.Layers replays parallel
+   chunks in chunk order, so the contribution stream is the same float
+   sequence whatever the pool width (DESIGN.md §13). The suite pins that
+   contract with fixed edge cases, QCheck properties across random
+   instances (each also checked against brute force or another exact
+   solver), and Dp_table unit tests.
 
    The pool width under test comes from [HARDQ_TEST_DOMAINS] (see
    helpers.ml); `make ci` runs this suite at 1, 2 and the recommended
@@ -28,68 +28,45 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   go 0
 
-(* Solve [solve ~kernel ~par] under both kernels, sequentially and under
-   a pool of the matrix width, and demand one bit-identical answer. *)
-let check_kernels what solve =
-  let p_boxed = solve ~kernel:Hardq.Kernel.Boxed ~par:None in
-  let p_flat = solve ~kernel:Hardq.Kernel.Flat ~par:None in
-  check_bits (what ^ ": flat vs boxed (sequential)") p_boxed p_flat;
+(* Solve [solve ~par] sequentially and under a pool of the matrix
+   width, and demand one bit-identical answer. *)
+let check_pooled what solve =
+  let p = solve ~par:None in
   with_pool nd (fun pool ->
-      let par = Some (Engine.Pool.sharer pool) in
       check_bits
-        (named (what ^ ": boxed par vs sequential"))
-        p_boxed
-        (solve ~kernel:Hardq.Kernel.Boxed ~par);
-      check_bits
-        (named (what ^ ": flat par vs sequential"))
-        p_flat
-        (solve ~kernel:Hardq.Kernel.Flat ~par));
-  p_flat
+        (named (what ^ ": par vs sequential"))
+        p
+        (solve ~par:(Some (Engine.Pool.sharer pool))));
+  p
 
-let exact ?par ?kernel s model lab gu =
-  match par with
-  | None -> Hardq.Solver.exact_prob ?kernel s model lab gu
-  | Some par -> Hardq.Solver.exact_prob ~par ?kernel s model lab gu
+let exact ?par s model lab gu = Hardq.Solver.exact_prob ?par s model lab gu
 
-(* ------------------------------------------------------------------ *)
-(* Kernel selector                                                      *)
-(* ------------------------------------------------------------------ *)
+(* The QA oracle's bounds on two exact answers: [eps] absolute, and
+   below [small_p] also [small_p_rel] relative, since an absolute bound
+   cannot see a wrong answer near 0. *)
+let eps = 1e-9
+let small_p = 1e-6
+let small_p_rel = 1e-12
 
-let unit_kernel_of_string () =
-  List.iter
-    (fun k ->
-      match Hardq.Kernel.of_string (Hardq.Kernel.to_string k) with
-      | Ok k' -> Alcotest.(check bool) "round-trip" true (k = k')
-      | Error e -> Alcotest.failf "round-trip failed: %s" e)
-    [ Hardq.Kernel.Boxed; Hardq.Kernel.Flat ];
-  (match Hardq.Kernel.of_string "  FLAT " with
-  | Ok Hardq.Kernel.Flat -> ()
-  | _ -> Alcotest.fail "of_string not case/space insensitive");
-  match Hardq.Kernel.of_string "fast" with
-  | Ok _ -> Alcotest.fail "of_string accepted garbage"
-  | Error msg ->
-      List.iter
-        (fun name ->
-          if not (contains msg name) then
-            Alcotest.failf "error %S does not list %S" msg name)
-        Hardq.Kernel.valid_names
+let check_exact what expected actual =
+  Helpers.check_close ~eps what expected actual;
+  let scale = Float.max (abs_float expected) (abs_float actual) in
+  if expected < small_p && abs_float (expected -. actual) > small_p_rel *. scale
+  then
+    Alcotest.failf "%s: expected %.17g, got %.17g (relative error %.3g > %g)"
+      what expected actual
+      (abs_float (expected -. actual) /. scale)
+      small_p_rel
+
+(* An answer from another route: brute force while m! stays small (the
+   oracle's m <= 7), the general inclusion-exclusion solver past it. *)
+let reference model lab gu =
+  if Rim.Model.m model <= 7 then Hardq.Brute.prob model lab gu
+  else exact `General model lab gu
 
 (* ------------------------------------------------------------------ *)
 (* Dp_table unit tests                                                  *)
 (* ------------------------------------------------------------------ *)
-
-let unit_boxed_insertion_order () =
-  let t = Hardq.Dp_table.Boxed.create ~name:"t" ~max_states:100 () in
-  Hardq.Dp_table.Boxed.add t [| 3 |] 0.25;
-  Hardq.Dp_table.Boxed.add t [| 1 |] 0.5;
-  Hardq.Dp_table.Boxed.add t [| 3 |] 0.125;
-  Alcotest.(check int) "distinct states" 2 (Hardq.Dp_table.Boxed.length t);
-  Alcotest.(check (array int)) "slot 0 is first-inserted" [| 3 |]
-    (Hardq.Dp_table.Boxed.key t 0);
-  Alcotest.(check (float 0.)) "duplicate merged" 0.375
-    (Hardq.Dp_table.Boxed.prob t 0);
-  Alcotest.(check (float 0.)) "sum in insertion order" 0.875
-    (Hardq.Dp_table.Boxed.sum t)
 
 module Fixed = Hardq.Dp_table.Fixed
 
@@ -194,14 +171,14 @@ let unit_single_item_domain () =
   List.iter
     (fun s ->
       let p =
-        check_kernels "m=1" (fun ~kernel ~par -> exact ?par ~kernel s model lab gu)
+        check_pooled "m=1" (fun ~par -> exact ?par s model lab gu)
       in
       check_bits "m=1 unsatisfiable" 0. p)
     [ `Two_label; `Bipartite; `Bipartite_basic; `General ]
 
 (* A label no item carries: the general DP's static witness check bails
-   before any layer, the bipartite solvers drop the pattern — both
-   kernels must take the same short-circuits. *)
+   before any layer, the bipartite solvers drop the pattern — at
+   any pool width. *)
 let unit_statically_infeasible () =
   let r = Helpers.rng 5 in
   let model = Rim.Mallows.to_rim (Helpers.random_mallows r 5) in
@@ -211,16 +188,15 @@ let unit_statically_infeasible () =
   List.iter
     (fun s ->
       let p =
-        check_kernels "ghost label"
-          (fun ~kernel ~par -> exact ?par ~kernel s model lab gu)
+        check_pooled "ghost label"
+          (fun ~par -> exact ?par s model lab gu)
       in
       check_bits "ghost label prob" 0. p)
     [ `Two_label; `Bipartite; `Bipartite_basic; `General ]
 
 (* Certain satisfaction: when every item carries both labels the
    surviving-state layer of the two-label DP empties mid-query (states
-   are dropped as satisfied), exercising empty/shrinking layers in both
-   kernels. *)
+   are dropped as satisfied), exercising empty/shrinking layers. *)
 let unit_emptying_layers () =
   let m = 4 in
   let model = Rim.Mallows.to_rim (Rim.Mallows.make ~center:(Prefs.Ranking.identity m) ~phi:0.9) in
@@ -231,8 +207,8 @@ let unit_emptying_layers () =
   List.iter
     (fun s ->
       let p =
-        check_kernels "certain union"
-          (fun ~kernel ~par -> exact ?par ~kernel s model lab gu)
+        check_pooled "certain union"
+          (fun ~par -> exact ?par s model lab gu)
       in
       check_bits "certain union prob" 1. p)
     [ `Two_label; `Bipartite; `Bipartite_basic; `General ];
@@ -247,8 +223,8 @@ let unit_emptying_layers () =
       (Array.init m (fun i -> if i = 1 || i = 4 then [ 0; 1 ] else [ 0 ]))
   in
   let p =
-    check_kernels "certain union, mass leaving over layers"
-      (fun ~kernel ~par -> exact ?par ~kernel `Two_label model lab gu)
+    check_pooled "certain union, mass leaving over layers"
+      (fun ~par -> exact ?par `Two_label model lab gu)
   in
   check_bits "certain union, mass leaving over layers" 1. p
 
@@ -265,13 +241,20 @@ let unit_arena_growth_mid_query () =
   List.iter
     (fun s ->
       ignore
-        (check_kernels "m=30 growth"
-           (fun ~kernel ~par -> exact ?par ~kernel s model lab gu)))
+        (check_pooled "m=30 growth"
+           (fun ~par -> exact ?par s model lab gu)))
     [ `Two_label; `Bipartite ]
 
 (* ------------------------------------------------------------------ *)
 (* QCheck differential properties                                       *)
 (* ------------------------------------------------------------------ *)
+
+(* The four "flat == boxed" properties keep the names they had when they
+   held each flat kernel to the boxed reference layout, so test listings
+   stay comparable across versions. That layout is gone; on the same
+   random instances they now hold each DP pooled == sequential bit for
+   bit, and to brute force (m <= 7) or the general solver within the QA
+   oracle's bounds. *)
 
 let seed_gen = QCheck.small_nat
 
@@ -319,13 +302,13 @@ let prop_two_label =
           r
           ~z:(1 + Util.Rng.int r 3)
       in
-      ignore
-        (check_kernels "two_label"
-           (fun ~kernel ~par -> exact ?par ~kernel `Two_label model lab gu));
+      check_exact "two_label vs reference" (reference model lab gu)
+        (check_pooled "two_label"
+           (fun ~par -> exact ?par `Two_label model lab gu));
       let model, lab, gu = wide_two_label_union r in
       let p =
-        check_kernels "two_label (two-int states)"
-          (fun ~kernel ~par -> exact ?par ~kernel `Two_label model lab gu)
+        check_pooled "two_label (two-int states)"
+          (fun ~par -> exact ?par `Two_label model lab gu)
       in
       Helpers.check_close "two-int states vs brute force"
         (Hardq.Brute.prob model lab gu) p;
@@ -379,36 +362,35 @@ let prop_one_int_boundary =
           List.iter
             (fun w ->
               let model, lab, gu = boundary_union r ~m ~w ~span:1 in
-              ignore
-                (check_kernels
-                   (Printf.sprintf "m=%d w=%d" m w)
-                   (fun ~kernel ~par ->
-                     exact ?par ~kernel `Two_label model lab gu)))
+              let what = Printf.sprintf "m=%d w=%d" m w in
+              check_exact (what ^ " vs reference") (reference model lab gu)
+                (check_pooled what (fun ~par ->
+                     exact ?par `Two_label model lab gu)))
             [ f; f + 1 ])
         [ 7; 8; 15; 16; 31; 32 ];
-      (* Wide spans keep many words live: layers pass Dp_par's parallel
+      (* Wide spans keep many words live: layers pass the parallel
          cut-off, so a pool of two or more domains runs the chunked
          path. *)
       let m = 32 in
       let model, lab, gu =
         boundary_union r ~m ~w:(fields_per_int m + 1) ~span:(m / 4)
       in
-      let solve ~kernel ~par = exact ?par ~kernel `Two_label model lab gu in
+      let solve ~par = exact ?par `Two_label model lab gu in
       let before = Obs.snapshot () in
-      let p = check_kernels "m=32 chunked layers" solve in
+      let p = check_pooled "m=32 chunked layers" solve in
+      check_exact "m=32 chunked layers vs reference" (reference model lab gu) p;
       (match
          Obs.find (Obs.diff before (Obs.snapshot ())) "dp.flat.layer_width"
        with
       | Some (Obs.Hist { buckets; _ })
         when List.exists
-               (fun (lo, _) -> lo >= Hardq.Dp_par.default_min_par)
+               (fun (lo, _) -> lo >= Hardq.Dp_table.Layers.default_min_par)
                buckets ->
           ()
       | _ -> Alcotest.fail "no layer reached the parallel cut-off");
       with_pool (max 2 nd) (fun pool ->
           check_bits "m=32 chunked layers, 2+ domains" p
-            (solve ~kernel:Hardq.Kernel.Flat
-               ~par:(Some (Engine.Pool.sharer pool))));
+            (solve ~par:(Some (Engine.Pool.sharer pool))));
       true)
 
 let check_small what p =
@@ -457,8 +439,8 @@ let prop_two_label_small_p =
       let r = Helpers.rng (5000 + seed) in
       let model, lab, gu = rare_inversion_union r in
       let p =
-        check_kernels "two_label (small p)"
-          (fun ~kernel ~par -> exact ?par ~kernel `Two_label model lab gu)
+        check_pooled "two_label (small p)"
+          (fun ~par -> exact ?par `Two_label model lab gu)
       in
       check_small "two_label (small p)" p;
       Helpers.check_rel ~tol:1e-12 "two-label vs Bipartite.prob"
@@ -480,14 +462,15 @@ let prop_bipartite =
           ~z:(1 + Util.Rng.int r 2)
       in
       let p_opt =
-        check_kernels "bipartite"
-          (fun ~kernel ~par -> exact ?par ~kernel `Bipartite model lab gu)
+        check_pooled "bipartite"
+          (fun ~par -> exact ?par `Bipartite model lab gu)
       in
       let p_basic =
-        check_kernels "bipartite_basic"
-          (fun ~kernel ~par -> exact ?par ~kernel `Bipartite_basic model lab gu)
+        check_pooled "bipartite_basic"
+          (fun ~par -> exact ?par `Bipartite_basic model lab gu)
       in
       Helpers.check_close "optimized vs basic" p_basic p_opt;
+      check_exact "bipartite vs reference" (reference model lab gu) p_opt;
       true)
 
 let prop_general =
@@ -503,27 +486,9 @@ let prop_general =
           r
           ~z:(1 + Util.Rng.int r 3)
       in
-      ignore
-        (check_kernels "general"
-           (fun ~kernel ~par -> exact ?par ~kernel `General model lab gu));
+      check_exact "general vs reference" (reference model lab gu)
+        (check_pooled "general" (fun ~par -> exact ?par `General model lab gu));
       true)
-
-(* ------------------------------------------------------------------ *)
-(* Engine-level kernel selection                                        *)
-(* ------------------------------------------------------------------ *)
-
-let unit_engine_kernel_bit_identity () =
-  let db = Datasets.Polls.generate ~n_candidates:8 ~n_voters:40 ~seed:3 () in
-  let q = Ppd.Parser.parse Datasets.Polls.query_two_label in
-  let answer kernel =
-    Engine.with_engine
-      Engine.Config.(default |> with_kernel kernel)
-      (fun engine ->
-        Engine.Response.answer_float
-          (Engine.eval engine (Engine.Request.make ~seed:3 db q)))
-  in
-  check_bits "Engine.Config kernel" (answer Hardq.Kernel.Boxed)
-    (answer Hardq.Kernel.Flat)
 
 (* ------------------------------------------------------------------ *)
 (* Arena lifecycle: the per-domain spare table pair                     *)
@@ -602,11 +567,12 @@ let cold_answers engine db =
       answer_bits (Engine.eval engine (Engine.Request.make ~task db cold_q)))
     cold_tasks
 
-(* The five flat kernels on one input shape each, at a size [m]: the
+(* The five DP kernels on one input shape each, at a size [m]: the
    kernel's name, the table name its {!Hardq.Dp_table.State_explosion}
-   carries, its state cap, and the call at [m] (the input is built
-   once, then solved under a budget per call). Sizes [small]
-   and [large] are [unit_no_alloc_per_expansion]'s. *)
+   carries, its solver's call counter (the signature DP keeps none), its
+   state cap, and the call at [m] (the input is built once, then solved
+   under a budget per call). Sizes [small] and [large] are
+   [unit_no_alloc_per_expansion]'s. *)
 let flat_kernels =
   let labeled m ~labels =
     ( Rim.Mallows.to_rim
@@ -635,26 +601,31 @@ let flat_kernels =
     fun budget -> Hardq.Pattern_solver.prob_general ~budget model lab g
   in
   [
-    ( "two-label", "Two_label", Hardq.Two_label.max_states,
+    ( "two-label", "Two_label", Some "solver.two_label.calls",
+      Hardq.Two_label.max_states,
       union (fun ~budget m l u -> Hardq.Two_label.prob ~budget m l u), 16, 32 );
-    ( "bipartite", "Bipartite", Hardq.Bipartite.max_states,
+    ( "bipartite", "Bipartite", Some "solver.bipartite.calls",
+      Hardq.Bipartite.max_states,
       union (fun ~budget m l u -> Hardq.Bipartite.prob ~budget m l u), 24, 32 );
-    ( "bipartite basic", "Bipartite (basic)", Hardq.Bipartite.max_states,
+    ( "bipartite basic", "Bipartite (basic)", Some "solver.bipartite_basic.calls",
+      Hardq.Bipartite.max_states,
       union (fun ~budget m l u -> Hardq.Bipartite.prob_basic ~budget m l u),
       12, 16 );
-    ("RIM matching", "Po_solver", Hardq.Po_solver.max_states, chain, 16, 40);
-    ( "signature", "Pattern_solver", Hardq.Pattern_solver.max_states,
+    ( "RIM matching", "Po_solver", Some "solver.po.calls",
+      Hardq.Po_solver.max_states, chain, 16, 40 );
+    ( "signature", "Pattern_solver", None, Hardq.Pattern_solver.max_states,
       signature, 10, 13 );
   ]
 
 (* A DP that raises — past its state cap mid-layer, or out of a tiny CPU
    budget — hands its tables back dirty; the next solves on the same
    engine must still match a fresh engine's to the bit, and so must the
-   next direct call of each flat kernel match a call made before the
-   aborts. Each kernel's explosion names its own table, and each aborted
-   call still counts as one [dp.flat] call with the states it built. *)
+   next direct call of each kernel match a call made before the aborts.
+   Each kernel's explosion names its own table, and each aborted call
+   still counts as one [dp.flat] call with the states it built, and as
+   one call of its solver. *)
 let unit_arena_after_abort () =
-  let counted name what abort =
+  let counted name calls what abort =
     let before = Obs.snapshot () in
     abort ();
     let d = Obs.diff before (Obs.snapshot ()) in
@@ -663,7 +634,13 @@ let unit_arena_after_abort () =
       1
       (Obs.count d "dp.flat.calls");
     if Obs.count d "dp.flat.states" <= 0 then
-      Alcotest.failf "%s: %s call counted no states" name what
+      Alcotest.failf "%s: %s call counted no states" name what;
+    Option.iter
+      (fun c ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s: %s call counted in %s" name what c)
+          1 (Obs.count d c))
+      calls
   in
   let db = cold_db () in
   let fresh = Engine.with_engine cold_config (fun e -> cold_answers e db) in
@@ -686,11 +663,11 @@ let unit_arena_after_abort () =
       if cold_answers engine db <> fresh then
         Alcotest.fail "answers after an aborted DP differ from a fresh engine's");
   List.iter
-    (fun (name, table, max_states, solve, m, _) ->
+    (fun (name, table, calls, max_states, solve, m, _) ->
       let solve = solve m in
       let fresh = solve Util.Timer.no_limit in
       let saved = !max_states in
-      counted name "capped" (fun () ->
+      counted name calls "capped" (fun () ->
           match
             Fun.protect
               ~finally:(fun () -> max_states := saved)
@@ -702,7 +679,7 @@ let unit_arena_after_abort () =
           | exception Hardq.Dp_table.State_explosion { table = t; cap } ->
               Alcotest.(check string) (name ^ ": table") table t;
               Alcotest.(check int) (name ^ ": cap") 3 cap);
-      counted name "out-of-budget" (fun () ->
+      counted name calls "out-of-budget" (fun () ->
           match solve (Util.Timer.budget 1e-9) with
           | _ -> Alcotest.failf "%s: expected Out_of_time" name
           | exception Util.Timer.Out_of_time -> ());
@@ -761,23 +738,23 @@ let fig9_union ~m ~z ~block ~phi =
   (model, Prefs.Labeling.make labels, gu)
 
 (* Three edges at m = 20 under φ = 0.05, block 7: the layers pass
-   Dp_par's cut-off, so a pool of two or more domains sends each state's
-   satisfied mass through the chunked [emit_prob] route, and p is about
+   the driver's cut-off, so a pool of two or more domains sends each
+   state's satisfied mass through a chunk's mass log, and p is about
    6e-9. *)
 let unit_small_p_chunked () =
   let model, lab, gu = fig9_union ~m:20 ~z:3 ~block:7 ~phi:0.05 in
-  let solve ~kernel ~par = exact ?par ~kernel `Two_label model lab gu in
+  let solve ~par = exact ?par `Two_label model lab gu in
   let before = Obs.snapshot () in
-  let p = check_kernels "small p, chunked layers" solve in
+  let p = check_pooled "small p, chunked layers" solve in
   (match Obs.find (Obs.diff before (Obs.snapshot ())) "dp.flat.layer_width" with
   | Some (Obs.Hist { buckets; _ })
-    when List.exists (fun (lo, _) -> lo >= Hardq.Dp_par.default_min_par) buckets
+    when List.exists (fun (lo, _) -> lo >= Hardq.Dp_table.Layers.default_min_par) buckets
     ->
       ()
   | _ -> Alcotest.fail "no layer reached the parallel cut-off");
   with_pool (max 2 nd) (fun pool ->
       check_bits "small p, chunked layers, 2+ domains" p
-        (solve ~kernel:Hardq.Kernel.Flat ~par:(Some (Engine.Pool.sharer pool))));
+        (solve ~par:(Some (Engine.Pool.sharer pool))));
   check_small "small p, chunked layers" p;
   Helpers.check_rel ~tol:1e-12 "small p vs Bipartite.prob"
     (Hardq.Bipartite.prob model lab gu)
@@ -786,14 +763,14 @@ let unit_small_p_chunked () =
 (* Four edges at m = 22 under φ = 0.1, block 7: p is about 9.9e-9. Both
    bipartite DPs add up their satisfied mass by compensated summation,
    so the optimized one agrees with the two-label DP to 1e-12 relative
-   in both kernels (a plain running sum was 1.8e-12 off). *)
+   at any pool width (a plain running sum was 1.8e-12 off). *)
 let unit_bipartite_small_p () =
   let model, lab, gu = fig9_union ~m:22 ~z:4 ~block:7 ~phi:0.1 in
   let p_two = exact `Two_label model lab gu in
   check_small "two-label, four edges at m = 22" p_two;
   let p =
-    check_kernels "bipartite, four edges at m = 22" (fun ~kernel ~par ->
-        exact ?par ~kernel `Bipartite model lab gu)
+    check_pooled "bipartite, four edges at m = 22" (fun ~par ->
+        exact ?par `Bipartite model lab gu)
   in
   Helpers.check_rel ~tol:1e-12 "Bipartite.prob vs Two_label.prob" p_two p
 
@@ -819,8 +796,8 @@ let unit_both_sides_hit () =
       in
       let what = Printf.sprintf "both sides hit, phi=%g" phi in
       let p =
-        check_kernels what (fun ~kernel ~par ->
-            exact ?par ~kernel `Two_label model lab gu)
+        check_pooled what (fun ~par ->
+            exact ?par `Two_label model lab gu)
       in
       Helpers.check_close ~eps:1e-12 (what ^ " vs brute force")
         (Hardq.Brute.prob model lab gu) p)
@@ -851,7 +828,7 @@ let unit_no_alloc_per_expansion () =
     (words, Obs.count (Obs.diff before (Obs.snapshot ())) "dp.flat.states")
   in
   List.iter
-    (fun (name, _, _, solve, small, large) ->
+    (fun (name, _, _, _, solve, small, large) ->
       let shape m =
         let solve = solve m in
         fun () -> solve Util.Timer.no_limit
@@ -871,10 +848,6 @@ let suites =
   [
     ( "kernel",
       [
-        tc "Kernel.of_string round-trips and rejects garbage" `Quick
-          unit_kernel_of_string;
-        tc "Boxed table: insertion order, merge, sum" `Quick
-          unit_boxed_insertion_order;
         tc "Flat table: insertion order, merge, sum" `Quick unit_flat_basics;
         tc "Flat table: growth, rehash, clear keeps capacity" `Quick
           unit_flat_growth_and_clear;
@@ -882,7 +855,7 @@ let suites =
           unit_flat_state_explosion;
         tc "Flat table: empty or padded seed state" `Quick
           unit_flat_seed_state;
-        tc (named "m=1 domain: all solvers, both kernels") `Quick
+        tc (named "m=1 domain: all solvers, both pool widths") `Quick
           unit_single_item_domain;
         tc (named "statically infeasible union short-circuits") `Quick
           unit_statically_infeasible;
@@ -901,8 +874,6 @@ let suites =
           unit_bipartite_small_p;
         prop_bipartite;
         prop_general;
-        tc "Engine.Config.with_kernel is answer-invisible" `Quick
-          unit_engine_kernel_bit_identity;
         tc "spare pair: reuse, exclusive checkout, retention cap" `Quick
           unit_spare_pair_lifecycle;
         tc "flat kernels: no minor words per expansion" `Quick

@@ -294,42 +294,67 @@ let unit_pool_share_exception () =
       Alcotest.(check int) "pool usable after failure" 32 (Atomic.get ok))
 
 (* ------------------------------------------------------------------ *)
-(* The chunked-expansion combinator itself                              *)
+(* The layer driver's chunk-order replay                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Dp_par.run replays emissions in index order: the float sum, the
-   table-insertion order and the per-chunk finish hooks all match the
-   sequential loop exactly, at any width. *)
-let unit_dp_par_ordered_replay () =
-  let n = 1000 in
-  let expand () i ~emit ~emit_prob =
-    emit (i mod 17) (1. /. float_of_int (i + 1));
-    if i mod 3 = 0 then emit (i mod 5) (Float.of_int i *. 1e-3);
-    emit_prob (1. /. float_of_int ((i * i) + 1))
-  in
+(* Dp_table.Layers.run replays a parallel layer's emissions in chunk
+   order: a synthetic DP whose layers grow from 1 state past the
+   parallel cut-off ends with the same keys in the same slot order, the
+   same probabilities and the same satisfied-mass bits at widths 1 and
+   >= 2, and each chunk's scratch is finished once. *)
+let unit_layers_ordered_replay () =
+  let module L = Hardq.Dp_table.Layers in
+  let module F = Hardq.Dp_table.Fixed in
   let run par =
-    let keys = ref [] in
-    let sums = Hashtbl.create 32 in
-    let prob = ref 0. in
-    let chunks = ref 0 in
-    Hardq.Dp_par.run ~par ~min_par:1 ~n
-      ~ctx:(fun () -> incr chunks)
-      ~expand
-      ~add:(fun k p ->
-        keys := k :: !keys;
-        Hashtbl.replace sums k (p +. Option.value ~default:0. (Hashtbl.find_opt sums k)))
-      ~add_prob:(fun p -> prob := !prob +. p)
-      ();
-    (List.rev !keys, Hashtbl.fold (fun k v acc -> (k, v) :: acc) sums [] |> List.sort compare, !prob, !chunks)
+    let scratches = ref 0 and finished = ref 0 in
+    let before = Obs.snapshot () in
+    let keys, probs, mass =
+      L.run ~name:"replay" ~width:2 ~max_states:100_000
+        ~budget:Util.Timer.no_limit ~par ~states:(ref 0) ~last:6
+        ~scratch:(fun () ->
+          incr scratches;
+          (Array.make 2 0, [| 0. |]))
+        ~layer:(fun i keys probs ->
+          fun (buf, cell) next out s ->
+            let k = keys.(2 * s) and q = probs.(s) in
+            for j = 0 to 2 do
+              buf.(0) <- ((k * 3) + j) mod 1009;
+              buf.(1) <- i;
+              cell.(0) <- q /. float_of_int (j + 2 + (k mod 5));
+              F.add next buf 0 cell 0
+            done;
+            if k mod 7 = 0 then begin
+              cell.(0) <- q *. 1e-3 /. float_of_int (s + 1);
+              L.emit_mass out cell 0
+            end)
+        ~finish:(fun _ -> incr finished)
+        ~answer:(fun last mass ->
+          let n = F.length last in
+          ( Array.sub (F.keys last) 0 (2 * n),
+            Array.map Int64.bits_of_float (Array.sub (F.probs last) 0 n),
+            Int64.bits_of_float (Hardq.Dp_table.Mass.total mass) ))
+        ()
+    in
+    let parallel =
+      match
+        Obs.find (Obs.diff before (Obs.snapshot ())) "dp.flat.layer_width"
+      with
+      | Some (Obs.Hist { buckets; _ }) ->
+          List.exists (fun (lo, _) -> lo >= L.default_min_par) buckets
+      | _ -> false
+    in
+    if not parallel then Alcotest.fail "no layer reached the parallel cut-off";
+    Alcotest.(check int) "every scratch finished" !scratches !finished;
+    (keys, probs, mass, !scratches)
   in
-  let k_seq, s_seq, p_seq, c_seq = run Util.Par.inline in
-  Alcotest.(check int) "sequential path is one chunk" 1 c_seq;
+  let k_seq, p_seq, m_seq, c_seq = run Util.Par.inline in
+  Alcotest.(check int) "sequential path: one scratch" 1 c_seq;
   with_pool (max 2 nd) (fun pool ->
-      let k_par, s_par, p_par, c_par = run (Engine.Pool.sharer pool) in
-      Alcotest.(check (list int)) "key emission order" k_seq k_par;
-      Alcotest.(check (list (pair int (float 0.)))) "per-key sums" s_seq s_par;
-      check_bits "prob accumulator" p_seq p_par;
-      if c_par < 1 then Alcotest.failf "no chunks ran (%d)" c_par)
+      let k_par, p_par, m_par, c_par = run (Engine.Pool.sharer pool) in
+      Alcotest.(check (array int)) "keys in slot order" k_seq k_par;
+      Alcotest.(check (array int64)) "probability bits" p_seq p_par;
+      Alcotest.(check int64) "satisfied-mass bits" m_seq m_par;
+      if c_par < 2 then Alcotest.failf "no chunk ran (%d scratches)" c_par)
 
 (* ------------------------------------------------------------------ *)
 (* Rejection sampler determinism                                        *)
@@ -381,7 +406,7 @@ let suites =
         tc (named "engine intra/inter/jobs bit-identity") `Quick
           unit_engine_bit_identity;
         prop_general_par_bit_identical;
-        tc (named "dp chunk replay is ordered") `Quick unit_dp_par_ordered_replay;
+        tc (named "dp chunk replay is ordered") `Quick unit_layers_ordered_replay;
         tc (named "rejection chunking is seed-deterministic") `Quick
           unit_rejection_chunked_determinism;
         tc (named "pinned DP work on the cold-exact shape") `Quick

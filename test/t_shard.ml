@@ -28,7 +28,7 @@ let job_of ?deadline ?(budget = 2.) db =
   {
     prob =
       (fun s u ->
-        Hardq.Solver.prob ~budget:(Util.Timer.budget budget) ~kernel:Hardq.Kernel.Flat
+        Hardq.Solver.prob ~budget:(Util.Timer.budget budget)
           Hardq.Solver.default_exact s.Ppd.Database.model lab u (Util.Rng.make 42));
     bound =
       (fun ~n_edges s u ->
