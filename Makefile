@@ -55,7 +55,7 @@ bench-self-test:
 	bash perfbench/run.sh --self-test
 
 # Cross-domain determinism matrix: the intra-query parallelism suite
-# (test/t_par.ml) and the kernel-equivalence suite (test/t_kernel.ml)
+# (test/t_par.ml) and the DP kernel suite (test/t_kernel.ml)
 # re-run with the pool pinned to 1 domain (everything inline), 2 domains
 # (the smallest real pool) and the recommended count (one per core).
 # Solver answers must be bit-identical in all three.
@@ -79,8 +79,8 @@ smoke-server:
 # Replay the committed regression corpus through the one differential
 # oracle (Qa.Oracle.check, DESIGN.md §10); failures print the offending
 # check and file. Per case it enforces: the per-union solver matrix
-# (every exact DP solver byte-identical across both DP kernels and the
-# sequential vs 2-domain pool runs, estimators inside their intervals,
+# (every exact DP solver byte-identical across the sequential and
+# 2-domain pool runs, estimators inside their intervals,
 # the metamorphic invariants); the engine lattice — jobs {1,2} x shards
 # {1,2,4} x cache {off,cold,warm} x source {"query" CQ, parsed "q" text
 # plan}, Boolean, Count and top-3 (naive, 1-edge, 2-edge) byte-identical
