@@ -44,7 +44,7 @@ let run ~full () =
       let lite_times = ref [] and lite_errs = ref [] in
       for rep = 1 to repeats do
         let rng = Util.Rng.make (1900 + (m * 31) + rep) in
-        let plan = Hardq.Mis_amp_lite.prepare_subrankings mal [ sub ] in
+        let plan = Hardq.Mis_amp_lite.plan_of_subrankings mal [ sub ] in
         (* A single sub-ranking means nothing is pruned: compensation would
            only multiply an unbiased IS estimate by the modal-mass ratio, so
            it is off here (the paper reports only runtime for this figure). *)

@@ -82,10 +82,11 @@ let run_group name tests =
       | _ -> Printf.printf "    %-46s (no estimate)\n" test_name)
     results
 
-(* The flat DP kernels on fixed inputs: CPU µs per call (best of 5
-   passes), minor-heap words per warm call, DP states per call, the mean
-   per-call key high-water mark ([dp.flat.arena_words_hwm]) and a digest of the answers' bits, so two builds can be compared for
-   identical answers as well as for speed. *)
+(* The flat DP kernels and the world-draw samplers on fixed inputs: CPU
+   µs per call (best of 5 passes), minor-heap words per warm call, DP
+   states per call, the mean per-call key high-water mark
+   ([dp.flat.arena_words_hwm]) and a digest of the answers' bits, so two
+   builds can be compared for identical answers as well as for speed. *)
 let flat_kernel_cases () =
   let db = Datasets.Polls.generate ~n_candidates:10 ~n_voters:60 ~seed:42 () in
   let q = Ppd.Parser.parse Datasets.Polls.query_two_label in
@@ -157,6 +158,25 @@ let flat_kernel_cases () =
         (0, 3); (4, 3); (2, 4); (6, 4); (4, 5); (1, 5) ]
   in
   let labels_union = chains [ [ 0; 1; 2 ]; [ 3; 4; 5 ] ] in
+  (* The samplers draw from fresh fixed seeds on every call, so each call
+     repeats the same stream and its answer bits. *)
+  let reject_model, reject_union = List.hd polls in
+  let sessions =
+    Array.of_list
+      (List.map
+         (fun (model, u) -> (model, fun r -> Prefs.Matcher.matches_union lab u r))
+         polls)
+  in
+  let anytime_rounds () =
+    let s =
+      Hardq.Anytime.make ~task:Hardq.Anytime.Count ~sessions
+        ~rng_of_round:(fun r -> Util.Rng.derive 7 r)
+    in
+    for _ = 1 to 7 do
+      ignore (Hardq.Anytime.step s)
+    done;
+    (Hardq.Anytime.step s).Hardq.Anytime.estimate
+  in
   [
     ( Printf.sprintf "Two_label.prob, %d Polls unions (m=10)" (List.length polls),
       List.map (fun (model, u) () -> Hardq.Two_label.prob model lab u) polls );
@@ -181,6 +201,16 @@ let flat_kernel_cases () =
       [ (fun () -> Hardq.General.prob items_model items_lab items_union) ] );
     ( "General.prob, label z=2 chains (m=8)",
       [ (fun () -> Hardq.General.prob labels_model labels_lab labels_union) ] );
+    ( "Rejection.estimate n=50000, one Polls union",
+      [
+        (fun () ->
+          (Hardq.Rejection.estimate ~n:50_000 reject_model lab reject_union
+             (Util.Rng.make 5))
+            .Hardq.Estimate.value);
+      ] );
+    ( Printf.sprintf "Anytime 8 Count rounds, %d Polls sessions"
+        (Array.length sessions),
+      [ anytime_rounds ] );
   ]
 
 let flat_kernels () =

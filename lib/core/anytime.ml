@@ -6,7 +6,6 @@
 
 let c_rounds = Obs.counter "sampler.anytime.rounds"
 let c_draws = Obs.counter "sampler.anytime.draws"
-let c_frames = Obs.counter "sampler.anytime.frames"
 
 type task = Boolean | Count
 
@@ -52,15 +51,12 @@ let draws t = t.draws
 let last t = t.last
 
 (* 64, 128, 256, ..., capped at the sampler chunk size: cheap early
-   frames while the CI is wide, bounded latency between late ones. *)
-let max_round_draws = 4096
-
-let round_draws r =
-  if r >= 7 then max_round_draws else 64 lsl (r - 1)
+   frames while the CI is wide, bounded latency between late ones. A
+   round never splits its RNG, so it reads [rng_of_round r] directly. *)
+let round_draws r = if r >= 7 then Rejection.chunk_size else 64 lsl (r - 1)
 
 let step t =
   let r = t.rounds + 1 in
-  let draws_before = t.draws in
   let s = Array.length t.sessions in
   let frame =
     if s = 0 then
@@ -70,38 +66,16 @@ let step t =
          sampler total anyway. *)
       { round = r; draws = t.draws; estimate = 0.; ci_lo = 0.; ci_hi = 0. }
     else begin
-      let n = round_draws r in
-      let rng = t.rng_of_round r in
-      let hits = ref 0 in
-      (match t.task with
-      | Boolean ->
-          (* One Bernoulli trial per world: does ANY session match? Every
-             session's model is sampled each world (uniform stream
-             consumption); only the predicate calls short-circuit. *)
-          for _ = 1 to n do
-            let hit = ref false in
-            Array.iter
-              (fun (model, pred) ->
-                let rk = Rim.Model.sample model rng in
-                if (not !hit) && pred rk then hit := true)
-              t.sessions;
-            if !hit then incr hits
-          done
-      | Count ->
-          (* S Bernoulli trials per world, pooled. *)
-          for _ = 1 to n do
-            Array.iter
-              (fun (model, pred) ->
-                if pred (Rim.Model.sample model rng) then incr hits)
-              t.sessions
-          done);
-      t.draws <- t.draws + n;
-      t.hits <- t.hits + !hits;
-      let trials =
-        match t.task with
-        | Boolean -> t.draws
-        | Count -> t.draws * s
+      (* Boolean: one Bernoulli trial per world (does ANY session
+         match?). Count: S trials per world, pooled. *)
+      let count, per_world =
+        match t.task with Boolean -> (Rejection.Any, 1) | Count -> (Rejection.Each, s)
       in
+      let n = round_draws r in
+      t.draws <- t.draws + n;
+      t.hits <- t.hits + Rejection.draw ~count ~n t.sessions (t.rng_of_round r);
+      Obs.Counter.add c_draws n;
+      let trials = t.draws * per_world in
       let p_hat = float_of_int t.hits /. float_of_int trials in
       let lo, hi = Util.Stats.clopper_pearson_ci ~k:t.hits ~n:trials () in
       (* Intersect with the running envelope: widths become non-increasing
@@ -113,7 +87,7 @@ let step t =
       let nl, nh = if nl > nh then ((nl +. nh) /. 2., (nl +. nh) /. 2.) else (nl, nh) in
       t.env_lo <- nl;
       t.env_hi <- nh;
-      let scale = match t.task with Boolean -> 1. | Count -> float_of_int s in
+      let scale = float_of_int per_world in
       let estimate = scale *. (min nh (max nl p_hat)) in
       {
         round = r;
@@ -127,6 +101,4 @@ let step t =
   t.rounds <- r;
   t.last <- Some frame;
   Obs.Counter.incr c_rounds;
-  Obs.Counter.add c_draws (t.draws - draws_before);
-  Obs.Counter.incr c_frames;
   frame

@@ -3,14 +3,15 @@
     A sampler [t] owns the nontrivial sessions of one query — each a
     model plus a "does this ranking satisfy the session's event"
     predicate — and advances in {e rounds}. Round [r] draws
-    [round_draws r] worlds (64·2^(r−1), capped at 4096), each world
-    sampling every session's model once from an RNG that is a pure
-    function of [(rng_of_round, r)]. The frame after round [r] therefore
-    depends only on the seed derivation and [r] — never on pool width,
-    scheduling, or how many further rounds the caller runs — which is
-    what makes frame sequences byte-replayable and gives the prefix
-    property: a tighter stopping target extends, never rewrites, a
-    looser target's frames.
+    [round_draws r] worlds (64·2^(r−1), capped at
+    {!Rejection.chunk_size} = 4096) through {!Rejection.draw}, each world
+    sampling every session's model once from [rng_of_round r] itself
+    (a round never reaches the kernel's chunk split). The frame after
+    round [r] therefore depends only on the seed derivation and [r] —
+    never on pool width, scheduling, or how many further rounds the
+    caller runs — which is what makes frame sequences byte-replayable
+    and gives the prefix property: a tighter stopping target extends,
+    never rewrites, a looser target's frames.
 
     Statistics. For [Boolean] a world is one Bernoulli trial on the
     answer itself (success iff {e any} session matches, i.e. on
@@ -70,4 +71,5 @@ val last : t -> frame option
 
 val round_draws : int -> int
 (** The fixed schedule: [round_draws r] worlds in round [r] (1-based);
-    64·2^(r−1) capped at 4096. Exposed for cost accounting and tests. *)
+    64·2^(r−1) capped at {!Rejection.chunk_size}. Exposed for cost
+    accounting and tests. *)

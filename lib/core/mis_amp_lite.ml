@@ -29,10 +29,9 @@ let prepare ?subrank_cap ?modal_cap mal lab gu =
   let t0 = Util.Timer.now () in
   let subs = Prefs.Decompose.subrankings ?cap:subrank_cap lab gu in
   let plan = plan_of_subrankings ?modal_cap mal subs in
-  plan.overhead <- plan.overhead +. (Util.Timer.now () -. t0 -. plan.overhead);
+  plan.overhead <- Util.Timer.now () -. t0;
   plan
 
-let prepare_subrankings ?modal_cap mal subs = plan_of_subrankings ?modal_cap mal subs
 let plan_width plan = Array.length plan.subs
 let plan_overhead plan = plan.overhead
 let unsatisfiable plan = Array.length plan.subs = 0

@@ -31,7 +31,7 @@ val prepare :
   plan
 (** [modal_cap] (default 16) bounds modal branching per sub-ranking. *)
 
-val prepare_subrankings :
+val plan_of_subrankings :
   ?modal_cap:int -> Rim.Mallows.t -> Prefs.Ranking.t list -> plan
 (** Plan over an explicit sub-ranking union (skips decomposition). *)
 

@@ -763,9 +763,6 @@ let eval t req = eval_one t ~batch_id:(next_batch_id t) ~batch_size:1 req
 (* ------------------------------------------------------------------ *)
 
 let c_serves = Obs.counter "engine.anytime.serves"
-let c_any_rounds = Obs.counter "engine.anytime.rounds"
-let c_any_draws = Obs.counter "engine.anytime.draws"
-let c_any_frames = Obs.counter "engine.anytime.frames"
 let c_any_timeouts = Obs.counter "engine.anytime.timeouts"
 let h_ci_width_bp = Obs.histogram "engine.anytime.ci_width_bp"
 
@@ -801,37 +798,26 @@ let route_exact (req : Request.t) =
 
 (* The anytime sampler's sessions: one (model, event predicate) pair per
    session whose event is not statically impossible (those contribute
-   nothing to either task's answer). *)
+   nothing to either task's answer). The events are the exact paths':
+   the union event of a pattern row, [plan_pred] of a predicate row. *)
 let sampler_sessions (plan : Plan.t) =
   let lab = Ppd.Database.labeling plan.Plan.db in
-  match plan.Plan.lowered with
-  | Plan.Patterns requests ->
-      Array.of_list
-        (List.filter_map
-           (fun { Ppd.Compile.session; union } ->
-             match union with
-             | None -> None
-             | Some u ->
-                 Some
-                   ( Rim.Mallows.to_rim session.Ppd.Database.model,
-                     fun r -> Prefs.Matcher.matches_union lab u r ))
-           requests)
-  | Plan.Predicates rows ->
-      Array.of_list
-        (List.filter_map
-           (fun (row : Plan.pred_session) ->
-             let live =
-               List.exists
-                 (fun (part, _) ->
-                   match part with Plan.Never -> false | _ -> true)
-                 row.Plan.parts
-             in
-             if live then
-               Some
-                 ( Rim.Mallows.to_rim row.Plan.session.Ppd.Database.model,
-                   plan_pred lab row )
-             else None)
-           rows)
+  let entry (s : Ppd.Database.session) event =
+    Some (Rim.Mallows.to_rim s.Ppd.Database.model, event)
+  in
+  Array.of_list
+    (match plan.Plan.lowered with
+    | Plan.Patterns requests ->
+        List.filter_map
+          (fun { Ppd.Compile.session = s; union } ->
+            Option.bind union (fun u -> entry s (Hardq.Rejection.union_event lab u)))
+          requests
+    | Plan.Predicates rows ->
+        List.filter_map
+          (fun (row : Plan.pred_session) ->
+            if List.for_all (fun (part, _) -> part = Plan.Never) row.Plan.parts then None
+            else entry row.Plan.session (plan_pred lab row))
+          rows)
 
 (* How many draws an anytime serve may spend before giving up on an
    unreachable CI target: well past the point where the pooled
@@ -873,10 +859,8 @@ let serve_anytime t ~on_frame ~cancelled (req : Request.t) slo ~m0 ~t_start =
   let expired () =
     match limit with Some d -> Util.Timer.wall () > d | None -> false
   in
-  let frames = ref 0 in
   let rec loop () =
     let f = Obs.with_span "round" (fun () -> Hardq.Anytime.step sampler) in
-    incr frames;
     on_frame f;
     if cancelled () then (`Cancelled, f)
     else if match target with Some w -> Hardq.Anytime.width f <= w | None -> false
@@ -892,11 +876,9 @@ let serve_anytime t ~on_frame ~cancelled (req : Request.t) slo ~m0 ~t_start =
     | Hardq.Anytime.Boolean -> Response.Probability last.Hardq.Anytime.estimate
     | Hardq.Anytime.Count -> Response.Expectation last.Hardq.Anytime.estimate
   in
+  (* Every round streams one frame. *)
   let rounds = Hardq.Anytime.rounds sampler in
   Obs.Counter.incr c_serves;
-  Obs.Counter.add c_any_rounds rounds;
-  Obs.Counter.add c_any_draws (Hardq.Anytime.draws sampler);
-  Obs.Counter.add c_any_frames !frames;
   if status = `Timeout then Obs.Counter.incr c_any_timeouts;
   Obs.Histogram.observe h_ci_width_bp
     (int_of_float (Hardq.Anytime.width last *. 1e4));
@@ -913,7 +895,7 @@ let serve_anytime t ~on_frame ~cancelled (req : Request.t) slo ~m0 ~t_start =
       Some
         {
           status;
-          frames = !frames;
+          frames = rounds;
           rounds;
           draws = Hardq.Anytime.draws sampler;
           ci_lo = last.Hardq.Anytime.ci_lo;

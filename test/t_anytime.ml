@@ -29,10 +29,14 @@ let sampler_sessions seed =
       let model = Rim.Mallows.to_rim (Helpers.random_mallows r 5) in
       (model, fun ranking -> Prefs.Ranking.prefers ranking 0 1))
 
-let make_sampler seed =
-  Hardq.Anytime.make ~task:Hardq.Anytime.Boolean
+let make_sampler ?(task = Hardq.Anytime.Boolean) seed =
+  Hardq.Anytime.make ~task
     ~sessions:(sampler_sessions seed)
     ~rng_of_round:(fun r -> Util.Rng.derive 7 r)
+
+let frame_bytes f =
+  Server.Json.to_string
+    (Server.Protocol.progress_to_json (Server.Protocol.progress_of_frame f))
 
 let unit_sampler_deterministic_and_monotone () =
   let run () =
@@ -63,6 +67,80 @@ let unit_sampler_deterministic_and_monotone () =
   | last :: _ -> Alcotest.(check int) "draws" expected last.Hardq.Anytime.draws
   | [] -> assert false
 
+(* Golden streams, recorded before the draw loops were merged into
+   [Rejection.draw]: the progress lines of rounds 1-8 of a fixed-seed
+   sampler per task (round 8 is past the 4096-draw cap), and the bits of
+   [Rejection.run] below and above the chunk size at pool widths 1 and 2.
+   A draw loop that shifts any RNG stream fails here. *)
+let golden_frames =
+  [
+    ( Hardq.Anytime.Boolean,
+      [
+        "{\"v\":1,\"frame\":\"progress\",\"round\":1,\"draws\":64,\"estimate\":0.734375,\"ci_lo\":0.41786011037508075,\"ci_hi\":0.937261011527815}";
+        "{\"v\":1,\"frame\":\"progress\",\"round\":2,\"draws\":192,\"estimate\":0.765625,\"ci_lo\":0.59144074765364429,\"ci_hi\":0.89370301960446952}";
+        "{\"v\":1,\"frame\":\"progress\",\"round\":3,\"draws\":448,\"estimate\":0.765625,\"ci_lo\":0.65560478994737448,\"ci_hi\":0.85554368751251353}";
+        "{\"v\":1,\"frame\":\"progress\",\"round\":4,\"draws\":960,\"estimate\":0.778125,\"ci_lo\":0.70598209825612435,\"ci_hi\":0.84039415047730048}";
+        "{\"v\":1,\"frame\":\"progress\",\"round\":5,\"draws\":1984,\"estimate\":0.766633064516129,\"ci_lo\":0.71673704209083722,\"ci_hi\":0.8119438868885549}";
+        "{\"v\":1,\"frame\":\"progress\",\"round\":6,\"draws\":4032,\"estimate\":0.7678571428571429,\"ci_lo\":0.73339898215750288,\"ci_hi\":0.80004900134281853}";
+        "{\"v\":1,\"frame\":\"progress\",\"round\":7,\"draws\":8128,\"estimate\":0.76906988188976377,\"ci_lo\":0.74508700924933979,\"ci_hi\":0.791924045679771}";
+        "{\"v\":1,\"frame\":\"progress\",\"round\":8,\"draws\":12224,\"estimate\":0.76734293193717273,\"ci_lo\":0.7478296158484532,\"ci_hi\":0.78611083592336417}";
+      ] );
+    ( Hardq.Anytime.Count,
+      [
+        "{\"v\":1,\"frame\":\"progress\",\"round\":1,\"draws\":64,\"estimate\":1.03125,\"ci_lo\":0.56665455056427128,\"ci_hi\":1.577146677717538}";
+        "{\"v\":1,\"frame\":\"progress\",\"round\":2,\"draws\":192,\"estimate\":1.125,\"ci_lo\":0.83422234044250132,\"ci_hi\":1.4378779186272013}";
+        "{\"v\":1,\"frame\":\"progress\",\"round\":3,\"draws\":448,\"estimate\":1.1339285714285714,\"ci_lo\":0.94000111670408426,\"ci_hi\":1.337136973500322}";
+        "{\"v\":1,\"frame\":\"progress\",\"round\":4,\"draws\":960,\"estimate\":1.1458333333333333,\"ci_lo\":1.0119067205666765,\"ci_hi\":1.2839528115140078}";
+        "{\"v\":1,\"frame\":\"progress\",\"round\":5,\"draws\":1984,\"estimate\":1.138608870967742,\"ci_lo\":1.0451418310955471,\"ci_hi\":1.2341455909132006}";
+        "{\"v\":1,\"frame\":\"progress\",\"round\":6,\"draws\":4032,\"estimate\":1.1257440476190477,\"ci_lo\":1.0601452821274735,\"ci_hi\":1.1923969858723438}";
+        "{\"v\":1,\"frame\":\"progress\",\"round\":7,\"draws\":8128,\"estimate\":1.1285679133858268,\"ci_lo\":1.0822440508719433,\"ci_hi\":1.1754105188610826}";
+        "{\"v\":1,\"frame\":\"progress\",\"round\":8,\"draws\":12224,\"estimate\":1.1303992146596857,\"ci_lo\":1.0925793214360251,\"ci_hi\":1.1685622458337424}";
+      ] );
+  ]
+
+let golden_run_bits =
+  [
+    (1000, 1, "0x1.ef9db22d0e56p-3");
+    (10000, 1, "0x1.00b780346dc5dp-2");
+    (1000, 2, "0x1.ef9db22d0e56p-3");
+    (10000, 2, "0x1.00b780346dc5dp-2");
+  ]
+
+let unit_sampler_golden_frames () =
+  List.iter
+    (fun (task, expected) ->
+      let s = make_sampler ~task 3 in
+      let got = List.init 8 (fun _ -> frame_bytes (Hardq.Anytime.step s)) in
+      if got <> expected then
+        Alcotest.failf "%s frames moved; now:\n%s"
+          (match task with Hardq.Anytime.Boolean -> "Boolean" | Count -> "Count")
+          (String.concat ";\n" (List.map (Printf.sprintf "%S") got)))
+    golden_frames
+
+let unit_rejection_run_golden_bits () =
+  let model, pred = (sampler_sessions 3).(0) in
+  let got =
+    List.concat_map
+      (fun jobs ->
+        let pool = Engine.Pool.create ~jobs () in
+        Fun.protect
+          ~finally:(fun () -> Engine.Pool.shutdown pool)
+          (fun () ->
+            List.map
+              (fun n ->
+                let e =
+                  Hardq.Rejection.run ~par:(Engine.Pool.sharer pool) ~n model
+                    pred (Util.Rng.make 11)
+                in
+                (n, jobs, Printf.sprintf "%h" e.Hardq.Estimate.value))
+              [ 1000; 10_000 ]))
+      [ 1; 2 ]
+  in
+  if got <> golden_run_bits then
+    Alcotest.failf "Rejection.run bits moved; now:\n%s"
+      (String.concat ";\n"
+         (List.map (fun (n, j, h) -> Printf.sprintf "(%d, %d, %S)" n j h) got))
+
 (* ------------------------------------------------------------------ *)
 (* Engine serve                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -72,10 +150,6 @@ let polls () =
     Ppd.Parser.parse Datasets.Polls.query_two_label )
 
 let sampling = Hardq.Solver.Approx (Hardq.Solver.Rejection { n = 1 })
-
-let frame_bytes f =
-  Server.Json.to_string
-    (Server.Protocol.progress_to_json (Server.Protocol.progress_of_frame f))
 
 let serve ?(jobs = 1) ?(solver = sampling) ?cancelled slo =
   let db, q = polls () in
@@ -335,6 +409,8 @@ let suites =
         tc "round-draws schedule" `Quick unit_round_draws_schedule;
         tc "deterministic, monotone envelope" `Quick
           unit_sampler_deterministic_and_monotone;
+        tc "golden frames, both tasks" `Quick unit_sampler_golden_frames;
+        tc "golden Rejection.run bits" `Quick unit_rejection_run_golden_bits;
       ] );
     ( "anytime.serve",
       [
