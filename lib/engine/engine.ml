@@ -768,7 +768,6 @@ let h_ci_width_bp = Obs.histogram "engine.anytime.ci_width_bp"
 
 type anytime = {
   status : [ `Final | `Timeout | `Cancelled ];
-  frames : int;
   rounds : int;
   draws : int;
   ci_lo : float;
@@ -876,7 +875,6 @@ let serve_anytime t ~on_frame ~cancelled (req : Request.t) slo ~m0 ~t_start =
     | Hardq.Anytime.Boolean -> Response.Probability last.Hardq.Anytime.estimate
     | Hardq.Anytime.Count -> Response.Expectation last.Hardq.Anytime.estimate
   in
-  (* Every round streams one frame. *)
   let rounds = Hardq.Anytime.rounds sampler in
   Obs.Counter.incr c_serves;
   if status = `Timeout then Obs.Counter.incr c_any_timeouts;
@@ -895,7 +893,6 @@ let serve_anytime t ~on_frame ~cancelled (req : Request.t) slo ~m0 ~t_start =
       Some
         {
           status;
-          frames = rounds;
           rounds;
           draws = Hardq.Anytime.draws sampler;
           ci_lo = last.Hardq.Anytime.ci_lo;
@@ -924,7 +921,6 @@ let serve t ?(on_frame = fun (_ : Hardq.Anytime.frame) -> ())
               Some
                 {
                   status = `Final;
-                  frames = 0;
                   rounds = 0;
                   draws = 0;
                   ci_lo = v;

@@ -151,8 +151,7 @@ type anytime = {
           SLO deadline, request deadline or draw cap expired first — the
           response still carries the best estimate. [`Cancelled]: the
           caller's [cancelled] hook fired. *)
-  frames : int;  (** progress frames emitted (0 on the exact route) *)
-  rounds : int;  (** sampling rounds run *)
+  rounds : int;  (** sampling rounds run, one progress frame each *)
   draws : int;  (** cumulative world draws *)
   ci_lo : float;
   ci_hi : float;

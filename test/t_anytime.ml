@@ -183,7 +183,7 @@ let unit_serve_streams_tightening_frames () =
   | `Timeout | `Cancelled -> Alcotest.fail "expected `Final under a 0.15 target");
   if List.length frames < 2 then
     Alcotest.failf "expected >= 2 frames, got %d" (List.length frames);
-  Alcotest.(check int) "frames counted" (List.length frames) a.Engine.frames;
+  Alcotest.(check int) "one frame per round" (List.length frames) a.Engine.rounds;
   let exact = exact_answer () in
   ignore
     (List.fold_left
@@ -255,7 +255,6 @@ let unit_serve_exact_route_point_interval () =
   | `Final -> ()
   | `Timeout | `Cancelled -> Alcotest.fail "exact route must conclude `Final");
   Alcotest.(check int) "no rounds" 0 a.Engine.rounds;
-  Alcotest.(check int) "no frames" 0 a.Engine.frames;
   Alcotest.(check (list string)) "no frame callbacks" [] (List.map frame_bytes frames);
   let p = Engine.Response.answer_float served.Engine.response in
   check_float_eq "answer matches plain eval" (exact_answer ()) p;
