@@ -64,14 +64,6 @@ let solver_arg =
     & opt solver_conv (Hardq.Solver.Exact `Auto)
     & info [ "solver" ] ~docv:"SOLVER" ~doc)
 
-let intra_arg =
-  let doc =
-    "Let each solver call fan its own work (inclusion-exclusion terms, DP \
-     layers, enumeration chunks) across the --jobs pool, in addition to the \
-     across-sessions fan-out. Results are bit-identical either way."
-  in
-  Arg.(value & opt bool true & info [ "intra" ] ~docv:"BOOL" ~doc)
-
 let budget_arg =
   let doc = "CPU-seconds budget per solver invocation (0 = unlimited)." in
   Arg.(value & opt float 0. & info [ "budget" ] ~docv:"SECONDS" ~doc)
@@ -126,7 +118,6 @@ type common = {
   solver : Hardq.Solver.t;
   seed : int;
   budget : float;
-  parallelism : [ `Inter | `Intra ];
   config : Engine.Config.t;
   stats : bool;
   metrics_json : string option;
@@ -134,14 +125,13 @@ type common = {
 }
 
 let common =
-  let make dataset size sessions seed solver jobs intra budget shards stats
+  let make dataset size sessions seed solver jobs budget shards stats
       metrics_json trace =
     {
       spec = Protocol.dataset ?size ?sessions ~seed dataset;
       solver;
       seed;
       budget;
-      parallelism = (if intra then `Intra else `Inter);
       config =
         { Engine.Config.(default |> with_shards shards) with jobs };
       stats;
@@ -151,8 +141,8 @@ let common =
   in
   Term.(
     const make $ dataset_arg $ size_arg $ sessions_arg $ seed_arg $ solver_arg
-    $ Engine_flags.jobs_arg $ intra_arg $ budget_arg
-    $ shards_arg $ stats_arg $ metrics_json_arg $ trace_arg)
+    $ Engine_flags.jobs_arg $ budget_arg $ shards_arg $ stats_arg
+    $ metrics_json_arg $ trace_arg)
 
 (* The query text a subcommand runs: the flag's, or the dataset's
    showcase query. *)
@@ -315,9 +305,7 @@ let execute c build =
     match
       let e, mode = build () in
       let request e =
-        ok
-          (Server.Registry.request registry ~budget:e.Protocol.budget
-             ~parallelism:c.parallelism e)
+        ok (Server.Registry.request registry ~budget:e.Protocol.budget e)
       in
       match mode with
       | `Explain -> (e, Explained (request e).Engine.Request.plan)
@@ -393,7 +381,12 @@ let topk_cmd =
     execute c @@ fun () ->
     (cq_eval ~task:(Engine.Request.top_k ~strategy k) c (cq c query), `Serve)
   in
-  let k_arg = Arg.(value & opt int 5 & info [ "k" ] ~docv:"K" ~doc:"How many sessions.") in
+  let k_arg =
+    Arg.(
+      value
+      & opt (Engine_flags.count_conv ~min:1 "session count") 5
+      & info [ "k" ] ~docv:"K" ~doc:"How many sessions, at least 1.")
+  in
   let strategy_arg =
     Arg.(
       value
@@ -411,7 +404,10 @@ let answers_cmd =
     (cq_eval c q, `Answers (k, q))
   in
   let k_arg =
-    Arg.(value & opt int 10 & info [ "k" ] ~docv:"K" ~doc:"Show the K most probable answers.")
+    Arg.(
+      value
+      & opt (Engine_flags.count_conv ~min:1 "answer count") 10
+      & info [ "k" ] ~docv:"K" ~doc:"Show the K most probable answers, at least 1.")
   in
   Cmd.v
     (Cmd.info "answers"
@@ -509,9 +505,29 @@ let sample_cmd =
     done;
     0
   in
-  let m_arg = Arg.(value & opt int 8 & info [ "m" ] ~docv:"M" ~doc:"Number of items.") in
+  let m_arg =
+    Arg.(
+      value
+      & opt (Engine_flags.count_conv ~min:1 "item count") 8
+      & info [ "m" ] ~docv:"M" ~doc:"Number of items, at least 1.")
+  in
+  (* A dispersion outside [0, 1] is a usage error naming the flag, not
+     [Rim.Mallows.make]'s [Invalid_argument]. *)
+  let phi_conv =
+    let parse s =
+      match float_of_string_opt s with
+      | Some phi when phi >= 0. && phi <= 1. -> Ok phi
+      | _ ->
+          Error
+            (`Msg
+               (Printf.sprintf "invalid dispersion %S, expected a number in [0, 1]" s))
+    in
+    Arg.conv (parse, Format.pp_print_float)
+  in
   let phi_arg =
-    Arg.(value & opt float 0.5 & info [ "phi" ] ~docv:"PHI" ~doc:"Mallows dispersion.")
+    Arg.(
+      value & opt phi_conv 0.5
+      & info [ "phi" ] ~docv:"PHI" ~doc:"Mallows dispersion, in [0, 1].")
   in
   let n_arg = Arg.(value & opt int 10 & info [ "n" ] ~docv:"N" ~doc:"Number of samples.") in
   Cmd.v

@@ -73,14 +73,6 @@ let shards_arg =
   in
   Arg.(value & opt Engine_flags.shards_conv 1 & info [ "shards" ] ~docv:"N" ~doc)
 
-let intra_arg =
-  let doc =
-    "Default intra-query parallelism for requests without a \
-     $(b,parallelism) field: solver calls may fan their own work across \
-     the engine pool. Answers are bit-identical either way."
-  in
-  Arg.(value & opt bool true & info [ "intra" ] ~docv:"BOOL" ~doc)
-
 let queue_arg =
   let doc =
     "Admission-queue bound: requests beyond it are shed immediately with \
@@ -130,8 +122,8 @@ let preload_arg =
 let quiet_arg =
   Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Suppress lifecycle log lines.")
 
-let run listen jobs cache term_cache batch_window_ms batch_max shards intra
-    queue workers max_connections timeout_ms metrics_json preload quiet =
+let run listen jobs cache term_cache batch_window_ms batch_max shards queue
+    workers max_connections timeout_ms metrics_json preload quiet =
   let config =
     {
       (Server.default_config listen) with
@@ -141,7 +133,6 @@ let run listen jobs cache term_cache batch_window_ms batch_max shards intra
       batch_window_ms;
       batch_max;
       shards;
-      intra;
       queue_capacity = queue;
       workers;
       max_connections;
@@ -177,7 +168,7 @@ let cmd =
     (Cmd.info "hardq-server" ~doc ~man)
     Term.(
       const run $ listen_arg $ Engine_flags.jobs_arg $ cache_arg $ term_cache_arg
-      $ batch_window_arg $ batch_max_arg $ shards_arg $ intra_arg $ queue_arg
+      $ batch_window_arg $ batch_max_arg $ shards_arg $ queue_arg
       $ workers_arg $ max_connections_arg $ timeout_arg $ metrics_json_arg
       $ preload_arg $ quiet_arg)
 

@@ -17,18 +17,22 @@ let estimate ?(modal_cap = 64) ~n_per mal psi rng =
     sampling_time = Util.Timer.now () -. t1;
   }
 
-let estimate_union ?(modal_cap = 16) ?(proposal_cap = 256) ?subrank_cap ~n_per mal lab gu
-    rng =
+(* [estimate_union]'s modal branching per sub-ranking and its total
+   proposal count. *)
+let union_modal_cap = 16
+let proposal_cap = 256
+
+let estimate_union ~n_per mal lab gu rng =
   let t0 = Util.Timer.now () in
   let center = Rim.Mallows.center mal in
-  let subs = Prefs.Decompose.subrankings ?cap:subrank_cap lab gu in
+  let subs = Prefs.Decompose.subrankings lab gu in
   if subs = [] then Estimate.exact 0.
   else begin
     let per_sub =
       List.map
         (fun psi ->
           ( psi,
-            Modals.greedy_modals ~cap:modal_cap ~sub:psi ~center () ))
+            Modals.greedy_modals ~cap:union_modal_cap ~sub:psi ~center () ))
         subs
     in
     (* Keep the best modal of every sub-ranking so the proposal mixture
@@ -44,14 +48,9 @@ let estimate_union ?(modal_cap = 16) ?(proposal_cap = 256) ?subrank_cap ~n_per m
                 List.map (fun (m, d) -> (psi, m, d)) rest @ ts ))
         ([], []) per_sub
     in
-    let rec take n = function
-      | [] -> []
-      | _ when n <= 0 -> []
-      | x :: rest -> x :: take (n - 1) rest
-    in
     let extra =
-      take
-        (max 0 (proposal_cap - List.length heads))
+      List.filteri
+        (fun i _ -> i < proposal_cap - List.length heads)
         (List.stable_sort (fun (_, _, a) (_, _, b) -> compare a b) tails)
     in
     let chosen = List.rev heads @ extra in

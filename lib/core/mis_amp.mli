@@ -17,9 +17,6 @@ val estimate :
 (** Pr(τ ⊨ ψ): proposals AMP(modal_t, φ, ψ) for each greedy modal. *)
 
 val estimate_union :
-  ?modal_cap:int ->
-  ?proposal_cap:int ->
-  ?subrank_cap:int ->
   n_per:int ->
   Rim.Mallows.t ->
   Prefs.Labeling.t ->
@@ -28,4 +25,6 @@ val estimate_union :
   Estimate.t
 (** Pr(τ ⊨ G) with proposals for all sub-rankings (each proposal
     conditions on its own ψ, so every sample satisfies G).
-    [proposal_cap] (default 256) keeps the closest modals overall. *)
+    At most 16 modals per sub-ranking; the best modal of every
+    sub-ranking is kept, then the closest of the rest up to 256
+    proposals overall. *)

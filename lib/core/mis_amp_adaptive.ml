@@ -1,6 +1,9 @@
 type result = { estimate : Estimate.t; rounds : (int * float) list }
 
-let estimate_with_plan ?(d0 = 1) ?(delta_d = 5) ?(d_max = 50) ?(n_per = 1000)
+(* The first round's proposal count. *)
+let d0 = 1
+
+let estimate_with_plan ?(delta_d = 5) ?(d_max = 50) ?(n_per = 1000)
     ?(tol = 0.05) plan rng =
   if Mis_amp_lite.unsatisfiable plan then
     { estimate = Estimate.exact 0.; rounds = [] }
@@ -40,9 +43,9 @@ let estimate_with_plan ?(d0 = 1) ?(delta_d = 5) ?(d_max = 50) ?(n_per = 1000)
     { estimate = !totals; rounds = List.rev !rounds }
   end
 
-let estimate ?d0 ?delta_d ?d_max ?n_per ?tol ?modal_cap ?subrank_cap mal lab gu rng =
-  let plan = Mis_amp_lite.prepare ?subrank_cap ?modal_cap mal lab gu in
-  let r = estimate_with_plan ?d0 ?delta_d ?d_max ?n_per ?tol plan rng in
+let estimate ?delta_d ?d_max ?n_per ?tol ?subrank_cap mal lab gu rng =
+  let plan = Mis_amp_lite.prepare ?subrank_cap mal lab gu in
+  let r = estimate_with_plan ?delta_d ?d_max ?n_per ?tol plan rng in
   (* Include full plan construction in the reported overhead. *)
   {
     r with

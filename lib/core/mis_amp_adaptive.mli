@@ -8,24 +8,21 @@ type result = {
 }
 
 val estimate :
-  ?d0:int ->
   ?delta_d:int ->
   ?d_max:int ->
   ?n_per:int ->
   ?tol:float ->
-  ?modal_cap:int ->
   ?subrank_cap:int ->
   Rim.Mallows.t ->
   Prefs.Labeling.t ->
   Prefs.Pattern_union.t ->
   Util.Rng.t ->
   result
-(** Defaults: [d0 = 1], [delta_d = 5], [d_max = 50], [n_per = 1000],
-    [tol = 0.05] (relative change between consecutive rounds). Stops
-    early when the modal pool is exhausted. *)
+(** The first round uses one proposal. Defaults: [delta_d = 5],
+    [d_max = 50], [n_per = 1000], [tol = 0.05] (relative change between
+    consecutive rounds). Stops early when the modal pool is exhausted. *)
 
 val estimate_with_plan :
-  ?d0:int ->
   ?delta_d:int ->
   ?d_max:int ->
   ?n_per:int ->

@@ -7,12 +7,14 @@ type sub_entry = {
 type plan = {
   mal : Rim.Mallows.t;
   subs : sub_entry array; (* ascending est_dist *)
-  modal_cap : int;
   mutable expanded : int;
   mutable overhead : float;
 }
 
-let plan_of_subrankings ?(modal_cap = 16) mal subs =
+(* Modal branching per sub-ranking. *)
+let modal_cap = 16
+
+let plan_of_subrankings mal subs =
   let t0 = Util.Timer.now () in
   let center = Rim.Mallows.center mal in
   let entries =
@@ -23,12 +25,12 @@ let plan_of_subrankings ?(modal_cap = 16) mal subs =
   in
   let arr = Array.of_list entries in
   Array.sort (fun a b -> compare a.est_dist b.est_dist) arr;
-  { mal; subs = arr; modal_cap; expanded = 0; overhead = Util.Timer.now () -. t0 }
+  { mal; subs = arr; expanded = 0; overhead = Util.Timer.now () -. t0 }
 
-let prepare ?subrank_cap ?modal_cap mal lab gu =
+let prepare ?subrank_cap mal lab gu =
   let t0 = Util.Timer.now () in
   let subs = Prefs.Decompose.subrankings ?cap:subrank_cap lab gu in
-  let plan = plan_of_subrankings ?modal_cap mal subs in
+  let plan = plan_of_subrankings mal subs in
   plan.overhead <- Util.Timer.now () -. t0;
   plan
 
@@ -43,7 +45,7 @@ let expand_sub plan k =
   | None ->
       e.modals <-
         Some
-          (Modals.greedy_modals ~cap:plan.modal_cap ~sub:e.psi
+          (Modals.greedy_modals ~cap:modal_cap ~sub:e.psi
              ~center:(Rim.Mallows.center plan.mal) ())
 
 let pool_size plan =
@@ -92,15 +94,12 @@ let estimate_with_plan ?(compensate = true) plan ~d ~n_per rng =
              | Some ms -> List.map (fun (modal, dist) -> (k, modal, dist)) ms
              | None -> []))
     in
-    let rec take n = function
-      | [] -> []
-      | _ when n <= 0 -> []
-      | x :: rest -> x :: take (n - 1) rest
-    in
     (* Select the d modals closest to the center from the pooled modals of
        the selected sub-rankings (§5.5). *)
     let selected =
-      take d (List.stable_sort (fun (_, _, a) (_, _, b) -> compare a b) pool)
+      List.filteri
+        (fun i _ -> i < d)
+        (List.stable_sort (fun (_, _, a) (_, _, b) -> compare a b) pool)
     in
     let overhead = Util.Timer.now () -. t0 in
     plan.overhead <- plan.overhead +. overhead;
@@ -153,7 +152,7 @@ let estimate_with_plan ?(compensate = true) plan ~d ~n_per rng =
         }
   end
 
-let estimate ?subrank_cap ?modal_cap ?compensate ~d ~n_per mal lab gu rng =
-  let plan = prepare ?subrank_cap ?modal_cap mal lab gu in
+let estimate ?compensate ~d ~n_per mal lab gu rng =
+  let plan = prepare mal lab gu in
   let e = estimate_with_plan ?compensate plan ~d ~n_per rng in
   { e with Estimate.overhead_time = plan.overhead }

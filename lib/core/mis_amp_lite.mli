@@ -24,15 +24,14 @@ type plan
 
 val prepare :
   ?subrank_cap:int ->
-  ?modal_cap:int ->
   Rim.Mallows.t ->
   Prefs.Labeling.t ->
   Prefs.Pattern_union.t ->
   plan
-(** [modal_cap] (default 16) bounds modal branching per sub-ranking. *)
+(** [subrank_cap] bounds the decomposition ({!Prefs.Decompose.subrankings}).
+    Modal branching is at most 16 per sub-ranking. *)
 
-val plan_of_subrankings :
-  ?modal_cap:int -> Rim.Mallows.t -> Prefs.Ranking.t list -> plan
+val plan_of_subrankings : Rim.Mallows.t -> Prefs.Ranking.t list -> plan
 (** Plan over an explicit sub-ranking union (skips decomposition). *)
 
 val plan_width : plan -> int
@@ -57,8 +56,6 @@ val estimate_with_plan :
     work triggered by this call. *)
 
 val estimate :
-  ?subrank_cap:int ->
-  ?modal_cap:int ->
   ?compensate:bool ->
   d:int ->
   n_per:int ->

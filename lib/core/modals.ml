@@ -49,12 +49,7 @@ let greedy_modals ?(cap = 64) ~sub ~center () =
           expanded
       in
       let sorted = List.stable_sort (fun (_, a) (_, b) -> compare a b) dedup in
-      let rec take n = function
-        | [] -> []
-        | _ when n = 0 -> []
-        | x :: rest -> x :: take (n - 1) rest
-      in
-      frontier := take cap sorted
+      frontier := List.filteri (fun i _ -> i < cap) sorted
     end
   done;
   List.stable_sort (fun (_, a) (_, b) -> compare a b) !frontier

@@ -34,12 +34,7 @@ let select_edges ~k lab model g =
         (Prefs.Pattern.closure_edges g)
     in
     let sorted = List.stable_sort (fun (a, _) (b, _) -> compare a b) scored in
-    let rec take n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | x :: rest -> x :: take (n - 1) rest
-    in
-    Some (List.map snd (take k sorted))
+    Some (List.map snd (List.filteri (fun i _ -> i < k) sorted))
   end
 
 (* Observability: every bound evaluation and the relaxation's size. The

@@ -204,14 +204,6 @@ let key_digest ((_, seed, solver, center, phi, proj, structure) : key) =
     (D.int h (List.length structure))
     structure
 
-let take k l =
-  let rec go n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: go (n - 1) rest
-  in
-  go k l
-
 let desc_by_snd l = List.stable_sort (fun (_, a) (_, b) -> compare b a) l
 
 let n_sessions (plan : Plan.t) =
@@ -244,8 +236,8 @@ type ctx = {
   budget : float;
   deadline : float option;
   par : Util.Par.t;
-      (* intra-query capability handed to every solver call; inline when
-         the request asked for inter-session parallelism only *)
+      (* the pool's sharer, handed to every solver call so it may fan its
+         own work into the pool *)
   terms : (term_key, float) Store.t option;
   answers : (key, float) Store.t;
   local : (key, float) Hashtbl.t; (* [solve_cached]'s within-eval memo *)
@@ -269,10 +261,7 @@ let make_ctx (t : t) (req : Request.t) =
     unions = Union_memo.create 16;
     budget = req.Request.budget;
     deadline = req.Request.deadline;
-    par =
-      (match req.Request.parallelism with
-      | `Intra -> Pool.sharer t.pool
-      | `Inter -> Util.Par.inline);
+    par = Pool.sharer t.pool;
     terms = t.terms;
     answers = t.answers;
     local = Hashtbl.create 64;
@@ -615,7 +604,7 @@ let fold_task task probs =
   | Request.Boolean -> Response.Probability (Ppd.Solve.any_session probs)
   | Request.Count ->
       Response.Expectation (List.fold_left (fun acc (_, p) -> acc +. p) 0. probs)
-  | Request.Top_k { k; _ } -> Response.Ranked (take k (desc_by_snd probs))
+  | Request.Top_k { k; _ } -> Response.Ranked (List.filteri (fun i _ -> i < k) (desc_by_snd probs))
 
 (* Fold a plan's own task over the engine answer. Aggregates replicate
    [Ppd.Aggregate.over_sessions]'s fold order exactly (bit-identity with

@@ -36,13 +36,6 @@ type t = {
          the evaluation aborts with [Util.Timer.Out_of_time]. The
          per-invocation [budget] cannot bound a request made of many small
          solver calls; the deadline is checked between them. *)
-  parallelism : [ `Inter | `Intra ];
-      (* [`Inter]: the pool only fans out across sessions (one solver call
-         per domain). [`Intra] (default): solver calls may additionally
-         fan their own work (IE terms, DP layers, enumeration chunks)
-         back into the same pool. Answers are bit-identical either way;
-         [`Intra] is what keeps every domain busy when one hard session
-         dominates the request. *)
   slo : slo option;
       (* Accuracy SLO for [Engine.serve]: when present, hard-verdict
          requests run the resumable anytime sampler (progress frames,
@@ -60,8 +53,10 @@ let task_of_plan (p : Plan.t) =
   | Lang.Ast.Count | Lang.Ast.Sum _ | Lang.Ast.Avg _ -> Count
   | Lang.Ast.Top_sessions k -> Top_k { k; strategy = `Naive }
 
-let of_plan ?task ?(budget = 0.) ?(seed = 42) ?deadline ?(parallelism = `Intra)
-    ?slo (plan : Plan.t) =
+(* [parallelism] is read by perfbench's traced replay only; there is one
+   mode, so it is ignored. *)
+let of_plan ?task ?(budget = 0.) ?(seed = 42) ?deadline
+    ?parallelism:(_ : [ `Intra ] option) ?slo (plan : Plan.t) =
   (* An explicit task only composes with a plain [prob] plan (the wire
      protocol's "task" member next to a "q" query); a plan that states
      its own task or modal keeps it. *)
@@ -70,7 +65,7 @@ let of_plan ?task ?(budget = 0.) ?(seed = 42) ?deadline ?(parallelism = `Intra)
     | Some t, Lang.Ast.Prob, None -> t
     | _ -> task_of_plan plan
   in
-  { plan; task; budget; seed; deadline; parallelism; slo }
+  { plan; task; budget; seed; deadline; slo }
 
 let make ?task ?(solver = Hardq.Solver.default_exact) ?budget ?seed ?deadline
     ?parallelism ?slo db query =

@@ -45,12 +45,6 @@ type t = {
           between solver invocations, so it bounds requests made of many
           small calls that the per-invocation [budget] cannot — the server
           maps per-request deadlines onto both. *)
-  parallelism : [ `Inter | `Intra ];
-      (** [`Inter] fans out only across sessions; [`Intra] (the default)
-          additionally lets each solver call fan its own inclusion–
-          exclusion terms, DP layers and enumeration chunks back into the
-          engine pool. Answers are bit-identical either way — the knob
-          only trades scheduling. *)
   slo : slo option;
       (** Accuracy SLO honored by {!Engine.serve} (anytime frames,
           graceful degradation); {!Engine.eval} ignores it. *)
@@ -62,7 +56,7 @@ val make :
   ?budget:float ->
   ?seed:int ->
   ?deadline:float ->
-  ?parallelism:[ `Inter | `Intra ] ->
+  ?parallelism:[ `Intra ] ->
   ?slo:slo ->
   Ppd.Database.t ->
   Ppd.Query.t ->
@@ -74,14 +68,14 @@ val make :
     {!Ppd.Compile.Unsupported} or {!Ppd.Compile.Grounding_too_large}
     here too. Defaults: [task = Boolean], [solver =
     Hardq.Solver.default_exact], [budget = 0.] (no limit), [seed = 42],
-    no deadline, no SLO, [parallelism = `Intra]. *)
+    no deadline, no SLO. [parallelism] is ignored, as in {!of_plan}. *)
 
 val of_plan :
   ?task:task ->
   ?budget:float ->
   ?seed:int ->
   ?deadline:float ->
-  ?parallelism:[ `Inter | `Intra ] ->
+  ?parallelism:[ `Intra ] ->
   ?slo:slo ->
   Plan.t ->
   t
@@ -91,7 +85,13 @@ val of_plan :
     aggregates → [Count] with the engine folding by the plan task). An
     explicit [task] override only takes effect when the plan's task is
     a plain [prob] with no modal — the wire protocol's [task] member
-    composing with a [{"q": …}] query. *)
+    composing with a [{"q": …}] query.
+
+    [parallelism] is ignored: there is one parallelism mode, in which
+    sessions fan out across the engine pool and each solver call may
+    share its own inclusion–exclusion terms, DP layers and draw chunks
+    into it. Only perfbench's traced replay ([perfbench/perfbench.ml])
+    passes it; the argument goes when that call stops passing it. *)
 
 val boolean : task
 val count : task

@@ -60,13 +60,12 @@ let groundings db q =
     (fun combo -> (combo, Query.substitute q (List.combine q.Query.head combo)))
     (Util.Combinat.cartesian_product (List.map snd doms))
 
-let evaluate ?(min_confidence = 0.) prob db q =
+let evaluate prob db q =
   let gs = groundings db q in
   let answers =
     List.filter_map
       (fun ((values, _), confidence) ->
-        if confidence > min_confidence then Some { values; confidence }
-        else None)
+        if confidence > 0. then Some { values; confidence } else None)
       (List.combine gs (prob (List.map snd gs)))
   in
   List.stable_sort (fun a b -> compare b.confidence a.confidence) answers

@@ -27,15 +27,14 @@ val groundings : Database.t -> Query.t -> (Value.t list * Query.t) list
     values and the query itself. *)
 
 val evaluate :
-  ?min_confidence:float ->
   (Query.t list -> float list) ->
   Database.t ->
   Query.t ->
   answer list
 (** [evaluate prob db q]: {!groundings}, their Boolean probabilities from
     one [prob] call (one float per query, in order), and all answers with
-    confidence above [min_confidence] (default 0: answers with confidence
-    exactly 0 are dropped), sorted by descending confidence. *)
+    confidence above 0 (answers with confidence exactly 0 are dropped),
+    sorted by descending confidence. *)
 
 val top :
   k:int -> (Query.t list -> float list) -> Database.t -> Query.t -> answer list

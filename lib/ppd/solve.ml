@@ -63,14 +63,6 @@ type topk_report = {
   exact_time : float;
 }
 
-let take k l =
-  let rec go n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: go (n - 1) rest
-  in
-  go k l
-
 let top_k ?(solver = default_solver) ?(strategy = `Edges 1) ~k db q rng =
   let compiled = Compile.compile db q in
   let lab = Database.labeling db in
@@ -87,7 +79,7 @@ let top_k ?(solver = default_solver) ?(strategy = `Edges 1) ~k db q rng =
       in
       let sorted = List.stable_sort (fun (_, a) (_, b) -> compare b a) probs in
       {
-        results = take k sorted;
+        results = List.filteri (fun i _ -> i < k) sorted;
         n_exact = List.length compiled.Compile.requests;
         bound_time = 0.;
         exact_time = Util.Timer.now () -. t0;
@@ -138,7 +130,7 @@ let top_k ?(solver = default_solver) ?(strategy = `Edges 1) ~k db q rng =
       let evaluated = go [] queue in
       let sorted = List.stable_sort (fun (_, a) (_, b) -> compare b a) evaluated in
       {
-        results = take k sorted;
+        results = List.filteri (fun i _ -> i < k) sorted;
         n_exact = !n_exact;
         bound_time = t1 -. t0;
         exact_time = Util.Timer.now () -. t1;

@@ -9,7 +9,7 @@ let sockaddr_of = function
       in
       (Unix.PF_INET, Unix.ADDR_INET (inet, port))
 
-let rec connect ?(retries = 0) ?(retry_delay_s = 0.05) address =
+let rec connect ?(retries = 0) address =
   let domain, sockaddr = sockaddr_of address in
   let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
   match Unix.connect fd sockaddr with
@@ -17,8 +17,8 @@ let rec connect ?(retries = 0) ?(retry_delay_s = 0.05) address =
   | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
     when retries > 0 ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
-      Thread.delay retry_delay_s;
-      connect ~retries:(retries - 1) ~retry_delay_s address
+      Thread.delay 0.05;
+      connect ~retries:(retries - 1) address
   | exception e ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       raise e

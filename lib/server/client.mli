@@ -8,9 +8,9 @@
 
 type t
 
-val connect : ?retries:int -> ?retry_delay_s:float -> Protocol.address -> t
+val connect : ?retries:int -> Protocol.address -> t
 (** Connect, retrying [ECONNREFUSED]/[ENOENT] [retries] times (default
-    0) with [retry_delay_s] (default 0.05 s) between attempts — startup
+    0) 0.05 s apart — startup
     scripts race the server's bind. Raises [Unix.Unix_error] when out of
     retries. *)
 

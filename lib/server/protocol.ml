@@ -100,10 +100,6 @@ type eval = {
   seed : int;
   timeout_ms : float option;
   per_session : bool;
-  parallelism : [ `Inter | `Intra ] option;
-      (* None: use the server's configured default. Either way the answer
-         is bit-identical; the knob only chooses whether one solver call
-         may fan its own work across the engine pool. *)
   target_ci : float option;
       (* v1 additive member "target_ci": accuracy SLO — serve anytime
          until the CI is at most this wide. *)
@@ -121,25 +117,24 @@ type eval = {
 
 let eval_source ?(task = Engine.Request.Boolean)
     ?(solver = Hardq.Solver.default_exact) ?(budget = 0.) ?(seed = 42)
-    ?timeout_ms ?(per_session = false) ?parallelism ?target_ci ?deadline_ms
+    ?timeout_ms ?(per_session = false) ?target_ci ?deadline_ms
     ?(stream = false) dataset query =
   { dataset; query; task; solver; budget; seed; timeout_ms; per_session;
-    parallelism; target_ci; deadline_ms; stream }
+    target_ci; deadline_ms; stream }
 
-let eval ?task ?solver ?budget ?seed ?timeout_ms ?per_session ?parallelism
-    ?target_ci ?deadline_ms ?stream dataset q =
-  eval_source ?task ?solver ?budget ?seed ?timeout_ms ?per_session ?parallelism
-    ?target_ci ?deadline_ms ?stream dataset (Cq q)
+let eval ?task ?solver ?budget ?seed ?timeout_ms ?per_session ?target_ci
+    ?deadline_ms ?stream dataset q =
+  eval_source ?task ?solver ?budget ?seed ?timeout_ms ?per_session ?target_ci
+    ?deadline_ms ?stream dataset (Cq q)
 
-let eval_lang ?task ?solver ?budget ?seed ?timeout_ms ?per_session ?parallelism
-    ?target_ci ?deadline_ms ?stream dataset text =
+let eval_lang ?task ?solver ?budget ?seed ?timeout_ms ?per_session ?target_ci
+    ?deadline_ms ?stream dataset text =
   match Lang.Parser.parse text with
   | Stdlib.Error e -> Stdlib.Error (Lang.Ast.error_to_string e)
   | Ok ast ->
       Ok
         (eval_source ?task ?solver ?budget ?seed ?timeout_ms ?per_session
-           ?parallelism ?target_ci ?deadline_ms ?stream dataset
-           (Lang { text; ast }))
+           ?target_ci ?deadline_ms ?stream dataset (Lang { text; ast }))
 
 (* The engine-level SLO a request's additive members project onto. *)
 let slo_of_eval (e : eval) =
@@ -167,16 +162,9 @@ let plan_of_eval ~db (e : eval) =
   | exception (Ppd.Compile.Unsupported msg | Ppd.Compile.Grounding_too_large msg) ->
       Stdlib.Error (error Unsupported msg)
 
-let request_of_plan ~budget ?deadline ~parallelism (e : eval) plan =
+let request_of_plan ~budget ?deadline (e : eval) plan =
   Engine.Request.of_plan ~task:e.task ~budget ~seed:e.seed ?deadline
-    ~parallelism ?slo:(slo_of_eval e) plan
-
-let parallelism_to_string = function `Inter -> "inter" | `Intra -> "intra"
-
-let parallelism_of_string = function
-  | "inter" -> Some `Inter
-  | "intra" -> Some `Intra
-  | _ -> None
+    ?slo:(slo_of_eval e) plan
 
 type request = { id : Json.t option; op : op }
 and op = Eval of eval | Metrics | Ping
@@ -241,10 +229,6 @@ let request_to_json (r : request) =
           ]
         @ (match e.timeout_ms with
           | Some ms -> [ ("timeout_ms", Json.Float ms) ]
-          | None -> [])
-        @ (match e.parallelism with
-          | Some p ->
-              [ ("parallelism", Json.String (parallelism_to_string p)) ]
           | None -> [])
         @ (match e.target_ci with
           | Some w -> [ ("target_ci", Json.Float w) ]
@@ -370,15 +354,6 @@ let eval_of_json json =
         | None -> bad "field \"timeout_ms\" must be a number")
   in
   let* per_session = field_bool json "per_session" ~default:false in
-  let* parallelism =
-    match Json.member "parallelism" json with
-    | None -> Ok None
-    | Some (Json.String s) -> (
-        match parallelism_of_string s with
-        | Some p -> Ok (Some p)
-        | None -> bad "field \"parallelism\" must be \"inter\" or \"intra\"")
-    | Some _ -> bad "field \"parallelism\" must be \"inter\" or \"intra\""
-  in
   let* target_ci =
     match Json.member "target_ci" json with
     | None -> Ok None
@@ -406,7 +381,7 @@ let eval_of_json json =
   let* stream = field_bool json "stream" ~default:false in
   Ok
     { dataset; query; task; solver; budget; seed; timeout_ms; per_session;
-      parallelism; target_ci; deadline_ms; stream }
+      target_ci; deadline_ms; stream }
 
 let check_version json =
   match Json.member "v" json with

@@ -16,7 +16,9 @@
     peers speak the same schema) and reject a different number with
     [Bad_request]. Decoders ignore unknown fields, so additive schema
     evolution — like the reply's ["cache"] stats block — needs no
-    version bump; see DESIGN.md §9 for the full schema. *)
+    version bump, and a retired member such as the eval's
+    ["parallelism"] is skipped whatever its value; see DESIGN.md §9 for
+    the full schema. *)
 
 val version : int
 (** The protocol version this build speaks: [1]. *)
@@ -82,10 +84,6 @@ type eval = {
   seed : int;
   timeout_ms : float option;  (** wall-clock deadline for this request *)
   per_session : bool;  (** include per-session marginals in the reply *)
-  parallelism : [ `Inter | `Intra ] option;
-      (** JSON field ["parallelism"]: ["inter"] or ["intra"]. [None]
-          defers to the server's configured default. Answers are
-          bit-identical either way. *)
   target_ci : float option;
       (** JSON field ["target_ci"] (additive, still v1): accuracy SLO —
           serve anytime until the confidence interval is at most this
@@ -110,7 +108,6 @@ val eval :
   ?seed:int ->
   ?timeout_ms:float ->
   ?per_session:bool ->
-  ?parallelism:[ `Inter | `Intra ] ->
   ?target_ci:float ->
   ?deadline_ms:float ->
   ?stream:bool ->
@@ -119,7 +116,7 @@ val eval :
   eval
 (** Defaults mirror [Engine.Request.make]: Boolean task, [`Auto] solver,
     no budget, seed 42, no deadline, no SLO, no streaming, no
-    per-session marginals, server's parallelism default. *)
+    per-session marginals. *)
 
 val eval_lang :
   ?task:Engine.Request.task ->
@@ -128,7 +125,6 @@ val eval_lang :
   ?seed:int ->
   ?timeout_ms:float ->
   ?per_session:bool ->
-  ?parallelism:[ `Inter | `Intra ] ->
   ?target_ci:float ->
   ?deadline_ms:float ->
   ?stream:bool ->
@@ -299,12 +295,11 @@ val plan_of_eval : db:Ppd.Database.t -> eval -> (Plan.t, error) result
 val request_of_plan :
   budget:float ->
   ?deadline:float ->
-  parallelism:[ `Inter | `Intra ] ->
   eval ->
   Plan.t ->
   Engine.Request.t
 (** The engine request of an eval over its compiled plan, with the
-    caller's resolved [budget], [deadline] and [parallelism]: what
+    caller's resolved [budget] and [deadline]: what
     {!Engine.Request.make} builds for the same CQ. *)
 
 val anytime_of_engine : Engine.anytime -> anytime option

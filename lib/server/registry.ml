@@ -161,12 +161,12 @@ let rec plan entry key (e : Protocol.eval) =
           Engine.Store.abandon entry.plans key;
           raise exn)
 
-let request t ~budget ?deadline ~parallelism (e : Protocol.eval) =
+let request t ~budget ?deadline (e : Protocol.eval) =
   match entry t e.Protocol.dataset with
   | Error err -> Error err
   | Ok entry ->
       Result.map
-        (Protocol.request_of_plan ~budget ?deadline ~parallelism e)
+        (Protocol.request_of_plan ~budget ?deadline e)
         (plan entry (plan_key e) e)
 
 let preload t d = Result.map (fun (_ : entry) -> ()) (entry t d)

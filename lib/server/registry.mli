@@ -51,7 +51,6 @@ val request :
   t ->
   budget:float ->
   ?deadline:float ->
-  parallelism:[ `Inter | `Intra ] ->
   Protocol.eval ->
   (Engine.Request.t, Protocol.error) result
 (** The engine request of an eval: resolve its dataset as {!find} does,

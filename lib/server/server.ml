@@ -22,8 +22,8 @@ type config = {
   preload : Protocol.dataset_spec list;
   quiet : bool;
   intra : bool;
-      (* default Request parallelism for evals that don't specify one:
-         true = solver calls may fan intra-query work into the pool *)
+      (* read by perfbench's run header only; there is one parallelism
+         mode *)
   batch_window_ms : float;
       (* gather window of the batch scheduler; <= 0 dispatches every
          admitted request as its own batch immediately *)
@@ -219,14 +219,7 @@ let effective_budget t (e : Protocol.eval) deadline start =
 let prepare t (job : job) start =
   let e = job.eval in
   let budget, deadline_limited = effective_budget t e job.deadline start in
-  let parallelism =
-    match e.Protocol.parallelism with
-    | Some p -> p
-    | None -> if t.cfg.intra then `Intra else `Inter
-  in
-  match
-    Registry.request t.registry ~budget ?deadline:job.deadline ~parallelism e
-  with
+  match Registry.request t.registry ~budget ?deadline:job.deadline e with
   | Ok req -> Ok (req, deadline_limited)
   | Error err -> Error (Protocol.Err err)
 

@@ -74,9 +74,11 @@ type config = {
   preload : Protocol.dataset_spec list;  (** synthesized at {!start} *)
   quiet : bool;  (** suppress the stderr lifecycle log lines *)
   intra : bool;
-      (** default parallelism for evals without a ["parallelism"] field:
-          [true] lets each solver call fan intra-query work into the
-          engine pool. Answers are bit-identical either way. *)
+      (** Read by perfbench's run header only ([perfbench/perfbench.ml]),
+          which prints it; nothing in the server reads it. Every request
+          runs the one parallelism mode: sessions fan out across the
+          engine pool and each solver call may share its own work into
+          it. The field goes when that header line does. *)
   batch_window_ms : float;  (** gather window; [<= 0] = no batching *)
   batch_max : int;  (** flush a gather bucket at this many requests *)
   kernel : Hardq.Kernel.t;
@@ -98,7 +100,7 @@ val default_config : Protocol.address -> config
     2 workers, 1024 connections, no default timeout, 1 MiB lines, no
     metrics path, no preloads, quiet (the binary's [--quiet] flag opts
     into silence explicitly; library embedders flip [quiet] off when
-    they want the lifecycle log), intra-query parallelism on, 2 ms
+    they want the lifecycle log), [intra = true], 2 ms
     gather window, 16 requests per batch, 1 shard (unsharded). *)
 
 type t

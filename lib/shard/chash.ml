@@ -23,15 +23,16 @@ let fmix64 h =
 
 let hash s = fmix64 (fnv_fold fnv_offset s)
 
+(* Virtual points per shard. *)
+let vnodes = 64
+
 type t = {
   shards : int;
-  vnodes : int;
   points : (int64 * int) array; (* sorted by unsigned hash, then shard id *)
 }
 
-let create ?(vnodes = 64) shards =
+let create shards =
   if shards < 1 then invalid_arg "Chash.create: shards must be >= 1";
-  if vnodes < 1 then invalid_arg "Chash.create: vnodes must be >= 1";
   let points =
     Array.init (shards * vnodes) (fun j ->
         let shard = j / vnodes and replica = j mod vnodes in
@@ -41,10 +42,9 @@ let create ?(vnodes = 64) shards =
     (fun (a, sa) (b, sb) ->
       match Int64.unsigned_compare a b with 0 -> compare sa sb | c -> c)
     points;
-  { shards; vnodes; points }
+  { shards; points }
 
 let shards t = t.shards
-let vnodes t = t.vnodes
 
 let shard_of t key =
   if t.shards = 1 then 0

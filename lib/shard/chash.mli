@@ -1,6 +1,6 @@
 (** Consistent hashing over session ids (the shard-placement function).
 
-    A ring of [vnodes] virtual points per shard, each at the 64-bit
+    A ring of 64 virtual points per shard, each at the 64-bit
     FNV-1a hash of ["shard:<id>:<replica>"] finished with MurmurHash3's
     fmix64 avalanche (raw FNV-1a barely diffuses a key's last bytes, so
     sequential session ids would pile onto one arc); a key lands on the
@@ -13,13 +13,11 @@
 
 type t
 
-val create : ?vnodes:int -> int -> t
-(** [create n] builds the ring for [n >= 1] shards with [vnodes]
-    (default 64) virtual points per shard. Raises [Invalid_argument]
-    when [n < 1]. *)
+val create : int -> t
+(** [create n] builds the ring for [n >= 1] shards. Raises
+    [Invalid_argument] when [n < 1]. *)
 
 val shards : t -> int
-val vnodes : t -> int
 
 val hash : string -> int64
 (** The ring's placement hash (FNV-1a folded, fmix64-finalized),

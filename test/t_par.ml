@@ -103,29 +103,18 @@ let unit_solver_matrix_bit_identity () =
         [ `Brute; `General; `Bipartite; `Bipartite_basic; `Auto ] );
     ]
 
-(* Engine level: jobs = nd with `Intra vs jobs = 1, and `Intra vs
-   `Inter at the same width, are the same floats. *)
+(* Engine level: jobs = nd and jobs = 1 are the same floats. *)
 let unit_engine_bit_identity () =
   let db = Datasets.Polls.generate ~n_candidates:10 ~n_voters:40 ~seed:3 () in
   let q = Ppd.Parser.parse Datasets.Polls.query_two_label in
-  let eval ~jobs ~parallelism =
+  let eval ~jobs =
     Engine.with_engine
       Engine.Config.(
         default |> with_jobs jobs |> with_answer_capacity 0 |> with_term_capacity 0)
       (fun engine ->
-        Engine.Response.answer_float
-          (Engine.eval engine (Engine.Request.make ~parallelism db q)))
+        Engine.Response.answer_float (Engine.eval engine (Engine.Request.make db q)))
   in
-  let reference = eval ~jobs:1 ~parallelism:`Inter in
-  check_bits "jobs=1 intra" reference (eval ~jobs:1 ~parallelism:`Intra);
-  check_bits
-    (Printf.sprintf "jobs=%d intra" nd)
-    reference
-    (eval ~jobs:nd ~parallelism:`Intra);
-  check_bits
-    (Printf.sprintf "jobs=%d inter" nd)
-    reference
-    (eval ~jobs:nd ~parallelism:`Inter)
+  check_bits (Printf.sprintf "jobs=%d" nd) (eval ~jobs:1) (eval ~jobs:nd)
 
 (* Pinned DP work: the cold-exact request shape (Polls, m = 10, 60
    sessions, both store tiers at capacity 0) must make exactly these solver calls
@@ -403,7 +392,7 @@ let suites =
       [
         tc (named "exact-solver matrix bit-identity") `Quick
           unit_solver_matrix_bit_identity;
-        tc (named "engine intra/inter/jobs bit-identity") `Quick
+        tc (named "engine jobs bit-identity") `Quick
           unit_engine_bit_identity;
         prop_general_par_bit_identical;
         tc (named "dp chunk replay is ordered") `Quick unit_layers_ordered_replay;

@@ -934,6 +934,49 @@ let unit_server_query_and_q_agree () =
   in
   Alcotest.(check string) "same answer bytes" (answer "query") (answer "q")
 
+(* The retired "parallelism" member is an unknown member: the encoder
+   never emits it, and the server answers an eval that carries it, with
+   any value, the same bytes as one without it. *)
+let unit_server_ignores_parallelism () =
+  let address = Protocol.Local (temp_socket ()) in
+  let config =
+    { (Server.default_config address) with Server.preload = [ fast_spec ] }
+  in
+  let request =
+    Protocol.request_to_json
+      {
+        Protocol.id = None;
+        op =
+          Protocol.Eval
+            (Protocol.eval ~task:Engine.Request.Count ~per_session:true fast_spec
+               sample_query);
+      }
+  in
+  if Json.member "parallelism" request <> None then
+    Alcotest.failf "encoder emits \"parallelism\": %s" (Json.to_string request);
+  with_server config @@ fun server ->
+  let client = Server.Client.connect ~retries:40 (Server.address server) in
+  Fun.protect ~finally:(fun () -> Server.Client.close client) @@ fun () ->
+  let answer what json =
+    match Server.Client.rpc_json client json with
+    | Ok reply -> (
+        match (Json.member "answer" reply, Json.member "per_session" reply) with
+        | Some a, Some rows -> Json.to_string a ^ " " ^ Json.to_string rows
+        | _ -> Alcotest.failf "%s: no answer in %s" what (Json.to_string reply))
+    | Error msg -> Alcotest.failf "%s: transport error: %s" what msg
+  in
+  let plain = answer "no member" request in
+  List.iter
+    (fun (what, v) ->
+      Alcotest.(check string) what plain
+        (answer what (with_field "parallelism" v request)))
+    [
+      ("\"inter\"", Json.String "inter");
+      ("\"intra\"", Json.String "intra");
+      ("malformed string", Json.String "sideways");
+      ("malformed type", Json.Int 3);
+    ]
+
 (* [hardq query] is a local client of the server's request path: the
    same spec and text give the same dataset and the same answer. Size
    and the default session count of crowdrank are where the CLI's own
@@ -1384,9 +1427,17 @@ let unit_binaries_reject_bad_counts () =
       ("--term-cache", "--term-cache=-5");
       ("--jobs", "--jobs=-3");
     ];
-  Helpers.usage_error ~flag:"--jobs"
-    (Helpers.binary "hardq_cli.exe")
-    [ "eval"; "--jobs=-3" ]
+  List.iter
+    (fun (flag, args) ->
+      Helpers.usage_error ~flag (Helpers.binary "hardq_cli.exe") args)
+    [
+      ("--jobs", [ "eval"; "--jobs=-3" ]);
+      ("-k", [ "topk"; "-k"; "0" ]);
+      ("-k", [ "topk"; "-k"; "0"; "--strategy"; "naive" ]);
+      ("-k", [ "answers"; "-k"; "0" ]);
+      ("--phi", [ "sample"; "--phi"; "1.5" ]);
+      ("-m", [ "sample"; "-m"; "0" ]);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Streaming (anytime SLO) over raw sockets                            *)
@@ -1907,9 +1958,7 @@ let lang_eval ?(spec = fast_spec) text =
   | Error msg -> Alcotest.failf "parse %S: %s" text msg
 
 let registry_plan registry e =
-  match
-    Server.Registry.request registry ~budget:0. ~parallelism:`Inter e
-  with
+  match Server.Registry.request registry ~budget:0. e with
   | Ok req -> req.Engine.Request.plan
   | Error err -> Alcotest.failf "request: %s" err.Protocol.message
 
@@ -1961,9 +2010,7 @@ let unit_registry_plan_survives_interning () =
   Engine.with_engine Engine.Config.(default |> with_jobs 1) (fun engine ->
       let answer () =
         plan_traffic (fun () ->
-            match
-              Server.Registry.request registry ~budget:0. ~parallelism:`Inter e
-            with
+            match Server.Registry.request registry ~budget:0. e with
             | Ok req -> Engine.Response.answer_float (Engine.eval engine req)
             | Error err -> Alcotest.failf "request: %s" err.Protocol.message)
       in
@@ -2125,6 +2172,8 @@ let suites =
           unit_server_unsupported_query_is_typed;
         tc "bare-constant Q2: \"query\" and \"q\" answer the same bytes" `Quick
           unit_server_query_and_q_agree;
+        tc "a \"parallelism\" member, any value, changes no answer byte" `Quick
+          unit_server_ignores_parallelism;
         tc "hardq query answers what the server answers" `Quick
           unit_server_cli_agrees;
         tc "drain answers in-flight requests, then refuses" `Quick
